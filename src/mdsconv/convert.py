@@ -508,13 +508,16 @@ def required_field_order(params: ConvertParams) -> int:
 def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
     """An access-optimal merge plan over `field`.
 
-    Evaluation points are drawn from one global pool so that the points
-    of all unchanged coordinates plus the fresh written coordinates stay
-    pairwise distinct; each initial code's remaining coordinates are
-    filled with further points distinct within that code.  Unchanged
-    positions are the leading k_I of each code; reduced-read codes read
-    their trailing r_F positions (which include the extension position),
-    other codes re-read their unchanged symbols.
+    Evaluation points are drawn from one global pool, the field elements
+    in ascending encoding, so that the points of all unchanged
+    coordinates plus the fresh written coordinates stay pairwise
+    distinct; each initial code's remaining coordinates are filled with
+    the smallest further points distinct within that code.  The pool is
+    sliced and scanned lazily, so the draw costs O(n) whatever q is.
+    Unchanged positions are the leading k_I of each code; reduced-read
+    codes read their trailing r_F positions (which include the extension
+    position), and their restricted parity checks come from the closed
+    form in `grs.puncture`; other codes re-read their unchanged symbols.
     """
     if params.t2 != 1:
         raise UsageError("merge construction requires exactly one final code")
@@ -525,11 +528,11 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
         )
     rf = params.r_final[0]
     nf = params.n_final[0]
-    pool = list(field.elements())
+    pool = field.elements()
     gammas: list[tuple[int, ...]] = []
     cursor = 0
     for n, k in params.initial:
-        head = pool[cursor : cursor + k]
+        head = list(pool[cursor : cursor + k])
         cursor += k
         used = set(head)
         fill: list[int] = []
@@ -716,7 +719,7 @@ def verify_optimal_structure(plan: MergePlan) -> StructureCheck:
         support = plan.support(i)
         try:
             psec = puncture(plan.initial_specs[i - 1], support)
-        except (UsageError, InternalError) as exc:
+        except UsageError as exc:
             return StructureCheck(False, f"punctured-parity: code {i}: {exc}")
         reference = parity_check(psec)
         hbar = plan.punctured_parity[i - 1]
@@ -757,6 +760,11 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
     initial code's restricted parity check, reading the other finals'
     unchanged symbols plus r_F trailing positions; every other final code
     is a fresh code re-encoded from its unchanged symbols.
+
+    Every code takes the leading field elements (ascending encoding) as
+    its evaluation points, sliced lazily so the draw costs O(n) whatever
+    q is; the privileged final inherits its points and closed-form
+    multipliers from `grs.puncture` of the initial code.
     """
     if params.t1 != 1:
         raise UsageError("split construction requires exactly one initial code")
@@ -766,7 +774,7 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
             f"field of order {field.q} is too small for these parameters: need q >= {need}"
         )
     n_i, k_i = params.initial[0]
-    pool = list(field.elements())
+    pool = field.elements()
     initial_spec = ExtGrsSpec(field, n_i, n_i - k_i, tuple(pool[: n_i - 1]), (1,) * n_i)
     unchanged: list[tuple[int, ...]] = []
     offset = 0
@@ -975,7 +983,7 @@ def _check_split_privileged(plan: SplitPlan) -> tuple[bool, str]:
         return False, "restriction misses the extension position"
     try:
         psec = puncture(plan.initial_spec, support)
-    except (UsageError, InternalError) as exc:
+    except UsageError as exc:
         return False, str(exc)
     reference = parity_check(psec)
     hbar = plan.punctured_parity

@@ -161,7 +161,11 @@ class FieldSpec:
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse by extended Euclid; a must be nonzero."""
+        """Multiplicative inverse; a must be nonzero.
+
+        Prime fields use integer extended Euclid; extension fields read
+        exp[q - 1 - log a] from the tables that `mul` uses.
+        """
         if a == 0:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
         if self.m == 1:
@@ -173,14 +177,9 @@ class FieldSpec:
                 r0, r1 = r1, r0 - quo * r1
                 s0, s1 = s1, s0 - quo * s1
             return s0 % self.p
-        # Polynomial extended Euclid on (a, modulus) over GF(2).
-        r0, r1 = a, self.modulus
-        s0, s1 = 1, 0
-        while r1:
-            quo, rem = self._poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, s0 ^ self._clmul(quo, s1)
-        return _poly_mod(s0, self.modulus)
+        if self._exp is None:
+            self._build_tables()
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -212,16 +211,6 @@ class FieldSpec:
 
     def _mul_nolut(self, a: int, b: int) -> int:
         return _poly_mod(self._clmul(a, b), self.modulus)
-
-    @staticmethod
-    def _poly_divmod(a: int, b: int) -> tuple[int, int]:
-        quo = 0
-        db = _poly_deg(b)
-        while a and _poly_deg(a) >= db:
-            shift = _poly_deg(a) - db
-            quo |= 1 << shift
-            a ^= b << shift
-        return quo, a
 
     def _build_tables(self) -> None:
         """Log/antilog tables for fast extension-field multiplication."""

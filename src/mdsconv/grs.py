@@ -4,8 +4,10 @@ A code is defined by evaluation points gamma (n-1 distinct elements)
 and nonzero column multipliers w (n elements); its parity check is the
 extended Vandermonde-type matrix, giving an [n, n-r] MDS code.  Such a
 code restricted to a position set T that keeps the extension position n
-is again of the same family; the multipliers of the restricted code are
-recovered by linear solving since no closed form is available.
+is again of the same family, with multipliers in closed form: a dual
+codeword supported on T is P*g with P = prod_{j not in T} (x - gamma_j),
+so theta_j = w_j * P(gamma_j) / w_n and theta_n = 1 (GRS duality, see
+Roth, "Introduction to Coding Theory", ch. 5).
 
 Positions are 1-based throughout, matching codeword coordinates.
 """
@@ -17,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .errors import CorruptionError, InsufficientDataError, InternalError, UsageError
+from .errors import CorruptionError, InsufficientDataError, UsageError
 from .field import FieldSpec, GF
 from .linalg import FieldMatrix
 
@@ -124,14 +126,8 @@ def recover_erasures(spec: ExtGrsSpec, known: Mapping[int, int]) -> Codeword:
     return Codeword(tuple(symbols), spec)
 
 
-def puncture(spec: ExtGrsSpec, positions: Iterable[int]) -> ExtGrsSpec:
-    """The code restricted to `positions`, which must include position n.
-
-    The result has length |T|, redundancy r - (n - |T|), the restricted
-    evaluation points, and multipliers recovered as the deterministic
-    first solution of the linear system that places every row of the
-    restricted parity check inside the dual of the restriction.
-    """
+def restriction_support(spec: ExtGrsSpec, positions: Iterable[int]) -> list[int]:
+    """`positions` ascending, checked to lie in 1..n, keep n and exceed k in number."""
     t = sorted(set(positions))
     for p in t:
         if not 1 <= p <= spec.n:
@@ -140,41 +136,35 @@ def puncture(spec: ExtGrsSpec, positions: Iterable[int]) -> ExtGrsSpec:
         raise UsageError(f"restriction must keep the extension position {spec.n}")
     if len(t) <= spec.k:
         raise UsageError(f"restriction must keep more than k = {spec.k} positions")
+    return t
+
+
+def puncture(spec: ExtGrsSpec, positions: Iterable[int]) -> ExtGrsSpec:
+    """The code restricted to `positions` T, which must include position n.
+
+    The result has length |T|, redundancy r - (n - |T|), the restricted
+    evaluation points, and multipliers in closed form: with
+    P = prod_{j not in T} (x - gamma_j), the restricted multipliers are
+    theta_j = w_j * P(gamma_j) / w_n for j < n and theta_n = 1.  Cost is
+    O(|T| * (n - |T|)) multiplications and one inversion.
+    """
+    t = restriction_support(spec, positions)
     f = spec.field
-    nt = len(t)
-    rp = spec.r - (spec.n - nt)
-    h = parity_check(spec)
-    complement = [p for p in range(1, spec.n + 1) if p not in set(t)]
-    if complement:
-        coeffs = linalg.right_kernel_basis(linalg.transpose(linalg.submatrix_cols(h, complement)))
-        dual = linalg.submatrix_cols(linalg.matmul(coeffs, h), t)
-    else:
-        dual = h
-    if linalg.rank(dual) != rp:  # pragma: no cover - guaranteed by MDS structure
-        raise InternalError("restricted dual has unexpected dimension")
-    gamma_t = tuple(spec.gamma[p - 1] for p in t if p != spec.n)
-    # Unknown multipliers theta_1..theta_|T|: each row of the candidate
-    # parity check must be orthogonal to the kernel of the dual basis.
-    kern = linalg.right_kernel_basis(dual)
-    rows = []
-    powers = [1] * (nt - 1)
-    for ell in range(rp):
-        for i in range(kern.rows):
-            nu = kern.row(i)
-            row = [f.mul(nu[j], powers[j]) for j in range(nt - 1)]
-            row.append(nu[nt - 1] if ell == rp - 1 else 0)
-            rows.append(row)
-        if ell < rp - 1:
-            powers = [f.mul(powers[j], gamma_t[j]) for j in range(nt - 1)]
-    solutions = linalg.right_kernel_basis(linalg.from_rows(f, rows, cols=nt))
-    if solutions.rows == 0:
-        raise InternalError("no multiplier vector found for the restricted code")
-    theta = solutions.row(0)
-    if any(x == 0 for x in theta):
-        raise InternalError("restricted-code multipliers are not all nonzero")
-    scale = f.inv(theta[-1])
-    theta = tuple(f.mul(scale, x) for x in theta)
-    return ExtGrsSpec(f, nt, rp, gamma_t, theta)
+    mul, sub = f.mul, f.sub
+    kept = set(t)
+    dropped = [spec.gamma[p - 1] for p in range(1, spec.n) if p not in kept]
+    scale = f.inv(spec.w[-1])
+    gamma_t: list[int] = []
+    theta: list[int] = []
+    for p in t[:-1]:
+        x = spec.gamma[p - 1]
+        val = mul(scale, spec.w[p - 1])
+        for y in dropped:
+            val = mul(val, sub(x, y))
+        gamma_t.append(x)
+        theta.append(val)
+    theta.append(1)
+    return ExtGrsSpec(f, len(t), spec.r - len(dropped), tuple(gamma_t), tuple(theta))
 
 
 # -- serialization ----------------------------------------------------------

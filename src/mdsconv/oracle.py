@@ -11,8 +11,8 @@ from itertools import combinations
 from typing import Iterable
 
 from . import linalg
-from .errors import UsageError
-from .grs import ExtGrsSpec, generator
+from .errors import InternalError, UsageError
+from .grs import ExtGrsSpec, generator, parity_check, restriction_support
 from .linalg import FieldMatrix
 
 MDS_MAX_LENGTH = 14
@@ -102,3 +102,49 @@ def can_generate(
         if linalg.solve_linear(gsrc, gdst.col(j)) is None:
             return False
     return True
+
+
+def puncture_by_solve(spec: ExtGrsSpec, positions: Iterable[int]) -> ExtGrsSpec:
+    """The restriction `grs.puncture` computes, found by linear solving.
+
+    The restricted dual is spanned by the combinations of parity-check
+    rows that vanish off T; the multipliers are the first solution of the
+    system placing every row of the candidate extended-Vandermonde
+    parity check inside that dual, scaled so that theta_n = 1.
+    """
+    t = restriction_support(spec, positions)
+    f = spec.field
+    nt = len(t)
+    rp = spec.r - (spec.n - nt)
+    h = parity_check(spec)
+    kept = set(t)
+    complement = [p for p in range(1, spec.n + 1) if p not in kept]
+    if complement:
+        coeffs = linalg.right_kernel_basis(linalg.transpose(linalg.submatrix_cols(h, complement)))
+        dual = linalg.submatrix_cols(linalg.matmul(coeffs, h), t)
+    else:
+        dual = h
+    if linalg.rank(dual) != rp:
+        raise InternalError("restricted dual has unexpected dimension")
+    gamma_t = tuple(spec.gamma[p - 1] for p in t if p != spec.n)
+    # Unknown multipliers theta_1..theta_|T|: each row of the candidate
+    # parity check must be orthogonal to the kernel of the dual basis.
+    kern = linalg.right_kernel_basis(dual)
+    rows = []
+    powers = [1] * (nt - 1)
+    for ell in range(rp):
+        for i in range(kern.rows):
+            nu = kern.row(i)
+            row = [f.mul(nu[j], powers[j]) for j in range(nt - 1)]
+            row.append(nu[nt - 1] if ell == rp - 1 else 0)
+            rows.append(row)
+        if ell < rp - 1:
+            powers = [f.mul(powers[j], gamma_t[j]) for j in range(nt - 1)]
+    solutions = linalg.right_kernel_basis(linalg.from_rows(f, rows, cols=nt))
+    if solutions.rows == 0:
+        raise InternalError("no multiplier vector found for the restricted code")
+    theta = solutions.row(0)
+    if any(x == 0 for x in theta):
+        raise InternalError("restricted-code multipliers are not all nonzero")
+    scale = f.inv(theta[-1])
+    return ExtGrsSpec(f, nt, rp, gamma_t, tuple(f.mul(scale, x) for x in theta))

@@ -134,6 +134,14 @@ def _merge_doc(plan: MergePlan) -> dict:
     }
 
 
+def _code_slot(entry: Mapping, t1: int, label: str) -> int:
+    """0-based slot of an entry's initial-code index, which must lie in 1..t1."""
+    code = int(entry["code"])
+    if not 1 <= code <= t1:
+        raise UsageError(f"{label}: code {code} out of range 1..{t1}")
+    return code - 1
+
+
 def _merge_from_doc(doc: Mapping) -> MergePlan:
     try:
         params = _params_from_doc(doc["params"])
@@ -151,10 +159,14 @@ def _merge_from_doc(doc: Mapping) -> MergePlan:
         )
         punctured: list[FieldMatrix | None] = [None] * params.t1
         for entry in doc["punctured_parity"]:
-            punctured[int(entry["code"]) - 1] = _matrix_from_lines(entry["matrix"], field)
+            punctured[_code_slot(entry, params.t1, "punctured_parity")] = _matrix_from_lines(
+                entry["matrix"], field
+            )
         blocks: list[FieldMatrix | None] = [None] * params.t1
         for entry in doc["final_unchanged_blocks"]:
-            blocks[int(entry["code"]) - 1] = _matrix_from_lines(entry["matrix"], field)
+            blocks[_code_slot(entry, params.t1, "final_unchanged_blocks")] = _matrix_from_lines(
+                entry["matrix"], field
+            )
         written_block = _matrix_from_lines(doc["final_written_block"], field)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise UsageError(f"malformed merge plan document: {exc}") from exc

@@ -201,6 +201,20 @@ def test_criterion_5_puncture_codebook_equality():
     report_line(f"criterion 5: puncturing preserves codebooks ({checked} restrictions checked)", ok)
 
 
+def test_plan_restrictions_match_linear_solve(merge_plans):
+    """Closed-form restrictions of every matrix plan equal the linear-solve oracle."""
+    for plan in merge_plans:
+        for i in sorted(plan.reduced):
+            spec, support = plan.initial_specs[i - 1], plan.support(i)
+            assert puncture(spec, support) == oracle.puncture_by_solve(spec, support)
+    for (ni, ki), finals in SPLIT_MATRIX:
+        params = ConvertParams(((ni, ki),), tuple(finals))
+        field = smallest_admissible_field(max(ni, max(n for n, _ in finals)) - 1)
+        plan = build_split(params, field)
+        spec, support = plan.initial_spec, plan.support()
+        assert puncture(spec, support) == oracle.puncture_by_solve(spec, support)
+
+
 def test_criterion_6_split_optimality():
     """Distinct reads meet the split read bound; total cost meets the bound."""
     ok = True

@@ -266,3 +266,17 @@ def test_plan_deterministic(tmp_path, capsys):
     run(capsys, "plan", "--config", cfg, "--out", a)
     run(capsys, "plan", "--config", cfg, "--out", b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_rejects_out_of_range_code_index(tmp_path, capsys):
+    cfg = tmp_path / "merge.json"
+    write_json(cfg, {"regime": "merge", "q": 8, "initial": [[5, 3], [5, 3]], "r_F": 2})
+    plan_path = tmp_path / "plan.json"
+    run(capsys, "plan", "--config", cfg, "--out", plan_path)
+    doc = json.loads(plan_path.read_text())
+    entry = next(e for e in doc["punctured_parity"] if e["code"] == 2)
+    entry["code"] = 0  # would index the last slot from the end
+    write_json(plan_path, doc)
+    code, _, err = run(capsys, "verify", "--plan", plan_path)
+    assert code == 1
+    assert "out of range" in err

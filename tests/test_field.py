@@ -162,3 +162,9 @@ def test_custom_modulus_changes_identity():
     alt = FieldSpec(2, 8, modulus=0b100011101)
     assert alt != GF(256)
     assert alt.mul(2, alt.inv(2)) == 1
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 256, 1 << 16])
+def test_table_inverse_exhaustive(q):
+    f = GF(q)
+    assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, q))

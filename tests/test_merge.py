@@ -240,3 +240,14 @@ def test_verify_plan_long_final_uses_sampled_check():
     out, report = merge_convert(plan, inputs)
     assert out.symbols == oracle_completion(plan, inputs).symbols
     assert report.optimal and report.rho == 2 + 2 + 2
+
+
+def test_point_draw_independent_of_field_order():
+    # Points are the leading integers whatever q is, and a prime field of
+    # order 2^31 - 1 plans as quickly as GF(8).
+    params = merge_params([(5, 3), (5, 3)], 2)
+    big = build_merge(params, GF(2147483647))
+    for small in (PLAN_GF8, build_merge(params, GF(16))):
+        assert [s.gamma for s in big.initial_specs] == [s.gamma for s in small.initial_specs]
+        assert big.final_spec.gamma == small.final_spec.gamma
+    assert verify_optimal_structure(big).ok

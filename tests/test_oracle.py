@@ -7,7 +7,7 @@ from mdsconv.errors import UsageError
 from mdsconv.field import GF
 from mdsconv.grs import ExtGrsSpec, parity_check, puncture
 from mdsconv.linalg import from_rows, rank
-from mdsconv.oracle import can_generate, codebook, mds_exhaustive, mds_sampled
+from mdsconv.oracle import can_generate, codebook, mds_exhaustive, mds_sampled, puncture_by_solve
 
 
 def canonical_spec(field, n, r):
@@ -96,3 +96,23 @@ def test_can_generate_validation():
         can_generate(a, [1], c, [1])
     with pytest.raises(UsageError):
         can_generate(a, [9], a, [1])
+
+
+def test_puncture_matches_linear_solve():
+    # Differential check of the closed-form restriction against the solve.
+    rng = random.Random(2407)
+    cases = 0
+    for q in (7, 8, 11, 16, 256, 257):
+        field = GF(q)
+        for _ in range(70):
+            n = rng.randint(3, min(q + 1, 12))
+            r = rng.randint(1, n - 1)
+            gamma = tuple(rng.sample(range(q), n - 1))
+            w = tuple(rng.randrange(1, q) for _ in range(n))
+            spec = ExtGrsSpec(field, n, r, gamma, w)
+            size = rng.randint(spec.k + 1, n)
+            t = rng.sample(range(1, n), size - 1) + [n]
+            fast, slow = puncture(spec, t), puncture_by_solve(spec, t)
+            assert (fast.n, fast.r, fast.gamma, fast.w) == (slow.n, slow.r, slow.gamma, slow.w)
+            cases += 1
+    assert cases >= 400

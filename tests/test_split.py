@@ -129,3 +129,11 @@ def test_verify_plan_split_catches_tampering():
     results = dict((name, (ok, detail)) for name, ok, detail in verify_plan(tampered))
     ok, detail = results["privileged restricted parity"]
     assert not ok
+
+
+def test_point_draw_independent_of_field_order():
+    big = build_split(PARAMS_7_TO_4_3, GF(2147483647))
+    small = build_split(PARAMS_7_TO_4_3, GF(16))
+    assert big.initial_spec.gamma == small.initial_spec.gamma
+    assert [s.gamma for s in big.final_specs] == [s.gamma for s in small.final_specs]
+    assert big.privileged == small.privileged == 1

@@ -1,8 +1,9 @@
 """Convertible MDS erasure codes over extended generalized Reed-Solomon codes.
 
 Builds access-optimal merge and split conversion plans, executes
-conversions on codewords, and verifies plans against the access-cost
-lower bounds and the structural optimality characterization.
+conversions on codewords through one lowered linear map per final code,
+and verifies plans against the access-cost lower bounds and the
+structural optimality characterization.
 """
 
 from .convert import (
@@ -18,6 +19,7 @@ from .convert import (
     build_merge,
     build_split,
     general_convert,
+    lower,
     merge_convert,
     merge_lower_bound,
     merge_params,

@@ -19,10 +19,10 @@ from typing import Sequence
 from . import plandoc
 from .convert import (
     ConvertParams,
-    SplitPlan,
     access_report,
     build_merge,
     build_split,
+    initial_specs,
     merge_lower_bound,
     merge_params,
     reduced_read_codes,
@@ -156,15 +156,9 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _initial_specs(plan):
-    if isinstance(plan, SplitPlan):
-        return (plan.initial_spec,)
-    return plan.initial_specs
-
-
 def cmd_encode(args) -> int:
     plan = plandoc.load_plan(args.plan)
-    specs = _initial_specs(plan)
+    specs = initial_specs(plan)
     messages = plandoc.read_symbol_lines(args.infile, plan.field)
     if len(messages) != len(specs):
         raise UsageError(f"expected {len(specs)} messages (one per initial code), got {len(messages)}")
@@ -180,7 +174,7 @@ def cmd_encode(args) -> int:
 
 def cmd_convert(args) -> int:
     plan = plandoc.load_plan(args.plan)
-    specs = _initial_specs(plan)
+    specs = initial_specs(plan)
     rows = plandoc.read_symbol_lines(args.infile, plan.field)
     if len(rows) != len(specs):
         raise UsageError(f"expected {len(specs)} codewords (one per initial code), got {len(rows)}")

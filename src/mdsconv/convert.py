@@ -8,19 +8,30 @@ and split (t1 = 1) regimes, builders for access-optimal merge and split
 plans, plan execution, the structural optimality check for merge plans,
 and access accounting with a per-device trace.
 
+Every plan kind runs through one executor, `run_conversion`.  The first
+time a plan object runs, `lower` compiles it to a general plan: for each
+final code, the initial symbols it reads, a matrix sigma with
+written = reads . sigma, and the layout of its coordinates.  For merge
+and split plans sigma comes from one reduced echelon form per final
+code, solving the parity relations once for all stripes.  The lowered
+form and the access report are kept on the plan object, so every later
+stripe costs one parity check per input and one `vecmat` per final code.
+
 Code indices and codeword positions are 1-based, as in plan documents;
 written blocks use code index t1 + j for final code j.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
-from . import linalg, oracle
-from .errors import CorruptionError, InternalError, ParameterError, UsageError
+from . import linalg
+from .errors import CorruptionError, InsufficientDataError, ParameterError, UsageError
 from .field import FieldSpec
-from .grs import Codeword, ExtGrsSpec, is_codeword, parity_check, puncture, recover_erasures
+from .grs import Codeword, ExtGrsSpec, is_codeword, parity_check, puncture
 from .linalg import FieldMatrix
 
 SymbolId = tuple[int, int]
@@ -596,53 +607,6 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
     )
 
 
-def merge_convert(
-    plan: MergePlan, codewords: Sequence[Sequence[int] | Codeword]
-) -> tuple[Codeword, AccessReport]:
-    """Execute a merge: copy unchanged symbols, solve for the written ones.
-
-    The written symbols satisfy the final parity equations once the
-    reduced-read contributions (through the restricted parity checks)
-    and the default-read contributions (through the final-code blocks)
-    are accumulated; inputs must be codewords of their initial codes.
-    """
-    if len(codewords) != plan.params.t1:
-        raise UsageError(f"expected {plan.params.t1} input codewords, got {len(codewords)}")
-    syms: list[tuple[int, ...]] = []
-    for i, cw in enumerate(codewords, 1):
-        symbols = tuple(cw.symbols if isinstance(cw, Codeword) else cw)
-        if not is_codeword(plan.initial_specs[i - 1], symbols):
-            raise CorruptionError(f"input {i} is not a codeword of initial code {i}")
-        syms.append(symbols)
-    f = plan.field
-    rf = plan.final_spec.r
-    rhs = (0,) * rf
-    for i in range(1, plan.params.t1 + 1):
-        if i in plan.reduced:
-            support = plan.support(i)
-            slot = {pos: idx + 1 for idx, pos in enumerate(support)}
-            hbar = plan.punctured_parity[i - 1]
-            block = linalg.submatrix_cols(hbar, [slot[pos] for pos in plan.reads[i - 1]])
-            contrib = linalg.matvec(block, [syms[i - 1][pos - 1] for pos in plan.reads[i - 1]])
-            rhs = tuple(f.add(x, y) for x, y in zip(rhs, contrib))
-        else:
-            block = plan.final_unchanged_blocks[i - 1]
-            contrib = linalg.matvec(block, [syms[i - 1][pos - 1] for pos in plan.unchanged[i - 1]])
-            rhs = tuple(f.sub(x, y) for x, y in zip(rhs, contrib))
-    if plan.final_written_block.rows != plan.final_written_block.cols:
-        raise UsageError("written block is not square; plan is not executable")
-    written = linalg.solve_linear(plan.final_written_block, rhs)
-    if written is None:
-        raise InternalError("written-symbol system is inconsistent")
-    out = [0] * plan.final_spec.n
-    for idx, (code, pos) in enumerate(plan.final_layout()):
-        if code <= plan.params.t1:
-            out[idx] = syms[code - 1][pos - 1]
-        else:
-            out[idx] = written[pos - 1]
-    return Codeword(tuple(out), plan.final_spec), access_report(plan)
-
-
 # -- merge optimality structure ----------------------------------------------
 
 
@@ -830,84 +794,209 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
     )
 
 
-def split_convert(
-    plan: SplitPlan, codeword: Sequence[int] | Codeword
-) -> tuple[tuple[Codeword, ...], AccessReport]:
-    """Execute a split: each final keeps its unchanged symbols verbatim.
+# -- execution ---------------------------------------------------------------------
 
-    The privileged final's written symbols are solved from the restricted
-    parity relation using only read symbols; the other finals are
-    re-encoded from their unchanged symbols, which form an information
-    set of an MDS code.
+
+def _solve_block(square: FieldMatrix, blocks: Sequence[FieldMatrix], what: str) -> FieldMatrix:
+    """(square^-1 . [blocks])^T from one rref of [square | blocks]; UsageError when singular."""
+    n = square.cols
+    if square.rows != n:
+        raise UsageError(f"{what} is {square.rows}x{n}, not square; plan is not executable")
+    for block in blocks:
+        if block.rows != n:
+            raise UsageError(f"{what} has {n} rows but a right-hand block has {block.rows}")
+    width = sum(block.cols for block in blocks)
+    rows = (m.row(i) for i in range(n) for m in (square, *blocks))
+    red, pivots = linalg.rref(FieldMatrix(square.field, n, n + width, tuple(chain.from_iterable(rows))))
+    if pivots[:n] != tuple(range(n)):
+        raise UsageError(f"{what} is singular; plan is not executable")
+    solved = [red.row(i)[n:] for i in range(n)]
+    return FieldMatrix(square.field, width, n, tuple(chain.from_iterable(zip(*solved))))
+
+
+def _negated(m: FieldMatrix) -> FieldMatrix:
+    return FieldMatrix(m.field, m.rows, m.cols, tuple(map(m.field.neg, m.entries)))
+
+
+def _lower_merge(plan: MergePlan) -> GeneralPlan:
+    """sigma = (W^-1 . [H̄_i read columns | -F_i])^T with W the final written block.
+
+    For a reduced code i the restricted parity check H̄_i turns its read
+    symbols into the final parity contribution of its unchanged ones; any
+    other code contributes its unchanged symbols through the final
+    parity-check block F_i, so those are the symbols it reads.
     """
-    symbols = tuple(codeword.symbols if isinstance(codeword, Codeword) else codeword)
-    if not is_codeword(plan.initial_spec, symbols):
-        raise CorruptionError("input is not a codeword of the initial code")
-    outputs: list[Codeword] = []
-    support = plan.support()
-    slot = {pos: idx + 1 for idx, pos in enumerate(support)}
+    reads: list[tuple[int, ...]] = []
+    blocks: list[FieldMatrix] = []
+    for i in range(1, plan.params.t1 + 1):
+        if i in plan.reduced:
+            slot = {pos: idx + 1 for idx, pos in enumerate(plan.support(i))}
+            reads.append(plan.reads[i - 1])
+            blocks.append(linalg.submatrix_cols(plan.punctured_parity[i - 1], [slot[pos] for pos in reads[-1]]))
+        else:
+            reads.append(plan.unchanged[i - 1])
+            blocks.append(_negated(plan.final_unchanged_blocks[i - 1]))
+    return GeneralPlan(
+        params=plan.params,
+        field=plan.field,
+        initial_specs=plan.initial_specs,
+        final_specs=(plan.final_spec,),
+        unchanged=(plan.unchanged,),
+        reads=(tuple(reads),),
+        layouts=(plan.final_layout(),),
+        sigmas=(_solve_block(plan.final_written_block, blocks, "final written block"),),
+    )
+
+
+def _lower_split(plan: SplitPlan) -> GeneralPlan:
+    """Privileged final: sigma = (H̄_V^-1 . H̄_reads)^T from the restricted
+    parity check; any other final: sigma = (-H_E^-1 . H_K)^T from its own
+    parity check, K its unchanged and E its written coordinates.
+    """
+    slot = {pos: idx + 1 for idx, pos in enumerate(plan.support())}
+    reads: list[tuple[int, ...]] = []
+    sigmas: list[FieldMatrix] = []
+    layouts: list[tuple[SymbolId, ...]] = []
     for j in range(1, plan.params.t2 + 1):
         u = plan.unchanged[j - 1]
         spec = plan.final_specs[j - 1]
         if j == plan.privileged:
+            reads.append(plan.reads[j - 1])
+            outside = sorted(set(reads[-1]) - set(slot))
+            if outside:
+                raise UsageError(f"privileged reads {outside} lie outside the restricted parity check")
             hbar = plan.punctured_parity
-            read_pos = plan.reads[j - 1]
-            block = linalg.submatrix_cols(hbar, [slot[pos] for pos in read_pos])
-            rhs = linalg.matvec(block, [symbols[pos - 1] for pos in read_pos])
             v_block = linalg.submatrix_cols(hbar, [slot[pos] for pos in plan.extra_reads])
-            written = linalg.solve_linear(v_block, rhs)
-            if written is None:
-                raise InternalError("privileged written-symbol system is inconsistent")
-            outputs.append(Codeword(tuple(symbols[pos - 1] for pos in u) + written, spec))
+            read_block = linalg.submatrix_cols(hbar, [slot[pos] for pos in reads[-1]])
+            sigmas.append(_solve_block(v_block, [read_block], "restricted parity block of V"))
         else:
-            known = {idx: symbols[pos - 1] for idx, pos in enumerate(u, 1)}
-            outputs.append(recover_erasures(spec, known))
-    return tuple(outputs), access_report(plan)
+            if len(u) < spec.k:
+                raise InsufficientDataError(
+                    f"{len(u)} known symbols cannot determine a codeword of dimension {spec.k}"
+                )
+            h = parity_check(spec)
+            reads.append(u)
+            erased = linalg.submatrix_cols(h, range(len(u) + 1, spec.n + 1))
+            known = _negated(linalg.submatrix_cols(h, range(1, len(u) + 1)))
+            sigmas.append(_solve_block(erased, [known], f"parity check of final code {j} on its written positions"))
+        layouts.append(tuple((1, pos) for pos in u) + tuple((1 + j, idx) for idx in range(1, spec.n - len(u) + 1)))
+    return GeneralPlan(
+        params=plan.params,
+        field=plan.field,
+        initial_specs=(plan.initial_spec,),
+        final_specs=plan.final_specs,
+        unchanged=tuple((u,) for u in plan.unchanged),
+        reads=tuple((r,) for r in reads),
+        layouts=tuple(layouts),
+        sigmas=tuple(sigmas),
+    )
 
 
-# -- general plans ---------------------------------------------------------------
+def lower(plan: Plan) -> GeneralPlan:
+    """The plan in general form: per final code, read sets, a layout, and
+    sigma with written symbols = read symbols . sigma.
+    """
+    if isinstance(plan, MergePlan):
+        return _lower_merge(plan)
+    if isinstance(plan, SplitPlan):
+        return _lower_split(plan)
+    return plan
+
+
+def initial_specs(plan: Plan) -> tuple[ExtGrsSpec, ...]:
+    """The initial codes of any plan kind, in code order."""
+    return (plan.initial_spec,) if isinstance(plan, SplitPlan) else plan.initial_specs
+
+
+def _picker(indices: Sequence[int]) -> operator.itemgetter:
+    """An itemgetter for `indices` that returns a sequence even for one or no index.
+
+    With two or more indices the result is a tuple.  Itemgetters, unlike
+    lambdas, keep a plan that has run picklable.
+    """
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    start = indices[0] if indices else 0
+    return operator.itemgetter(slice(start, start + len(indices)))
+
+
+class _Executable:
+    """A lowered plan with its symbol ids resolved to indices into the
+    concatenated inputs (then the written symbols), plus its access report.
+    """
+
+    def __init__(self, plan: Plan):
+        g = lower(plan)
+        t1 = g.params.t1
+        offsets = [0]
+        for n in g.params.n_initial:
+            offsets.append(offsets[-1] + n)
+
+        def index(code: int, pos: int) -> int:
+            return (offsets[code - 1] if code <= t1 else offsets[-1]) + pos - 1
+
+        self.steps = tuple(
+            (
+                g.final_specs[j],
+                g.sigmas[j],
+                _picker([index(i, pos) for i, per_code in enumerate(g.reads[j], 1) for pos in per_code]),
+                _picker([index(code, pos) for code, pos in g.layouts[j]]),
+            )
+            for j in range(g.params.t2)
+        )
+        self.report = access_report(plan)
+
+
+def run_conversion(
+    plan: Plan, codewords: Sequence[Sequence[int] | Codeword]
+) -> tuple[tuple[Codeword, ...], AccessReport]:
+    """Execute any plan; always returns a tuple of final codewords.
+
+    Every input must be a codeword of its initial code (checked before
+    anything else).  The plan is lowered the first time it runs and the
+    result kept on the plan, so each later stripe costs one parity check
+    per input and one `vecmat` per final code.
+    """
+    specs = initial_specs(plan)
+    if len(codewords) != len(specs):
+        raise UsageError(f"expected {len(specs)} input codewords, got {len(codewords)}")
+    flat: list[int] = []
+    for i, (spec, cw) in enumerate(zip(specs, codewords), 1):
+        symbols = tuple(cw.symbols if isinstance(cw, Codeword) else cw)
+        if not is_codeword(spec, symbols):
+            raise CorruptionError(f"input {i} is not a codeword of initial code {i}")
+        flat.extend(symbols)
+    exe = plan.__dict__.get("_executable")
+    if exe is None:
+        exe = _Executable(plan)
+        object.__setattr__(plan, "_executable", exe)
+    outputs = []
+    for spec, sigma, pick_reads, pick_layout in exe.steps:
+        written = linalg.vecmat(pick_reads(flat), sigma)
+        outputs.append(Codeword(pick_layout(flat + list(written)), spec))
+    return tuple(outputs), exe.report
+
+
+def merge_convert(
+    plan: MergePlan, codewords: Sequence[Sequence[int] | Codeword]
+) -> tuple[Codeword, AccessReport]:
+    """Execute a merge: the single final codeword and the access report."""
+    (final,), report = run_conversion(plan, codewords)
+    return final, report
+
+
+def split_convert(
+    plan: SplitPlan, codeword: Sequence[int] | Codeword
+) -> tuple[tuple[Codeword, ...], AccessReport]:
+    """Execute a split of one initial codeword."""
+    return run_conversion(plan, (codeword,))
 
 
 def general_convert(
     plan: GeneralPlan, codewords: Sequence[Sequence[int] | Codeword]
 ) -> tuple[tuple[Codeword, ...], AccessReport]:
     """Execute a hand-specified plan: written symbols are read symbols times sigma."""
-    if len(codewords) != plan.params.t1:
-        raise UsageError(f"expected {plan.params.t1} input codewords, got {len(codewords)}")
-    syms: list[tuple[int, ...]] = []
-    for i, cw in enumerate(codewords, 1):
-        symbols = tuple(cw.symbols if isinstance(cw, Codeword) else cw)
-        if not is_codeword(plan.initial_specs[i - 1], symbols):
-            raise CorruptionError(f"input {i} is not a codeword of initial code {i}")
-        syms.append(symbols)
-    outputs: list[Codeword] = []
-    for j in range(1, plan.params.t2 + 1):
-        read_vec: list[int] = []
-        for i in range(1, plan.params.t1 + 1):
-            read_vec.extend(syms[i - 1][pos - 1] for pos in plan.reads[j - 1][i - 1])
-        written = linalg.vecmat(read_vec, plan.sigmas[j - 1])
-        out = []
-        for code, pos in plan.layouts[j - 1]:
-            if code <= plan.params.t1:
-                out.append(syms[code - 1][pos - 1])
-            else:
-                out.append(written[pos - 1])
-        outputs.append(Codeword(tuple(out), plan.final_specs[j - 1]))
-    return tuple(outputs), access_report(plan)
-
-
-def run_conversion(
-    plan: Plan, codewords: Sequence[Sequence[int] | Codeword]
-) -> tuple[tuple[Codeword, ...], AccessReport]:
-    """Dispatch plan execution; always returns a tuple of final codewords."""
-    if isinstance(plan, MergePlan):
-        out, report = merge_convert(plan, codewords)
-        return (out,), report
-    if isinstance(plan, SplitPlan):
-        if len(codewords) != 1:
-            raise UsageError(f"split conversion expects 1 input codeword, got {len(codewords)}")
-        return split_convert(plan, codewords[0])
-    return general_convert(plan, codewords)
+    return run_conversion(plan, codewords)
 
 
 # -- plan verification ----------------------------------------------------------
@@ -915,6 +1004,10 @@ def run_conversion(
 
 def _check_mds(spec: ExtGrsSpec, trials: int, seed: int) -> bool:
     h = parity_check(spec)
+    # Imported here: only verify needs the oracle, so the other verbs
+    # start without loading it.
+    from . import oracle
+
     if spec.n <= oracle.MDS_MAX_LENGTH:
         return oracle.mds_exhaustive(h)
     return oracle.mds_sampled(h, trials=trials, seed=seed)

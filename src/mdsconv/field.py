@@ -20,6 +20,8 @@ polynomial, which reproduces the table above.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .errors import UsageError
 
 MAX_EXTENSION_DEGREE = 16
@@ -107,6 +109,7 @@ class FieldSpec:
         self.q = p**m
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._row_tables: tuple[list[int], list[int]] | None = None
 
     # -- identity ------------------------------------------------------
 
@@ -129,6 +132,18 @@ class FieldSpec:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
             raise UsageError(f"{a!r} is not a canonical element of {self!r}")
         return a
+
+    def check_all(self, values: Sequence[int]) -> None:
+        """`check` every entry of a sequence, with the same outcome.
+
+        Plain ints in range pass without a method call; anything else (bool,
+        other int subclasses, other types, values out of range) goes
+        through `check`.
+        """
+        q = self.q
+        for a in values:
+            if type(a) is not int or not 0 <= a < q:
+                self.check(a)
 
     def elements(self) -> range:
         """All q elements in ascending canonical encoding."""
@@ -197,20 +212,38 @@ class FieldSpec:
             e >>= 1
         return out
 
+    def row_tables(self) -> tuple[list[int], list[int]]:
+        """(log, exp) tables for table-driven row kernels over GF(2^m).
+
+        log[0] is 2(q - 1), past every sum of two nonzero logs, and exp is
+        0 from that index on, so exp[log[a] + log[b]] == mul(a, b) for every
+        a and b, zero included, with no branch.
+        """
+        if self.m == 1:
+            raise UsageError(f"row tables exist only for binary extension fields, not {self!r}")
+        if self._row_tables is None:
+            if self._exp is None:
+                self._build_tables()
+            zero = 2 * (self.q - 1)
+            log = list(self._log)
+            log[0] = zero
+            self._row_tables = (log, self._exp + [0] * (zero + 1))
+        return self._row_tables
+
     # -- internal binary-field helpers -----------------------------------
 
-    @staticmethod
-    def _clmul(a: int, b: int) -> int:
-        out = 0
+    def _mul_nolut(self, a: int, b: int) -> int:
+        """Shift-and-add product with the reduction interleaved, so `a`
+        stays below degree m and the loop runs once per bit of `b`."""
+        out, top, mod = 0, self.q, self.modulus
         while b:
             if b & 1:
                 out ^= a
-            a <<= 1
             b >>= 1
+            a <<= 1
+            if a & top:
+                a ^= mod
         return out
-
-    def _mul_nolut(self, a: int, b: int) -> int:
-        return _poly_mod(self._clmul(a, b), self.modulus)
 
     def _build_tables(self) -> None:
         """Log/antilog tables for fast extension-field multiplication."""

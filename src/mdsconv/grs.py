@@ -50,6 +50,14 @@ class ExtGrsSpec:
             if x == 0:
                 raise UsageError("w entries must be nonzero")
 
+    def __hash__(self) -> int:
+        # Computed once: every parity_check/generator cache lookup hashes the spec.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.field, self.n, self.r, self.gamma, self.w))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def k(self) -> int:
         return self.n - self.r
@@ -78,17 +86,15 @@ def generator(spec: ExtGrsSpec) -> FieldMatrix:
 def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
     if len(message) != spec.k:
         raise UsageError(f"message must have k = {spec.k} symbols, got {len(message)}")
-    for x in message:
-        spec.field.check(x)
+    spec.field.check_all(message)
     return Codeword(linalg.vecmat(message, generator(spec)), spec)
 
 
 def is_codeword(spec: ExtGrsSpec, symbols: Sequence[int]) -> bool:
     if len(symbols) != spec.n:
         return False
-    for x in symbols:
-        spec.field.check(x)
-    return all(s == 0 for s in linalg.matvec(parity_check(spec), symbols))
+    spec.field.check_all(symbols)
+    return not any(linalg.matvec(parity_check(spec), symbols))
 
 
 def recover_erasures(spec: ExtGrsSpec, known: Mapping[int, int]) -> Codeword:

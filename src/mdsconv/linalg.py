@@ -11,6 +11,7 @@ Column-selection arguments are 1-based, matching codeword positions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,8 +35,7 @@ class FieldMatrix:
             raise UsageError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        for e in self.entries:
-            self.field.check(e)
+        self.field.check_all(self.entries)
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -178,36 +178,55 @@ def matmul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return from_rows(f, out, cols=b.cols)
 
 
+def _kernel_lines(m: FieldMatrix, by_cols: bool) -> list:
+    """Rows (or columns) of m in the form the row kernel reads, cached on m.
+
+    GF(p) keeps the entries; GF(2^m) stores their logs (see
+    `FieldSpec.row_tables`).  A FieldMatrix never changes, so the cache
+    cannot go stale.
+    """
+    key = "_kernel_cols" if by_cols else "_kernel_rows"
+    lines = m.__dict__.get(key)
+    if lines is None:
+        if by_cols:
+            lines = [m.entries[j :: m.cols] for j in range(m.cols)]
+        else:
+            lines = [m.row(i) for i in range(m.rows)]
+        if m.field.m > 1:
+            log = m.field.row_tables()[0]
+            lines = [tuple(map(log.__getitem__, line)) for line in lines]
+        object.__setattr__(m, key, lines)
+    return lines
+
+
+def _row_kernel(field: FieldSpec, lines: list, v: Sequence[int]) -> tuple[int, ...]:
+    """(line . v for each line): one reduction per line over GF(p), log/exp lookups over GF(2^m)."""
+    if field.m == 1:
+        p, mul = field.p, operator.mul
+        return tuple([sum(map(mul, line, v)) % p for line in lines])
+    log, exp = field.row_tables()
+    lv = [log[x] for x in v]
+    out = []
+    for line in lines:
+        acc = 0
+        for a, b in zip(line, lv):
+            acc ^= exp[a + b]
+        out.append(acc)
+    return tuple(out)
+
+
 def matvec(m: FieldMatrix, v: Sequence[int]) -> tuple[int, ...]:
     """M . v^T as a length-rows tuple."""
     if len(v) != m.cols:
         raise UsageError(f"vector length {len(v)} does not match {m.cols} columns")
-    f = m.field
-    add, mul = f.add, f.mul
-    out = []
-    for i in range(m.rows):
-        acc = 0
-        row = m.row(i)
-        for x, y in zip(row, v):
-            if x and y:
-                acc = add(acc, mul(x, y))
-        out.append(acc)
-    return tuple(out)
+    return _row_kernel(m.field, _kernel_lines(m, False), v)
 
 
 def vecmat(v: Sequence[int], m: FieldMatrix) -> tuple[int, ...]:
     """v . M as a length-cols tuple."""
     if len(v) != m.rows:
         raise UsageError(f"vector length {len(v)} does not match {m.rows} rows")
-    f = m.field
-    add, mul = f.add, f.mul
-    out = [0] * m.cols
-    for i, coef in enumerate(v):
-        if coef == 0:
-            continue
-        row = m.row(i)
-        out = [add(x, mul(coef, y)) for x, y in zip(out, row)]
-    return tuple(out)
+    return _row_kernel(m.field, _kernel_lines(m, True), v)
 
 
 def vec_add(field: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -273,8 +292,7 @@ def solve_linear(a: FieldMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """One solution x of A . x^T = b^T (free variables 0), or None if inconsistent."""
     if len(b) != a.rows:
         raise UsageError(f"right-hand side length {len(b)} does not match {a.rows} rows")
-    for e in b:
-        a.field.check(e)
+    a.field.check_all(b)
     aug = from_rows(a.field, [a.row(i) + (b[i],) for i in range(a.rows)], cols=a.cols + 1)
     red, pivots = rref(aug)
     if a.cols in pivots:

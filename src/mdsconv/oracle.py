@@ -1,18 +1,29 @@
-"""Brute-force verifiers backing the test suite.
+"""Brute-force verifiers and solving references backing the test suite.
 
-Deliberately slow and trivially correct; every function enforces a hard
-enumeration guard and fails loudly instead of running unbounded.
+Deliberately slow and trivially correct; every enumerating function
+enforces a hard guard and fails loudly instead of running unbounded.
+The per-stripe conversions at the end solve each stripe's parity
+equations directly, the way plans were executed before lowering; the
+tests hold `convert.run_conversion` to them bit for bit.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import InternalError, UsageError
-from .grs import ExtGrsSpec, generator, parity_check, restriction_support
+from .errors import CorruptionError, InternalError, UsageError
+from .grs import (
+    Codeword,
+    ExtGrsSpec,
+    generator,
+    is_codeword,
+    parity_check,
+    recover_erasures,
+    restriction_support,
+)
 from .linalg import FieldMatrix
 
 MDS_MAX_LENGTH = 14
@@ -148,3 +159,105 @@ def puncture_by_solve(spec: ExtGrsSpec, positions: Iterable[int]) -> ExtGrsSpec:
         raise InternalError("restricted-code multipliers are not all nonzero")
     scale = f.inv(theta[-1])
     return ExtGrsSpec(f, nt, rp, gamma_t, tuple(f.mul(scale, x) for x in theta))
+
+
+# -- per-kind conversion by solving, the references for plan execution --------
+
+
+def _checked_inputs(specs, codewords) -> list[tuple[int, ...]]:
+    if len(codewords) != len(specs):
+        raise UsageError(f"expected {len(specs)} input codewords, got {len(codewords)}")
+    syms = []
+    for i, (spec, cw) in enumerate(zip(specs, codewords), 1):
+        symbols = tuple(cw.symbols if isinstance(cw, Codeword) else cw)
+        if not is_codeword(spec, symbols):
+            raise CorruptionError(f"input {i} is not a codeword of initial code {i}")
+        syms.append(symbols)
+    return syms
+
+
+def merge_convert_by_solve(plan, codewords: Sequence) -> Codeword:
+    """A merge plan's final codeword, solved from the final parity equations per stripe.
+
+    The reduced-read contributions (through the restricted parity checks)
+    and the default-read contributions (through the final-code blocks) are
+    accumulated into a right-hand side, and the written symbols solve the
+    final written block against it.
+    """
+    syms = _checked_inputs(plan.initial_specs, codewords)
+    f = plan.field
+    rf = plan.final_spec.r
+    rhs = (0,) * rf
+    for i in range(1, plan.params.t1 + 1):
+        if i in plan.reduced:
+            support = plan.support(i)
+            slot = {pos: idx + 1 for idx, pos in enumerate(support)}
+            hbar = plan.punctured_parity[i - 1]
+            block = linalg.submatrix_cols(hbar, [slot[pos] for pos in plan.reads[i - 1]])
+            contrib = linalg.matvec(block, [syms[i - 1][pos - 1] for pos in plan.reads[i - 1]])
+            rhs = tuple(f.add(x, y) for x, y in zip(rhs, contrib))
+        else:
+            block = plan.final_unchanged_blocks[i - 1]
+            contrib = linalg.matvec(block, [syms[i - 1][pos - 1] for pos in plan.unchanged[i - 1]])
+            rhs = tuple(f.sub(x, y) for x, y in zip(rhs, contrib))
+    if plan.final_written_block.rows != plan.final_written_block.cols:
+        raise UsageError("written block is not square; plan is not executable")
+    written = linalg.solve_linear(plan.final_written_block, rhs)
+    if written is None:
+        raise InternalError("written-symbol system is inconsistent")
+    out = [0] * plan.final_spec.n
+    for idx, (code, pos) in enumerate(plan.final_layout()):
+        if code <= plan.params.t1:
+            out[idx] = syms[code - 1][pos - 1]
+        else:
+            out[idx] = written[pos - 1]
+    return Codeword(tuple(out), plan.final_spec)
+
+
+def split_convert_by_solve(plan, codeword) -> tuple[Codeword, ...]:
+    """A split plan's final codewords, solved per stripe.
+
+    The privileged final's written symbols solve the restricted parity
+    relation on the read symbols; every other final is recovered from its
+    unchanged symbols by erasure decoding.
+    """
+    (symbols,) = _checked_inputs((plan.initial_spec,), (codeword,))
+    outputs: list[Codeword] = []
+    support = plan.support()
+    slot = {pos: idx + 1 for idx, pos in enumerate(support)}
+    for j in range(1, plan.params.t2 + 1):
+        u = plan.unchanged[j - 1]
+        spec = plan.final_specs[j - 1]
+        if j == plan.privileged:
+            hbar = plan.punctured_parity
+            read_pos = plan.reads[j - 1]
+            block = linalg.submatrix_cols(hbar, [slot[pos] for pos in read_pos])
+            rhs = linalg.matvec(block, [symbols[pos - 1] for pos in read_pos])
+            v_block = linalg.submatrix_cols(hbar, [slot[pos] for pos in plan.extra_reads])
+            written = linalg.solve_linear(v_block, rhs)
+            if written is None:
+                raise InternalError("privileged written-symbol system is inconsistent")
+            outputs.append(Codeword(tuple(symbols[pos - 1] for pos in u) + written, spec))
+        else:
+            known = {idx: symbols[pos - 1] for idx, pos in enumerate(u, 1)}
+            outputs.append(recover_erasures(spec, known))
+    return tuple(outputs)
+
+
+def general_convert_by_layout(plan, codewords: Sequence) -> tuple[Codeword, ...]:
+    """A general plan's final codewords, assembled symbol by symbol from its layouts."""
+    syms = _checked_inputs(plan.initial_specs, codewords)
+    outputs: list[Codeword] = []
+    for j in range(1, plan.params.t2 + 1):
+        read_vec: list[int] = []
+        for i in range(1, plan.params.t1 + 1):
+            read_vec.extend(syms[i - 1][pos - 1] for pos in plan.reads[j - 1][i - 1])
+        written = linalg.vecmat(read_vec, plan.sigmas[j - 1])
+        out = []
+        for code, pos in plan.layouts[j - 1]:
+            if code <= plan.params.t1:
+                out.append(syms[code - 1][pos - 1])
+            else:
+                out.append(written[pos - 1])
+        outputs.append(Codeword(tuple(out), plan.final_specs[j - 1]))
+    return tuple(outputs)

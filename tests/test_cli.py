@@ -280,3 +280,62 @@ def test_verify_rejects_out_of_range_code_index(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--plan", plan_path)
     assert code == 1
     assert "out of range" in err
+
+
+def _readme_merge(tmp_path, capsys):
+    """Plan and codeword files of the README merge, as the CLI writes them."""
+    cfg = tmp_path / "merge.json"
+    write_json(cfg, {"regime": "merge", "q": 8, "initial": [[5, 3], [5, 3]], "r_F": 2})
+    plan_path = tmp_path / "plan.json"
+    run(capsys, "plan", "--config", cfg, "--out", plan_path)
+    msgs = tmp_path / "m.txt"
+    msgs.write_text("1 2 3\n4 5 6\n")
+    cws = tmp_path / "c.txt"
+    run(capsys, "encode", "--plan", plan_path, "--in", msgs, "--out", cws)
+    return plan_path, cws
+
+
+def _tamper_bit(cws, q):
+    """Flip the low bit of the first symbol in a codeword file over GF(q), q = 2^m."""
+    rows = [list(r) for r in plandoc.read_symbol_lines(str(cws), GF(q))]
+    rows[0][0] ^= 1
+    plandoc.write_symbol_lines(str(cws), rows)
+
+
+def test_convert_singular_written_block_exit_1(tmp_path, capsys):
+    plan_path, cws = _readme_merge(tmp_path, capsys)
+    doc = json.loads(plan_path.read_text())
+    for block in (["2 2 8", "1 1", "1 1"], ["2 2 8", "0 0", "0 0"]):
+        doc["final_written_block"] = block
+        write_json(plan_path, doc)
+        code, _, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
+        assert code == 1
+        assert "singular" in err
+    _tamper_bit(cws, 8)
+    code, _, _ = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
+    assert code == 3
+
+
+def test_convert_singular_privileged_block_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "split.json"
+    write_json(cfg, {"regime": "split", "q": 16, "initial": [[10, 7]], "final": [[6, 4], [5, 3]]})
+    plan_path = tmp_path / "plan.json"
+    run(capsys, "plan", "--config", cfg, "--out", plan_path)
+    msgs = tmp_path / "m.txt"
+    msgs.write_text("1 2 3 4 5 6 7\n")
+    cws = tmp_path / "c.txt"
+    run(capsys, "encode", "--plan", plan_path, "--in", msgs, "--out", cws)
+    doc = json.loads(plan_path.read_text())
+    support = sorted({pos for per_final in doc["unchanged"] for _, pos in per_final} | {pos for _, pos in doc["V"]})
+    v_slots = {support.index(pos) for _, pos in doc["V"]}
+    lines = doc["punctured_parity"]
+    lines[1:] = [
+        " ".join("0" if c in v_slots else e for c, e in enumerate(line.split())) for line in lines[1:]
+    ]
+    write_json(plan_path, doc)
+    code, _, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
+    assert code == 1
+    assert "singular" in err
+    _tamper_bit(cws, 16)
+    code, _, _ = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
+    assert code == 3

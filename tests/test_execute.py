@@ -1,0 +1,184 @@
+"""Plan execution: the lowered executor against the per-stripe solving
+references in `oracle`, a structural guard that keeps every solve out of
+the per-stripe path, and lowering rejections (singular blocks are
+covered end to end in test_cli)."""
+
+import pickle
+import random
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from mdsconv import convert, linalg, oracle, plandoc
+from mdsconv.convert import (
+    ConvertParams,
+    GeneralPlan,
+    build_merge,
+    build_split,
+    general_convert,
+    lower,
+    merge_convert,
+    merge_params,
+    split_convert,
+)
+from mdsconv.errors import CorruptionError, UsageError
+from mdsconv.grs import Codeword, encode
+
+from test_acceptance import (
+    MERGE_MATRIX,
+    SPLIT_MATRIX,
+    SPLIT_MATRIX_INFEASIBLE,
+    smallest_admissible_field,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
+STRIPES = 6  # seeded random stripes per plan, plus the zero stripe
+
+
+def _merge_plans():
+    for shapes, rf in MERGE_MATRIX:
+        params = merge_params(shapes, rf)
+        yield build_merge(params, smallest_admissible_field(max(max(params.n_initial), params.n_final[0]) - 1))
+
+
+def _split_plans():
+    for (ni, ki), finals in SPLIT_MATRIX + SPLIT_MATRIX_INFEASIBLE:
+        params = ConvertParams(((ni, ki),), tuple(finals))
+        yield build_split(params, smallest_admissible_field(max(ni, max(n for n, _ in finals)) - 1))
+
+
+def _general_plan():
+    return plandoc.load_plan(str(FIXTURES / "two_by_two_plan.json"))
+
+
+def _stripes(specs, rng):
+    """The zero stripe, then STRIPES seeded random stripes."""
+    random_stripes = [
+        [encode(spec, tuple(rng.randrange(spec.field.q) for _ in range(spec.k))).symbols for spec in specs]
+        for _ in range(STRIPES)
+    ]
+    return [[(0,) * spec.n for spec in specs]] + random_stripes
+
+
+def _same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert isinstance(g, Codeword)
+        assert (g.symbols, g.code) == (w.symbols, w.code)
+
+
+def test_merge_matches_solving_reference():
+    rng = random.Random(31)
+    for plan in _merge_plans():
+        for stripe in _stripes(plan.initial_specs, rng):
+            out, _ = merge_convert(plan, stripe)
+            _same((out,), (oracle.merge_convert_by_solve(plan, stripe),))
+
+
+def test_split_matches_solving_reference():
+    rng = random.Random(32)
+    for plan in _split_plans():
+        for (cw,) in _stripes((plan.initial_spec,), rng):
+            outs, _ = split_convert(plan, cw)
+            _same(outs, oracle.split_convert_by_solve(plan, cw))
+
+
+def test_general_matches_layout_reference():
+    plan = _general_plan()
+    rng = random.Random(33)
+    for stripe in _stripes(plan.initial_specs, rng):
+        outs, _ = general_convert(plan, stripe)
+        _same(outs, oracle.general_convert_by_layout(plan, stripe))
+
+
+def _error_class(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the class is what the comparison needs
+        return type(exc)
+    return None
+
+
+def _bad_stripes(specs, rng):
+    """(name, stripe) pairs that every executor must reject."""
+    good = _stripes(specs, rng)[1]
+    corrupt = [list(cw) for cw in good]
+    corrupt[-1][0] = (corrupt[-1][0] + 1) % specs[-1].field.q
+    non_canonical = [list(cw) for cw in good]
+    non_canonical[0][0] = specs[0].field.q
+    short = [cw[:-1] for cw in good]
+    return [("corrupt", corrupt), ("non-canonical", non_canonical), ("short", short)]
+
+
+def test_rejections_match_references():
+    rng = random.Random(34)
+    expected = {"corrupt": CorruptionError, "non-canonical": UsageError, "short": CorruptionError}
+    cases = [(plan, merge_convert, oracle.merge_convert_by_solve, plan.initial_specs)
+             for plan in _merge_plans()]
+    plan = _general_plan()
+    cases.append((plan, general_convert, oracle.general_convert_by_layout, plan.initial_specs))
+    for plan, new, ref, specs in cases:
+        for name, stripe in _bad_stripes(specs, rng):
+            assert _error_class(new, plan, stripe) is _error_class(ref, plan, stripe) is expected[name]
+        good = _stripes(specs, rng)[1]
+        for count in (good[:-1], good + good[:1]):
+            assert _error_class(new, plan, count) is _error_class(ref, plan, count) is UsageError
+    for plan in _split_plans():
+        for name, (cw,) in _bad_stripes((plan.initial_spec,), rng):
+            got = _error_class(split_convert, plan, cw)
+            assert got is _error_class(oracle.split_convert_by_solve, plan, cw) is expected[name]
+
+
+def test_later_conversions_run_no_solve(monkeypatch):
+    """After the first conversion of a plan, no stripe reduces, slices or inverts a matrix."""
+    rng = random.Random(35)
+    plans = [next(_merge_plans()), next(_split_plans()), _general_plan()]
+    stripes = {id(plan): _stripes(convert.initial_specs(plan), rng) for plan in plans}
+    for plan in plans:
+        convert.run_conversion(plan, stripes[id(plan)][1])
+    calls = {}
+    for owner, name in ((linalg, "rref"), (linalg, "solve_linear"), (linalg, "submatrix_cols"),
+                        (linalg, "invert"), (convert, "access_report")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    for plan in plans:
+        for k in range(10):
+            convert.run_conversion(plan, stripes[id(plan)][k % len(stripes[id(plan)])])
+    assert calls == {}
+    # The counters see calls: a fresh plan object lowers (and reports) once.
+    convert.run_conversion(replace(plans[0]), stripes[id(plans[0])][0])
+    assert calls["rref"] == 1 and calls["access_report"] == 1
+
+
+def test_lowered_plans_are_general_plans():
+    """Merge and split plans lower to general plans that convert alike."""
+    rng = random.Random(37)
+    for plan in (next(_merge_plans()), next(_split_plans())):
+        lowered = lower(plan)
+        assert isinstance(lowered, GeneralPlan)
+        assert lower(lowered) is lowered
+        specs = convert.initial_specs(plan)
+        for stripe in _stripes(specs, rng):
+            assert general_convert(lowered, stripe)[0] == convert.run_conversion(plan, stripe)[0]
+
+
+def test_plans_that_ran_stay_picklable():
+    rng = random.Random(38)
+    for plan in (next(_merge_plans()), next(_split_plans()), _general_plan()):
+        stripe = _stripes(convert.initial_specs(plan), rng)[1]
+        before = convert.run_conversion(plan, stripe)
+        copy = pickle.loads(pickle.dumps(plan))
+        assert copy == plan and convert.run_conversion(copy, stripe) == before
+
+
+def test_privileged_read_outside_restriction_is_usage_error():
+    plan = next(_split_plans())
+    assert plan.privileged == 1
+    outside = next(pos for pos in range(1, plan.initial_spec.n + 1) if pos not in plan.support())
+    reads = (tuple(sorted(plan.reads[0] + (outside,))),) + plan.reads[1:]
+    cw = encode(plan.initial_spec, (1,) * plan.initial_spec.k)
+    with pytest.raises(UsageError, match="outside the restricted parity check"):
+        split_convert(replace(plan, reads=reads), cw)

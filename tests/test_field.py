@@ -148,6 +148,11 @@ def test_check_rejects_out_of_range():
         f.check(7)
     with pytest.raises(UsageError):
         f.check(-1)
+    f.check_all(())
+    f.check_all((0, 6, 3))
+    for bad in ((0, 7), (-1, 0), (1, True), (1, 2.0), (1, "2")):
+        with pytest.raises(UsageError):
+            f.check_all(bad)
 
 
 def test_field_identity():

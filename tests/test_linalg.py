@@ -183,3 +183,49 @@ def test_text_dump_roundtrip():
         matrix_from_text("1 2 5\n1 2 3")
     with pytest.raises(UsageError):
         matrix_from_text("2 2 5\n1 2")
+
+
+def _naive_matvec(m, v):
+    f = m.field
+    out = []
+    for i in range(m.rows):
+        acc = 0
+        for j in range(m.cols):
+            acc = f.add(acc, f.mul(m.at(i, j), v[j]))
+        out.append(acc)
+    return tuple(out)
+
+
+def _naive_vecmat(v, m):
+    f = m.field
+    out = []
+    for j in range(m.cols):
+        acc = 0
+        for i in range(m.rows):
+            acc = f.add(acc, f.mul(v[i], m.at(i, j)))
+        out.append(acc)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q", [2, 7, 8, 256, 257, 1 << 16, (1 << 31) - 1])
+def test_row_kernel_matches_per_element_reference(q):
+    f = GF(q)
+    rng = random.Random(q)
+
+    def element():
+        # Zero, one and the largest element show up often next to random ones.
+        return rng.choice((0, 0, 1, q - 1, rng.randrange(q)))
+
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (4, 7), (7, 4), (5, 5)]:
+        m = from_rows(f, [[element() for _ in range(cols)] for _ in range(rows)], cols=cols)
+        for v in ([element() for _ in range(cols)], [0] * cols):
+            assert matvec(m, v) == _naive_matvec(m, v)
+            assert matvec(m, v) == _naive_matvec(m, v)  # again, from the cached lines
+        for v in ([element() for _ in range(rows)], [0] * rows):
+            assert vecmat(v, m) == _naive_vecmat(v, m)
+            assert vecmat(v, m) == _naive_vecmat(v, m)
+        assert matvec(zeros(f, rows, cols), [element() for _ in range(cols)]) == (0,) * rows
+        with pytest.raises(UsageError):
+            matvec(m, [0] * (cols + 1))
+        with pytest.raises(UsageError):
+            vecmat([0] * (rows + 1), m)

@@ -2,8 +2,9 @@
 
 Verbs: plan (build a conversion plan from a scenario config), encode
 (messages -> initial codewords), convert (initial codewords -> final
-codewords plus an access report), verify (structural and MDS checks of
-a plan), bounds (print the access-cost lower bounds for parameters).
+codewords plus an access report), verify (structural, MDS and access
+checks of a plan), bounds (print the access-cost lower bounds for
+parameters).
 
 Exit codes: 0 success, 1 usage/config, 2 parameter/feasibility,
 3 data corruption.
@@ -77,7 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check a plan's structure and MDS properties")
     p_verify.add_argument("--plan", required=True)
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    p_verify.add_argument(
+        "--seed", type=int, default=0, help="accepted for compatibility; has no effect"
+    )
 
     p_bounds = sub.add_parser("bounds", help="print access-cost lower bounds")
     p_bounds.add_argument(
@@ -189,7 +192,7 @@ def cmd_convert(args) -> int:
 
 def cmd_verify(args) -> int:
     plan = plandoc.load_plan(args.plan)
-    results = verify_plan(plan, seed=args.seed)
+    results = verify_plan(plan)
     failed = False
     for name, ok, detail in results:
         suffix = f": {detail}" if detail else ""

@@ -6,7 +6,7 @@ the same message.  Each final code keeps some initial symbols verbatim
 This module provides the access-cost lower bounds for the merge (t2 = 1)
 and split (t1 = 1) regimes, builders for access-optimal merge and split
 plans, plan execution, the structural optimality check for merge plans,
-and access accounting with a per-device trace.
+plan verification, and access accounting with a per-device trace.
 
 Every plan kind runs through one executor, `run_conversion`.  The first
 time a plan object runs, `lower` compiles it to a general plan: for each
@@ -16,6 +16,13 @@ and split plans sigma comes from one reduced echelon form per final
 code, solving the parity relations once for all stripes.  The lowered
 form and the access report are kept on the plan object, so every later
 stripe costs one parity check per input and one `vecmat` per final code.
+
+Every code of a plan is an extended GRS code, and an extended GRS code
+with n - 1 distinct evaluation points and nonzero column multipliers is
+MDS (Roth, "Introduction to Coding Theory", ch. 5).  `ExtGrsSpec`
+rejects any code that breaks either condition, so `verify_plan` reports
+the MDS property of each code from that invariant, and the test suite
+holds those lines to a brute-force check.
 
 Code indices and codeword positions are 1-based, as in plan documents;
 written blocks use code index t1 + j for final code j.
@@ -187,7 +194,8 @@ def _check_positions(label: str, positions: Sequence[int], n: int) -> None:
 class MergePlan:
     """An executable merge conversion (t2 = 1).
 
-    `unchanged` and `reads` hold ascending positions per initial code.
+    `unchanged` and `reads` hold ascending positions per initial code; a
+    code outside `reduced` reads exactly its unchanged symbols.
     `punctured_parity[i-1]` is set for i in `reduced`: the parity check of
     initial code i restricted to its unchanged + read positions, columns
     ordered by ascending position.  `final_unchanged_blocks[i-1]` is set
@@ -237,6 +245,8 @@ class MergePlan:
                 raise UsageError(f"punctured parity must be present exactly for codes in S (code {i})")
             if (self.final_unchanged_blocks[i - 1] is None) == (i not in self.reduced):
                 raise UsageError(f"final-code blocks must be present exactly for codes outside S (code {i})")
+            if i not in self.reduced and self.reads[i - 1] != self.unchanged[i - 1]:
+                raise UsageError(f"code {i} is outside S, so it must read exactly its unchanged symbols")
         nf, kf = p.final[0]
         if (self.final_spec.n, self.final_spec.k) != (nf, kf) or self.final_spec.field != self.field:
             raise UsageError("final code does not match its declared shape")
@@ -272,7 +282,8 @@ class SplitPlan:
     the read positions outside every unchanged set (doc key "V"), and
     `punctured_parity` is the parity check of the initial code restricted
     to all unchanged positions plus `extra_reads`, columns ordered by
-    ascending position.
+    ascending position.  Every other final code reads exactly its
+    unchanged positions.
     """
 
     params: ConvertParams
@@ -294,6 +305,11 @@ class SplitPlan:
             raise UsageError("initial code does not match its declared shape")
         if len(self.final_specs) != p.t2 or len(self.unchanged) != p.t2 or len(self.reads) != p.t2:
             raise UsageError("final_specs, unchanged and reads must have one entry per final code")
+        if self.privileged is not None:
+            if not 1 <= self.privileged <= p.t2:
+                raise UsageError(f"privileged index {self.privileged} out of range 1..{p.t2}")
+            if self.punctured_parity is None:
+                raise UsageError("a privileged final code requires the restricted parity check")
         seen: set[int] = set()
         for j in range(1, p.t2 + 1):
             nf, kf = p.final[j - 1]
@@ -307,6 +323,10 @@ class SplitPlan:
                     f"final code {j} keeps {len(self.unchanged[j - 1])} unchanged symbols; "
                     f"an MDS conversion allows at most k = {kf}"
                 )
+            if j != self.privileged and self.reads[j - 1] != self.unchanged[j - 1]:
+                raise UsageError(
+                    f"final code {j} is not privileged, so it must read exactly its unchanged symbols"
+                )
             overlap = seen & set(self.unchanged[j - 1])
             if overlap:
                 raise UsageError(f"unchanged sets must be disjoint; positions {sorted(overlap)} repeat")
@@ -314,11 +334,6 @@ class SplitPlan:
         _check_positions("extra_reads", self.extra_reads, n_i)
         if set(self.extra_reads) & seen:
             raise UsageError("extra read positions must avoid every unchanged set")
-        if self.privileged is not None:
-            if not 1 <= self.privileged <= p.t2:
-                raise UsageError(f"privileged index {self.privileged} out of range 1..{p.t2}")
-            if self.punctured_parity is None:
-                raise UsageError("a privileged final code requires the restricted parity check")
 
     def support(self) -> tuple[int, ...]:
         """Ascending positions covered by the restricted parity check."""
@@ -622,11 +637,15 @@ class StructureCheck:
 def verify_optimal_structure(plan: MergePlan) -> StructureCheck:
     """Check the structural characterization of access-optimal merges.
 
-    Conditions: every code keeps exactly k_I unchanged symbols; reduced
-    codes read exactly r_F symbols disjoint from their unchanged set and
-    their restricted parity check agrees with the final one on the
-    unchanged columns; other codes read exactly their k_I unchanged
-    symbols.  The first violated condition is named in the diagnostic.
+    Conditions: the plan's S is the one its parameters give; every code
+    keeps exactly k_I unchanged symbols; reduced codes read exactly r_F
+    symbols disjoint from their unchanged set, and their stored
+    restricted parity check agrees with the final one on the unchanged
+    columns and is a parity check of the restriction; the stored final
+    parity-check blocks are the final code's.  (Codes outside S read
+    exactly their unchanged symbols; `MergePlan` enforces that.)  Each
+    code is checked in one pass, in code order, and the diagnostic names
+    the first violated condition.
     """
     p = plan.params
     expected = reduced_read_codes(p)
@@ -636,80 +655,65 @@ def verify_optimal_structure(plan: MergePlan) -> StructureCheck:
             f"classification: plan S = {sorted(plan.reduced)} but parameters give {sorted(expected)}",
         )
     rf = p.r_final[0]
-    for i in range(1, p.t1 + 1):
-        k = p.k_initial[i - 1]
-        if len(plan.unchanged[i - 1]) != k:
-            return StructureCheck(
-                False,
-                f"unchanged-cardinality: code {i} keeps {len(plan.unchanged[i - 1])} symbols, need {k}",
-            )
-        if i in plan.reduced:
-            if len(plan.reads[i - 1]) != rf:
-                return StructureCheck(
-                    False,
-                    f"read-cardinality: code {i} reads {len(plan.reads[i - 1])} symbols, need r_F = {rf}",
-                )
-            if set(plan.reads[i - 1]) & set(plan.unchanged[i - 1]):
-                return StructureCheck(
-                    False, f"overlap: code {i} reads symbols it also keeps unchanged"
-                )
-        elif len(plan.reads[i - 1]) != k:
-            return StructureCheck(
-                False,
-                f"read-cardinality: code {i} reads {len(plan.reads[i - 1])} symbols, need k = {k}",
-            )
     h_final = parity_check(plan.final_spec)
     offset = 0
     for i in range(1, p.t1 + 1):
         k = p.k_initial[i - 1]
-        if i in plan.reduced:
-            support = plan.support(i)
-            slot = {pos: idx + 1 for idx, pos in enumerate(support)}
-            hbar = plan.punctured_parity[i - 1]
-            if hbar.cols != len(support) or hbar.rows != rf:
+        unchanged = plan.unchanged[i - 1]
+        if len(unchanged) != k:
+            return StructureCheck(
+                False,
+                f"unchanged-cardinality: code {i} keeps {len(unchanged)} symbols, need {k}",
+            )
+        final_block = linalg.submatrix_cols(h_final, range(offset + 1, offset + k + 1))
+        offset += k
+        if i not in plan.reduced:
+            if plan.final_unchanged_blocks[i - 1] != final_block:
                 return StructureCheck(
-                    False, f"punctured-parity: code {i} stored matrix has the wrong shape"
+                    False, f"final-block: code {i} stored block differs from the final parity check"
                 )
-            final_block = linalg.submatrix_cols(h_final, range(offset + 1, offset + k + 1))
-            hbar_block = linalg.submatrix_cols(hbar, [slot[pos] for pos in plan.unchanged[i - 1]])
-            if final_block.entries != hbar_block.entries:
+            continue
+        if len(plan.reads[i - 1]) != rf:
+            return StructureCheck(
+                False,
+                f"read-cardinality: code {i} reads {len(plan.reads[i - 1])} symbols, need r_F = {rf}",
+            )
+        if set(plan.reads[i - 1]) & set(unchanged):
+            return StructureCheck(False, f"overlap: code {i} reads symbols it also keeps unchanged")
+        support = plan.support(i)
+        hbar = plan.punctured_parity[i - 1]
+        # Unchanged columns first, so a fault there is named block-mismatch.
+        if (hbar.rows, hbar.cols) == (rf, len(support)):
+            slot = {pos: idx + 1 for idx, pos in enumerate(support)}
+            if linalg.submatrix_cols(hbar, [slot[pos] for pos in unchanged]).entries != final_block.entries:
                 return StructureCheck(
                     False,
                     f"block-mismatch: code {i} unchanged columns of the restricted parity "
                     "check differ from the final parity check",
                 )
-        offset += k
-    for i in sorted(plan.reduced):
-        support = plan.support(i)
-        try:
-            psec = puncture(plan.initial_specs[i - 1], support)
-        except UsageError as exc:
-            return StructureCheck(False, f"punctured-parity: code {i}: {exc}")
-        reference = parity_check(psec)
-        hbar = plan.punctured_parity[i - 1]
-        if (
-            linalg.rank(hbar) != rf
-            or linalg.rank(linalg.stack_rows(reference, hbar)) != rf
-        ):
-            return StructureCheck(
-                False,
-                f"punctured-parity: code {i} stored matrix is not a parity check of the restriction",
-            )
-    offset = 0
-    for i in range(1, p.t1 + 1):
-        k_kept = len(plan.unchanged[i - 1])
-        if i not in plan.reduced:
-            stored = plan.final_unchanged_blocks[i - 1]
-            derived = linalg.submatrix_cols(h_final, range(offset + 1, offset + k_kept + 1))
-            if stored.entries != derived.entries or stored.cols != derived.cols:
-                return StructureCheck(
-                    False, f"final-block: code {i} stored block differs from the final parity check"
-                )
-        offset += k_kept
-    derived_written = linalg.submatrix_cols(h_final, range(offset + 1, plan.final_spec.n + 1))
-    if plan.final_written_block.entries != derived_written.entries:
+        fault = _restricted_parity_fault(plan.initial_specs[i - 1], support, hbar, rf)
+        if fault:
+            return StructureCheck(False, f"punctured-parity: code {i}: {fault}")
+    if plan.final_written_block != linalg.submatrix_cols(h_final, range(offset + 1, plan.final_spec.n + 1)):
         return StructureCheck(False, "final-block: stored written block differs from the final parity check")
     return StructureCheck(True)
+
+
+def _restricted_parity_fault(
+    spec: ExtGrsSpec, support: Sequence[int], hbar: FieldMatrix, r: int
+) -> str:
+    """Why `hbar` is not an r-row parity check of `spec` restricted to
+    `support` (ascending, columns in that order), or "" when it is one.
+    """
+    try:
+        reference = parity_check(puncture(spec, support))
+    except UsageError as exc:
+        return str(exc)
+    if (hbar.rows, hbar.cols) != (r, len(support)):
+        return "stored matrix has the wrong shape"
+    if linalg.rank(hbar) != r or linalg.rank(linalg.stack_rows(reference, hbar)) != r:
+        return "stored matrix is not a parity check of the restriction"
+    return ""
 
 
 # -- split construction --------------------------------------------------------
@@ -823,18 +827,15 @@ def _lower_merge(plan: MergePlan) -> GeneralPlan:
 
     For a reduced code i the restricted parity check H̄_i turns its read
     symbols into the final parity contribution of its unchanged ones; any
-    other code contributes its unchanged symbols through the final
-    parity-check block F_i, so those are the symbols it reads.
+    other code reads its unchanged symbols and contributes them through
+    the final parity-check block F_i.
     """
-    reads: list[tuple[int, ...]] = []
     blocks: list[FieldMatrix] = []
-    for i in range(1, plan.params.t1 + 1):
+    for i, reads in enumerate(plan.reads, 1):
         if i in plan.reduced:
             slot = {pos: idx + 1 for idx, pos in enumerate(plan.support(i))}
-            reads.append(plan.reads[i - 1])
-            blocks.append(linalg.submatrix_cols(plan.punctured_parity[i - 1], [slot[pos] for pos in reads[-1]]))
+            blocks.append(linalg.submatrix_cols(plan.punctured_parity[i - 1], [slot[pos] for pos in reads]))
         else:
-            reads.append(plan.unchanged[i - 1])
             blocks.append(_negated(plan.final_unchanged_blocks[i - 1]))
     return GeneralPlan(
         params=plan.params,
@@ -842,7 +843,7 @@ def _lower_merge(plan: MergePlan) -> GeneralPlan:
         initial_specs=plan.initial_specs,
         final_specs=(plan.final_spec,),
         unchanged=(plan.unchanged,),
-        reads=(tuple(reads),),
+        reads=(plan.reads,),
         layouts=(plan.final_layout(),),
         sigmas=(_solve_block(plan.final_written_block, blocks, "final written block"),),
     )
@@ -851,23 +852,19 @@ def _lower_merge(plan: MergePlan) -> GeneralPlan:
 def _lower_split(plan: SplitPlan) -> GeneralPlan:
     """Privileged final: sigma = (H̄_V^-1 . H̄_reads)^T from the restricted
     parity check; any other final: sigma = (-H_E^-1 . H_K)^T from its own
-    parity check, K its unchanged and E its written coordinates.
+    parity check, K its unchanged (and read) and E its written coordinates.
     """
     slot = {pos: idx + 1 for idx, pos in enumerate(plan.support())}
-    reads: list[tuple[int, ...]] = []
     sigmas: list[FieldMatrix] = []
     layouts: list[tuple[SymbolId, ...]] = []
-    for j in range(1, plan.params.t2 + 1):
-        u = plan.unchanged[j - 1]
-        spec = plan.final_specs[j - 1]
+    for j, (u, reads, spec) in enumerate(zip(plan.unchanged, plan.reads, plan.final_specs), 1):
         if j == plan.privileged:
-            reads.append(plan.reads[j - 1])
-            outside = sorted(set(reads[-1]) - set(slot))
+            outside = sorted(set(reads) - set(slot))
             if outside:
                 raise UsageError(f"privileged reads {outside} lie outside the restricted parity check")
             hbar = plan.punctured_parity
             v_block = linalg.submatrix_cols(hbar, [slot[pos] for pos in plan.extra_reads])
-            read_block = linalg.submatrix_cols(hbar, [slot[pos] for pos in reads[-1]])
+            read_block = linalg.submatrix_cols(hbar, [slot[pos] for pos in reads])
             sigmas.append(_solve_block(v_block, [read_block], "restricted parity block of V"))
         else:
             if len(u) < spec.k:
@@ -875,7 +872,6 @@ def _lower_split(plan: SplitPlan) -> GeneralPlan:
                     f"{len(u)} known symbols cannot determine a codeword of dimension {spec.k}"
                 )
             h = parity_check(spec)
-            reads.append(u)
             erased = linalg.submatrix_cols(h, range(len(u) + 1, spec.n + 1))
             known = _negated(linalg.submatrix_cols(h, range(1, len(u) + 1)))
             sigmas.append(_solve_block(erased, [known], f"parity check of final code {j} on its written positions"))
@@ -886,7 +882,7 @@ def _lower_split(plan: SplitPlan) -> GeneralPlan:
         initial_specs=(plan.initial_spec,),
         final_specs=plan.final_specs,
         unchanged=tuple((u,) for u in plan.unchanged),
-        reads=tuple((r,) for r in reads),
+        reads=tuple((r,) for r in plan.reads),
         layouts=tuple(layouts),
         sigmas=tuple(sigmas),
     )
@@ -1002,95 +998,62 @@ def general_convert(
 # -- plan verification ----------------------------------------------------------
 
 
-def _check_mds(spec: ExtGrsSpec, trials: int, seed: int) -> bool:
-    h = parity_check(spec)
-    # Imported here: only verify needs the oracle, so the other verbs
-    # start without loading it.
-    from . import oracle
-
-    if spec.n <= oracle.MDS_MAX_LENGTH:
-        return oracle.mds_exhaustive(h)
-    return oracle.mds_sampled(h, trials=trials, seed=seed)
-
-
-def verify_plan(plan: Plan, seed: int = 0, trials: int = 200) -> list[tuple[str, bool, str]]:
+def verify_plan(plan: Plan) -> list[tuple[str, bool, str]]:
     """Checks behind the CLI verify command: (name, passed, detail) triples.
 
-    MDS checks run exhaustively inside the oracle guard and by seeded
-    sampling beyond it; merge plans additionally run the structural
-    optimality check, split plans their construction invariants.
+    One MDS line per initial code and per declared final code, each a
+    pass by theorem: an extended GRS code with n - 1 distinct points and
+    nonzero multipliers is MDS, and `ExtGrsSpec` admits no other code.
+    Then merge plans run the structural optimality check and split plans
+    their construction checks, and both get the access-bound line.
+    General plans get a plan-structure line and no bound.
     """
-    results: list[tuple[str, bool, str]] = []
+    p = plan.params
+    if isinstance(plan, SplitPlan):
+        codes = ["initial code"]
+    else:
+        codes = [f"initial code {i}" for i in range(1, p.t1 + 1)]
     if isinstance(plan, MergePlan):
-        for i, spec in enumerate(plan.initial_specs, 1):
-            results.append((f"initial code {i} MDS", _check_mds(spec, trials, seed), ""))
-        results.append(("final code MDS", _check_mds(plan.final_spec, trials, seed), ""))
+        codes.append("final code")
+    else:
+        codes += [f"final code {j}" for j, spec in enumerate(plan.final_specs, 1) if spec is not None]
+    results = [(f"{code} MDS", True, "") for code in codes]
+    if isinstance(plan, MergePlan):
         check = verify_optimal_structure(plan)
         results.append(("optimal structure", check.ok, check.diagnostic))
-        report = access_report(plan)
-        results.append(
-            (
-                "access cost meets bound",
-                bool(report.optimal),
-                f"rho = {report.rho}, bound = {report.bound}",
-            )
-        )
     elif isinstance(plan, SplitPlan):
-        results.append(("initial code MDS", _check_mds(plan.initial_spec, trials, seed), ""))
-        for j, spec in enumerate(plan.final_specs, 1):
-            results.append((f"final code {j} MDS", _check_mds(spec, trials, seed), ""))
-        for j, (_, kf) in enumerate(plan.params.final, 1):
-            ok = len(plan.unchanged[j - 1]) == kf
+        for j, kf in enumerate(p.k_final, 1):
+            kept = len(plan.unchanged[j - 1])
             results.append(
-                (f"final code {j} keeps k_F unchanged symbols", ok,
-                 "" if ok else f"keeps {len(plan.unchanged[j - 1])}, need {kf}")
+                (f"final code {j} keeps k_F unchanged symbols", kept == kf,
+                 "" if kept == kf else f"keeps {kept}, need {kf}")
             )
         if plan.privileged is not None:
-            ok, detail = _check_split_privileged(plan)
-            results.append(("privileged restricted parity", ok, detail))
-        report = access_report(plan)
-        results.append(
-            (
-                "access cost meets bound",
-                bool(report.optimal),
-                f"rho = {report.rho}, bound = {report.bound}",
-            )
-        )
+            fault = _privileged_fault(plan)
+            results.append(("privileged restricted parity", not fault, fault))
     else:
-        for i, spec in enumerate(plan.initial_specs, 1):
-            results.append((f"initial code {i} MDS", _check_mds(spec, trials, seed), ""))
-        for j, spec in enumerate(plan.final_specs, 1):
-            if spec is not None:
-                results.append((f"final code {j} MDS", _check_mds(spec, trials, seed), ""))
         results.append(("plan structure", True, "layouts and conversion matrices consistent"))
+        return results
+    report = access_report(plan)
+    results.append(
+        ("access cost meets bound", bool(report.optimal), f"rho = {report.rho}, bound = {report.bound}")
+    )
     return results
 
 
-def _check_split_privileged(plan: SplitPlan) -> tuple[bool, str]:
+def _privileged_fault(plan: SplitPlan) -> str:
+    """Why the privileged final code is not produced by the restricted parity check, or ""."""
     j = plan.privileged
     rf = plan.params.r_final[j - 1]
     if len(plan.extra_reads) != rf:
-        return False, f"extra read set has {len(plan.extra_reads)} positions, need r_F = {rf}"
+        return f"extra read set has {len(plan.extra_reads)} positions, need r_F = {rf}"
     support = plan.support()
-    if plan.initial_spec.n not in support:
-        return False, "restriction misses the extension position"
-    try:
-        psec = puncture(plan.initial_spec, support)
-    except UsageError as exc:
-        return False, str(exc)
-    reference = parity_check(psec)
     hbar = plan.punctured_parity
-    if hbar.rows != rf or hbar.cols != len(support):
-        return False, "stored restricted parity check has the wrong shape"
-    if (
-        linalg.rank(hbar) != rf
-        or linalg.rank(linalg.stack_rows(reference, hbar)) != rf
-    ):
-        return False, "stored matrix is not a parity check of the restriction"
+    fault = _restricted_parity_fault(plan.initial_spec, support, hbar, rf)
+    if fault:
+        return fault
     slot = {pos: idx + 1 for idx, pos in enumerate(support)}
     cols = [slot[pos] for pos in sorted(set(plan.unchanged[j - 1]) | set(plan.extra_reads))]
-    derived = linalg.submatrix_cols(hbar, cols)
-    stored = parity_check(plan.final_specs[j - 1])
-    if derived.entries != stored.entries:
-        return False, "privileged final code does not match the restricted parity block"
-    return True, ""
+    if linalg.submatrix_cols(hbar, cols).entries != parity_check(plan.final_specs[j - 1]).entries:
+        return "privileged final code does not match the restricted parity block"
+    return ""

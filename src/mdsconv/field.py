@@ -20,6 +20,7 @@ polynomial, which reproduces the table above.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import UsageError
@@ -269,8 +270,13 @@ class FieldSpec:
         raise UsageError(f"no generator found for {self!r}")  # pragma: no cover
 
 
+@lru_cache(maxsize=32)
 def GF(q: int) -> FieldSpec:
-    """Build the field of order q; q must be prime or a power of two."""
+    """The field of order q; q must be prime or a power of two.
+
+    Memoised, so every code and matrix of a plan over GF(q) shares one
+    `FieldSpec` and builds its lookup tables once.
+    """
     if q < 2:
         raise UsageError(f"field order must be >= 2, got {q}")
     if _is_prime(q):

@@ -10,6 +10,7 @@ import pytest
 
 from mdsconv.convert import (
     ConvertParams,
+    MergePlan,
     access_report,
     build_merge,
     build_split,
@@ -20,6 +21,7 @@ from mdsconv.convert import (
     split_convert,
     split_lower_bound,
     verify_optimal_structure,
+    verify_plan,
 )
 from mdsconv.field import GF
 from mdsconv.grs import ExtGrsSpec, encode, parity_check, puncture, recover_erasures
@@ -100,6 +102,23 @@ def merge_plans():
         field = smallest_admissible_field(max(max(params.n_initial), params.n_final[0]) - 1)
         plans.append(build_merge(params, field))
     return plans
+
+
+@pytest.fixture(scope="module")
+def split_plans():
+    plans = []
+    for (ni, ki), finals in SPLIT_MATRIX:
+        params = ConvertParams(((ni, ki),), tuple(finals))
+        plans.append(build_split(params, smallest_admissible_field(max(ni, max(n for n, _ in finals)) - 1)))
+    return plans
+
+
+def oracle_mds(spec):
+    """The brute-force MDS check: exhaustive inside the oracle's guard, sampled beyond it."""
+    h = parity_check(spec)
+    if spec.n <= oracle.MDS_MAX_LENGTH:
+        return oracle.mds_exhaustive(h)
+    return oracle.mds_sampled(h, trials=200, seed=spec.n)
 
 
 def oracle_completion(plan, inputs):
@@ -201,18 +220,45 @@ def test_criterion_5_puncture_codebook_equality():
     report_line(f"criterion 5: puncturing preserves codebooks ({checked} restrictions checked)", ok)
 
 
-def test_plan_restrictions_match_linear_solve(merge_plans):
+def test_plan_restrictions_match_linear_solve(merge_plans, split_plans):
     """Closed-form restrictions of every matrix plan equal the linear-solve oracle."""
     for plan in merge_plans:
         for i in sorted(plan.reduced):
             spec, support = plan.initial_specs[i - 1], plan.support(i)
             assert puncture(spec, support) == oracle.puncture_by_solve(spec, support)
-    for (ni, ki), finals in SPLIT_MATRIX:
-        params = ConvertParams(((ni, ki),), tuple(finals))
-        field = smallest_admissible_field(max(ni, max(n for n, _ in finals)) - 1)
-        plan = build_split(params, field)
+    for plan in split_plans:
         spec, support = plan.initial_spec, plan.support()
         assert puncture(spec, support) == oracle.puncture_by_solve(spec, support)
+
+
+def test_oracle_confirms_verify_mds_lines(merge_plans, split_plans):
+    """verify's MDS lines, taken from the extended-GRS invariant, agree with
+    the brute-force check on every code of every matrix plan."""
+    checked = 0
+    ok = True
+    for plan in merge_plans + split_plans:
+        if isinstance(plan, MergePlan):
+            codes = plan.initial_specs + (plan.final_spec,)
+        else:
+            codes = (plan.initial_spec,) + plan.final_specs
+        lines = [passed for name, passed, _ in verify_plan(plan) if name.endswith(" MDS")]
+        ok &= lines == [oracle_mds(spec) for spec in codes] == [True] * len(codes)
+        checked += len(codes)
+    report_line(f"verify MDS lines match the brute-force oracle ({checked} codes)", ok)
+
+
+def test_verify_plan_needs_no_oracle(merge_plans, split_plans, monkeypatch):
+    """verify_plan passes every line of a merge, a split and the 2x2 plan with the oracle disabled."""
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("verify_plan called the brute-force oracle")
+
+    monkeypatch.setattr(oracle, "mds_exhaustive", disabled)
+    monkeypatch.setattr(oracle, "mds_sampled", disabled)
+    general = plandoc.load_plan(str(FIXTURES / "two_by_two_plan.json"))
+    for plan in (merge_plans[0], split_plans[0], general):
+        results = verify_plan(plan)
+        assert results and all(passed for _, passed, _ in results), results
 
 
 def test_criterion_6_split_optimality():

@@ -10,6 +10,16 @@ from mdsconv import plandoc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# `mdsconv verify` stdout for the README merge plan, line for line.
+README_VERIFY = """\
+PASS initial code 1 MDS
+PASS initial code 2 MDS
+PASS final code MDS
+PASS optimal structure
+PASS access cost meets bound: rho = 6, bound = 6
+access cost ρ = 6 (bound: 6)
+"""
+
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc, indent=2))
@@ -339,3 +349,28 @@ def test_convert_singular_privileged_block_exit_1(tmp_path, capsys):
     _tamper_bit(cws, 16)
     code, _, _ = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
     assert code == 3
+
+
+def test_verify_readme_plan_output(tmp_path, capsys):
+    plan_path, _ = _readme_merge(tmp_path, capsys)
+    for extra in ((), ("--seed", "3")):  # --seed is accepted and changes nothing
+        assert run(capsys, "verify", "--plan", plan_path, *extra) == (0, README_VERIFY, "")
+
+
+def test_reads_outside_s_edited_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "merge.json"
+    write_json(cfg, {"regime": "merge", "q": 8, "initial": [[5, 3], [4, 2]], "r_F": 2})
+    plan_path = tmp_path / "plan.json"
+    run(capsys, "plan", "--config", cfg, "--out", plan_path)
+    msgs = tmp_path / "m.txt"
+    msgs.write_text("1 2 3\n4 5\n")
+    cws = tmp_path / "c.txt"
+    assert run(capsys, "encode", "--plan", plan_path, "--in", msgs, "--out", cws)[0] == 0
+    doc = json.loads(plan_path.read_text())
+    assert doc["S"] == [1] and doc["reads"][1] == [[2, 1], [2, 2]]
+    doc["reads"][1] = [[2, 3], [2, 4]]
+    write_json(plan_path, doc)
+    code, _, err = run(capsys, "verify", "--plan", plan_path)
+    assert code == 1 and "outside S" in err
+    code, _, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
+    assert code == 1 and "outside S" in err

@@ -176,10 +176,18 @@ def test_mds_property():
     for q, n, r in [(5, 4, 2), (8, 7, 3), (11, 10, 4)]:
         spec = random_spec(GF(q), n, r, rng)
         assert oracle.mds_exhaustive(parity_check(spec))
+    # random points and multipliers (build_merge and build_split draw the
+    # leading ones) over GF(p) and GF(2^m): exhaustive inside the guard
+    for q in (3, 4, 7, 13, 16, 17, 64, 256):
+        field = GF(q)
+        for _ in range(4):
+            n = rng.randrange(2, min(q + 1, oracle.MDS_MAX_LENGTH) + 1)
+            spec = random_spec(field, n, rng.randrange(1, n), rng)
+            assert oracle.mds_exhaustive(parity_check(spec)), spec
     # sampled beyond the guard
-    field = GF(31)
-    spec = random_spec(field, 20, 5, rng)
-    assert oracle.mds_sampled(parity_check(spec), trials=200, seed=0)
+    for q, n, r in [(31, 20, 5), (32, 25, 6), (256, 40, 8)]:
+        spec = random_spec(GF(q), n, r, rng)
+        assert oracle.mds_sampled(parity_check(spec), trials=200, seed=0), spec
 
 
 def test_spec_dict_roundtrip():

@@ -188,14 +188,25 @@ def test_verify_structure_rejects_wrong_classification():
     plan = build_merge(merge_params([(5, 3), (4, 2)], 2), GF(8))
     assert sorted(plan.reduced) == [1]
     block = plan.final_unchanged_blocks[1]
+    # Outside S, code 1 must read its unchanged symbols.
     wrong = replace(
         plan,
         reduced=frozenset(),
+        reads=(plan.unchanged[0], plan.reads[1]),
         punctured_parity=(None, None),
         final_unchanged_blocks=(block, block),
     )
     check = verify_optimal_structure(wrong)
     assert not check.ok and "classification" in check.diagnostic
+
+
+def test_reads_outside_s_must_be_the_unchanged_symbols():
+    # Lowering reads a code outside S through its unchanged symbols, so a
+    # plan declaring other reads for it would report reads it never makes.
+    plan = build_merge(merge_params([(5, 3), (4, 2)], 2), GF(8))
+    assert sorted(plan.reduced) == [1] and plan.reads[1] == plan.unchanged[1] == (1, 2)
+    with pytest.raises(UsageError, match="outside S"):
+        replace(plan, reads=(plan.reads[0], (3, 4)))
 
 
 def test_verify_structure_catches_tampered_final_block():
@@ -229,11 +240,11 @@ def test_merge_smallest_binary_field():
     assert is_codeword(plan.final_spec, out.symbols)
 
 
-def test_verify_plan_long_final_uses_sampled_check():
-    # n_F = 16 is past the exhaustive guard; verify falls back to seeded sampling
+def test_verify_plan_and_convert_long_final():
+    # n_F = 16 is past the oracle's exhaustive guard; verify needs no oracle
     params = merge_params([(9, 7), (9, 7)], 2)
     plan = build_merge(params, GF(16))
-    results = verify_plan(plan, seed=0)
+    results = verify_plan(plan)
     assert all(ok for _, ok, _ in results)
     rng = random.Random(15)
     inputs = random_inputs(plan, rng)

@@ -10,13 +10,14 @@ from mdsconv.convert import (
     build_merge,
     build_split,
     general_convert,
+    merge_convert,
     merge_params,
     run_conversion,
 )
 from mdsconv.errors import UsageError
-from mdsconv.field import GF
+from mdsconv.field import GF, FieldSpec
 from mdsconv.grs import encode
-from mdsconv import plandoc
+from mdsconv import grs, plandoc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -174,3 +175,25 @@ def test_symbol_lines_roundtrip(tmp_path):
     path.write_text("1 x 3\n")
     with pytest.raises(UsageError):
         plandoc.read_symbol_lines(str(path), GF(7))
+
+
+def test_loaded_plan_builds_field_tables_once(tmp_path, monkeypatch):
+    """Every code and matrix of a plan document shares one GF(256)."""
+    params = merge_params([(14, 10), (14, 10), (12, 8), (6, 4)], 4)
+    path = tmp_path / "plan.json"
+    plandoc.save_plan(build_merge(params, GF(256)), str(path))
+    for cache in (GF, grs.parity_check, grs.generator):
+        cache.cache_clear()
+    builds = []
+    build_tables = FieldSpec._build_tables
+
+    def counted(self):
+        builds.append(self.q)
+        build_tables(self)
+
+    monkeypatch.setattr(FieldSpec, "_build_tables", counted)
+    plan = plandoc.load_plan(str(path))
+    stripe = [encode(spec, tuple(range(1, spec.k + 1))) for spec in plan.initial_specs]
+    final, _ = merge_convert(plan, stripe)
+    assert final.symbols[:10] == stripe[0].symbols[:10]
+    assert builds == [256]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -119,8 +120,6 @@ def test_verify_plan_split():
 
 
 def test_verify_plan_split_catches_tampering():
-    from dataclasses import replace
-
     plan = build_split(PARAMS_7_TO_4_3, GF(16))
     hbar = plan.punctured_parity
     entries = list(hbar.entries)
@@ -129,6 +128,17 @@ def test_verify_plan_split_catches_tampering():
     results = dict((name, (ok, detail)) for name, ok, detail in verify_plan(tampered))
     ok, detail = results["privileged restricted parity"]
     assert not ok
+
+
+def test_non_privileged_reads_must_be_the_unchanged_symbols():
+    plan = build_split(PARAMS_7_TO_4_3, GF(16))
+    assert plan.privileged == 1 and plan.reads[1] == plan.unchanged[1] == (5, 6, 7)
+    with pytest.raises(UsageError, match="not privileged"):
+        replace(plan, reads=(plan.reads[0], (6, 7, 8)))
+    unprivileged = build_split(ConvertParams(((7, 6),), ((5, 3), (5, 3))), GF(8))
+    assert unprivileged.privileged is None
+    with pytest.raises(UsageError, match="not privileged"):
+        replace(unprivileged, reads=((1, 2, 7), unprivileged.reads[1]))
 
 
 def test_point_draw_independent_of_field_order():

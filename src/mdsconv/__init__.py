@@ -23,6 +23,7 @@ from .convert import (
     merge_convert,
     merge_lower_bound,
     merge_params,
+    plan_report,
     reduced_read_codes,
     required_field_order,
     run_conversion,

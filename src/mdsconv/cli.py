@@ -20,12 +20,12 @@ from typing import Sequence
 from . import plandoc
 from .convert import (
     ConvertParams,
-    access_report,
     build_merge,
     build_split,
     initial_specs,
     merge_lower_bound,
     merge_params,
+    plan_report,
     reduced_read_codes,
     required_field_order,
     run_conversion,
@@ -95,11 +95,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
+    return cfg
+
+
+def _shapes(raw, label: str) -> list[tuple[int, int]]:
+    try:
+        return [(int(n), int(k)) for n, k in raw]
+    except (TypeError, ValueError):
+        raise UsageError(f"{label} must be [n, k] pairs") from None
 
 
 def _config_params(cfg: dict) -> tuple[str, ConvertParams, int]:
@@ -113,25 +123,22 @@ def _config_params(cfg: dict) -> tuple[str, ConvertParams, int]:
     raw_initial = cfg.get("initial")
     if raw_initial is None:
         raise UsageError("config needs 'initial' code shapes")
-    if raw_initial and isinstance(raw_initial[0], int):
+    if isinstance(raw_initial, list) and raw_initial and isinstance(raw_initial[0], int):
         raw_initial = [raw_initial]
-    try:
-        initial = [(int(n), int(k)) for n, k in raw_initial]
-    except (TypeError, ValueError):
-        raise UsageError("'initial' must be [n, k] pairs") from None
+    initial = _shapes(raw_initial, "'initial'")
     if regime == "merge":
         if "r_F" in cfg:
-            params = merge_params(initial, int(cfg["r_F"]))
+            try:
+                r_final = int(cfg["r_F"])
+            except (TypeError, ValueError):
+                raise UsageError(f"'r_F' must be an integer, got {cfg['r_F']!r}") from None
+            params = merge_params(initial, r_final)
         elif "final" in cfg:
-            params = ConvertParams(tuple(initial), tuple((int(n), int(k)) for n, k in cfg["final"]))
+            params = ConvertParams(tuple(initial), tuple(_shapes(cfg["final"], "merge 'final'")))
         else:
             raise UsageError("merge config needs 'r_F' (or an explicit 'final' shape)")
     else:
-        try:
-            finals = [(int(n), int(k)) for n, k in cfg["final"]]
-        except (KeyError, TypeError, ValueError):
-            raise UsageError("split config needs 'final' as [n, k] pairs") from None
-        params = ConvertParams(tuple(initial), tuple(finals))
+        params = ConvertParams(tuple(initial), tuple(_shapes(cfg.get("final"), "split 'final'")))
     return regime, params, q
 
 
@@ -200,7 +207,7 @@ def cmd_verify(args) -> int:
         failed = failed or not ok
     if failed:
         return 2
-    report = access_report(plan)
+    report = plan_report(plan)
     print(f"access cost ρ = {report.rho} (bound: {report.bound})")
     return 0
 

@@ -515,6 +515,16 @@ def access_report(plan: Plan) -> AccessReport:
     return AccessReport(per_initial, rho_r, rho_w, rho, bound, optimal, stable, tuple(trace))
 
 
+def plan_report(plan: Plan) -> AccessReport:
+    """The plan's `access_report`, computed once and kept on the plan,
+    which never changes; execution and `verify` share it."""
+    report = plan.__dict__.get("_report")
+    if report is None:
+        report = access_report(plan)
+        object.__setattr__(plan, "_report", report)
+    return report
+
+
 # -- merge construction -------------------------------------------------------
 
 
@@ -940,7 +950,7 @@ class _Executable:
             )
             for j in range(g.params.t2)
         )
-        self.report = access_report(plan)
+        self.report = plan_report(plan)
 
 
 def run_conversion(
@@ -1034,7 +1044,7 @@ def verify_plan(plan: Plan) -> list[tuple[str, bool, str]]:
     else:
         results.append(("plan structure", True, "layouts and conversion matrices consistent"))
         return results
-    report = access_report(plan)
+    report = plan_report(plan)
     results.append(
         ("access cost meets bound", bool(report.optimal), f"rho = {report.rho}, bound = {report.bound}")
     )

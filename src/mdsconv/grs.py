@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .errors import CorruptionError, InsufficientDataError, UsageError
+from .errors import CorruptionError, InsufficientDataError, InternalError, UsageError
 from .field import FieldSpec, GF
 from .linalg import FieldMatrix
 
@@ -41,14 +41,12 @@ class ExtGrsSpec:
             raise UsageError(f"gamma must have {self.n - 1} entries, got {len(self.gamma)}")
         if len(self.w) != self.n:
             raise UsageError(f"w must have {self.n} entries, got {len(self.w)}")
-        for x in self.gamma:
-            self.field.check(x)
+        self.field.check_all(self.gamma)
         if len(set(self.gamma)) != len(self.gamma):
             raise UsageError("gamma entries must be pairwise distinct")
-        for x in self.w:
-            self.field.check(x)
-            if x == 0:
-                raise UsageError("w entries must be nonzero")
+        self.field.check_all(self.w)
+        if 0 in self.w:
+            raise UsageError("w entries must be nonzero")
 
     def __hash__(self) -> int:
         # Computed once: every parity_check/generator cache lookup hashes the spec.
@@ -79,15 +77,28 @@ def parity_check(spec: ExtGrsSpec) -> FieldMatrix:
 
 @lru_cache(maxsize=1024)
 def generator(spec: ExtGrsSpec) -> FieldMatrix:
-    """Deterministic k x n generator: the canonical kernel of the parity check."""
-    return linalg.right_kernel_basis(parity_check(spec))
+    """Deterministic k x n generator: the canonical kernel of the parity check.
+
+    The leading r columns of the parity check are an invertible scaled
+    Vandermonde block (distinct points, nonzero multipliers), so its pivots
+    are the first r columns and the generator is systematic, G = [A | I_k].
+    That is checked here, once per code, because `encode` relies on it.
+    """
+    red, pivots = linalg.rref(parity_check(spec))
+    if pivots != tuple(range(spec.r)):
+        raise InternalError(f"parity check pivots {pivots} are not the first {spec.r} columns")
+    return linalg.kernel_basis_from_rref(red, pivots)
 
 
 def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
+    """message . G, computed systematically: the r parity symbols
+    message . A from the first r columns of the generator, then the
+    k message symbols."""
     if len(message) != spec.k:
         raise UsageError(f"message must have k = {spec.k} symbols, got {len(message)}")
     spec.field.check_all(message)
-    return Codeword(linalg.vecmat(message, generator(spec)), spec)
+    parity = linalg.vecmat(message, generator(spec), spec.r)
+    return Codeword(parity + tuple(message), spec)
 
 
 def is_codeword(spec: ExtGrsSpec, symbols: Sequence[int]) -> bool:

@@ -92,21 +92,26 @@ def vandermonde_ext(
         raise UsageError(f"gamma must have n-1 = {n - 1} entries, got {len(gamma)}")
     if len(w) != n:
         raise UsageError(f"w must have n = {n} entries, got {len(w)}")
-    for x in gamma:
-        field.check(x)
-    for x in w:
-        field.check(x)
-        if x == 0:
-            raise UsageError("column multipliers w must be nonzero")
-    mul = field.mul
+    field.check_all(gamma)
+    field.check_all(w)
+    if 0 in w:
+        raise UsageError("column multipliers w must be nonzero")
+    # Row ell + 1 is row ell times gamma, on the row kernel's tables.
+    binary = field.m > 1
+    if binary:
+        log, exp = field.row_tables()
+        log_gamma = [log[x] for x in gamma]
+    else:
+        p = field.p
+    row = list(w[: n - 1])
     out = []
-    powers = [1] * (n - 1)
     for ell in range(r):
-        row = [mul(w[j], powers[j]) for j in range(n - 1)]
-        row.append(w[n - 1] if ell == r - 1 else 0)
-        out.append(row)
+        out.append(row + [w[n - 1] if ell == r - 1 else 0])
         if ell < r - 1:
-            powers = [mul(powers[j], gamma[j]) for j in range(n - 1)]
+            if binary:
+                row = [exp[log[x] + lg] for x, lg in zip(row, log_gamma)]
+            else:
+                row = [x * y % p for x, y in zip(row, gamma)]
     return from_rows(field, out)
 
 
@@ -114,9 +119,19 @@ def vandermonde_ext(
 
 
 def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and its 0-based pivot columns."""
+    """Reduced row echelon form and its 0-based pivot columns.
+
+    Row operations run on the row kernel's tables: over GF(2^m) the scaled
+    pivot row is turned into logs once, and each elimination is
+    x ^ exp[log c + log y]; over GF(p) it is (x - c*y) % p.
+    """
     f = m.field
-    mul, sub, inv = f.mul, f.sub, f.inv
+    binary = f.m > 1
+    if binary:
+        log, exp = f.row_tables()
+    else:
+        p = f.p
+    inv = f.inv
     a = m.to_lists()
     pivots: list[int] = []
     pr = 0
@@ -130,13 +145,24 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
             continue
         a[pr], a[pivot] = a[pivot], a[pr]
         scale = inv(a[pr][c])
-        if scale != 1:
-            a[pr] = [mul(scale, x) for x in a[pr]]
-        lead = a[pr]
-        for i in range(m.rows):
-            coef = a[i][c]
-            if i != pr and coef != 0:
-                a[i] = [sub(x, mul(coef, y)) for x, y in zip(a[i], lead)]
+        if binary:
+            if scale != 1:
+                ls = log[scale]
+                a[pr] = [exp[ls + log[x]] for x in a[pr]]
+            lead = [log[y] for y in a[pr]]
+            for i in range(m.rows):
+                coef = a[i][c]
+                if i != pr and coef != 0:
+                    lc = log[coef]
+                    a[i] = [x ^ exp[lc + y] for x, y in zip(a[i], lead)]
+        else:
+            if scale != 1:
+                a[pr] = [scale * x % p for x in a[pr]]
+            lead = a[pr]
+            for i in range(m.rows):
+                coef = a[i][c]
+                if i != pr and coef != 0:
+                    a[i] = [(x - coef * y) % p for x, y in zip(a[i], lead)]
         pivots.append(c)
         pr += 1
         if pr == m.rows:
@@ -222,11 +248,12 @@ def matvec(m: FieldMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return _row_kernel(m.field, _kernel_lines(m, False), v)
 
 
-def vecmat(v: Sequence[int], m: FieldMatrix) -> tuple[int, ...]:
-    """v . M as a length-cols tuple."""
+def vecmat(v: Sequence[int], m: FieldMatrix, width: int | None = None) -> tuple[int, ...]:
+    """v . M as a length-cols tuple, or v . M[:, :width] when `width` is given."""
     if len(v) != m.rows:
         raise UsageError(f"vector length {len(v)} does not match {m.rows} rows")
-    return _row_kernel(m.field, _kernel_lines(m, True), v)
+    lines = _kernel_lines(m, True)
+    return _row_kernel(m.field, lines if width is None else lines[:width], v)
 
 
 def vec_add(field: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -275,17 +302,22 @@ def invert(m: FieldMatrix) -> FieldMatrix:
 
 def right_kernel_basis(m: FieldMatrix) -> FieldMatrix:
     """Rows form a deterministic basis of {x : M . x^T = 0}."""
-    red, pivots = rref(m)
-    f = m.field
-    free = [c for c in range(m.cols) if c not in pivots]
+    return kernel_basis_from_rref(*rref(m))
+
+
+def kernel_basis_from_rref(red: FieldMatrix, pivots: Sequence[int]) -> FieldMatrix:
+    """The `right_kernel_basis` of any matrix whose `rref` is (red, pivots):
+    one row per free column fc, 1 at fc, minus column fc of red at the pivots."""
+    f = red.field
+    free = [c for c in range(red.cols) if c not in pivots]
     rows = []
     for fc in free:
-        v = [0] * m.cols
+        v = [0] * red.cols
         v[fc] = 1
         for i, pc in enumerate(pivots):
             v[pc] = f.neg(red.at(i, fc))
         rows.append(v)
-    return from_rows(f, rows, cols=m.cols)
+    return from_rows(f, rows, cols=red.cols)
 
 
 def solve_linear(a: FieldMatrix, b: Sequence[int]) -> tuple[int, ...] | None:

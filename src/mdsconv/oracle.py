@@ -2,9 +2,11 @@
 
 Deliberately slow and trivially correct; every enumerating function
 enforces a hard guard and fails loudly instead of running unbounded.
-The per-stripe conversions at the end solve each stripe's parity
-equations directly, the way plans were executed before lowering; the
-tests hold `convert.run_conversion` to them bit for bit.
+`rref_by_field_ops` is Gaussian elimination with one field call per
+element, the reference for the table-driven `linalg.rref`.  The per-stripe
+conversions at the end solve each stripe's parity equations directly,
+the way plans were executed before lowering; the tests hold
+`convert.run_conversion` to them bit for bit.
 """
 
 from __future__ import annotations
@@ -113,6 +115,39 @@ def can_generate(
         if linalg.solve_linear(gsrc, gdst.col(j)) is None:
             return False
     return True
+
+
+def rref_by_field_ops(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
+    """`linalg.rref` computed with one `FieldSpec.mul`/`sub` call per
+    element, under the same pivot convention (leftmost nonzero column,
+    first nonzero row, pivot scaled to 1, eliminate above and below)."""
+    f = m.field
+    mul, sub, inv = f.mul, f.sub, f.inv
+    a = m.to_lists()
+    pivots: list[int] = []
+    pr = 0
+    for c in range(m.cols):
+        pivot = None
+        for i in range(pr, m.rows):
+            if a[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        a[pr], a[pivot] = a[pivot], a[pr]
+        scale = inv(a[pr][c])
+        if scale != 1:
+            a[pr] = [mul(scale, x) for x in a[pr]]
+        lead = a[pr]
+        for i in range(m.rows):
+            coef = a[i][c]
+            if i != pr and coef != 0:
+                a[i] = [sub(x, mul(coef, y)) for x, y in zip(a[i], lead)]
+        pivots.append(c)
+        pr += 1
+        if pr == m.rows:
+            break
+    return linalg.from_rows(f, a, cols=m.cols), tuple(pivots)
 
 
 def puncture_by_solve(spec: ExtGrsSpec, positions: Iterable[int]) -> ExtGrsSpec:

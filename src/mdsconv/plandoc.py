@@ -99,6 +99,8 @@ def plan_to_doc(plan: Plan) -> dict:
 
 
 def plan_from_doc(doc: Mapping) -> Plan:
+    if not isinstance(doc, Mapping):
+        raise UsageError(f"a plan document must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind == "merge":
         return _merge_from_doc(doc)
@@ -350,9 +352,16 @@ def load_plan(path: str) -> Plan:
     return plan_from_doc(doc)
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def save_plan(plan: Plan, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(plan_to_doc(plan)))
+    _write_text(path, dump_json(plan_to_doc(plan)))
 
 
 def read_symbol_lines(path: str, field: FieldSpec) -> list[tuple[int, ...]]:
@@ -378,6 +387,4 @@ def read_symbol_lines(path: str, field: FieldSpec) -> list[tuple[int, ...]]:
 
 
 def write_symbol_lines(path: str, rows: Sequence[Sequence[int]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(" ".join(str(x) for x in row) + "\n")
+    _write_text(path, "".join(" ".join(map(str, row)) + "\n" for row in rows))

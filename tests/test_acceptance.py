@@ -15,6 +15,7 @@ from mdsconv.convert import (
     build_merge,
     build_split,
     general_convert,
+    initial_specs,
     merge_convert,
     merge_lower_bound,
     merge_params,
@@ -24,7 +25,7 @@ from mdsconv.convert import (
     verify_plan,
 )
 from mdsconv.field import GF
-from mdsconv.grs import ExtGrsSpec, encode, parity_check, puncture, recover_erasures
+from mdsconv.grs import ExtGrsSpec, encode, generator, parity_check, puncture, recover_erasures
 from mdsconv import linalg, oracle, plandoc
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -414,3 +415,18 @@ def test_criterion_9_field_and_linalg_properties():
         for cols in combinations(range(1, n + 1), r):
             ok &= linalg.rank(linalg.submatrix_cols(m, cols)) == r
     report_line("criterion 9: field axioms and linear-algebra identities hold", ok)
+
+
+def test_encode_matches_generator_product(merge_plans, split_plans):
+    """Systematic encode equals message . G on every code of the acceptance matrices."""
+    rng = random.Random(43)
+    for plan in merge_plans + split_plans:
+        specs = list(initial_specs(plan))
+        specs += [plan.final_spec] if isinstance(plan, MergePlan) else list(plan.final_specs)
+        for spec in specs:
+            g = generator(spec)
+            q = spec.field.q
+            messages = [tuple(int(u == t) for u in range(spec.k)) for t in range(spec.k)]
+            messages += [tuple(rng.randrange(q) for _ in range(spec.k)) for _ in range(3)]
+            for msg in messages:
+                assert encode(spec, msg).symbols == linalg.vecmat(msg, g)

@@ -374,3 +374,64 @@ def test_reads_outside_s_edited_exit_1(tmp_path, capsys):
     assert code == 1 and "outside S" in err
     code, _, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
     assert code == 1 and "outside S" in err
+
+
+def test_config_not_an_object_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    write_json(cfg, [{"regime": "merge", "q": 8, "initial": [[5, 3], [5, 3]], "r_F": 2}])
+    code, _, err = run(capsys, "plan", "--config", cfg, "--out", tmp_path / "p.json")
+    assert code == 1 and err.startswith("error:") and "JSON object" in err
+
+
+def test_config_r_final_not_an_integer_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "merge.json"
+    write_json(cfg, {"regime": "merge", "q": 8, "initial": [[5, 3], [5, 3]], "r_F": "a"})
+    code, _, err = run(capsys, "plan", "--config", cfg, "--out", tmp_path / "p.json")
+    assert code == 1 and err.startswith("error:") and "'r_F'" in err
+
+
+def test_config_merge_final_not_a_shape_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "merge.json"
+    write_json(cfg, {"regime": "merge", "q": 8, "initial": [[5, 3], [5, 3]], "final": [[8]]})
+    code, _, err = run(capsys, "plan", "--config", cfg, "--out", tmp_path / "p.json")
+    assert code == 1 and err.startswith("error:") and "'final'" in err
+
+
+def test_plan_document_not_an_object_exit_1(tmp_path, capsys):
+    plan_path, cws = _readme_merge(tmp_path, capsys)
+    write_json(plan_path, [json.loads(plan_path.read_text())])
+    for argv in (("verify", "--plan", plan_path),
+                 ("convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error:") and "JSON object" in err
+
+
+def test_unwritable_out_exit_1(tmp_path, capsys):
+    plan_path, cws = _readme_merge(tmp_path, capsys)
+    msgs = tmp_path / "m.txt"
+    cfg = tmp_path / "merge.json"
+    for out in (tmp_path / "no-such-dir" / "out.txt", tmp_path):
+        for argv in (("plan", "--config", cfg),
+                     ("encode", "--plan", plan_path, "--in", msgs),
+                     ("convert", "--plan", plan_path, "--in", cws)):
+            code, _, err = run(capsys, *argv, "--out", out)
+            assert code == 1, argv
+            assert err.startswith("error: cannot write"), err
+
+
+def test_verify_builds_the_access_report_once(tmp_path, capsys, monkeypatch):
+    from mdsconv import cli, convert
+
+    plan_path, _ = _readme_merge(tmp_path, capsys)
+    calls = []
+    real = convert.access_report
+
+    def counted(plan):
+        calls.append(plan)
+        return real(plan)
+
+    # Every binding, so that a verb importing it by name is counted too.
+    monkeypatch.setattr(convert, "access_report", counted)
+    monkeypatch.setattr(cli, "access_report", counted, raising=False)
+    assert run(capsys, "verify", "--plan", plan_path) == (0, README_VERIFY, "")
+    assert len(calls) == 1

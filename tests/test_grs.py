@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from mdsconv.errors import CorruptionError, InsufficientDataError, UsageError
+from mdsconv.errors import CorruptionError, InsufficientDataError, InternalError, UsageError
 from mdsconv.field import GF
 from mdsconv import linalg, oracle
 from mdsconv.grs import (
@@ -200,3 +200,37 @@ def test_spec_dict_roundtrip():
         spec_from_dict({"q": 5})
     with pytest.raises(UsageError):
         spec_from_dict({**doc, "p": 2})
+
+
+def test_systematic_encode_matches_generator_product():
+    """encode is message . G, and G = [A | I_k] is the canonical kernel basis."""
+    rng = random.Random(41)
+    for q in (3, 7, 8, 13, 16, 256, 257, 1 << 16):
+        f = GF(q)
+        for _ in range(6):
+            n = rng.randrange(2, min(q, 14) + 1)
+            spec = random_spec(f, n, rng.randrange(1, n), rng)
+            g = generator(spec)
+            assert g == linalg.right_kernel_basis(parity_check(spec))
+            for t in range(spec.k):
+                assert g.row(t)[spec.r :] == tuple(int(u == t) for u in range(spec.k))
+            for _ in range(4):
+                msg = tuple(rng.randrange(q) for _ in range(spec.k))
+                cw = encode(spec, msg)
+                assert cw.symbols == linalg.vecmat(msg, g)
+                assert cw.symbols[spec.r :] == msg
+
+
+def test_generator_checks_systematic_pivots(monkeypatch):
+    """A parity check whose first r columns are not a basis is an internal error, not a bad encode."""
+    import mdsconv.grs as grs
+
+    spec = ExtGrsSpec(GF(11), 5, 2, (3, 1, 4, 5), (2, 7, 1, 8, 2))
+    bad = linalg.from_rows(GF(11), [[0, 1, 2, 3, 4], [0, 5, 6, 7, 8]])
+    monkeypatch.setattr(grs, "parity_check", lambda _spec: bad)
+    grs.generator.cache_clear()
+    try:
+        with pytest.raises(InternalError, match="pivots"):
+            generator(spec)
+    finally:
+        grs.generator.cache_clear()

@@ -229,3 +229,52 @@ def test_row_kernel_matches_per_element_reference(q):
             matvec(m, [0] * (cols + 1))
         with pytest.raises(UsageError):
             vecmat([0] * (rows + 1), m)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 8, 16, 256, 257, 1 << 16, (1 << 31) - 1])
+def test_rref_matches_field_ops_reference(q):
+    """The table-driven rref equals the per-element reduction: same matrix, same pivots."""
+    from mdsconv import oracle
+    from mdsconv.linalg import rref
+
+    f = GF(q)
+    rng = random.Random(1000 + q)
+
+    def element():
+        return rng.choice((0, 0, 1, q - 1, rng.randrange(q)))
+
+    def deficient(rows, cols, rank_):
+        # rank_ random rows, then random combinations of them, shuffled.
+        base = [[element() for _ in range(cols)] for _ in range(rank_)]
+        out = [list(r) for r in base]
+        for _ in range(rows - rank_):
+            row = [0] * cols
+            for b in base:
+                c = rng.randrange(q)
+                row = [f.add(x, f.mul(c, y)) for x, y in zip(row, b)]
+            out.append(row)
+        rng.shuffle(out)
+        return from_rows(f, out, cols=cols)
+
+    cases = [zeros(f, rows, cols) for rows, cols in [(0, 0), (0, 4), (4, 0), (3, 5)]]
+    for rows, cols in [(1, 1), (2, 5), (5, 2), (4, 7), (7, 4), (6, 6), (8, 13)]:
+        cases.append(from_rows(f, [[element() for _ in range(cols)] for _ in range(rows)], cols=cols))
+        cases.append(deficient(rows, cols, min(rows, cols) // 2))
+    for m in cases:
+        assert rref(m) == oracle.rref_by_field_ops(m)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 8, 16, 256, 257, 1 << 16, (1 << 31) - 1])
+def test_vandermonde_matches_field_pow(q):
+    """Table-driven power rows equal w_j * pow(gamma_j, ell) entry by entry."""
+    f = GF(q)
+    rng = random.Random(2000 + q)
+    for n in range(2, min(q, 12) + 1):
+        r = rng.randrange(1, n)
+        gamma = rng.sample(range(q), n - 1) if q < 1 << 20 else [rng.randrange(q) for _ in range(n - 1)]
+        w = [rng.randrange(1, q) for _ in range(n)]
+        h = vandermonde_ext(f, r, n, gamma, w)
+        for ell in range(r):
+            expect = [f.mul(w[j], f.pow(gamma[j], ell)) for j in range(n - 1)]
+            expect.append(w[-1] if ell == r - 1 else 0)
+            assert h.row(ell) == tuple(expect)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Sequence
 
 from . import plandoc
@@ -22,7 +23,6 @@ from .convert import (
     ConvertParams,
     build_merge,
     build_split,
-    initial_specs,
     merge_lower_bound,
     merge_params,
     plan_report,
@@ -57,7 +57,9 @@ def _shape(text: str) -> tuple[int, int]:
     return n, k
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once and shared by every `main` call."""
     parser = _Parser(prog="mdsconv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -168,7 +170,7 @@ def cmd_plan(args) -> int:
 
 def cmd_encode(args) -> int:
     plan = plandoc.load_plan(args.plan)
-    specs = initial_specs(plan)
+    specs = plan.initial_specs
     messages = plandoc.read_symbol_lines(args.infile, plan.field)
     if len(messages) != len(specs):
         raise UsageError(f"expected {len(specs)} messages (one per initial code), got {len(messages)}")
@@ -184,7 +186,7 @@ def cmd_encode(args) -> int:
 
 def cmd_convert(args) -> int:
     plan = plandoc.load_plan(args.plan)
-    specs = initial_specs(plan)
+    specs = plan.initial_specs
     rows = plandoc.read_symbol_lines(args.infile, plan.field)
     if len(rows) != len(specs):
         raise UsageError(f"expected {len(specs)} codewords (one per initial code), got {len(rows)}")

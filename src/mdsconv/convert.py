@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from itertools import accumulate, chain
+from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import CorruptionError, InsufficientDataError, ParameterError, UsageError
@@ -42,6 +42,8 @@ from .grs import Codeword, ExtGrsSpec, is_codeword, parity_check, puncture
 from .linalg import FieldMatrix
 
 SymbolId = tuple[int, int]
+# Position sets indexed [final j][initial i], as in `GeneralPlan`.
+Grid = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 # -- parameters and bounds -------------------------------------------------
@@ -180,14 +182,89 @@ def split_lower_bound(params: ConvertParams) -> SplitBound:
 
 
 # -- plans -------------------------------------------------------------------
+#
+# Every plan kind exposes the same per-final view: `initial_specs`,
+# `final_specs` and `grid`, the pair (unchanged, reads) of position sets
+# indexed [final j][initial i].  Shape validation, access accounting and
+# lowering read that view, so each has one body for all kinds; merge and
+# split plans add `parity_blocks(j)`, the relation that lowering solves.
 
 
 def _check_positions(label: str, positions: Sequence[int], n: int) -> None:
+    if all(map(operator.lt, [0, *positions], [*positions, n + 1])):
+        return
     if list(positions) != sorted(set(positions)):
         raise UsageError(f"{label}: positions must be strictly ascending")
     for p in positions:
         if not 1 <= p <= n:
             raise UsageError(f"{label}: position {p} out of range 1..{n}")
+
+
+def _written_count(params: ConvertParams, j: int, unchanged_row: Sequence[Sequence[int]]) -> int:
+    """Symbols final code j writes: its length minus the symbols it keeps."""
+    return params.n_final[j - 1] - sum(len(u) for u in unchanged_row)
+
+
+def _layout(params: ConvertParams, j: int, unchanged_row: Sequence[Sequence[int]]) -> tuple[SymbolId, ...]:
+    """Final code j's coordinates: unchanged symbols in code order, then its written symbols."""
+    kept = tuple((i, pos) for i, u in enumerate(unchanged_row, 1) for pos in u)
+    written = range(1, _written_count(params, j, unchanged_row) + 1)
+    return kept + tuple((params.t1 + j, idx) for idx in written)
+
+
+def _check_grid(plan: Plan) -> None:
+    """Shape checks shared by every plan kind: code shapes, one grid row per
+    final code and one set per initial code, ascending in-range positions,
+    unchanged sets disjoint across final codes, and no final code keeping
+    more symbols than its length."""
+    p = plan.params
+    for kind, specs, shapes in (
+        ("initial", plan.initial_specs, p.initial),
+        ("final", plan.final_specs, p.final),
+    ):
+        if len(specs) != len(shapes):
+            raise UsageError(f"{kind}_specs must have one entry per {kind} code")
+        for idx, (spec, shape) in enumerate(zip(specs, shapes), 1):
+            if spec is not None and ((spec.n, spec.k) != shape or spec.field != plan.field):
+                raise UsageError(f"{kind} code {idx} does not match its declared shape")
+    unchanged, reads = plan.grid
+    if len(unchanged) != p.t2 or len(reads) != p.t2:
+        raise UsageError("unchanged and read sets must have one entry per final code")
+    kept: list[set[int]] = [set() for _ in range(p.t1)]
+    n_initial = p.n_initial
+    for j in range(1, p.t2 + 1):
+        if len(unchanged[j - 1]) != p.t1 or len(reads[j - 1]) != p.t1:
+            raise UsageError(f"final code {j} needs per-initial unchanged and read sets")
+        for i, n_i in enumerate(n_initial, 1):
+            u = unchanged[j - 1][i - 1]
+            _check_positions(f"unchanged symbols of code {i} in final code {j}", u, n_i)
+            _check_positions(f"read symbols of code {i} for final code {j}", reads[j - 1][i - 1], n_i)
+            overlap = kept[i - 1] & set(u)
+            if overlap:
+                raise UsageError(
+                    f"unchanged sets of code {i} must be disjoint across final codes; "
+                    f"positions {sorted(overlap)} repeat"
+                )
+            kept[i - 1] |= set(u)
+        if _written_count(p, j, unchanged[j - 1]) < 0:
+            raise UsageError(f"final code {j} keeps more symbols than its length")
+
+
+def _check_at_most_k(what: str, kept: Sequence[int], k: int) -> None:
+    if len(kept) > k:
+        raise UsageError(
+            f"{what} keeps {len(kept)} unchanged symbols; an MDS conversion allows at most k = {k}"
+        )
+
+
+def _columns_at(hbar: FieldMatrix, support: Sequence[int], positions: Sequence[int]) -> FieldMatrix:
+    """The columns of `hbar`, whose columns follow the ascending `support`, at `positions`."""
+    slot = {pos: idx for idx, pos in enumerate(support, 1)}
+    return linalg.submatrix_cols(hbar, [slot[pos] for pos in positions])
+
+
+def _negated(m: FieldMatrix) -> FieldMatrix:
+    return FieldMatrix(m.field, m.rows, m.cols, tuple(map(m.field.neg, m.entries)))
 
 
 @dataclass(frozen=True)
@@ -216,46 +293,30 @@ class MergePlan:
     final_written_block: FieldMatrix
 
     def __post_init__(self):
-        p = self.params
-        if p.t2 != 1:
-            raise UsageError("merge plan requires exactly one final code")
-        t1 = p.t1
-        for name, seq in (
-            ("initial_specs", self.initial_specs),
-            ("unchanged", self.unchanged),
-            ("reads", self.reads),
-            ("punctured_parity", self.punctured_parity),
-            ("final_unchanged_blocks", self.final_unchanged_blocks),
-        ):
-            if len(seq) != t1:
-                raise UsageError(f"{name} must have one entry per initial code")
-        for i in range(1, t1 + 1):
-            spec = self.initial_specs[i - 1]
-            n, k = p.initial[i - 1]
-            if (spec.n, spec.k) != (n, k) or spec.field != self.field:
-                raise UsageError(f"initial code {i} does not match its declared shape")
-            _check_positions(f"unchanged[{i}]", self.unchanged[i - 1], n)
-            _check_positions(f"reads[{i}]", self.reads[i - 1], n)
-            if len(self.unchanged[i - 1]) > k:
-                raise UsageError(
-                    f"code {i} keeps {len(self.unchanged[i - 1])} unchanged symbols; "
-                    f"an MDS conversion allows at most k = {k}"
-                )
+        _check_grid(self)
+        t1 = self.params.t1
+        if len(self.punctured_parity) != t1 or len(self.final_unchanged_blocks) != t1:
+            raise UsageError("restricted parity checks and final blocks need one entry per initial code")
+        for i, k in enumerate(self.params.k_initial, 1):
+            _check_at_most_k(f"code {i}", self.unchanged[i - 1], k)
             if (self.punctured_parity[i - 1] is None) == (i in self.reduced):
                 raise UsageError(f"punctured parity must be present exactly for codes in S (code {i})")
             if (self.final_unchanged_blocks[i - 1] is None) == (i not in self.reduced):
                 raise UsageError(f"final-code blocks must be present exactly for codes outside S (code {i})")
             if i not in self.reduced and self.reads[i - 1] != self.unchanged[i - 1]:
                 raise UsageError(f"code {i} is outside S, so it must read exactly its unchanged symbols")
-        nf, kf = p.final[0]
-        if (self.final_spec.n, self.final_spec.k) != (nf, kf) or self.final_spec.field != self.field:
-            raise UsageError("final code does not match its declared shape")
-        if self.written_count < 0:
-            raise UsageError("more unchanged symbols than final positions")
+
+    @property
+    def final_specs(self) -> tuple[ExtGrsSpec]:
+        return (self.final_spec,)
+
+    @property
+    def grid(self) -> tuple[Grid, Grid]:
+        return (self.unchanged,), (self.reads,)
 
     @property
     def written_count(self) -> int:
-        return self.final_spec.n - sum(len(u) for u in self.unchanged)
+        return _written_count(self.params, 1, self.unchanged)
 
     def support(self, i: int) -> tuple[int, ...]:
         """Ascending unchanged + read positions of initial code i."""
@@ -263,13 +324,23 @@ class MergePlan:
 
     def final_layout(self) -> tuple[SymbolId, ...]:
         """Final coordinates: unchanged blocks in code order, then written symbols."""
-        ids = [
-            (i, pos)
-            for i in range(1, self.params.t1 + 1)
-            for pos in self.unchanged[i - 1]
+        return _layout(self.params, 1, self.unchanged)
+
+    def parity_blocks(self, j: int = 1) -> tuple[FieldMatrix, list[FieldMatrix], str]:
+        """W, the final written block, and read blocks B with W . written = B . reads.
+
+        A code in S turns its read symbols into the final parity
+        contribution of its unchanged ones through the read columns of its
+        restricted parity check; any other code reads its unchanged
+        symbols and contributes minus its final parity-check block.
+        """
+        blocks = [
+            _columns_at(self.punctured_parity[i - 1], self.support(i), reads)
+            if i in self.reduced
+            else _negated(self.final_unchanged_blocks[i - 1])
+            for i, reads in enumerate(self.reads, 1)
         ]
-        ids += [(self.params.t1 + 1, idx) for idx in range(1, self.written_count + 1)]
-        return tuple(ids)
+        return self.final_written_block, blocks, "final written block"
 
 
 @dataclass(frozen=True)
@@ -297,50 +368,65 @@ class SplitPlan:
     punctured_parity: FieldMatrix | None
 
     def __post_init__(self):
+        _check_grid(self)
         p = self.params
-        if p.t1 != 1:
-            raise UsageError("split plan requires exactly one initial code")
-        n_i, k_i = p.initial[0]
-        if (self.initial_spec.n, self.initial_spec.k) != (n_i, k_i) or self.initial_spec.field != self.field:
-            raise UsageError("initial code does not match its declared shape")
-        if len(self.final_specs) != p.t2 or len(self.unchanged) != p.t2 or len(self.reads) != p.t2:
-            raise UsageError("final_specs, unchanged and reads must have one entry per final code")
         if self.privileged is not None:
             if not 1 <= self.privileged <= p.t2:
                 raise UsageError(f"privileged index {self.privileged} out of range 1..{p.t2}")
             if self.punctured_parity is None:
                 raise UsageError("a privileged final code requires the restricted parity check")
-        seen: set[int] = set()
-        for j in range(1, p.t2 + 1):
-            nf, kf = p.final[j - 1]
-            spec = self.final_specs[j - 1]
-            if (spec.n, spec.k) != (nf, kf) or spec.field != self.field:
-                raise UsageError(f"final code {j} does not match its declared shape")
-            _check_positions(f"unchanged[{j}]", self.unchanged[j - 1], n_i)
-            _check_positions(f"reads[{j}]", self.reads[j - 1], n_i)
-            if len(self.unchanged[j - 1]) > kf:
-                raise UsageError(
-                    f"final code {j} keeps {len(self.unchanged[j - 1])} unchanged symbols; "
-                    f"an MDS conversion allows at most k = {kf}"
-                )
+        for j, k in enumerate(p.k_final, 1):
+            _check_at_most_k(f"final code {j}", self.unchanged[j - 1], k)
             if j != self.privileged and self.reads[j - 1] != self.unchanged[j - 1]:
                 raise UsageError(
                     f"final code {j} is not privileged, so it must read exactly its unchanged symbols"
                 )
-            overlap = seen & set(self.unchanged[j - 1])
-            if overlap:
-                raise UsageError(f"unchanged sets must be disjoint; positions {sorted(overlap)} repeat")
-            seen |= set(self.unchanged[j - 1])
-        _check_positions("extra_reads", self.extra_reads, n_i)
-        if set(self.extra_reads) & seen:
+        _check_positions("extra_reads", self.extra_reads, p.n_initial[0])
+        if set(self.extra_reads) & set().union(*self.unchanged):
             raise UsageError("extra read positions must avoid every unchanged set")
+
+    @property
+    def initial_specs(self) -> tuple[ExtGrsSpec]:
+        return (self.initial_spec,)
+
+    @property
+    def grid(self) -> tuple[Grid, Grid]:
+        return tuple((u,) for u in self.unchanged), tuple((r,) for r in self.reads)
 
     def support(self) -> tuple[int, ...]:
         """Ascending positions covered by the restricted parity check."""
-        pos: set[int] = set(self.extra_reads)
-        for u in self.unchanged:
-            pos |= set(u)
-        return tuple(sorted(pos))
+        return tuple(sorted(set(self.extra_reads).union(*self.unchanged)))
+
+    def parity_blocks(self, j: int) -> tuple[FieldMatrix, list[FieldMatrix], str]:
+        """W and read blocks B with W . written = B . reads for final code j.
+
+        The privileged final takes W = H̄_V and B = H̄_reads from the
+        restricted parity check; any other final takes W = H_E and
+        B = -H_K from its own parity check, K its unchanged (and read) and
+        E its written coordinates.
+        """
+        u, reads, spec = self.unchanged[j - 1], self.reads[j - 1], self.final_specs[j - 1]
+        if j == self.privileged:
+            support = self.support()
+            outside = sorted(set(reads) - set(support))
+            if outside:
+                raise UsageError(f"privileged reads {outside} lie outside the restricted parity check")
+            hbar = self.punctured_parity
+            return (
+                _columns_at(hbar, support, self.extra_reads),
+                [_columns_at(hbar, support, reads)],
+                "restricted parity block of V",
+            )
+        if len(u) < spec.k:
+            raise InsufficientDataError(
+                f"{len(u)} known symbols cannot determine a codeword of dimension {spec.k}"
+            )
+        h = parity_check(spec)
+        return (
+            linalg.submatrix_cols(h, range(len(u) + 1, spec.n + 1)),
+            [_negated(linalg.submatrix_cols(h, range(1, len(u) + 1)))],
+            f"parity check of final code {j} on its written positions",
+        )
 
 
 @dataclass(frozen=True)
@@ -359,65 +445,33 @@ class GeneralPlan:
     field: FieldSpec
     initial_specs: tuple[ExtGrsSpec, ...]
     final_specs: tuple[ExtGrsSpec | None, ...]
-    unchanged: tuple[tuple[tuple[int, ...], ...], ...]
-    reads: tuple[tuple[tuple[int, ...], ...], ...]
+    unchanged: Grid
+    reads: Grid
     layouts: tuple[tuple[SymbolId, ...], ...]
     sigmas: tuple[FieldMatrix, ...]
 
     def __post_init__(self):
+        _check_grid(self)
         p = self.params
-        t1, t2 = p.t1, p.t2
-        if len(self.initial_specs) != t1:
-            raise UsageError("initial_specs must have one entry per initial code")
-        for i in range(1, t1 + 1):
-            spec = self.initial_specs[i - 1]
-            if (spec.n, spec.k) != p.initial[i - 1] or spec.field != self.field:
-                raise UsageError(f"initial code {i} does not match its declared shape")
-        for name, seq in (
-            ("final_specs", self.final_specs),
-            ("unchanged", self.unchanged),
-            ("reads", self.reads),
-            ("layouts", self.layouts),
-            ("sigmas", self.sigmas),
-        ):
-            if len(seq) != t2:
-                raise UsageError(f"{name} must have one entry per final code")
-        kept: list[set[int]] = [set() for _ in range(t1)]
-        for j in range(1, t2 + 1):
-            if len(self.unchanged[j - 1]) != t1 or len(self.reads[j - 1]) != t1:
-                raise UsageError(f"final code {j} needs per-initial unchanged and read sets")
-            for i in range(1, t1 + 1):
-                n_i = p.n_initial[i - 1]
-                _check_positions(f"unchanged[{j}][{i}]", self.unchanged[j - 1][i - 1], n_i)
-                _check_positions(f"reads[{j}][{i}]", self.reads[j - 1][i - 1], n_i)
-                overlap = kept[i - 1] & set(self.unchanged[j - 1][i - 1])
-                if overlap:
-                    raise UsageError(
-                        f"unchanged sets of code {i} must be disjoint across final codes; "
-                        f"positions {sorted(overlap)} repeat"
-                    )
-                kept[i - 1] |= set(self.unchanged[j - 1][i - 1])
-            nf = p.n_final[j - 1]
-            wj = nf - sum(len(u) for u in self.unchanged[j - 1])
-            if wj < 0:
-                raise UsageError(f"final code {j} keeps more symbols than its length")
-            expected = {(i, pos) for i in range(1, t1 + 1) for pos in self.unchanged[j - 1][i - 1]}
-            expected |= {(t1 + j, idx) for idx in range(1, wj + 1)}
-            layout = self.layouts[j - 1]
-            if len(layout) != nf or set(layout) != expected or len(set(layout)) != nf:
+        if len(self.layouts) != p.t2 or len(self.sigmas) != p.t2:
+            raise UsageError("layouts and sigmas must have one entry per final code")
+        for j in range(1, p.t2 + 1):
+            wj = _written_count(p, j, self.unchanged[j - 1])
+            if sorted(self.layouts[j - 1]) != sorted(_layout(p, j, self.unchanged[j - 1])):
                 raise UsageError(
                     f"layout of final code {j} must arrange its unchanged symbols and "
                     f"written symbols 1..{wj} exactly once each"
                 )
-            spec = self.final_specs[j - 1]
-            if spec is not None and ((spec.n, spec.k) != p.final[j - 1] or spec.field != self.field):
-                raise UsageError(f"final code {j} does not match its declared shape")
             read_len = sum(len(rp) for rp in self.reads[j - 1])
             sigma = self.sigmas[j - 1]
             if (sigma.rows, sigma.cols) != (read_len, wj) or sigma.field != self.field:
                 raise UsageError(
                     f"conversion matrix of final code {j} must be {read_len}x{wj} over the plan field"
                 )
+
+    @property
+    def grid(self) -> tuple[Grid, Grid]:
+        return self.unchanged, self.reads
 
 
 Plan = MergePlan | SplitPlan | GeneralPlan
@@ -445,40 +499,14 @@ class AccessReport:
     trace: tuple[tuple[int, int, str], ...]
 
 
-def _plan_grids(plan: Plan):
-    """Uniform [i][j] views of unchanged/read sets plus written counts per final."""
-    p = plan.params
-    if isinstance(plan, MergePlan):
-        u = [[set(plan.unchanged[i - 1])] for i in range(1, p.t1 + 1)]
-        r = [[set(plan.reads[i - 1])] for i in range(1, p.t1 + 1)]
-        written = [plan.written_count]
-    elif isinstance(plan, SplitPlan):
-        u = [[set(uj) for uj in plan.unchanged]]
-        r = [[set(rj) for rj in plan.reads]]
-        written = [
-            p.n_final[j - 1] - len(plan.unchanged[j - 1]) for j in range(1, p.t2 + 1)
-        ]
-    else:
-        u = [
-            [set(plan.unchanged[j - 1][i - 1]) for j in range(1, p.t2 + 1)]
-            for i in range(1, p.t1 + 1)
-        ]
-        r = [
-            [set(plan.reads[j - 1][i - 1]) for j in range(1, p.t2 + 1)]
-            for i in range(1, p.t1 + 1)
-        ]
-        written = [
-            p.n_final[j - 1] - sum(len(plan.unchanged[j - 1][i - 1]) for i in range(1, p.t1 + 1))
-            for j in range(1, p.t2 + 1)
-        ]
-    return u, r, written
-
-
 def access_report(plan: Plan) -> AccessReport:
     """Exact access accounting: distinct reads per initial code, writes per final."""
     p = plan.params
-    u_grid, r_grid, written = _plan_grids(plan)
-    per_initial = tuple(len(set().union(*r_grid[i])) for i in range(p.t1))
+    unchanged, reads = plan.grid
+    kept = [set().union(*(row[i] for row in unchanged)) for i in range(p.t1)]
+    read = [set().union(*(row[i] for row in reads)) for i in range(p.t1)]
+    written = [_written_count(p, j, row) for j, row in enumerate(unchanged, 1)]
+    per_initial = tuple(map(len, read))
     rho_r = sum(per_initial)
     rho_w = sum(written)
     rho = rho_r + rho_w
@@ -495,16 +523,14 @@ def access_report(plan: Plan) -> AccessReport:
     else:
         bound = None
         optimal = None
-    total_unchanged = sum(len(uj) for row in u_grid for uj in row)
-    stable = total_unchanged == p.total_dimension
+    # Unchanged sets are disjoint across final codes (`_check_grid`).
+    stable = sum(map(len, kept)) == p.total_dimension
     trace: list[tuple[int, int, str]] = []
     for i in range(1, p.t1 + 1):
-        kept = set().union(*u_grid[i - 1])
-        read = set().union(*r_grid[i - 1])
         for pos in range(1, p.n_initial[i - 1] + 1):
-            if pos in kept:
+            if pos in kept[i - 1]:
                 status = "unchanged"
-            elif pos in read:
+            elif pos in read[i - 1]:
                 status = "read"
             else:
                 status = "retired"
@@ -608,16 +634,8 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
     gamma_star.extend(gamma_prime)
     w_star.extend([1] * rf)
     final_spec = ExtGrsSpec(field, nf, rf, tuple(gamma_star), tuple(w_star))
-    h_final = parity_check(final_spec)
-    blocks: list[FieldMatrix | None] = []
-    offset = 0
-    for i, (_, k) in enumerate(params.initial, 1):
-        if i in reduced:
-            blocks.append(None)
-        else:
-            blocks.append(linalg.submatrix_cols(h_final, range(offset + 1, offset + k + 1)))
-        offset += k
-    written_block = linalg.submatrix_cols(h_final, range(offset + 1, nf + 1))
+    stored = [i for i in range(1, params.t1 + 1) if i not in reduced] + [params.t1 + 1]
+    final_blocks = _final_blocks(final_spec, unchanged, stored)
     return MergePlan(
         params=params,
         field=field,
@@ -627,8 +645,8 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
         unchanged=unchanged,
         reads=reads,
         punctured_parity=tuple(punctured),
-        final_unchanged_blocks=tuple(blocks),
-        final_written_block=written_block,
+        final_unchanged_blocks=tuple(final_blocks.get(i) for i in range(1, params.t1 + 1)),
+        final_written_block=final_blocks[params.t1 + 1],
     )
 
 
@@ -665,8 +683,7 @@ def verify_optimal_structure(plan: MergePlan) -> StructureCheck:
             f"classification: plan S = {sorted(plan.reduced)} but parameters give {sorted(expected)}",
         )
     rf = p.r_final[0]
-    h_final = parity_check(plan.final_spec)
-    offset = 0
+    final_blocks = _final_blocks(plan.final_spec, plan.unchanged, range(1, p.t1 + 2))
     for i in range(1, p.t1 + 1):
         k = p.k_initial[i - 1]
         unchanged = plan.unchanged[i - 1]
@@ -675,13 +692,10 @@ def verify_optimal_structure(plan: MergePlan) -> StructureCheck:
                 False,
                 f"unchanged-cardinality: code {i} keeps {len(unchanged)} symbols, need {k}",
             )
-        final_block = linalg.submatrix_cols(h_final, range(offset + 1, offset + k + 1))
-        offset += k
         if i not in plan.reduced:
-            if plan.final_unchanged_blocks[i - 1] != final_block:
-                return StructureCheck(
-                    False, f"final-block: code {i} stored block differs from the final parity check"
-                )
+            fault = _stored_block_fault(plan, final_blocks, [i])
+            if fault:
+                return StructureCheck(False, fault)
             continue
         if len(plan.reads[i - 1]) != rf:
             return StructureCheck(
@@ -694,8 +708,7 @@ def verify_optimal_structure(plan: MergePlan) -> StructureCheck:
         hbar = plan.punctured_parity[i - 1]
         # Unchanged columns first, so a fault there is named block-mismatch.
         if (hbar.rows, hbar.cols) == (rf, len(support)):
-            slot = {pos: idx + 1 for idx, pos in enumerate(support)}
-            if linalg.submatrix_cols(hbar, [slot[pos] for pos in unchanged]).entries != final_block.entries:
+            if _columns_at(hbar, support, unchanged).entries != final_blocks[i].entries:
                 return StructureCheck(
                     False,
                     f"block-mismatch: code {i} unchanged columns of the restricted parity "
@@ -704,9 +717,40 @@ def verify_optimal_structure(plan: MergePlan) -> StructureCheck:
         fault = _restricted_parity_fault(plan.initial_specs[i - 1], support, hbar, rf)
         if fault:
             return StructureCheck(False, f"punctured-parity: code {i}: {fault}")
-    if plan.final_written_block != linalg.submatrix_cols(h_final, range(offset + 1, plan.final_spec.n + 1)):
-        return StructureCheck(False, "final-block: stored written block differs from the final parity check")
-    return StructureCheck(True)
+    fault = _stored_block_fault(plan, final_blocks, [p.t1 + 1])
+    return StructureCheck(not fault, fault)
+
+
+def _final_blocks(
+    final_spec: ExtGrsSpec, unchanged: Sequence[Sequence[int]], codes: Iterable[int]
+) -> dict[int, FieldMatrix]:
+    """Blocks of the final parity check cut along a merge's final layout,
+    for each i in `codes`: the columns of initial code i's unchanged
+    symbols, or of the written symbols for i = t1 + 1."""
+    cuts = list(accumulate(map(len, unchanged), initial=0)) + [final_spec.n]
+    h = parity_check(final_spec)
+    rows = [h.row(r) for r in range(h.rows)]
+    return {
+        i: FieldMatrix(
+            h.field, h.rows, cuts[i] - cuts[i - 1],
+            tuple(chain.from_iterable(row[cuts[i - 1] : cuts[i]] for row in rows)),
+        )
+        for i in codes
+    }
+
+
+def _stored_block_fault(plan: MergePlan, final_blocks: dict[int, FieldMatrix], codes: Sequence[int]) -> str:
+    """The final-block diagnostic for the first code in `codes` (t1 + 1 for
+    the written block) whose stored final parity-check block is not its
+    block of `final_blocks`, or "" when there is none."""
+    for i in codes:
+        if i > plan.params.t1:
+            stored, what = plan.final_written_block, "stored written block"
+        else:
+            stored, what = plan.final_unchanged_blocks[i - 1], f"code {i} stored block"
+        if stored != final_blocks[i]:
+            return f"final-block: {what} differs from the final parity check"
+    return ""
 
 
 def _restricted_parity_fault(
@@ -785,16 +829,11 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
             final_specs.append(ExtGrsSpec(field, nf, nf - kf, gamma, w))
         else:
             final_specs.append(ExtGrsSpec(field, nf, nf - kf, tuple(pool[: nf - 1]), (1,) * nf))
-    reads: list[tuple[int, ...]] = []
-    for j in range(1, params.t2 + 1):
-        if j == privileged:
-            other = set()
-            for jj in range(1, params.t2 + 1):
-                if jj != j:
-                    other |= set(unchanged[jj - 1])
-            reads.append(tuple(sorted(other | set(extra))))
-        else:
-            reads.append(unchanged[j - 1])
+    # The privileged final reads the other finals' unchanged symbols and V.
+    reads = [
+        tuple(sorted(set(support) - set(u))) if j == privileged else u
+        for j, u in enumerate(unchanged, 1)
+    ]
     return SplitPlan(
         params=params,
         field=field,
@@ -828,90 +867,38 @@ def _solve_block(square: FieldMatrix, blocks: Sequence[FieldMatrix], what: str) 
     return FieldMatrix(square.field, width, n, tuple(chain.from_iterable(zip(*solved))))
 
 
-def _negated(m: FieldMatrix) -> FieldMatrix:
-    return FieldMatrix(m.field, m.rows, m.cols, tuple(map(m.field.neg, m.entries)))
-
-
-def _lower_merge(plan: MergePlan) -> GeneralPlan:
-    """sigma = (W^-1 . [H̄_i read columns | -F_i])^T with W the final written block.
-
-    For a reduced code i the restricted parity check H̄_i turns its read
-    symbols into the final parity contribution of its unchanged ones; any
-    other code reads its unchanged symbols and contributes them through
-    the final parity-check block F_i.
-    """
-    blocks: list[FieldMatrix] = []
-    for i, reads in enumerate(plan.reads, 1):
-        if i in plan.reduced:
-            slot = {pos: idx + 1 for idx, pos in enumerate(plan.support(i))}
-            blocks.append(linalg.submatrix_cols(plan.punctured_parity[i - 1], [slot[pos] for pos in reads]))
-        else:
-            blocks.append(_negated(plan.final_unchanged_blocks[i - 1]))
-    return GeneralPlan(
-        params=plan.params,
-        field=plan.field,
-        initial_specs=plan.initial_specs,
-        final_specs=(plan.final_spec,),
-        unchanged=(plan.unchanged,),
-        reads=(plan.reads,),
-        layouts=(plan.final_layout(),),
-        sigmas=(_solve_block(plan.final_written_block, blocks, "final written block"),),
-    )
-
-
-def _lower_split(plan: SplitPlan) -> GeneralPlan:
-    """Privileged final: sigma = (H̄_V^-1 . H̄_reads)^T from the restricted
-    parity check; any other final: sigma = (-H_E^-1 . H_K)^T from its own
-    parity check, K its unchanged (and read) and E its written coordinates.
-    """
-    slot = {pos: idx + 1 for idx, pos in enumerate(plan.support())}
-    sigmas: list[FieldMatrix] = []
-    layouts: list[tuple[SymbolId, ...]] = []
-    for j, (u, reads, spec) in enumerate(zip(plan.unchanged, plan.reads, plan.final_specs), 1):
-        if j == plan.privileged:
-            outside = sorted(set(reads) - set(slot))
-            if outside:
-                raise UsageError(f"privileged reads {outside} lie outside the restricted parity check")
-            hbar = plan.punctured_parity
-            v_block = linalg.submatrix_cols(hbar, [slot[pos] for pos in plan.extra_reads])
-            read_block = linalg.submatrix_cols(hbar, [slot[pos] for pos in reads])
-            sigmas.append(_solve_block(v_block, [read_block], "restricted parity block of V"))
-        else:
-            if len(u) < spec.k:
-                raise InsufficientDataError(
-                    f"{len(u)} known symbols cannot determine a codeword of dimension {spec.k}"
-                )
-            h = parity_check(spec)
-            erased = linalg.submatrix_cols(h, range(len(u) + 1, spec.n + 1))
-            known = _negated(linalg.submatrix_cols(h, range(1, len(u) + 1)))
-            sigmas.append(_solve_block(erased, [known], f"parity check of final code {j} on its written positions"))
-        layouts.append(tuple((1, pos) for pos in u) + tuple((1 + j, idx) for idx in range(1, spec.n - len(u) + 1)))
-    return GeneralPlan(
-        params=plan.params,
-        field=plan.field,
-        initial_specs=(plan.initial_spec,),
-        final_specs=plan.final_specs,
-        unchanged=tuple((u,) for u in plan.unchanged),
-        reads=tuple((r,) for r in plan.reads),
-        layouts=tuple(layouts),
-        sigmas=tuple(sigmas),
-    )
-
-
 def lower(plan: Plan) -> GeneralPlan:
     """The plan in general form: per final code, read sets, a layout, and
-    sigma with written symbols = read symbols . sigma.
+    sigma with written symbols = read symbols . sigma, solved once from
+    the plan's `parity_blocks`.  A merge whose stored final parity-check
+    blocks are not the final code's is rejected after the solve, since
+    its sigma would write symbols outside the final code.
     """
+    if isinstance(plan, GeneralPlan):
+        return plan
+    p = plan.params
+    unchanged, reads = plan.grid
+    sigmas = tuple(_solve_block(*plan.parity_blocks(j)) for j in range(1, p.t2 + 1))
     if isinstance(plan, MergePlan):
-        return _lower_merge(plan)
-    if isinstance(plan, SplitPlan):
-        return _lower_split(plan)
-    return plan
+        stored = [i for i in range(1, p.t1 + 1) if i not in plan.reduced] + [p.t1 + 1]
+        fault = _stored_block_fault(plan, _final_blocks(plan.final_spec, plan.unchanged, stored), stored)
+        if fault:
+            raise UsageError(f"{fault}; plan is not executable")
+    return GeneralPlan(
+        params=p,
+        field=plan.field,
+        initial_specs=plan.initial_specs,
+        final_specs=plan.final_specs,
+        unchanged=unchanged,
+        reads=reads,
+        layouts=tuple(_layout(p, j, row) for j, row in enumerate(unchanged, 1)),
+        sigmas=sigmas,
+    )
 
 
 def initial_specs(plan: Plan) -> tuple[ExtGrsSpec, ...]:
     """The initial codes of any plan kind, in code order."""
-    return (plan.initial_spec,) if isinstance(plan, SplitPlan) else plan.initial_specs
+    return plan.initial_specs
 
 
 def _picker(indices: Sequence[int]) -> operator.itemgetter:
@@ -963,7 +950,7 @@ def run_conversion(
     result kept on the plan, so each later stripe costs one parity check
     per input and one `vecmat` per final code.
     """
-    specs = initial_specs(plan)
+    specs = plan.initial_specs
     if len(codewords) != len(specs):
         raise UsageError(f"expected {len(specs)} input codewords, got {len(codewords)}")
     flat: list[int] = []
@@ -1062,8 +1049,7 @@ def _privileged_fault(plan: SplitPlan) -> str:
     fault = _restricted_parity_fault(plan.initial_spec, support, hbar, rf)
     if fault:
         return fault
-    slot = {pos: idx + 1 for idx, pos in enumerate(support)}
-    cols = [slot[pos] for pos in sorted(set(plan.unchanged[j - 1]) | set(plan.extra_reads))]
-    if linalg.submatrix_cols(hbar, cols).entries != parity_check(plan.final_specs[j - 1]).entries:
+    own = sorted(set(plan.unchanged[j - 1]) | set(plan.extra_reads))
+    if _columns_at(hbar, support, own).entries != parity_check(plan.final_specs[j - 1]).entries:
         return "privileged final code does not match the restricted parity block"
     return ""

@@ -36,14 +36,39 @@ _PINNED_MODULI = {
 }
 
 
+# Miller-Rabin with the first thirteen primes as bases has no strong
+# pseudoprime below PRIME_LIMIT (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017), so the test
+# is exact there.  Field orders at or above it are refused.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; UsageError for p >= PRIME_LIMIT."""
+    if p >= PRIME_LIMIT:
+        raise UsageError(
+            f"field order {p} is at or above the supported limit {PRIME_LIMIT}, "
+            "below which primality is decided exactly"
+        )
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -1,14 +1,22 @@
+import argparse
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 from mdsconv.cli import main
-from mdsconv.field import GF
+from mdsconv.field import GF, PRIME_LIMIT
 from mdsconv.grs import encode, is_codeword
 from mdsconv import plandoc
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parents[1] / "src"
+README_SPLIT = {"regime": "split", "q": 16, "initial": [[10, 7]], "final": [[6, 4], [5, 3]]}
 
 # `mdsconv verify` stdout for the README merge plan, line for line.
 README_VERIFY = """\
@@ -435,3 +443,133 @@ def test_verify_builds_the_access_report_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "access_report", counted, raising=False)
     assert run(capsys, "verify", "--plan", plan_path) == (0, README_VERIFY, "")
     assert len(calls) == 1
+
+
+def test_main_builds_its_parser_at_most_once(tmp_path, capsys, monkeypatch):
+    builds = []
+    real = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        builds.append(self)
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    for _ in range(3):
+        assert run(capsys, "bounds", "--initial", "5,3", "--initial", "5,3", "--final", "8,6")[0] == 0
+    assert run(capsys, "verify", "--plan", tmp_path / "missing.json")[0] == 1
+    assert len(builds) <= 1
+
+
+def test_plan_over_a_61_bit_field_ends_quickly(tmp_path, capsys):
+    cfg = tmp_path / "merge.json"
+    write_json(cfg, {"regime": "merge", "q": 2**61 - 1, "initial": [[5, 3], [5, 3]], "r_F": 2})
+    pythonpath = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdsconv", "plan", "--config", str(cfg), "--out", str(tmp_path / "p.json")],
+        env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 0, proc.stderr
+    write_json(cfg, {"regime": "merge", "q": PRIME_LIMIT, "initial": [[5, 3], [5, 3]], "r_F": 2})
+    code, _, err = run(capsys, "plan", "--config", cfg, "--out", tmp_path / "p.json")
+    assert code == 1 and err.startswith("error:") and str(PRIME_LIMIT) in err
+
+
+def _bump_first_entry(lines, q):
+    row = lines[1].split()
+    row[0] = str((int(row[0]) + 1) % q)
+    lines[1] = " ".join(row)
+
+
+def test_convert_rejects_stored_final_blocks_off_the_final_code(tmp_path, capsys):
+    """A merge lowered from stored final parity-check blocks that are not the
+    final code's would write symbols outside the final code."""
+    plan_path, cws = _readme_merge(tmp_path, capsys)
+    doc = json.loads(plan_path.read_text())
+    _bump_first_entry(doc["final_written_block"], 8)
+    write_json(plan_path, doc)
+    code, out, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
+    assert (code, out) == (1, "") and "final-block: stored written block" in err
+    code, out, _ = run(capsys, "verify", "--plan", plan_path)
+    assert code == 2 and "FAIL optimal structure: final-block: stored written block" in out
+
+    cfg = tmp_path / "mixed.json"
+    write_json(cfg, {"regime": "merge", "q": 8, "initial": [[5, 3], [4, 2]], "r_F": 2})
+    run(capsys, "plan", "--config", cfg, "--out", plan_path)
+    (tmp_path / "m.txt").write_text("1 2 3\n4 5\n")
+    assert run(capsys, "encode", "--plan", plan_path, "--in", tmp_path / "m.txt", "--out", cws)[0] == 0
+    doc = json.loads(plan_path.read_text())
+    assert [entry["code"] for entry in doc["final_unchanged_blocks"]] == [2]
+    _bump_first_entry(doc["final_unchanged_blocks"][0]["matrix"], 8)
+    write_json(plan_path, doc)
+    code, out, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
+    assert (code, out) == (1, "") and "final-block: code 2 stored block" in err
+
+
+def _grid_fault_plan(tmp_path, capsys, kind):
+    """Plan and codeword files of the README merge, the README split or the
+    2x2 general fixture."""
+    if kind == "merge":
+        return _readme_merge(tmp_path, capsys)
+    plan_path, msgs, cws = tmp_path / "plan.json", tmp_path / "m.txt", tmp_path / "c.txt"
+    if kind == "split":
+        write_json(tmp_path / "split.json", README_SPLIT)
+        run(capsys, "plan", "--config", tmp_path / "split.json", "--out", plan_path)
+        msgs.write_text("1 2 3 4 5 6 7\n")
+    else:
+        shutil.copy(FIXTURES / "two_by_two_plan.json", plan_path)
+        msgs.write_text("1 2 3\n4 5 6 7\n")
+    run(capsys, "encode", "--plan", plan_path, "--in", msgs, "--out", cws)
+    return plan_path, cws
+
+
+def _unchanged_set(doc, kind, index):
+    """The unchanged pairs of initial code `index` (merge), final code `index`
+    (split) or code 2 of final code `index` (general)."""
+    return doc["unchanged"][index][1] if kind == "general" else doc["unchanged"][index]
+
+
+def _out_of_range(doc, kind):
+    """The last unchanged position moves one past its initial code's length."""
+    code = 1 if kind == "general" else 0
+    _unchanged_set(doc, kind, 0)[-1][1] = doc["params"]["initial"][code][0] + 1
+
+
+def _not_ascending(doc, kind):
+    _unchanged_set(doc, kind, 0).reverse()
+
+
+def _overlapping(doc, kind):
+    """Final code 2 also keeps the first unchanged symbol of final code 1."""
+    _unchanged_set(doc, kind, 1).insert(0, list(_unchanged_set(doc, kind, 0)[0]))
+
+
+def _shape_mismatch(doc, kind):
+    doc["params"]["initial"][0][0] += 1
+
+
+GRID_FAULTS = {
+    "out of range": _out_of_range,
+    "ascending": _not_ascending,
+    "disjoint": _overlapping,
+    "declared shape": _shape_mismatch,
+}
+
+
+# A merge has one final code, so its unchanged sets cannot overlap across finals.
+GRID_CASES = [(kind, message) for kind in ("merge", "split", "general") for message in GRID_FAULTS
+              if (kind, message) != ("merge", "disjoint")]
+
+
+@pytest.mark.parametrize("kind, message", GRID_CASES)
+def test_grid_faults_exit_1(tmp_path, capsys, kind, message):
+    plan_path, cws = _grid_fault_plan(tmp_path, capsys, kind)
+    assert run(capsys, "verify", "--plan", plan_path)[0] == 0
+    doc = json.loads(plan_path.read_text())
+    GRID_FAULTS[message](doc, kind)
+    write_json(plan_path, doc)
+    for argv in (("verify", "--plan", plan_path),
+                 ("convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and message in err, err

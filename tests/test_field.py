@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mdsconv.errors import UsageError
-from mdsconv.field import GF, FieldSpec
+from mdsconv.field import GF, PRIME_LIMIT, FieldSpec, _is_prime
 
 EXHAUSTIVE_ORDERS = [2, 3, 4, 5, 7, 8, 11, 13, 16]
 
@@ -173,3 +173,26 @@ def test_custom_modulus_changes_identity():
 def test_table_inverse_exhaustive(q):
     f = GF(q)
     assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, q))
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(20000) if _is_prime(n)] == [n for n in range(20000) if _trial_division(n)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # A Carmichael number, a strong pseudoprime to bases 2, 3, 5 and 7, and
+    # one to every prime base up to 31.
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+    assert all(_is_prime(p) for p in (10**9 + 7, 2**31 - 1, 2**61 - 1))
+
+
+def test_field_order_at_or_above_the_limit_rejected():
+    assert GF(2**61 - 1).q == 2**61 - 1
+    for q in (PRIME_LIMIT, PRIME_LIMIT + 2, 2**100):
+        with pytest.raises(UsageError, match=str(PRIME_LIMIT)):
+            GF(q)

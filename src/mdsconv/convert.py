@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 from . import linalg
 from .errors import CorruptionError, InsufficientDataError, ParameterError, UsageError
@@ -259,8 +259,10 @@ def _check_at_most_k(what: str, kept: Sequence[int], k: int) -> None:
 
 def _columns_at(hbar: FieldMatrix, support: Sequence[int], positions: Sequence[int]) -> FieldMatrix:
     """The columns of `hbar`, whose columns follow the ascending `support`, at `positions`."""
-    slot = {pos: idx for idx, pos in enumerate(support, 1)}
-    return linalg.submatrix_cols(hbar, [slot[pos] for pos in positions])
+    slot = {pos: idx for idx, pos in enumerate(support)}
+    pick = _picker([slot[pos] for pos in positions])
+    entries = tuple(chain.from_iterable(map(pick, map(hbar.row, range(hbar.rows)))))
+    return FieldMatrix(hbar.field, hbar.rows, len(positions), entries)
 
 
 def _negated(m: FieldMatrix) -> FieldMatrix:
@@ -634,8 +636,8 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
     gamma_star.extend(gamma_prime)
     w_star.extend([1] * rf)
     final_spec = ExtGrsSpec(field, nf, rf, tuple(gamma_star), tuple(w_star))
-    stored = [i for i in range(1, params.t1 + 1) if i not in reduced] + [params.t1 + 1]
-    final_blocks = _final_blocks(final_spec, unchanged, stored)
+    stored = {i: FieldMatrix(field, rf, width, _final_block(final_spec, unchanged, i))
+              for i, width in enumerate([*params.k_initial, rf], 1) if i not in reduced}
     return MergePlan(
         params=params,
         field=field,
@@ -645,8 +647,8 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
         unchanged=unchanged,
         reads=reads,
         punctured_parity=tuple(punctured),
-        final_unchanged_blocks=tuple(final_blocks.get(i) for i in range(1, params.t1 + 1)),
-        final_written_block=final_blocks[params.t1 + 1],
+        final_unchanged_blocks=tuple(map(stored.get, range(1, params.t1 + 1))),
+        final_written_block=stored[params.t1 + 1],
     )
 
 
@@ -667,12 +669,10 @@ def verify_optimal_structure(plan: MergePlan) -> StructureCheck:
 
     Conditions: the plan's S is the one its parameters give; every code
     keeps exactly k_I unchanged symbols; reduced codes read exactly r_F
-    symbols disjoint from their unchanged set, and their stored
-    restricted parity check agrees with the final one on the unchanged
-    columns and is a parity check of the restriction; the stored final
-    parity-check blocks are the final code's.  (Codes outside S read
-    exactly their unchanged symbols; `MergePlan` enforces that.)  Each
-    code is checked in one pass, in code order, and the diagnostic names
+    symbols disjoint from their unchanged set; every block of the
+    certificate is sound (`_merge_block_fault`).  (Codes outside S read
+    exactly their unchanged symbols; `MergePlan` enforces that.)  Codes
+    are checked in order, then the written block; the diagnostic names
     the first violated condition.
     """
     p = plan.params
@@ -683,7 +683,6 @@ def verify_optimal_structure(plan: MergePlan) -> StructureCheck:
             f"classification: plan S = {sorted(plan.reduced)} but parameters give {sorted(expected)}",
         )
     rf = p.r_final[0]
-    final_blocks = _final_blocks(plan.final_spec, plan.unchanged, range(1, p.t1 + 2))
     for i in range(1, p.t1 + 1):
         k = p.k_initial[i - 1]
         unchanged = plan.unchanged[i - 1]
@@ -692,64 +691,55 @@ def verify_optimal_structure(plan: MergePlan) -> StructureCheck:
                 False,
                 f"unchanged-cardinality: code {i} keeps {len(unchanged)} symbols, need {k}",
             )
-        if i not in plan.reduced:
-            fault = _stored_block_fault(plan, final_blocks, [i])
-            if fault:
-                return StructureCheck(False, fault)
-            continue
-        if len(plan.reads[i - 1]) != rf:
-            return StructureCheck(
-                False,
-                f"read-cardinality: code {i} reads {len(plan.reads[i - 1])} symbols, need r_F = {rf}",
-            )
-        if set(plan.reads[i - 1]) & set(unchanged):
-            return StructureCheck(False, f"overlap: code {i} reads symbols it also keeps unchanged")
-        support = plan.support(i)
-        hbar = plan.punctured_parity[i - 1]
-        # Unchanged columns first, so a fault there is named block-mismatch.
-        if (hbar.rows, hbar.cols) == (rf, len(support)):
-            if _columns_at(hbar, support, unchanged).entries != final_blocks[i].entries:
+        if i in plan.reduced:
+            if len(plan.reads[i - 1]) != rf:
                 return StructureCheck(
                     False,
-                    f"block-mismatch: code {i} unchanged columns of the restricted parity "
-                    "check differ from the final parity check",
+                    f"read-cardinality: code {i} reads {len(plan.reads[i - 1])} symbols, need r_F = {rf}",
                 )
-        fault = _restricted_parity_fault(plan.initial_specs[i - 1], support, hbar, rf)
+            if set(plan.reads[i - 1]) & set(unchanged):
+                return StructureCheck(False, f"overlap: code {i} reads symbols it also keeps unchanged")
+        fault = _merge_block_fault(plan, i)
         if fault:
-            return StructureCheck(False, f"punctured-parity: code {i}: {fault}")
-    fault = _stored_block_fault(plan, final_blocks, [p.t1 + 1])
+            return StructureCheck(False, fault)
+    fault = _merge_block_fault(plan, p.t1 + 1)
     return StructureCheck(not fault, fault)
 
 
-def _final_blocks(
-    final_spec: ExtGrsSpec, unchanged: Sequence[Sequence[int]], codes: Iterable[int]
-) -> dict[int, FieldMatrix]:
-    """Blocks of the final parity check cut along a merge's final layout,
-    for each i in `codes`: the columns of initial code i's unchanged
-    symbols, or of the written symbols for i = t1 + 1."""
-    cuts = list(accumulate(map(len, unchanged), initial=0)) + [final_spec.n]
+def _final_block(final_spec: ExtGrsSpec, unchanged: Sequence[Sequence[int]], i: int) -> tuple[int, ...]:
+    """Row-major entries of the final parity check's columns for initial code
+    i's unchanged symbols in a merge's final layout (i = t1 + 1: written)."""
+    start = sum(map(len, unchanged[: i - 1]))
+    stop = start + len(unchanged[i - 1]) if i <= len(unchanged) else final_spec.n
     h = parity_check(final_spec)
-    rows = [h.row(r) for r in range(h.rows)]
-    return {
-        i: FieldMatrix(
-            h.field, h.rows, cuts[i] - cuts[i - 1],
-            tuple(chain.from_iterable(row[cuts[i - 1] : cuts[i]] for row in rows)),
-        )
-        for i in codes
-    }
+    rows = range(0, len(h.entries), h.cols)
+    return tuple(chain.from_iterable(h.entries[r + start : r + stop] for r in rows))
 
 
-def _stored_block_fault(plan: MergePlan, final_blocks: dict[int, FieldMatrix], codes: Sequence[int]) -> str:
-    """The final-block diagnostic for the first code in `codes` (t1 + 1 for
-    the written block) whose stored final parity-check block is not its
-    block of `final_blocks`, or "" when there is none."""
-    for i in codes:
-        if i > plan.params.t1:
-            stored, what = plan.final_written_block, "stored written block"
-        else:
-            stored, what = plan.final_unchanged_blocks[i - 1], f"code {i} stored block"
-        if stored != final_blocks[i]:
-            return f"final-block: {what} differs from the final parity check"
+def _merge_block_fault(plan: MergePlan, i: int) -> str:
+    """Why block i of a merge's certificate (t1 + 1: the written block) is
+    unsound, or "".  A code in S needs a restricted parity check that
+    matches the final parity check on its unchanged columns and is a parity
+    check of its restriction; every other block must be the final parity
+    check's columns.  `lower` solves these blocks, so `verify` and `lower`
+    both check them here."""
+    final = _final_block(plan.final_spec, plan.unchanged, i)
+    if i in plan.reduced:
+        rf = plan.final_spec.r
+        support = plan.support(i)
+        hbar = plan.punctured_parity[i - 1]
+        # Unchanged columns first, so a fault there is named block-mismatch.
+        shaped = (hbar.rows, hbar.cols) == (rf, len(support))
+        if shaped and _columns_at(hbar, support, plan.unchanged[i - 1]).entries != final:
+            return (f"block-mismatch: code {i} unchanged columns of the restricted parity "
+                    "check differ from the final parity check")
+        fault = _restricted_parity_fault(plan.initial_specs[i - 1], support, hbar, rf)
+        return fault and f"punctured-parity: code {i}: {fault}"
+    written = i > plan.params.t1
+    stored = plan.final_written_block if written else plan.final_unchanged_blocks[i - 1]
+    what = "stored written block" if written else f"code {i} stored block"
+    if (stored.field, stored.rows, stored.entries) != (plan.field, plan.final_spec.r, final):
+        return f"final-block: {what} differs from the final parity check"
     return ""
 
 
@@ -758,6 +748,9 @@ def _restricted_parity_fault(
 ) -> str:
     """Why `hbar` is not an r-row parity check of `spec` restricted to
     `support` (ascending, columns in that order), or "" when it is one.
+
+    `hbar` must be the closed-form parity check of the restriction, or have
+    the same reduced echelon form: the same row space, of full rank r.
     """
     try:
         reference = parity_check(puncture(spec, support))
@@ -765,7 +758,7 @@ def _restricted_parity_fault(
         return str(exc)
     if (hbar.rows, hbar.cols) != (r, len(support)):
         return "stored matrix has the wrong shape"
-    if linalg.rank(hbar) != r or linalg.rank(linalg.stack_rows(reference, hbar)) != r:
+    if hbar != reference and linalg.rref(hbar)[0] != linalg.rref(reference)[0]:
         return "stored matrix is not a parity check of the restriction"
     return ""
 
@@ -870,20 +863,18 @@ def _solve_block(square: FieldMatrix, blocks: Sequence[FieldMatrix], what: str) 
 def lower(plan: Plan) -> GeneralPlan:
     """The plan in general form: per final code, read sets, a layout, and
     sigma with written symbols = read symbols . sigma, solved once from
-    the plan's `parity_blocks`.  A merge whose stored final parity-check
-    blocks are not the final code's is rejected after the solve, since
-    its sigma would write symbols outside the final code.
+    the plan's `parity_blocks`.  A plan whose certificate `verify` rejects
+    is refused after the solve (a singular block still reports singular),
+    since its sigma would write symbols outside the final code.
     """
     if isinstance(plan, GeneralPlan):
         return plan
     p = plan.params
     unchanged, reads = plan.grid
     sigmas = tuple(_solve_block(*plan.parity_blocks(j)) for j in range(1, p.t2 + 1))
-    if isinstance(plan, MergePlan):
-        stored = [i for i in range(1, p.t1 + 1) if i not in plan.reduced] + [p.t1 + 1]
-        fault = _stored_block_fault(plan, _final_blocks(plan.final_spec, plan.unchanged, stored), stored)
-        if fault:
-            raise UsageError(f"{fault}; plan is not executable")
+    fault = _certificate_fault(plan)
+    if fault:
+        raise UsageError(f"{fault}; plan is not executable")
     return GeneralPlan(
         params=p,
         field=plan.field,
@@ -1052,4 +1043,13 @@ def _privileged_fault(plan: SplitPlan) -> str:
     own = sorted(set(plan.unchanged[j - 1]) | set(plan.extra_reads))
     if _columns_at(hbar, support, own).entries != parity_check(plan.final_specs[j - 1]).entries:
         return "privileged final code does not match the restricted parity block"
+    if set(plan.reads[j - 1]) != set(support) - set(plan.unchanged[j - 1]):
+        return "privileged final code must read the other finals' unchanged symbols and V"
     return ""
+
+
+def _certificate_fault(plan: MergePlan | SplitPlan) -> str:
+    """The first fault of a merge's or split's certificate, in `verify`'s order, or ""."""
+    if isinstance(plan, MergePlan):
+        return next(filter(None, (_merge_block_fault(plan, i) for i in range(1, plan.params.t1 + 2))), "")
+    return _privileged_fault(plan) if plan.privileged is not None else ""

@@ -135,7 +135,6 @@ class FieldSpec:
         self.q = p**m
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._row_tables: tuple[list[int], list[int]] | None = None
 
     # -- identity ------------------------------------------------------
 
@@ -195,8 +194,6 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
         if self._exp is None:
             self._build_tables()
         return self._exp[self._log[a] + self._log[b]]
@@ -222,9 +219,6 @@ class FieldSpec:
             self._build_tables()
         return self._exp[self.q - 1 - self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         """a**e by square and multiply; pow(a, 0) == 1 for every a."""
         if e < 0:
@@ -239,22 +233,13 @@ class FieldSpec:
         return out
 
     def row_tables(self) -> tuple[list[int], list[int]]:
-        """(log, exp) tables for table-driven row kernels over GF(2^m).
-
-        log[0] is 2(q - 1), past every sum of two nonzero logs, and exp is
-        0 from that index on, so exp[log[a] + log[b]] == mul(a, b) for every
-        a and b, zero included, with no branch.
-        """
+        """The (log, exp) tables that `mul` reads, for table-driven row
+        kernels over GF(2^m); see `_build_tables`."""
         if self.m == 1:
             raise UsageError(f"row tables exist only for binary extension fields, not {self!r}")
-        if self._row_tables is None:
-            if self._exp is None:
-                self._build_tables()
-            zero = 2 * (self.q - 1)
-            log = list(self._log)
-            log[0] = zero
-            self._row_tables = (log, self._exp + [0] * (zero + 1))
-        return self._row_tables
+        if self._exp is None:
+            self._build_tables()
+        return self._log, self._exp
 
     # -- internal binary-field helpers -----------------------------------
 
@@ -272,11 +257,18 @@ class FieldSpec:
         return out
 
     def _build_tables(self) -> None:
-        """Log/antilog tables for fast extension-field multiplication."""
+        """Log/antilog tables in one form for `mul`, `inv` and the row kernels.
+
+        exp holds two periods of a generator's powers, so exp[log a + log b]
+        is the product of nonzero a and b.  log[0] is 2(q - 1), past every
+        sum of two nonzero logs, and exp is 0 from that index on, so the
+        same lookup gives 0 when either factor is 0, with no branch.
+        """
         order = self.q - 1
+        zero = 2 * order
         for gen in range(2, self.q):
-            exp = [0] * (2 * order)
-            log = [0] * self.q
+            exp = [0] * (2 * zero + 1)
+            log = [zero] * self.q
             val = 1
             count = 0
             while True:
@@ -287,8 +279,7 @@ class FieldSpec:
                 if val == 1:
                     break
             if count == order:
-                for i in range(order, 2 * order):
-                    exp[i] = exp[i - order]
+                exp[order:zero] = exp[:order]
                 self._exp = exp
                 self._log = log
                 return

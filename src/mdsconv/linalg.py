@@ -184,24 +184,12 @@ def transpose(m: FieldMatrix) -> FieldMatrix:
 
 
 def matmul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
+    """A . B, one `vecmat` per row of A."""
     if a.field != b.field:
         raise UsageError("matrix product across different fields")
     if a.cols != b.rows:
         raise UsageError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    f = a.field
-    add, mul = f.add, f.mul
-    brows = b.to_lists()
-    out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        row = [0] * b.cols
-        for k, coef in enumerate(arow):
-            if coef == 0:
-                continue
-            brow = brows[k]
-            row = [add(x, mul(coef, y)) for x, y in zip(row, brow)]
-        out.append(row)
-    return from_rows(f, out, cols=b.cols)
+    return from_rows(a.field, [vecmat(a.row(i), b) for i in range(a.rows)], cols=b.cols)
 
 
 def _kernel_lines(m: FieldMatrix, by_cols: bool) -> list:
@@ -254,18 +242,6 @@ def vecmat(v: Sequence[int], m: FieldMatrix, width: int | None = None) -> tuple[
         raise UsageError(f"vector length {len(v)} does not match {m.rows} rows")
     lines = _kernel_lines(m, True)
     return _row_kernel(m.field, lines if width is None else lines[:width], v)
-
-
-def vec_add(field: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    if len(a) != len(b):
-        raise UsageError("vector length mismatch")
-    add = field.add
-    return tuple(add(x, y) for x, y in zip(a, b))
-
-
-def vec_scale(field: FieldSpec, c: int, a: Sequence[int]) -> tuple[int, ...]:
-    mul = field.mul
-    return tuple(mul(c, x) for x in a)
 
 
 def submatrix_cols(m: FieldMatrix, positions: Iterable[int]) -> FieldMatrix:

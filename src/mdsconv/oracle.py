@@ -73,11 +73,12 @@ def codebook(spec: ExtGrsSpec, positions: Iterable[int] | None = None) -> set[tu
     g = linalg.submatrix_cols(generator(spec), pos) if pos else None
     if g is None:
         return {()}
+    add, mul = f.add, f.mul
     words: list[tuple[int, ...]] = [(0,) * len(pos)]
     for i in range(g.rows):
         row = g.row(i)
-        multiples = [linalg.vec_scale(f, c, row) for c in f.elements()]
-        words = [linalg.vec_add(f, wd, mult) for wd in words for mult in multiples]
+        multiples = [tuple(mul(c, x) for x in row) for c in f.elements()]
+        words = [tuple(map(add, wd, mult)) for wd in words for mult in multiples]
     return set(words)
 
 

@@ -573,3 +573,98 @@ def test_grid_faults_exit_1(tmp_path, capsys, kind, message):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error:") and message in err, err
+
+
+def _bump_read_entry(doc):
+    """Add 1 to entry (1, 4) of code 1's restricted parity check, a read column."""
+    row = doc["punctured_parity"][0]["matrix"][1].split()
+    row[3] = str((int(row[3]) + 1) % 8)
+    doc["punctured_parity"][0]["matrix"][1] = " ".join(row)
+
+
+def _zero_read_columns(doc):
+    """Zero the read columns (support slots 4 and 5) of code 1's restricted parity check."""
+    lines = doc["punctured_parity"][0]["matrix"]
+    lines[1:] = [" ".join(line.split()[:3] + ["0", "0"]) for line in lines[1:]]
+
+
+def _flip_privileged_multiplier(doc):
+    doc["final_codes"][0]["w"][0] ^= 1
+
+
+UNSOUND_CERTIFICATES = {
+    "merge read entry": (
+        "merge", _bump_read_entry,
+        "FAIL optimal structure: punctured-parity: code 1: "
+        "stored matrix is not a parity check of the restriction",
+    ),
+    "merge zeroed read columns": (
+        "merge", _zero_read_columns,
+        "FAIL optimal structure: punctured-parity: code 1: "
+        "stored matrix is not a parity check of the restriction",
+    ),
+    "split privileged multiplier": (
+        "split", _flip_privileged_multiplier,
+        "FAIL privileged restricted parity: privileged final code does not match "
+        "the restricted parity block",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNSOUND_CERTIFICATES)
+def test_convert_rejects_unsound_certificates(tmp_path, capsys, case):
+    """A plan whose certificate `verify` rejects would convert into symbols
+    outside its final code, so lowering refuses it with the same condition."""
+    kind, tamper, fail_line = UNSOUND_CERTIFICATES[case]
+    plan_path, cws = _grid_fault_plan(tmp_path, capsys, kind)
+    doc = json.loads(plan_path.read_text())
+    tamper(doc)
+    write_json(plan_path, doc)
+    finals = tmp_path / "f.txt"
+    code, out, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", finals)
+    assert (code, out) == (1, "") and err.startswith("error:"), err
+    assert "plan is not executable" in err and not finals.exists()
+    code, out, _ = run(capsys, "verify", "--plan", plan_path)
+    assert code == 2 and fail_line + "\n" in out
+
+
+def test_privileged_reads_must_cover_the_restricted_parity_check(tmp_path, capsys):
+    """The privileged final solves its written symbols from every column of
+    the restricted parity check outside its own; a read set that drops one,
+    though another final still reads it (so the access cost is unchanged),
+    would write a non-codeword."""
+    plan_path, cws = _grid_fault_plan(tmp_path, capsys, "split")
+    doc = json.loads(plan_path.read_text())
+    assert doc["privileged"] == 1 and doc["reads"][0][0] == doc["unchanged"][1][0]
+    del doc["reads"][0][0]
+    write_json(plan_path, doc)
+    code, out, _ = run(capsys, "verify", "--plan", plan_path)
+    assert code == 2 and (
+        "FAIL privileged restricted parity: privileged final code must read the other "
+        "finals' unchanged symbols and V\n" in out
+    )
+    assert "PASS access cost meets bound" in out
+    finals = tmp_path / "f.txt"
+    code, out, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", finals)
+    assert (code, out) == (1, "") and "plan is not executable" in err and not finals.exists()
+
+
+def test_scaled_certificate_verifies_and_converts(tmp_path, capsys):
+    """Scaling code 1's unchanged final multipliers and its restricted parity
+    check by the same c gives a sound certificate that is not the closed
+    form, so only the reduced-echelon comparison accepts it."""
+    field = GF(8)
+    c = 3
+    plan_path, cws = _readme_merge(tmp_path, capsys)
+    doc = json.loads(plan_path.read_text())
+    w = doc["final_code"]["w"]
+    w[:3] = [field.mul(c, x) for x in w[:3]]
+    lines = doc["punctured_parity"][0]["matrix"]
+    lines[1:] = [" ".join(str(field.mul(c, int(e))) for e in line.split()) for line in lines[1:]]
+    write_json(plan_path, doc)
+    assert run(capsys, "verify", "--plan", plan_path)[0] == 0
+    finals = tmp_path / "f.txt"
+    assert run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", finals)[0] == 0
+    plan = plandoc.load_plan(str(plan_path))
+    (row,) = plandoc.read_symbol_lines(str(finals), field)
+    assert is_codeword(plan.final_spec, row)

@@ -175,6 +175,18 @@ def test_table_inverse_exhaustive(q):
     assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, q))
 
 
+@pytest.mark.parametrize("q", [4, 8, 16, 256])
+def test_mul_and_row_tables_share_one_table_pair(q):
+    """`mul` and the row kernels read the same (log, exp) pair, zero included,
+    and agree with shift-and-add multiplication."""
+    f = FieldSpec(2, q.bit_length() - 1)
+    log, exp = f.row_tables()
+    assert f.row_tables()[0] is log and f.row_tables()[1] is exp
+    for a in range(q):
+        for b in range(q):
+            assert f.mul(a, b) == exp[log[a] + log[b]] == f._mul_nolut(a, b)
+
+
 def _trial_division(n):
     return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 

@@ -231,6 +231,16 @@ def test_row_kernel_matches_per_element_reference(q):
             vecmat([0] * (rows + 1), m)
 
 
+@pytest.mark.parametrize("q", [2, 7, 8, 256, 257, 1 << 16, (1 << 31) - 1])
+def test_matmul_matches_per_element_reference(q):
+    f = GF(q)
+    rng = random.Random(q)
+    for rows, inner, cols in [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1), (4, 7, 5)]:
+        a = from_rows(f, [[rng.randrange(q) for _ in range(inner)] for _ in range(rows)], cols=inner)
+        b = from_rows(f, [[rng.randrange(q) for _ in range(cols)] for _ in range(inner)], cols=cols)
+        assert matmul(a, b) == from_rows(f, [_naive_vecmat(a.row(i), b) for i in range(rows)], cols=cols)
+
+
 @pytest.mark.parametrize("q", [2, 3, 7, 8, 16, 256, 257, 1 << 16, (1 << 31) - 1])
 def test_rref_matches_field_ops_reference(q):
     """The table-driven rref equals the per-element reduction: same matrix, same pivots."""

@@ -721,8 +721,8 @@ def _merge_block_fault(plan: MergePlan, i: int) -> str:
     unsound, or "".  A code in S needs a restricted parity check that
     matches the final parity check on its unchanged columns and is a parity
     check of its restriction; every other block must be the final parity
-    check's columns.  `lower` solves these blocks, so `verify` and `lower`
-    both check them here."""
+    check's columns.  `lower` solves these blocks, and refuses any plan that
+    `verify_plan` fails, so a fault here also stops `convert`."""
     final = _final_block(plan.final_spec, plan.unchanged, i)
     if i in plan.reduced:
         rf = plan.final_spec.r
@@ -779,7 +779,8 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
     Every code takes the leading field elements (ascending encoding) as
     its evaluation points, sliced lazily so the draw costs O(n) whatever
     q is; the privileged final inherits its points and closed-form
-    multipliers from `grs.puncture` of the initial code.
+    multipliers from `grs.puncture` of the initial code, in its layout
+    order: its unchanged positions, then V.
     """
     if params.t1 != 1:
         raise UsageError("split construction requires exactly one initial code")
@@ -816,7 +817,7 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
     slot = {pos: idx for idx, pos in enumerate(support)}
     for j, (nf, kf) in enumerate(params.final, 1):
         if j == privileged:
-            positions = sorted(set(unchanged[j - 1]) | set(extra))
+            positions = unchanged[j - 1] + extra
             gamma = tuple(initial_spec.gamma[pos - 1] for pos in positions if pos != n_i)
             w = tuple(theta[slot[pos]] for pos in positions)
             final_specs.append(ExtGrsSpec(field, nf, nf - kf, gamma, w))
@@ -863,18 +864,18 @@ def _solve_block(square: FieldMatrix, blocks: Sequence[FieldMatrix], what: str) 
 def lower(plan: Plan) -> GeneralPlan:
     """The plan in general form: per final code, read sets, a layout, and
     sigma with written symbols = read symbols . sigma, solved once from
-    the plan's `parity_blocks`.  A plan whose certificate `verify` rejects
-    is refused after the solve (a singular block still reports singular),
-    since its sigma would write symbols outside the final code.
+    the plan's `parity_blocks`.  A merge or split plan runs exactly when
+    `verify_plan` passes it: after the solves (so a singular block still
+    reports singular), the first FAIL line refuses the plan.
     """
     if isinstance(plan, GeneralPlan):
         return plan
     p = plan.params
     unchanged, reads = plan.grid
     sigmas = tuple(_solve_block(*plan.parity_blocks(j)) for j in range(1, p.t2 + 1))
-    fault = _certificate_fault(plan)
-    if fault:
-        raise UsageError(f"{fault}; plan is not executable")
+    for name, ok, detail in verify_plan(plan):
+        if not ok:
+            raise UsageError(f"{name}: {detail}; plan is not executable")
     return GeneralPlan(
         params=p,
         field=plan.field,
@@ -994,7 +995,9 @@ def verify_plan(plan: Plan) -> list[tuple[str, bool, str]]:
     nonzero multipliers is MDS, and `ExtGrsSpec` admits no other code.
     Then merge plans run the structural optimality check and split plans
     their construction checks, and both get the access-bound line.
-    General plans get a plan-structure line and no bound.
+    General plans get a plan-structure line and no bound.  `lower`
+    refuses a merge or split plan with any FAIL line, so this list is also
+    what `convert` accepts.
     """
     p = plan.params
     if isinstance(plan, SplitPlan):
@@ -1040,16 +1043,10 @@ def _privileged_fault(plan: SplitPlan) -> str:
     fault = _restricted_parity_fault(plan.initial_spec, support, hbar, rf)
     if fault:
         return fault
-    own = sorted(set(plan.unchanged[j - 1]) | set(plan.extra_reads))
+    # Layout order: its unchanged symbols, then the written ones, which are V.
+    own = plan.unchanged[j - 1] + plan.extra_reads
     if _columns_at(hbar, support, own).entries != parity_check(plan.final_specs[j - 1]).entries:
         return "privileged final code does not match the restricted parity block"
     if set(plan.reads[j - 1]) != set(support) - set(plan.unchanged[j - 1]):
         return "privileged final code must read the other finals' unchanged symbols and V"
     return ""
-
-
-def _certificate_fault(plan: MergePlan | SplitPlan) -> str:
-    """The first fault of a merge's or split's certificate, in `verify`'s order, or ""."""
-    if isinstance(plan, MergePlan):
-        return next(filter(None, (_merge_block_fault(plan, i) for i in range(1, plan.params.t1 + 2))), "")
-    return _privileged_fault(plan) if plan.privileged is not None else ""

@@ -112,7 +112,7 @@ class FieldSpec:
     freely across threads.
     """
 
-    def __init__(self, p: int, m: int = 1, modulus: int | None = None):
+    def __init__(self, p: int, m: int = 1):
         if not _is_prime(p):
             raise UsageError(f"characteristic {p} is not prime")
         if m < 1:
@@ -121,17 +121,9 @@ class FieldSpec:
             raise UsageError("extension fields are supported for characteristic 2 only")
         if m > MAX_EXTENSION_DEGREE:
             raise UsageError(f"extension degree {m} exceeds supported maximum {MAX_EXTENSION_DEGREE}")
-        if m == 1:
-            if modulus is not None:
-                raise UsageError("modulus is only meaningful for extension fields")
-        else:
-            if modulus is None:
-                modulus = _default_modulus(m)
-            if not _poly_irreducible(modulus, m):
-                raise UsageError(f"modulus {modulus:#b} is not an irreducible polynomial of degree {m}")
         self.p = p
         self.m = m
-        self.modulus = modulus
+        self.modulus = None if m == 1 else _default_modulus(m)
         self.q = p**m
         self._exp: list[int] | None = None
         self._log: list[int] | None = None

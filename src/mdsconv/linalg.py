@@ -255,12 +255,6 @@ def submatrix_cols(m: FieldMatrix, positions: Iterable[int]) -> FieldMatrix:
     return FieldMatrix(m.field, m.rows, len(idx), out)
 
 
-def stack_rows(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    if a.field != b.field or a.cols != b.cols:
-        raise UsageError("row stack requires matching fields and widths")
-    return FieldMatrix(a.field, a.rows + b.rows, a.cols, a.entries + b.entries)
-
-
 def invert(m: FieldMatrix) -> FieldMatrix:
     if m.rows != m.cols:
         raise UsageError(f"cannot invert a {m.rows}x{m.cols} matrix")

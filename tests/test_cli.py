@@ -5,13 +5,15 @@ import random
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from mdsconv.cli import main
+from mdsconv.convert import ConvertParams, build_split
 from mdsconv.field import GF, PRIME_LIMIT
-from mdsconv.grs import encode, is_codeword
+from mdsconv.grs import ExtGrsSpec, encode, is_codeword, parity_check, puncture
 from mdsconv import plandoc
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -592,6 +594,11 @@ def _flip_privileged_multiplier(doc):
     doc["final_codes"][0]["w"][0] ^= 1
 
 
+def _overlapping_reads(doc):
+    """Code 1 also reads position 3, one of its unchanged symbols."""
+    doc["reads"][0] = [[1, 3], [1, 4], [1, 5]]
+
+
 UNSOUND_CERTIFICATES = {
     "merge read entry": (
         "merge", _bump_read_entry,
@@ -607,6 +614,18 @@ UNSOUND_CERTIFICATES = {
         "split", _flip_privileged_multiplier,
         "FAIL privileged restricted parity: privileged final code does not match "
         "the restricted parity block",
+    ),
+    "merge reads overlap unchanged": (
+        "merge", _overlapping_reads,
+        "FAIL optimal structure: read-cardinality: code 1 reads 3 symbols, need r_F = 2",
+    ),
+    "merge S names code 3": (
+        "merge", lambda doc: doc.update(S=[1, 2, 3]),
+        "FAIL optimal structure: classification: plan S = [1, 2, 3] but parameters give [1, 2]",
+    ),
+    "merge S names code 0": (
+        "merge", lambda doc: doc.update(S=[0, 1, 2]),
+        "FAIL optimal structure: classification: plan S = [0, 1, 2] but parameters give [1, 2]",
     ),
 }
 
@@ -668,3 +687,55 @@ def test_scaled_certificate_verifies_and_converts(tmp_path, capsys):
     plan = plandoc.load_plan(str(plan_path))
     (row,) = plandoc.read_symbol_lines(str(finals), field)
     assert is_codeword(plan.final_spec, row)
+
+
+def _interleaved_split(tmp_path, capsys, layout_order):
+    """Plan and codeword files of a split over the README split's initial code
+    in which final 1 keeps positions 1, 2, 3 and 9, final 2 keeps 4, 5 and 6,
+    and V = (8, 10), so final 1's coordinates run 1, 2, 3, 9, 8, 10.  Final
+    1's code takes the restriction's points and multipliers in that order, or
+    in ascending order (1, 2, 3, 8, 9, 10)."""
+    built = build_split(ConvertParams(((10, 7),), ((6, 4), (5, 3))), GF(16))
+    initial = built.initial_spec
+    unchanged, extra = ((1, 2, 3, 9), (4, 5, 6)), (8, 10)
+    support = (1, 2, 3, 4, 5, 6, 8, 9, 10)
+    restricted = puncture(initial, support)
+    positions = unchanged[0] + extra if layout_order else sorted(unchanged[0] + extra)
+    final = ExtGrsSpec(
+        GF(16), 6, 2,
+        tuple(initial.gamma[pos - 1] for pos in positions if pos != 10),
+        tuple(restricted.w[support.index(pos)] for pos in positions),
+    )
+    plan = replace(
+        built, final_specs=(final, built.final_specs[1]), unchanged=unchanged,
+        reads=((4, 5, 6, 8, 10), (4, 5, 6)), extra_reads=extra,
+        punctured_parity=parity_check(restricted),
+    )
+    plan_path, msgs, cws = tmp_path / "plan.json", tmp_path / "m.txt", tmp_path / "c.txt"
+    plandoc.save_plan(plan, str(plan_path))
+    msgs.write_text("1 2 3 4 5 6 7\n")
+    assert run(capsys, "encode", "--plan", plan_path, "--in", msgs, "--out", cws)[0] == 0
+    return plan_path, cws
+
+
+@pytest.mark.parametrize("layout_order", [True, False], ids=["layout order", "ascending order"])
+def test_privileged_final_is_checked_in_layout_order(tmp_path, capsys, layout_order):
+    """Execution writes the privileged final's unchanged symbols, then V, so
+    its code must match the restricted parity check in that order: taken in
+    ascending order it is another code, which the lowered map misses."""
+    plan_path, cws = _interleaved_split(tmp_path, capsys, layout_order)
+    finals = tmp_path / "f.txt"
+    verify_code, verify_out, _ = run(capsys, "verify", "--plan", plan_path)
+    code, out, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", finals)
+    if layout_order:
+        assert (verify_code, code) == (0, 0), err
+        plan = plandoc.load_plan(str(plan_path))
+        rows = plandoc.read_symbol_lines(str(finals), GF(16))
+        assert len(rows) == 2 and all(map(is_codeword, plan.final_specs, rows))
+    else:
+        assert verify_code == 2 and (
+            "FAIL privileged restricted parity: privileged final code does not match "
+            "the restricted parity block\n" in verify_out
+        )
+        assert (code, out) == (1, "") and not finals.exists()
+        assert err.startswith("error: privileged restricted parity: ") and "plan is not executable" in err

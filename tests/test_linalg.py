@@ -17,7 +17,6 @@ from mdsconv.linalg import (
     rank,
     right_kernel_basis,
     solve_linear,
-    stack_rows,
     submatrix_cols,
     transpose,
     vandermonde_ext,
@@ -140,11 +139,6 @@ def test_vecmat_matvec():
     v = (1, 2)
     assert vecmat(v, H_EXAMPLE) == (1, 3, 0, 2)
     assert matvec(H_EXAMPLE, (1, 1, 1, 1)) == (3, 4)
-
-
-def test_stack_rows():
-    s = stack_rows(H_EXAMPLE, H_EXAMPLE)
-    assert s.rows == 4 and rank(s) == 2
 
 
 def test_vandermonde_columns_independent_exhaustive():

@@ -1,0 +1,118 @@
+"""Seeded fuzz of the one-verdict contract on mutated plan documents.
+
+`convert` runs a merge or split plan exactly when `verify` passes it, and
+what it writes then lies in the declared final codes.  Every mutant of
+three built plans (the README merge, a mixed merge and the README split)
+goes through both verbs in-process: each must exit 0, 1, 2 or 3, with no
+exception leaving `cli.main`.  Mutations are an integer field moved by
++-1 or +-2, one matrix-dump entry bumped, and one list entry dropped or
+duplicated.
+"""
+
+import json
+import random
+
+from mdsconv import plandoc
+from mdsconv.cli import main
+from mdsconv.convert import ConvertParams, build_merge, build_split, merge_params
+from mdsconv.errors import MdsconvError
+from mdsconv.field import GF
+from mdsconv.grs import encode, is_codeword
+
+SEED = 20261018
+MUTANTS = 1000
+
+BASES = {
+    "readme merge": lambda: build_merge(merge_params([(5, 3), (5, 3)], 2), GF(8)),
+    "mixed merge": lambda: build_merge(merge_params([(5, 3), (4, 2)], 2), GF(8)),
+    "readme split": lambda: build_split(ConvertParams(((10, 7),), ((6, 4), (5, 3))), GF(16)),
+}
+
+
+def _sites(node, path=()):
+    """(path, kind) for every spot of a JSON document that a mutation can hit."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _sites(value, path + (key,))
+    elif isinstance(node, list):
+        yield path, "list"
+        for idx, value in enumerate(node):
+            yield from _sites(value, path + (idx,))
+    elif isinstance(node, int) and not isinstance(node, bool):
+        yield path, "int"
+    elif isinstance(node, str) and isinstance(path[-1], int) and path[-1] > 0:
+        yield path, "dump row"  # a matrix dump's entries; row 0 is its "rows cols q" header
+
+
+def _mutations(doc):
+    """Every mutation of `doc` as (path, op, arg)."""
+    for path, kind in _sites(doc):
+        node = _at(doc, path)
+        if kind == "int":
+            yield from ((path, "add", d) for d in (-2, -1, 1, 2))
+        elif kind == "list":
+            for idx in range(len(node)):
+                yield from ((path, op, idx) for op in ("drop", "duplicate"))
+        else:
+            yield from ((path, "bump", t) for t in range(len(node.split())))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutant(doc, path, op, arg):
+    """A copy of `doc` with one mutation applied."""
+    out = json.loads(json.dumps(doc))
+    parent, key = _at(out, path[:-1]), path[-1]
+    if op == "add":
+        parent[key] += arg
+    elif op == "bump":
+        tokens = parent[key].split()
+        tokens[arg] = str((int(tokens[arg]) + 1) % out["field"]["q"])
+        parent[key] = " ".join(tokens)
+    elif op == "duplicate":
+        parent[key].insert(arg, parent[key][arg])
+    else:
+        del parent[key][arg]
+    return out
+
+
+def _run(capsys, *argv):
+    code = main([str(a) for a in argv])
+    capsys.readouterr()
+    return code
+
+
+def test_convert_runs_exactly_what_verify_passes(tmp_path, capsys):
+    rng = random.Random(SEED)
+    docs = {name: plandoc.plan_to_doc(build()) for name, build in BASES.items()}
+    pool = [(name, m) for name, doc in docs.items() for m in _mutations(doc)]
+    plan_path, cws, finals = tmp_path / "plan.json", tmp_path / "c.txt", tmp_path / "f.txt"
+    verdicts = {True: 0, False: 0}
+    for name, mutation in rng.sample(pool, min(MUTANTS, len(pool))):
+        doc = _mutant(docs[name], *mutation)
+        try:
+            plan = plandoc.plan_from_doc(doc)
+        except MdsconvError:
+            continue
+        case = f"{name} {mutation}"
+        plan_path.write_text(json.dumps(doc))
+        plandoc.write_symbol_lines(str(cws), [
+            encode(spec, [rng.randrange(plan.field.q) for _ in range(spec.k)]).symbols
+            for spec in plan.initial_specs
+        ])
+        finals.unlink(missing_ok=True)
+        verified = _run(capsys, "verify", "--plan", plan_path)
+        converted = _run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", finals)
+        assert {verified, converted} <= {0, 1, 2, 3}, case
+        assert (verified == 0) == (converted == 0), (case, verified, converted)
+        if converted == 0:
+            rows = plandoc.read_symbol_lines(str(finals), plan.field)
+            assert len(rows) == len(plan.final_specs), case
+            assert all(map(is_codeword, plan.final_specs, rows)), case
+        verdicts[converted == 0] += 1
+    # The sample must reach both verdicts, or it tests nothing.
+    assert verdicts[True] and verdicts[False], verdicts

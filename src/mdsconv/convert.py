@@ -14,8 +14,12 @@ final code, the initial symbols it reads, a matrix sigma with
 written = reads . sigma, and the layout of its coordinates.  For merge
 and split plans sigma comes from one reduced echelon form per final
 code, solving the parity relations once for all stripes.  The lowered
-form and the access report are kept on the plan object, so every later
-stripe costs one parity check per input and one `vecmat` per final code.
+form, the access report, and the plan's compiled lines (each initial
+code's parity-check rows and each final code's sigma columns, in the
+form of `linalg.row_kernel`) are kept on the plan object, so every later
+stripe is one pass: each input is checked against its parity-check lines
+and its symbols put in kernel form once, then the sigma lines of each
+final code run on its read symbols.
 
 Every code of a plan is an extended GRS code, and an extended GRS code
 with n - 1 distinct evaluation points and nonzero column multipliers is
@@ -38,7 +42,7 @@ from typing import Sequence
 from . import linalg
 from .errors import CorruptionError, InsufficientDataError, ParameterError, UsageError
 from .field import FieldSpec
-from .grs import Codeword, ExtGrsSpec, is_codeword, parity_check, puncture
+from .grs import Codeword, ExtGrsSpec, parity_check, puncture
 from .linalg import FieldMatrix
 
 SymbolId = tuple[int, int]
@@ -888,11 +892,6 @@ def lower(plan: Plan) -> GeneralPlan:
     )
 
 
-def initial_specs(plan: Plan) -> tuple[ExtGrsSpec, ...]:
-    """The initial codes of any plan kind, in code order."""
-    return plan.initial_specs
-
-
 def _picker(indices: Sequence[int]) -> operator.itemgetter:
     """An itemgetter for `indices` that returns a sequence even for one or no index.
 
@@ -906,11 +905,25 @@ def _picker(indices: Sequence[int]) -> operator.itemgetter:
 
 
 class _Executable:
-    """A lowered plan with its symbol ids resolved to indices into the
-    concatenated inputs (then the written symbols), plus its access report.
+    """A plan compiled for `run_conversion`.
+
+    `checks` holds, per initial code, its length and its parity-check rows
+    as `linalg.kernel_lines`.  `steps` (set by `finish`, once a first stripe
+    has passed those checks) holds, per final code, its spec, the columns of
+    its lowered sigma as kernel lines, and pickers that take its read
+    symbols and lay out its coordinates from the concatenated inputs (then
+    the written symbols); `report` is the plan's access report.
     """
 
     def __init__(self, plan: Plan):
+        self.kernel = linalg.row_kernel(plan.field)
+        self.checks = tuple(
+            (spec.n, linalg.kernel_lines(parity_check(spec), False)) for spec in plan.initial_specs
+        )
+        self.steps: tuple | None = None
+        self.report: AccessReport | None = None
+
+    def finish(self, plan: Plan) -> None:
         g = lower(plan)
         t1 = g.params.t1
         offsets = [0]
@@ -923,7 +936,7 @@ class _Executable:
         self.steps = tuple(
             (
                 g.final_specs[j],
-                g.sigmas[j],
+                linalg.kernel_lines(g.sigmas[j], True),
                 _picker([index(i, pos) for i, per_code in enumerate(g.reads[j], 1) for pos in per_code]),
                 _picker([index(code, pos) for code, pos in g.layouts[j]]),
             )
@@ -937,28 +950,39 @@ def run_conversion(
 ) -> tuple[tuple[Codeword, ...], AccessReport]:
     """Execute any plan; always returns a tuple of final codewords.
 
-    Every input must be a codeword of its initial code (checked before
-    anything else).  The plan is lowered the first time it runs and the
-    result kept on the plan, so each later stripe costs one parity check
-    per input and one `vecmat` per final code.
+    Every input must be a codeword of its initial code.  The inputs are
+    checked in order, each before the next: a wrong length or a nonzero
+    syndrome raises CorruptionError, a non-canonical symbol UsageError.
+    Each symbol goes into the field's `linalg.row_kernel` form once; the
+    syndromes and then the written symbols run on those forms.  The plan
+    is compiled the first time it runs (its parity-check rows; then, once
+    that stripe has passed them, `lower` and the sigma columns) and kept
+    on the plan, so a later stripe is one pass over kernel lines, with no
+    solve and no matrix or cache lookup.
     """
-    specs = plan.initial_specs
-    if len(codewords) != len(specs):
-        raise UsageError(f"expected {len(specs)} input codewords, got {len(codewords)}")
-    flat: list[int] = []
-    for i, (spec, cw) in enumerate(zip(specs, codewords), 1):
-        symbols = tuple(cw.symbols if isinstance(cw, Codeword) else cw)
-        if not is_codeword(spec, symbols):
-            raise CorruptionError(f"input {i} is not a codeword of initial code {i}")
-        flat.extend(symbols)
     exe = plan.__dict__.get("_executable")
     if exe is None:
         exe = _Executable(plan)
         object.__setattr__(plan, "_executable", exe)
+    if len(codewords) != len(exe.checks):
+        raise UsageError(f"expected {len(exe.checks)} input codewords, got {len(codewords)}")
+    vector, run = exe.kernel
+    flat: list[int] = []
+    vec: list[int] = []
+    for i, ((n, lines), cw) in enumerate(zip(exe.checks, codewords), 1):
+        symbols = tuple(cw.symbols if isinstance(cw, Codeword) else cw)
+        if len(symbols) != n:
+            raise CorruptionError(f"input {i} is not a codeword of initial code {i}")
+        kv = vector(symbols)
+        if any(run(lines, kv)):
+            raise CorruptionError(f"input {i} is not a codeword of initial code {i}")
+        flat.extend(symbols)
+        vec.extend(kv)
+    if exe.steps is None:
+        exe.finish(plan)
     outputs = []
-    for spec, sigma, pick_reads, pick_layout in exe.steps:
-        written = linalg.vecmat(pick_reads(flat), sigma)
-        outputs.append(Codeword(pick_layout(flat + list(written)), spec))
+    for spec, lines, pick_reads, pick_layout in exe.steps:
+        outputs.append(Codeword(pick_layout(flat + run(lines, pick_reads(vec))), spec))
     return tuple(outputs), exe.report
 
 

@@ -92,19 +92,19 @@ def generator(spec: ExtGrsSpec) -> FieldMatrix:
 
 def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
     """message . G, computed systematically: the r parity symbols
-    message . A from the first r columns of the generator, then the
-    k message symbols."""
+    message . A from the first r columns of the generator (`vecmat` checks
+    that the message is canonical), then the k message symbols."""
     if len(message) != spec.k:
         raise UsageError(f"message must have k = {spec.k} symbols, got {len(message)}")
-    spec.field.check_all(message)
     parity = linalg.vecmat(message, generator(spec), spec.r)
     return Codeword(parity + tuple(message), spec)
 
 
 def is_codeword(spec: ExtGrsSpec, symbols: Sequence[int]) -> bool:
+    """Whether symbols lie in the code; UsageError (from `matvec`) for a
+    non-canonical symbol."""
     if len(symbols) != spec.n:
         return False
-    spec.field.check_all(symbols)
     return not any(linalg.matvec(parity_check(spec), symbols))
 
 

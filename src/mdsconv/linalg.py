@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from itertools import compress, count
+from typing import Callable, Iterable, Sequence
 
 from .errors import SingularMatrixError, UsageError
 from .field import GF, FieldSpec
@@ -192,56 +194,105 @@ def matmul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return from_rows(a.field, [vecmat(a.row(i), b) for i in range(a.rows)], cols=b.cols)
 
 
-def _kernel_lines(m: FieldMatrix, by_cols: bool) -> list:
-    """Rows (or columns) of m in the form the row kernel reads, cached on m.
+def kernel_lines(m: FieldMatrix, by_cols: bool, width: int | None = None) -> list:
+    """The first `width` (default: all) rows, or columns, of m as lines of
+    the field's `row_kernel`, built when first asked for and kept on m.
 
-    GF(p) keeps the entries; GF(2^m) stores their logs (see
-    `FieldSpec.row_tables`).  A FieldMatrix never changes, so the cache
-    cannot go stale.
+    GF(p) keeps the entries; GF(2^m) keeps (log coefficient, index) pairs
+    with the zero coefficients dropped (see `FieldSpec.row_tables`).  A
+    FieldMatrix never changes, so kept lines cannot go stale; a caller that
+    needs only leading lines (`grs.encode` reads r of a generator's n
+    columns) pays only for those.
     """
     key = "_kernel_cols" if by_cols else "_kernel_rows"
-    lines = m.__dict__.get(key)
-    if lines is None:
+    lines = m.__dict__.get(key, [])
+    total = m.cols if by_cols else m.rows
+    width = total if width is None else min(width, total)
+    if len(lines) < width:
         if by_cols:
-            lines = [m.entries[j :: m.cols] for j in range(m.cols)]
+            new = [m.entries[j :: m.cols] for j in range(len(lines), width)]
         else:
-            lines = [m.row(i) for i in range(m.rows)]
+            new = [m.row(i) for i in range(len(lines), width)]
         if m.field.m > 1:
-            log = m.field.row_tables()[0]
-            lines = [tuple(map(log.__getitem__, line)) for line in lines]
+            log = m.field.row_tables()[0].__getitem__
+            new = [tuple(compress(zip(map(log, line), count()), line)) for line in new]
+        # A new list, not an append, so a reader never sees a half-built one.
+        lines = lines + new
         object.__setattr__(m, key, lines)
-    return lines
+    return lines if len(lines) == width else lines[:width]
 
 
-def _row_kernel(field: FieldSpec, lines: list, v: Sequence[int]) -> tuple[int, ...]:
-    """(line . v for each line): one reduction per line over GF(p), log/exp lookups over GF(2^m)."""
-    if field.m == 1:
-        p, mul = field.p, operator.mul
-        return tuple([sum(map(mul, line, v)) % p for line in lines])
-    log, exp = field.row_tables()
-    lv = [log[x] for x in v]
+def row_kernel(field: FieldSpec) -> tuple[Callable, Callable]:
+    """The one inner loop of every matrix-vector product over `field`, as
+    (vector, run), built once per field and kept on it.
+
+    vector(v) checks every entry of v as `FieldSpec.check` does and returns
+    v in kernel form: over GF(2^m) the logs of its entries (0 maps to the
+    tables' zero log), over GF(p) v itself.  run(lines, vec) takes lines
+    from `kernel_lines` and such a vec, and returns [line . v for each
+    line]: one reduction per line over GF(p), an XOR of exp[log c + log v_j]
+    lookups over GF(2^m).  Both are partials of module functions, so a plan
+    that keeps them stays picklable.
+    """
+    # getattr, not field.__dict__: reading an instance's __dict__ turns its
+    # attributes into a plain dict, and field.mul then runs about 2x slower.
+    kernel = getattr(field, "_row_kernel", None)
+    if kernel is None:
+        if field.m == 1:
+            kernel = (partial(_canonical, field), partial(_mod_lines, field.p))
+        else:
+            log, exp = field.row_tables()
+            kernel = (partial(_logs, field, log), partial(_xor_lines, exp))
+        field._row_kernel = kernel
+    return kernel
+
+
+def _canonical(field: FieldSpec, v: Sequence[int]) -> Sequence[int]:
+    field.check_all(v)
+    return v
+
+
+def _logs(field: FieldSpec, log: list[int], v: Sequence[int]) -> list[int]:
+    # `FieldSpec.check_all`'s test, fused with the lookups into one loop.
+    q = field.q
+    out = []
+    for a in v:
+        if type(a) is not int or not 0 <= a < q:
+            field.check(a)
+        out.append(log[a])
+    return out
+
+
+def _mod_lines(p: int, lines: list, vec: Sequence[int]) -> list[int]:
+    mul = operator.mul
+    return [sum(map(mul, line, vec)) % p for line in lines]
+
+
+def _xor_lines(exp: list[int], lines: list, vec: Sequence[int]) -> list[int]:
     out = []
     for line in lines:
         acc = 0
-        for a, b in zip(line, lv):
-            acc ^= exp[a + b]
+        for a, j in line:
+            acc ^= exp[a + vec[j]]
         out.append(acc)
-    return tuple(out)
+    return out
 
 
 def matvec(m: FieldMatrix, v: Sequence[int]) -> tuple[int, ...]:
-    """M . v^T as a length-rows tuple."""
+    """M . v^T as a length-rows tuple; UsageError unless v is canonical."""
     if len(v) != m.cols:
         raise UsageError(f"vector length {len(v)} does not match {m.cols} columns")
-    return _row_kernel(m.field, _kernel_lines(m, False), v)
+    vector, run = row_kernel(m.field)
+    return tuple(run(kernel_lines(m, False), vector(v)))
 
 
 def vecmat(v: Sequence[int], m: FieldMatrix, width: int | None = None) -> tuple[int, ...]:
-    """v . M as a length-cols tuple, or v . M[:, :width] when `width` is given."""
+    """v . M as a length-cols tuple, or v . M[:, :width] when `width` is
+    given; UsageError unless v is canonical."""
     if len(v) != m.rows:
         raise UsageError(f"vector length {len(v)} does not match {m.rows} rows")
-    lines = _kernel_lines(m, True)
-    return _row_kernel(m.field, lines if width is None else lines[:width], v)
+    vector, run = row_kernel(m.field)
+    return tuple(run(kernel_lines(m, True, width), vector(v)))
 
 
 def submatrix_cols(m: FieldMatrix, positions: Iterable[int]) -> FieldMatrix:

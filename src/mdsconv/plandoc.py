@@ -122,7 +122,7 @@ def _merge_doc(plan: MergePlan) -> dict:
         "S": sorted(plan.reduced),
         "unchanged": [_pairs(i, plan.unchanged[i - 1]) for i in range(1, t1 + 1)],
         "reads": [_pairs(i, plan.reads[i - 1]) for i in range(1, t1 + 1)],
-        "written": _pairs(t1 + 1, range(1, plan.written_count + 1)),
+        "written": _written_pairs(plan)[0],
         "punctured_parity": [
             {"code": i, "matrix": _matrix_lines(plan.punctured_parity[i - 1])}
             for i in sorted(plan.reduced)
@@ -134,6 +134,21 @@ def _merge_doc(plan: MergePlan) -> dict:
         ],
         "final_written_block": _matrix_lines(plan.final_written_block),
     }
+
+
+def _written_pairs(plan: MergePlan | SplitPlan) -> list[list[list[int]]]:
+    """Per final code j, the [t1 + j, idx] pairs of the symbols it writes."""
+    p = plan.params
+    return [
+        _pairs(p.t1 + j, range(1, n - sum(map(len, row)) + 1))
+        for j, (n, row) in enumerate(zip(p.n_final, plan.grid[0]), 1)
+    ]
+
+
+def _check_written(listed, expected: list) -> None:
+    """Refuse a document whose `written` list is not the one its plan writes."""
+    if listed != expected:
+        raise UsageError(f"written: the document lists {listed}, but the plan writes {expected}")
 
 
 def _code_slot(entry: Mapping, t1: int, label: str) -> int:
@@ -170,9 +185,10 @@ def _merge_from_doc(doc: Mapping) -> MergePlan:
                 entry["matrix"], field
             )
         written_block = _matrix_from_lines(doc["final_written_block"], field)
+        written = doc["written"]
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise UsageError(f"malformed merge plan document: {exc}") from exc
-    return MergePlan(
+    plan = MergePlan(
         params=params,
         field=field,
         initial_specs=initial,
@@ -184,6 +200,8 @@ def _merge_from_doc(doc: Mapping) -> MergePlan:
         final_unchanged_blocks=tuple(blocks),
         final_written_block=written_block,
     )
+    _check_written(written, _written_pairs(plan)[0])
+    return plan
 
 
 def _split_doc(plan: SplitPlan) -> dict:
@@ -196,13 +214,7 @@ def _split_doc(plan: SplitPlan) -> dict:
         "final_codes": [spec_to_dict(s) for s in plan.final_specs],
         "unchanged": [_pairs(1, plan.unchanged[j - 1]) for j in range(1, t2 + 1)],
         "reads": [_pairs(1, plan.reads[j - 1]) for j in range(1, t2 + 1)],
-        "written": [
-            _pairs(
-                1 + j,
-                range(1, plan.params.n_final[j - 1] - len(plan.unchanged[j - 1]) + 1),
-            )
-            for j in range(1, t2 + 1)
-        ],
+        "written": _written_pairs(plan),
         "privileged": plan.privileged,
         "V": _pairs(1, plan.extra_reads),
         "punctured_parity": (
@@ -234,9 +246,10 @@ def _split_from_doc(doc: Mapping) -> SplitPlan:
             if doc.get("punctured_parity") is not None
             else None
         )
+        written = doc["written"]
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise UsageError(f"malformed split plan document: {exc}") from exc
-    return SplitPlan(
+    plan = SplitPlan(
         params=params,
         field=field,
         initial_spec=initial,
@@ -247,6 +260,8 @@ def _split_from_doc(doc: Mapping) -> SplitPlan:
         extra_reads=extra,
         punctured_parity=hbar,
     )
+    _check_written(written, _written_pairs(plan))
+    return plan
 
 
 def _general_doc(plan: GeneralPlan) -> dict:

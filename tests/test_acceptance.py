@@ -15,7 +15,6 @@ from mdsconv.convert import (
     build_merge,
     build_split,
     general_convert,
-    initial_specs,
     merge_convert,
     merge_lower_bound,
     merge_params,
@@ -421,7 +420,7 @@ def test_encode_matches_generator_product(merge_plans, split_plans):
     """Systematic encode equals message . G on every code of the acceptance matrices."""
     rng = random.Random(43)
     for plan in merge_plans + split_plans:
-        specs = list(initial_specs(plan))
+        specs = list(plan.initial_specs)
         specs += [plan.final_spec] if isinstance(plan, MergePlan) else list(plan.final_specs)
         for spec in specs:
             g = generator(spec)

@@ -577,6 +577,29 @@ def test_grid_faults_exit_1(tmp_path, capsys, kind, message):
         assert err.startswith("error:") and message in err, err
 
 
+WRITTEN_FAULTS = {
+    "merge names a missing code": ("merge", lambda doc: doc.update(written=[[9, 9]])),
+    "split drops a written pair": ("split", lambda doc: doc["written"][1].pop()),
+}
+
+
+@pytest.mark.parametrize("case", WRITTEN_FAULTS)
+def test_written_list_must_match_the_plan(tmp_path, capsys, case):
+    """A document's `written` list is checked against the symbols its plan writes."""
+    kind, tamper = WRITTEN_FAULTS[case]
+    plan_path, cws = _grid_fault_plan(tmp_path, capsys, kind)
+    doc = json.loads(plan_path.read_text())
+    tamper(doc)
+    write_json(plan_path, doc)
+    finals = tmp_path / "f.txt"
+    for argv in (("verify", "--plan", plan_path),
+                 ("convert", "--plan", plan_path, "--in", cws, "--out", finals)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: written:"), err
+    assert not finals.exists()
+
+
 def _bump_read_entry(doc):
     """Add 1 to entry (1, 4) of code 1's restricted parity check, a read column."""
     row = doc["punctured_parity"][0]["matrix"][1].split()

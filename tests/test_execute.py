@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mdsconv import convert, linalg, oracle, plandoc
+from mdsconv import convert, grs, linalg, oracle, plandoc
 from mdsconv.convert import (
     ConvertParams,
     GeneralPlan,
@@ -23,6 +23,7 @@ from mdsconv.convert import (
     split_convert,
 )
 from mdsconv.errors import CorruptionError, UsageError
+from mdsconv.field import GF
 from mdsconv.grs import Codeword, encode
 
 from test_acceptance import (
@@ -130,27 +131,68 @@ def test_rejections_match_references():
             assert got is _error_class(oracle.split_convert_by_solve, plan, cw) is expected[name]
 
 
+def test_inputs_are_checked_in_order():
+    """Each input is checked in full before the next, as in the references: a
+    parity fault in input 1 is named even when input 2 holds a non-canonical
+    symbol, and a non-canonical symbol in input 1 wins over a fault in input 2."""
+    rng = random.Random(39)
+    plan = next(_merge_plans())
+    q = plan.field.q
+    for first, second, error, message in (
+        ("corrupt", "non-canonical", CorruptionError, "input 1 is not a codeword of initial code 1"),
+        ("non-canonical", "corrupt", UsageError, f"{q} is not a canonical element"),
+    ):
+        stripe = [list(cw) for cw in _stripes(plan.initial_specs, rng)[1]]
+        for i, fault in ((0, first), (1, second)):
+            stripe[i][0] = q if fault == "non-canonical" else (stripe[i][0] + 1) % q
+        for run in (merge_convert, oracle.merge_convert_by_solve):
+            with pytest.raises(error, match=message):
+                run(plan, stripe)
+
+
+@pytest.mark.parametrize("q", [256, 1 << 16])
+def test_merge_stream_shape_matches_solving_reference(q):
+    """The benchmark's merge shape, bit for bit against the per-stripe solve,
+    over GF(256) and over GF(2^16), so no assumption of 8-bit symbols slips in."""
+    plan = build_merge(merge_params([(14, 10), (14, 10), (12, 8), (6, 4)], 4), GF(q))
+    rng = random.Random(q)
+    for stripe in _stripes(plan.initial_specs, rng):
+        out, _ = merge_convert(plan, stripe)
+        _same((out,), (oracle.merge_convert_by_solve(plan, stripe),))
+
+
+COUNTED = ("rref", "solve_linear", "submatrix_cols", "invert", "matvec", "vecmat",
+           "is_codeword", "parity_check", "access_report")
+
+
 def test_later_conversions_run_no_solve(monkeypatch):
-    """After the first conversion of a plan, no stripe reduces, slices or inverts a matrix."""
+    """After the first conversion of a plan, no stripe reduces, slices or
+    inverts a matrix, multiplies through `matvec`/`vecmat`, or looks up or
+    checks against a parity-check matrix: it runs on the plan's compiled lines."""
     rng = random.Random(35)
     plans = [next(_merge_plans()), next(_split_plans()), _general_plan()]
-    stripes = {id(plan): _stripes(convert.initial_specs(plan), rng) for plan in plans}
+    stripes = {id(plan): _stripes(plan.initial_specs, rng) for plan in plans}
     for plan in plans:
         convert.run_conversion(plan, stripes[id(plan)][1])
     calls = {}
-    for owner, name in ((linalg, "rref"), (linalg, "solve_linear"), (linalg, "submatrix_cols"),
-                        (linalg, "invert"), (convert, "access_report")):
-        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
+    # Every binding of each name: `convert` imports `parity_check` from `grs`.
+    for owner in (linalg, grs, convert):
+        for name in COUNTED:
+            if name not in vars(owner):
+                continue
+            def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
     for plan in plans:
         for k in range(10):
             convert.run_conversion(plan, stripes[id(plan)][k % len(stripes[id(plan)])])
     assert calls == {}
-    # The counters see calls: a fresh plan object lowers (and reports) once.
+    # The counters see calls: a fresh plan object lowers (and reports) once,
+    # and compiles its lines from the initial codes' parity checks.
     convert.run_conversion(replace(plans[0]), stripes[id(plans[0])][0])
     assert calls["rref"] == 1 and calls["access_report"] == 1
+    assert calls["parity_check"] >= len(plans[0].initial_specs)
 
 
 def test_lowered_plans_are_general_plans():
@@ -160,7 +202,7 @@ def test_lowered_plans_are_general_plans():
         lowered = lower(plan)
         assert isinstance(lowered, GeneralPlan)
         assert lower(lowered) is lowered
-        specs = convert.initial_specs(plan)
+        specs = plan.initial_specs
         for stripe in _stripes(specs, rng):
             assert general_convert(lowered, stripe)[0] == convert.run_conversion(plan, stripe)[0]
 
@@ -168,7 +210,7 @@ def test_lowered_plans_are_general_plans():
 def test_plans_that_ran_stay_picklable():
     rng = random.Random(38)
     for plan in (next(_merge_plans()), next(_split_plans()), _general_plan()):
-        stripe = _stripes(convert.initial_specs(plan), rng)[1]
+        stripe = _stripes(plan.initial_specs, rng)[1]
         before = convert.run_conversion(plan, stripe)
         copy = pickle.loads(pickle.dumps(plan))
         assert copy == plan and convert.run_conversion(copy, stripe) == before

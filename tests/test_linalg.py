@@ -218,11 +218,27 @@ def test_row_kernel_matches_per_element_reference(q):
         for v in ([element() for _ in range(rows)], [0] * rows):
             assert vecmat(v, m) == _naive_vecmat(v, m)
             assert vecmat(v, m) == _naive_vecmat(v, m)
+        # Leading columns first, then more of them, on a matrix with no lines yet.
+        fresh, v = from_rows(f, m.to_lists(), cols=cols), [element() for _ in range(rows)]
+        for width in (1, cols // 2, None, 0):
+            assert vecmat(v, fresh, width) == _naive_vecmat(v, m)[:width]
         assert matvec(zeros(f, rows, cols), [element() for _ in range(cols)]) == (0,) * rows
         with pytest.raises(UsageError):
             matvec(m, [0] * (cols + 1))
         with pytest.raises(UsageError):
             vecmat([0] * (rows + 1), m)
+
+
+@pytest.mark.parametrize("q", [7, 256])
+def test_products_refuse_non_canonical_vectors(q):
+    """`matvec` and `vecmat` check their vector as `FieldSpec.check` does."""
+    f = GF(q)
+    m = from_rows(f, [[1, 2, 3], [4, 5, 6], [0, 1, 0]])
+    for bad in (q, -1, True, 1.0):
+        with pytest.raises(UsageError, match="is not a canonical element"):
+            matvec(m, [1, bad, 0])
+        with pytest.raises(UsageError, match="is not a canonical element"):
+            vecmat([0, 1, bad], m)
 
 
 @pytest.mark.parametrize("q", [2, 7, 8, 256, 257, 1 << 16, (1 << 31) - 1])

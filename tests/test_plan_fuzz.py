@@ -4,7 +4,8 @@
 what it writes then lies in the declared final codes.  Every mutant of
 three built plans (the README merge, a mixed merge and the README split)
 goes through both verbs in-process: each must exit 0, 1, 2 or 3, with no
-exception leaving `cli.main`.  Mutations are an integer field moved by
+exception leaving `cli.main`, and a mutant of a `written` list must exit 1
+from both.  Mutations are an integer field moved by
 +-1 or +-2, one matrix-dump entry bumped, and one list entry dropped or
 duplicated.
 """
@@ -88,16 +89,22 @@ def _run(capsys, *argv):
 
 def test_convert_runs_exactly_what_verify_passes(tmp_path, capsys):
     rng = random.Random(SEED)
-    docs = {name: plandoc.plan_to_doc(build()) for name, build in BASES.items()}
+    bases = {name: build() for name, build in BASES.items()}
+    docs = {name: plandoc.plan_to_doc(plan) for name, plan in bases.items()}
     pool = [(name, m) for name, doc in docs.items() for m in _mutations(doc)]
     plan_path, cws, finals = tmp_path / "plan.json", tmp_path / "c.txt", tmp_path / "f.txt"
     verdicts = {True: 0, False: 0}
+    written_refused = 0
     for name, mutation in rng.sample(pool, min(MUTANTS, len(pool))):
         doc = _mutant(docs[name], *mutation)
+        # A `written` mutant does not load; both verbs must refuse it.
+        written = mutation[0][0] == "written"
         try:
             plan = plandoc.plan_from_doc(doc)
         except MdsconvError:
-            continue
+            if not written:
+                continue
+            plan = bases[name]
         case = f"{name} {mutation}"
         plan_path.write_text(json.dumps(doc))
         plandoc.write_symbol_lines(str(cws), [
@@ -109,10 +116,13 @@ def test_convert_runs_exactly_what_verify_passes(tmp_path, capsys):
         converted = _run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", finals)
         assert {verified, converted} <= {0, 1, 2, 3}, case
         assert (verified == 0) == (converted == 0), (case, verified, converted)
+        if written:
+            assert (verified, converted) == (1, 1) and not finals.exists(), case
+            written_refused += 1
         if converted == 0:
             rows = plandoc.read_symbol_lines(str(finals), plan.field)
             assert len(rows) == len(plan.final_specs), case
             assert all(map(is_codeword, plan.final_specs, rows)), case
         verdicts[converted == 0] += 1
-    # The sample must reach both verdicts, or it tests nothing.
-    assert verdicts[True] and verdicts[False], verdicts
+    # The sample must reach both verdicts and a `written` mutant, or it tests nothing.
+    assert verdicts[True] and verdicts[False] and written_refused, (verdicts, written_refused)

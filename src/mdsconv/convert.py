@@ -11,13 +11,13 @@ plan verification, and access accounting with a per-device trace.
 Every plan kind runs through one executor, `run_conversion`.  The first
 time a plan object runs, `lower` compiles it to a general plan: for each
 final code, the initial symbols it reads, a matrix sigma with
-written = reads . sigma, and the layout of its coordinates.  For merge
-and split plans sigma comes from one reduced echelon form per final
-code, solving the parity relations once for all stripes.  The lowered
-form, the access report, and the plan's compiled lines (each initial
-code's parity-check rows and each final code's sigma columns, in the
-form of `linalg.row_kernel`) are kept on the plan object, so every later
-stripe is one pass: each input is checked against its parity-check lines
+written = reads . sigma, and the layout of its coordinates.  A merge or
+split plan is lowered once `verify_plan` passes it, by one reduced
+echelon form per final code of W . written = B . reads (`_parity_blocks`).
+The lowered form, the access report, and the plan's compiled lines
+(each initial code's parity-check rows and each final code's sigma
+columns, in the form of `linalg.row_kernel`) are kept on the plan
+object, so every later stripe is one pass: each input is checked against its parity-check lines
 and its symbols put in kernel form once, then the sigma lines of each
 final code run on its read symbols.
 
@@ -40,7 +40,7 @@ from itertools import chain
 from typing import Sequence
 
 from . import linalg
-from .errors import CorruptionError, InsufficientDataError, ParameterError, UsageError
+from .errors import CorruptionError, InternalError, ParameterError, UsageError
 from .field import FieldSpec
 from .grs import Codeword, ExtGrsSpec, parity_check, puncture
 from .linalg import FieldMatrix
@@ -191,7 +191,8 @@ def split_lower_bound(params: ConvertParams) -> SplitBound:
 # `final_specs` and `grid`, the pair (unchanged, reads) of position sets
 # indexed [final j][initial i].  Shape validation, access accounting and
 # lowering read that view, so each has one body for all kinds; merge and
-# split plans add `parity_blocks(j)`, the relation that lowering solves.
+# split plans add `restricted_parity(j, i)`, the one place where their
+# lowering differs: which cells read through a restricted parity check.
 
 
 def _check_positions(label: str, positions: Sequence[int], n: int) -> None:
@@ -284,7 +285,8 @@ class MergePlan:
     ordered by ascending position.  `final_unchanged_blocks[i-1]` is set
     for i outside `reduced`: the final parity-check columns of code i's
     unchanged block.  `final_written_block` holds the final parity-check
-    columns of the written positions.
+    columns of the written positions.  `verify_plan` checks the stored
+    blocks; lowering reads the final code itself.
     """
 
     params: ConvertParams
@@ -320,10 +322,6 @@ class MergePlan:
     def grid(self) -> tuple[Grid, Grid]:
         return (self.unchanged,), (self.reads,)
 
-    @property
-    def written_count(self) -> int:
-        return _written_count(self.params, 1, self.unchanged)
-
     def support(self, i: int) -> tuple[int, ...]:
         """Ascending unchanged + read positions of initial code i."""
         return tuple(sorted(set(self.unchanged[i - 1]) | set(self.reads[i - 1])))
@@ -332,21 +330,9 @@ class MergePlan:
         """Final coordinates: unchanged blocks in code order, then written symbols."""
         return _layout(self.params, 1, self.unchanged)
 
-    def parity_blocks(self, j: int = 1) -> tuple[FieldMatrix, list[FieldMatrix], str]:
-        """W, the final written block, and read blocks B with W . written = B . reads.
-
-        A code in S turns its read symbols into the final parity
-        contribution of its unchanged ones through the read columns of its
-        restricted parity check; any other code reads its unchanged
-        symbols and contributes minus its final parity-check block.
-        """
-        blocks = [
-            _columns_at(self.punctured_parity[i - 1], self.support(i), reads)
-            if i in self.reduced
-            else _negated(self.final_unchanged_blocks[i - 1])
-            for i, reads in enumerate(self.reads, 1)
-        ]
-        return self.final_written_block, blocks, "final written block"
+    def restricted_parity(self, j: int, i: int) -> tuple[FieldMatrix, tuple[int, ...]] | None:
+        """Code i's restricted parity check and its support when i is in S, else None."""
+        return (self.punctured_parity[i - 1], self.support(i)) if i in self.reduced else None
 
 
 @dataclass(frozen=True)
@@ -403,36 +389,9 @@ class SplitPlan:
         """Ascending positions covered by the restricted parity check."""
         return tuple(sorted(set(self.extra_reads).union(*self.unchanged)))
 
-    def parity_blocks(self, j: int) -> tuple[FieldMatrix, list[FieldMatrix], str]:
-        """W and read blocks B with W . written = B . reads for final code j.
-
-        The privileged final takes W = H̄_V and B = H̄_reads from the
-        restricted parity check; any other final takes W = H_E and
-        B = -H_K from its own parity check, K its unchanged (and read) and
-        E its written coordinates.
-        """
-        u, reads, spec = self.unchanged[j - 1], self.reads[j - 1], self.final_specs[j - 1]
-        if j == self.privileged:
-            support = self.support()
-            outside = sorted(set(reads) - set(support))
-            if outside:
-                raise UsageError(f"privileged reads {outside} lie outside the restricted parity check")
-            hbar = self.punctured_parity
-            return (
-                _columns_at(hbar, support, self.extra_reads),
-                [_columns_at(hbar, support, reads)],
-                "restricted parity block of V",
-            )
-        if len(u) < spec.k:
-            raise InsufficientDataError(
-                f"{len(u)} known symbols cannot determine a codeword of dimension {spec.k}"
-            )
-        h = parity_check(spec)
-        return (
-            linalg.submatrix_cols(h, range(len(u) + 1, spec.n + 1)),
-            [_negated(linalg.submatrix_cols(h, range(1, len(u) + 1)))],
-            f"parity check of final code {j} on its written positions",
-        )
+    def restricted_parity(self, j: int, i: int) -> tuple[FieldMatrix, tuple[int, ...]] | None:
+        """The restricted parity check and its support when final code j is privileged, else None."""
+        return (self.punctured_parity, self.support()) if j == self.privileged else None
 
 
 @dataclass(frozen=True)
@@ -550,7 +509,7 @@ def access_report(plan: Plan) -> AccessReport:
 def plan_report(plan: Plan) -> AccessReport:
     """The plan's `access_report`, computed once and kept on the plan,
     which never changes; execution and `verify` share it."""
-    report = plan.__dict__.get("_report")
+    report = getattr(plan, "_report", None)
     if report is None:
         report = access_report(plan)
         object.__setattr__(plan, "_report", report)
@@ -712,7 +671,8 @@ def verify_optimal_structure(plan: MergePlan) -> StructureCheck:
 
 def _final_block(final_spec: ExtGrsSpec, unchanged: Sequence[Sequence[int]], i: int) -> tuple[int, ...]:
     """Row-major entries of the final parity check's columns for initial code
-    i's unchanged symbols in a merge's final layout (i = t1 + 1: written)."""
+    i's unchanged symbols in a final layout whose unchanged sets are
+    `unchanged` (i = t1 + 1: the written symbols)."""
     start = sum(map(len, unchanged[: i - 1]))
     stop = start + len(unchanged[i - 1]) if i <= len(unchanged) else final_spec.n
     h = parity_check(final_spec)
@@ -725,8 +685,9 @@ def _merge_block_fault(plan: MergePlan, i: int) -> str:
     unsound, or "".  A code in S needs a restricted parity check that
     matches the final parity check on its unchanged columns and is a parity
     check of its restriction; every other block must be the final parity
-    check's columns.  `lower` solves these blocks, and refuses any plan that
-    `verify_plan` fails, so a fault here also stops `convert`."""
+    check's columns.  `lower` refuses any plan that `verify_plan` fails, so a
+    fault here also stops `convert`; execution solves from the final code
+    and the restricted parity checks, so the stored blocks are only checked."""
     final = _final_block(plan.final_spec, plan.unchanged, i)
     if i in plan.reduced:
         rf = plan.final_spec.r
@@ -848,38 +809,56 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
 # -- execution ---------------------------------------------------------------------
 
 
-def _solve_block(square: FieldMatrix, blocks: Sequence[FieldMatrix], what: str) -> FieldMatrix:
-    """(square^-1 . [blocks])^T from one rref of [square | blocks]; UsageError when singular."""
+def _parity_blocks(plan: MergePlan | SplitPlan, j: int) -> tuple[FieldMatrix, list[FieldMatrix]]:
+    """W and read blocks B with W . written = B . reads for final code j.
+
+    W is final code j's parity check on its written coordinates.  Initial
+    code i gives the read columns of `restricted_parity(j, i)`, which agrees
+    with the final parity check on the symbols i keeps, or else minus the
+    final parity check on those symbols, which are then the ones it reads.
+    """
+    spec = plan.final_specs[j - 1]
+    kept, reads = (row[j - 1] for row in plan.grid)
+
+    def final(i: int) -> FieldMatrix:
+        entries = _final_block(spec, kept, i)
+        return FieldMatrix(spec.field, spec.r, len(entries) // spec.r, entries)
+
+    blocks = []
+    for i, read in enumerate(reads, 1):
+        hbar = plan.restricted_parity(j, i)
+        blocks.append(_negated(final(i)) if hbar is None else _columns_at(*hbar, read))
+    return final(plan.params.t1 + 1), blocks
+
+
+def _solve_block(square: FieldMatrix, blocks: Sequence[FieldMatrix]) -> FieldMatrix:
+    """(square^-1 . [blocks])^T from one rref of [square | blocks]."""
     n = square.cols
-    if square.rows != n:
-        raise UsageError(f"{what} is {square.rows}x{n}, not square; plan is not executable")
-    for block in blocks:
-        if block.rows != n:
-            raise UsageError(f"{what} has {n} rows but a right-hand block has {block.rows}")
     width = sum(block.cols for block in blocks)
     rows = (m.row(i) for i in range(n) for m in (square, *blocks))
     red, pivots = linalg.rref(FieldMatrix(square.field, n, n + width, tuple(chain.from_iterable(rows))))
+    # `lower` solves only verified plans: r_F columns of an MDS parity check.
     if pivots[:n] != tuple(range(n)):
-        raise UsageError(f"{what} is singular; plan is not executable")
+        raise InternalError("the written block of a verified plan is singular")
     solved = [red.row(i)[n:] for i in range(n)]
     return FieldMatrix(square.field, width, n, tuple(chain.from_iterable(zip(*solved))))
 
 
 def lower(plan: Plan) -> GeneralPlan:
     """The plan in general form: per final code, read sets, a layout, and
-    sigma with written symbols = read symbols . sigma, solved once from
-    the plan's `parity_blocks`.  A merge or split plan runs exactly when
-    `verify_plan` passes it: after the solves (so a singular block still
-    reports singular), the first FAIL line refuses the plan.
+    sigma with written symbols = read symbols . sigma.  A merge or split
+    plan runs exactly when `verify_plan` passes it, so the first FAIL line
+    refuses the plan before any solve; then each final code's sigma is
+    solved once from `_parity_blocks`.
     """
     if isinstance(plan, GeneralPlan):
         return plan
-    p = plan.params
-    unchanged, reads = plan.grid
-    sigmas = tuple(_solve_block(*plan.parity_blocks(j)) for j in range(1, p.t2 + 1))
     for name, ok, detail in verify_plan(plan):
         if not ok:
             raise UsageError(f"{name}: {detail}; plan is not executable")
+    p = plan.params
+    unchanged, reads = plan.grid
+    sigmas = tuple(_solve_block(*_parity_blocks(plan, j)) for j in range(1, p.t2 + 1))
     return GeneralPlan(
         params=p,
         field=plan.field,
@@ -960,7 +939,7 @@ def run_conversion(
     on the plan, so a later stripe is one pass over kernel lines, with no
     solve and no matrix or cache lookup.
     """
-    exe = plan.__dict__.get("_executable")
+    exe = getattr(plan, "_executable", None)
     if exe is None:
         exe = _Executable(plan)
         object.__setattr__(plan, "_executable", exe)

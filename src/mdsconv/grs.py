@@ -50,7 +50,7 @@ class ExtGrsSpec:
 
     def __hash__(self) -> int:
         # Computed once: every parity_check/generator cache lookup hashes the spec.
-        h = self.__dict__.get("_hash")
+        h = getattr(self, "_hash", None)
         if h is None:
             h = hash((self.field, self.n, self.r, self.gamma, self.w))
             object.__setattr__(self, "_hash", h)

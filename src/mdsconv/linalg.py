@@ -205,7 +205,7 @@ def kernel_lines(m: FieldMatrix, by_cols: bool, width: int | None = None) -> lis
     columns) pays only for those.
     """
     key = "_kernel_cols" if by_cols else "_kernel_rows"
-    lines = m.__dict__.get(key, [])
+    lines = getattr(m, key, [])
     total = m.cols if by_cols else m.rows
     width = total if width is None else min(width, total)
     if len(lines) < width:

@@ -18,6 +18,7 @@ from mdsconv import plandoc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parents[1] / "src"
+README_MERGE = {"regime": "merge", "q": 8, "initial": [[5, 3], [5, 3]], "r_F": 2}
 README_SPLIT = {"regime": "split", "q": 16, "initial": [[10, 7]], "final": [[6, 4], [5, 3]]}
 
 # `mdsconv verify` stdout for the README merge plan, line for line.
@@ -28,6 +29,18 @@ PASS final code MDS
 PASS optimal structure
 PASS access cost meets bound: rho = 6, bound = 6
 access cost ρ = 6 (bound: 6)
+"""
+
+# `mdsconv verify` stdout for the README split plan, line for line.
+README_SPLIT_VERIFY = """\
+PASS initial code MDS
+PASS final code 1 MDS
+PASS final code 2 MDS
+PASS final code 1 keeps k_F unchanged symbols
+PASS final code 2 keeps k_F unchanged symbols
+PASS privileged restricted parity
+PASS access cost meets bound: rho = 9, bound = 9
+access cost ρ = 9 (bound: 9)
 """
 
 
@@ -288,6 +301,18 @@ def test_plan_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_plan_documents_match_fixtures(tmp_path, capsys):
+    """`plan` writes the committed README plan documents byte for byte, and
+    `verify` prints the committed lines for them."""
+    readme = (("merge", README_MERGE, README_VERIFY), ("split", README_SPLIT, README_SPLIT_VERIFY))
+    for kind, cfg, lines in readme:
+        cfg_path, plan_path = tmp_path / f"{kind}.json", tmp_path / f"{kind}-plan.json"
+        write_json(cfg_path, cfg)
+        assert run(capsys, "plan", "--config", cfg_path, "--out", plan_path)[0] == 0
+        assert plan_path.read_bytes() == (FIXTURES / f"readme_{kind}_plan.json").read_bytes()
+        assert run(capsys, "verify", "--plan", plan_path) == (0, lines, "")
+
+
 def test_verify_rejects_out_of_range_code_index(tmp_path, capsys):
     cfg = tmp_path / "merge.json"
     write_json(cfg, {"regime": "merge", "q": 8, "initial": [[5, 3], [5, 3]], "r_F": 2})
@@ -330,7 +355,8 @@ def test_convert_singular_written_block_exit_1(tmp_path, capsys):
         write_json(plan_path, doc)
         code, _, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
         assert code == 1
-        assert "singular" in err
+        assert ("optimal structure: final-block: stored written block differs from the "
+                "final parity check") in err
     _tamper_bit(cws, 8)
     code, _, _ = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
     assert code == 3
@@ -355,7 +381,8 @@ def test_convert_singular_privileged_block_exit_1(tmp_path, capsys):
     write_json(plan_path, doc)
     code, _, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
     assert code == 1
-    assert "singular" in err
+    assert ("privileged restricted parity: stored matrix is not a parity check of "
+            "the restriction") in err
     _tamper_bit(cws, 16)
     code, _, _ = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
     assert code == 3

@@ -1,7 +1,7 @@
 """Plan execution: the lowered executor against the per-stripe solving
 references in `oracle`, a structural guard that keeps every solve out of
-the per-stripe path, and lowering rejections (singular blocks are
-covered end to end in test_cli)."""
+the per-stripe path, and lowering refusals (tampered blocks are covered
+end to end in test_cli)."""
 
 import pickle
 import random
@@ -195,6 +195,27 @@ def test_later_conversions_run_no_solve(monkeypatch):
     assert calls["parity_check"] >= len(plans[0].initial_specs)
 
 
+def test_lower_verifies_before_it_solves(monkeypatch):
+    """`lower` runs `verify_plan` before any elimination: the README merge
+    with an all-zero written block is refused on its `final-block` line,
+    which needs no rref, so none runs; the untampered plan then takes one."""
+    plan = build_merge(merge_params([(5, 3), (5, 3)], 2), GF(8))
+    bad = replace(plan, final_written_block=linalg.zeros(plan.field, 2, 2))
+    calls = []
+    rref = linalg.rref
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    with pytest.raises(UsageError, match="final-block"):
+        lower(bad)
+    assert calls == []
+    lower(plan)
+    assert len(calls) == 1
+
+
 def test_lowered_plans_are_general_plans():
     """Merge and split plans lower to general plans that convert alike."""
     rng = random.Random(37)
@@ -222,5 +243,7 @@ def test_privileged_read_outside_restriction_is_usage_error():
     outside = next(pos for pos in range(1, plan.initial_spec.n + 1) if pos not in plan.support())
     reads = (tuple(sorted(plan.reads[0] + (outside,))),) + plan.reads[1:]
     cw = encode(plan.initial_spec, (1,) * plan.initial_spec.k)
-    with pytest.raises(UsageError, match="outside the restricted parity check"):
+    refusal = ("privileged restricted parity: privileged final code must read "
+               "the other finals' unchanged symbols and V")
+    with pytest.raises(UsageError, match=refusal):
         split_convert(replace(plan, reads=reads), cw)

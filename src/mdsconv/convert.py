@@ -43,7 +43,7 @@ from . import linalg
 from .errors import CorruptionError, InternalError, ParameterError, UsageError
 from .field import FieldSpec
 from .grs import Codeword, ExtGrsSpec, parity_check, puncture
-from .linalg import FieldMatrix
+from .linalg import FieldMatrix, _computed
 
 SymbolId = tuple[int, int]
 # Position sets indexed [final j][initial i], as in `GeneralPlan`.
@@ -267,11 +267,11 @@ def _columns_at(hbar: FieldMatrix, support: Sequence[int], positions: Sequence[i
     slot = {pos: idx for idx, pos in enumerate(support)}
     pick = _picker([slot[pos] for pos in positions])
     entries = tuple(chain.from_iterable(map(pick, map(hbar.row, range(hbar.rows)))))
-    return FieldMatrix(hbar.field, hbar.rows, len(positions), entries)
+    return _computed(hbar.field, hbar.rows, len(positions), entries)
 
 
 def _negated(m: FieldMatrix) -> FieldMatrix:
-    return FieldMatrix(m.field, m.rows, m.cols, tuple(map(m.field.neg, m.entries)))
+    return _computed(m.field, m.rows, m.cols, tuple(map(m.field.neg, m.entries)))
 
 
 @dataclass(frozen=True)
@@ -599,7 +599,7 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
     gamma_star.extend(gamma_prime)
     w_star.extend([1] * rf)
     final_spec = ExtGrsSpec(field, nf, rf, tuple(gamma_star), tuple(w_star))
-    stored = {i: FieldMatrix(field, rf, width, _final_block(final_spec, unchanged, i))
+    stored = {i: _computed(field, rf, width, _final_block(final_spec, unchanged, i))
               for i, width in enumerate([*params.k_initial, rf], 1) if i not in reduced}
     return MergePlan(
         params=params,
@@ -822,7 +822,7 @@ def _parity_blocks(plan: MergePlan | SplitPlan, j: int) -> tuple[FieldMatrix, li
 
     def final(i: int) -> FieldMatrix:
         entries = _final_block(spec, kept, i)
-        return FieldMatrix(spec.field, spec.r, len(entries) // spec.r, entries)
+        return _computed(spec.field, spec.r, len(entries) // spec.r, entries)
 
     blocks = []
     for i, read in enumerate(reads, 1):
@@ -836,12 +836,12 @@ def _solve_block(square: FieldMatrix, blocks: Sequence[FieldMatrix]) -> FieldMat
     n = square.cols
     width = sum(block.cols for block in blocks)
     rows = (m.row(i) for i in range(n) for m in (square, *blocks))
-    red, pivots = linalg.rref(FieldMatrix(square.field, n, n + width, tuple(chain.from_iterable(rows))))
+    red, pivots = linalg.rref(_computed(square.field, n, n + width, tuple(chain.from_iterable(rows))))
     # `lower` solves only verified plans: r_F columns of an MDS parity check.
     if pivots[:n] != tuple(range(n)):
         raise InternalError("the written block of a verified plan is singular")
     solved = [red.row(i)[n:] for i in range(n)]
-    return FieldMatrix(square.field, width, n, tuple(chain.from_iterable(zip(*solved))))
+    return _computed(square.field, width, n, tuple(chain.from_iterable(zip(*solved))))
 
 
 def lower(plan: Plan) -> GeneralPlan:

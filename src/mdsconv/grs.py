@@ -207,9 +207,9 @@ def spec_from_dict(doc: Mapping) -> ExtGrsSpec:
         w = tuple(int(x) for x in doc["w"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed code document: {exc}") from exc
-    if p**m != q:
-        raise UsageError(f"inconsistent field parameters q={q}, p={p}, m={m}")
+    # Compared with GF(q)'s own parameters, not as p**m == q: a document's
+    # m is unbounded, and the power would take time growing with it.
     field = GF(q)
     if (field.p, field.m) != (p, m):
-        raise UsageError(f"field parameters p={p}, m={m} are unsupported")
+        raise UsageError(f"inconsistent field parameters q={q}, p={p}, m={m}")
     return ExtGrsSpec(field, n, r, gamma, w)

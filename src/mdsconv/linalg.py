@@ -7,6 +7,16 @@ to 1, eliminate above and below) so ranks, kernels and solutions are
 deterministic across runs.
 
 Column-selection arguments are 1-based, matching codeword positions.
+
+Entries are checked where they enter from outside: the `FieldMatrix`
+constructor, `from_rows` and `matrix_from_text` refuse any entry that is
+not a canonical element of the field (UsageError).  Matrices whose entries
+the program computes from canonical operands -- `rref`, `vandermonde_ext`
+(whose gamma and w are checked first), `kernel_basis_from_rref`, and the
+slices, negations and solves of plan lowering in `convert` -- are built
+with `_computed`, which skips that check: table lookups, reductions mod p
+and selections of canonical entries are canonical by construction, and the
+check was about a fifth of a first lowering.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, count
+from itertools import chain, compress, count
 from typing import Callable, Iterable, Sequence
 
 from .errors import SingularMatrixError, UsageError
@@ -23,7 +33,13 @@ from .field import GF, FieldSpec
 
 @dataclass(frozen=True)
 class FieldMatrix:
-    """Immutable rows x cols matrix over `field`."""
+    """Immutable rows x cols matrix over `field`.
+
+    The constructor checks the shape and every entry (UsageError for an
+    entry that is not a canonical element of `field`).  `_computed` builds
+    one without the entry check, for entries the program derived from
+    canonical operands.
+    """
 
     field: FieldSpec
     rows: int
@@ -52,6 +68,18 @@ class FieldMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
+def _computed(field: FieldSpec, rows: int, cols: int, entries: tuple[int, ...]) -> FieldMatrix:
+    """A FieldMatrix whose entries the program computed from canonical
+    operands, so they are canonical: built without `__post_init__`."""
+    m = object.__new__(FieldMatrix)
+    setattr_ = object.__setattr__
+    setattr_(m, "field", field)
+    setattr_(m, "rows", rows)
+    setattr_(m, "cols", cols)
+    setattr_(m, "entries", entries)
+    return m
+
+
 def from_rows(field: FieldSpec, rows: Sequence[Sequence[int]], cols: int | None = None) -> FieldMatrix:
     """Build a matrix from an iterable of rows; `cols` disambiguates 0-row matrices."""
     rows = [tuple(r) for r in rows]
@@ -64,8 +92,7 @@ def from_rows(field: FieldSpec, rows: Sequence[Sequence[int]], cols: int | None 
         cols = width
     elif cols is None:
         raise UsageError("cols required for a matrix with no rows")
-    flat = tuple(e for r in rows for e in r)
-    return FieldMatrix(field, len(rows), cols, flat)
+    return FieldMatrix(field, len(rows), cols, tuple(chain.from_iterable(rows)))
 
 
 def identity(field: FieldSpec, n: int) -> FieldMatrix:
@@ -114,7 +141,7 @@ def vandermonde_ext(
                 row = [exp[log[x] + lg] for x, lg in zip(row, log_gamma)]
             else:
                 row = [x * y % p for x, y in zip(row, gamma)]
-    return from_rows(field, out)
+    return _computed(field, r, n, tuple(chain.from_iterable(out)))
 
 
 # -- reduction and derived operations ------------------------------------
@@ -169,7 +196,7 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
         pr += 1
         if pr == m.rows:
             break
-    return from_rows(f, a, cols=m.cols), tuple(pivots)
+    return _computed(f, m.rows, m.cols, tuple(chain.from_iterable(a))), tuple(pivots)
 
 
 def rank(m: FieldMatrix) -> int:
@@ -338,7 +365,7 @@ def kernel_basis_from_rref(red: FieldMatrix, pivots: Sequence[int]) -> FieldMatr
         for i, pc in enumerate(pivots):
             v[pc] = f.neg(red.at(i, fc))
         rows.append(v)
-    return from_rows(f, rows, cols=red.cols)
+    return _computed(f, len(rows), red.cols, tuple(chain.from_iterable(rows)))
 
 
 def solve_linear(a: FieldMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
@@ -363,7 +390,7 @@ def matrix_to_text(m: FieldMatrix) -> str:
     """One row per line, space-separated encodings; header 'rows cols q'."""
     lines = [f"{m.rows} {m.cols} {m.field.q}"]
     for i in range(m.rows):
-        lines.append(" ".join(str(e) for e in m.row(i)))
+        lines.append(" ".join(map(str, m.row(i))))
     return "\n".join(lines)
 
 
@@ -381,7 +408,7 @@ def matrix_from_text(text: str) -> FieldMatrix:
     out = []
     for ln in lines[1:]:
         try:
-            row = [int(t) for t in ln.split()]
+            row = list(map(int, ln.split()))
         except ValueError as exc:
             raise UsageError(f"bad matrix row {ln!r}") from exc
         if len(row) != cols:

@@ -6,11 +6,19 @@ are always canonical integer encodings, index sets are lists of
 lines ("rows cols q" first).  The merge-plan key "S" lists the
 reduced-read initial codes; the split-plan keys "privileged" and "V"
 name the favoured final code and its extra read positions.
+
+`dump_json` writes exactly the bytes of `json.dumps(doc, indent=2)` plus a
+newline.  With an indent, CPython's json leaves its C encoder for a
+pure-Python one, which cost more than building the plan; the writer here
+formats each container with one `str.join`, and each list of integers,
+of strings or of [code, position] pairs in one C-level pass.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Mapping, Sequence
 
 from .convert import (
@@ -353,7 +361,63 @@ def report_to_doc(report: AccessReport, include_trace: bool = False) -> dict:
 
 
 def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """`doc` as `json.dumps(doc, indent=2)` writes it, plus a newline.
+
+    A document is built of dicts with string keys, lists, strings, ints,
+    bools and None, as `plan_to_doc` and `report_to_doc` build them;
+    anything else is a TypeError.
+    """
+    return _dump(doc, "") + "\n"
+
+
+# Scalars by exact type, as json writes them; a bool indexes its own text.
+_SCALAR = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_INT, _STR, _LIST, _TWO = {int}, {str}, {list}, {2}
+
+
+def _dump(value, indent: str) -> str:
+    """`value` as json.dumps(value, indent=2) writes it at nesting `indent`."""
+    kind = type(value)
+    scalar = _SCALAR.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [_encode_str(k) + ": " + _dump(v, inner) for k, v in value.items()]
+        opening, closing = "{", "}"
+    elif kind is list:
+        if not value:
+            return "[]"
+        items = _list_items(value, inner)
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    sep = ",\n" + inner
+    return f"{opening}\n{inner}{sep.join(items)}\n{indent}{closing}"
+
+
+def _list_items(values: Sequence, indent: str):
+    """The items of a non-empty list at nesting `indent`, each as `_dump`
+    writes it.  A list of ints or of strings takes one map; a list of
+    [int, int] pairs one %-format of a template repeated once per pair."""
+    kinds = set(map(type, values))
+    if kinds == _INT:
+        return map(int.__repr__, values)
+    if kinds == _STR:
+        return map(_encode_str, values)
+    if (kinds == _LIST and set(map(len, values)) == _TWO
+            and set(map(type, chain.from_iterable(values))) == _INT):
+        inner = indent + "  "
+        pair = f"[\n{inner}%d,\n{inner}%d\n{indent}]"
+        return [f",\n{indent}".join([pair] * len(values)) % tuple(chain.from_iterable(values))]
+    return [_dump(v, indent) for v in values]
 
 
 def load_plan(path: str) -> Plan:

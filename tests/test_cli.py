@@ -789,3 +789,30 @@ def test_privileged_final_is_checked_in_layout_order(tmp_path, capsys, layout_or
         )
         assert (code, out) == (1, "") and not finals.exists()
         assert err.startswith("error: privileged restricted parity: ") and "plan is not executable" in err
+
+
+def _first_matrix(doc):
+    """The text lines of the first matrix a plan document embeds."""
+    if doc["kind"] == "merge":
+        return doc["punctured_parity"][0]["matrix"]
+    return doc["punctured_parity"] if doc["kind"] == "split" else doc["sigma"][0]
+
+
+@pytest.mark.parametrize("kind", ["merge", "split", "general"])
+@pytest.mark.parametrize("entry", ["q", "-1", "True"])
+def test_matrix_entry_outside_the_field_exit_1(tmp_path, capsys, kind, entry):
+    """A matrix entry of a plan document that is not a field element (q, a
+    negative number, a bool) is refused when the plan is read."""
+    plan_path, cws = _grid_fault_plan(tmp_path, capsys, kind)
+    doc = json.loads(plan_path.read_text())
+    lines = _first_matrix(doc)
+    row = lines[1].split()
+    row[0] = str(doc["field"]["q"]) if entry == "q" else entry
+    lines[1] = " ".join(row)
+    write_json(plan_path, doc)
+    finals = tmp_path / "f.txt"
+    for argv in (("verify", "--plan", plan_path),
+                 ("convert", "--plan", plan_path, "--in", cws, "--out", finals)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error: ")
+    assert not finals.exists()

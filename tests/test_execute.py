@@ -5,6 +5,7 @@ end to end in test_cli)."""
 
 import pickle
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -247,3 +248,39 @@ def test_privileged_read_outside_restriction_is_usage_error():
                "the other finals' unchanged symbols and V")
     with pytest.raises(UsageError, match=refusal):
         split_convert(replace(plan, reads=reads), cw)
+
+
+def test_computed_matrices_hold_canonical_entries(monkeypatch):
+    """Every matrix built without the entry check while the acceptance plans
+    and the 2x2 fixture are built, verified, lowered and converted passes
+    that check: its entries are canonical and fill its shape."""
+    built, callers = [], set()
+    computed = linalg._computed
+
+    def checked(field, rows, cols, entries):
+        m = computed(field, rows, cols, entries)
+        built.append(m)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's frame
+            frame = frame.f_back
+        callers.add(frame.f_code.co_name)
+        return m
+
+    monkeypatch.setattr(linalg, "_computed", checked)
+    monkeypatch.setattr(convert, "_computed", checked)
+    grs.parity_check.cache_clear()
+    grs.generator.cache_clear()
+    rng = random.Random(11)
+    plans = [*_merge_plans(), *_split_plans(), _general_plan()]
+    for plan in plans:
+        assert all(ok for _, ok, _ in convert.verify_plan(plan))
+        for stripe in _stripes(plan.initial_specs, rng)[:2]:
+            convert.run_conversion(plan, stripe)  # lowers the plan first
+    assert callers == {
+        "rref", "vandermonde_ext", "kernel_basis_from_rref",
+        "_columns_at", "_negated", "build_merge", "final", "_solve_block",
+    }
+    for m in built:
+        assert type(m) is linalg.FieldMatrix
+        assert len(m.entries) == m.rows * m.cols
+        m.field.check_all(m.entries)

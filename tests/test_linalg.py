@@ -298,3 +298,15 @@ def test_vandermonde_matches_field_pow(q):
             expect = [f.mul(w[j], f.pow(gamma[j], ell)) for j in range(n - 1)]
             expect.append(w[-1] if ell == r - 1 else 0)
             assert h.row(ell) == tuple(expect)
+
+
+@pytest.mark.parametrize("bad", [5, -1, True])
+def test_public_constructors_refuse_noncanonical_entries(bad):
+    """Entries from outside are checked by the constructor, `from_rows` and
+    the text parser alike: q, a negative number and a bool are refused."""
+    with pytest.raises(UsageError):
+        FieldMatrix(GF5, 1, 2, (1, bad))
+    with pytest.raises(UsageError):
+        from_rows(GF5, [[1, bad]])
+    with pytest.raises(UsageError):
+        matrix_from_text(f"1 2 5\n1 {bad}")

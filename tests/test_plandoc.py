@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,10 @@ from mdsconv.field import GF, FieldSpec
 from mdsconv.grs import encode
 from mdsconv import grs, plandoc
 
+from test_execute import _merge_plans, _split_plans
+
 FIXTURES = Path(__file__).parent / "fixtures"
+REPO = Path(__file__).parents[1]
 
 
 def test_merge_plan_roundtrip(tmp_path):
@@ -162,6 +166,13 @@ def test_malformed_plan_documents(tmp_path):
         plandoc.load_plan(str(bad_json))
     with pytest.raises(UsageError):
         plandoc.load_plan(str(tmp_path / "missing.json"))
+    # A huge extension degree is refused at once, not raised to a power.
+    broken = json.loads(json.dumps(doc))
+    broken["initial_codes"][0].update(p=3, m=100_000_000)
+    start = time.perf_counter()
+    with pytest.raises(UsageError, match="inconsistent field parameters"):
+        plandoc.plan_from_doc(broken)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_symbol_lines_roundtrip(tmp_path):
@@ -197,3 +208,86 @@ def test_loaded_plan_builds_field_tables_once(tmp_path, monkeypatch):
     final, _ = merge_convert(plan, stripe)
     assert final.symbols[:10] == stripe[0].symbols[:10]
     assert builds == [256]
+
+
+# The benchmark's seven plan-ladder shapes (the last is also split-stream's)
+# and merge-stream's shape, as (regime, q, initial, r_F or final).
+BENCH_SHAPES = [
+    ("merge", 8, [(5, 3), (5, 3)], 2),
+    ("merge", 256, [(14, 10)] * 4, 4),
+    ("merge", 256, [(40, 32)] * 4, 8),
+    ("merge", 256, [(100, 90)] * 2, 10),
+    ("merge", 1000003, [(5, 3), (5, 3)], 2),
+    ("split", 16, [(14, 9)], [(6, 4), (7, 5)]),
+    ("split", 256, [(40, 32)], [(20, 16), (20, 16)]),
+    ("merge", 256, [(14, 10), (14, 10), (12, 8), (6, 4)], 4),
+]
+
+
+def _differential_plans():
+    yield from _merge_plans()
+    yield from _split_plans()
+    for regime, q, initial, last in BENCH_SHAPES:
+        if regime == "merge":
+            yield build_merge(merge_params(initial, last), GF(q))
+        else:
+            yield build_split(ConvertParams(tuple(initial), tuple(last)), GF(q))
+    yield plandoc.load_plan(str(FIXTURES / "two_by_two_plan.json"))
+
+
+def _reference(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_dump_json_writes_json_dumps_bytes_for_plans_and_reports():
+    """The writer against json.dumps(indent=2) on every plan and access
+    report of the acceptance and benchmark shapes, and the committed documents."""
+    docs = []
+    for plan in _differential_plans():
+        report = access_report(plan)
+        docs += [
+            plandoc.plan_to_doc(plan),
+            plandoc.report_to_doc(report),
+            plandoc.report_to_doc(report, include_trace=True),
+        ]
+    committed = sorted(FIXTURES.glob("*.json")) + [REPO / "perfbench" / "two_by_two_plan.json"]
+    assert len(committed) == 4
+    docs += [json.loads(path.read_text()) for path in committed]
+    for doc in docs:
+        assert plandoc.dump_json(doc) == _reference(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {},
+        None,
+        True,
+        False,
+        0,
+        -7,
+        "",
+        [[]],
+        [{}],
+        {"a": [], "b": {}, "c": [[], {}, [[]]]},
+        {"empty": {"inner": []}},
+        "Gau\u00df \u03c1 \u2713 \"quoted\" back\\slash\n\t\x00",
+        ["\u00e9", "plain"],
+        [True, False, None, 1],
+        [1, True],
+        [[1, 2], [3, 4]],
+        [[1, 2], [3]],
+        [[1, True], [2, 3]],
+        [[1, 2], ["a", 3]],
+        {"pairs": [[[1, 2]], []]},
+    ],
+)
+def test_dump_json_edge_cases(doc):
+    assert plandoc.dump_json(doc) == _reference(doc)
+
+
+@pytest.mark.parametrize("doc", [1.5, (1, 2), {1: 2}, {"a": {3}}])
+def test_dump_json_refuses_what_documents_never_hold(doc):
+    with pytest.raises(TypeError):
+        plandoc.dump_json(doc)

@@ -100,7 +100,7 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past int's digit limit
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must be a JSON object, got {type(cfg).__name__}")

@@ -15,11 +15,14 @@ written = reads . sigma, and the layout of its coordinates.  A merge or
 split plan is lowered once `verify_plan` passes it, by one reduced
 echelon form per final code of W . written = B . reads (`_parity_blocks`).
 The lowered form, the access report, and the plan's compiled lines
-(each initial code's parity-check rows and each final code's sigma
-columns, in the form of `linalg.row_kernel`) are kept on the plan
-object, so every later stripe is one pass: each input is checked against its parity-check lines
+(each initial code's systematic parity check, `linalg.check_lines` of
+its generator, and each final code's sigma columns, in the form of
+`linalg.row_kernel`) are kept on the plan object, so every later stripe
+is one pass: each input is checked against its systematic parity check
 and its symbols put in kernel form once, then the sigma lines of each
-final code run on its read symbols.
+final code run on its read symbols.  Over a byte field both are lane
+rows, so checking an input is one lookup per symbol, and so is each
+read symbol's share of a final code's written symbols.
 
 Every code of a plan is an extended GRS code, and an extended GRS code
 with n - 1 distinct evaluation points and nonzero column multipliers is
@@ -42,7 +45,7 @@ from typing import Sequence
 from . import linalg
 from .errors import CorruptionError, InternalError, ParameterError, UsageError
 from .field import FieldSpec
-from .grs import Codeword, ExtGrsSpec, parity_check, puncture
+from .grs import Codeword, ExtGrsSpec, generator, parity_check, puncture
 from .linalg import FieldMatrix, _computed
 
 SymbolId = tuple[int, int]
@@ -886,18 +889,19 @@ def _picker(indices: Sequence[int]) -> operator.itemgetter:
 class _Executable:
     """A plan compiled for `run_conversion`.
 
-    `checks` holds, per initial code, its length and its parity-check rows
-    as `linalg.kernel_lines`.  `steps` (set by `finish`, once a first stripe
-    has passed those checks) holds, per final code, its spec, the columns of
-    its lowered sigma as kernel lines, and pickers that take its read
-    symbols and lay out its coordinates from the concatenated inputs (then
-    the written symbols); `report` is the plan's access report.
+    `checks` holds, per initial code, its length and its systematic parity
+    check as `linalg.check_lines` of its generator.  `steps` (set by
+    `finish`, once a first stripe has passed those checks) holds, per final
+    code, its spec, the columns of its lowered sigma as kernel lines, and
+    pickers that take its read symbols and lay out its coordinates from the
+    concatenated inputs (then the written symbols); `report` is the plan's
+    access report.
     """
 
     def __init__(self, plan: Plan):
         self.kernel = linalg.row_kernel(plan.field)
         self.checks = tuple(
-            (spec.n, linalg.kernel_lines(parity_check(spec), False)) for spec in plan.initial_specs
+            (spec.n, linalg.check_lines(generator(spec), spec.r)) for spec in plan.initial_specs
         )
         self.steps: tuple | None = None
         self.report: AccessReport | None = None
@@ -934,10 +938,10 @@ def run_conversion(
     syndrome raises CorruptionError, a non-canonical symbol UsageError.
     Each symbol goes into the field's `linalg.row_kernel` form once; the
     syndromes and then the written symbols run on those forms.  The plan
-    is compiled the first time it runs (its parity-check rows; then, once
-    that stripe has passed them, `lower` and the sigma columns) and kept
-    on the plan, so a later stripe is one pass over kernel lines, with no
-    solve and no matrix or cache lookup.
+    is compiled the first time it runs (its systematic parity checks;
+    then, once that stripe has passed them, `lower` and the sigma columns)
+    and kept on the plan, so a later stripe is one pass over kernel lines,
+    with no solve and no matrix or cache lookup.
     """
     exe = getattr(plan, "_executable", None)
     if exe is None:

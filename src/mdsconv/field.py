@@ -233,6 +233,31 @@ class FieldSpec:
             self._build_tables()
         return self._log, self._exp
 
+    def product_rows(self) -> list[bytes]:
+        """For a byte field (p = 2, q <= 256), rows[c] = bytes(c*v for v in
+        the field): the region-multiply table of c, built once and kept.
+
+        Row c is one `bytes.translate` of the logs of the field's elements
+        (0's log mapped past every nonzero one) through a window of exp
+        starting at log c, padded with zeros.
+        """
+        rows = getattr(self, "_product_rows", None)
+        if rows is None:
+            if self.p != 2 or self.q > 256:
+                raise UsageError(f"product rows exist only for fields of at most 256 elements "
+                                 f"and characteristic 2, not {self!r}")
+            q = self.q
+            if self.m == 1:
+                rows = [bytes(2), bytes((0, 1))]
+            else:
+                log, exp = self.row_tables()
+                logs = bytes([q - 1, *log[1:]])
+                exp_bytes, pad = bytes(exp[: 2 * (q - 1)]), bytes(257 - q)
+                rows = [bytes(q)]
+                rows += [logs.translate(exp_bytes[lc : lc + q - 1] + pad) for lc in log[1:]]
+            self._product_rows = rows
+        return rows
+
     # -- internal binary-field helpers -----------------------------------
 
     def _mul_nolut(self, a: int, b: int) -> int:

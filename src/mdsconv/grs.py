@@ -15,11 +15,12 @@ Positions are 1-based throughout, matching codeword coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .errors import CorruptionError, InsufficientDataError, InternalError, UsageError
+from .errors import CorruptionError, InsufficientDataError, UsageError
 from .field import FieldSpec, GF
 from .linalg import FieldMatrix
 
@@ -69,25 +70,75 @@ class Codeword:
     code: ExtGrsSpec | None = None
 
 
+def _trusted(field: FieldSpec, n: int, r: int, gamma: tuple[int, ...], w: tuple[int, ...]) -> ExtGrsSpec:
+    """An ExtGrsSpec the program computed from a checked one, so it holds
+    the invariants: built without `__post_init__`."""
+    spec = object.__new__(ExtGrsSpec)
+    setattr_ = object.__setattr__
+    setattr_(spec, "field", field)
+    setattr_(spec, "n", n)
+    setattr_(spec, "r", r)
+    setattr_(spec, "gamma", gamma)
+    setattr_(spec, "w", w)
+    return spec
+
+
 @lru_cache(maxsize=1024)
 def parity_check(spec: ExtGrsSpec) -> FieldMatrix:
     """The r x n extended Vandermonde-type parity check matrix."""
-    return linalg.vandermonde_ext(spec.field, spec.r, spec.n, spec.gamma, spec.w)
+    return linalg._vandermonde(spec.field, spec.r, spec.n, spec.gamma, spec.w)
 
 
 @lru_cache(maxsize=1024)
 def generator(spec: ExtGrsSpec) -> FieldMatrix:
-    """Deterministic k x n generator: the canonical kernel of the parity check.
+    """The systematic k x n generator G = [A | I_k], in closed form.
 
     The leading r columns of the parity check are an invertible scaled
-    Vandermonde block (distinct points, nonzero multipliers), so its pivots
-    are the first r columns and the generator is systematic, G = [A | I_k].
-    That is checked here, once per code, because `encode` relies on it.
+    Vandermonde block (distinct points, nonzero multipliers), so G is the
+    canonical kernel basis of the parity check, and A is its unique solution
+    by Lagrange interpolation on gamma_1..gamma_r.  With L_p the Lagrange
+    basis and D_p = prod_{l != p} (gamma_p - gamma_l):
+
+        A[t][p] = -w_t L_p(gamma_t) / w_p      for each position r < t < n,
+        A[n][p] = -w_n / (w_p D_p)             for the extension position,
+
+    because gamma^e with e < r is its own interpolant, and the interpolant of
+    x^(r-1) leads with sum_p gamma_p^(r-1) / D_p = 1.  Both rows are
+    w_t c_p prod_{l != p} (gamma_t - gamma_l) (an empty product for t = n),
+    with c_p = -1 / (w_p D_p): the product over all l, divided by
+    (gamma_t - gamma_p), which is nonzero because the points are distinct.
+    Over GF(2^m) that is one sum and difference of logs per entry.
     """
-    red, pivots = linalg.rref(parity_check(spec))
-    if pivots != tuple(range(spec.r)):
-        raise InternalError(f"parity check pivots {pivots} are not the first {spec.r} columns")
-    return linalg.kernel_basis_from_rref(red, pivots)
+    f = spec.field
+    r, k, n = spec.r, spec.k, spec.n
+    points, w = spec.gamma[:r], spec.w
+    if f.m > 1:
+        # Every difference below is nonzero: the points are distinct.
+        log, exp = f.row_tables()
+        order = f.q - 1
+        log_c = [-log[w[p]] - sum(log[x ^ y] for y in points if y != x) for p, x in enumerate(points)]
+        a_rows = []
+        for t in range(r, n - 1):
+            diffs = [log[spec.gamma[t] ^ y] for y in points]
+            total = log[w[t]] + sum(diffs)
+            a_rows.append([exp[(total - d + c) % order] for d, c in zip(diffs, log_c)])
+        a_rows.append([exp[(log[w[-1]] + c) % order] for c in log_c])
+    else:
+        mul, sub, inv = f.mul, f.sub, f.inv
+
+        def product(x: int) -> int:
+            """prod_l (x - gamma_l), leaving out x's own point."""
+            return reduce(mul, (sub(x, y) for y in points if y != x), 1)
+
+        c = [f.neg(inv(mul(w[p], product(x)))) for p, x in enumerate(points)]
+        a_rows = []
+        for t in range(r, n - 1):
+            x = spec.gamma[t]
+            total = mul(w[t], product(x))
+            a_rows.append([mul(mul(total, inv(sub(x, y))), cp) for y, cp in zip(points, c)])
+        a_rows.append([mul(w[-1], cp) for cp in c])
+    rows = (a + [0] * i + [1] + [0] * (k - 1 - i) for i, a in enumerate(a_rows))
+    return linalg._computed(f, k, n, tuple(chain.from_iterable(rows)))
 
 
 def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
@@ -181,7 +232,7 @@ def puncture(spec: ExtGrsSpec, positions: Iterable[int]) -> ExtGrsSpec:
         gamma_t.append(x)
         theta.append(val)
     theta.append(1)
-    return ExtGrsSpec(f, len(t), spec.r - len(dropped), tuple(gamma_t), tuple(theta))
+    return _trusted(f, len(t), spec.r - len(dropped), tuple(gamma_t), tuple(theta))
 
 
 # -- serialization ----------------------------------------------------------

@@ -10,21 +10,32 @@ Column-selection arguments are 1-based, matching codeword positions.
 
 Entries are checked where they enter from outside: the `FieldMatrix`
 constructor, `from_rows` and `matrix_from_text` refuse any entry that is
-not a canonical element of the field (UsageError).  Matrices whose entries
-the program computes from canonical operands -- `rref`, `vandermonde_ext`
-(whose gamma and w are checked first), `kernel_basis_from_rref`, and the
-slices, negations and solves of plan lowering in `convert` -- are built
-with `_computed`, which skips that check: table lookups, reductions mod p
-and selections of canonical entries are canonical by construction, and the
-check was about a fifth of a first lowering.
+not a canonical element of the field (UsageError), and `vandermonde_ext`
+checks its arguments.  Matrices whose entries the program computes from
+canonical operands -- `rref`, `right_kernel_basis`, the parity checks of
+checked codes (`_vandermonde`), `grs.generator`, the systematic checks of
+`check_lines`, and the slices, negations and solves of plan lowering in
+`convert` -- are built with `_computed`, which skips that check: table
+lookups, reductions mod p and selections of canonical entries are
+canonical by construction, and the check was about a fifth of a first
+lowering.
+
+Every matrix-vector product runs on one row kernel per field
+(`row_kernel`) over lines kept on the matrix (`kernel_lines`), in one of
+three forms: over a byte field (characteristic 2, q <= 256) lane rows,
+one lookup per input symbol for up to eight outputs at once; over
+GF(2^m) with m > 8 (log coefficient, index) pairs; over GF(p) dense
+coefficient lines.
 """
 
 from __future__ import annotations
 
-import operator
+import sys
+from array import array
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, compress, count
+from operator import getitem, mul, xor
 from typing import Callable, Iterable, Sequence
 
 from .errors import SingularMatrixError, UsageError
@@ -113,7 +124,8 @@ def vandermonde_ext(
     """Extended Vandermonde-type r x n matrix.
 
     Column j < n is w_j * (1, gamma_j, ..., gamma_j^(r-1))^T; the last
-    column is (0, ..., 0, w_n)^T.
+    column is (0, ..., 0, w_n)^T.  Every argument is checked; `grs` builds
+    the parity checks of codes it has already checked with `_vandermonde`.
     """
     if not 0 < r < n:
         raise UsageError(f"need 0 < r < n, got r={r}, n={n}")
@@ -125,6 +137,11 @@ def vandermonde_ext(
     field.check_all(w)
     if 0 in w:
         raise UsageError("column multipliers w must be nonzero")
+    return _vandermonde(field, r, n, gamma, w)
+
+
+def _vandermonde(field: FieldSpec, r: int, n: int, gamma: Sequence[int], w: Sequence[int]) -> FieldMatrix:
+    """`vandermonde_ext` of arguments already checked."""
     # Row ell + 1 is row ell times gamma, on the row kernel's tables.
     binary = field.m > 1
     if binary:
@@ -221,32 +238,71 @@ def matmul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return from_rows(a.field, [vecmat(a.row(i), b) for i in range(a.rows)], cols=b.cols)
 
 
-def kernel_lines(m: FieldMatrix, by_cols: bool, width: int | None = None) -> list:
-    """The first `width` (default: all) rows, or columns, of m as lines of
-    the field's `row_kernel`, built when first asked for and kept on m.
+def kernel_lines(m: FieldMatrix, by_cols: bool, width: int | None = None):
+    """Lines of the field's `row_kernel` for v . M[:, :width] (by_cols) or
+    M[:width] . v (width: default all), built when first asked for and
+    kept on m.  A FieldMatrix never changes, so kept lines cannot go stale.
 
-    GF(p) keeps the entries; GF(2^m) keeps (log coefficient, index) pairs
-    with the zero coefficients dropped (see `FieldSpec.row_tables`).  A
-    FieldMatrix never changes, so kept lines cannot go stale; a caller that
-    needs only leading lines (`grs.encode` reads r of a generator's n
-    columns) pays only for those.
+    A line is one output's coefficients: a column of m for v . M, a row for
+    M . v.  GF(p) keeps the entries; GF(2^m) with m > 8 keeps (log
+    coefficient, index) pairs with the zero coefficients dropped (see
+    `FieldSpec.row_tables`); a byte field keeps lane rows (`_lane_rows`).
     """
-    key = "_kernel_cols" if by_cols else "_kernel_rows"
-    lines = getattr(m, key, [])
-    total = m.cols if by_cols else m.rows
-    width = total if width is None else min(width, total)
-    if len(lines) < width:
+    kept = _kept(m)
+    lines = kept.get((by_cols, width))
+    if lines is None:
+        total = m.cols if by_cols else m.rows
+        size = total if width is None else min(width, total)
         if by_cols:
-            new = [m.entries[j :: m.cols] for j in range(len(lines), width)]
+            lines = [m.entries[j :: m.cols] for j in range(size)]
         else:
-            new = [m.row(i) for i in range(len(lines), width)]
-        if m.field.m > 1:
-            log = m.field.row_tables()[0].__getitem__
-            new = [tuple(compress(zip(map(log, line), count()), line)) for line in new]
-        # A new list, not an append, so a reader never sees a half-built one.
-        lines = lines + new
-        object.__setattr__(m, key, lines)
-    return lines if len(lines) == width else lines[:width]
+            lines = [m.row(i) for i in range(size)]
+        f = m.field
+        if _is_byte_field(f):
+            lines = _lane_rows(f, lines)
+        elif f.m > 1:
+            log = f.row_tables()[0].__getitem__
+            lines = [tuple(compress(zip(map(log, line), count()), line)) for line in lines]
+        kept[by_cols, width] = lines
+    return lines
+
+
+def _kept(m: FieldMatrix) -> dict:
+    """The lines kept on m, keyed by what they compute."""
+    kept = getattr(m, "_kernel_lines", None)
+    if kept is None:
+        kept = {}
+        object.__setattr__(m, "_kernel_lines", kept)
+    return kept
+
+
+def check_lines(g: FieldMatrix, r: int):
+    """Kernel lines of the systematic parity check of a generator
+    g = [A | I_k]: run on a canonical c of length r + k, they give
+    c . [I_r ; -A], which is zero exactly when c[:r] = c[r:] . A, that is
+    when c is a codeword.  Built once and kept on g.
+
+    A byte field reuses the lane rows that `grs.encode` runs on (the
+    `kernel_lines` of A) after the field's unit rows for the r parity
+    positions, so the check of c is one lookup per symbol.
+    """
+    kept = _kept(g)
+    lines = kept.get(("check", r))
+    if lines is None:
+        f = g.field
+        if _is_byte_field(f):
+            zero, units = _lane_units(f)
+            lines = tuple(
+                ((zero,) * start + units[:lanes] + (zero,) * (r - start - lanes) + rows, lanes)
+                for start, (rows, lanes) in zip(count(0, LANES), kernel_lines(g, True, r))
+            )
+        else:
+            identity_rows = ((0,) * i + (1,) + (0,) * (r - 1 - i) for i in range(r))
+            negated = (map(f.neg, g.row(t)[:r]) for t in range(g.rows))
+            c = _computed(f, r + g.rows, r, tuple(chain(*identity_rows, *negated)))
+            lines = kernel_lines(c, True)
+        kept["check", r] = lines
+    return lines
 
 
 def row_kernel(field: FieldSpec) -> tuple[Callable, Callable]:
@@ -254,24 +310,91 @@ def row_kernel(field: FieldSpec) -> tuple[Callable, Callable]:
     (vector, run), built once per field and kept on it.
 
     vector(v) checks every entry of v as `FieldSpec.check` does and returns
-    v in kernel form: over GF(2^m) the logs of its entries (0 maps to the
-    tables' zero log), over GF(p) v itself.  run(lines, vec) takes lines
-    from `kernel_lines` and such a vec, and returns [line . v for each
-    line]: one reduction per line over GF(p), an XOR of exp[log c + log v_j]
-    lookups over GF(2^m).  Both are partials of module functions, so a plan
-    that keeps them stays picklable.
+    v in kernel form: over GF(2^m) with m > 8 the logs of its entries (0
+    maps to the tables' zero log), otherwise v itself.  run(lines, vec)
+    takes lines from `kernel_lines` and such a vec, and returns [line . v
+    for each line]: one reduction per line over GF(p), an XOR of
+    exp[log c + log v_j] lookups over GF(2^m) with m > 8, and over a byte
+    field one lookup per symbol for all lanes (`_lane_run`).  All are
+    module functions or partials of them, so a plan that keeps them stays
+    picklable.
     """
     # getattr, not field.__dict__: reading an instance's __dict__ turns its
     # attributes into a plain dict, and field.mul then runs about 2x slower.
     kernel = getattr(field, "_row_kernel", None)
     if kernel is None:
-        if field.m == 1:
+        if _is_byte_field(field):
+            kernel = (partial(_canonical, field), _lane_run)
+        elif field.m == 1:
             kernel = (partial(_canonical, field), partial(_mod_lines, field.p))
         else:
             log, exp = field.row_tables()
             kernel = (partial(_logs, field, log), partial(_xor_lines, exp))
         field._row_kernel = kernel
     return kernel
+
+
+# -- lane rows: the row kernel of byte fields --------------------------------
+#
+# Over a byte field (characteristic 2, q <= 256) every product fits a byte,
+# so the products of one symbol with up to LANES coefficients pack into one
+# int, byte l holding lane l.  A lane row of a kernel line set is an array
+# indexed by symbol: entry v packs (coefficient_l . v) for the lanes l of a
+# group of up to LANES lines.  Then v . M for all lanes of a group is the
+# XOR of one lookup per symbol: a SWAR form of the split-table region
+# multiply (Plank, Greenan and Miller, FAST 2013).
+
+LANES = 8  # bytes of an array("Q") entry
+
+
+def _is_byte_field(field: FieldSpec) -> bool:
+    return field.p == 2 and field.q <= 256
+
+
+def _packed(buf: bytearray) -> array:
+    row = array("Q", buf)
+    if sys.byteorder == "big":
+        row.byteswap()
+    return row
+
+
+def _lane_rows(field: FieldSpec, lines: Sequence[Sequence[int]]) -> tuple:
+    """Lines as ((rows, lanes), ...), one pair per group of up to LANES
+    lines, with one lane row per input index.  A group is built in C: the
+    field's product rows of each lane's coefficients, joined in input order,
+    fill that lane of one buffer by one strided slice assignment, and the
+    buffer, read as one array, is cut into the rows."""
+    prod = field.product_rows().__getitem__
+    q = field.q
+    groups = []
+    for start in range(0, len(lines), LANES):
+        group = lines[start : start + LANES]
+        inputs = len(group[0])
+        buf = bytearray(LANES * q * inputs)
+        for lane, line in enumerate(group):
+            buf[lane::LANES] = b"".join(map(prod, line))
+        table = _packed(buf)
+        groups.append((tuple(table[i * q : (i + 1) * q] for i in range(inputs)), len(group)))
+    return tuple(groups)
+
+
+def _lane_units(field: FieldSpec) -> tuple[array, tuple[array, ...]]:
+    """The field's zero lane row and its unit lane rows (entry v is v in
+    lane l), built once and kept on the field."""
+    units = getattr(field, "_lane_units", None)
+    if units is None:
+        # The lane rows of I_8 with a zero input appended: e_0, ..., e_7, 0.
+        identity = [[int(i == lane) for i in range(LANES + 1)] for lane in range(LANES)]
+        ((rows, _),) = _lane_rows(field, identity)
+        units = field._lane_units = (rows[-1], rows[:-1])
+    return units
+
+
+def _lane_run(lines: tuple, vec: Sequence[int]) -> list[int]:
+    out: list[int] = []
+    for rows, lanes in lines:
+        out += reduce(xor, map(getitem, rows, vec), 0).to_bytes(lanes, "little")
+    return out
 
 
 def _canonical(field: FieldSpec, v: Sequence[int]) -> Sequence[int]:
@@ -291,7 +414,6 @@ def _logs(field: FieldSpec, log: list[int], v: Sequence[int]) -> list[int]:
 
 
 def _mod_lines(p: int, lines: list, vec: Sequence[int]) -> list[int]:
-    mul = operator.mul
     return [sum(map(mul, line, vec)) % p for line in lines]
 
 
@@ -349,13 +471,10 @@ def invert(m: FieldMatrix) -> FieldMatrix:
 
 
 def right_kernel_basis(m: FieldMatrix) -> FieldMatrix:
-    """Rows form a deterministic basis of {x : M . x^T = 0}."""
-    return kernel_basis_from_rref(*rref(m))
-
-
-def kernel_basis_from_rref(red: FieldMatrix, pivots: Sequence[int]) -> FieldMatrix:
-    """The `right_kernel_basis` of any matrix whose `rref` is (red, pivots):
-    one row per free column fc, 1 at fc, minus column fc of red at the pivots."""
+    """Rows form a deterministic basis of {x : M . x^T = 0}: from the `rref`
+    of M, one row per free column fc, 1 at fc, minus column fc of the
+    reduced matrix at the pivots."""
+    red, pivots = rref(m)
     f = red.field
     free = [c for c in range(red.cols) if c not in pivots]
     rows = []

@@ -426,7 +426,7 @@ def load_plan(path: str) -> Plan:
             doc = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read plan {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past int's digit limit
         raise UsageError(f"plan {path} is not valid JSON: {exc}") from exc
     return plan_from_doc(doc)
 

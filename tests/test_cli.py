@@ -420,6 +420,28 @@ def test_config_not_an_object_exit_1(tmp_path, capsys):
     assert code == 1 and err.startswith("error:") and "JSON object" in err
 
 
+# An integer literal longer than Python's default int digit limit (4300), which
+# json raises as a plain ValueError, not a JSONDecodeError.
+HUGE_Q = "1" * 5000
+
+
+def test_config_q_past_the_int_digit_limit_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "merge.json"
+    cfg.write_text(json.dumps(README_MERGE).replace('"q": 8', f'"q": {HUGE_Q}'))
+    out = tmp_path / "p.json"
+    code, _, err = run(capsys, "plan", "--config", cfg, "--out", out)
+    assert code == 1 and err.startswith("error:") and not out.exists()
+
+
+def test_plan_q_past_the_int_digit_limit_exit_1(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    text = (FIXTURES / "readme_merge_plan.json").read_text()
+    assert '"q": 8' in text
+    plan_path.write_text(text.replace('"q": 8', f'"q": {HUGE_Q}', 1))
+    code, out, err = run(capsys, "verify", "--plan", plan_path)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_config_r_final_not_an_integer_exit_1(tmp_path, capsys):
     cfg = tmp_path / "merge.json"
     write_json(cfg, {"regime": "merge", "q": 8, "initial": [[5, 3], [5, 3]], "r_F": "a"})

@@ -151,6 +151,55 @@ def test_inputs_are_checked_in_order():
                 run(plan, stripe)
 
 
+def _byte_field_plans():
+    """A merge and a split plan over GF(16) and over GF(256)."""
+    for q in (16, 256):
+        yield build_merge(merge_params([(6, 4), (5, 3), (4, 2)], 2), GF(q))
+        yield build_split(ConvertParams(((14, 9),), ((6, 4), (7, 5))), GF(q))
+
+
+def test_every_single_symbol_corruption_is_caught():
+    """Over byte fields each input is checked by one lookup per symbol for
+    all its parity lanes: every change of one symbol, at every position of
+    every input, by every nonzero delta, is a CorruptionError naming that
+    input, and the unchanged stripe still converts."""
+    rng = random.Random(44)
+    for plan in _byte_field_plans():
+        stripe = _stripes(plan.initial_specs, rng)[1]
+        want = convert.run_conversion(plan, stripe)
+        for i, cw in enumerate(stripe):
+            message = f"input {i + 1} is not a codeword of initial code {i + 1}"
+            for pos in range(len(cw)):
+                for delta in range(1, plan.field.q):
+                    bad = list(cw)
+                    bad[pos] ^= delta
+                    with pytest.raises(CorruptionError, match=message):
+                        convert.run_conversion(plan, [*stripe[:i], bad, *stripe[i + 1 :]])
+        assert convert.run_conversion(plan, stripe) == want
+
+
+@pytest.mark.parametrize("q", [8, 256, 257, 1 << 16])
+def test_non_canonical_symbols_are_usage_errors(q):
+    """True, -1, q, 1.0 and None are refused by encode and convert.  The
+    stripe is built so that each stands in for the symbol it could be
+    mistaken for (True for 1, -1 for q - 1 as a wrapped table index), which
+    would leave a codeword if the value were taken as that symbol."""
+    plan = build_merge(merge_params([(5, 3), (5, 3)], 2), GF(q))
+    spec = plan.initial_specs[0]
+    for message in ((1, 0, 0), (q - 1, 0, 0)):
+        stripe = [list(encode(s, message).symbols) for s in plan.initial_specs]
+        slot = spec.r  # the first message symbol
+        for bad in (True, -1, q, 1.0, None):
+            wrong = list(message)
+            wrong[0] = bad
+            with pytest.raises(UsageError, match="is not a canonical element"):
+                encode(spec, wrong)
+            inputs = [list(cw) for cw in stripe]
+            inputs[0][slot] = bad
+            with pytest.raises(UsageError, match="is not a canonical element"):
+                convert.run_conversion(plan, inputs)
+
+
 @pytest.mark.parametrize("q", [256, 1 << 16])
 def test_merge_stream_shape_matches_solving_reference(q):
     """The benchmark's merge shape, bit for bit against the per-stripe solve,
@@ -163,13 +212,13 @@ def test_merge_stream_shape_matches_solving_reference(q):
 
 
 COUNTED = ("rref", "solve_linear", "submatrix_cols", "invert", "matvec", "vecmat",
-           "is_codeword", "parity_check", "access_report")
+           "is_codeword", "parity_check", "generator", "access_report")
 
 
 def test_later_conversions_run_no_solve(monkeypatch):
     """After the first conversion of a plan, no stripe reduces, slices or
-    inverts a matrix, multiplies through `matvec`/`vecmat`, or looks up or
-    checks against a parity-check matrix: it runs on the plan's compiled lines."""
+    inverts a matrix, multiplies through `matvec`/`vecmat`, or looks up a
+    parity check or generator: it runs on the plan's compiled lines."""
     rng = random.Random(35)
     plans = [next(_merge_plans()), next(_split_plans()), _general_plan()]
     stripes = {id(plan): _stripes(plan.initial_specs, rng) for plan in plans}
@@ -190,10 +239,10 @@ def test_later_conversions_run_no_solve(monkeypatch):
             convert.run_conversion(plan, stripes[id(plan)][k % len(stripes[id(plan)])])
     assert calls == {}
     # The counters see calls: a fresh plan object lowers (and reports) once,
-    # and compiles its lines from the initial codes' parity checks.
+    # and compiles its checks from the initial codes' generators.
     convert.run_conversion(replace(plans[0]), stripes[id(plans[0])][0])
     assert calls["rref"] == 1 and calls["access_report"] == 1
-    assert calls["parity_check"] >= len(plans[0].initial_specs)
+    assert calls["generator"] == len(plans[0].initial_specs)
 
 
 def test_lower_verifies_before_it_solves(monkeypatch):
@@ -277,7 +326,7 @@ def test_computed_matrices_hold_canonical_entries(monkeypatch):
         for stripe in _stripes(plan.initial_specs, rng)[:2]:
             convert.run_conversion(plan, stripe)  # lowers the plan first
     assert callers == {
-        "rref", "vandermonde_ext", "kernel_basis_from_rref",
+        "rref", "_vandermonde", "generator", "check_lines",
         "_columns_at", "_negated", "build_merge", "final", "_solve_block",
     }
     for m in built:

@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from mdsconv.errors import CorruptionError, InsufficientDataError, InternalError, UsageError
+from mdsconv.convert import ConvertParams, build_merge, build_split, merge_params
+from mdsconv.errors import CorruptionError, InsufficientDataError, UsageError
 from mdsconv.field import GF
 from mdsconv import linalg, oracle
 from mdsconv.grs import (
@@ -18,6 +19,8 @@ from mdsconv.grs import (
     spec_from_dict,
     spec_to_dict,
 )
+
+from test_acceptance import MERGE_MATRIX, SPLIT_MATRIX, SPLIT_MATRIX_INFEASIBLE, smallest_admissible_field
 
 GF5 = GF(5)
 SPEC5 = ExtGrsSpec(GF5, 4, 2, (0, 1, 2), (1, 1, 1, 1))
@@ -222,15 +225,60 @@ def test_systematic_encode_matches_generator_product():
 
 
 def test_generator_checks_systematic_pivots(monkeypatch):
-    """A parity check whose first r columns are not a basis is an internal error, not a bad encode."""
+    """The closed form needs no pivot check: the leading r columns of every
+    parity check are its rref pivots, so [A | I_k] is the canonical kernel
+    basis, and `generator` does not read the parity check it agrees with."""
     import mdsconv.grs as grs
 
     spec = ExtGrsSpec(GF(11), 5, 2, (3, 1, 4, 5), (2, 7, 1, 8, 2))
+    h = parity_check(spec)
+    assert linalg.rref(h)[1] == (0, 1)
     bad = linalg.from_rows(GF(11), [[0, 1, 2, 3, 4], [0, 5, 6, 7, 8]])
     monkeypatch.setattr(grs, "parity_check", lambda _spec: bad)
     grs.generator.cache_clear()
     try:
-        with pytest.raises(InternalError, match="pivots"):
-            generator(spec)
+        assert generator(spec) == linalg.right_kernel_basis(h)
     finally:
         grs.generator.cache_clear()
+
+
+def _acceptance_codes():
+    """Every code of the acceptance plans: initial and final codes, and the
+    restrictions their restricted parity checks come from."""
+    for shapes, rf in MERGE_MATRIX:
+        params = merge_params(shapes, rf)
+        plan = build_merge(params, smallest_admissible_field(max(max(params.n_initial), params.n_final[0]) - 1))
+        yield from plan.initial_specs
+        yield plan.final_spec
+        yield from (puncture(plan.initial_specs[i - 1], plan.support(i)) for i in plan.reduced)
+    for (ni, ki), finals in SPLIT_MATRIX + SPLIT_MATRIX_INFEASIBLE:
+        params = ConvertParams(((ni, ki),), tuple(finals))
+        plan = build_split(params, smallest_admissible_field(max(ni, max(n for n, _ in finals)) - 1))
+        yield plan.initial_spec
+        yield from plan.final_specs
+        if plan.privileged is not None:
+            yield puncture(plan.initial_spec, plan.support())
+
+
+def _random_codes():
+    """Seeded codes over fields of every kind, with r = 1, r = n - 1 and r
+    between; every code has the extension position, whose generator row is
+    the closed form's second case."""
+    rng = random.Random(43)
+    for q in (2, 4, 8, 16, 256, 257, 1 << 16, 1000003):
+        f = GF(q)
+        top = min(q + 1, 16)
+        for n in range(2, top + 1):
+            for r in sorted({1, n - 1, rng.randrange(1, n)}):
+                yield random_spec(f, n, r, rng)
+
+
+def test_generator_closed_form_matches_kernel_basis():
+    """The closed-form generator equals the canonical kernel basis of the
+    parity check, from `rref`, on every acceptance code and on seeded codes."""
+    codes = list(_acceptance_codes()) + list(_random_codes())
+    for q in (2, 4, 8, 16, 256, 257, 1 << 16, 1000003):
+        kinds = {(spec.r == 1, spec.r == spec.n - 1) for spec in codes if spec.field.q == q}
+        assert {(True, False), (False, True)} <= kinds, q
+    for spec in codes:
+        assert generator(spec) == linalg.right_kernel_basis(parity_check(spec)), spec

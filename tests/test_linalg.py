@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from mdsconv import grs, linalg
 from mdsconv.errors import SingularMatrixError, UsageError
 from mdsconv.field import GF
 from mdsconv.linalg import (
@@ -229,12 +230,61 @@ def test_row_kernel_matches_per_element_reference(q):
             vecmat([0] * (rows + 1), m)
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_lane_kernel_matches_per_element_reference(m):
+    """Over GF(2^m), m <= 8, products run on lane rows, one group per 8
+    output lanes: every lane count from 0 to 8, and 10 and 17 (as r = 10 of
+    [100,90]), with zero coefficients, zero rows and zero vectors."""
+    f = GF(1 << m)
+    q = f.q
+    rng = random.Random(3000 + m)
+
+    def element():
+        return rng.choice((0, 0, 1, q - 1, rng.randrange(q)))
+
+    for inputs in (0, 1, 5):
+        for lanes in (*range(9), 10, 17):
+            entries = [[element() for _ in range(lanes)] for _ in range(inputs)]
+            if inputs > 1:
+                entries[1] = [0] * lanes
+            mat = from_rows(f, entries, cols=lanes)
+            groups = linalg.kernel_lines(mat, True)
+            assert [width for _, width in groups] == [min(8, lanes - s) for s in range(0, lanes, 8)]
+            assert all(len(rows) == inputs and all(len(row) == q for row in rows) for rows, _ in groups)
+            for v in ([element() for _ in range(inputs)], [0] * inputs):
+                assert vecmat(v, mat) == _naive_vecmat(v, mat)
+                assert matvec(transpose(mat), v) == _naive_vecmat(v, mat)
+            for width in range(lanes + 1):
+                v = [element() for _ in range(inputs)]
+                assert vecmat(v, mat, width) == _naive_vecmat(v, mat)[:width]
+
+
+@pytest.mark.parametrize("q", [2, 16, 256, 257, 1 << 16, 1000003])
+def test_check_lines_give_the_systematic_syndrome(q):
+    """check_lines of g = [A | I_k] give c . [I_r ; -A] for any c: zero on
+    codewords, and the parity symbols minus message . A otherwise."""
+    f = GF(q)
+    rng = random.Random(4000 + q)
+    vector, run = linalg.row_kernel(f)
+    for n in sorted({2, 3, min(q + 1, 12), min(q + 1, 19)}):
+        for r in sorted({1, n - 1, min(n - 1, 10)}):
+            spec = grs.ExtGrsSpec(f, n, r, tuple(rng.sample(range(q), n - 1)),
+                                  tuple(rng.randrange(1, q) for _ in range(n)))
+            g = grs.generator(spec)
+            lines = linalg.check_lines(g, r)
+            assert linalg.check_lines(g, r) is lines
+            for c in ([rng.randrange(q) for _ in range(n)], [0] * n,
+                      grs.encode(spec, [rng.randrange(q) for _ in range(spec.k)]).symbols):
+                a_part = _naive_vecmat(c[r:], submatrix_cols(g, range(1, r + 1)))
+                assert tuple(run(lines, vector(c))) == tuple(map(f.sub, c[:r], a_part))
+
+
 @pytest.mark.parametrize("q", [7, 256])
 def test_products_refuse_non_canonical_vectors(q):
     """`matvec` and `vecmat` check their vector as `FieldSpec.check` does."""
     f = GF(q)
     m = from_rows(f, [[1, 2, 3], [4, 5, 6], [0, 1, 0]])
-    for bad in (q, -1, True, 1.0):
+    for bad in (q, -1, True, 1.0, None):
         with pytest.raises(UsageError, match="is not a canonical element"):
             matvec(m, [1, bad, 0])
         with pytest.raises(UsageError, match="is not a canonical element"):

@@ -14,15 +14,16 @@ final code, the initial symbols it reads, a matrix sigma with
 written = reads . sigma, and the layout of its coordinates.  A merge or
 split plan is lowered once `verify_plan` passes it, by one reduced
 echelon form per final code of W . written = B . reads (`_parity_blocks`).
-The lowered form, the access report, and the plan's compiled lines
-(each initial code's systematic parity check, `linalg.check_lines` of
-its generator, and each final code's sigma columns, in the form of
-`linalg.row_kernel`) are kept on the plan object, so every later stripe
-is one pass: each input is checked against its systematic parity check
-and its symbols put in kernel form once, then the sigma lines of each
-final code run on its read symbols.  Over a byte field both are lane
-rows, so checking an input is one lookup per symbol, and so is each
-read symbol's share of a final code's written symbols.
+The lowered form is then compiled (`_Executable`) into one
+`linalg.fold_step` per initial code, lines whose outputs are the code's
+parity symbols and its share of every final code's written symbols.
+Those lines and the access report are kept on the plan object, so every
+later stripe is one pass: each input in turn is checked and adds its
+share in one `linalg.fold_kernel` step.  Over a
+byte field that step is one lookup per message symbol.  On codewords the
+shares sum to the read symbols times sigma, so execution reads every
+input symbol to check it, while the access report states the plan's
+access cost.
 
 Every code of a plan is an extended GRS code, and an extended GRS code
 with n - 1 distinct evaluation points and nonzero column multipliers is
@@ -43,9 +44,9 @@ from itertools import chain
 from typing import Sequence
 
 from . import linalg
-from .errors import CorruptionError, InternalError, ParameterError, UsageError
+from .errors import CorruptionError, InternalError, MdsconvError, ParameterError, UsageError
 from .field import FieldSpec
-from .grs import Codeword, ExtGrsSpec, generator, parity_check, puncture
+from .grs import Codeword, ExtGrsSpec, generator, is_codeword, parity_check, puncture
 from .linalg import FieldMatrix, _computed
 
 SymbolId = tuple[int, int]
@@ -887,45 +888,82 @@ def _picker(indices: Sequence[int]) -> operator.itemgetter:
 
 
 class _Executable:
-    """A plan compiled for `run_conversion`.
+    """A plan compiled for `run_conversion` from its lowered form g.
 
-    `checks` holds, per initial code, its length and its systematic parity
-    check as `linalg.check_lines` of its generator.  `steps` (set by
-    `finish`, once a first stripe has passed those checks) holds, per final
-    code, its spec, the columns of its lowered sigma as kernel lines, and
-    pickers that take its read symbols and lay out its coordinates from the
-    concatenated inputs (then the written symbols); `report` is the plan's
-    access report.
+    `inputs` holds, per initial code i, its length n_i and the
+    `linalg.fold_step` of its generator G_i = [A_i | I_k] and of S_i
+    (`_shares`), the step that `fold` (of `linalg.fold_kernel`) runs to
+    check input i against its parity symbols, message . A_i, and add its
+    share of every final code's written symbols, c_i . S_i.  S_i holds
+    input i's rows of the lowered sigmas at its read positions, the finals'
+    columns side by side, so the shares sum to reads . sigma, the written
+    symbols.  Over byte fields and GF(p) the step computes a share as
+    message . C_i with C_i = G_i . S_i, equal on codewords, so it runs over
+    the message symbols alone.  `spill` unpacks the sum; `width` counts its
+    symbols.
+    `finals` holds, per final code, its spec and a picker that lays out its
+    coordinates from the concatenated inputs followed by all written
+    symbols.  `report` is the plan's access report.
     """
 
-    def __init__(self, plan: Plan):
-        self.kernel = linalg.row_kernel(plan.field)
-        self.checks = tuple(
-            (spec.n, linalg.check_lines(generator(spec), spec.r)) for spec in plan.initial_specs
+    def __init__(self, plan: Plan, g: GeneralPlan):
+        p = g.params
+        self.fold, self.spill = linalg.fold_kernel(g.field)
+        widths = [sigma.cols for sigma in g.sigmas]
+        self.width = sum(widths)
+        self.inputs = tuple(
+            (spec.n, linalg.fold_step(generator(spec), spec.r, _shares(g, i, spec.n)))
+            for i, spec in enumerate(g.initial_specs)
         )
-        self.steps: tuple | None = None
-        self.report: AccessReport | None = None
-
-    def finish(self, plan: Plan) -> None:
-        g = lower(plan)
-        t1 = g.params.t1
         offsets = [0]
-        for n in g.params.n_initial:
+        for n in p.n_initial + tuple(widths):
             offsets.append(offsets[-1] + n)
 
         def index(code: int, pos: int) -> int:
-            return (offsets[code - 1] if code <= t1 else offsets[-1]) + pos - 1
+            return offsets[code - 1] + pos - 1
 
-        self.steps = tuple(
-            (
-                g.final_specs[j],
-                linalg.kernel_lines(g.sigmas[j], True),
-                _picker([index(i, pos) for i, per_code in enumerate(g.reads[j], 1) for pos in per_code]),
-                _picker([index(code, pos) for code, pos in g.layouts[j]]),
-            )
-            for j in range(g.params.t2)
+        self.finals = tuple(
+            (spec, _picker([index(code, pos) for code, pos in layout]))
+            for spec, layout in zip(g.final_specs, g.layouts)
         )
         self.report = plan_report(plan)
+
+
+def _shares(g: GeneralPlan, i: int, n: int) -> FieldMatrix:
+    """S_i of `_Executable` for the initial code i (0-based, length n) of a
+    lowered plan: per final code a block of columns that holds, at each
+    position i reads for it, that read's row of sigma, and zeros elsewhere."""
+    width = sum(sigma.cols for sigma in g.sigmas)
+    rows = [[0] * width for _ in range(n)]
+    at = 0
+    for reads, sigma in zip(g.reads, g.sigmas):
+        for s, pos in enumerate(reads[i], sum(map(len, reads[:i]))):
+            rows[pos - 1][at : at + sigma.cols] = sigma.row(s)
+        at += sigma.cols
+    return _computed(g.field, n, width, tuple(chain.from_iterable(rows)))
+
+
+def _check_count(codewords: Sequence, t1: int) -> None:
+    if len(codewords) != t1:
+        raise UsageError(f"expected {t1} input codewords, got {len(codewords)}")
+
+
+def _compile(plan: Plan, codewords: Sequence[Sequence[int] | Codeword]) -> _Executable:
+    """The plan's `_Executable`, kept on it.  When `lower` refuses the
+    plan, the stripe's inputs are still checked first, in order, so a
+    corrupt or non-canonical input is named before the plan is refused, as
+    on a compiled plan."""
+    try:
+        g = lower(plan)
+    except MdsconvError:
+        _check_count(codewords, plan.params.t1)
+        for i, (spec, cw) in enumerate(zip(plan.initial_specs, codewords), 1):
+            if not is_codeword(spec, cw.symbols if isinstance(cw, Codeword) else tuple(cw)):
+                raise CorruptionError(f"input {i} is not a codeword of initial code {i}") from None
+        raise
+    exe = _Executable(plan, g)
+    object.__setattr__(plan, "_executable", exe)
+    return exe
 
 
 def run_conversion(
@@ -936,36 +974,29 @@ def run_conversion(
     Every input must be a codeword of its initial code.  The inputs are
     checked in order, each before the next: a wrong length or a nonzero
     syndrome raises CorruptionError, a non-canonical symbol UsageError.
-    Each symbol goes into the field's `linalg.row_kernel` form once; the
-    syndromes and then the written symbols run on those forms.  The plan
-    is compiled the first time it runs (its systematic parity checks;
-    then, once that stripe has passed them, `lower` and the sigma columns)
-    and kept on the plan, so a later stripe is one pass over kernel lines,
-    with no solve and no matrix or cache lookup.
+    Execution reads every input symbol to check it, and forms the written
+    symbols from the message symbols (over GF(2^m) with m > 8, from the
+    read symbols), which on codewords equal the read symbols times sigma;
+    the `AccessReport` is the plan's access cost, not a count of what
+    execution touched.  The first time a plan runs it is lowered and
+    compiled (`_Executable`) and kept on the plan, so a later stripe is one
+    `linalg.fold_kernel` step per input, over byte fields one lookup per
+    message symbol, with no solve and no matrix or cache lookup.
     """
-    exe = getattr(plan, "_executable", None)
-    if exe is None:
-        exe = _Executable(plan)
-        object.__setattr__(plan, "_executable", exe)
-    if len(codewords) != len(exe.checks):
-        raise UsageError(f"expected {len(exe.checks)} input codewords, got {len(codewords)}")
-    vector, run = exe.kernel
+    exe = getattr(plan, "_executable", None) or _compile(plan, codewords)
+    _check_count(codewords, len(exe.inputs))
+    fold = exe.fold
+    acc = 0
     flat: list[int] = []
-    vec: list[int] = []
-    for i, ((n, lines), cw) in enumerate(zip(exe.checks, codewords), 1):
-        symbols = tuple(cw.symbols if isinstance(cw, Codeword) else cw)
-        if len(symbols) != n:
+    for i, ((n, step), cw) in enumerate(zip(exe.inputs, codewords), 1):
+        symbols = cw.symbols if isinstance(cw, Codeword) else tuple(cw)
+        if len(symbols) != n or (acc := fold(step, symbols, acc)) is None:
             raise CorruptionError(f"input {i} is not a codeword of initial code {i}")
-        kv = vector(symbols)
-        if any(run(lines, kv)):
-            raise CorruptionError(f"input {i} is not a codeword of initial code {i}")
-        flat.extend(symbols)
-        vec.extend(kv)
-    if exe.steps is None:
-        exe.finish(plan)
+        flat += symbols
+    flat += exe.spill(acc, exe.width)
     outputs = []
-    for spec, lines, pick_reads, pick_layout in exe.steps:
-        outputs.append(Codeword(pick_layout(flat + run(lines, pick_reads(vec))), spec))
+    for spec, pick in exe.finals:
+        outputs.append(Codeword(pick(flat), spec))
     return tuple(outputs), exe.report
 
 

@@ -13,19 +13,24 @@ constructor, `from_rows` and `matrix_from_text` refuse any entry that is
 not a canonical element of the field (UsageError), and `vandermonde_ext`
 checks its arguments.  Matrices whose entries the program computes from
 canonical operands -- `rref`, `right_kernel_basis`, the parity checks of
-checked codes (`_vandermonde`), `grs.generator`, the systematic checks of
-`check_lines`, and the slices, negations and solves of plan lowering in
-`convert` -- are built with `_computed`, which skips that check: table
-lookups, reductions mod p and selections of canonical entries are
-canonical by construction, and the check was about a fifth of a first
-lowering.
+checked codes (`_vandermonde`), `grs.generator`, and the slices,
+negations and solves of plan lowering and the per-input matrices of the
+executor in `convert` -- are built with `_computed`, which skips that
+check: table lookups, reductions mod p and selections of canonical
+entries are canonical by construction, and the check was about a fifth
+of a first lowering.
 
 Every matrix-vector product runs on one row kernel per field
 (`row_kernel`) over lines kept on the matrix (`kernel_lines`), in one of
 three forms: over a byte field (characteristic 2, q <= 256) lane rows,
 one lookup per input symbol for up to eight outputs at once; over
 GF(2^m) with m > 8 (log coefficient, index) pairs; over GF(p) dense
-coefficient lines.
+coefficient lines.  The executor's step per input, `fold_kernel`, checks
+a codeword against its systematic generator and adds its share of the
+written symbols in one pass over the message symbols: over a byte field
+lane rows whose reduce starts from the parity symbols and the written
+symbols so far, over GF(p) one sum of packed ints, so nothing is unpacked
+until the last input; over GF(2^m) with m > 8 the row kernel's lines.
 """
 
 from __future__ import annotations
@@ -276,35 +281,6 @@ def _kept(m: FieldMatrix) -> dict:
     return kept
 
 
-def check_lines(g: FieldMatrix, r: int):
-    """Kernel lines of the systematic parity check of a generator
-    g = [A | I_k]: run on a canonical c of length r + k, they give
-    c . [I_r ; -A], which is zero exactly when c[:r] = c[r:] . A, that is
-    when c is a codeword.  Built once and kept on g.
-
-    A byte field reuses the lane rows that `grs.encode` runs on (the
-    `kernel_lines` of A) after the field's unit rows for the r parity
-    positions, so the check of c is one lookup per symbol.
-    """
-    kept = _kept(g)
-    lines = kept.get(("check", r))
-    if lines is None:
-        f = g.field
-        if _is_byte_field(f):
-            zero, units = _lane_units(f)
-            lines = tuple(
-                ((zero,) * start + units[:lanes] + (zero,) * (r - start - lanes) + rows, lanes)
-                for start, (rows, lanes) in zip(count(0, LANES), kernel_lines(g, True, r))
-            )
-        else:
-            identity_rows = ((0,) * i + (1,) + (0,) * (r - 1 - i) for i in range(r))
-            negated = (map(f.neg, g.row(t)[:r]) for t in range(g.rows))
-            c = _computed(f, r + g.rows, r, tuple(chain(*identity_rows, *negated)))
-            lines = kernel_lines(c, True)
-        kept["check", r] = lines
-    return lines
-
-
 def row_kernel(field: FieldSpec) -> tuple[Callable, Callable]:
     """The one inner loop of every matrix-vector product over `field`, as
     (vector, run), built once per field and kept on it.
@@ -334,6 +310,85 @@ def row_kernel(field: FieldSpec) -> tuple[Callable, Callable]:
     return kernel
 
 
+def fold_kernel(field: FieldSpec) -> tuple[Callable, Callable]:
+    """The row kernel's check-and-share step over `field`, as (fold, spill),
+    built once per field and kept on it.
+
+    Let g = [A | I_k] be the systematic generator of a code with r parity
+    symbols and S an (r + k) x w matrix.  fold(step, c, acc) takes
+    `fold_step(g, r, S)`, a vector c of length r + k and an accumulator.
+    It checks c as `row_kernel`'s vector does (UsageError), and returns None
+    unless c[:r] = c[r:] . A, that is unless c is a codeword; otherwise it
+    returns acc + c . S.  0 is the empty accumulator, and spill(acc, w)
+    gives an accumulator's w symbols.
+
+    A codeword is c = c[r:] . g, so c . S = c[r:] . C with C = g . S, and
+    over a byte field and over GF(p) the fold runs M = [A | C] on the
+    message symbols alone: over a byte field one lookup per message symbol
+    for all r + w lanes (`_lane_fold`), over GF(p) one sum of products of
+    message symbols and packed rows of M (`_mod_fold`).  Over GF(2^m) with
+    m > 8 the row kernel runs A's lines on the message symbols and S's
+    lines, which keep only S's nonzero entries, on c.  All are module
+    functions or partials of them, as in `row_kernel`.
+    """
+    kernel = getattr(field, "_fold_kernel", None)
+    if kernel is None:
+        if _is_byte_field(field):
+            kernel = (partial(_lane_fold, field), _lane_spill)
+        elif field.m > 1:
+            kernel = (partial(_line_fold, *row_kernel(field)), _line_spill)
+        else:
+            bits = _mod_lane_bits(field.p)
+            kernel = (partial(_mod_fold, field), partial(_mod_spill, field.p, bits))
+        field._fold_kernel = kernel
+    return kernel
+
+
+def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple:
+    """What `fold_kernel`'s fold runs for g = [A | I_k], a systematic
+    generator with r parity columns, and S, (r + k) x w.
+
+    Over a byte field: the lane shift and syndrome mask of r lanes and the
+    lane rows of the columns of M = [A | g . S], groups of up to LANES
+    (`_lane_rows`), each after the first with its shift.  A's full groups
+    are the `kernel_lines(g, True, r)` that `grs.encode` runs on; its
+    other columns share a group with the first columns of g . S.  Over
+    GF(p): the shifts of the r parity lanes, the lane mask, the shift of
+    the written lanes, and one packed int per message symbol, row t of M
+    with entry j at bit `_mod_lane_bits(p)` times j.  Over GF(2^m) with
+    m > 8: r, A's lines and S's lines by columns.
+    """
+    f = g.field
+    if f.m > 1 and not _is_byte_field(f):
+        return r, kernel_lines(g, True, r), kernel_lines(s, True)
+    c_cols = _systematic_product(g, r, s)
+    if _is_byte_field(f):
+        full = r // LANES
+        reused = kernel_lines(g, True, r)[:full] if full else ()
+        a_cols = [g.entries[j :: g.cols] for j in range(LANES * full, r)]
+        (first, _), *rest = (*reused, *_lane_rows(f, a_cols + c_cols))
+        more = tuple((8 * LANES * at, rows) for at, (rows, _) in enumerate(rest, 1))
+        return r, 8 * r, (1 << 8 * r) - 1, first, more
+    bits = _mod_lane_bits(f.p)
+    a_cols = [g.entries[j :: g.cols] for j in range(r)]
+    rows = tuple(sum(e << bits * j for j, e in enumerate(row)) for row in zip(*a_cols, *c_cols))
+    return r, tuple(range(0, bits * r, bits)), (1 << bits) - 1, bits * r, rows
+
+
+def _systematic_product(g: FieldMatrix, r: int, s: FieldMatrix) -> list[tuple[int, ...]]:
+    """The columns of g . S for g = [A | I_k]: row t of g . S is row r + t
+    of S plus A[t, p] times row p of S for each nonzero row p < r."""
+    f = g.field
+    add, mul = (xor if f.p == 2 else f.add), f.mul
+    rows = [s.row(r + t) for t in range(g.rows)]
+    for p in range(r):
+        row = s.row(p)
+        if any(row):
+            for t, a in enumerate(g.entries[p :: g.cols]):
+                rows[t] = [add(x, mul(a, y)) for x, y in zip(rows[t], row)]
+    return list(zip(*rows))
+
+
 # -- lane rows: the row kernel of byte fields --------------------------------
 #
 # Over a byte field (characteristic 2, q <= 256) every product fits a byte,
@@ -360,34 +415,27 @@ def _packed(buf: bytearray) -> array:
 
 def _lane_rows(field: FieldSpec, lines: Sequence[Sequence[int]]) -> tuple:
     """Lines as ((rows, lanes), ...), one pair per group of up to LANES
-    lines, with one lane row per input index.  A group is built in C: the
-    field's product rows of each lane's coefficients, joined in input order,
-    fill that lane of one buffer by one strided slice assignment, and the
-    buffer, read as one array, is cut into the rows."""
-    prod = field.product_rows().__getitem__
-    q = field.q
+    lines, with one lane row per input index (`_lane_fill`)."""
     groups = []
     for start in range(0, len(lines), LANES):
         group = lines[start : start + LANES]
-        inputs = len(group[0])
-        buf = bytearray(LANES * q * inputs)
-        for lane, line in enumerate(group):
-            buf[lane::LANES] = b"".join(map(prod, line))
-        table = _packed(buf)
-        groups.append((tuple(table[i * q : (i + 1) * q] for i in range(inputs)), len(group)))
+        buf = bytearray(LANES * field.q * len(group[0]))
+        groups.append((_lane_fill(field, buf, group, 0), len(group)))
     return tuple(groups)
 
 
-def _lane_units(field: FieldSpec) -> tuple[array, tuple[array, ...]]:
-    """The field's zero lane row and its unit lane rows (entry v is v in
-    lane l), built once and kept on the field."""
-    units = getattr(field, "_lane_units", None)
-    if units is None:
-        # The lane rows of I_8 with a zero input appended: e_0, ..., e_7, 0.
-        identity = [[int(i == lane) for i in range(LANES + 1)] for lane in range(LANES)]
-        ((rows, _),) = _lane_rows(field, identity)
-        units = field._lane_units = (rows[-1], rows[:-1])
-    return units
+def _lane_fill(field: FieldSpec, buf: bytearray, lines: Sequence[Sequence[int]], first: int) -> tuple:
+    """The lane rows of buf, one per input index, after lines fill its lanes
+    first, first + 1, ...  This runs in C: the field's product rows of each
+    lane's coefficients, joined in input order, fill that lane by one
+    strided slice assignment, and the buffer, read as one array, is cut
+    into the rows."""
+    prod = field.product_rows().__getitem__
+    q = field.q
+    for lane, line in enumerate(lines, first):
+        buf[lane::LANES] = b"".join(map(prod, line))
+    table = _packed(buf)
+    return tuple(table[i * q : (i + 1) * q] for i in range(len(table) // q))
 
 
 def _lane_run(lines: tuple, vec: Sequence[int]) -> list[int]:
@@ -395,6 +443,30 @@ def _lane_run(lines: tuple, vec: Sequence[int]) -> list[int]:
     for rows, lanes in lines:
         out += reduce(xor, map(getitem, rows, vec), 0).to_bytes(lanes, "little")
     return out
+
+
+def _lane_fold(field: FieldSpec, step: tuple, c: Sequence[int], acc: int) -> int | None:
+    # The lanes of all groups read as one int, lane l in byte l.  Its
+    # starting value holds the parity symbols in lanes 0..r-1 and acc above
+    # them, and each group's products XOR in at its shift, so the syndrome
+    # is left in the low r lanes and acc plus the shares above.  The check
+    # is `FieldSpec.check_all`'s, inlined.
+    r, shift, mask, first, more = step
+    q = field.q
+    for a in c:
+        if type(a) is not int or not 0 <= a < q:
+            field.check(a)
+    message = c[r:]
+    out = reduce(xor, map(getitem, first, message), int.from_bytes(c[:r], "little") | acc << shift)
+    for at, rows in more:
+        out ^= reduce(xor, map(getitem, rows, message)) << at
+    if out & mask:
+        return None
+    return out >> shift
+
+
+def _lane_spill(acc: int, w: int) -> bytes:
+    return acc.to_bytes(w, "little")
 
 
 def _canonical(field: FieldSpec, v: Sequence[int]) -> Sequence[int]:
@@ -425,6 +497,45 @@ def _xor_lines(exp: list[int], lines: list, vec: Sequence[int]) -> list[int]:
             acc ^= exp[a + vec[j]]
         out.append(acc)
     return out
+
+
+def _line_fold(vector: Callable, run: Callable, step: tuple,
+               c: Sequence[int], acc: list[int] | int) -> list[int] | None:
+    r, a_lines, s_lines = step
+    vec = vector(c)
+    if run(a_lines, vec[r:]) != list(c[:r]):
+        return None
+    out = run(s_lines, vec)
+    return list(map(xor, acc, out)) if acc else out
+
+
+def _line_spill(acc: list[int], w: int) -> list[int]:
+    return acc
+
+
+# Over GF(p) the lanes of a packed int are bit fields wide enough for a sum
+# of 2^32 products of canonical entries, so a stripe's shares add as plain
+# ints, with no carry between lanes, and each lane is reduced mod p once.
+
+
+def _mod_lane_bits(p: int) -> int:
+    return ((p - 1) ** 2).bit_length() + 32
+
+
+def _mod_fold(field: FieldSpec, step: tuple, c: Sequence[int], acc: int) -> int | None:
+    r, shifts, mask, shift, rows = step
+    field.check_all(c)
+    p = field.p
+    out = sum(map(mul, rows, c[r:]))
+    for at, a in zip(shifts, c):
+        if (out >> at & mask) % p != a:
+            return None
+    return acc + (out >> shift)
+
+
+def _mod_spill(p: int, bits: int, acc: int, w: int) -> list[int]:
+    mask = (1 << bits) - 1
+    return [(acc >> at & mask) % p for at in range(0, bits * w, bits)]
 
 
 def matvec(m: FieldMatrix, v: Sequence[int]) -> tuple[int, ...]:

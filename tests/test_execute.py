@@ -23,7 +23,7 @@ from mdsconv.convert import (
     merge_params,
     split_convert,
 )
-from mdsconv.errors import CorruptionError, UsageError
+from mdsconv.errors import CorruptionError, InternalError, UsageError
 from mdsconv.field import GF
 from mdsconv.grs import Codeword, encode
 
@@ -151,28 +151,80 @@ def test_inputs_are_checked_in_order():
                 run(plan, stripe)
 
 
-def _byte_field_plans():
-    """A merge and a split plan over GF(16) and over GF(256)."""
+def test_inputs_are_checked_before_a_plan_is_refused():
+    """On a plan that fails `verify` (the README merge with a tampered
+    restricted parity check), a corrupt input is still a CorruptionError
+    and a non-canonical one a UsageError, named before the plan is refused;
+    a clean stripe gets the refusal.  A refused plan keeps no compiled form,
+    so the order holds on every stripe."""
+    plan = build_merge(merge_params([(5, 3), (5, 3)], 2), GF(8))
+    doc = plandoc.plan_to_doc(plan)
+    row = doc["punctured_parity"][0]["matrix"][1].split()
+    row[0] = str(int(row[0]) ^ 1)
+    doc["punctured_parity"][0]["matrix"][1] = " ".join(row)
+    bad = plandoc.plan_from_doc(doc)
+    assert not all(ok for _, ok, _ in convert.verify_plan(bad))
+    clean = [encode(spec, (1, 2, 3)).symbols for spec in bad.initial_specs]
+    corrupt = [list(clean[0]), clean[1]]
+    corrupt[0][0] ^= 1
+    non_canonical = [clean[0], list(clean[1])]
+    non_canonical[1][0] = 8
+    for _ in range(2):
+        with pytest.raises(CorruptionError, match="input 1 is not a codeword of initial code 1"):
+            merge_convert(bad, corrupt)
+        with pytest.raises(UsageError, match="8 is not a canonical element"):
+            merge_convert(bad, non_canonical)
+        with pytest.raises(UsageError, match="plan is not executable"):
+            merge_convert(bad, clean)
+        with pytest.raises(UsageError, match="expected 2 input codewords, got 1"):
+            merge_convert(bad, clean[:1])
+
+
+def test_compile_faults_are_raised_as_they_are(monkeypatch):
+    """Only `lower`'s refusal puts the input check before the error: a fault
+    while compiling a lowered plan is raised as it is, even on a stripe
+    with a corrupt input."""
+    plan = build_merge(merge_params([(5, 3), (5, 3)], 2), GF(8))
+    corrupt = [list(encode(spec, (1, 2, 3)).symbols) for spec in plan.initial_specs]
+    corrupt[0][0] ^= 1
+
+    def broken(*args):
+        raise InternalError("compile fault")
+
+    monkeypatch.setattr(linalg, "fold_step", broken)
+    with pytest.raises(InternalError, match="compile fault"):
+        merge_convert(plan, corrupt)
+
+
+def _corruption_plans():
+    """A merge and a split plan over GF(16) and over GF(256) (the split's
+    input takes two lane groups), a merge whose first input takes two lane
+    groups, a merge over GF(257), and the 2x2 general fixture."""
     for q in (16, 256):
         yield build_merge(merge_params([(6, 4), (5, 3), (4, 2)], 2), GF(q))
         yield build_split(ConvertParams(((14, 9),), ((6, 4), (7, 5))), GF(q))
+    yield build_merge(merge_params([(12, 8), (11, 8)], 5), GF(256))
+    yield build_merge(merge_params([(6, 4), (5, 3)], 2), GF(257))
+    yield _general_plan()
 
 
 def test_every_single_symbol_corruption_is_caught():
-    """Over byte fields each input is checked by one lookup per symbol for
-    all its parity lanes: every change of one symbol, at every position of
-    every input, by every nonzero delta, is a CorruptionError naming that
-    input, and the unchanged stripe still converts."""
+    """Each input is checked in full by its per-input lines: every change of
+    one symbol, at every position of every input, to every other value, is a
+    CorruptionError naming that input, and the unchanged stripe still
+    converts."""
     rng = random.Random(44)
-    for plan in _byte_field_plans():
+    for plan in _corruption_plans():
         stripe = _stripes(plan.initial_specs, rng)[1]
         want = convert.run_conversion(plan, stripe)
         for i, cw in enumerate(stripe):
             message = f"input {i + 1} is not a codeword of initial code {i + 1}"
             for pos in range(len(cw)):
-                for delta in range(1, plan.field.q):
+                for value in range(plan.field.q):
+                    if value == cw[pos]:
+                        continue
                     bad = list(cw)
-                    bad[pos] ^= delta
+                    bad[pos] = value
                     with pytest.raises(CorruptionError, match=message):
                         convert.run_conversion(plan, [*stripe[:i], bad, *stripe[i + 1 :]])
         assert convert.run_conversion(plan, stripe) == want
@@ -200,15 +252,28 @@ def test_non_canonical_symbols_are_usage_errors(q):
                 convert.run_conversion(plan, inputs)
 
 
-@pytest.mark.parametrize("q", [256, 1 << 16])
+# Merges and a split whose inputs take more than one lane group (r_i + the
+# written count above eight), next to the benchmark's merge shape.
+WIDE_MERGES = (([(14, 10), (14, 10), (12, 8), (6, 4)], 4), ([(40, 32)] * 4, 8), ([(100, 90)] * 2, 10))
+WIDE_SPLIT = ((40, 32), ((20, 16), (20, 16)))
+
+
+@pytest.mark.parametrize("q", [256, 257, 1 << 16])
 def test_merge_stream_shape_matches_solving_reference(q):
-    """The benchmark's merge shape, bit for bit against the per-stripe solve,
-    over GF(256) and over GF(2^16), so no assumption of 8-bit symbols slips in."""
-    plan = build_merge(merge_params([(14, 10), (14, 10), (12, 8), (6, 4)], 4), GF(q))
+    """The benchmark's merge shape, the wide merges and the split, bit for
+    bit against the per-stripe solve, over GF(256), GF(257) and GF(2^16), so
+    no assumption of 8-bit symbols or of one lane group slips in."""
     rng = random.Random(q)
-    for stripe in _stripes(plan.initial_specs, rng):
-        out, _ = merge_convert(plan, stripe)
-        _same((out,), (oracle.merge_convert_by_solve(plan, stripe),))
+    for shapes, rf in WIDE_MERGES:
+        plan = build_merge(merge_params(shapes, rf), GF(q))
+        for stripe in _stripes(plan.initial_specs, rng):
+            out, _ = merge_convert(plan, stripe)
+            _same((out,), (oracle.merge_convert_by_solve(plan, stripe),))
+    initial, finals = WIDE_SPLIT
+    plan = build_split(ConvertParams((initial,), finals), GF(q))
+    for (cw,) in _stripes((plan.initial_spec,), rng):
+        outs, _ = split_convert(plan, cw)
+        _same(outs, oracle.split_convert_by_solve(plan, cw))
 
 
 COUNTED = ("rref", "solve_linear", "submatrix_cols", "invert", "matvec", "vecmat",
@@ -326,7 +391,7 @@ def test_computed_matrices_hold_canonical_entries(monkeypatch):
         for stripe in _stripes(plan.initial_specs, rng)[:2]:
             convert.run_conversion(plan, stripe)  # lowers the plan first
     assert callers == {
-        "rref", "_vandermonde", "generator", "check_lines",
+        "rref", "_vandermonde", "generator", "_shares",
         "_columns_at", "_negated", "build_merge", "final", "_solve_block",
     }
     for m in built:

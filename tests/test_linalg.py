@@ -261,22 +261,39 @@ def test_lane_kernel_matches_per_element_reference(m):
 
 @pytest.mark.parametrize("q", [2, 16, 256, 257, 1 << 16, 1000003])
 def test_check_lines_give_the_systematic_syndrome(q):
-    """check_lines of g = [A | I_k] give c . [I_r ; -A] for any c: zero on
-    codewords, and the parity symbols minus message . A otherwise."""
+    """The executor's per-input check lines: fold on the step of g = [A | I_k]
+    and S is None exactly when c . [I_r ; -A] is nonzero, that is exactly
+    off the code, and on a codeword adds c . S to the accumulator: from 0,
+    and chained onto an earlier fold.  r + w runs past eight lanes too, and
+    S may be zero on most rows, as a share of the written symbols is zero
+    off the read symbols."""
     f = GF(q)
     rng = random.Random(4000 + q)
-    vector, run = linalg.row_kernel(f)
+    fold, spill = linalg.fold_kernel(f)
+    assert linalg.fold_kernel(f) == (fold, spill)
     for n in sorted({2, 3, min(q + 1, 12), min(q + 1, 19)}):
         for r in sorted({1, n - 1, min(n - 1, 10)}):
             spec = grs.ExtGrsSpec(f, n, r, tuple(rng.sample(range(q), n - 1)),
                                   tuple(rng.randrange(1, q) for _ in range(n)))
             g = grs.generator(spec)
-            lines = linalg.check_lines(g, r)
-            assert linalg.check_lines(g, r) is lines
-            for c in ([rng.randrange(q) for _ in range(n)], [0] * n,
-                      grs.encode(spec, [rng.randrange(q) for _ in range(spec.k)]).symbols):
-                a_part = _naive_vecmat(c[r:], submatrix_cols(g, range(1, r + 1)))
-                assert tuple(run(lines, vector(c))) == tuple(map(f.sub, c[:r], a_part))
+            a_part = submatrix_cols(g, range(1, r + 1))
+            for w, live in ((0, 1), (1, 1), (9, 1), (9, 0.3)):
+                s_part = from_rows(f, [[rng.randrange(q) for _ in range(w)] if rng.random() < live
+                                       else [0] * w for _ in range(n)], cols=w)
+                step = linalg.fold_step(g, r, s_part)
+                earlier = grs.encode(spec, [rng.randrange(q) for _ in range(spec.k)]).symbols
+                acc = fold(step, earlier, 0)
+                assert list(spill(acc, w)) == list(_naive_vecmat(earlier, s_part))
+                for c in ([rng.randrange(q) for _ in range(n)], [0] * n,
+                          grs.encode(spec, [rng.randrange(q) for _ in range(spec.k)]).symbols):
+                    syndrome = map(f.sub, c[:r], _naive_vecmat(c[r:], a_part))
+                    got = fold(step, c, acc)
+                    assert (got is None) == any(syndrome) == (not grs.is_codeword(spec, c))
+                    if got is not None:
+                        shares = _naive_vecmat(c, s_part)
+                        want = map(f.add, _naive_vecmat(earlier, s_part), shares)
+                        assert list(spill(got, w)) == list(want)
+                        assert list(spill(fold(step, c, 0), w)) == list(shares)
 
 
 @pytest.mark.parametrize("q", [7, 256])

@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from . import plandoc
 from .convert import (

@@ -39,15 +39,15 @@ written blocks use code index t1 + j for final code j.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import chain
-from typing import Sequence
 
 from . import linalg
 from .errors import CorruptionError, InternalError, MdsconvError, ParameterError, UsageError
 from .field import FieldSpec
 from .grs import Codeword, ExtGrsSpec, generator, is_codeword, parity_check, puncture
 from .linalg import FieldMatrix, _computed
+from .record import Record
 
 SymbolId = tuple[int, int]
 # Position sets indexed [final j][initial i], as in `GeneralPlan`.
@@ -57,8 +57,7 @@ Grid = tuple[tuple[tuple[int, ...], ...], ...]
 # -- parameters and bounds -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvertParams:
+class ConvertParams(Record):
     """Shapes of a conversion: (n, k) per initial and per final code."""
 
     initial: tuple[tuple[int, int], ...]
@@ -133,8 +132,7 @@ def reduced_read_codes(params: ConvertParams) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True)
-class MergeBound:
+class MergeBound(Record):
     """Per-initial-code read minimums and the total access-cost bound."""
 
     per_code_reads: tuple[int, ...]
@@ -157,8 +155,7 @@ def merge_lower_bound(params: ConvertParams) -> MergeBound:
     return MergeBound(reads, rf + sum(reads))
 
 
-@dataclass(frozen=True)
-class SplitBound:
+class SplitBound(Record):
     """Read bound, total access-cost bound, and the feasible final indices."""
 
     rho_r: int
@@ -278,8 +275,7 @@ def _negated(m: FieldMatrix) -> FieldMatrix:
     return _computed(m.field, m.rows, m.cols, tuple(map(m.field.neg, m.entries)))
 
 
-@dataclass(frozen=True)
-class MergePlan:
+class MergePlan(Record):
     """An executable merge conversion (t2 = 1).
 
     `unchanged` and `reads` hold ascending positions per initial code; a
@@ -339,8 +335,7 @@ class MergePlan:
         return (self.punctured_parity[i - 1], self.support(i)) if i in self.reduced else None
 
 
-@dataclass(frozen=True)
-class SplitPlan:
+class SplitPlan(Record):
     """An executable split conversion (t1 = 1).
 
     `unchanged[j-1]` holds the initial positions kept by final code j;
@@ -398,8 +393,7 @@ class SplitPlan:
         return (self.punctured_parity, self.support()) if j == self.privileged else None
 
 
-@dataclass(frozen=True)
-class GeneralPlan:
+class GeneralPlan(Record):
     """A hand-specified conversion with explicit per-final linear maps.
 
     `unchanged[j-1][i-1]` and `reads[j-1][i-1]` hold positions of initial
@@ -449,8 +443,7 @@ Plan = MergePlan | SplitPlan | GeneralPlan
 # -- access accounting -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AccessReport:
+class AccessReport(Record):
     """Read/write accounting for one conversion plan.
 
     `bound` and `optimal` are None for plans outside the merge and split
@@ -622,8 +615,7 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
 # -- merge optimality structure ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureCheck:
+class StructureCheck(Record):
     ok: bool
     diagnostic: str = ""
 

@@ -20,8 +20,8 @@ polynomial, which reproduces the table above.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import UsageError
 

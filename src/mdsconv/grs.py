@@ -14,19 +14,18 @@ Positions are 1-based throughout, matching codeword coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache, reduce
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import CorruptionError, InsufficientDataError, UsageError
 from .field import FieldSpec, GF
 from .linalg import FieldMatrix
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ExtGrsSpec:
+class ExtGrsSpec(Record):
     """An [n, n-r] extended GRS code over `field`."""
 
     field: FieldSpec
@@ -62,8 +61,7 @@ class ExtGrsSpec:
         return self.n - self.r
 
 
-@dataclass(frozen=True)
-class Codeword:
+class Codeword(Record):
     """A codeword together with the code it belongs to (None for plan-level outputs)."""
 
     symbols: tuple[int, ...]

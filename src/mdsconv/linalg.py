@@ -37,18 +37,17 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from functools import partial, reduce
 from itertools import chain, compress, count
 from operator import getitem, mul, xor
-from typing import Callable, Iterable, Sequence
 
 from .errors import SingularMatrixError, UsageError
 from .field import GF, FieldSpec
+from .record import Record
 
 
-@dataclass(frozen=True)
-class FieldMatrix:
+class FieldMatrix(Record):
     """Immutable rows x cols matrix over `field`.
 
     The constructor checks the shape and every entry (UsageError for an

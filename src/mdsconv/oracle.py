@@ -12,8 +12,8 @@ the way plans were executed before lowering; the tests hold
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Sequence
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import CorruptionError, InternalError, UsageError

@@ -17,9 +17,9 @@ of strings or of [code, position] pairs in one C-level pass.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Mapping, Sequence
 
 from .convert import (
     ConvertParams,
@@ -448,7 +448,7 @@ def read_symbol_lines(path: str, field: FieldSpec) -> list[tuple[int, ...]]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     rows = []
     for lineno, line in enumerate(text.splitlines(), 1):

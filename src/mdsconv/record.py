@@ -1,0 +1,71 @@
+"""Frozen records: the immutable value classes of the package.
+
+A subclass of `Record` declares its fields as annotations, in order, with
+optional trailing defaults as class attributes.  It gets a generated
+`__init__` taking the fields positionally or by keyword and then calling
+`__post_init__` when the class defines one, equality (same class and
+equal fields), hashing by fields unless the class defines its own
+`__hash__`, and a `Name(field=value, ...)` repr.  Assigning or deleting
+an attribute raises AttributeError; code that caches derived values on a
+record sets them with `object.__setattr__`.  Records pickle by their
+instance dict.
+
+The package does not use `dataclasses` for this: importing it (with
+`inspect`, `ast` and `typing`) and generating its methods took a large
+share of the start-up of every CLI process.
+"""
+
+from __future__ import annotations
+
+_TEMPLATE = """\
+def __init__(self, {params}):
+{sets}{post}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine},) == ({theirs},)
+    return NotImplemented
+
+def __hash__(self):
+    return hash(({mine},))
+"""
+
+
+class Record:
+    """Base of the frozen records; `_fields` names a subclass's fields in order."""
+
+    def __init_subclass__(cls):
+        own = cls.__dict__
+        names = tuple(own.get("__annotations__", ()))
+        defaults = tuple(own[n] for n in names if n in own)
+        if any(n in own for n in names[: len(names) - len(defaults)]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+        ns = {"_set": object.__setattr__}
+        exec(_TEMPLATE.format(
+            params=", ".join(names),
+            sets="".join(f"    _set(self, {n!r}, {n})\n" for n in names),
+            post="    self.__post_init__()\n" if "__post_init__" in own else "",
+            mine=", ".join(f"self.{n}" for n in names),
+            theirs=", ".join(f"other.{n}" for n in names),
+        ), ns)
+        ns["__init__"].__defaults__ = defaults or None
+        for name in ("__init__", "__eq__", "__hash__"):
+            if name not in own:
+                ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, ns[name])
+        cls._fields = names
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(obj: Record, **changes) -> Record:
+    """A new record of obj's class with `changes` applied: its `__init__`
+    runs (and validates) again, and values cached on obj are not copied."""
+    return type(obj)(**{**{n: getattr(obj, n) for n in obj._fields}, **changes})

@@ -5,7 +5,6 @@ import random
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +13,7 @@ from mdsconv.cli import main
 from mdsconv.convert import ConvertParams, build_split
 from mdsconv.field import GF, PRIME_LIMIT
 from mdsconv.grs import ExtGrsSpec, encode, is_codeword, parity_check, puncture
+from mdsconv.record import replace
 from mdsconv import plandoc
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -524,6 +524,22 @@ def test_plan_over_a_61_bit_field_ends_quickly(tmp_path, capsys):
     write_json(cfg, {"regime": "merge", "q": PRIME_LIMIT, "initial": [[5, 3], [5, 3]], "r_F": 2})
     code, _, err = run(capsys, "plan", "--config", cfg, "--out", tmp_path / "p.json")
     assert code == 1 and err.startswith("error:") and str(PRIME_LIMIT) in err
+
+
+@pytest.mark.parametrize("verb", ["encode", "convert"])
+def test_symbol_file_not_utf8_exit_1(tmp_path, capsys, verb):
+    plan_path, _ = _readme_merge(tmp_path, capsys)
+    symbols = tmp_path / "symbols.txt"
+    symbols.write_bytes(b"\xff\xfe 1 2\n")
+    out = tmp_path / "out.txt"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdsconv", verb, "--plan", str(plan_path), "--in", str(symbols), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()
 
 
 def _bump_first_entry(lines, q):

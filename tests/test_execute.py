@@ -6,7 +6,6 @@ end to end in test_cli)."""
 import pickle
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,6 +25,7 @@ from mdsconv.convert import (
 from mdsconv.errors import CorruptionError, InternalError, UsageError
 from mdsconv.field import GF
 from mdsconv.grs import Codeword, encode
+from mdsconv.record import replace
 
 from test_acceptance import (
     MERGE_MATRIX,

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -19,6 +18,7 @@ from mdsconv.grs import (
     spec_from_dict,
     spec_to_dict,
 )
+from mdsconv.record import replace
 
 from test_acceptance import MERGE_MATRIX, SPLIT_MATRIX, SPLIT_MATRIX_INFEASIBLE, smallest_admissible_field
 

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -17,6 +16,7 @@ from mdsconv.errors import CorruptionError, ParameterError, UsageError
 from mdsconv.field import GF
 from mdsconv import oracle
 from mdsconv.grs import encode, is_codeword, parity_check, recover_erasures
+from mdsconv.record import replace
 
 
 def random_inputs(plan, rng):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -14,6 +13,7 @@ from mdsconv.convert import (
 from mdsconv.errors import CorruptionError, ParameterError, UsageError
 from mdsconv.field import GF
 from mdsconv.grs import encode, is_codeword, recover_erasures
+from mdsconv.record import replace
 
 PARAMS_7_TO_4_3 = ConvertParams(((10, 7),), ((6, 4), (5, 3)))
 

@@ -38,6 +38,7 @@ from .errors import (
     MdsconvError,
     ParameterError,
     UsageError,
+    json_int,
 )
 from .field import GF
 from .grs import encode
@@ -109,7 +110,7 @@ def _load_config(path: str) -> dict:
 
 def _shapes(raw, label: str) -> list[tuple[int, int]]:
     try:
-        return [(int(n), int(k)) for n, k in raw]
+        return [(json_int(n, label), json_int(k, label)) for n, k in raw]
     except (TypeError, ValueError):
         raise UsageError(f"{label} must be [n, k] pairs") from None
 
@@ -119,8 +120,8 @@ def _config_params(cfg: dict) -> tuple[str, ConvertParams, int]:
     if regime not in ("merge", "split"):
         raise UsageError(f"config regime must be 'merge' or 'split', got {regime!r}")
     try:
-        q = int(cfg["q"])
-    except (KeyError, TypeError, ValueError):
+        q = json_int(cfg["q"], "q")
+    except (KeyError, TypeError):
         raise UsageError("config needs an integer field order 'q'") from None
     raw_initial = cfg.get("initial")
     if raw_initial is None:
@@ -131,8 +132,8 @@ def _config_params(cfg: dict) -> tuple[str, ConvertParams, int]:
     if regime == "merge":
         if "r_F" in cfg:
             try:
-                r_final = int(cfg["r_F"])
-            except (TypeError, ValueError):
+                r_final = json_int(cfg["r_F"], "r_F")
+            except TypeError:
                 raise UsageError(f"'r_F' must be an integer, got {cfg['r_F']!r}") from None
             params = merge_params(initial, r_final)
         elif "final" in cfg:

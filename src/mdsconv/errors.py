@@ -1,7 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the rule for integers
+read from outside input.
 
 The CLI maps these onto exit codes: usage problems exit 1, infeasible
 parameters exit 2, corrupted codeword data exits 3.
+
+Every integer the program reads is canonical: a number in a JSON document
+(plan or config) must be a JSON integer, not a float, string or boolean
+(`json_int`, `json_ints`), and a number in a text file (symbol file or
+matrix dump) must be written in the ASCII digits 0-9 (`decimals`).  Their
+errors are TypeError and ValueError, which each reader reports as a
+`UsageError` naming the key, or the file and line.
 """
 
 
@@ -31,3 +39,32 @@ class SingularMatrixError(MdsconvError):
 
 class InternalError(MdsconvError):
     """An invariant the mathematics guarantees failed; indicates a bug."""
+
+
+def json_int(value, key: str) -> int:
+    """`value` if it is a JSON integer, else a TypeError naming `key`."""
+    if type(value) is not int:
+        raise TypeError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
+_INT = frozenset({int})
+
+
+def json_ints(values, key: str) -> tuple[int, ...]:
+    """`values` as a tuple if each is a JSON integer, else a TypeError naming `key`."""
+    values = tuple(values)
+    if not _INT.issuperset(map(type, values)):
+        for value in values:
+            json_int(value, key)
+    return values
+
+
+def decimals(text: str) -> tuple[int, ...]:
+    """The whitespace-separated numbers of `text`, each written in the digits 0-9."""
+    tokens = text.split()
+    if text.isascii() and all(map(str.isdigit, tokens)):
+        return tuple(map(int, tokens))
+    # The first token that is not, or the whole text if a separator is not ASCII.
+    bad = next((t for t in tokens if not (t.isascii() and t.isdigit())), text)
+    raise ValueError(f"{bad!r} is not written in the digits 0-9")

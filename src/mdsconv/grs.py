@@ -19,7 +19,7 @@ from functools import lru_cache, reduce
 from itertools import chain
 
 from . import linalg
-from .errors import CorruptionError, InsufficientDataError, UsageError
+from .errors import CorruptionError, InsufficientDataError, UsageError, json_int, json_ints
 from .field import FieldSpec, GF
 from .linalg import FieldMatrix
 from .record import Record
@@ -250,11 +250,9 @@ def spec_to_dict(spec: ExtGrsSpec) -> dict:
 
 def spec_from_dict(doc: Mapping) -> ExtGrsSpec:
     try:
-        q, p, m = int(doc["q"]), int(doc["p"]), int(doc["m"])
-        n, r = int(doc["n"]), int(doc["r"])
-        gamma = tuple(int(x) for x in doc["gamma"])
-        w = tuple(int(x) for x in doc["w"])
-    except (KeyError, TypeError, ValueError) as exc:
+        q, p, m, n, r = (json_int(doc[key], key) for key in ("q", "p", "m", "n", "r"))
+        gamma, w = json_ints(doc["gamma"], "gamma"), json_ints(doc["w"], "w")
+    except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed code document: {exc}") from exc
     # Compared with GF(q)'s own parameters, not as p**m == q: a document's
     # m is unbounded, and the power would take time growing with it.

@@ -42,7 +42,7 @@ from functools import partial, reduce
 from itertools import chain, compress, count
 from operator import getitem, mul, xor
 
-from .errors import SingularMatrixError, UsageError
+from .errors import SingularMatrixError, UsageError, decimals
 from .field import GF, FieldSpec
 from .record import Record
 
@@ -628,7 +628,7 @@ def matrix_from_text(text: str) -> FieldMatrix:
     if not lines:
         raise UsageError("empty matrix dump")
     try:
-        rows, cols, q = (int(t) for t in lines[0].split())
+        rows, cols, q = decimals(lines[0])
     except ValueError as exc:
         raise UsageError(f"bad matrix header {lines[0]!r}") from exc
     field = GF(q)
@@ -637,7 +637,7 @@ def matrix_from_text(text: str) -> FieldMatrix:
     out = []
     for ln in lines[1:]:
         try:
-            row = list(map(int, ln.split()))
+            row = decimals(ln)
         except ValueError as exc:
             raise UsageError(f"bad matrix row {ln!r}") from exc
         if len(row) != cols:

@@ -3,9 +3,27 @@
 One structured, human-readable format with a stable key schema: symbols
 are always canonical integer encodings, index sets are lists of
 [code, position] pairs, and matrices are embedded as their text-dump
-lines ("rows cols q" first).  The merge-plan key "S" lists the
-reduced-read initial codes; the split-plan keys "privileged" and "V"
-name the favoured final code and its extra read positions.
+lines ("rows cols q" first).  Numbers in a document must be JSON integers
+and numbers in a symbol file or matrix dump the digits 0-9
+(`errors.json_int`, `errors.json_ints`, `errors.decimals`).
+
+A plan document is one header ("kind", "params", "field"), the kind's
+codes, the "unchanged" and "reads" grids, and the kind's certificate.
+`plan_to_doc` and `plan_from_doc` write and read the header and the grids
+in one place for every kind; the grids are the plan's [final j][initial i]
+view, nested by initial code in a merge (one final code), by final code in
+a split (one initial code) and as [j][i] in a general plan.  Each kind adds
+only its own keys:
+
+- merge: "initial_codes", "final_code" and "S" (the reduced-read initial
+  codes); certificate "written", "punctured_parity" (the restricted parity
+  check of each code in S), "final_unchanged_blocks" and
+  "final_written_block";
+- split: "initial_code" and "final_codes"; certificate "written",
+  "privileged" and "V" (the favoured final code and its extra read
+  positions) and "punctured_parity";
+- general: "initial_codes" and "final_codes"; "layout" and "sigma" (each
+  final code's coordinates and conversion matrix).
 
 `dump_json` writes exactly the bytes of `json.dumps(doc, indent=2)` plus a
 newline.  With an indent, CPython's json leaves its C encoder for a
@@ -28,8 +46,9 @@ from .convert import (
     Plan,
     AccessReport,
     SplitPlan,
+    _written_count,
 )
-from .errors import UsageError
+from .errors import UsageError, decimals, json_int, json_ints
 from .field import GF, FieldSpec
 from .grs import spec_from_dict, spec_to_dict
 from .linalg import FieldMatrix, matrix_from_text, matrix_to_text
@@ -41,13 +60,13 @@ def _field_doc(field: FieldSpec) -> dict:
 
 def _field_from_doc(doc: Mapping) -> FieldSpec:
     try:
-        q = int(doc["q"])
-    except (KeyError, TypeError, ValueError) as exc:
+        q = json_int(doc["q"], "q")
+    except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed field document: {exc}") from exc
     field = GF(q)
-    if "p" in doc and int(doc["p"]) != field.p:
+    if "p" in doc and json_int(doc["p"], "p") != field.p:
         raise UsageError(f"field document p={doc['p']} does not match q={q}")
-    if "m" in doc and int(doc["m"]) != field.m:
+    if "m" in doc and json_int(doc["m"], "m") != field.m:
         raise UsageError(f"field document m={doc['m']} does not match q={q}")
     return field
 
@@ -72,7 +91,7 @@ def _positions_from_pairs(pairs: Sequence, code: int, label: str) -> tuple[int, 
     for pair in pairs:
         if len(pair) != 2:
             raise UsageError(f"{label}: expected [code, position] pairs")
-        c, pos = int(pair[0]), int(pair[1])
+        c, pos = json_int(pair[0], label), json_int(pair[1], label)
         if c != code:
             raise UsageError(f"{label}: pair {pair} names code {c}, expected {code}")
         out.append(pos)
@@ -88,255 +107,219 @@ def _params_doc(params: ConvertParams) -> dict:
 
 def _params_from_doc(doc: Mapping) -> ConvertParams:
     try:
-        initial = tuple((int(n), int(k)) for n, k in doc["initial"])
-        final = tuple((int(n), int(k)) for n, k in doc["final"])
+        initial = tuple((json_int(n, "initial"), json_int(k, "initial")) for n, k in doc["initial"])
+        final = tuple((json_int(n, "final"), json_int(k, "final")) for n, k in doc["final"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed params block: {exc}") from exc
     return ConvertParams(initial, final)
 
 
 # -- plans -------------------------------------------------------------------
+#
+# A kind's documents and its in-memory plan nest the [final j][initial i]
+# grids (`plan.grid`) by the axes the kind keeps: "i" for a merge (one final
+# code), "j" for a split (one initial code), "ji" for a general plan.
 
 
 def plan_to_doc(plan: Plan) -> dict:
-    if isinstance(plan, MergePlan):
-        return _merge_doc(plan)
-    if isinstance(plan, SplitPlan):
-        return _split_doc(plan)
-    return _general_doc(plan)
+    """A plan's document: the header and grids, the same for every kind, and
+    the kind's codes and certificate."""
+    kind = _KIND_OF[type(plan)]
+    _, axes, keys, _, _ = _CODECS[kind]
+    codes, certificate = keys(plan)
+    unchanged, reads = (
+        _nested([[_pairs(i, cell) for i, cell in enumerate(row, 1)] for row in grid], axes)
+        for grid in plan.grid
+    )
+    return {
+        "kind": kind,
+        "params": _params_doc(plan.params),
+        "field": _field_doc(plan.field),
+        **codes,
+        "unchanged": unchanged,
+        "reads": reads,
+        **certificate,
+    }
 
 
 def plan_from_doc(doc: Mapping) -> Plan:
+    """The plan a document describes; a malformed document is a UsageError."""
     if not isinstance(doc, Mapping):
         raise UsageError(f"a plan document must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
-    if kind == "merge":
-        return _merge_from_doc(doc)
-    if kind == "split":
-        return _split_from_doc(doc)
-    if kind == "general":
-        return _general_from_doc(doc)
-    raise UsageError(f"unknown plan kind {kind!r}")
+    codec = _CODECS.get(kind) if isinstance(kind, str) else None
+    if codec is None:
+        raise UsageError(f"unknown plan kind {kind!r}")
+    cls, axes, _, read_codes, read_certificate = codec
+    try:
+        params = _params_from_doc(doc["params"])
+        field = _field_from_doc(doc["field"])
+        codes = read_codes(doc)
+        unchanged = _grid_from_doc(doc, "unchanged", params, axes)
+        reads = _grid_from_doc(doc, "reads", params, axes)
+        certificate = read_certificate(doc, params, field)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise UsageError(f"malformed {kind} plan document: {exc}") from exc
+    listed = certificate.pop("written", None)
+    plan = cls(params=params, field=field, **codes, unchanged=unchanged, reads=reads, **certificate)
+    if kind != "general":  # merge and split documents list the symbols each final code writes
+        written = _written_pairs(plan, axes)
+        if listed != written:
+            raise UsageError(f"written: the document lists {listed}, but the plan writes {written}")
+    return plan
 
 
-def _merge_doc(plan: MergePlan) -> dict:
-    t1 = plan.params.t1
+def _nested(grid: Sequence[Sequence], axes: str) -> Sequence:
+    """A [j][i] grid nested by `axes`: by initial code, by final code, or as is."""
+    if axes == "i":
+        return grid[0]
+    if axes == "j":
+        return [row[0] for row in grid]
+    return grid
+
+
+def _grid_from_doc(doc: Mapping, key: str, params: ConvertParams, axes: str) -> tuple:
+    """The `key` grid of a document, nested by `axes`; each cell's label names
+    its place in the document, as `unchanged[i]`, `unchanged[j]` or `unchanged[j][i]`."""
+
+    def cell(j: int, i: int) -> tuple[int, ...]:
+        node, label = doc[key], key
+        for axis, x in (("j", j), ("i", i)):
+            if axis in axes:
+                node, label = node[x - 1], f"{label}[{x}]"
+        return _positions_from_pairs(node, i, label)
+
+    grid = tuple(
+        tuple(cell(j, i) for i in range(1, params.t1 + 1)) for j in range(1, params.t2 + 1)
+    )
+    return tuple(_nested(grid, axes))
+
+
+def _written_pairs(plan: MergePlan | SplitPlan, axes: str) -> list:
+    """The [t1 + j, idx] pairs of the symbols each final code j writes, nested by `axes`."""
+    p = plan.params
+    pairs = [
+        _pairs(p.t1 + j, range(1, _written_count(p, j, row) + 1))
+        for j, row in enumerate(plan.grid[0], 1)
+    ]
+    return pairs if "j" in axes else pairs[0]
+
+
+def _by_code(matrices: Sequence[FieldMatrix | None]) -> list[dict]:
+    return [
+        {"code": i, "matrix": _matrix_lines(m)} for i, m in enumerate(matrices, 1) if m is not None
+    ]
+
+
+def _by_code_from_doc(doc: Mapping, key: str, t1: int, field: FieldSpec) -> tuple:
+    """One slot per initial code: the matrix of the `key` entry that names it, else None."""
+    out: list[FieldMatrix | None] = [None] * t1
+    for entry in doc[key]:
+        matrix = _matrix_from_lines(entry["matrix"], field)
+        code = json_int(entry["code"], key)
+        if not 1 <= code <= t1:
+            raise UsageError(f"{key}: code {code} out of range 1..{t1}")
+        out[code - 1] = matrix
+    return tuple(out)
+
+
+def _merge_keys(plan: MergePlan) -> tuple[dict, dict]:
     return {
-        "kind": "merge",
-        "params": _params_doc(plan.params),
-        "field": _field_doc(plan.field),
         "initial_codes": [spec_to_dict(s) for s in plan.initial_specs],
         "final_code": spec_to_dict(plan.final_spec),
         "S": sorted(plan.reduced),
-        "unchanged": [_pairs(i, plan.unchanged[i - 1]) for i in range(1, t1 + 1)],
-        "reads": [_pairs(i, plan.reads[i - 1]) for i in range(1, t1 + 1)],
-        "written": _written_pairs(plan)[0],
-        "punctured_parity": [
-            {"code": i, "matrix": _matrix_lines(plan.punctured_parity[i - 1])}
-            for i in sorted(plan.reduced)
-        ],
-        "final_unchanged_blocks": [
-            {"code": i, "matrix": _matrix_lines(plan.final_unchanged_blocks[i - 1])}
-            for i in range(1, t1 + 1)
-            if i not in plan.reduced
-        ],
+    }, {
+        "written": _written_pairs(plan, "i"),
+        "punctured_parity": _by_code(plan.punctured_parity),
+        "final_unchanged_blocks": _by_code(plan.final_unchanged_blocks),
         "final_written_block": _matrix_lines(plan.final_written_block),
     }
 
 
-def _written_pairs(plan: MergePlan | SplitPlan) -> list[list[list[int]]]:
-    """Per final code j, the [t1 + j, idx] pairs of the symbols it writes."""
-    p = plan.params
-    return [
-        _pairs(p.t1 + j, range(1, n - sum(map(len, row)) + 1))
-        for j, (n, row) in enumerate(zip(p.n_final, plan.grid[0]), 1)
-    ]
+def _merge_codes(doc: Mapping) -> dict:
+    return {
+        "initial_specs": tuple(spec_from_dict(d) for d in doc["initial_codes"]),
+        "final_spec": spec_from_dict(doc["final_code"]),
+        "reduced": frozenset(json_ints(doc["S"], "S")),
+    }
 
 
-def _check_written(listed, expected: list) -> None:
-    """Refuse a document whose `written` list is not the one its plan writes."""
-    if listed != expected:
-        raise UsageError(f"written: the document lists {listed}, but the plan writes {expected}")
+def _merge_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec) -> dict:
+    t1 = params.t1
+    return {
+        "punctured_parity": _by_code_from_doc(doc, "punctured_parity", t1, field),
+        "final_unchanged_blocks": _by_code_from_doc(doc, "final_unchanged_blocks", t1, field),
+        "final_written_block": _matrix_from_lines(doc["final_written_block"], field),
+        "written": doc["written"],
+    }
 
 
-def _code_slot(entry: Mapping, t1: int, label: str) -> int:
-    """0-based slot of an entry's initial-code index, which must lie in 1..t1."""
-    code = int(entry["code"])
-    if not 1 <= code <= t1:
-        raise UsageError(f"{label}: code {code} out of range 1..{t1}")
-    return code - 1
-
-
-def _merge_from_doc(doc: Mapping) -> MergePlan:
-    try:
-        params = _params_from_doc(doc["params"])
-        field = _field_from_doc(doc["field"])
-        initial = tuple(spec_from_dict(d) for d in doc["initial_codes"])
-        final = spec_from_dict(doc["final_code"])
-        reduced = frozenset(int(i) for i in doc["S"])
-        unchanged = tuple(
-            _positions_from_pairs(doc["unchanged"][i - 1], i, f"unchanged[{i}]")
-            for i in range(1, params.t1 + 1)
-        )
-        reads = tuple(
-            _positions_from_pairs(doc["reads"][i - 1], i, f"reads[{i}]")
-            for i in range(1, params.t1 + 1)
-        )
-        punctured: list[FieldMatrix | None] = [None] * params.t1
-        for entry in doc["punctured_parity"]:
-            punctured[_code_slot(entry, params.t1, "punctured_parity")] = _matrix_from_lines(
-                entry["matrix"], field
-            )
-        blocks: list[FieldMatrix | None] = [None] * params.t1
-        for entry in doc["final_unchanged_blocks"]:
-            blocks[_code_slot(entry, params.t1, "final_unchanged_blocks")] = _matrix_from_lines(
-                entry["matrix"], field
-            )
-        written_block = _matrix_from_lines(doc["final_written_block"], field)
-        written = doc["written"]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise UsageError(f"malformed merge plan document: {exc}") from exc
-    plan = MergePlan(
-        params=params,
-        field=field,
-        initial_specs=initial,
-        final_spec=final,
-        reduced=reduced,
-        unchanged=unchanged,
-        reads=reads,
-        punctured_parity=tuple(punctured),
-        final_unchanged_blocks=tuple(blocks),
-        final_written_block=written_block,
-    )
-    _check_written(written, _written_pairs(plan)[0])
-    return plan
-
-
-def _split_doc(plan: SplitPlan) -> dict:
-    t2 = plan.params.t2
-    doc = {
-        "kind": "split",
-        "params": _params_doc(plan.params),
-        "field": _field_doc(plan.field),
+def _split_keys(plan: SplitPlan) -> tuple[dict, dict]:
+    hbar = plan.punctured_parity
+    return {
         "initial_code": spec_to_dict(plan.initial_spec),
         "final_codes": [spec_to_dict(s) for s in plan.final_specs],
-        "unchanged": [_pairs(1, plan.unchanged[j - 1]) for j in range(1, t2 + 1)],
-        "reads": [_pairs(1, plan.reads[j - 1]) for j in range(1, t2 + 1)],
-        "written": _written_pairs(plan),
+    }, {
+        "written": _written_pairs(plan, "j"),
         "privileged": plan.privileged,
         "V": _pairs(1, plan.extra_reads),
-        "punctured_parity": (
-            _matrix_lines(plan.punctured_parity) if plan.punctured_parity is not None else None
-        ),
+        "punctured_parity": None if hbar is None else _matrix_lines(hbar),
     }
-    return doc
 
 
-def _split_from_doc(doc: Mapping) -> SplitPlan:
-    try:
-        params = _params_from_doc(doc["params"])
-        field = _field_from_doc(doc["field"])
-        initial = spec_from_dict(doc["initial_code"])
-        finals = tuple(spec_from_dict(d) for d in doc["final_codes"])
-        unchanged = tuple(
-            _positions_from_pairs(doc["unchanged"][j - 1], 1, f"unchanged[{j}]")
-            for j in range(1, params.t2 + 1)
-        )
-        reads = tuple(
-            _positions_from_pairs(doc["reads"][j - 1], 1, f"reads[{j}]")
-            for j in range(1, params.t2 + 1)
-        )
-        privileged = doc["privileged"]
-        privileged = None if privileged is None else int(privileged)
-        extra = _positions_from_pairs(doc["V"], 1, "V")
-        hbar = (
-            _matrix_from_lines(doc["punctured_parity"], field)
-            if doc.get("punctured_parity") is not None
-            else None
-        )
-        written = doc["written"]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise UsageError(f"malformed split plan document: {exc}") from exc
-    plan = SplitPlan(
-        params=params,
-        field=field,
-        initial_spec=initial,
-        final_specs=finals,
-        unchanged=unchanged,
-        reads=reads,
-        privileged=privileged,
-        extra_reads=extra,
-        punctured_parity=hbar,
-    )
-    _check_written(written, _written_pairs(plan))
-    return plan
-
-
-def _general_doc(plan: GeneralPlan) -> dict:
-    t1, t2 = plan.params.t1, plan.params.t2
+def _split_codes(doc: Mapping) -> dict:
     return {
-        "kind": "general",
-        "params": _params_doc(plan.params),
-        "field": _field_doc(plan.field),
+        "initial_spec": spec_from_dict(doc["initial_code"]),
+        "final_specs": tuple(spec_from_dict(d) for d in doc["final_codes"]),
+    }
+
+
+def _split_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec) -> dict:
+    privileged, hbar = doc["privileged"], doc.get("punctured_parity")
+    return {
+        "privileged": None if privileged is None else json_int(privileged, "privileged"),
+        "extra_reads": _positions_from_pairs(doc["V"], 1, "V"),
+        "punctured_parity": None if hbar is None else _matrix_from_lines(hbar, field),
+        "written": doc["written"],
+    }
+
+
+def _general_keys(plan: GeneralPlan) -> tuple[dict, dict]:
+    return {
         "initial_codes": [spec_to_dict(s) for s in plan.initial_specs],
         "final_codes": [None if s is None else spec_to_dict(s) for s in plan.final_specs],
-        "unchanged": [
-            [_pairs(i, plan.unchanged[j - 1][i - 1]) for i in range(1, t1 + 1)]
-            for j in range(1, t2 + 1)
-        ],
-        "reads": [
-            [_pairs(i, plan.reads[j - 1][i - 1]) for i in range(1, t1 + 1)]
-            for j in range(1, t2 + 1)
-        ],
-        "layout": [
-            [[code, pos] for code, pos in plan.layouts[j - 1]] for j in range(1, t2 + 1)
-        ],
-        "sigma": [_matrix_lines(plan.sigmas[j - 1]) for j in range(1, t2 + 1)],
+    }, {
+        "layout": [[list(sid) for sid in layout] for layout in plan.layouts],
+        "sigma": [_matrix_lines(sigma) for sigma in plan.sigmas],
     }
 
 
-def _general_from_doc(doc: Mapping) -> GeneralPlan:
-    try:
-        params = _params_from_doc(doc["params"])
-        field = _field_from_doc(doc["field"])
-        t1, t2 = params.t1, params.t2
-        initial = tuple(spec_from_dict(d) for d in doc["initial_codes"])
-        finals = tuple(
-            None if d is None else spec_from_dict(d) for d in doc["final_codes"]
-        )
-        unchanged = tuple(
-            tuple(
-                _positions_from_pairs(doc["unchanged"][j - 1][i - 1], i, f"unchanged[{j}][{i}]")
-                for i in range(1, t1 + 1)
-            )
-            for j in range(1, t2 + 1)
-        )
-        reads = tuple(
-            tuple(
-                _positions_from_pairs(doc["reads"][j - 1][i - 1], i, f"reads[{j}][{i}]")
-                for i in range(1, t1 + 1)
-            )
-            for j in range(1, t2 + 1)
-        )
-        layouts = tuple(
-            tuple((int(c), int(pos)) for c, pos in doc["layout"][j - 1])
-            for j in range(1, t2 + 1)
-        )
-        sigmas = tuple(
-            _matrix_from_lines(doc["sigma"][j - 1], field) for j in range(1, t2 + 1)
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise UsageError(f"malformed general plan document: {exc}") from exc
-    return GeneralPlan(
-        params=params,
-        field=field,
-        initial_specs=initial,
-        final_specs=finals,
-        unchanged=unchanged,
-        reads=reads,
-        layouts=layouts,
-        sigmas=sigmas,
-    )
+def _general_codes(doc: Mapping) -> dict:
+    return {
+        "initial_specs": tuple(spec_from_dict(d) for d in doc["initial_codes"]),
+        "final_specs": tuple(None if d is None else spec_from_dict(d) for d in doc["final_codes"]),
+    }
+
+
+def _general_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec) -> dict:
+    finals = range(params.t2)
+    return {
+        "layouts": tuple(
+            tuple((json_int(c, "layout"), json_int(pos, "layout")) for c, pos in doc["layout"][j])
+            for j in finals
+        ),
+        "sigmas": tuple(_matrix_from_lines(doc["sigma"][j], field) for j in finals),
+    }
+
+
+# Per kind: its plan class, the grid axes it keeps, its codes-and-certificate
+# writer, and its readers of codes and of certificate.
+_CODECS = {
+    "merge": (MergePlan, "i", _merge_keys, _merge_codes, _merge_certificate),
+    "split": (SplitPlan, "j", _split_keys, _split_codes, _split_certificate),
+    "general": (GeneralPlan, "ji", _general_keys, _general_codes, _general_certificate),
+}
+_KIND_OF = {codec[0]: kind for kind, codec in _CODECS.items()}
 
 
 # -- reports and codeword files ------------------------------------------------
@@ -455,9 +438,9 @@ def read_symbol_lines(path: str, field: FieldSpec) -> list[tuple[int, ...]]:
         if not line.strip():
             continue
         try:
-            row = tuple(int(t) for t in line.split())
+            row = decimals(line)
         except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: symbols must be integers") from exc
+            raise UsageError(f"{path}:{lineno}: symbol {exc}") from exc
         for x in row:
             if not 0 <= x < field.q:
                 raise UsageError(f"{path}:{lineno}: symbol {x} is not an element of GF({field.q})")

@@ -854,3 +854,92 @@ def test_matrix_entry_outside_the_field_exit_1(tmp_path, capsys, kind, entry):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and err.startswith("error: ")
     assert not finals.exists()
+
+
+# Integers read from outside input must be canonical: ASCII digits in text
+# files, JSON integers in documents.  Each case is one input of one kind.
+def _assert_refused(code, out, err, written):
+    assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and not written.exists()
+
+
+@pytest.mark.parametrize("line", ["0_1 +2 ３", "0_1 2 3", "+2 1 1", "３ 1 1", "1.0 2 3"])
+def test_symbol_file_refuses_non_decimal_symbols(tmp_path, capsys, line):
+    plan_path, _ = _readme_merge(tmp_path, capsys)
+    msgs, out = tmp_path / "m.txt", tmp_path / "out.txt"
+    msgs.write_text(f"{line}\n4 5 6\n", encoding="utf-8")
+    code, stdout, err = run(capsys, "encode", "--plan", plan_path, "--in", msgs, "--out", out)
+    _assert_refused(code, stdout, err, out)
+    assert f"{msgs}:1: symbol " in err
+
+
+def _set_read_position(doc):
+    doc["reads"][0][0][1] = 1.9
+
+
+def _set_gamma(doc):
+    doc["initial_codes"][0]["gamma"][0] = "0"
+
+
+def _set_s(doc):
+    doc["S"] = [1.5, 2]
+
+
+def _set_dump_entry(doc):
+    lines = doc["punctured_parity"][0]["matrix"]
+    lines[1] = "+" + lines[1]
+
+
+def _set_field_q(doc):
+    doc["field"]["q"] = 8.0
+
+
+def _set_params_shape(doc):
+    doc["params"]["initial"][0][1] = True
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_set_read_position, "reads[1]: expected an integer, got 1.9"),
+        (_set_gamma, "gamma: expected an integer, got '0'"),
+        (_set_s, "S: expected an integer, got 1.5"),
+        (_set_dump_entry, "bad matrix row '+"),
+        (_set_field_q, "q: expected an integer, got 8.0"),
+        (_set_params_shape, "initial: expected an integer, got True"),
+    ],
+)
+def test_plan_document_refuses_non_integer_numbers(tmp_path, capsys, tamper, message):
+    plan_path, cws = _readme_merge(tmp_path, capsys)
+    doc = json.loads(plan_path.read_text())
+    tamper(doc)
+    write_json(plan_path, doc)
+    finals = tmp_path / "f.txt"
+    code, out, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", finals)
+    _assert_refused(code, out, err, finals)
+    assert message in err
+    code, out, err = run(capsys, "verify", "--plan", plan_path)
+    assert (code, out) == (1, "") and message in err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"q": 8.9}, "'q'"),
+        ({"q": "8"}, "'q'"),
+        ({"initial": [[5, 3], [5, 3.7]]}, "'initial'"),
+        ({"initial": [5, True]}, "'initial'"),
+        ({"r_F": True}, "'r_F'"),
+        ({"r_F": 2.0}, "'r_F'"),
+        ({"r_F": None, "final": [[8, "6"]]}, "'final'"),
+    ],
+)
+def test_config_refuses_non_integer_numbers(tmp_path, capsys, change, message):
+    cfg, out = tmp_path / "merge.json", tmp_path / "p.json"
+    doc = {**README_MERGE, **change}
+    if doc["r_F"] is None:
+        del doc["r_F"]
+    write_json(cfg, doc)
+    code, stdout, err = run(capsys, "plan", "--config", cfg, "--out", out)
+    _assert_refused(code, stdout, err, out)
+    assert message in err

@@ -180,6 +180,14 @@ def test_text_dump_roundtrip():
         matrix_from_text("2 2 5\n1 2")
 
 
+@pytest.mark.parametrize(
+    "text", ["2 2 8\n+1 0_0\n\uff13 1", "2 2 8\n1 0\n0 -1", "+2 2 8\n1 0\n0 1", "2 2 8\n1\u30000\n0 1"]
+)
+def test_text_dump_entries_are_ascii_digits(text):
+    with pytest.raises(UsageError, match="bad matrix"):
+        matrix_from_text(text)
+
+
 def _naive_matvec(m, v):
     f = m.field
     out = []

@@ -8,15 +8,20 @@ exception leaving `cli.main`, and a mutant of a `written` list must exit 1
 from both.  Mutations are an integer field moved by
 +-1 or +-2, one matrix-dump entry bumped, and one list entry dropped or
 duplicated.
+
+A sweep applies every single mutation to the three bases and to the 2x2
+general fixture, and loads each mutant: it must load, to a plan that
+round-trips, or be refused with a `UsageError`.
 """
 
 import json
 import random
+from pathlib import Path
 
 from mdsconv import plandoc
 from mdsconv.cli import main
 from mdsconv.convert import ConvertParams, build_merge, build_split, merge_params
-from mdsconv.errors import MdsconvError
+from mdsconv.errors import MdsconvError, UsageError
 from mdsconv.field import GF
 from mdsconv.grs import encode, is_codeword
 
@@ -28,6 +33,7 @@ BASES = {
     "mixed merge": lambda: build_merge(merge_params([(5, 3), (4, 2)], 2), GF(8)),
     "readme split": lambda: build_split(ConvertParams(((10, 7),), ((6, 4), (5, 3))), GF(16)),
 }
+GENERAL_FIXTURE = Path(__file__).parent / "fixtures" / "two_by_two_plan.json"
 
 
 def _sites(node, path=()):
@@ -126,3 +132,19 @@ def test_convert_runs_exactly_what_verify_passes(tmp_path, capsys):
         verdicts[converted == 0] += 1
     # The sample must reach both verdicts and a `written` mutant, or it tests nothing.
     assert verdicts[True] and verdicts[False] and written_refused, (verdicts, written_refused)
+
+
+def test_every_single_mutant_loads_or_is_refused_as_usage():
+    docs = {name: plandoc.plan_to_doc(build()) for name, build in BASES.items()}
+    docs["2x2 general"] = json.loads(GENERAL_FIXTURE.read_text())
+    outcomes = {"loaded": 0, "refused": 0}
+    for name, doc in docs.items():
+        for mutation in _mutations(doc):
+            try:
+                plan = plandoc.plan_from_doc(_mutant(doc, *mutation))
+            except UsageError:
+                outcomes["refused"] += 1
+                continue
+            assert plandoc.plan_from_doc(plandoc.plan_to_doc(plan)) == plan, (name, mutation)
+            outcomes["loaded"] += 1
+    assert outcomes == {"loaded": 326, "refused": 2060}, outcomes

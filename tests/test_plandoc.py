@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from pathlib import Path
 
@@ -173,6 +174,37 @@ def test_malformed_plan_documents(tmp_path):
     with pytest.raises(UsageError, match="inconsistent field parameters"):
         plandoc.plan_from_doc(broken)
     assert time.perf_counter() - start < 2.0
+
+
+COMMITTED = sorted(FIXTURES.glob("*.json")) + [REPO / "perfbench" / "two_by_two_plan.json"]
+
+
+@pytest.mark.parametrize("path", COMMITTED, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_committed_plan_documents_reproduce_byte_for_byte(tmp_path, path):
+    copy = tmp_path / "copy.json"
+    plandoc.save_plan(plandoc.load_plan(str(path)), str(copy))
+    assert copy.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, cell, label",
+    [
+        ("readme_merge_plan.json", ("unchanged", 1, 0), "unchanged[2]"),
+        ("readme_split_plan.json", ("reads", 1, 0), "reads[2]"),
+        ("two_by_two_plan.json", ("unchanged", 1, 0, 0), "unchanged[2][1]"),
+    ],
+)
+def test_grid_labels_name_the_place_in_each_kind_of_document(name, cell, label):
+    """A merge nests its grids by initial code, a split by final code and a
+    general plan as [final j][initial i]; a refusal names the cell that way."""
+    doc = json.loads((FIXTURES / name).read_text())
+    key, *index = cell
+    pairs = doc[key]
+    for x in index[:-1]:
+        pairs = pairs[x]
+    pairs[index[-1]] = [7, 1]  # the pair names code 7
+    with pytest.raises(UsageError, match=rf"^{re.escape(label)}: pair \[7, 1\] names code 7"):
+        plandoc.plan_from_doc(doc)
 
 
 def test_symbol_lines_roundtrip(tmp_path):

@@ -38,6 +38,7 @@ from .errors import (
     MdsconvError,
     ParameterError,
     UsageError,
+    decimals,
     json_int,
 )
 from .field import GF
@@ -52,10 +53,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _shape(text: str) -> tuple[int, int]:
     try:
-        n, k = (int(t) for t in text.split(","))
+        (n,), (k,) = map(decimals, text.split(","))
     except ValueError:
-        raise UsageError(f"expected a shape 'n,k', got {text!r}") from None
+        raise UsageError(f"expected a shape 'n,k' in the digits 0-9, got {text!r}") from None
     return n, k
+
+
+def _seed(text: str) -> int:
+    try:
+        (seed,) = decimals(text)
+    except ValueError:
+        raise UsageError(f"expected a seed in the digits 0-9, got {text!r}") from None
+    return seed
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a plan's structure and MDS properties")
     p_verify.add_argument("--plan", required=True)
     p_verify.add_argument(
-        "--seed", type=int, default=0, help="accepted for compatibility; has no effect"
+        "--seed", type=_seed, default=0, help="accepted for compatibility; has no effect"
     )
 
     p_bounds = sub.add_parser("bounds", help="print access-cost lower bounds")

@@ -45,7 +45,7 @@ from itertools import chain
 from . import linalg
 from .errors import CorruptionError, InternalError, MdsconvError, ParameterError, UsageError
 from .field import FieldSpec
-from .grs import Codeword, ExtGrsSpec, generator, is_codeword, parity_check, puncture
+from .grs import Codeword, ExtGrsSpec, _codeword, generator, is_codeword, parity_check, puncture
 from .linalg import FieldMatrix, _computed
 from .record import Record
 
@@ -57,6 +57,19 @@ Grid = tuple[tuple[tuple[int, ...], ...], ...]
 # -- parameters and bounds -------------------------------------------------
 
 
+def _int_shapes(shapes, label: str) -> tuple[tuple[int, int], ...]:
+    """`shapes` as a tuple of (n, k) pairs; UsageError unless each entry is
+    an int (not a bool, float or other int subclass)."""
+    try:
+        pairs = tuple((n, k) for n, k in shapes)
+    except (TypeError, ValueError):
+        raise UsageError(f"{label} shapes must be (n, k) pairs, got {shapes!r}") from None
+    for pair in pairs:
+        if type(pair[0]) is not int or type(pair[1]) is not int:
+            raise UsageError(f"{label} shape {pair!r} must hold two integers")
+    return pairs
+
+
 class ConvertParams(Record):
     """Shapes of a conversion: (n, k) per initial and per final code."""
 
@@ -64,8 +77,8 @@ class ConvertParams(Record):
     final: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "initial", tuple((int(n), int(k)) for n, k in self.initial))
-        object.__setattr__(self, "final", tuple((int(n), int(k)) for n, k in self.final))
+        object.__setattr__(self, "initial", _int_shapes(self.initial, "initial"))
+        object.__setattr__(self, "final", _int_shapes(self.final, "final"))
         if not self.initial or not self.final:
             raise UsageError("need at least one initial and one final code")
         for n, k in self.initial + self.final:
@@ -518,6 +531,8 @@ def plan_report(plan: Plan) -> AccessReport:
 
 def merge_params(initial: Sequence[tuple[int, int]], r_final: int) -> ConvertParams:
     """Merge parameters with the final shape implied by the initial dimensions."""
+    if type(r_final) is not int:
+        raise UsageError(f"final redundancy must be an integer, got {r_final!r}")
     if r_final < 1:
         raise UsageError(f"final redundancy must be >= 1, got {r_final}")
     k_total = sum(k for _, k in initial)
@@ -988,7 +1003,7 @@ def run_conversion(
     flat += exe.spill(acc, exe.width)
     outputs = []
     for spec, pick in exe.finals:
-        outputs.append(Codeword(pick(flat), spec))
+        outputs.append(_codeword(pick(flat), spec))
     return tuple(outputs), exe.report
 
 

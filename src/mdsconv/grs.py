@@ -81,6 +81,16 @@ def _trusted(field: FieldSpec, n: int, r: int, gamma: tuple[int, ...], w: tuple[
     return spec
 
 
+def _codeword(symbols: tuple[int, ...], code: ExtGrsSpec) -> Codeword:
+    """A Codeword whose symbols the program computed for `code`: built
+    without the generated `__init__`."""
+    cw = object.__new__(Codeword)
+    setattr_ = object.__setattr__
+    setattr_(cw, "symbols", symbols)
+    setattr_(cw, "code", code)
+    return cw
+
+
 @lru_cache(maxsize=1024)
 def parity_check(spec: ExtGrsSpec) -> FieldMatrix:
     """The r x n extended Vandermonde-type parity check matrix."""
@@ -141,12 +151,25 @@ def generator(spec: ExtGrsSpec) -> FieldMatrix:
 
 def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
     """message . G, computed systematically: the r parity symbols
-    message . A from the first r columns of the generator (`vecmat` checks
-    that the message is canonical), then the k message symbols."""
-    if len(message) != spec.k:
-        raise UsageError(f"message must have k = {spec.k} symbols, got {len(message)}")
-    parity = linalg.vecmat(message, generator(spec), spec.r)
-    return Codeword(parity + tuple(message), spec)
+    message . A from the first r columns of the generator, then the k
+    message symbols.  UsageError for a message of the wrong length or with
+    a symbol that is not canonical.
+
+    The code's encoder (`linalg.systematic_encoder`) is compiled on first
+    use and kept on the spec, so a later call is the length check and one
+    checked pass over the message."""
+    k, run = getattr(spec, "_encoder", None) or _encoder(spec)
+    if len(message) != k:
+        raise UsageError(f"message must have k = {k} symbols, got {len(message)}")
+    return _codeword(run(message), spec)
+
+
+def _encoder(spec: ExtGrsSpec) -> tuple:
+    """(k, encoder) for `encode`, built from the generator's parity lines
+    and kept on the spec.  A spec never changes, so it cannot go stale."""
+    enc = (spec.k, linalg.systematic_encoder(generator(spec), spec.r))
+    object.__setattr__(spec, "_encoder", enc)
+    return enc
 
 
 def is_codeword(spec: ExtGrsSpec, symbols: Sequence[int]) -> bool:

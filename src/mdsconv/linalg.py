@@ -25,12 +25,16 @@ Every matrix-vector product runs on one row kernel per field
 three forms: over a byte field (characteristic 2, q <= 256) lane rows,
 one lookup per input symbol for up to eight outputs at once; over
 GF(2^m) with m > 8 (log coefficient, index) pairs; over GF(p) dense
-coefficient lines.  The executor's step per input, `fold_kernel`, checks
-a codeword against its systematic generator and adds its share of the
-written symbols in one pass over the message symbols: over a byte field
-lane rows whose reduce starts from the parity symbols and the written
-symbols so far, over GF(p) one sum of packed ints, so nothing is unpacked
-until the last input; over GF(2^m) with m > 8 the row kernel's lines.
+coefficient lines.  `grs.encode` runs `systematic_encoder`, compiled once
+per code on its generator's parity lines: over a byte field one pass
+over the message checks each symbol and looks up its lane row, elsewhere
+the row kernel's vector and run.  The executor's step per input,
+`fold_kernel`, checks a codeword against its systematic generator and
+adds its share of the written symbols in one pass over the message
+symbols: over a byte field lane rows whose reduce starts from the parity
+symbols and the written symbols so far, over GF(p) one sum of packed
+ints, so nothing is unpacked until the last input; over GF(2^m) with
+m > 8 the row kernel's lines.
 """
 
 from __future__ import annotations
@@ -350,7 +354,7 @@ def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple:
     Over a byte field: the lane shift and syndrome mask of r lanes and the
     lane rows of the columns of M = [A | g . S], groups of up to LANES
     (`_lane_rows`), each after the first with its shift.  A's full groups
-    are the `kernel_lines(g, True, r)` that `grs.encode` runs on; its
+    are the `kernel_lines(g, True, r)` that `systematic_encoder` runs on; its
     other columns share a group with the first columns of g . S.  Over
     GF(p): the shifts of the r parity lanes, the lane mask, the shift of
     the written lanes, and one packed int per message symbol, row t of M
@@ -372,6 +376,29 @@ def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple:
     a_cols = [g.entries[j :: g.cols] for j in range(r)]
     rows = tuple(sum(e << bits * j for j, e in enumerate(row)) for row in zip(*a_cols, *c_cols))
     return r, tuple(range(0, bits * r, bits)), (1 << bits) - 1, bits * r, rows
+
+
+def systematic_encoder(g: FieldMatrix, r: int) -> Callable:
+    """message -> message . g as a tuple, for g = [A | I_k], a systematic
+    generator with r parity columns: the r parity symbols message . A, then
+    the message itself.  The message must have k = g.rows symbols (the
+    caller checks its length); each is checked as `row_kernel`'s vector
+    does (UsageError, naming the first one that is not canonical).
+
+    It runs on `kernel_lines(g, True, r)`, the lines `fold_step` shares, so
+    it builds no tables of its own.  Over a byte field one pass over the
+    message checks each symbol and XORs in its lane row of the first group
+    (`_lane_encode`), and each further group is one reduce; elsewhere it is
+    the row kernel's vector and run (`_line_encode`).  A partial of a
+    module function, as in `row_kernel`, so whatever keeps it stays
+    picklable.
+    """
+    f = g.field
+    lines = kernel_lines(g, True, r)
+    if _is_byte_field(f):
+        (rows, lanes), more = lines[0], lines[1:]
+        return partial(_lane_encode, f, rows, lanes, more)
+    return partial(_line_encode, *row_kernel(f), lines)
 
 
 def _systematic_product(g: FieldMatrix, r: int, s: FieldMatrix) -> list[tuple[int, ...]]:
@@ -444,6 +471,21 @@ def _lane_run(lines: tuple, vec: Sequence[int]) -> list[int]:
     return out
 
 
+def _lane_encode(field: FieldSpec, rows: Sequence[array], lanes: int, more: tuple,
+                 message: Sequence[int]) -> tuple[int, ...]:
+    # `FieldSpec.check_all`'s test, fused with the first group's lookups.
+    q = field.q
+    acc = 0
+    for a, row in zip(message, rows):
+        if type(a) is not int or not 0 <= a < q:
+            field.check(a)
+        acc ^= row[a]
+    parity = acc.to_bytes(lanes, "little")
+    for group, width in more:
+        parity += reduce(xor, map(getitem, group, message)).to_bytes(width, "little")
+    return (*parity, *message)
+
+
 def _lane_fold(field: FieldSpec, step: tuple, c: Sequence[int], acc: int) -> int | None:
     # The lanes of all groups read as one int, lane l in byte l.  Its
     # starting value holds the parity symbols in lanes 0..r-1 and acc above
@@ -496,6 +538,11 @@ def _xor_lines(exp: list[int], lines: list, vec: Sequence[int]) -> list[int]:
             acc ^= exp[a + vec[j]]
         out.append(acc)
     return out
+
+
+def _line_encode(vector: Callable, run: Callable, lines: list,
+                 message: Sequence[int]) -> tuple[int, ...]:
+    return (*run(lines, vector(message)), *message)
 
 
 def _line_fold(vector: Callable, run: Callable, step: tuple,

@@ -156,3 +156,36 @@ def test_degenerate_single_code_bounds_agree():
         rf = rng.randrange(1, 6)
         params = ConvertParams(((k + ri, k),), ((k + rf, k),))
         assert merge_lower_bound(params).rho == split_lower_bound(params).rho
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "initial, final",
+    [
+        (((5.9, 3.2), (5, True)), ((9.99, 4),)),
+        (((5, 3), (5, True)), ((8, 4),)),
+        (((5, 3), (5, 3)), ((8, 6.0),)),
+        (((5, 3), (5, 3)), ((8, "6"),)),
+        (((5, 3), (5, 3)), ((_Int(8), 6),)),
+        (((5, 3, 1),), ((2, 1),)),
+        ((5,), ((8, 6),)),
+        (((5, 3), (5, 3)), None),
+    ],
+)
+def test_params_refuse_non_integers(initial, final):
+    """Every entry must be an int: no coercion of floats, strings, bools or
+    other int subclasses, and no shape that is not a pair."""
+    with pytest.raises(UsageError):
+        ConvertParams(initial, final)
+
+
+def test_params_keep_integer_shapes_as_tuples():
+    params = ConvertParams([[5, 3], [5, 3]], [[8, 6]])
+    assert params.initial == ((5, 3), (5, 3)) and params.final == ((8, 6),)
+    assert ConvertParams(params.initial, params.final) == params
+    for r_final in (2.0, True, "2"):
+        with pytest.raises(UsageError):
+            merge_params([(5, 3), (5, 3)], r_final)

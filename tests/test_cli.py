@@ -943,3 +943,35 @@ def test_config_refuses_non_integer_numbers(tmp_path, capsys, change, message):
     code, stdout, err = run(capsys, "plan", "--config", cfg, "--out", out)
     _assert_refused(code, stdout, err, out)
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "initial, final",
+    [
+        (("5,+3", "０5, 3"), "8,6"),
+        (("5,3", "5_0,3"), "8,6"),
+        (("5,3", "5,3"), "8,-6"),
+        (("5,3", "5,3"), "8,6.0"),
+        (("5,3", "5 3"), "8,6"),
+        (("5,3", "5,3,"), "8,6"),
+    ],
+)
+def test_bounds_refuses_non_decimal_shapes(capsys, initial, final):
+    argv = [arg for shape in initial for arg in ("--initial", shape)] + ["--final", final]
+    code, out, err = run(capsys, "bounds", *argv)
+    assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "expected a shape 'n,k'" in err
+
+
+def test_bounds_shapes_may_carry_spaces(capsys):
+    code, out, _ = run(capsys, "bounds", "--initial", "5, 3", "--initial", " 5,3 ", "--final", "8,6")
+    assert code == 0 and "bound ρ = 6" in out
+
+
+@pytest.mark.parametrize("seed", ["+1", "-1", "1_0", "３", "1.0", "", "1 2"])
+def test_verify_refuses_non_decimal_seeds(tmp_path, capsys, seed):
+    plan_path, _ = _readme_merge(tmp_path, capsys)
+    code, out, err = run(capsys, "verify", "--plan", plan_path, "--seed", seed)
+    assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"expected a seed in the digits 0-9, got {seed!r}" in err
+    assert run(capsys, "verify", "--plan", plan_path, "--seed", "0042") == (0, README_VERIFY, "")

@@ -282,3 +282,84 @@ def test_generator_closed_form_matches_kernel_basis():
         assert {(True, False), (False, True)} <= kinds, q
     for spec in codes:
         assert generator(spec) == linalg.right_kernel_basis(parity_check(spec)), spec
+
+
+class _Int(int):
+    pass
+
+
+ENCODE_FIELDS = (2, 8, 16, 256, 257, 1000003, 65536)
+
+
+def _encode_specs(q, rng):
+    """Codes over GF(q) from k = 1 to r = 1; where the field has the points,
+    r = 8 (one full lane group over a byte field) and r > 8 (two or three)."""
+    f = GF(q)
+    longest = min(q + 1, 22)
+    shapes = {(longest, 1), (longest, longest - 1), (min(q + 1, 5), 1)}
+    shapes |= {(n, r) for n, r in ((9, 8), (12, 9), (20, 16), (22, 17), (22, 20)) if n <= longest}
+    for n, r in sorted(shapes):
+        yield random_spec(f, n, r, rng)
+
+
+@pytest.mark.parametrize("q", ENCODE_FIELDS)
+def test_encode_matches_vecmat_and_reference(q):
+    """The compiled encoder is message . G: against `vecmat` on the
+    generator and the per-element reference, on a fresh spec's first call
+    and on repeated calls, for tuple and list messages."""
+    from test_linalg import _naive_vecmat
+
+    rng = random.Random(q)
+    for spec in _encode_specs(q, rng):
+        g = generator(spec)
+        for _ in range(3):
+            msg = tuple(rng.randrange(q) for _ in range(spec.k))
+            want = linalg.vecmat(msg, g)
+            assert want == _naive_vecmat(msg, g)
+            fresh = replace(spec)
+            for encoded in (encode(fresh, msg), encode(fresh, list(msg)), encode(spec, msg),
+                            encode(spec, list(msg))):
+                assert encoded.symbols == want and type(encoded.symbols) is tuple
+                assert encoded.code == spec
+        kept = spec._encoder
+        encode(spec, msg)
+        assert spec._encoder is kept
+
+
+@pytest.mark.parametrize("q", ENCODE_FIELDS)
+def test_encode_refuses_what_the_field_check_refuses(q):
+    """A wrong length, or a symbol that is True, -1, q, 1.0 or an out-of-range
+    int subclass, raises UsageError with `FieldSpec.check`'s text for the
+    first bad symbol; an int subclass in range encodes as its value."""
+    rng = random.Random(q + 1)
+    for spec in _encode_specs(q, rng):
+        msg = [rng.randrange(q) for _ in range(spec.k)]
+        for first in (True, -1, q, 1.0, _Int(q), "0", None):
+            for target in (replace(spec), spec):
+                at = rng.randrange(spec.k)
+                bad = msg[:at] + [first] + [q + 1] * (spec.k - at - 1)
+                with pytest.raises(UsageError) as info:
+                    encode(target, bad)
+                assert str(info.value) == f"{first!r} is not a canonical element of GF({q})"
+        for length in (spec.k - 1, spec.k + 1):
+            with pytest.raises(UsageError) as info:
+                encode(spec, (msg * 2)[:length])
+            assert str(info.value) == f"message must have k = {spec.k} symbols, got {length}"
+        assert encode(spec, [_Int(x) for x in msg]).symbols == encode(spec, msg).symbols
+
+
+def test_encode_keeps_its_encoder_on_the_spec(monkeypatch):
+    """After the first call, encode looks up no generator and builds no lines."""
+    import mdsconv.grs as grs
+
+    spec = canonical_spec(GF(256), 14, 4)
+    msg = tuple(range(10))
+    first = encode(spec, msg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("encode dispatched again")
+
+    for module, name in ((grs, "generator"), (linalg, "vecmat"), (linalg, "kernel_lines"),
+                         (linalg, "row_kernel"), (linalg, "systematic_encoder")):
+        monkeypatch.setattr(module, name, refuse)
+    assert encode(spec, msg) == first

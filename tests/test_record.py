@@ -59,7 +59,7 @@ CACHED = {
     "MergePlan": ("_executable", "_report"),
     "SplitPlan": ("_executable", "_report"),
     "GeneralPlan": ("_executable", "_report"),
-    "ExtGrsSpec": ("_hash",),
+    "ExtGrsSpec": ("_hash", "_encoder"),
     "FieldMatrix": ("_kernel_lines",),
 }
 
@@ -102,7 +102,20 @@ def test_record_contract(obj, bad):
     with pytest.raises(TypeError):
         replace(obj, no_such_field=1)
 
-    assert pickle.loads(pickle.dumps(obj)) == obj
+    clone = pickle.loads(pickle.dumps(obj))
+    assert clone == obj
+    for name in CACHED.get(cls.__name__, ()):
+        assert getattr(clone, name, None) is not None
+
+
+def test_a_pickled_spec_keeps_a_working_encoder():
+    spec = grs.ExtGrsSpec(GF(256), 14, 4, tuple(range(1, 14)), (1,) * 14)
+    message = tuple(range(10))
+    encoded = grs.encode(spec, message)
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone._encoder is not spec._encoder
+    assert grs.encode(clone, message).symbols == encoded.symbols
+    assert grs.encode(clone, list(message)).code == spec
 
 
 def test_defaults():

@@ -45,7 +45,7 @@ from itertools import chain
 from . import linalg
 from .errors import CorruptionError, InternalError, MdsconvError, ParameterError, UsageError
 from .field import FieldSpec
-from .grs import Codeword, ExtGrsSpec, _codeword, generator, is_codeword, parity_check, puncture
+from .grs import Codeword, ExtGrsSpec, generator, is_codeword, parity_check, puncture
 from .linalg import FieldMatrix, _computed
 from .record import Record
 
@@ -1003,7 +1003,7 @@ def run_conversion(
     flat += exe.spill(acc, exe.width)
     outputs = []
     for spec, pick in exe.finals:
-        outputs.append(_codeword(pick(flat), spec))
+        outputs.append(Codeword(pick(flat), spec))
     return tuple(outputs), exe.report
 
 

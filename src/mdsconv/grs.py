@@ -81,16 +81,6 @@ def _trusted(field: FieldSpec, n: int, r: int, gamma: tuple[int, ...], w: tuple[
     return spec
 
 
-def _codeword(symbols: tuple[int, ...], code: ExtGrsSpec) -> Codeword:
-    """A Codeword whose symbols the program computed for `code`: built
-    without the generated `__init__`."""
-    cw = object.__new__(Codeword)
-    setattr_ = object.__setattr__
-    setattr_(cw, "symbols", symbols)
-    setattr_(cw, "code", code)
-    return cw
-
-
 @lru_cache(maxsize=1024)
 def parity_check(spec: ExtGrsSpec) -> FieldMatrix:
     """The r x n extended Vandermonde-type parity check matrix."""
@@ -161,7 +151,7 @@ def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
     k, run = getattr(spec, "_encoder", None) or _encoder(spec)
     if len(message) != k:
         raise UsageError(f"message must have k = {k} symbols, got {len(message)}")
-    return _codeword(run(message), spec)
+    return Codeword(run(message), spec)
 
 
 def _encoder(spec: ExtGrsSpec) -> tuple:

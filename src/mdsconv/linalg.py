@@ -592,13 +592,12 @@ def matvec(m: FieldMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(run(kernel_lines(m, False), vector(v)))
 
 
-def vecmat(v: Sequence[int], m: FieldMatrix, width: int | None = None) -> tuple[int, ...]:
-    """v . M as a length-cols tuple, or v . M[:, :width] when `width` is
-    given; UsageError unless v is canonical."""
+def vecmat(v: Sequence[int], m: FieldMatrix) -> tuple[int, ...]:
+    """v . M as a length-cols tuple; UsageError unless v is canonical."""
     if len(v) != m.rows:
         raise UsageError(f"vector length {len(v)} does not match {m.rows} rows")
     vector, run = row_kernel(m.field)
-    return tuple(run(kernel_lines(m, True, width), vector(v)))
+    return tuple(run(kernel_lines(m, True), vector(v)))
 
 
 def submatrix_cols(m: FieldMatrix, positions: Iterable[int]) -> FieldMatrix:

@@ -229,8 +229,10 @@ def test_row_kernel_matches_per_element_reference(q):
             assert vecmat(v, m) == _naive_vecmat(v, m)
         # Leading columns first, then more of them, on a matrix with no lines yet.
         fresh, v = from_rows(f, m.to_lists(), cols=cols), [element() for _ in range(rows)]
+        vector, run = linalg.row_kernel(f)
         for width in (1, cols // 2, None, 0):
-            assert vecmat(v, fresh, width) == _naive_vecmat(v, m)[:width]
+            got = run(linalg.kernel_lines(fresh, True, width), vector(v))
+            assert tuple(got) == _naive_vecmat(v, m)[:width]
         assert matvec(zeros(f, rows, cols), [element() for _ in range(cols)]) == (0,) * rows
         with pytest.raises(UsageError):
             matvec(m, [0] * (cols + 1))
@@ -262,9 +264,11 @@ def test_lane_kernel_matches_per_element_reference(m):
             for v in ([element() for _ in range(inputs)], [0] * inputs):
                 assert vecmat(v, mat) == _naive_vecmat(v, mat)
                 assert matvec(transpose(mat), v) == _naive_vecmat(v, mat)
+            vector, run = linalg.row_kernel(f)
             for width in range(lanes + 1):
                 v = [element() for _ in range(inputs)]
-                assert vecmat(v, mat, width) == _naive_vecmat(v, mat)[:width]
+                got = run(linalg.kernel_lines(mat, True, width), vector(v))
+                assert tuple(got) == _naive_vecmat(v, mat)[:width]
 
 
 @pytest.mark.parametrize("q", [2, 16, 256, 257, 1 << 16, 1000003])

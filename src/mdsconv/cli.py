@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage/config, 2 parameter/feasibility,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Sequence
 from functools import lru_cache
@@ -105,13 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, or an integer past int's digit limit
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
+    cfg = plandoc._read_json(path, "config")
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
     return cfg

@@ -13,14 +13,14 @@ time a plan object runs, `lower` compiles it to a general plan: for each
 final code, the initial symbols it reads, a matrix sigma with
 written = reads . sigma, and the layout of its coordinates.  A merge or
 split plan is lowered once `verify_plan` passes it, by one reduced
-echelon form per final code of W . written = B . reads (`_parity_blocks`).
-The lowered form is then compiled (`_Executable`) into one
-`linalg.fold_step` per initial code, lines whose outputs are the code's
+echelon form per final code of [W | B], with W . written = B . reads
+(`_sigma`).  The lowered form is then compiled (`_Executable`) into one
+bound `linalg.fold_step` per initial code, whose outputs are the code's
 parity symbols and its share of every final code's written symbols.
-Those lines and the access report are kept on the plan object, so every
+Those steps and the access report are kept on the plan object, so every
 later stripe is one pass: each input in turn is checked and adds its
-share in one `linalg.fold_kernel` step.  Over a
-byte field that step is one lookup per message symbol.  On codewords the
+share in one step.  Over a byte field that step is one lookup per
+message symbol.  On codewords the
 shares sum to the read symbols times sigma, so execution reads every
 input symbol to check it, while the access report states the plan's
 access cost.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from itertools import chain
+from itertools import chain, islice
 
 from . import linalg
 from .errors import CorruptionError, InternalError, MdsconvError, ParameterError, UsageError
@@ -282,10 +282,6 @@ def _columns_at(hbar: FieldMatrix, support: Sequence[int], positions: Sequence[i
     pick = _picker([slot[pos] for pos in positions])
     entries = tuple(chain.from_iterable(map(pick, map(hbar.row, range(hbar.rows)))))
     return _computed(hbar.field, hbar.rows, len(positions), entries)
-
-
-def _negated(m: FieldMatrix) -> FieldMatrix:
-    return _computed(m.field, m.rows, m.cols, tuple(map(m.field.neg, m.entries)))
 
 
 class MergePlan(Record):
@@ -551,8 +547,8 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
     in ascending encoding, so that the points of all unchanged
     coordinates plus the fresh written coordinates stay pairwise
     distinct; each initial code's remaining coordinates are filled with
-    the smallest further points distinct within that code.  The pool is
-    sliced and scanned lazily, so the draw costs O(n) whatever q is.
+    the smallest further points outside its head.  The pool is a range,
+    sliced and chained lazily, so the draw costs O(n) whatever q is.
     Unchanged positions are the leading k_I of each code; reduced-read
     codes read their trailing r_F positions (which include the extension
     position), and their restricted parity checks come from the closed
@@ -571,17 +567,10 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
     gammas: list[tuple[int, ...]] = []
     cursor = 0
     for n, k in params.initial:
-        head = list(pool[cursor : cursor + k])
+        # The code's head of the pool, then the smallest points outside it.
+        rest = chain(pool[:cursor], pool[cursor + k :])
+        gammas.append((*pool[cursor : cursor + k], *islice(rest, n - 1 - k)))
         cursor += k
-        used = set(head)
-        fill: list[int] = []
-        for x in pool:
-            if len(head) + len(fill) == n - 1:
-                break
-            if x not in used:
-                fill.append(x)
-                used.add(x)
-        gammas.append(tuple(head + fill))
     gamma_prime = tuple(pool[cursor : cursor + rf - 1])
     initial_specs = tuple(
         ExtGrsSpec(field, n, n - k, gammas[idx], (1,) * n)
@@ -820,39 +809,37 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
 # -- execution ---------------------------------------------------------------------
 
 
-def _parity_blocks(plan: MergePlan | SplitPlan, j: int) -> tuple[FieldMatrix, list[FieldMatrix]]:
-    """W and read blocks B with W . written = B . reads for final code j.
+def _sigma(plan: MergePlan | SplitPlan, j: int) -> FieldMatrix:
+    """Final code j's sigma, read off one `rref` of [W | B] with
+    W . written = B . reads, built row by row from its parity check H.
 
-    W is final code j's parity check on its written coordinates.  Initial
-    code i gives the read columns of `restricted_parity(j, i)`, which agrees
-    with the final parity check on the symbols i keeps, or else minus the
-    final parity check on those symbols, which are then the ones it reads.
+    W is H on the written coordinates, which end the final layout.  Each
+    initial code i in turn adds the columns of `restricted_parity(j, i)` at
+    the symbols i reads, which agrees with H on the symbols i keeps, or
+    else minus H's columns of the symbols i keeps, which are then the ones
+    it reads.
     """
-    spec = plan.final_specs[j - 1]
+    h = parity_check(plan.final_specs[j - 1])
+    f = h.field
     kept, reads = (row[j - 1] for row in plan.grid)
-
-    def final(i: int) -> FieldMatrix:
-        entries = _final_block(spec, kept, i)
-        return _computed(spec.field, spec.r, len(entries) // spec.r, entries)
-
-    blocks = []
-    for i, read in enumerate(reads, 1):
-        hbar = plan.restricted_parity(j, i)
-        blocks.append(_negated(final(i)) if hbar is None else _columns_at(*hbar, read))
-    return final(plan.params.t1 + 1), blocks
-
-
-def _solve_block(square: FieldMatrix, blocks: Sequence[FieldMatrix]) -> FieldMatrix:
-    """(square^-1 . [blocks])^T from one rref of [square | blocks]."""
-    n = square.cols
-    width = sum(block.cols for block in blocks)
-    rows = (m.row(i) for i in range(n) for m in (square, *blocks))
-    red, pivots = linalg.rref(_computed(square.field, n, n + width, tuple(chain.from_iterable(rows))))
+    restricted = (plan.restricted_parity(j, i) for i in range(1, len(reads) + 1))
+    blocks = [None if hbar is None else _columns_at(*hbar, read) for hbar, read in zip(restricted, reads)]
+    at = sum(map(len, kept))
+    w = h.cols - at
+    entries: list[int] = []
+    for t in range(w):
+        row = h.row(t)
+        entries += row[at:]
+        start = 0
+        for u, block in zip(kept, blocks):
+            entries += map(f.neg, row[start : start + len(u)]) if block is None else block.row(t)
+            start += len(u)
+    red, pivots = linalg.rref(_computed(f, w, len(entries) // w, tuple(entries)))
     # `lower` solves only verified plans: r_F columns of an MDS parity check.
-    if pivots[:n] != tuple(range(n)):
+    if pivots[:w] != tuple(range(w)):
         raise InternalError("the written block of a verified plan is singular")
-    solved = [red.row(i)[n:] for i in range(n)]
-    return _computed(square.field, width, n, tuple(chain.from_iterable(zip(*solved))))
+    solved = [red.row(t)[w:] for t in range(w)]
+    return _computed(f, red.cols - w, w, tuple(chain.from_iterable(zip(*solved))))
 
 
 def lower(plan: Plan) -> GeneralPlan:
@@ -860,7 +847,7 @@ def lower(plan: Plan) -> GeneralPlan:
     sigma with written symbols = read symbols . sigma.  A merge or split
     plan runs exactly when `verify_plan` passes it, so the first FAIL line
     refuses the plan before any solve; then each final code's sigma is
-    solved once from `_parity_blocks`.
+    solved once (`_sigma`).
     """
     if isinstance(plan, GeneralPlan):
         return plan
@@ -869,7 +856,7 @@ def lower(plan: Plan) -> GeneralPlan:
             raise UsageError(f"{name}: {detail}; plan is not executable")
     p = plan.params
     unchanged, reads = plan.grid
-    sigmas = tuple(_solve_block(*_parity_blocks(plan, j)) for j in range(1, p.t2 + 1))
+    sigmas = tuple(_sigma(plan, j) for j in range(1, p.t2 + 1))
     return GeneralPlan(
         params=p,
         field=plan.field,
@@ -897,17 +884,17 @@ def _picker(indices: Sequence[int]) -> operator.itemgetter:
 class _Executable:
     """A plan compiled for `run_conversion` from its lowered form g.
 
-    `inputs` holds, per initial code i, its length n_i and the
-    `linalg.fold_step` of its generator G_i = [A_i | I_k] and of S_i
-    (`_shares`), the step that `fold` (of `linalg.fold_kernel`) runs to
-    check input i against its parity symbols, message . A_i, and add its
-    share of every final code's written symbols, c_i . S_i.  S_i holds
+    `inputs` holds, per initial code i, its length n_i and the fold of
+    `linalg.fold_step` on its generator G_i = [A_i | I_k] and on S_i
+    (`_shares`), which checks input i against its parity symbols,
+    message . A_i, and adds its share of every final code's written
+    symbols, c_i . S_i.  S_i holds
     input i's rows of the lowered sigmas at its read positions, the finals'
     columns side by side, so the shares sum to reads . sigma, the written
     symbols.  Over byte fields and GF(p) the step computes a share as
     message . C_i with C_i = G_i . S_i, equal on codewords, so it runs over
-    the message symbols alone.  `spill` unpacks the sum; `width` counts its
-    symbols.
+    the message symbols alone.  `spill`, the same for every input, unpacks
+    the sum; `width` counts its symbols.
     `finals` holds, per final code, its spec and a picker that lays out its
     coordinates from the concatenated inputs followed by all written
     symbols.  `report` is the plan's access report.
@@ -915,13 +902,12 @@ class _Executable:
 
     def __init__(self, plan: Plan, g: GeneralPlan):
         p = g.params
-        self.fold, self.spill = linalg.fold_kernel(g.field)
         widths = [sigma.cols for sigma in g.sigmas]
         self.width = sum(widths)
-        self.inputs = tuple(
-            (spec.n, linalg.fold_step(generator(spec), spec.r, _shares(g, i, spec.n)))
-            for i, spec in enumerate(g.initial_specs)
-        )
+        folds, spills = zip(*(linalg.fold_step(generator(spec), spec.r, _shares(g, i, spec.n))
+                              for i, spec in enumerate(g.initial_specs)))
+        self.inputs = tuple(zip(p.n_initial, folds))
+        self.spill = spills[0]
         offsets = [0]
         for n in p.n_initial + tuple(widths):
             offsets.append(offsets[-1] + n)
@@ -987,17 +973,16 @@ def run_conversion(
     the `AccessReport` is the plan's access cost, not a count of what
     execution touched.  The first time a plan runs it is lowered and
     compiled (`_Executable`) and kept on the plan, so a later stripe is one
-    `linalg.fold_kernel` step per input, over byte fields one lookup per
+    `linalg.fold_step` fold per input, over byte fields one lookup per
     message symbol, with no solve and no matrix or cache lookup.
     """
     exe = getattr(plan, "_executable", None) or _compile(plan, codewords)
     _check_count(codewords, len(exe.inputs))
-    fold = exe.fold
     acc = 0
     flat: list[int] = []
-    for i, ((n, step), cw) in enumerate(zip(exe.inputs, codewords), 1):
+    for i, ((n, fold), cw) in enumerate(zip(exe.inputs, codewords), 1):
         symbols = cw.symbols if isinstance(cw, Codeword) else tuple(cw)
-        if len(symbols) != n or (acc := fold(step, symbols, acc)) is None:
+        if len(symbols) != n or (acc := fold(symbols, acc)) is None:
             raise CorruptionError(f"input {i} is not a codeword of initial code {i}")
         flat += symbols
     flat += exe.spill(acc, exe.width)

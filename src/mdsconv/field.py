@@ -145,17 +145,17 @@ class FieldSpec:
     # -- element handling ----------------------------------------------
 
     def check(self, a: int) -> int:
-        """Validate a canonical encoding, returning it unchanged."""
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
+        """Validate a canonical encoding, returning it unchanged: an exact
+        `int` (not a bool or other int subclass) in [0, q)."""
+        if type(a) is not int or not 0 <= a < self.q:
             raise UsageError(f"{a!r} is not a canonical element of {self!r}")
         return a
 
     def check_all(self, values: Sequence[int]) -> None:
         """`check` every entry of a sequence, with the same outcome.
 
-        Plain ints in range pass without a method call; anything else (bool,
-        other int subclasses, other types, values out of range) goes
-        through `check`.
+        Plain ints in range pass without a method call; anything else goes
+        through `check`, which refuses it.
         """
         q = self.q
         for a in values:

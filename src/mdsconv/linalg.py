@@ -20,17 +20,18 @@ check: table lookups, reductions mod p and selections of canonical
 entries are canonical by construction, and the check was about a fifth
 of a first lowering.
 
-Every matrix-vector product runs on one row kernel per field
-(`row_kernel`) over lines kept on the matrix (`kernel_lines`), in one of
-three forms: over a byte field (characteristic 2, q <= 256) lane rows,
-one lookup per input symbol for up to eight outputs at once; over
-GF(2^m) with m > 8 (log coefficient, index) pairs; over GF(p) dense
-coefficient lines.  `grs.encode` runs `systematic_encoder`, compiled once
-per code on its generator's parity lines: over a byte field one pass
-over the message checks each symbol and looks up its lane row, elsewhere
-the row kernel's vector and run.  The executor's step per input,
-`fold_kernel`, checks a codeword against its systematic generator and
-adds its share of the written symbols in one pass over the message
+Every matrix-vector product runs on the field's row kernel (`row_kernel`)
+over lines kept on the matrix (`kernel_lines`), in one of three forms:
+over a byte field (characteristic 2, q <= 256) lane rows, one lookup per
+input symbol for up to eight outputs at once; over GF(2^m) with m > 8
+(log coefficient, index) pairs; over GF(p) one packed int per input
+symbol, one bit field per output, so a product is one sum.  `grs.encode`
+runs `systematic_encoder`, compiled once per code on its generator's
+parity lines: over a byte field one pass over the message checks each
+symbol and looks up its lane row, elsewhere the row kernel's vector and
+run.  The executor's step per input, the bound (fold, spill) pair that
+`fold_step` returns, checks a codeword against its systematic generator
+and adds its share of the written symbols in one pass over the message
 symbols: over a byte field lane rows whose reduce starts from the parity
 symbols and the written symbols so far, over GF(p) one sum of packed
 ints, so nothing is unpacked until the last input; over GF(2^m) with
@@ -252,9 +253,10 @@ def kernel_lines(m: FieldMatrix, by_cols: bool, width: int | None = None):
     kept on m.  A FieldMatrix never changes, so kept lines cannot go stale.
 
     A line is one output's coefficients: a column of m for v . M, a row for
-    M . v.  GF(p) keeps the entries; GF(2^m) with m > 8 keeps (log
-    coefficient, index) pairs with the zero coefficients dropped (see
-    `FieldSpec.row_tables`); a byte field keeps lane rows (`_lane_rows`).
+    M . v.  GF(2^m) with m > 8 keeps (log coefficient, index) pairs with the
+    zero coefficients dropped (see `FieldSpec.row_tables`); a byte field
+    keeps lane rows (`_lane_rows`); GF(p) keeps the lines packed, one int
+    per input index (`_mod_packed`), and their number.
     """
     kept = _kept(m)
     lines = kept.get((by_cols, width))
@@ -271,6 +273,8 @@ def kernel_lines(m: FieldMatrix, by_cols: bool, width: int | None = None):
         elif f.m > 1:
             log = f.row_tables()[0].__getitem__
             lines = [tuple(compress(zip(map(log, line), count()), line)) for line in lines]
+        else:
+            lines = _mod_packed(_mod_lane_bits(f.p), lines), size
         kept[by_cols, width] = lines
     return lines
 
@@ -286,84 +290,54 @@ def _kept(m: FieldMatrix) -> dict:
 
 def row_kernel(field: FieldSpec) -> tuple[Callable, Callable]:
     """The one inner loop of every matrix-vector product over `field`, as
-    (vector, run), built once per field and kept on it.
+    (vector, run).
 
     vector(v) checks every entry of v as `FieldSpec.check` does and returns
     v in kernel form: over GF(2^m) with m > 8 the logs of its entries (0
     maps to the tables' zero log), otherwise v itself.  run(lines, vec)
     takes lines from `kernel_lines` and such a vec, and returns [line . v
-    for each line]: one reduction per line over GF(p), an XOR of
-    exp[log c + log v_j] lookups over GF(2^m) with m > 8, and over a byte
-    field one lookup per symbol for all lanes (`_lane_run`).  All are
-    module functions or partials of them, so a plan that keeps them stays
-    picklable.
+    for each line]: over GF(p) one sum of packed ints, reduced lane by lane
+    (`_mod_run`), an XOR of exp[log c + log v_j] lookups per line over
+    GF(2^m) with m > 8, and over a byte field one lookup per symbol for all
+    lanes (`_lane_run`).  All are module functions or partials of them, so
+    whatever keeps them stays picklable; `matvec` and `vecmat` build them
+    per call, encoders and folds bind them once.
     """
-    # getattr, not field.__dict__: reading an instance's __dict__ turns its
-    # attributes into a plain dict, and field.mul then runs about 2x slower.
-    kernel = getattr(field, "_row_kernel", None)
-    if kernel is None:
-        if _is_byte_field(field):
-            kernel = (partial(_canonical, field), _lane_run)
-        elif field.m == 1:
-            kernel = (partial(_canonical, field), partial(_mod_lines, field.p))
-        else:
-            log, exp = field.row_tables()
-            kernel = (partial(_logs, field, log), partial(_xor_lines, exp))
-        field._row_kernel = kernel
-    return kernel
+    if _is_byte_field(field):
+        return partial(_canonical, field), _lane_run
+    if field.m == 1:
+        return partial(_canonical, field), partial(_mod_run, field.p, _mod_lane_bits(field.p))
+    log, exp = field.row_tables()
+    return partial(_logs, field, log), partial(_xor_lines, exp)
 
 
-def fold_kernel(field: FieldSpec) -> tuple[Callable, Callable]:
-    """The row kernel's check-and-share step over `field`, as (fold, spill),
-    built once per field and kept on it.
+def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple[Callable, Callable]:
+    """The executor's check-and-share step for g = [A | I_k], a systematic
+    generator with r parity columns, and S, (r + k) x w, as (fold, spill).
 
-    Let g = [A | I_k] be the systematic generator of a code with r parity
-    symbols and S an (r + k) x w matrix.  fold(step, c, acc) takes
-    `fold_step(g, r, S)`, a vector c of length r + k and an accumulator.
-    It checks c as `row_kernel`'s vector does (UsageError), and returns None
+    fold(c, acc) takes a vector c of length r + k and an accumulator.  It
+    checks c as `row_kernel`'s vector does (UsageError), and returns None
     unless c[:r] = c[r:] . A, that is unless c is a codeword; otherwise it
     returns acc + c . S.  0 is the empty accumulator, and spill(acc, w)
     gives an accumulator's w symbols.
 
     A codeword is c = c[r:] . g, so c . S = c[r:] . C with C = g . S, and
     over a byte field and over GF(p) the fold runs M = [A | C] on the
-    message symbols alone: over a byte field one lookup per message symbol
-    for all r + w lanes (`_lane_fold`), over GF(p) one sum of products of
-    message symbols and packed rows of M (`_mod_fold`).  Over GF(2^m) with
-    m > 8 the row kernel runs A's lines on the message symbols and S's
-    lines, which keep only S's nonzero entries, on c.  All are module
-    functions or partials of them, as in `row_kernel`.
-    """
-    kernel = getattr(field, "_fold_kernel", None)
-    if kernel is None:
-        if _is_byte_field(field):
-            kernel = (partial(_lane_fold, field), _lane_spill)
-        elif field.m > 1:
-            kernel = (partial(_line_fold, *row_kernel(field)), _line_spill)
-        else:
-            bits = _mod_lane_bits(field.p)
-            kernel = (partial(_mod_fold, field), partial(_mod_spill, field.p, bits))
-        field._fold_kernel = kernel
-    return kernel
-
-
-def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple:
-    """What `fold_kernel`'s fold runs for g = [A | I_k], a systematic
-    generator with r parity columns, and S, (r + k) x w.
-
-    Over a byte field: the lane shift and syndrome mask of r lanes and the
-    lane rows of the columns of M = [A | g . S], groups of up to LANES
-    (`_lane_rows`), each after the first with its shift.  A's full groups
-    are the `kernel_lines(g, True, r)` that `systematic_encoder` runs on; its
-    other columns share a group with the first columns of g . S.  Over
-    GF(p): the shifts of the r parity lanes, the lane mask, the shift of
-    the written lanes, and one packed int per message symbol, row t of M
-    with entry j at bit `_mod_lane_bits(p)` times j.  Over GF(2^m) with
-    m > 8: r, A's lines and S's lines by columns.
+    message symbols alone.  Over a byte field (`_lane_fold`) one lookup per
+    message symbol for all r + w lanes: the lane rows of the columns of M,
+    groups of up to LANES (`_lane_rows`), each after the first with its
+    shift; A's full groups are the `kernel_lines(g, True, r)` that
+    `systematic_encoder` runs on, and its other columns share a group with
+    the first columns of g . S.  Over GF(p) (`_mod_fold`) one sum of
+    products of message symbols and packed rows of M (`_mod_packed`).  Over
+    GF(2^m) with m > 8 (`_line_fold`) the row kernel runs A's lines on the
+    message symbols and S's lines, which keep only S's nonzero entries, on
+    c.  Both are module functions or partials of them, as in `row_kernel`.
     """
     f = g.field
     if f.m > 1 and not _is_byte_field(f):
-        return r, kernel_lines(g, True, r), kernel_lines(s, True)
+        step = r, kernel_lines(g, True, r), kernel_lines(s, True)
+        return partial(_line_fold, *row_kernel(f), step), _line_spill
     c_cols = _systematic_product(g, r, s)
     if _is_byte_field(f):
         full = r // LANES
@@ -371,11 +345,11 @@ def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple:
         a_cols = [g.entries[j :: g.cols] for j in range(LANES * full, r)]
         (first, _), *rest = (*reused, *_lane_rows(f, a_cols + c_cols))
         more = tuple((8 * LANES * at, rows) for at, (rows, _) in enumerate(rest, 1))
-        return r, 8 * r, (1 << 8 * r) - 1, first, more
+        return partial(_lane_fold, f, (r, 8 * r, (1 << 8 * r) - 1, first, more)), _lane_spill
     bits = _mod_lane_bits(f.p)
-    a_cols = [g.entries[j :: g.cols] for j in range(r)]
-    rows = tuple(sum(e << bits * j for j, e in enumerate(row)) for row in zip(*a_cols, *c_cols))
-    return r, tuple(range(0, bits * r, bits)), (1 << bits) - 1, bits * r, rows
+    rows = _mod_packed(bits, [g.entries[j :: g.cols] for j in range(r)] + c_cols)
+    step = r, tuple(range(0, bits * r, bits)), (1 << bits) - 1, bits * r, rows
+    return partial(_mod_fold, f, step), partial(_mod_spill, f.p, bits)
 
 
 def systematic_encoder(g: FieldMatrix, r: int) -> Callable:
@@ -526,10 +500,6 @@ def _logs(field: FieldSpec, log: list[int], v: Sequence[int]) -> list[int]:
     return out
 
 
-def _mod_lines(p: int, lines: list, vec: Sequence[int]) -> list[int]:
-    return [sum(map(mul, line, vec)) % p for line in lines]
-
-
 def _xor_lines(exp: list[int], lines: list, vec: Sequence[int]) -> list[int]:
     out = []
     for line in lines:
@@ -560,12 +530,23 @@ def _line_spill(acc: list[int], w: int) -> list[int]:
 
 
 # Over GF(p) the lanes of a packed int are bit fields wide enough for a sum
-# of 2^32 products of canonical entries, so a stripe's shares add as plain
-# ints, with no carry between lanes, and each lane is reduced mod p once.
+# of 2^32 products of canonical entries, so products and a stripe's shares
+# add as plain ints, with no carry between lanes, and each lane is reduced
+# mod p once.
 
 
 def _mod_lane_bits(p: int) -> int:
     return ((p - 1) ** 2).bit_length() + 32
+
+
+def _mod_packed(bits: int, lines: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """One int per input index t, holding lines[j][t] at bit bits * j."""
+    return tuple(sum(e << bits * j for j, e in enumerate(row)) for row in zip(*lines))
+
+
+def _mod_run(p: int, bits: int, lines: tuple, vec: Sequence[int]) -> list[int]:
+    rows, w = lines
+    return _mod_spill(p, bits, sum(map(mul, rows, vec)), w)
 
 
 def _mod_fold(field: FieldSpec, step: tuple, c: Sequence[int], acc: int) -> int | None:

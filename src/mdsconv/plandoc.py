@@ -155,8 +155,8 @@ def plan_from_doc(doc: Mapping) -> Plan:
         params = _params_from_doc(doc["params"])
         field = _field_from_doc(doc["field"])
         codes = read_codes(doc)
-        unchanged = _grid_from_doc(doc, "unchanged", params, axes)
-        reads = _grid_from_doc(doc, "reads", params, axes)
+        unchanged = _grid_from_doc(doc["unchanged"], "unchanged", axes)
+        reads = _grid_from_doc(doc["reads"], "reads", axes)
         certificate = read_certificate(doc, params, field)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise UsageError(f"malformed {kind} plan document: {exc}") from exc
@@ -178,21 +178,15 @@ def _nested(grid: Sequence[Sequence], axes: str) -> Sequence:
     return grid
 
 
-def _grid_from_doc(doc: Mapping, key: str, params: ConvertParams, axes: str) -> tuple:
-    """The `key` grid of a document, nested by `axes`; each cell's label names
-    its place in the document, as `unchanged[i]`, `unchanged[j]` or `unchanged[j][i]`."""
-
-    def cell(j: int, i: int) -> tuple[int, ...]:
-        node, label = doc[key], key
-        for axis, x in (("j", j), ("i", i)):
-            if axis in axes:
-                node, label = node[x - 1], f"{label}[{x}]"
-        return _positions_from_pairs(node, i, label)
-
-    grid = tuple(
-        tuple(cell(j, i) for i in range(1, params.t1 + 1)) for j in range(1, params.t2 + 1)
-    )
-    return tuple(_nested(grid, axes))
+def _grid_from_doc(node: Sequence, label: str, axes: str, code: int = 1) -> tuple:
+    """A document's grid `node`, nested by `axes`, read whole, so the plan's
+    count checks see every entry.  Each cell's label names its place in the
+    document, as `unchanged[i]`, `unchanged[j]` or `unchanged[j][i]`, and
+    its pairs must name its initial code i (1 in a split)."""
+    if not axes:
+        return _positions_from_pairs(node, code, label)
+    return tuple(_grid_from_doc(sub, f"{label}[{x}]", axes[1:], x if axes[0] == "i" else code)
+                 for x, sub in enumerate(node, 1))
 
 
 def _written_pairs(plan: MergePlan | SplitPlan, axes: str) -> list:
@@ -212,13 +206,16 @@ def _by_code(matrices: Sequence[FieldMatrix | None]) -> list[dict]:
 
 
 def _by_code_from_doc(doc: Mapping, key: str, t1: int, field: FieldSpec) -> tuple:
-    """One slot per initial code: the matrix of the `key` entry that names it, else None."""
+    """One slot per initial code: the matrix of the `key` entry that names it,
+    else None; a code named twice is a UsageError."""
     out: list[FieldMatrix | None] = [None] * t1
     for entry in doc[key]:
         matrix = _matrix_from_lines(entry["matrix"], field)
         code = json_int(entry["code"], key)
         if not 1 <= code <= t1:
             raise UsageError(f"{key}: code {code} out of range 1..{t1}")
+        if out[code - 1] is not None:
+            raise UsageError(f"{key}: code {code} is listed twice")
         out[code - 1] = matrix
     return tuple(out)
 
@@ -237,10 +234,13 @@ def _merge_keys(plan: MergePlan) -> tuple[dict, dict]:
 
 
 def _merge_codes(doc: Mapping) -> dict:
+    reduced = json_ints(doc["S"], "S")
+    if len(set(reduced)) != len(reduced):
+        raise UsageError(f"S: {list(reduced)} names a code twice")
     return {
         "initial_specs": tuple(spec_from_dict(d) for d in doc["initial_codes"]),
         "final_spec": spec_from_dict(doc["final_code"]),
-        "reduced": frozenset(json_ints(doc["S"], "S")),
+        "reduced": frozenset(reduced),
     }
 
 
@@ -302,13 +302,12 @@ def _general_codes(doc: Mapping) -> dict:
 
 
 def _general_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec) -> dict:
-    finals = range(params.t2)
     return {
         "layouts": tuple(
-            tuple((json_int(c, "layout"), json_int(pos, "layout")) for c, pos in doc["layout"][j])
-            for j in finals
+            tuple((json_int(c, "layout"), json_int(pos, "layout")) for c, pos in layout)
+            for layout in doc["layout"]
         ),
-        "sigmas": tuple(_matrix_from_lines(doc["sigma"][j], field) for j in finals),
+        "sigmas": tuple(_matrix_from_lines(lines, field) for lines in doc["sigma"]),
     }
 
 
@@ -403,15 +402,20 @@ def _list_items(values: Sequence, indent: str):
     return [_dump(v, indent) for v in values]
 
 
-def load_plan(path: str) -> Plan:
+def _read_json(path: str, what: str):
+    """The JSON value in the file at `path`; UsageError, naming the file as
+    `what`, when it cannot be read or is not valid JSON."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read plan {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, or an integer past int's digit limit
-        raise UsageError(f"plan {path} is not valid JSON: {exc}") from exc
-    return plan_from_doc(doc)
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # bad JSON, not UTF-8, or an integer past int's digit limit
+        raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_plan(path: str) -> Plan:
+    return plan_from_doc(_read_json(path, "plan"))
 
 
 def _write_text(path: str, text: str) -> None:

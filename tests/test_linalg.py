@@ -273,16 +273,14 @@ def test_lane_kernel_matches_per_element_reference(m):
 
 @pytest.mark.parametrize("q", [2, 16, 256, 257, 1 << 16, 1000003])
 def test_check_lines_give_the_systematic_syndrome(q):
-    """The executor's per-input check lines: fold on the step of g = [A | I_k]
-    and S is None exactly when c . [I_r ; -A] is nonzero, that is exactly
+    """The executor's per-input check lines: the fold that `fold_step` binds
+    for g = [A | I_k] and S is None exactly when c . [I_r ; -A] is nonzero, that is exactly
     off the code, and on a codeword adds c . S to the accumulator: from 0,
     and chained onto an earlier fold.  r + w runs past eight lanes too, and
     S may be zero on most rows, as a share of the written symbols is zero
     off the read symbols."""
     f = GF(q)
     rng = random.Random(4000 + q)
-    fold, spill = linalg.fold_kernel(f)
-    assert linalg.fold_kernel(f) == (fold, spill)
     for n in sorted({2, 3, min(q + 1, 12), min(q + 1, 19)}):
         for r in sorted({1, n - 1, min(n - 1, 10)}):
             spec = grs.ExtGrsSpec(f, n, r, tuple(rng.sample(range(q), n - 1)),
@@ -292,20 +290,20 @@ def test_check_lines_give_the_systematic_syndrome(q):
             for w, live in ((0, 1), (1, 1), (9, 1), (9, 0.3)):
                 s_part = from_rows(f, [[rng.randrange(q) for _ in range(w)] if rng.random() < live
                                        else [0] * w for _ in range(n)], cols=w)
-                step = linalg.fold_step(g, r, s_part)
+                fold, spill = linalg.fold_step(g, r, s_part)
                 earlier = grs.encode(spec, [rng.randrange(q) for _ in range(spec.k)]).symbols
-                acc = fold(step, earlier, 0)
+                acc = fold(earlier, 0)
                 assert list(spill(acc, w)) == list(_naive_vecmat(earlier, s_part))
                 for c in ([rng.randrange(q) for _ in range(n)], [0] * n,
                           grs.encode(spec, [rng.randrange(q) for _ in range(spec.k)]).symbols):
                     syndrome = map(f.sub, c[:r], _naive_vecmat(c[r:], a_part))
-                    got = fold(step, c, acc)
+                    got = fold(c, acc)
                     assert (got is None) == any(syndrome) == (not grs.is_codeword(spec, c))
                     if got is not None:
                         shares = _naive_vecmat(c, s_part)
                         want = map(f.add, _naive_vecmat(earlier, s_part), shares)
                         assert list(spill(got, w)) == list(want)
-                        assert list(spill(fold(step, c, 0), w)) == list(shares)
+                        assert list(spill(fold(c, 0), w)) == list(shares)
 
 
 @pytest.mark.parametrize("q", [7, 256])

@@ -19,11 +19,11 @@ bound `linalg.fold_step` per initial code, whose outputs are the code's
 parity symbols and its share of every final code's written symbols.
 Those steps and the access report are kept on the plan object, so every
 later stripe is one pass: each input in turn is checked and adds its
-share in one step.  Over a byte field that step is one lookup per
-message symbol.  On codewords the
-shares sum to the read symbols times sigma, so execution reads every
-input symbol to check it, while the access report states the plan's
-access cost.
+share in one step over its message symbols, on the one compiled form of
+the field (over a byte field one lookup per message symbol).  On
+codewords the shares sum to the read symbols times sigma, so execution
+reads every input symbol to check it, while the access report states
+the plan's access cost.
 
 Every code of a plan is an extended GRS code, and an extended GRS code
 with n - 1 distinct evaluation points and nonzero column multipliers is
@@ -891,7 +891,7 @@ class _Executable:
     symbols, c_i . S_i.  S_i holds
     input i's rows of the lowered sigmas at its read positions, the finals'
     columns side by side, so the shares sum to reads . sigma, the written
-    symbols.  Over byte fields and GF(p) the step computes a share as
+    symbols.  Over every field the step computes a share as
     message . C_i with C_i = G_i . S_i, equal on codewords, so it runs over
     the message symbols alone.  `spill`, the same for every input, unpacks
     the sum; `width` counts its symbols.
@@ -968,13 +968,12 @@ def run_conversion(
     checked in order, each before the next: a wrong length or a nonzero
     syndrome raises CorruptionError, a non-canonical symbol UsageError.
     Execution reads every input symbol to check it, and forms the written
-    symbols from the message symbols (over GF(2^m) with m > 8, from the
-    read symbols), which on codewords equal the read symbols times sigma;
-    the `AccessReport` is the plan's access cost, not a count of what
-    execution touched.  The first time a plan runs it is lowered and
-    compiled (`_Executable`) and kept on the plan, so a later stripe is one
-    `linalg.fold_step` fold per input, over byte fields one lookup per
-    message symbol, with no solve and no matrix or cache lookup.
+    symbols from the message symbols, which on codewords equal the read
+    symbols times sigma; the `AccessReport` is the plan's access cost, not
+    a count of what execution touched.  The first time a plan runs it is
+    lowered and compiled (`_Executable`) and kept on the plan, so a later
+    stripe is one `linalg.fold_step` fold per input, over byte fields one
+    lookup per message symbol, with no solve and no matrix or cache lookup.
     """
     exe = getattr(plan, "_executable", None) or _compile(plan, codewords)
     _check_count(codewords, len(exe.inputs))

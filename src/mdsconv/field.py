@@ -14,8 +14,8 @@ that encodings are bit-exact across runs:
     GF(16)  : x^4 + x + 1             -> 0b10011     = 19
     GF(256) : x^8 + x^4 + x^3 + x + 1 -> 0b100011011 = 283
 
-Other degrees up to 16 use the lexicographically smallest irreducible
-polynomial, which reproduces the table above.
+Every degree up to 16 uses the lexicographically smallest irreducible
+polynomial of that degree, which gives the table above.
 """
 
 from __future__ import annotations
@@ -26,14 +26,6 @@ from functools import lru_cache
 from .errors import UsageError
 
 MAX_EXTENSION_DEGREE = 16
-
-# Pinned irreducible polynomials, keyed by extension degree m.
-_PINNED_MODULI = {
-    2: 0b111,
-    3: 0b1011,
-    4: 0b10011,
-    8: 0b100011011,
-}
 
 
 # Miller-Rabin with the first thirteen primes as bases has no strong
@@ -96,8 +88,6 @@ def _poly_irreducible(mod: int, m: int) -> bool:
 
 
 def _default_modulus(m: int) -> int:
-    if m in _PINNED_MODULI:
-        return _PINNED_MODULI[m]
     for cand in range(1 << m, 1 << (m + 1)):
         if _poly_irreducible(cand, m):
             return cand
@@ -146,9 +136,11 @@ class FieldSpec:
 
     def check(self, a: int) -> int:
         """Validate a canonical encoding, returning it unchanged: an exact
-        `int` (not a bool or other int subclass) in [0, q)."""
+        `int` (not a bool or other int subclass) in [0, q).  The message
+        names the type of a refused value that is not an `int`."""
         if type(a) is not int or not 0 <= a < self.q:
-            raise UsageError(f"{a!r} is not a canonical element of {self!r}")
+            shown = repr(a) if type(a) is int else f"{a!r} ({type(a).__name__})"
+            raise UsageError(f"{shown} is not a canonical element of {self!r}")
         return a
 
     def check_all(self, values: Sequence[int]) -> None:
@@ -225,8 +217,8 @@ class FieldSpec:
         return out
 
     def row_tables(self) -> tuple[list[int], list[int]]:
-        """The (log, exp) tables that `mul` reads, for table-driven row
-        kernels over GF(2^m); see `_build_tables`."""
+        """The (log, exp) tables that `mul` reads, for the table-driven
+        loops of `linalg` and `grs` over GF(2^m); see `_build_tables`."""
         if self.m == 1:
             raise UsageError(f"row tables exist only for binary extension fields, not {self!r}")
         if self._exp is None:
@@ -274,7 +266,8 @@ class FieldSpec:
         return out
 
     def _build_tables(self) -> None:
-        """Log/antilog tables in one form for `mul`, `inv` and the row kernels.
+        """Log/antilog tables in one form for `mul`, `inv`, `rref` and the
+        compiled forms of `linalg`.
 
         exp holds two periods of a generator's powers, so exp[log a + log b]
         is the product of nonzero a and b.  log[0] is 2(q - 1), past every

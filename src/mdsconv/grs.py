@@ -146,8 +146,11 @@ def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
     a symbol that is not canonical.
 
     The code's encoder (`linalg.systematic_encoder`) is compiled on first
-    use and kept on the spec, so a later call is the length check and one
-    checked pass over the message."""
+    use, from the compiled form of A that the generator keeps, and kept on
+    the spec, so a later call is the length check and one checked pass over
+    the message: over a byte field one lookup per symbol for up to eight
+    parity symbols, over GF(p) one sum of packed ints, over GF(2^m) with
+    m > 8 one XOR of exp lookups per parity symbol."""
     k, run = getattr(spec, "_encoder", None) or _encoder(spec)
     if len(message) != k:
         raise UsageError(f"message must have k = {k} symbols, got {len(message)}")
@@ -155,8 +158,8 @@ def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
 
 
 def _encoder(spec: ExtGrsSpec) -> tuple:
-    """(k, encoder) for `encode`, built from the generator's parity lines
-    and kept on the spec.  A spec never changes, so it cannot go stale."""
+    """(k, encoder) for `encode`, built on the generator's compiled parity
+    form and kept on the spec.  A spec never changes, so it cannot go stale."""
     enc = (spec.k, linalg.systematic_encoder(generator(spec), spec.r))
     object.__setattr__(spec, "_encoder", enc)
     return enc

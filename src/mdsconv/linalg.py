@@ -20,22 +20,21 @@ check: table lookups, reductions mod p and selections of canonical
 entries are canonical by construction, and the check was about a fifth
 of a first lowering.
 
-Every matrix-vector product runs on the field's row kernel (`row_kernel`)
-over lines kept on the matrix (`kernel_lines`), in one of three forms:
-over a byte field (characteristic 2, q <= 256) lane rows, one lookup per
-input symbol for up to eight outputs at once; over GF(2^m) with m > 8
-(log coefficient, index) pairs; over GF(p) one packed int per input
-symbol, one bit field per output, so a product is one sum.  `grs.encode`
-runs `systematic_encoder`, compiled once per code on its generator's
-parity lines: over a byte field one pass over the message checks each
-symbol and looks up its lane row, elsewhere the row kernel's vector and
-run.  The executor's step per input, the bound (fold, spill) pair that
-`fold_step` returns, checks a codeword against its systematic generator
-and adds its share of the written symbols in one pass over the message
-symbols: over a byte field lane rows whose reduce starts from the parity
-symbols and the written symbols so far, over GF(p) one sum of packed
-ints, so nothing is unpacked until the last input; over GF(2^m) with
-m > 8 the row kernel's lines.
+Each field has one compiled form for its hot products (`_compiled`),
+built by exactly two callers: `systematic_encoder`, on the parity part A
+of a systematic generator g = [A | I_k], and `fold_step`, on M = [A | C]
+for the executor's per-input step.  Over a byte field (characteristic 2,
+q <= 256) lane rows, one lookup per input symbol for up to eight outputs
+at once; over GF(p) one packed int per input symbol, one bit field per
+output, so a product is one sum; over GF(2^m) with m > 8 (log
+coefficient, index) lines.  A's form is kept on g, the one form a matrix
+keeps, so the encoder and the fold share A's full lane groups.  Both run
+on the message symbols alone: `grs.encode` runs `systematic_encoder`,
+compiled once per code, and the bound (fold, spill) pair that
+`fold_step` returns checks a codeword against its systematic generator
+and adds its share of the written symbols in one pass, so nothing is
+unpacked until the last input.  `matvec` and `vecmat` are reference
+products over `FieldSpec.mul` and `add`, which no verb's data path runs.
 """
 
 from __future__ import annotations
@@ -151,7 +150,7 @@ def vandermonde_ext(
 
 def _vandermonde(field: FieldSpec, r: int, n: int, gamma: Sequence[int], w: Sequence[int]) -> FieldMatrix:
     """`vandermonde_ext` of arguments already checked."""
-    # Row ell + 1 is row ell times gamma, on the row kernel's tables.
+    # Row ell + 1 is row ell times gamma, on the field's log/exp tables.
     binary = field.m > 1
     if binary:
         log, exp = field.row_tables()
@@ -176,8 +175,8 @@ def _vandermonde(field: FieldSpec, r: int, n: int, gamma: Sequence[int], w: Sequ
 def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its 0-based pivot columns.
 
-    Row operations run on the row kernel's tables: over GF(2^m) the scaled
-    pivot row is turned into logs once, and each elimination is
+    Row operations run on the field's log/exp tables: over GF(2^m) the
+    scaled pivot row is turned into logs once, and each elimination is
     x ^ exp[log c + log y]; over GF(p) it is (x - c*y) % p.
     """
     f = m.field
@@ -247,68 +246,55 @@ def matmul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return from_rows(a.field, [vecmat(a.row(i), b) for i in range(a.rows)], cols=b.cols)
 
 
-def kernel_lines(m: FieldMatrix, by_cols: bool, width: int | None = None):
-    """Lines of the field's `row_kernel` for v . M[:, :width] (by_cols) or
-    M[:width] . v (width: default all), built when first asked for and
-    kept on m.  A FieldMatrix never changes, so kept lines cannot go stale.
+def matvec(m: FieldMatrix, v: Sequence[int]) -> tuple[int, ...]:
+    """M . v^T as a length-rows tuple; UsageError unless v is canonical.  A
+    reference product over `FieldSpec.mul` and `add`, which keeps nothing."""
+    if len(v) != m.cols:
+        raise UsageError(f"vector length {len(v)} does not match {m.cols} columns")
+    m.field.check_all(v)
+    return tuple(_dot(m.field, m.row(i), v) for i in range(m.rows))
 
-    A line is one output's coefficients: a column of m for v . M, a row for
-    M . v.  GF(2^m) with m > 8 keeps (log coefficient, index) pairs with the
-    zero coefficients dropped (see `FieldSpec.row_tables`); a byte field
-    keeps lane rows (`_lane_rows`); GF(p) keeps the lines packed, one int
-    per input index (`_mod_packed`), and their number.
+
+def vecmat(v: Sequence[int], m: FieldMatrix) -> tuple[int, ...]:
+    """v . M as a length-cols tuple; UsageError unless v is canonical.  A
+    reference product, as `matvec`."""
+    if len(v) != m.rows:
+        raise UsageError(f"vector length {len(v)} does not match {m.rows} rows")
+    m.field.check_all(v)
+    return tuple(_dot(m.field, v, m.entries[j :: m.cols]) for j in range(m.cols))
+
+
+def _dot(field: FieldSpec, a: Sequence[int], b: Sequence[int]) -> int:
+    return reduce(field.add, map(field.mul, a, b), 0)
+
+
+# -- compiled forms: the encoder and the fold -----------------------------
+
+
+def systematic_encoder(g: FieldMatrix, r: int) -> Callable:
+    """message -> message . g as a tuple, for g = [A | I_k], a systematic
+    generator with r parity columns: the r parity symbols message . A, then
+    the message itself.  The message must have k = g.rows symbols (the
+    caller checks its length); each is checked as `FieldSpec.check` does
+    (UsageError, naming the first one that is not canonical).
+
+    It runs on A's compiled form, kept on g, whose full lane groups
+    `fold_step` shares.  Over a byte field one pass over the message checks
+    each symbol and XORs in its lane row of the first group
+    (`_lane_encode`), and each further group is one reduce; over GF(p) one
+    check and one sum of packed ints (`_mod_encode`); over GF(2^m) with
+    m > 8 the message's logs and one XOR of exp lookups per line
+    (`_log_encode`).  A partial of a module function, so whatever keeps it
+    stays picklable.
     """
-    kept = _kept(m)
-    lines = kept.get((by_cols, width))
-    if lines is None:
-        total = m.cols if by_cols else m.rows
-        size = total if width is None else min(width, total)
-        if by_cols:
-            lines = [m.entries[j :: m.cols] for j in range(size)]
-        else:
-            lines = [m.row(i) for i in range(size)]
-        f = m.field
-        if _is_byte_field(f):
-            lines = _lane_rows(f, lines)
-        elif f.m > 1:
-            log = f.row_tables()[0].__getitem__
-            lines = [tuple(compress(zip(map(log, line), count()), line)) for line in lines]
-        else:
-            lines = _mod_packed(_mod_lane_bits(f.p), lines), size
-        kept[by_cols, width] = lines
-    return lines
-
-
-def _kept(m: FieldMatrix) -> dict:
-    """The lines kept on m, keyed by what they compute."""
-    kept = getattr(m, "_kernel_lines", None)
-    if kept is None:
-        kept = {}
-        object.__setattr__(m, "_kernel_lines", kept)
-    return kept
-
-
-def row_kernel(field: FieldSpec) -> tuple[Callable, Callable]:
-    """The one inner loop of every matrix-vector product over `field`, as
-    (vector, run).
-
-    vector(v) checks every entry of v as `FieldSpec.check` does and returns
-    v in kernel form: over GF(2^m) with m > 8 the logs of its entries (0
-    maps to the tables' zero log), otherwise v itself.  run(lines, vec)
-    takes lines from `kernel_lines` and such a vec, and returns [line . v
-    for each line]: over GF(p) one sum of packed ints, reduced lane by lane
-    (`_mod_run`), an XOR of exp[log c + log v_j] lookups per line over
-    GF(2^m) with m > 8, and over a byte field one lookup per symbol for all
-    lanes (`_lane_run`).  All are module functions or partials of them, so
-    whatever keeps them stays picklable; `matvec` and `vecmat` build them
-    per call, encoders and folds bind them once.
-    """
-    if _is_byte_field(field):
-        return partial(_canonical, field), _lane_run
-    if field.m == 1:
-        return partial(_canonical, field), partial(_mod_run, field.p, _mod_lane_bits(field.p))
-    log, exp = field.row_tables()
-    return partial(_logs, field, log), partial(_xor_lines, exp)
+    f = g.field
+    form = _compiled(f, [g.entries[j :: g.cols] for j in range(r)], g)
+    if _is_byte_field(f):
+        (rows, lanes), *more = form
+        return partial(_lane_encode, f, rows, lanes, tuple(more))
+    if f.m == 1:
+        return partial(_mod_encode, f, _mod_lane_bits(f.p), r, form)
+    return partial(_log_encode, f, *f.row_tables(), form)
 
 
 def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple[Callable, Callable]:
@@ -316,63 +302,62 @@ def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple[Callable, Callabl
     generator with r parity columns, and S, (r + k) x w, as (fold, spill).
 
     fold(c, acc) takes a vector c of length r + k and an accumulator.  It
-    checks c as `row_kernel`'s vector does (UsageError), and returns None
+    checks c as `FieldSpec.check` does (UsageError), and returns None
     unless c[:r] = c[r:] . A, that is unless c is a codeword; otherwise it
     returns acc + c . S.  0 is the empty accumulator, and spill(acc, w)
     gives an accumulator's w symbols.
 
     A codeword is c = c[r:] . g, so c . S = c[r:] . C with C = g . S, and
-    over a byte field and over GF(p) the fold runs M = [A | C] on the
+    over every field the fold runs the compiled form of M = [A | C] on the
     message symbols alone.  Over a byte field (`_lane_fold`) one lookup per
-    message symbol for all r + w lanes: the lane rows of the columns of M,
-    groups of up to LANES (`_lane_rows`), each after the first with its
-    shift; A's full groups are the `kernel_lines(g, True, r)` that
+    message symbol for all r + w lanes, groups of up to LANES, each after
+    the first with its shift: A's full groups are the ones
     `systematic_encoder` runs on, and its other columns share a group with
-    the first columns of g . S.  Over GF(p) (`_mod_fold`) one sum of
-    products of message symbols and packed rows of M (`_mod_packed`).  Over
-    GF(2^m) with m > 8 (`_line_fold`) the row kernel runs A's lines on the
-    message symbols and S's lines, which keep only S's nonzero entries, on
-    c.  Both are module functions or partials of them, as in `row_kernel`.
+    the first columns of C.  Over GF(p) (`_mod_fold`) one sum of products
+    of message symbols and packed rows of M.  Over GF(2^m) with m > 8
+    (`_line_fold`) one XOR of exp lookups per line of M.  All are partials
+    of module functions, as in `systematic_encoder`.
     """
     f = g.field
-    if f.m > 1 and not _is_byte_field(f):
-        step = r, kernel_lines(g, True, r), kernel_lines(s, True)
-        return partial(_line_fold, *row_kernel(f), step), _line_spill
-    c_cols = _systematic_product(g, r, s)
+    columns = [g.entries[j :: g.cols] for j in range(r)] + _systematic_product(g, r, s)
     if _is_byte_field(f):
         full = r // LANES
-        reused = kernel_lines(g, True, r)[:full] if full else ()
-        a_cols = [g.entries[j :: g.cols] for j in range(LANES * full, r)]
-        (first, _), *rest = (*reused, *_lane_rows(f, a_cols + c_cols))
+        shared = _compiled(f, columns[:r], g)[:full] if full else ()
+        (first, _), *rest = (*shared, *_compiled(f, columns[LANES * full :]))
         more = tuple((8 * LANES * at, rows) for at, (rows, _) in enumerate(rest, 1))
         return partial(_lane_fold, f, (r, 8 * r, (1 << 8 * r) - 1, first, more)), _lane_spill
-    bits = _mod_lane_bits(f.p)
-    rows = _mod_packed(bits, [g.entries[j :: g.cols] for j in range(r)] + c_cols)
-    step = r, tuple(range(0, bits * r, bits)), (1 << bits) - 1, bits * r, rows
-    return partial(_mod_fold, f, step), partial(_mod_spill, f.p, bits)
+    form = _compiled(f, columns)
+    if f.m == 1:
+        bits = _mod_lane_bits(f.p)
+        step = r, tuple(range(0, bits * r, bits)), (1 << bits) - 1, bits * r, form
+        return partial(_mod_fold, f, step), partial(_mod_spill, f.p, bits)
+    return partial(_line_fold, f, *f.row_tables(), r, form), _line_spill
 
 
-def systematic_encoder(g: FieldMatrix, r: int) -> Callable:
-    """message -> message . g as a tuple, for g = [A | I_k], a systematic
-    generator with r parity columns: the r parity symbols message . A, then
-    the message itself.  The message must have k = g.rows symbols (the
-    caller checks its length); each is checked as `row_kernel`'s vector
-    does (UsageError, naming the first one that is not canonical).
+def _compiled(field: FieldSpec, columns: Sequence[Sequence[int]], generator: FieldMatrix | None = None):
+    """The compiled form of v . [columns] over `field`, v indexed as the
+    columns' entries: over a byte field lane rows (`_lane_rows`), over GF(p)
+    one packed int per input index (`_mod_packed`), over GF(2^m) with m > 8
+    one line per column of (log coefficient, index) pairs with the zero
+    coefficients dropped (see `FieldSpec.row_tables`).
 
-    It runs on `kernel_lines(g, True, r)`, the lines `fold_step` shares, so
-    it builds no tables of its own.  Over a byte field one pass over the
-    message checks each symbol and XORs in its lane row of the first group
-    (`_lane_encode`), and each further group is one reduce; elsewhere it is
-    the row kernel's vector and run (`_line_encode`).  A partial of a
-    module function, as in `row_kernel`, so whatever keeps it stays
-    picklable.
+    Given the generator whose parity part A the columns are, the form is
+    kept on it, the one form a FieldMatrix keeps; a FieldMatrix never
+    changes, so it cannot go stale.
     """
-    f = g.field
-    lines = kernel_lines(g, True, r)
-    if _is_byte_field(f):
-        (rows, lanes), more = lines[0], lines[1:]
-        return partial(_lane_encode, f, rows, lanes, more)
-    return partial(_line_encode, *row_kernel(f), lines)
+    form = getattr(generator, "_parity_form", None)
+    if form is not None:
+        return form
+    if _is_byte_field(field):
+        form = _lane_rows(field, columns)
+    elif field.m == 1:
+        form = _mod_packed(_mod_lane_bits(field.p), columns)
+    else:
+        log = field.row_tables()[0].__getitem__
+        form = tuple(tuple(compress(zip(map(log, line), count()), line)) for line in columns)
+    if generator is not None:
+        object.__setattr__(generator, "_parity_form", form)
+    return form
 
 
 def _systematic_product(g: FieldMatrix, r: int, s: FieldMatrix) -> list[tuple[int, ...]]:
@@ -389,13 +374,13 @@ def _systematic_product(g: FieldMatrix, r: int, s: FieldMatrix) -> list[tuple[in
     return list(zip(*rows))
 
 
-# -- lane rows: the row kernel of byte fields --------------------------------
+# -- lane rows: the compiled form of byte fields ------------------------------
 #
 # Over a byte field (characteristic 2, q <= 256) every product fits a byte,
 # so the products of one symbol with up to LANES coefficients pack into one
-# int, byte l holding lane l.  A lane row of a kernel line set is an array
+# int, byte l holding lane l.  A lane row of a set of columns is an array
 # indexed by symbol: entry v packs (coefficient_l . v) for the lanes l of a
-# group of up to LANES lines.  Then v . M for all lanes of a group is the
+# group of up to LANES columns.  Then v . M for all lanes of a group is the
 # XOR of one lookup per symbol: a SWAR form of the split-table region
 # multiply (Plank, Greenan and Miller, FAST 2013).
 
@@ -406,43 +391,26 @@ def _is_byte_field(field: FieldSpec) -> bool:
     return field.p == 2 and field.q <= 256
 
 
-def _packed(buf: bytearray) -> array:
-    row = array("Q", buf)
-    if sys.byteorder == "big":
-        row.byteswap()
-    return row
-
-
 def _lane_rows(field: FieldSpec, lines: Sequence[Sequence[int]]) -> tuple:
     """Lines as ((rows, lanes), ...), one pair per group of up to LANES
-    lines, with one lane row per input index (`_lane_fill`)."""
+    lines, with one lane row per input index.  This runs in C: the field's
+    product rows of each lane's coefficients, joined in input order, fill
+    that lane of a buffer by one strided slice assignment, and the buffer,
+    read as one array, is cut into the rows."""
+    prod = field.product_rows().__getitem__
+    q = field.q
     groups = []
     for start in range(0, len(lines), LANES):
         group = lines[start : start + LANES]
-        buf = bytearray(LANES * field.q * len(group[0]))
-        groups.append((_lane_fill(field, buf, group, 0), len(group)))
+        size = len(group[0])
+        buf = bytearray(LANES * q * size)
+        for lane, line in enumerate(group):
+            buf[lane::LANES] = b"".join(map(prod, line))
+        table = array("Q", buf)
+        if sys.byteorder == "big":
+            table.byteswap()
+        groups.append((tuple(table[i * q : (i + 1) * q] for i in range(size)), len(group)))
     return tuple(groups)
-
-
-def _lane_fill(field: FieldSpec, buf: bytearray, lines: Sequence[Sequence[int]], first: int) -> tuple:
-    """The lane rows of buf, one per input index, after lines fill its lanes
-    first, first + 1, ...  This runs in C: the field's product rows of each
-    lane's coefficients, joined in input order, fill that lane by one
-    strided slice assignment, and the buffer, read as one array, is cut
-    into the rows."""
-    prod = field.product_rows().__getitem__
-    q = field.q
-    for lane, line in enumerate(lines, first):
-        buf[lane::LANES] = b"".join(map(prod, line))
-    table = _packed(buf)
-    return tuple(table[i * q : (i + 1) * q] for i in range(len(table) // q))
-
-
-def _lane_run(lines: tuple, vec: Sequence[int]) -> list[int]:
-    out: list[int] = []
-    for rows, lanes in lines:
-        out += reduce(xor, map(getitem, rows, vec), 0).to_bytes(lanes, "little")
-    return out
 
 
 def _lane_encode(field: FieldSpec, rows: Sequence[array], lanes: int, more: tuple,
@@ -484,11 +452,6 @@ def _lane_spill(acc: int, w: int) -> bytes:
     return acc.to_bytes(w, "little")
 
 
-def _canonical(field: FieldSpec, v: Sequence[int]) -> Sequence[int]:
-    field.check_all(v)
-    return v
-
-
 def _logs(field: FieldSpec, log: list[int], v: Sequence[int]) -> list[int]:
     # `FieldSpec.check_all`'s test, fused with the lookups into one loop.
     q = field.q
@@ -500,7 +463,7 @@ def _logs(field: FieldSpec, log: list[int], v: Sequence[int]) -> list[int]:
     return out
 
 
-def _xor_lines(exp: list[int], lines: list, vec: Sequence[int]) -> list[int]:
+def _xor_lines(exp: list[int], lines: tuple, vec: Sequence[int]) -> list[int]:
     out = []
     for line in lines:
         acc = 0
@@ -510,19 +473,17 @@ def _xor_lines(exp: list[int], lines: list, vec: Sequence[int]) -> list[int]:
     return out
 
 
-def _line_encode(vector: Callable, run: Callable, lines: list,
-                 message: Sequence[int]) -> tuple[int, ...]:
-    return (*run(lines, vector(message)), *message)
+def _log_encode(field: FieldSpec, log: list[int], exp: list[int], lines: tuple,
+                message: Sequence[int]) -> tuple[int, ...]:
+    return (*_xor_lines(exp, lines, _logs(field, log, message)), *message)
 
 
-def _line_fold(vector: Callable, run: Callable, step: tuple,
+def _line_fold(field: FieldSpec, log: list[int], exp: list[int], r: int, lines: tuple,
                c: Sequence[int], acc: list[int] | int) -> list[int] | None:
-    r, a_lines, s_lines = step
-    vec = vector(c)
-    if run(a_lines, vec[r:]) != list(c[:r]):
+    out = _xor_lines(exp, lines, _logs(field, log, c)[r:])
+    if out[:r] != list(c[:r]):
         return None
-    out = run(s_lines, vec)
-    return list(map(xor, acc, out)) if acc else out
+    return list(map(xor, acc, out[r:])) if acc else out[r:]
 
 
 def _line_spill(acc: list[int], w: int) -> list[int]:
@@ -544,9 +505,10 @@ def _mod_packed(bits: int, lines: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(sum(e << bits * j for j, e in enumerate(row)) for row in zip(*lines))
 
 
-def _mod_run(p: int, bits: int, lines: tuple, vec: Sequence[int]) -> list[int]:
-    rows, w = lines
-    return _mod_spill(p, bits, sum(map(mul, rows, vec)), w)
+def _mod_encode(field: FieldSpec, bits: int, r: int, rows: tuple,
+                message: Sequence[int]) -> tuple[int, ...]:
+    field.check_all(message)
+    return (*_mod_spill(field.p, bits, sum(map(mul, rows, message)), r), *message)
 
 
 def _mod_fold(field: FieldSpec, step: tuple, c: Sequence[int], acc: int) -> int | None:
@@ -563,22 +525,6 @@ def _mod_fold(field: FieldSpec, step: tuple, c: Sequence[int], acc: int) -> int 
 def _mod_spill(p: int, bits: int, acc: int, w: int) -> list[int]:
     mask = (1 << bits) - 1
     return [(acc >> at & mask) % p for at in range(0, bits * w, bits)]
-
-
-def matvec(m: FieldMatrix, v: Sequence[int]) -> tuple[int, ...]:
-    """M . v^T as a length-rows tuple; UsageError unless v is canonical."""
-    if len(v) != m.cols:
-        raise UsageError(f"vector length {len(v)} does not match {m.cols} columns")
-    vector, run = row_kernel(m.field)
-    return tuple(run(kernel_lines(m, False), vector(v)))
-
-
-def vecmat(v: Sequence[int], m: FieldMatrix) -> tuple[int, ...]:
-    """v . M as a length-cols tuple; UsageError unless v is canonical."""
-    if len(v) != m.rows:
-        raise UsageError(f"vector length {len(v)} does not match {m.rows} rows")
-    vector, run = row_kernel(m.field)
-    return tuple(run(kernel_lines(m, True), vector(v)))
 
 
 def submatrix_cols(m: FieldMatrix, positions: Iterable[int]) -> FieldMatrix:

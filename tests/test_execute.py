@@ -258,11 +258,12 @@ WIDE_MERGES = (([(14, 10), (14, 10), (12, 8), (6, 4)], 4), ([(40, 32)] * 4, 8), 
 WIDE_SPLIT = ((40, 32), ((20, 16), (20, 16)))
 
 
-@pytest.mark.parametrize("q", [256, 257, 1 << 16])
+@pytest.mark.parametrize("q", [256, 257, 512, 1 << 16])
 def test_merge_stream_shape_matches_solving_reference(q):
     """The benchmark's merge shape, the wide merges and the split, bit for
-    bit against the per-stripe solve, over GF(256), GF(257) and GF(2^16), so
-    no assumption of 8-bit symbols or of one lane group slips in."""
+    bit against the per-stripe solve, over GF(256), GF(257), GF(512) and
+    GF(2^16), so no assumption of 8-bit symbols or of one lane group slips
+    in."""
     rng = random.Random(q)
     for shapes, rf in WIDE_MERGES:
         plan = build_merge(merge_params(shapes, rf), GF(q))

@@ -330,7 +330,8 @@ def test_encode_matches_vecmat_and_reference(q):
 def test_encode_refuses_what_the_field_check_refuses(q):
     """A wrong length, or a symbol that is True, -1, q, 1.0 or an out-of-range
     int subclass, raises UsageError with `FieldSpec.check`'s text for the
-    first bad symbol; so does an int subclass in range."""
+    first bad symbol, which names the type of a value that is not an int;
+    so does an int subclass in range."""
     rng = random.Random(q + 1)
     for spec in _encode_specs(q, rng):
         msg = [rng.randrange(q) for _ in range(spec.k)]
@@ -340,7 +341,8 @@ def test_encode_refuses_what_the_field_check_refuses(q):
                 bad = msg[:at] + [first] + [q + 1] * (spec.k - at - 1)
                 with pytest.raises(UsageError) as info:
                     encode(target, bad)
-                assert str(info.value) == f"{first!r} is not a canonical element of GF({q})"
+                shown = repr(first) if type(first) is int else f"{first!r} ({type(first).__name__})"
+                assert str(info.value) == f"{shown} is not a canonical element of GF({q})"
         for length in (spec.k - 1, spec.k + 1):
             with pytest.raises(UsageError) as info:
                 encode(spec, (msg * 2)[:length])
@@ -360,7 +362,7 @@ def test_encode_keeps_its_encoder_on_the_spec(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("encode dispatched again")
 
-    for module, name in ((grs, "generator"), (linalg, "vecmat"), (linalg, "kernel_lines"),
-                         (linalg, "row_kernel"), (linalg, "systematic_encoder")):
+    for module, name in ((grs, "generator"), (linalg, "vecmat"), (linalg, "_compiled"),
+                         (linalg, "systematic_encoder")):
         monkeypatch.setattr(module, name, refuse)
     assert encode(spec, msg) == first

@@ -223,16 +223,10 @@ def test_row_kernel_matches_per_element_reference(q):
         m = from_rows(f, [[element() for _ in range(cols)] for _ in range(rows)], cols=cols)
         for v in ([element() for _ in range(cols)], [0] * cols):
             assert matvec(m, v) == _naive_matvec(m, v)
-            assert matvec(m, v) == _naive_matvec(m, v)  # again, from the cached lines
+            assert matvec(m, v) == _naive_matvec(m, v)  # again: a product keeps no state
         for v in ([element() for _ in range(rows)], [0] * rows):
             assert vecmat(v, m) == _naive_vecmat(v, m)
             assert vecmat(v, m) == _naive_vecmat(v, m)
-        # Leading columns first, then more of them, on a matrix with no lines yet.
-        fresh, v = from_rows(f, m.to_lists(), cols=cols), [element() for _ in range(rows)]
-        vector, run = linalg.row_kernel(f)
-        for width in (1, cols // 2, None, 0):
-            got = run(linalg.kernel_lines(fresh, True, width), vector(v))
-            assert tuple(got) == _naive_vecmat(v, m)[:width]
         assert matvec(zeros(f, rows, cols), [element() for _ in range(cols)]) == (0,) * rows
         with pytest.raises(UsageError):
             matvec(m, [0] * (cols + 1))
@@ -244,7 +238,9 @@ def test_row_kernel_matches_per_element_reference(q):
 def test_lane_kernel_matches_per_element_reference(m):
     """Over GF(2^m), m <= 8, products run on lane rows, one group per 8
     output lanes: every lane count from 0 to 8, and 10 and 17 (as r = 10 of
-    [100,90]), with zero coefficients, zero rows and zero vectors."""
+    [100,90]), with zero coefficients, zero rows and zero vectors.  The
+    lanes are the parity columns A of g = [A | I_k], run by the encoder and
+    by the fold, whose shares run on lanes past them."""
     f = GF(1 << m)
     q = f.q
     rng = random.Random(3000 + m)
@@ -258,20 +254,29 @@ def test_lane_kernel_matches_per_element_reference(m):
             if inputs > 1:
                 entries[1] = [0] * lanes
             mat = from_rows(f, entries, cols=lanes)
-            groups = linalg.kernel_lines(mat, True)
+            groups = linalg._compiled(f, [mat.entries[j::lanes] for j in range(lanes)])
             assert [width for _, width in groups] == [min(8, lanes - s) for s in range(0, lanes, 8)]
             assert all(len(rows) == inputs and all(len(row) == q for row in rows) for rows, _ in groups)
+            if not inputs:
+                continue  # a code has k >= 1 message symbols to run on
+            g = from_rows(f, [row + [int(i == t) for i in range(inputs)] for t, row in enumerate(entries)],
+                          cols=lanes + inputs)
+            w = 3
+            s_part = from_rows(f, [[element() for _ in range(w)] for _ in range(lanes + inputs)], cols=w)
+            encoder = linalg.systematic_encoder(g, lanes) if lanes else None
+            fold, spill = linalg.fold_step(g, lanes, s_part)
+            if lanes >= 8:  # A's first full lane group is built once, on g
+                assert fold.args[1][3] is encoder.args[1] is g._parity_form[0][0]
             for v in ([element() for _ in range(inputs)], [0] * inputs):
-                assert vecmat(v, mat) == _naive_vecmat(v, mat)
-                assert matvec(transpose(mat), v) == _naive_vecmat(v, mat)
-            vector, run = linalg.row_kernel(f)
-            for width in range(lanes + 1):
-                v = [element() for _ in range(inputs)]
-                got = run(linalg.kernel_lines(mat, True, width), vector(v))
-                assert tuple(got) == _naive_vecmat(v, mat)[:width]
+                c = (*_naive_vecmat(v, mat), *v)
+                if encoder is not None:
+                    assert encoder(v) == c
+                assert tuple(spill(fold(c, 0), w)) == _naive_vecmat(c, s_part)
+                if lanes:
+                    assert fold((c[0] ^ 1, *c[1:]), 0) is None
 
 
-@pytest.mark.parametrize("q", [2, 16, 256, 257, 1 << 16, 1000003])
+@pytest.mark.parametrize("q", [2, 16, 256, 257, 512, 1 << 16, 1000003])
 def test_check_lines_give_the_systematic_syndrome(q):
     """The executor's per-input check lines: the fold that `fold_step` binds
     for g = [A | I_k] and S is None exactly when c . [I_r ; -A] is nonzero, that is exactly

@@ -34,8 +34,7 @@ def _records():
     """(record, a field change that breaks its invariants or None), one per record class."""
     merge, split, general = _plans()
     spec = merge.initial_specs[0]
-    matrix = merge.final_written_block
-    linalg.matvec(matrix, (1, 2))  # caches the matrix's kernel lines
+    matrix = grs.generator(spec)  # spec has encoded, so this keeps its parity form
     return [
         (merge.params, {"initial": ((5, 5),)}),
         (convert.merge_lower_bound(merge.params), None),
@@ -60,7 +59,7 @@ CACHED = {
     "SplitPlan": ("_executable", "_report"),
     "GeneralPlan": ("_executable", "_report"),
     "ExtGrsSpec": ("_hash", "_encoder"),
-    "FieldMatrix": ("_kernel_lines",),
+    "FieldMatrix": ("_parity_form",),
 }
 
 

@@ -16,6 +16,10 @@ that encodings are bit-exact across runs:
 
 Every degree up to 16 uses the lexicographically smallest irreducible
 polynomial of that degree, which gives the table above.
+
+GF(2^m) with m <= 8 multiplies and inverts on log/exp tables, built on
+first use.  Above GF(256) nothing is built in proportion to q: products
+are shift and add (`_mul_nolut`), inverses extended Euclid over GF(2)[x].
 """
 
 from __future__ import annotations
@@ -179,14 +183,17 @@ class FieldSpec:
         if self.m == 1:
             return (a * b) % self.p
         if self._exp is None:
+            if self.q > 256:
+                return self._mul_nolut(a, b)
             self._build_tables()
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; a must be nonzero.
 
-        Prime fields use integer extended Euclid; extension fields read
-        exp[q - 1 - log a] from the tables that `mul` uses.
+        Prime fields use integer extended Euclid; GF(2^m) with m <= 8 reads
+        exp[q - 1 - log a] from the tables that `mul` uses, and above GF(256)
+        extended Euclid over GF(2)[x] runs on (a, modulus).
         """
         if a == 0:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
@@ -200,6 +207,8 @@ class FieldSpec:
                 s0, s1 = s1, s0 - quo * s1
             return s0 % self.p
         if self._exp is None:
+            if self.q > 256:
+                return self._inv_nolut(a)
             self._build_tables()
         return self._exp[self.q - 1 - self._log[a]]
 
@@ -218,9 +227,10 @@ class FieldSpec:
 
     def row_tables(self) -> tuple[list[int], list[int]]:
         """The (log, exp) tables that `mul` reads, for the table-driven
-        loops of `linalg` and `grs` over GF(2^m); see `_build_tables`."""
-        if self.m == 1:
-            raise UsageError(f"row tables exist only for binary extension fields, not {self!r}")
+        loops of `linalg` and `grs` over GF(2^m) with 1 < m <= 8; see
+        `_build_tables`.  Larger fields have none."""
+        if self.m == 1 or self.q > 256:
+            raise UsageError(f"row tables exist only for fields GF(2^m) with 1 < m <= 8, not {self!r}")
         if self._exp is None:
             self._build_tables()
         return self._log, self._exp
@@ -265,9 +275,21 @@ class FieldSpec:
                 a ^= mod
         return out
 
+    def _inv_nolut(self, a: int) -> int:
+        """Extended Euclid over GF(2)[x]: g1 * a = u and g2 * a = v mod the
+        modulus until u = 1 (Hankerson, Menezes and Vanstone, Alg. 2.48)."""
+        u, v, g1, g2 = a, self.modulus, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
+
     def _build_tables(self) -> None:
         """Log/antilog tables in one form for `mul`, `inv`, `rref` and the
-        compiled forms of `linalg`.
+        lane rows of `linalg`, built only for GF(2^m) with 1 < m <= 8.
 
         exp holds two periods of a generator's powers, so exp[log a + log b]
         is the product of nonzero a and b.  log[0] is 2(q - 1), past every

@@ -105,12 +105,13 @@ def generator(spec: ExtGrsSpec) -> FieldMatrix:
     w_t c_p prod_{l != p} (gamma_t - gamma_l) (an empty product for t = n),
     with c_p = -1 / (w_p D_p): the product over all l, divided by
     (gamma_t - gamma_p), which is nonzero because the points are distinct.
-    Over GF(2^m) that is one sum and difference of logs per entry.
+    Over GF(2^m) with 1 < m <= 8, which has log/exp tables, that is one sum
+    and difference of logs per entry.
     """
     f = spec.field
     r, k, n = spec.r, spec.k, spec.n
     points, w = spec.gamma[:r], spec.w
-    if f.m > 1:
+    if 1 < f.m <= 8:
         # Every difference below is nonzero: the points are distinct.
         log, exp = f.row_tables()
         order = f.q - 1
@@ -150,7 +151,7 @@ def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
     the spec, so a later call is the length check and one checked pass over
     the message: over a byte field one lookup per symbol for up to eight
     parity symbols, over GF(p) one sum of packed ints, over GF(2^m) with
-    m > 8 one XOR of exp lookups per parity symbol."""
+    m > 8 the reference product `linalg.vecmat` on A."""
     k, run = getattr(spec, "_encoder", None) or _encoder(spec)
     if len(message) != k:
         raise UsageError(f"message must have k = {k} symbols, got {len(message)}")

@@ -20,21 +20,21 @@ check: table lookups, reductions mod p and selections of canonical
 entries are canonical by construction, and the check was about a fifth
 of a first lowering.
 
-Each field has one compiled form for its hot products (`_compiled`),
-built by exactly two callers: `systematic_encoder`, on the parity part A
-of a systematic generator g = [A | I_k], and `fold_step`, on M = [A | C]
-for the executor's per-input step.  Over a byte field (characteristic 2,
-q <= 256) lane rows, one lookup per input symbol for up to eight outputs
-at once; over GF(p) one packed int per input symbol, one bit field per
-output, so a product is one sum; over GF(2^m) with m > 8 (log
-coefficient, index) lines.  A's form is kept on g, the one form a matrix
-keeps, so the encoder and the fold share A's full lane groups.  Both run
-on the message symbols alone: `grs.encode` runs `systematic_encoder`,
-compiled once per code, and the bound (fold, spill) pair that
-`fold_step` returns checks a codeword against its systematic generator
-and adds its share of the written symbols in one pass, so nothing is
-unpacked until the last input.  `matvec` and `vecmat` are reference
-products over `FieldSpec.mul` and `add`, which no verb's data path runs.
+Byte fields and GF(p) have one compiled form each for their hot products
+(`_compiled`), built by exactly two callers: `systematic_encoder`, on the
+parity part A of a systematic generator g = [A | I_k], and `fold_step`,
+on M = [A | C] for the executor's per-input step.  Over a byte field
+(characteristic 2, q <= 256) lane rows, one lookup per input symbol for
+up to eight outputs at once; over GF(p) one packed int per input symbol,
+one bit field per output, so a product is one sum.  A's form is kept on
+g, the one form a matrix keeps, so the encoder and the fold share A's
+full lane groups.  Both run on the message symbols alone: `grs.encode`
+runs `systematic_encoder`, compiled once per code, and the bound (fold,
+spill) pair that `fold_step` returns checks a codeword against its
+systematic generator and adds its share of the written symbols in one
+pass.  `matvec` and `vecmat` are reference products over `FieldSpec.mul`
+and `add`; GF(2^m) with m > 8 has no compiled form, so its encoder and
+fold run `vecmat` on A and M themselves.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import sys
 from array import array
 from collections.abc import Callable, Iterable, Sequence
 from functools import partial, reduce
-from itertools import chain, compress, count
+from itertools import chain, islice
 from operator import getitem, mul, xor
 
 from .errors import SingularMatrixError, UsageError, decimals
@@ -150,22 +150,21 @@ def vandermonde_ext(
 
 def _vandermonde(field: FieldSpec, r: int, n: int, gamma: Sequence[int], w: Sequence[int]) -> FieldMatrix:
     """`vandermonde_ext` of arguments already checked."""
-    # Row ell + 1 is row ell times gamma, on the field's log/exp tables.
-    binary = field.m > 1
-    if binary:
+    # Row ell + 1 is row ell times gamma: on the log/exp tables over a field
+    # that has them (`FieldSpec.row_tables`), else by `FieldSpec.mul`.
+    tables = 1 < field.m <= 8
+    if tables:
         log, exp = field.row_tables()
         log_gamma = [log[x] for x in gamma]
-    else:
-        p = field.p
     row = list(w[: n - 1])
     out = []
     for ell in range(r):
         out.append(row + [w[n - 1] if ell == r - 1 else 0])
         if ell < r - 1:
-            if binary:
+            if tables:
                 row = [exp[log[x] + lg] for x, lg in zip(row, log_gamma)]
             else:
-                row = [x * y % p for x, y in zip(row, gamma)]
+                row = list(map(field.mul, row, gamma))
     return _computed(field, r, n, tuple(chain.from_iterable(out)))
 
 
@@ -175,17 +174,16 @@ def _vandermonde(field: FieldSpec, r: int, n: int, gamma: Sequence[int], w: Sequ
 def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its 0-based pivot columns.
 
-    Row operations run on the field's log/exp tables: over GF(2^m) the
-    scaled pivot row is turned into logs once, and each elimination is
-    x ^ exp[log c + log y]; over GF(p) it is (x - c*y) % p.
+    Over a field with log/exp tables (GF(2^m), 1 < m <= 8) the scaled
+    pivot row is turned into logs once, and each elimination is
+    x ^ exp[log c + log y]; over GF(p) and above GF(256) it is
+    x - c*y by `FieldSpec.sub` and `mul`.
     """
     f = m.field
-    binary = f.m > 1
-    if binary:
+    tables = 1 < f.m <= 8
+    if tables:
         log, exp = f.row_tables()
-    else:
-        p = f.p
-    inv = f.inv
+    inv, mul, sub = f.inv, f.mul, f.sub
     a = m.to_lists()
     pivots: list[int] = []
     pr = 0
@@ -199,7 +197,7 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
             continue
         a[pr], a[pivot] = a[pivot], a[pr]
         scale = inv(a[pr][c])
-        if binary:
+        if tables:
             if scale != 1:
                 ls = log[scale]
                 a[pr] = [exp[ls + log[x]] for x in a[pr]]
@@ -211,12 +209,12 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
                     a[i] = [x ^ exp[lc + y] for x, y in zip(a[i], lead)]
         else:
             if scale != 1:
-                a[pr] = [scale * x % p for x in a[pr]]
+                a[pr] = [mul(scale, x) for x in a[pr]]
             lead = a[pr]
             for i in range(m.rows):
                 coef = a[i][c]
                 if i != pr and coef != 0:
-                    a[i] = [(x - coef * y) % p for x, y in zip(a[i], lead)]
+                    a[i] = [sub(x, mul(coef, y)) for x, y in zip(a[i], lead)]
         pivots.append(c)
         pr += 1
         if pr == m.rows:
@@ -283,9 +281,8 @@ def systematic_encoder(g: FieldMatrix, r: int) -> Callable:
     each symbol and XORs in its lane row of the first group
     (`_lane_encode`), and each further group is one reduce; over GF(p) one
     check and one sum of packed ints (`_mod_encode`); over GF(2^m) with
-    m > 8 the message's logs and one XOR of exp lookups per line
-    (`_log_encode`).  A partial of a module function, so whatever keeps it
-    stays picklable.
+    m > 8, which has no compiled form, `vecmat` on A (`_plain_encode`).  A
+    partial of a module function, so whatever keeps it stays picklable.
     """
     f = g.field
     form = _compiled(f, [g.entries[j :: g.cols] for j in range(r)], g)
@@ -294,7 +291,7 @@ def systematic_encoder(g: FieldMatrix, r: int) -> Callable:
         return partial(_lane_encode, f, rows, lanes, tuple(more))
     if f.m == 1:
         return partial(_mod_encode, f, _mod_lane_bits(f.p), r, form)
-    return partial(_log_encode, f, *f.row_tables(), form)
+    return partial(_plain_encode, form)
 
 
 def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple[Callable, Callable]:
@@ -315,8 +312,9 @@ def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple[Callable, Callabl
     `systematic_encoder` runs on, and its other columns share a group with
     the first columns of C.  Over GF(p) (`_mod_fold`) one sum of products
     of message symbols and packed rows of M.  Over GF(2^m) with m > 8
-    (`_line_fold`) one XOR of exp lookups per line of M.  All are partials
-    of module functions, as in `systematic_encoder`.
+    (`_plain_fold`) `vecmat` on M, the accumulator a list of w symbols,
+    so the spill is `islice`.  All are partials of module functions, as in
+    `systematic_encoder`.
     """
     f = g.field
     columns = [g.entries[j :: g.cols] for j in range(r)] + _systematic_product(g, r, s)
@@ -331,15 +329,14 @@ def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple[Callable, Callabl
         bits = _mod_lane_bits(f.p)
         step = r, tuple(range(0, bits * r, bits)), (1 << bits) - 1, bits * r, form
         return partial(_mod_fold, f, step), partial(_mod_spill, f.p, bits)
-    return partial(_line_fold, f, *f.row_tables(), r, form), _line_spill
+    return partial(_plain_fold, r, form), islice
 
 
 def _compiled(field: FieldSpec, columns: Sequence[Sequence[int]], generator: FieldMatrix | None = None):
     """The compiled form of v . [columns] over `field`, v indexed as the
     columns' entries: over a byte field lane rows (`_lane_rows`), over GF(p)
-    one packed int per input index (`_mod_packed`), over GF(2^m) with m > 8
-    one line per column of (log coefficient, index) pairs with the zero
-    coefficients dropped (see `FieldSpec.row_tables`).
+    one packed int per input index (`_mod_packed`).  GF(2^m) with m > 8 has
+    no compiled form: it is the matrix of the columns itself, for `vecmat`.
 
     Given the generator whose parity part A the columns are, the form is
     kept on it, the one form a FieldMatrix keeps; a FieldMatrix never
@@ -353,8 +350,7 @@ def _compiled(field: FieldSpec, columns: Sequence[Sequence[int]], generator: Fie
     elif field.m == 1:
         form = _mod_packed(_mod_lane_bits(field.p), columns)
     else:
-        log = field.row_tables()[0].__getitem__
-        form = tuple(tuple(compress(zip(map(log, line), count()), line)) for line in columns)
+        form = _computed(field, len(columns[0]), len(columns), tuple(chain.from_iterable(zip(*columns))))
     if generator is not None:
         object.__setattr__(generator, "_parity_form", form)
     return form
@@ -452,42 +448,19 @@ def _lane_spill(acc: int, w: int) -> bytes:
     return acc.to_bytes(w, "little")
 
 
-def _logs(field: FieldSpec, log: list[int], v: Sequence[int]) -> list[int]:
-    # `FieldSpec.check_all`'s test, fused with the lookups into one loop.
-    q = field.q
-    out = []
-    for a in v:
-        if type(a) is not int or not 0 <= a < q:
-            field.check(a)
-        out.append(log[a])
-    return out
+# GF(2^m) with m > 8 runs the reference product on the matrix itself.
 
 
-def _xor_lines(exp: list[int], lines: tuple, vec: Sequence[int]) -> list[int]:
-    out = []
-    for line in lines:
-        acc = 0
-        for a, j in line:
-            acc ^= exp[a + vec[j]]
-        out.append(acc)
-    return out
+def _plain_encode(a: FieldMatrix, message: Sequence[int]) -> tuple[int, ...]:
+    return (*vecmat(message, a), *message)
 
 
-def _log_encode(field: FieldSpec, log: list[int], exp: list[int], lines: tuple,
-                message: Sequence[int]) -> tuple[int, ...]:
-    return (*_xor_lines(exp, lines, _logs(field, log, message)), *message)
-
-
-def _line_fold(field: FieldSpec, log: list[int], exp: list[int], r: int, lines: tuple,
-               c: Sequence[int], acc: list[int] | int) -> list[int] | None:
-    out = _xor_lines(exp, lines, _logs(field, log, c)[r:])
-    if out[:r] != list(c[:r]):
+def _plain_fold(r: int, m: FieldMatrix, c: Sequence[int], acc: list[int] | int) -> list[int] | None:
+    m.field.check_all(c)
+    out = vecmat(c[r:], m)
+    if out[:r] != tuple(c[:r]):
         return None
-    return list(map(xor, acc, out[r:])) if acc else out[r:]
-
-
-def _line_spill(acc: list[int], w: int) -> list[int]:
-    return acc
+    return list(map(xor, acc, out[r:])) if acc else list(out[r:])
 
 
 # Over GF(p) the lanes of a packed int are bit fields wide enough for a sum

@@ -975,3 +975,36 @@ def test_verify_refuses_non_decimal_seeds(tmp_path, capsys, seed):
     assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, err
     assert f"expected a seed in the digits 0-9, got {seed!r}" in err
     assert run(capsys, "verify", "--plan", plan_path, "--seed", "0042") == (0, README_VERIFY, "")
+
+
+@pytest.mark.parametrize("q", [512, 1 << 16])
+def test_fields_above_256_build_no_tables(tmp_path, capsys, monkeypatch, q):
+    """Above GF(256) no verb builds log/exp tables, whose cost grows with q:
+    with `_build_tables` refusing to run, the README merge and split run
+    through all four verbs and every final is a codeword."""
+    from mdsconv import grs
+    from mdsconv.field import FieldSpec
+
+    def refuse(self):
+        raise AssertionError(f"log/exp tables built for {self!r}")
+
+    for cache in (GF, grs.parity_check, grs.generator):
+        cache.cache_clear()
+    monkeypatch.setattr(FieldSpec, "_build_tables", refuse)
+    configs = {
+        "merge": ({"regime": "merge", "q": q, "initial": [[5, 3], [5, 3]], "r_F": 2}, "1 2 3\n4 5 6\n"),
+        "split": ({"regime": "split", "q": q, "initial": [[10, 7]], "final": [[6, 4], [5, 3]]},
+                  "1 2 3 4 5 6 7\n"),
+    }
+    for kind, (config, messages) in configs.items():
+        cfg, plan_path = tmp_path / f"{kind}.json", tmp_path / f"{kind}-plan.json"
+        msgs, cws, finals = (tmp_path / f"{kind}-{name}.txt" for name in ("m", "c", "f"))
+        write_json(cfg, config)
+        msgs.write_text(messages)
+        assert run(capsys, "plan", "--config", cfg, "--out", plan_path)[0] == 0, kind
+        assert run(capsys, "encode", "--plan", plan_path, "--in", msgs, "--out", cws)[0] == 0, kind
+        assert run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", finals)[0] == 0, kind
+        assert run(capsys, "verify", "--plan", plan_path)[0] == 0, kind
+        plan = plandoc.load_plan(str(plan_path))
+        rows = plandoc.read_symbol_lines(str(finals), plan.field)
+        assert len(rows) == len(plan.final_specs) and all(map(is_codeword, plan.final_specs, rows)), kind

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mdsconv.errors import UsageError
-from mdsconv.field import GF, PRIME_LIMIT, FieldSpec, _is_prime
+from mdsconv.field import GF, PRIME_LIMIT, FieldSpec, _default_modulus, _is_prime
 
 EXHAUSTIVE_ORDERS = [2, 3, 4, 5, 7, 8, 11, 13, 16]
 
@@ -104,10 +104,29 @@ def test_elements_ascending():
 
 
 def test_pinned_moduli():
+    """Symbols are bit-packed polynomials reduced by these moduli, so they
+    pin the symbol encoding of every file format."""
     assert GF(4).modulus == 0b111
     assert GF(8).modulus == 0b1011
     assert GF(16).modulus == 0b10011
     assert GF(256).modulus == 0b100011011
+    assert {m: _default_modulus(m) for m in range(2, 17)} == {
+        2: 0b111,
+        3: 0b1011,
+        4: 0b10011,
+        5: 0b100101,
+        6: 0b1000011,
+        7: 0b10000011,
+        8: 0b100011011,
+        9: 0b1000000011,
+        10: 0b10000001001,
+        11: 0b100000000101,
+        12: 0b1000000001001,
+        13: 0b10000000011011,
+        14: 0b100000000100001,
+        15: 0b1000000000000011,
+        16: 0b10000000000101011,
+    }
 
 
 def test_sub_and_neg():
@@ -174,6 +193,63 @@ def test_mul_and_row_tables_share_one_table_pair(q):
     for a in range(q):
         for b in range(q):
             assert f.mul(a, b) == exp[log[a] + log[b]] == f._mul_nolut(a, b)
+
+
+def _reference_tables(modulus):
+    """(log, exp) of GF(2^m) built from `modulus` alone: a carry-less
+    product reduced afterwards, and the first element whose powers reach
+    every nonzero one.  exp is one period long; log[0] is unused."""
+    m = modulus.bit_length() - 1
+    q = 1 << m
+
+    def mul(a, b):
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            a, b = a << 1, b >> 1
+        while out >= q:
+            out ^= modulus << (out.bit_length() - 1 - m)
+        return out
+
+    for gen in range(2, q):
+        exp, val = [], 1
+        while not exp or val != 1:
+            exp.append(val)
+            val = mul(val, gen)
+        if len(exp) == q - 1:
+            log = [0] * q
+            for e, v in enumerate(exp):
+                log[v] = e
+            return log, exp
+    raise AssertionError(f"no generator modulo {modulus}")
+
+
+@pytest.mark.parametrize("m", range(9, 17))
+def test_table_free_arithmetic_matches_a_log_exp_reference(m):
+    """Above GF(256) `mul` and `inv` build no tables and agree with log/exp
+    tables built here from the modulus: every product for m = 9, sampled
+    products above, and every inverse for m = 9..12."""
+    f = FieldSpec(2, m)
+    q = f.q
+    log, exp = _reference_tables(f.modulus)
+
+    def product(a, b):
+        return exp[(log[a] + log[b]) % (q - 1)] if a and b else 0
+
+    if m == 9:
+        for a in range(q):
+            assert [f.mul(a, b) for b in range(q)] == [product(a, b) for b in range(q)]
+    else:
+        rng = random.Random(m)
+        for _ in range(3000):
+            a, b = rng.randrange(q), rng.choice((0, 1, q - 1, rng.randrange(q)))
+            assert f.mul(a, b) == f.mul(b, a) == product(a, b)
+    if m <= 12:
+        assert [f.inv(a) for a in range(1, q)] == [exp[-log[a] % (q - 1)] for a in range(1, q)]
+    assert f._exp is None and f._log is None
+    with pytest.raises(UsageError):
+        f.row_tables()
 
 
 def _trial_division(n):

@@ -333,9 +333,9 @@ def test_matmul_matches_per_element_reference(q):
         assert matmul(a, b) == from_rows(f, [_naive_vecmat(a.row(i), b) for i in range(rows)], cols=cols)
 
 
-@pytest.mark.parametrize("q", [2, 3, 7, 8, 16, 256, 257, 1 << 16, (1 << 31) - 1])
+@pytest.mark.parametrize("q", [2, 3, 7, 8, 16, 256, 257, 512, 1 << 16, (1 << 31) - 1])
 def test_rref_matches_field_ops_reference(q):
-    """The table-driven rref equals the per-element reduction: same matrix, same pivots."""
+    """rref equals the per-element reduction: same matrix, same pivots."""
     from mdsconv import oracle
     from mdsconv.linalg import rref
 
@@ -366,9 +366,9 @@ def test_rref_matches_field_ops_reference(q):
         assert rref(m) == oracle.rref_by_field_ops(m)
 
 
-@pytest.mark.parametrize("q", [2, 3, 7, 8, 16, 256, 257, 1 << 16, (1 << 31) - 1])
+@pytest.mark.parametrize("q", [2, 3, 7, 8, 16, 256, 257, 512, 1 << 16, (1 << 31) - 1])
 def test_vandermonde_matches_field_pow(q):
-    """Table-driven power rows equal w_j * pow(gamma_j, ell) entry by entry."""
+    """Power rows equal w_j * pow(gamma_j, ell) entry by entry."""
     f = GF(q)
     rng = random.Random(2000 + q)
     for n in range(2, min(q, 12) + 1):

@@ -13,6 +13,10 @@ A sweep applies every single mutation to the three bases and to the 2x2
 general fixture, and loads each mutant: it must load, to a plan that
 round-trips and re-serialises to the mutant itself (so the loader drops
 no entry), or be refused with a `UsageError`.
+
+A seeded sample of two-edit mutants goes through both verbs too, loaded
+or not, as a defect that one verdict hides may need two coordinated
+edits: a single mutant that loads, with any one mutation applied to it.
 """
 
 import json
@@ -28,6 +32,7 @@ from mdsconv.grs import encode, is_codeword
 
 SEED = 20261018
 MUTANTS = 1000
+DOUBLE_MUTANTS = 300  # per base
 
 BASES = {
     "readme merge": lambda: build_merge(merge_params([(5, 3), (5, 3)], 2), GF(8)),
@@ -86,6 +91,14 @@ def _mutant(doc, path, op, arg):
     else:
         del parent[key][arg]
     return out
+
+
+def _loads(doc):
+    try:
+        plandoc.plan_from_doc(doc)
+    except MdsconvError:
+        return False
+    return True
 
 
 def _run(capsys, *argv):
@@ -151,3 +164,43 @@ def test_every_single_mutant_loads_or_is_refused_as_usage():
             assert plandoc.plan_from_doc(plandoc.plan_to_doc(plan)) == plan, (name, mutation)
             outcomes["loaded"] += 1
     assert outcomes == {"loaded": 305, "refused": 2081}, outcomes
+
+
+def test_two_edit_mutants_keep_the_exit_code_contract(tmp_path, capsys):
+    """Each two-edit mutant exits 0, 1, 2 or 3 from both verbs; `convert`
+    exits 0 exactly when `verify` does, unless it finds a corrupt input
+    (exit 3); and every final it writes is a codeword of its final code."""
+    rng = random.Random(SEED + 2)
+    plan_path, cws, finals = tmp_path / "plan.json", tmp_path / "c.txt", tmp_path / "f.txt"
+    verdicts = {True: 0, False: 0}
+    for name, build in BASES.items():
+        base = build()
+        doc = plandoc.plan_to_doc(base)
+        singles = [m for m in _mutations(doc) if _loads(_mutant(doc, *m))]
+        for _ in range(DOUBLE_MUTANTS):
+            first = rng.choice(singles)
+            once = _mutant(doc, *first)
+            second = rng.choice(list(_mutations(once)))
+            twice = _mutant(once, *second)
+            case = f"{name} {first} {second}"
+            try:
+                plan = plandoc.plan_from_doc(twice)
+            except MdsconvError:
+                plan = base
+            plan_path.write_text(json.dumps(twice))
+            plandoc.write_symbol_lines(str(cws), [
+                encode(spec, [rng.randrange(plan.field.q) for _ in range(spec.k)]).symbols
+                for spec in plan.initial_specs
+            ])
+            finals.unlink(missing_ok=True)
+            verified = _run(capsys, "verify", "--plan", plan_path)
+            converted = _run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", finals)
+            assert {verified, converted} <= {0, 1, 2, 3}, case
+            if converted != 3:
+                assert (verified == 0) == (converted == 0), (case, verified, converted)
+            if converted == 0:
+                rows = plandoc.read_symbol_lines(str(finals), plan.field)
+                assert len(rows) == len(plan.final_specs), case
+                assert all(map(is_codeword, plan.final_specs, rows)), case
+            verdicts[converted == 0] += 1
+    assert verdicts[True] and verdicts[False], verdicts

@@ -46,7 +46,7 @@ from . import linalg
 from .errors import CorruptionError, InternalError, MdsconvError, ParameterError, UsageError
 from .field import FieldSpec
 from .grs import Codeword, ExtGrsSpec, generator, is_codeword, parity_check, puncture
-from .linalg import FieldMatrix, _computed
+from .linalg import FieldMatrix
 from .record import Record
 
 SymbolId = tuple[int, int]
@@ -281,7 +281,7 @@ def _columns_at(hbar: FieldMatrix, support: Sequence[int], positions: Sequence[i
     slot = {pos: idx for idx, pos in enumerate(support)}
     pick = _picker([slot[pos] for pos in positions])
     entries = tuple(chain.from_iterable(map(pick, map(hbar.row, range(hbar.rows)))))
-    return _computed(hbar.field, hbar.rows, len(positions), entries)
+    return FieldMatrix._trusted(hbar.field, hbar.rows, len(positions), entries)
 
 
 class MergePlan(Record):
@@ -600,7 +600,7 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
     gamma_star.extend(gamma_prime)
     w_star.extend([1] * rf)
     final_spec = ExtGrsSpec(field, nf, rf, tuple(gamma_star), tuple(w_star))
-    stored = {i: _computed(field, rf, width, _final_block(final_spec, unchanged, i))
+    stored = {i: FieldMatrix._trusted(field, rf, width, _final_block(final_spec, unchanged, i))
               for i, width in enumerate([*params.k_initial, rf], 1) if i not in reduced}
     return MergePlan(
         params=params,
@@ -834,12 +834,12 @@ def _sigma(plan: MergePlan | SplitPlan, j: int) -> FieldMatrix:
         for u, block in zip(kept, blocks):
             entries += map(f.neg, row[start : start + len(u)]) if block is None else block.row(t)
             start += len(u)
-    red, pivots = linalg.rref(_computed(f, w, len(entries) // w, tuple(entries)))
+    red, pivots = linalg.rref(FieldMatrix._trusted(f, w, len(entries) // w, tuple(entries)))
     # `lower` solves only verified plans: r_F columns of an MDS parity check.
     if pivots[:w] != tuple(range(w)):
         raise InternalError("the written block of a verified plan is singular")
     solved = [red.row(t)[w:] for t in range(w)]
-    return _computed(f, red.cols - w, w, tuple(chain.from_iterable(zip(*solved))))
+    return FieldMatrix._trusted(f, red.cols - w, w, tuple(chain.from_iterable(zip(*solved))))
 
 
 def lower(plan: Plan) -> GeneralPlan:
@@ -847,7 +847,9 @@ def lower(plan: Plan) -> GeneralPlan:
     sigma with written symbols = read symbols . sigma.  A merge or split
     plan runs exactly when `verify_plan` passes it, so the first FAIL line
     refuses the plan before any solve; then each final code's sigma is
-    solved once (`_sigma`).
+    solved once (`_sigma`).  The result skips the `GeneralPlan` checks
+    (`GeneralPlan._trusted`): its grid is the verified plan's, and its
+    layouts and sigmas are built to the shapes those checks test.
     """
     if isinstance(plan, GeneralPlan):
         return plan
@@ -857,7 +859,7 @@ def lower(plan: Plan) -> GeneralPlan:
     p = plan.params
     unchanged, reads = plan.grid
     sigmas = tuple(_sigma(plan, j) for j in range(1, p.t2 + 1))
-    return GeneralPlan(
+    return GeneralPlan._trusted(
         params=p,
         field=plan.field,
         initial_specs=plan.initial_specs,
@@ -933,7 +935,7 @@ def _shares(g: GeneralPlan, i: int, n: int) -> FieldMatrix:
         for s, pos in enumerate(reads[i], sum(map(len, reads[:i]))):
             rows[pos - 1][at : at + sigma.cols] = sigma.row(s)
         at += sigma.cols
-    return _computed(g.field, n, width, tuple(chain.from_iterable(rows)))
+    return FieldMatrix._trusted(g.field, n, width, tuple(chain.from_iterable(rows)))
 
 
 def _check_count(codewords: Sequence, t1: int) -> None:

@@ -68,19 +68,6 @@ class Codeword(Record):
     code: ExtGrsSpec | None = None
 
 
-def _trusted(field: FieldSpec, n: int, r: int, gamma: tuple[int, ...], w: tuple[int, ...]) -> ExtGrsSpec:
-    """An ExtGrsSpec the program computed from a checked one, so it holds
-    the invariants: built without `__post_init__`."""
-    spec = object.__new__(ExtGrsSpec)
-    setattr_ = object.__setattr__
-    setattr_(spec, "field", field)
-    setattr_(spec, "n", n)
-    setattr_(spec, "r", r)
-    setattr_(spec, "gamma", gamma)
-    setattr_(spec, "w", w)
-    return spec
-
-
 @lru_cache(maxsize=1024)
 def parity_check(spec: ExtGrsSpec) -> FieldMatrix:
     """The r x n extended Vandermonde-type parity check matrix."""
@@ -137,7 +124,7 @@ def generator(spec: ExtGrsSpec) -> FieldMatrix:
             a_rows.append([mul(mul(total, inv(sub(x, y))), cp) for y, cp in zip(points, c)])
         a_rows.append([mul(w[-1], cp) for cp in c])
     rows = (a + [0] * i + [1] + [0] * (k - 1 - i) for i, a in enumerate(a_rows))
-    return linalg._computed(f, k, n, tuple(chain.from_iterable(rows)))
+    return FieldMatrix._trusted(f, k, n, tuple(chain.from_iterable(rows)))
 
 
 def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
@@ -229,7 +216,9 @@ def puncture(spec: ExtGrsSpec, positions: Iterable[int]) -> ExtGrsSpec:
     evaluation points, and multipliers in closed form: with
     P = prod_{j not in T} (x - gamma_j), the restricted multipliers are
     theta_j = w_j * P(gamma_j) / w_n for j < n and theta_n = 1.  Cost is
-    O(|T| * (n - |T|)) multiplications and one inversion.
+    O(|T| * (n - |T|)) multiplications and one inversion.  The points are
+    a subset of spec's, and each theta_j is a product of nonzero elements,
+    so the result is built with `ExtGrsSpec._trusted`, without the checks.
     """
     t = restriction_support(spec, positions)
     f = spec.field
@@ -247,7 +236,7 @@ def puncture(spec: ExtGrsSpec, positions: Iterable[int]) -> ExtGrsSpec:
         gamma_t.append(x)
         theta.append(val)
     theta.append(1)
-    return _trusted(f, len(t), spec.r - len(dropped), tuple(gamma_t), tuple(theta))
+    return ExtGrsSpec._trusted(f, len(t), spec.r - len(dropped), tuple(gamma_t), tuple(theta))
 
 
 # -- serialization ----------------------------------------------------------

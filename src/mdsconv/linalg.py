@@ -11,14 +11,8 @@ Column-selection arguments are 1-based, matching codeword positions.
 Entries are checked where they enter from outside: the `FieldMatrix`
 constructor, `from_rows` and `matrix_from_text` refuse any entry that is
 not a canonical element of the field (UsageError), and `vandermonde_ext`
-checks its arguments.  Matrices whose entries the program computes from
-canonical operands -- `rref`, `right_kernel_basis`, the parity checks of
-checked codes (`_vandermonde`), `grs.generator`, and the slices,
-negations and solves of plan lowering and the per-input matrices of the
-executor in `convert` -- are built with `_computed`, which skips that
-check: table lookups, reductions mod p and selections of canonical
-entries are canonical by construction, and the check was about a fifth
-of a first lowering.
+checks its arguments.  Matrices the program computes from canonical
+operands are built with `FieldMatrix._trusted` (`record`).
 
 Byte fields and GF(p) have one compiled form each for their hot products
 (`_compiled`), built by exactly two callers: `systematic_encoder`, on the
@@ -55,9 +49,7 @@ class FieldMatrix(Record):
     """Immutable rows x cols matrix over `field`.
 
     The constructor checks the shape and every entry (UsageError for an
-    entry that is not a canonical element of `field`).  `_computed` builds
-    one without the entry check, for entries the program derived from
-    canonical operands.
+    entry that is not a canonical element of `field`).
     """
 
     field: FieldSpec
@@ -85,18 +77,6 @@ class FieldMatrix(Record):
 
     def to_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-
-def _computed(field: FieldSpec, rows: int, cols: int, entries: tuple[int, ...]) -> FieldMatrix:
-    """A FieldMatrix whose entries the program computed from canonical
-    operands, so they are canonical: built without `__post_init__`."""
-    m = object.__new__(FieldMatrix)
-    setattr_ = object.__setattr__
-    setattr_(m, "field", field)
-    setattr_(m, "rows", rows)
-    setattr_(m, "cols", cols)
-    setattr_(m, "entries", entries)
-    return m
 
 
 def from_rows(field: FieldSpec, rows: Sequence[Sequence[int]], cols: int | None = None) -> FieldMatrix:
@@ -165,7 +145,7 @@ def _vandermonde(field: FieldSpec, r: int, n: int, gamma: Sequence[int], w: Sequ
                 row = [exp[log[x] + lg] for x, lg in zip(row, log_gamma)]
             else:
                 row = list(map(field.mul, row, gamma))
-    return _computed(field, r, n, tuple(chain.from_iterable(out)))
+    return FieldMatrix._trusted(field, r, n, tuple(chain.from_iterable(out)))
 
 
 # -- reduction and derived operations ------------------------------------
@@ -219,7 +199,7 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
         pr += 1
         if pr == m.rows:
             break
-    return _computed(f, m.rows, m.cols, tuple(chain.from_iterable(a))), tuple(pivots)
+    return FieldMatrix._trusted(f, m.rows, m.cols, tuple(chain.from_iterable(a))), tuple(pivots)
 
 
 def rank(m: FieldMatrix) -> int:
@@ -350,7 +330,8 @@ def _compiled(field: FieldSpec, columns: Sequence[Sequence[int]], generator: Fie
     elif field.m == 1:
         form = _mod_packed(_mod_lane_bits(field.p), columns)
     else:
-        form = _computed(field, len(columns[0]), len(columns), tuple(chain.from_iterable(zip(*columns))))
+        entries = tuple(chain.from_iterable(zip(*columns)))
+        form = FieldMatrix._trusted(field, len(columns[0]), len(columns), entries)
     if generator is not None:
         object.__setattr__(generator, "_parity_form", form)
     return form
@@ -358,7 +339,8 @@ def _compiled(field: FieldSpec, columns: Sequence[Sequence[int]], generator: Fie
 
 def _systematic_product(g: FieldMatrix, r: int, s: FieldMatrix) -> list[tuple[int, ...]]:
     """The columns of g . S for g = [A | I_k]: row t of g . S is row r + t
-    of S plus A[t, p] times row p of S for each nonzero row p < r."""
+    of S plus A[t, p] times row p of S for each nonzero row p < r.  For
+    k = 0 these are S's cols empty columns."""
     f = g.field
     add, mul = (xor if f.p == 2 else f.add), f.mul
     rows = [s.row(r + t) for t in range(g.rows)]
@@ -367,7 +349,7 @@ def _systematic_product(g: FieldMatrix, r: int, s: FieldMatrix) -> list[tuple[in
         if any(row):
             for t, a in enumerate(g.entries[p :: g.cols]):
                 rows[t] = [add(x, mul(a, y)) for x, y in zip(rows[t], row)]
-    return list(zip(*rows))
+    return list(zip(*rows)) or [()] * s.cols
 
 
 # -- lane rows: the compiled form of byte fields ------------------------------
@@ -420,7 +402,7 @@ def _lane_encode(field: FieldSpec, rows: Sequence[array], lanes: int, more: tupl
         acc ^= row[a]
     parity = acc.to_bytes(lanes, "little")
     for group, width in more:
-        parity += reduce(xor, map(getitem, group, message)).to_bytes(width, "little")
+        parity += reduce(xor, map(getitem, group, message), 0).to_bytes(width, "little")
     return (*parity, *message)
 
 
@@ -438,7 +420,7 @@ def _lane_fold(field: FieldSpec, step: tuple, c: Sequence[int], acc: int) -> int
     message = c[r:]
     out = reduce(xor, map(getitem, first, message), int.from_bytes(c[:r], "little") | acc << shift)
     for at, rows in more:
-        out ^= reduce(xor, map(getitem, rows, message)) << at
+        out ^= reduce(xor, map(getitem, rows, message), 0) << at
     if out & mask:
         return None
     return out >> shift
@@ -540,7 +522,7 @@ def right_kernel_basis(m: FieldMatrix) -> FieldMatrix:
         for i, pc in enumerate(pivots):
             v[pc] = f.neg(red.at(i, fc))
         rows.append(v)
-    return _computed(f, len(rows), red.cols, tuple(chain.from_iterable(rows)))
+    return FieldMatrix._trusted(f, len(rows), red.cols, tuple(chain.from_iterable(rows)))
 
 
 def solve_linear(a: FieldMatrix, b: Sequence[int]) -> tuple[int, ...] | None:

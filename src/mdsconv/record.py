@@ -10,6 +10,14 @@ an attribute raises AttributeError; code that caches derived values on a
 record sets them with `object.__setattr__`.  Records pickle by their
 instance dict.
 
+Each class has two constructors with the same parameters and defaults.
+The checked one, `Cls(...)`, runs `__post_init__`: it is for values from
+outside the program (plan documents, library callers, `replace`).
+`Cls._trusted(...)`, also generated, sets the fields and skips
+`__post_init__`: it is for values the program derives from operands that
+were already checked, such as computed matrices, restricted codes and
+lowered plans, whose invariants hold by construction.
+
 The package does not use `dataclasses` for this: importing it (with
 `inspect`, `ast` and `typing`) and generating its methods took a large
 share of the start-up of every CLI process.
@@ -20,6 +28,10 @@ from __future__ import annotations
 _TEMPLATE = """\
 def __init__(self, {params}):
 {sets}{post}
+def _trusted(cls, {params}):
+    self = _new(cls)
+{sets}    return self
+
 def __eq__(self, other):
     if other.__class__ is self.__class__:
         return ({mine},) == ({theirs},)
@@ -39,7 +51,7 @@ class Record:
         defaults = tuple(own[n] for n in names if n in own)
         if any(n in own for n in names[: len(names) - len(defaults)]):
             raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
-        ns = {"_set": object.__setattr__}
+        ns = {"_set": object.__setattr__, "_new": object.__new__}
         exec(_TEMPLATE.format(
             params=", ".join(names),
             sets="".join(f"    _set(self, {n!r}, {n})\n" for n in names),
@@ -47,11 +59,11 @@ class Record:
             mine=", ".join(f"self.{n}" for n in names),
             theirs=", ".join(f"other.{n}" for n in names),
         ), ns)
-        ns["__init__"].__defaults__ = defaults or None
-        for name in ("__init__", "__eq__", "__hash__"):
+        ns["__init__"].__defaults__ = ns["_trusted"].__defaults__ = defaults or None
+        for name in ("__init__", "_trusted", "__eq__", "__hash__"):
             if name not in own:
                 ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
-                setattr(cls, name, ns[name])
+                setattr(cls, name, classmethod(ns[name]) if name == "_trusted" else ns[name])
         cls._fields = names
 
     def __repr__(self) -> str:

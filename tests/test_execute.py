@@ -365,15 +365,37 @@ def test_privileged_read_outside_restriction_is_usage_error():
         split_convert(replace(plan, reads=reads), cw)
 
 
+def test_derived_records_pass_their_checked_constructors(monkeypatch):
+    """The restricted codes that `puncture` returns while the acceptance
+    plans are built, and the plan that `lower` returns for each of them and
+    for the fixture plans, skip their checks (`_trusted`); rebuilt through
+    the checked constructors (`replace`), each is an equal record."""
+    punctured = []
+
+    def recording(spec, positions):
+        punctured.append(grs.puncture(spec, positions))
+        return punctured[-1]
+
+    monkeypatch.setattr(convert, "puncture", recording)
+    fixtures = [plandoc.load_plan(str(path)) for path in sorted(FIXTURES.glob("*.json"))]
+    plans = [*_merge_plans(), *_split_plans(), *fixtures]
+    assert punctured
+    for spec in punctured:
+        assert replace(spec) == spec
+    for plan in plans:
+        g = lower(plan)
+        assert type(g) is GeneralPlan and replace(g) == g
+
+
 def test_computed_matrices_hold_canonical_entries(monkeypatch):
     """Every matrix built without the entry check while the acceptance plans
     and the 2x2 fixture are built, verified, lowered and converted passes
     that check: its entries are canonical and fill its shape."""
     built, callers = [], set()
-    computed = linalg._computed
+    trusted = linalg.FieldMatrix._trusted
 
-    def checked(field, rows, cols, entries):
-        m = computed(field, rows, cols, entries)
+    def checked(cls, field, rows, cols, entries):
+        m = trusted(field, rows, cols, entries)
         built.append(m)
         frame = sys._getframe(1)
         while frame.f_code.co_name.startswith("<"):  # a comprehension's frame
@@ -381,8 +403,7 @@ def test_computed_matrices_hold_canonical_entries(monkeypatch):
         callers.add(frame.f_code.co_name)
         return m
 
-    monkeypatch.setattr(linalg, "_computed", checked)
-    monkeypatch.setattr(convert, "_computed", checked)
+    monkeypatch.setattr(linalg.FieldMatrix, "_trusted", classmethod(checked))
     grs.parity_check.cache_clear()
     grs.generator.cache_clear()
     rng = random.Random(11)

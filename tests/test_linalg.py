@@ -276,6 +276,21 @@ def test_lane_kernel_matches_per_element_reference(m):
                     assert fold((c[0] ^ 1, *c[1:]), 0) is None
 
 
+@pytest.mark.parametrize("q, r", [(256, 3), (256, 9), (256, 17), (257, 9), (1 << 16, 9)])
+def test_empty_generator_gives_zero_products_over_every_field(q, r):
+    """A generator with no rows (k = 0) encodes the empty message to r zero
+    parity symbols, and its fold accepts only the zero parity and adds w
+    zero shares: over a byte field with one lane group or more, over GF(p)
+    and over GF(2^16) alike."""
+    f = GF(q)
+    g = FieldMatrix(f, 0, r, ())
+    assert linalg.systematic_encoder(g, r)(()) == (0,) * r
+    w = 3
+    fold, spill = linalg.fold_step(g, r, zeros(f, r, w))
+    assert tuple(spill(fold((0,) * r, 0), w)) == (0,) * w
+    assert fold((1,) + (0,) * (r - 1), 0) is None
+
+
 @pytest.mark.parametrize("q", [2, 16, 256, 257, 512, 1 << 16, 1000003])
 def test_check_lines_give_the_systematic_syndrome(q):
     """The executor's per-input check lines: the fold that `fold_step` binds

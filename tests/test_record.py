@@ -1,6 +1,7 @@
-"""The frozen records (`mdsconv.record`): construction, equality, hashing,
-immutability, `replace` and pickling of every record class, and a CLI
-process that imports neither `dataclasses` nor `typing`."""
+"""The frozen records (`mdsconv.record`): construction, checked and
+unchecked (`_trusted`), equality, hashing, immutability, `replace` and
+pickling of every record class, and a CLI process that imports neither
+`dataclasses` nor `typing`."""
 
 import os
 import pickle
@@ -105,6 +106,32 @@ def test_record_contract(obj, bad):
     assert clone == obj
     for name in CACHED.get(cls.__name__, ()):
         assert getattr(clone, name, None) is not None
+
+
+@pytest.mark.parametrize("obj, bad", RECORDS, ids=[type(obj).__name__ for obj, _ in RECORDS])
+def test_trusted_constructor_sets_the_fields_unchecked(obj, bad):
+    """`Cls._trusted` takes the checked constructor's arguments and builds
+    an equal record, and skips its checks: an invalid field goes through."""
+    cls = type(obj)
+    values = [getattr(obj, n) for n in cls._fields]
+    for built in (cls._trusted(*values), cls._trusted(**dict(zip(cls._fields, values)))):
+        assert type(built) is cls and built == obj and built is not obj
+        assert vars(built) == dict(zip(cls._fields, values))
+        with pytest.raises(AttributeError):
+            setattr(built, cls._fields[0], None)
+    if bad is not None:
+        broken = cls._trusted(**{**dict(zip(cls._fields, values)), **bad})
+        assert all(getattr(broken, name) == value for name, value in bad.items())
+        with pytest.raises(UsageError):
+            cls(**{n: getattr(broken, n) for n in cls._fields})
+
+
+def test_trusted_constructor_keeps_the_defaults():
+    spec = grs.ExtGrsSpec(GF(5), 4, 2, (0, 1, 2), (1, 1, 1, 1))
+    assert grs.Codeword._trusted((0, 0, 0, 0)) == grs.Codeword((0, 0, 0, 0))
+    assert grs.Codeword._trusted((0, 0, 0, 0)).code is None
+    assert grs.Codeword._trusted(symbols=(0, 0, 0, 0), code=spec).code is spec
+    assert convert.StructureCheck._trusted(True) == convert.StructureCheck(ok=True, diagnostic="")
 
 
 def test_a_pickled_spec_keeps_a_working_encoder():

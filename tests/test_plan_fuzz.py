@@ -12,7 +12,8 @@ duplicated.
 A sweep applies every single mutation to the three bases and to the 2x2
 general fixture, and loads each mutant: it must load, to a plan that
 round-trips and re-serialises to the mutant itself (so the loader drops
-no entry), or be refused with a `UsageError`.
+no entry), or be refused with a `UsageError`.  The sweep also runs
+`verify` on each mutant and pins how many exit 0, 1 and 2 per base.
 
 A seeded sample of two-edit mutants goes through both verbs too, loaded
 or not, as a defect that one verdict hides may need two coordinated
@@ -148,13 +149,27 @@ def test_convert_runs_exactly_what_verify_passes(tmp_path, capsys):
     assert verdicts[True] and verdicts[False] and written_refused, (verdicts, written_refused)
 
 
-def test_every_single_mutant_loads_or_is_refused_as_usage():
+# `verify` exits (0, 1, 2) over every single mutant of each base.
+VERIFY_EXITS = {
+    "readme merge": (0, 473, 85),
+    "mixed merge": (16, 438, 54),
+    "readme split": (15, 593, 78),
+    "2x2 general": (57, 577, 0),
+}
+
+
+def test_every_single_mutant_loads_or_is_refused_as_usage(tmp_path, capsys):
     docs = {name: plandoc.plan_to_doc(build()) for name, build in BASES.items()}
     docs["2x2 general"] = json.loads(GENERAL_FIXTURE.read_text())
     outcomes = {"loaded": 0, "refused": 0}
+    exits = {}
+    plan_path = tmp_path / "plan.json"
     for name, doc in docs.items():
+        counts = [0, 0, 0]
         for mutation in _mutations(doc):
             mutant = _mutant(doc, *mutation)
+            plan_path.write_text(json.dumps(mutant))
+            counts[_run(capsys, "verify", "--plan", plan_path)] += 1
             try:
                 plan = plandoc.plan_from_doc(mutant)
             except UsageError:
@@ -163,6 +178,8 @@ def test_every_single_mutant_loads_or_is_refused_as_usage():
             assert plandoc.plan_to_doc(plan) == mutant, (name, mutation)
             assert plandoc.plan_from_doc(plandoc.plan_to_doc(plan)) == plan, (name, mutation)
             outcomes["loaded"] += 1
+        exits[name] = tuple(counts)
+    assert exits == VERIFY_EXITS, exits
     assert outcomes == {"loaded": 305, "refused": 2081}, outcomes
 
 

@@ -33,6 +33,7 @@ from .convert import (
     verify_plan,
 )
 from .errors import (
+    CertificateError,
     CorruptionError,
     InsufficientDataError,
     InternalError,

@@ -32,6 +32,7 @@ from .convert import (
     verify_plan,
 )
 from .errors import (
+    CertificateError,
     CorruptionError,
     InsufficientDataError,
     MdsconvError,
@@ -203,7 +204,11 @@ def cmd_convert(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    plan = plandoc.load_plan(args.plan)
+    try:
+        plan = plandoc.load_plan(args.plan)
+    except CertificateError as exc:
+        print(f"FAIL {exc}")
+        return 2
     results = verify_plan(plan)
     failed = False
     for name, ok, detail in results:

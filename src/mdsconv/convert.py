@@ -8,22 +8,20 @@ and split (t1 = 1) regimes, builders for access-optimal merge and split
 plans, plan execution, the structural optimality check for merge plans,
 plan verification, and access accounting with a per-device trace.
 
+A merge or split plan stores no certificate.  The codes and the read
+grid determine each restricted parity check it reads through
+(`restricted_parity`), and so every block a plan document stores
+(`certificate`); `verify_plan` checks them against the final parity
+checks.
+
 Every plan kind runs through one executor, `run_conversion`.  The first
 time a plan object runs, `lower` compiles it to a general plan: for each
 final code, the initial symbols it reads, a matrix sigma with
-written = reads . sigma, and the layout of its coordinates.  A merge or
-split plan is lowered once `verify_plan` passes it, by one reduced
-echelon form per final code of [W | B], with W . written = B . reads
-(`_sigma`).  The lowered form is then compiled (`_Executable`) into one
-bound `linalg.fold_step` per initial code, whose outputs are the code's
-parity symbols and its share of every final code's written symbols.
-Those steps and the access report are kept on the plan object, so every
-later stripe is one pass: each input in turn is checked and adds its
-share in one step over its message symbols, on the one compiled form of
-the field (over a byte field one lookup per message symbol).  On
-codewords the shares sum to the read symbols times sigma, so execution
-reads every input symbol to check it, while the access report states
-the plan's access cost.
+written = reads . sigma, and the layout of its coordinates (`_sigma`,
+once `verify_plan` passes the plan).  `_Executable` then compiles that
+into one bound `linalg.fold_step` per initial code, kept on the plan
+object with the access report, so every later stripe is one pass over
+the inputs' message symbols (`run_conversion`).
 
 Every code of a plan is an extended GRS code, and an extended GRS code
 with n - 1 distinct evaluation points and nonzero column multipliers is
@@ -288,14 +286,9 @@ class MergePlan(Record):
     """An executable merge conversion (t2 = 1).
 
     `unchanged` and `reads` hold ascending positions per initial code; a
-    code outside `reduced` reads exactly its unchanged symbols.
-    `punctured_parity[i-1]` is set for i in `reduced`: the parity check of
-    initial code i restricted to its unchanged + read positions, columns
-    ordered by ascending position.  `final_unchanged_blocks[i-1]` is set
-    for i outside `reduced`: the final parity-check columns of code i's
-    unchanged block.  `final_written_block` holds the final parity-check
-    columns of the written positions.  `verify_plan` checks the stored
-    blocks; lowering reads the final code itself.
+    code outside `reduced` reads exactly its unchanged symbols, and a code
+    in it through a restricted parity check derived from the codes and the
+    grid (`restricted_parity`); the plan stores no certificate.
     """
 
     params: ConvertParams
@@ -305,21 +298,11 @@ class MergePlan(Record):
     reduced: frozenset[int]
     unchanged: tuple[tuple[int, ...], ...]
     reads: tuple[tuple[int, ...], ...]
-    punctured_parity: tuple[FieldMatrix | None, ...]
-    final_unchanged_blocks: tuple[FieldMatrix | None, ...]
-    final_written_block: FieldMatrix
 
     def __post_init__(self):
         _check_grid(self)
-        t1 = self.params.t1
-        if len(self.punctured_parity) != t1 or len(self.final_unchanged_blocks) != t1:
-            raise UsageError("restricted parity checks and final blocks need one entry per initial code")
         for i, k in enumerate(self.params.k_initial, 1):
             _check_at_most_k(f"code {i}", self.unchanged[i - 1], k)
-            if (self.punctured_parity[i - 1] is None) == (i in self.reduced):
-                raise UsageError(f"punctured parity must be present exactly for codes in S (code {i})")
-            if (self.final_unchanged_blocks[i - 1] is None) == (i not in self.reduced):
-                raise UsageError(f"final-code blocks must be present exactly for codes outside S (code {i})")
             if i not in self.reduced and self.reads[i - 1] != self.unchanged[i - 1]:
                 raise UsageError(f"code {i} is outside S, so it must read exactly its unchanged symbols")
 
@@ -341,7 +324,10 @@ class MergePlan(Record):
 
     def restricted_parity(self, j: int, i: int) -> tuple[FieldMatrix, tuple[int, ...]] | None:
         """Code i's restricted parity check and its support when i is in S, else None."""
-        return (self.punctured_parity[i - 1], self.support(i)) if i in self.reduced else None
+        if i not in self.reduced:
+            return None
+        support, spec = self.support(i), self.initial_specs[i - 1]
+        return _restricted_parity(spec, support, self.unchanged[i - 1], _final_block(self, i)), support
 
 
 class SplitPlan(Record):
@@ -350,11 +336,11 @@ class SplitPlan(Record):
     `unchanged[j-1]` holds the initial positions kept by final code j;
     the sets are pairwise disjoint.  When a final code can be produced
     with fewer than k_I reads, `privileged` names it, `extra_reads` holds
-    the read positions outside every unchanged set (doc key "V"), and
-    `punctured_parity` is the parity check of the initial code restricted
-    to all unchanged positions plus `extra_reads`, columns ordered by
-    ascending position.  Every other final code reads exactly its
-    unchanged positions.
+    the read positions outside every unchanged set (doc key "V"), and it
+    reads through the restricted parity check of the initial code on every
+    unchanged position and V (`restricted_parity`); the plan stores no
+    certificate.  Every other final code reads exactly its unchanged
+    positions.
     """
 
     params: ConvertParams
@@ -365,16 +351,12 @@ class SplitPlan(Record):
     reads: tuple[tuple[int, ...], ...]
     privileged: int | None
     extra_reads: tuple[int, ...]
-    punctured_parity: FieldMatrix | None
 
     def __post_init__(self):
         _check_grid(self)
         p = self.params
-        if self.privileged is not None:
-            if not 1 <= self.privileged <= p.t2:
-                raise UsageError(f"privileged index {self.privileged} out of range 1..{p.t2}")
-            if self.punctured_parity is None:
-                raise UsageError("a privileged final code requires the restricted parity check")
+        if self.privileged is not None and not 1 <= self.privileged <= p.t2:
+            raise UsageError(f"privileged index {self.privileged} out of range 1..{p.t2}")
         for j, k in enumerate(p.k_final, 1):
             _check_at_most_k(f"final code {j}", self.unchanged[j - 1], k)
             if j != self.privileged and self.reads[j - 1] != self.unchanged[j - 1]:
@@ -398,8 +380,14 @@ class SplitPlan(Record):
         return tuple(sorted(set(self.extra_reads).union(*self.unchanged)))
 
     def restricted_parity(self, j: int, i: int) -> tuple[FieldMatrix, tuple[int, ...]] | None:
-        """The restricted parity check and its support when final code j is privileged, else None."""
-        return (self.punctured_parity, self.support()) if j == self.privileged else None
+        """The restricted parity check, matched to final j's coordinates in
+        layout order (its unchanged symbols, then V), and its support when
+        final j is privileged, else None."""
+        if j != self.privileged:
+            return None
+        support, own = self.support(), self.unchanged[j - 1] + self.extra_reads
+        h = parity_check(self.final_specs[j - 1])
+        return _restricted_parity(self.initial_spec, support, own, h), support
 
 
 class GeneralPlan(Record):
@@ -551,8 +539,8 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
     sliced and chained lazily, so the draw costs O(n) whatever q is.
     Unchanged positions are the leading k_I of each code; reduced-read
     codes read their trailing r_F positions (which include the extension
-    position), and their restricted parity checks come from the closed
-    form in `grs.puncture`; other codes re-read their unchanged symbols.
+    position), and the final code takes those codes' restricted multipliers
+    (`grs.puncture`) at their unchanged symbols; other codes re-read theirs.
     """
     if params.t2 != 1:
         raise UsageError("merge construction requires exactly one final code")
@@ -582,26 +570,14 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
         tuple(range(n - rf + 1, n + 1)) if i in reduced else tuple(range(1, k + 1))
         for i, (n, k) in enumerate(params.initial, 1)
     )
-    punctured: list[FieldMatrix | None] = []
-    w_star: list[int] = []
     gamma_star: list[int] = []
-    for i, spec in enumerate(initial_specs, 1):
-        u = unchanged[i - 1]
-        gamma_star.extend(spec.gamma[pos - 1] for pos in u)
-        if i in reduced:
-            support = sorted(set(u) | set(reads[i - 1]))
-            psec = puncture(spec, support)
-            punctured.append(parity_check(psec))
-            slot = {pos: idx for idx, pos in enumerate(support)}
-            w_star.extend(psec.w[slot[pos]] for pos in u)
-        else:
-            punctured.append(None)
-            w_star.extend(spec.w[pos - 1] for pos in u)
-    gamma_star.extend(gamma_prime)
-    w_star.extend([1] * rf)
-    final_spec = ExtGrsSpec(field, nf, rf, tuple(gamma_star), tuple(w_star))
-    stored = {i: FieldMatrix._trusted(field, rf, width, _final_block(final_spec, unchanged, i))
-              for i, width in enumerate([*params.k_initial, rf], 1) if i not in reduced}
+    w_star: list[int] = []
+    for i, (spec, (_, k)) in enumerate(zip(initial_specs, params.initial), 1):
+        # The unchanged symbols lead both the code and its restriction.
+        w = puncture(spec, unchanged[i - 1] + reads[i - 1]).w if i in reduced else spec.w
+        gamma_star += spec.gamma[:k]
+        w_star += w[:k]
+    final_spec = ExtGrsSpec(field, nf, rf, (*gamma_star, *gamma_prime), (*w_star, *[1] * rf))
     return MergePlan(
         params=params,
         field=field,
@@ -610,9 +586,6 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
         reduced=reduced,
         unchanged=unchanged,
         reads=reads,
-        punctured_parity=tuple(punctured),
-        final_unchanged_blocks=tuple(map(stored.get, range(1, params.t1 + 1))),
-        final_written_block=stored[params.t1 + 1],
     )
 
 
@@ -627,105 +600,108 @@ class StructureCheck(Record):
         return self.ok
 
 
-def verify_optimal_structure(plan: MergePlan) -> StructureCheck:
+def verify_optimal_structure(plan: MergePlan, stored: Sequence[FieldMatrix] = ()) -> StructureCheck:
     """Check the structural characterization of access-optimal merges.
 
     Conditions: the plan's S is the one its parameters give; every code
     keeps exactly k_I unchanged symbols; reduced codes read exactly r_F
     symbols disjoint from their unchanged set; every block of the
-    certificate is sound (`_merge_block_fault`).  (Codes outside S read
-    exactly their unchanged symbols; `MergePlan` enforces that.)  Codes
-    are checked in order, then the written block; the diagnostic names
-    the first violated condition.
+    certificate, the plan's own or a document's `stored` one, is sound
+    (`_merge_block_fault`).  (Codes outside S read exactly their unchanged
+    symbols; `MergePlan` enforces that.)  The diagnostic names the first
+    violated condition, codes in order, then the written block.
     """
-    p = plan.params
-    expected = reduced_read_codes(p)
-    if plan.reduced != expected:
-        return StructureCheck(
-            False,
-            f"classification: plan S = {sorted(plan.reduced)} but parameters give {sorted(expected)}",
-        )
-    rf = p.r_final[0]
-    for i in range(1, p.t1 + 1):
-        k = p.k_initial[i - 1]
-        unchanged = plan.unchanged[i - 1]
-        if len(unchanged) != k:
-            return StructureCheck(
-                False,
-                f"unchanged-cardinality: code {i} keeps {len(unchanged)} symbols, need {k}",
-            )
-        if i in plan.reduced:
-            if len(plan.reads[i - 1]) != rf:
-                return StructureCheck(
-                    False,
-                    f"read-cardinality: code {i} reads {len(plan.reads[i - 1])} symbols, need r_F = {rf}",
-                )
-            if set(plan.reads[i - 1]) & set(unchanged):
-                return StructureCheck(False, f"overlap: code {i} reads symbols it also keeps unchanged")
-        fault = _merge_block_fault(plan, i)
-        if fault:
-            return StructureCheck(False, fault)
-    fault = _merge_block_fault(plan, p.t1 + 1)
+    fault = next(filter(None, _merge_faults(plan, stored)), "")
     return StructureCheck(not fault, fault)
 
 
-def _final_block(final_spec: ExtGrsSpec, unchanged: Sequence[Sequence[int]], i: int) -> tuple[int, ...]:
-    """Row-major entries of the final parity check's columns for initial code
-    i's unchanged symbols in a final layout whose unchanged sets are
-    `unchanged` (i = t1 + 1: the written symbols)."""
-    start = sum(map(len, unchanged[: i - 1]))
-    stop = start + len(unchanged[i - 1]) if i <= len(unchanged) else final_spec.n
-    h = parity_check(final_spec)
+def _merge_faults(plan: MergePlan, stored: Sequence[FieldMatrix]):
+    """Each condition of `verify_optimal_structure` in turn, "" when it holds."""
+    p = plan.params
+    expected = reduced_read_codes(p)
+    if plan.reduced != expected:
+        yield f"classification: plan S = {sorted(plan.reduced)} but parameters give {sorted(expected)}"
+    rf = p.r_final[0]
+    for i, (k, unchanged, reads) in enumerate(zip(p.k_initial, plan.unchanged, plan.reads), 1):
+        if len(unchanged) != k:
+            yield f"unchanged-cardinality: code {i} keeps {len(unchanged)} symbols, need {k}"
+        if i in plan.reduced and len(reads) != rf:
+            yield f"read-cardinality: code {i} reads {len(reads)} symbols, need r_F = {rf}"
+        if i in plan.reduced and set(reads) & set(unchanged):
+            yield f"overlap: code {i} reads symbols it also keeps unchanged"
+        yield _merge_block_fault(plan, i, stored[i - 1] if stored else None)
+    yield _merge_block_fault(plan, p.t1 + 1, stored[-1] if stored else None)
+
+
+def _final_block(plan: MergePlan, i: int) -> FieldMatrix:
+    """The final parity check's columns at initial code i's unchanged
+    symbols (i = t1 + 1: at the written symbols), in layout order."""
+    h = parity_check(plan.final_spec)
+    start = sum(map(len, plan.unchanged[: i - 1]))
+    return _column_range(h, start, start + len(plan.unchanged[i - 1]) if i <= plan.params.t1 else h.cols)
+
+
+def _column_range(h: FieldMatrix, start: int, stop: int) -> FieldMatrix:
+    """Columns start to stop - 1 (0-based) of h."""
     rows = range(0, len(h.entries), h.cols)
-    return tuple(chain.from_iterable(h.entries[r + start : r + stop] for r in rows))
+    entries = tuple(chain.from_iterable(h.entries[r + start : r + stop] for r in rows))
+    return FieldMatrix._trusted(h.field, h.rows, stop - start, entries)
 
 
-def _merge_block_fault(plan: MergePlan, i: int) -> str:
-    """Why block i of a merge's certificate (t1 + 1: the written block) is
-    unsound, or "".  A code in S needs a restricted parity check that
-    matches the final parity check on its unchanged columns and is a parity
-    check of its restriction; every other block must be the final parity
-    check's columns.  `lower` refuses any plan that `verify_plan` fails, so a
-    fault here also stops `convert`; execution solves from the final code
-    and the restricted parity checks, so the stored blocks are only checked."""
-    final = _final_block(plan.final_spec, plan.unchanged, i)
+def _restricted_parity(
+    spec: ExtGrsSpec, support: Sequence[int], kept: Sequence[int], h: FieldMatrix
+) -> FieldMatrix:
+    """T . ref: the parity check of `spec` restricted to `support`
+    (ascending) that equals h, a final parity check's columns at `kept`, on
+    the first r_F of them.  ref = parity_check(puncture(spec, support)), and
+    T = h_c . ref_c^-1 on those columns c (r_F columns of MDS parity checks)
+    is the identity, with no solve, when ref equals h there.  UsageError
+    when the codes and grid do not determine it."""
+    ref = parity_check(puncture(spec, support))
+    r = h.rows
+    if ref.rows != r or len(kept) < r:
+        raise UsageError(f"restriction has {ref.rows} parity rows, {len(kept)} kept symbols, r_F = {r}")
+    ref_c, h_c = _columns_at(ref, support, kept[:r]), _column_range(h, 0, r)
+    if ref_c == h_c:
+        return ref
+    return linalg.matmul(linalg.matmul(h_c, linalg.invert(ref_c)), ref)
+
+
+def _merge_block_fault(plan: MergePlan, i: int, stored: FieldMatrix | None = None) -> str:
+    """Why block i of a merge's certificate (t1 + 1: the written block), the
+    plan's own or a document's `stored` one, is unsound, or "".  A code in
+    S needs a restricted parity check equal to the final parity check on
+    its unchanged columns; every other block must be the final parity
+    check's columns.  `lower` refuses a plan `verify_plan` fails."""
+    final = _final_block(plan, i)
     if i in plan.reduced:
-        rf = plan.final_spec.r
-        support = plan.support(i)
-        hbar = plan.punctured_parity[i - 1]
+        try:
+            derived, support = plan.restricted_parity(1, i)
+        except UsageError as exc:
+            return f"punctured-parity: code {i}: {exc}"
+        hbar = derived if stored is None else stored
         # Unchanged columns first, so a fault there is named block-mismatch.
-        shaped = (hbar.rows, hbar.cols) == (rf, len(support))
-        if shaped and _columns_at(hbar, support, plan.unchanged[i - 1]).entries != final:
+        if hbar.cols == derived.cols and _columns_at(hbar, support, plan.unchanged[i - 1]) != final:
             return (f"block-mismatch: code {i} unchanged columns of the restricted parity "
                     "check differ from the final parity check")
-        fault = _restricted_parity_fault(plan.initial_specs[i - 1], support, hbar, rf)
-        return fault and f"punctured-parity: code {i}: {fault}"
-    written = i > plan.params.t1
-    stored = plan.final_written_block if written else plan.final_unchanged_blocks[i - 1]
-    what = "stored written block" if written else f"code {i} stored block"
-    if (stored.field, stored.rows, stored.entries) != (plan.field, plan.final_spec.r, final):
+        if hbar != derived:
+            return f"punctured-parity: code {i}: stored matrix is not a parity check of the restriction"
+    elif stored is not None and stored != final:
+        what = "stored written block" if i > plan.params.t1 else f"code {i} stored block"
         return f"final-block: {what} differs from the final parity check"
     return ""
 
 
-def _restricted_parity_fault(
-    spec: ExtGrsSpec, support: Sequence[int], hbar: FieldMatrix, r: int
-) -> str:
-    """Why `hbar` is not an r-row parity check of `spec` restricted to
-    `support` (ascending, columns in that order), or "" when it is one.
-
-    `hbar` must be the closed-form parity check of the restriction, or have
-    the same reduced echelon form: the same row space, of full rank r.
-    """
-    try:
-        reference = parity_check(puncture(spec, support))
-    except UsageError as exc:
-        return str(exc)
-    if (hbar.rows, hbar.cols) != (r, len(support)):
-        return "stored matrix has the wrong shape"
-    if hbar != reference and linalg.rref(hbar)[0] != linalg.rref(reference)[0]:
-        return "stored matrix is not a parity check of the restriction"
-    return ""
+def certificate(plan: MergePlan | SplitPlan) -> tuple[FieldMatrix, ...]:
+    """The blocks a plan document stores, derived from the codes and grid:
+    a merge's restricted parity check per code in S, else the final parity
+    check's columns at the code's unchanged symbols, then those at the
+    written symbols; a split's privileged restricted parity check, if any."""
+    if isinstance(plan, SplitPlan):
+        return () if plan.privileged is None else (plan.restricted_parity(plan.privileged, 1)[0],)
+    t1 = plan.params.t1
+    return tuple(plan.restricted_parity(1, i)[0] if i <= t1 and i in plan.reduced else _final_block(plan, i)
+                 for i in range(1, t1 + 2))
 
 
 # -- split construction --------------------------------------------------------
@@ -767,32 +743,19 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
     if bound.feasible:
         best = max(params.k_final[j - 1] - params.r_final[j - 1] for j in bound.feasible)
         privileged = min(j for j in bound.feasible if params.k_final[j - 1] - params.r_final[j - 1] == best)
-    extra: tuple[int, ...] = ()
-    hbar: FieldMatrix | None = None
-    final_specs: list[ExtGrsSpec] = []
-    theta: tuple[int, ...] = ()
-    support: tuple[int, ...] = ()
+    final_specs = [ExtGrsSpec(field, n, n - k, tuple(pool[: n - 1]), (1,) * n) for n, k in params.final]
+    reads, extra = list(unchanged), ()
     if privileged is not None:
-        rf = params.r_final[privileged - 1]
-        extra = tuple(range(n_i - rf + 1, n_i + 1))
-        support = tuple(sorted(set(range(1, k_i + 1)) | set(extra)))
-        psec = puncture(initial_spec, support)
-        hbar = parity_check(psec)
-        theta = psec.w
-    slot = {pos: idx for idx, pos in enumerate(support)}
-    for j, (nf, kf) in enumerate(params.final, 1):
-        if j == privileged:
-            positions = unchanged[j - 1] + extra
-            gamma = tuple(initial_spec.gamma[pos - 1] for pos in positions if pos != n_i)
-            w = tuple(theta[slot[pos]] for pos in positions)
-            final_specs.append(ExtGrsSpec(field, nf, nf - kf, gamma, w))
-        else:
-            final_specs.append(ExtGrsSpec(field, nf, nf - kf, tuple(pool[: nf - 1]), (1,) * nf))
-    # The privileged final reads the other finals' unchanged symbols and V.
-    reads = [
-        tuple(sorted(set(support) - set(u))) if j == privileged else u
-        for j, u in enumerate(unchanged, 1)
-    ]
+        nf, kf = params.final[privileged - 1]
+        extra = tuple(range(n_i - (nf - kf) + 1, n_i + 1))
+        support = tuple(range(1, k_i + 1)) + extra
+        theta = puncture(initial_spec, support).w
+        positions = unchanged[privileged - 1] + extra
+        gamma = tuple(initial_spec.gamma[pos - 1] for pos in positions if pos != n_i)
+        w = tuple(theta[support.index(pos)] for pos in positions)
+        final_specs[privileged - 1] = ExtGrsSpec(field, nf, nf - kf, gamma, w)
+        # It reads the other finals' unchanged symbols and V.
+        reads[privileged - 1] = tuple(sorted(set(support) - set(unchanged[privileged - 1])))
     return SplitPlan(
         params=params,
         field=field,
@@ -802,7 +765,6 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
         reads=tuple(reads),
         privileged=privileged,
         extra_reads=extra,
-        punctured_parity=hbar,
     )
 
 
@@ -847,9 +809,10 @@ def lower(plan: Plan) -> GeneralPlan:
     sigma with written symbols = read symbols . sigma.  A merge or split
     plan runs exactly when `verify_plan` passes it, so the first FAIL line
     refuses the plan before any solve; then each final code's sigma is
-    solved once (`_sigma`).  The result skips the `GeneralPlan` checks
-    (`GeneralPlan._trusted`): its grid is the verified plan's, and its
-    layouts and sigmas are built to the shapes those checks test.
+    solved once (`_sigma`) from the derived restricted parity checks (no
+    solve for those of a built plan).  The result skips the `GeneralPlan`
+    checks (`GeneralPlan._trusted`): its grid is the verified plan's, and
+    its layouts and sigmas are built to the shapes those checks test.
     """
     if isinstance(plan, GeneralPlan):
         return plan
@@ -1018,7 +981,7 @@ def general_convert(
 # -- plan verification ----------------------------------------------------------
 
 
-def verify_plan(plan: Plan) -> list[tuple[str, bool, str]]:
+def verify_plan(plan: Plan, stored: Sequence[FieldMatrix] = ()) -> list[tuple[str, bool, str]]:
     """Checks behind the CLI verify command: (name, passed, detail) triples.
 
     One MDS line per initial code and per declared final code, each a
@@ -1028,56 +991,51 @@ def verify_plan(plan: Plan) -> list[tuple[str, bool, str]]:
     their construction checks, and both get the access-bound line.
     General plans get a plan-structure line and no bound.  `lower`
     refuses a merge or split plan with any FAIL line, so this list is also
-    what `convert` accepts.
+    what `convert` accepts.  The certificate checked is the plan's own, or
+    a document's `stored` one.
     """
     p = plan.params
-    if isinstance(plan, SplitPlan):
-        codes = ["initial code"]
-    else:
-        codes = [f"initial code {i}" for i in range(1, p.t1 + 1)]
-    if isinstance(plan, MergePlan):
-        codes.append("final code")
-    else:
-        codes += [f"final code {j}" for j, spec in enumerate(plan.final_specs, 1) if spec is not None]
+    split = isinstance(plan, SplitPlan)
+    codes = ["initial code"] if split else [f"initial code {i}" for i in range(1, p.t1 + 1)]
+    codes += ["final code"] if isinstance(plan, MergePlan) else [
+        f"final code {j}" for j, spec in enumerate(plan.final_specs, 1) if spec is not None]
     results = [(f"{code} MDS", True, "") for code in codes]
     if isinstance(plan, MergePlan):
-        check = verify_optimal_structure(plan)
+        check = verify_optimal_structure(plan, stored)
         results.append(("optimal structure", check.ok, check.diagnostic))
-    elif isinstance(plan, SplitPlan):
-        for j, kf in enumerate(p.k_final, 1):
-            kept = len(plan.unchanged[j - 1])
-            results.append(
-                (f"final code {j} keeps k_F unchanged symbols", kept == kf,
-                 "" if kept == kf else f"keeps {kept}, need {kf}")
-            )
+    elif split:
+        for j, (kf, kept) in enumerate(zip(p.k_final, map(len, plan.unchanged)), 1):
+            results.append((f"final code {j} keeps k_F unchanged symbols", kept == kf,
+                            "" if kept == kf else f"keeps {kept}, need {kf}"))
         if plan.privileged is not None:
-            fault = _privileged_fault(plan)
+            fault = _privileged_fault(plan, *stored)
             results.append(("privileged restricted parity", not fault, fault))
     else:
         results.append(("plan structure", True, "layouts and conversion matrices consistent"))
         return results
     report = plan_report(plan)
-    results.append(
-        ("access cost meets bound", bool(report.optimal), f"rho = {report.rho}, bound = {report.bound}")
-    )
+    bound = f"rho = {report.rho}, bound = {report.bound}"
+    results.append(("access cost meets bound", bool(report.optimal), bound))
     return results
 
 
-def _privileged_fault(plan: SplitPlan) -> str:
-    """Why the privileged final code is not produced by the restricted parity check, or ""."""
+def _privileged_fault(plan: SplitPlan, stored: FieldMatrix | None = None) -> str:
+    """Why the privileged final code is not produced by its restricted parity
+    check, the plan's own or a document's `stored` one, or ""."""
     j = plan.privileged
     rf = plan.params.r_final[j - 1]
     if len(plan.extra_reads) != rf:
         return f"extra read set has {len(plan.extra_reads)} positions, need r_F = {rf}"
-    support = plan.support()
-    hbar = plan.punctured_parity
-    fault = _restricted_parity_fault(plan.initial_spec, support, hbar, rf)
-    if fault:
-        return fault
-    # Layout order: its unchanged symbols, then the written ones, which are V.
-    own = plan.unchanged[j - 1] + plan.extra_reads
-    if _columns_at(hbar, support, own).entries != parity_check(plan.final_specs[j - 1]).entries:
+    try:
+        derived, support = plan.restricted_parity(j, 1)
+    except UsageError as exc:
+        return str(exc)
+    hbar = derived if stored is None else stored
+    own, h = plan.unchanged[j - 1] + plan.extra_reads, parity_check(plan.final_specs[j - 1])
+    if hbar.cols == derived.cols and _columns_at(hbar, support, own) != h:
         return "privileged final code does not match the restricted parity block"
+    if hbar != derived:
+        return "stored matrix is not a parity check of the restriction"
     if set(plan.reads[j - 1]) != set(support) - set(plan.unchanged[j - 1]):
         return "privileged final code must read the other finals' unchanged symbols and V"
     return ""

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the rule for integers
 read from outside input.
 
-The CLI maps these onto exit codes: usage problems exit 1, infeasible
+The CLI maps these onto exit codes: usage problems exit 1 (`verify`
+reports a `CertificateError` as a failed check, exit 2), infeasible
 parameters exit 2, corrupted codeword data exits 3.
 
 Every integer the program reads is canonical: a number in a JSON document
@@ -19,6 +20,11 @@ class MdsconvError(Exception):
 
 class UsageError(MdsconvError):
     """Caller passed malformed arguments, shapes, or documents."""
+
+
+class CertificateError(UsageError):
+    """A plan document stores a certificate its codes and grid do not give; the
+    message is the `verify` check it fails, as "name: detail"."""
 
 
 class ParameterError(MdsconvError):

@@ -221,6 +221,8 @@ def puncture(spec: ExtGrsSpec, positions: Iterable[int]) -> ExtGrsSpec:
     so the result is built with `ExtGrsSpec._trusted`, without the checks.
     """
     t = restriction_support(spec, positions)
+    if len(t) == spec.n and spec.w[-1] == 1:
+        return spec  # the whole code, its multipliers already scaled to theta_n = 1
     f = spec.field
     mul, sub = f.mul, f.sub
     kept = set(t)

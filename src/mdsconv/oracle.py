@@ -23,6 +23,7 @@ from .grs import (
     generator,
     is_codeword,
     parity_check,
+    puncture,
     recover_erasures,
     restriction_support,
 )
@@ -212,50 +213,52 @@ def _checked_inputs(specs, codewords) -> list[tuple[int, ...]]:
     return syms
 
 
+def restricted_parity_by_solve(
+    spec: ExtGrsSpec, support: Sequence[int], kept: Sequence[int], h_kept: linalg.FieldMatrix
+) -> linalg.FieldMatrix:
+    """The parity check of `spec` restricted to `support` (ascending) that
+    equals `h_kept`, a final parity check's columns at `kept`, on the first
+    r of them: T . ref, with T = h_c . ref_c^-1 by `linalg.invert`."""
+    ref = parity_check(puncture(spec, support))
+    r = h_kept.rows
+    ref_c = linalg.submatrix_cols(ref, [support.index(pos) + 1 for pos in kept[:r]])
+    t = linalg.matmul(linalg.submatrix_cols(h_kept, range(1, r + 1)), linalg.invert(ref_c))
+    return linalg.matmul(t, ref)
+
+
 def merge_convert_by_solve(plan, codewords: Sequence) -> Codeword:
     """A merge plan's final codeword, solved from the final parity equations per stripe.
 
-    The reduced-read contributions (through the restricted parity checks)
-    and the default-read contributions (through the final-code blocks) are
-    accumulated into a right-hand side, and the written symbols solve the
-    final written block against it.
+    The reads of codes in S (through restricted parity checks that match
+    the final parity check H on r_F of the code's unchanged columns) and the
+    unchanged symbols of the others (through H's columns) sum to a
+    right-hand side, which H's written columns solve for the written symbols.
     """
     syms = _checked_inputs(plan.initial_specs, codewords)
-    f = plan.field
-    rf = plan.final_spec.r
-    rhs = (0,) * rf
-    for i in range(1, plan.params.t1 + 1):
+    f, t1, h, layout = plan.field, plan.params.t1, parity_check(plan.final_spec), plan.final_layout()
+    col = {sid: c for c, sid in enumerate(layout, 1)}  # H's column of each final coordinate
+    rhs = (0,) * h.rows
+    for i, spec in enumerate(plan.initial_specs, 1):
+        kept, read = plan.unchanged[i - 1], plan.reads[i - 1]  # outside S, read == kept
+        block, op = linalg.submatrix_cols(h, [col[i, pos] for pos in kept]), f.sub
         if i in plan.reduced:
             support = plan.support(i)
-            slot = {pos: idx + 1 for idx, pos in enumerate(support)}
-            hbar = plan.punctured_parity[i - 1]
-            block = linalg.submatrix_cols(hbar, [slot[pos] for pos in plan.reads[i - 1]])
-            contrib = linalg.matvec(block, [syms[i - 1][pos - 1] for pos in plan.reads[i - 1]])
-            rhs = tuple(f.add(x, y) for x, y in zip(rhs, contrib))
-        else:
-            block = plan.final_unchanged_blocks[i - 1]
-            contrib = linalg.matvec(block, [syms[i - 1][pos - 1] for pos in plan.unchanged[i - 1]])
-            rhs = tuple(f.sub(x, y) for x, y in zip(rhs, contrib))
-    if plan.final_written_block.rows != plan.final_written_block.cols:
-        raise UsageError("written block is not square; plan is not executable")
-    written = linalg.solve_linear(plan.final_written_block, rhs)
+            hbar = restricted_parity_by_solve(spec, support, kept, block)
+            block, op = linalg.submatrix_cols(hbar, [support.index(pos) + 1 for pos in read]), f.add
+        rhs = tuple(map(op, rhs, linalg.matvec(block, [syms[i - 1][pos - 1] for pos in read])))
+    written = linalg.solve_linear(linalg.submatrix_cols(h, [col[sid] for sid in layout if sid[0] > t1]), rhs)
     if written is None:
         raise InternalError("written-symbol system is inconsistent")
-    out = [0] * plan.final_spec.n
-    for idx, (code, pos) in enumerate(plan.final_layout()):
-        if code <= plan.params.t1:
-            out[idx] = syms[code - 1][pos - 1]
-        else:
-            out[idx] = written[pos - 1]
-    return Codeword(tuple(out), plan.final_spec)
+    out = tuple(syms[code - 1][pos - 1] if code <= t1 else written[pos - 1] for code, pos in layout)
+    return Codeword(out, plan.final_spec)
 
 
 def split_convert_by_solve(plan, codeword) -> tuple[Codeword, ...]:
     """A split plan's final codewords, solved per stripe.
 
-    The privileged final's written symbols solve the restricted parity
-    relation on the read symbols; every other final is recovered from its
-    unchanged symbols by erasure decoding.
+    The privileged final's written symbols solve the relation of the read
+    symbols through `restricted_parity_by_solve`; every other final is
+    recovered from its unchanged symbols by erasure decoding.
     """
     (symbols,) = _checked_inputs((plan.initial_spec,), (codeword,))
     outputs: list[Codeword] = []
@@ -265,7 +268,8 @@ def split_convert_by_solve(plan, codeword) -> tuple[Codeword, ...]:
         u = plan.unchanged[j - 1]
         spec = plan.final_specs[j - 1]
         if j == plan.privileged:
-            hbar = plan.punctured_parity
+            own = u + plan.extra_reads
+            hbar = restricted_parity_by_solve(plan.initial_spec, support, own, parity_check(spec))
             read_pos = plan.reads[j - 1]
             block = linalg.submatrix_cols(hbar, [slot[pos] for pos in read_pos])
             rhs = linalg.matvec(block, [symbols[pos - 1] for pos in read_pos])

@@ -19,11 +19,15 @@ only its own keys:
   codes); certificate "written", "punctured_parity" (the restricted parity
   check of each code in S), "final_unchanged_blocks" and
   "final_written_block";
-- split: "initial_code" and "final_codes"; certificate "written",
-  "privileged" and "V" (the favoured final code and its extra read
-  positions) and "punctured_parity";
+- split: "initial_code" and "final_codes"; "privileged" and "V" (the
+  favoured final code and its extra read positions); certificate "written"
+  and "punctured_parity";
 - general: "initial_codes" and "final_codes"; "layout" and "sigma" (each
   final code's coordinates and conversion matrix).
+
+A plan holds no certificate: `plan_to_doc` writes the one its codes and
+grids give (`convert.certificate`), and `plan_from_doc` refuses a stored one
+that differs with a `CertificateError`, naming the `verify` check it fails.
 
 `dump_json` writes exactly the bytes of `json.dumps(doc, indent=2)` plus a
 newline.  With an indent, CPython's json leaves its C encoder for a
@@ -47,8 +51,10 @@ from .convert import (
     AccessReport,
     SplitPlan,
     _written_count,
+    certificate,
+    verify_plan,
 )
-from .errors import UsageError, decimals, json_int, json_ints
+from .errors import CertificateError, UsageError, decimals, json_int, json_ints
 from .field import GF, FieldSpec
 from .grs import spec_from_dict, spec_to_dict
 from .linalg import FieldMatrix, matrix_from_text, matrix_to_text
@@ -157,15 +163,22 @@ def plan_from_doc(doc: Mapping) -> Plan:
         codes = read_codes(doc)
         unchanged = _grid_from_doc(doc["unchanged"], "unchanged", axes)
         reads = _grid_from_doc(doc["reads"], "reads", axes)
-        certificate = read_certificate(doc, params, field)
+        fields = read_certificate(doc, params, field, codes)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise UsageError(f"malformed {kind} plan document: {exc}") from exc
-    listed = certificate.pop("written", None)
-    plan = cls(params=params, field=field, **codes, unchanged=unchanged, reads=reads, **certificate)
+    listed, stored = fields.pop("written", None), fields.pop("stored", None)
+    plan = cls(params=params, field=field, **codes, unchanged=unchanged, reads=reads, **fields)
     if kind != "general":  # merge and split documents list the symbols each final code writes
         written = _written_pairs(plan, axes)
         if listed != written:
             raise UsageError(f"written: the document lists {listed}, but the plan writes {written}")
+        try:
+            sound = tuple(stored) == certificate(plan)
+        except UsageError:  # the codes and grid do not determine one
+            sound = False
+        if not sound:
+            name, _, detail = next(line for line in verify_plan(plan, stored) if not line[1])
+            raise CertificateError(f"{name}: {detail}")
     return plan
 
 
@@ -221,15 +234,17 @@ def _by_code_from_doc(doc: Mapping, key: str, t1: int, field: FieldSpec) -> tupl
 
 
 def _merge_keys(plan: MergePlan) -> tuple[dict, dict]:
+    *blocks, written_block = certificate(plan)
+    in_s = [i in plan.reduced for i in range(1, len(blocks) + 1)]
     return {
         "initial_codes": [spec_to_dict(s) for s in plan.initial_specs],
         "final_code": spec_to_dict(plan.final_spec),
         "S": sorted(plan.reduced),
     }, {
         "written": _written_pairs(plan, "i"),
-        "punctured_parity": _by_code(plan.punctured_parity),
-        "final_unchanged_blocks": _by_code(plan.final_unchanged_blocks),
-        "final_written_block": _matrix_lines(plan.final_written_block),
+        "punctured_parity": _by_code([b if s else None for b, s in zip(blocks, in_s)]),
+        "final_unchanged_blocks": _by_code([None if s else b for b, s in zip(blocks, in_s)]),
+        "final_written_block": _matrix_lines(written_block),
     }
 
 
@@ -244,18 +259,21 @@ def _merge_codes(doc: Mapping) -> dict:
     }
 
 
-def _merge_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec) -> dict:
-    t1 = params.t1
-    return {
-        "punctured_parity": _by_code_from_doc(doc, "punctured_parity", t1, field),
-        "final_unchanged_blocks": _by_code_from_doc(doc, "final_unchanged_blocks", t1, field),
-        "final_written_block": _matrix_from_lines(doc["final_written_block"], field),
-        "written": doc["written"],
-    }
+def _merge_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec, codes: dict) -> dict:
+    """The stored certificate as `convert.certificate` lays it out."""
+    parity = _by_code_from_doc(doc, "punctured_parity", params.t1, field)
+    blocks = _by_code_from_doc(doc, "final_unchanged_blocks", params.t1, field)
+    for i, (hbar, block) in enumerate(zip(parity, blocks), 1):
+        if (hbar is None) == (i in codes["reduced"]):
+            raise UsageError(f"punctured parity must be present exactly for codes in S (code {i})")
+        if (block is None) == (i not in codes["reduced"]):
+            raise UsageError(f"final-code blocks must be present exactly for codes outside S (code {i})")
+    written_block = _matrix_from_lines(doc["final_written_block"], field)
+    return {"written": doc["written"], "stored": (*(a or b for a, b in zip(parity, blocks)), written_block)}
 
 
 def _split_keys(plan: SplitPlan) -> tuple[dict, dict]:
-    hbar = plan.punctured_parity
+    (hbar,) = certificate(plan) or (None,)
     return {
         "initial_code": spec_to_dict(plan.initial_spec),
         "final_codes": [spec_to_dict(s) for s in plan.final_specs],
@@ -274,13 +292,16 @@ def _split_codes(doc: Mapping) -> dict:
     }
 
 
-def _split_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec) -> dict:
+def _split_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec, codes: dict) -> dict:
+    """"privileged" and "V", and the stored certificate as `convert.certificate` lays it out."""
     privileged, hbar = doc["privileged"], doc.get("punctured_parity")
+    if (hbar is None) != (privileged is None):
+        raise UsageError("punctured_parity must be given exactly when a final code is privileged")
     return {
         "privileged": None if privileged is None else json_int(privileged, "privileged"),
         "extra_reads": _positions_from_pairs(doc["V"], 1, "V"),
-        "punctured_parity": None if hbar is None else _matrix_from_lines(hbar, field),
         "written": doc["written"],
+        "stored": () if hbar is None else (_matrix_from_lines(hbar, field),),
     }
 
 
@@ -301,7 +322,7 @@ def _general_codes(doc: Mapping) -> dict:
     }
 
 
-def _general_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec) -> dict:
+def _general_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec, codes: dict) -> dict:
     return {
         "layouts": tuple(
             tuple((json_int(c, "layout"), json_int(pos, "layout")) for c, pos in layout)

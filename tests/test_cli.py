@@ -12,9 +12,9 @@ import pytest
 from mdsconv.cli import main
 from mdsconv.convert import ConvertParams, build_split
 from mdsconv.field import GF, PRIME_LIMIT
-from mdsconv.grs import ExtGrsSpec, encode, is_codeword, parity_check, puncture
+from mdsconv.grs import ExtGrsSpec, encode, is_codeword, parity_check, puncture, spec_from_dict
 from mdsconv.record import replace
-from mdsconv import plandoc
+from mdsconv import linalg, oracle, plandoc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parents[1] / "src"
@@ -347,9 +347,24 @@ def _tamper_bit(cws, q):
     plandoc.write_symbol_lines(str(cws), rows)
 
 
+def _corrupt_input_then_refusal(tmp_path, capsys, plan_path, cws, doc, q):
+    """`doc` loads but fails `verify` on its structure, so `convert` checks
+    its inputs first: a corrupt one exits 3, then a clean stripe exits 1."""
+    write_json(plan_path, doc)
+    assert run(capsys, "verify", "--plan", plan_path)[0] == 2
+    clean = cws.read_text()
+    _tamper_bit(cws, q)
+    code, _, _ = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
+    assert code == 3
+    cws.write_text(clean)
+    code, _, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
+    assert code == 1 and "plan is not executable" in err
+
+
 def test_convert_singular_written_block_exit_1(tmp_path, capsys):
     plan_path, cws = _readme_merge(tmp_path, capsys)
-    doc = json.loads(plan_path.read_text())
+    original = plan_path.read_text()
+    doc = json.loads(original)
     for block in (["2 2 8", "1 1", "1 1"], ["2 2 8", "0 0", "0 0"]):
         doc["final_written_block"] = block
         write_json(plan_path, doc)
@@ -357,9 +372,15 @@ def test_convert_singular_written_block_exit_1(tmp_path, capsys):
         assert code == 1
         assert ("optimal structure: final-block: stored written block differs from the "
                 "final parity check") in err
+    # The stored certificate is refused as the plan is read, before any input.
+    clean = cws.read_text()
     _tamper_bit(cws, 8)
-    code, _, _ = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
-    assert code == 3
+    code, _, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
+    assert code == 1 and "final-block: stored written block" in err
+    cws.write_text(clean)
+    doc = json.loads(original)
+    _overlapping_reads(doc)
+    _corrupt_input_then_refusal(tmp_path, capsys, plan_path, cws, doc, 8)
 
 
 def test_convert_singular_privileged_block_exit_1(tmp_path, capsys):
@@ -371,7 +392,8 @@ def test_convert_singular_privileged_block_exit_1(tmp_path, capsys):
     msgs.write_text("1 2 3 4 5 6 7\n")
     cws = tmp_path / "c.txt"
     run(capsys, "encode", "--plan", plan_path, "--in", msgs, "--out", cws)
-    doc = json.loads(plan_path.read_text())
+    original = plan_path.read_text()
+    doc = json.loads(original)
     support = sorted({pos for per_final in doc["unchanged"] for _, pos in per_final} | {pos for _, pos in doc["V"]})
     v_slots = {support.index(pos) for _, pos in doc["V"]}
     lines = doc["punctured_parity"]
@@ -381,11 +403,12 @@ def test_convert_singular_privileged_block_exit_1(tmp_path, capsys):
     write_json(plan_path, doc)
     code, _, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
     assert code == 1
-    assert ("privileged restricted parity: stored matrix is not a parity check of "
-            "the restriction") in err
-    _tamper_bit(cws, 16)
-    code, _, _ = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
-    assert code == 3
+    assert ("privileged restricted parity: privileged final code does not match the "
+            "restricted parity block") in err
+    # The privileged final drops its read of final 2's first unchanged symbol.
+    doc = json.loads(original)
+    del doc["reads"][0][0]
+    _corrupt_input_then_refusal(tmp_path, capsys, plan_path, cws, doc, 16)
 
 
 def test_verify_readme_plan_output(tmp_path, capsys):
@@ -721,7 +744,9 @@ UNSOUND_CERTIFICATES = {
 @pytest.mark.parametrize("case", UNSOUND_CERTIFICATES)
 def test_convert_rejects_unsound_certificates(tmp_path, capsys, case):
     """A plan whose certificate `verify` rejects would convert into symbols
-    outside its final code, so lowering refuses it with the same condition."""
+    outside its final code, so `convert` refuses it with the same condition:
+    as the plan is read when the stored certificate is not the one its codes
+    and grid give, else when the plan is lowered."""
     kind, tamper, fail_line = UNSOUND_CERTIFICATES[case]
     plan_path, cws = _grid_fault_plan(tmp_path, capsys, kind)
     doc = json.loads(plan_path.read_text())
@@ -729,8 +754,8 @@ def test_convert_rejects_unsound_certificates(tmp_path, capsys, case):
     write_json(plan_path, doc)
     finals = tmp_path / "f.txt"
     code, out, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", finals)
-    assert (code, out) == (1, "") and err.startswith("error:"), err
-    assert "plan is not executable" in err and not finals.exists()
+    assert (code, out) == (1, "") and err.startswith("error: " + fail_line[len("FAIL "):]), err
+    assert not finals.exists()
     code, out, _ = run(capsys, "verify", "--plan", plan_path)
     assert code == 2 and fail_line + "\n" in out
 
@@ -759,7 +784,7 @@ def test_privileged_reads_must_cover_the_restricted_parity_check(tmp_path, capsy
 def test_scaled_certificate_verifies_and_converts(tmp_path, capsys):
     """Scaling code 1's unchanged final multipliers and its restricted parity
     check by the same c gives a sound certificate that is not the closed
-    form, so only the reduced-echelon comparison accepts it."""
+    form: the one derived with T = c I, which only the solve for T gives."""
     field = GF(8)
     c = 3
     plan_path, cws = _readme_merge(tmp_path, capsys)
@@ -775,6 +800,58 @@ def test_scaled_certificate_verifies_and_converts(tmp_path, capsys):
     plan = plandoc.load_plan(str(plan_path))
     (row,) = plandoc.read_symbol_lines(str(finals), field)
     assert is_codeword(plan.final_spec, row)
+
+
+def test_certificate_with_a_non_diagonal_t_verifies_and_converts(tmp_path, capsys):
+    """Adding 8 to the final code's points at code 1's unchanged symbols of
+    the README merge over GF(16), which keep the restricted code's
+    multipliers, multiplies those parity-check columns by T = [[1, 0],
+    [8, 1]].  The certificate T . ref, solved by the oracle, verifies, and
+    `convert` writes what the oracle's per-stripe solve does: a codeword of
+    the final code."""
+    field = GF(16)
+    cfg, plan_path = tmp_path / "merge.json", tmp_path / "plan.json"
+    write_json(cfg, {**README_MERGE, "q": 16})
+    run(capsys, "plan", "--config", cfg, "--out", plan_path)
+    built = plandoc.load_plan(str(plan_path))
+    spec, support, kept = built.initial_specs[0], built.support(1), built.unchanged[0]
+    restricted = puncture(spec, support)
+    doc = json.loads(plan_path.read_text())
+    final = doc["final_code"]
+    final["gamma"][:3] = [g ^ 8 for g in final["gamma"][:3]]
+    final["w"][:3] = [restricted.w[support.index(pos)] for pos in kept]
+    h_kept = linalg.submatrix_cols(parity_check(spec_from_dict(final)), kept)
+    hbar = oracle.restricted_parity_by_solve(spec, support, kept, h_kept)
+    t = linalg.from_rows(field, [[1, 0], [8, 1]])
+    assert hbar == linalg.matmul(t, parity_check(restricted)) != parity_check(restricted)
+    doc["punctured_parity"][0]["matrix"] = linalg.matrix_to_text(hbar).splitlines()
+    write_json(plan_path, doc)
+    assert run(capsys, "verify", "--plan", plan_path)[0] == 0
+    msgs, cws, finals = tmp_path / "m.txt", tmp_path / "c.txt", tmp_path / "f.txt"
+    msgs.write_text("1 2 3\n4 5 6\n")
+    assert run(capsys, "encode", "--plan", plan_path, "--in", msgs, "--out", cws)[0] == 0
+    assert run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", finals)[0] == 0
+    plan = plandoc.load_plan(str(plan_path))
+    (row,) = plandoc.read_symbol_lines(str(finals), field)
+    want = oracle.merge_convert_by_solve(plan, plandoc.read_symbol_lines(str(cws), field))
+    assert row == want.symbols and is_codeword(plan.final_spec, row)
+
+
+def test_encode_refuses_a_plan_with_a_tampered_certificate(tmp_path, capsys):
+    """A stored certificate that the codes and grid do not give is refused as
+    the plan is read: `encode` exits 1 and writes nothing, and `verify`
+    prints the check it fails and exits 2."""
+    plan_path, _ = _readme_merge(tmp_path, capsys)
+    doc = json.loads(plan_path.read_text())
+    _bump_first_entry(doc["punctured_parity"][0]["matrix"], 8)
+    write_json(plan_path, doc)
+    fail = ("optimal structure: block-mismatch: code 1 unchanged columns of the restricted "
+            "parity check differ from the final parity check")
+    out = tmp_path / "out.txt"
+    code, stdout, err = run(capsys, "encode", "--plan", plan_path, "--in", tmp_path / "m.txt", "--out", out)
+    assert (code, stdout, err) == (1, "", f"error: {fail}\n")
+    assert not out.exists()
+    assert run(capsys, "verify", "--plan", plan_path) == (2, f"FAIL {fail}\n", "")
 
 
 def _interleaved_split(tmp_path, capsys, layout_order):
@@ -797,7 +874,6 @@ def _interleaved_split(tmp_path, capsys, layout_order):
     plan = replace(
         built, final_specs=(final, built.final_specs[1]), unchanged=unchanged,
         reads=((4, 5, 6, 8, 10), (4, 5, 6)), extra_reads=extra,
-        punctured_parity=parity_check(restricted),
     )
     plan_path, msgs, cws = tmp_path / "plan.json", tmp_path / "m.txt", tmp_path / "c.txt"
     plandoc.save_plan(plan, str(plan_path))

@@ -152,16 +152,14 @@ def test_inputs_are_checked_in_order():
 
 
 def test_inputs_are_checked_before_a_plan_is_refused():
-    """On a plan that fails `verify` (the README merge with a tampered
-    restricted parity check), a corrupt input is still a CorruptionError
-    and a non-canonical one a UsageError, named before the plan is refused;
-    a clean stripe gets the refusal.  A refused plan keeps no compiled form,
-    so the order holds on every stripe."""
+    """On a plan that loads but fails `verify` (the README merge whose code 1
+    also reads a symbol it keeps), a corrupt input is still a
+    CorruptionError and a non-canonical one a UsageError, named before the
+    plan is refused; a clean stripe gets the refusal.  A refused plan keeps
+    no compiled form, so the order holds on every stripe."""
     plan = build_merge(merge_params([(5, 3), (5, 3)], 2), GF(8))
     doc = plandoc.plan_to_doc(plan)
-    row = doc["punctured_parity"][0]["matrix"][1].split()
-    row[0] = str(int(row[0]) ^ 1)
-    doc["punctured_parity"][0]["matrix"][1] = " ".join(row)
+    doc["reads"][0] = [[1, 3], [1, 4], [1, 5]]
     bad = plandoc.plan_from_doc(doc)
     assert not all(ok for _, ok, _ in convert.verify_plan(bad))
     clean = [encode(spec, (1, 2, 3)).symbols for spec in bad.initial_specs]
@@ -313,10 +311,10 @@ def test_later_conversions_run_no_solve(monkeypatch):
 
 def test_lower_verifies_before_it_solves(monkeypatch):
     """`lower` runs `verify_plan` before any elimination: the README merge
-    with an all-zero written block is refused on its `final-block` line,
-    which needs no rref, so none runs; the untampered plan then takes one."""
+    whose S names a code 3 is refused on its `classification` line, which
+    needs no rref, so none runs; the untampered plan then takes one."""
     plan = build_merge(merge_params([(5, 3), (5, 3)], 2), GF(8))
-    bad = replace(plan, final_written_block=linalg.zeros(plan.field, 2, 2))
+    bad = replace(plan, reduced=frozenset({1, 2, 3}))
     calls = []
     rref = linalg.rref
 
@@ -325,7 +323,7 @@ def test_lower_verifies_before_it_solves(monkeypatch):
         return rref(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "rref", counted)
-    with pytest.raises(UsageError, match="final-block"):
+    with pytest.raises(UsageError, match="classification"):
         lower(bad)
     assert calls == []
     lower(plan)
@@ -413,7 +411,7 @@ def test_computed_matrices_hold_canonical_entries(monkeypatch):
         for stripe in _stripes(plan.initial_specs, rng)[:2]:
             convert.run_conversion(plan, stripe)  # lowers the plan first
     assert callers == {
-        "rref", "_vandermonde", "generator", "_shares", "_columns_at", "build_merge", "_sigma",
+        "rref", "_vandermonde", "generator", "_shares", "_columns_at", "_column_range", "_sigma",
     }
     for m in built:
         assert type(m) is linalg.FieldMatrix

@@ -12,9 +12,9 @@ from mdsconv.convert import (
     verify_optimal_structure,
     verify_plan,
 )
-from mdsconv.errors import CorruptionError, ParameterError, UsageError
+from mdsconv.errors import CertificateError, CorruptionError, ParameterError, UsageError
 from mdsconv.field import GF
-from mdsconv import oracle
+from mdsconv import oracle, plandoc
 from mdsconv.grs import encode, is_codeword, parity_check, recover_erasures
 from mdsconv.record import replace
 
@@ -162,16 +162,13 @@ def test_verify_structure_diagnostics():
     plan = PLAN_GF8
     assert verify_optimal_structure(plan).ok
 
-    # a perturbed entry in a stored restricted parity check
-    hbar = plan.punctured_parity[0]
-    entries = list(hbar.entries)
-    entries[0] = plan.field.add(entries[0], 1)
-    perturbed = replace(
-        plan,
-        punctured_parity=(replace(hbar, entries=tuple(entries)), plan.punctured_parity[1]),
-    )
-    check = verify_optimal_structure(perturbed)
-    assert not check.ok and "block-mismatch" in check.diagnostic
+    # a final multiplier at code 1's first unchanged symbol scaled: the
+    # restricted parity check, derived to match the final parity check on
+    # two of code 1's unchanged columns, misses the third
+    w = plan.final_spec.w
+    final = replace(plan.final_spec, w=(plan.field.mul(2, w[0]),) + w[1:])
+    check = verify_optimal_structure(replace(plan, final_spec=final))
+    assert not check.ok and "block-mismatch: code 1" in check.diagnostic
 
     # an oversized read set
     widened = replace(plan, reads=((3, 4, 5), plan.reads[1]))
@@ -187,15 +184,8 @@ def test_verify_structure_diagnostics():
 def test_verify_structure_rejects_wrong_classification():
     plan = build_merge(merge_params([(5, 3), (4, 2)], 2), GF(8))
     assert sorted(plan.reduced) == [1]
-    block = plan.final_unchanged_blocks[1]
     # Outside S, code 1 must read its unchanged symbols.
-    wrong = replace(
-        plan,
-        reduced=frozenset(),
-        reads=(plan.unchanged[0], plan.reads[1]),
-        punctured_parity=(None, None),
-        final_unchanged_blocks=(block, block),
-    )
+    wrong = replace(plan, reduced=frozenset(), reads=(plan.unchanged[0], plan.reads[1]))
     check = verify_optimal_structure(wrong)
     assert not check.ok and "classification" in check.diagnostic
 
@@ -210,16 +200,19 @@ def test_reads_outside_s_must_be_the_unchanged_symbols():
 
 
 def test_verify_structure_catches_tampered_final_block():
+    """A document's final block must be the final parity check's columns;
+    one entry changed is refused as the plan is read, with the structural
+    check's name and diagnostic."""
     plan = build_merge(merge_params([(5, 3), (4, 2)], 2), GF(8))
-    block = plan.final_unchanged_blocks[1]
-    entries = list(block.entries)
-    entries[0] = plan.field.add(entries[0], 1)
-    tampered = replace(
-        plan,
-        final_unchanged_blocks=(None, replace(block, entries=tuple(entries))),
-    )
-    check = verify_optimal_structure(tampered)
-    assert not check.ok and "final-block" in check.diagnostic
+    doc = plandoc.plan_to_doc(plan)
+    (entry,) = doc["final_unchanged_blocks"]
+    row = entry["matrix"][1].split()
+    row[0] = str(plan.field.add(int(row[0]), 1))
+    entry["matrix"][1] = " ".join(row)
+    with pytest.raises(CertificateError) as caught:
+        plandoc.plan_from_doc(doc)
+    assert str(caught.value) == (
+        "optimal structure: final-block: code 2 stored block differs from the final parity check")
 
 
 def test_verify_plan_merge():

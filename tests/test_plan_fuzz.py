@@ -12,8 +12,10 @@ duplicated.
 A sweep applies every single mutation to the three bases and to the 2x2
 general fixture, and loads each mutant: it must load, to a plan that
 round-trips and re-serialises to the mutant itself (so the loader drops
-no entry), or be refused with a `UsageError`.  The sweep also runs
-`verify` on each mutant and pins how many exit 0, 1 and 2 per base.
+no entry), or be refused with a `UsageError`, a `CertificateError` when
+its stored certificate is not the one its codes and grid give.  The
+sweep also runs `verify` on each mutant and pins how many exit 0, 1 and
+2 per base.
 
 A seeded sample of two-edit mutants goes through both verbs too, loaded
 or not, as a defect that one verdict hides may need two coordinated
@@ -27,7 +29,7 @@ from pathlib import Path
 from mdsconv import plandoc
 from mdsconv.cli import main
 from mdsconv.convert import ConvertParams, build_merge, build_split, merge_params
-from mdsconv.errors import MdsconvError, UsageError
+from mdsconv.errors import CertificateError, MdsconvError, UsageError
 from mdsconv.field import GF
 from mdsconv.grs import encode, is_codeword
 
@@ -161,7 +163,7 @@ VERIFY_EXITS = {
 def test_every_single_mutant_loads_or_is_refused_as_usage(tmp_path, capsys):
     docs = {name: plandoc.plan_to_doc(build()) for name, build in BASES.items()}
     docs["2x2 general"] = json.loads(GENERAL_FIXTURE.read_text())
-    outcomes = {"loaded": 0, "refused": 0}
+    outcomes = {"loaded": 0, "refused": 0, "certificate": 0}
     exits = {}
     plan_path = tmp_path / "plan.json"
     for name, doc in docs.items():
@@ -172,6 +174,9 @@ def test_every_single_mutant_loads_or_is_refused_as_usage(tmp_path, capsys):
             counts[_run(capsys, "verify", "--plan", plan_path)] += 1
             try:
                 plan = plandoc.plan_from_doc(mutant)
+            except CertificateError:
+                outcomes["certificate"] += 1
+                continue
             except UsageError:
                 outcomes["refused"] += 1
                 continue
@@ -180,7 +185,7 @@ def test_every_single_mutant_loads_or_is_refused_as_usage(tmp_path, capsys):
             outcomes["loaded"] += 1
         exits[name] = tuple(counts)
     assert exits == VERIFY_EXITS, exits
-    assert outcomes == {"loaded": 305, "refused": 2081}, outcomes
+    assert outcomes == {"loaded": 123, "refused": 2081, "certificate": 182}, outcomes
 
 
 def test_two_edit_mutants_keep_the_exit_code_contract(tmp_path, capsys):

@@ -40,7 +40,7 @@ def _records():
         (merge.params, {"initial": ((5, 5),)}),
         (convert.merge_lower_bound(merge.params), None),
         (convert.split_lower_bound(split.params), None),
-        (merge, {"punctured_parity": (None, None)}),
+        (merge, {"reduced": frozenset()}),
         (split, {"privileged": 5}),
         (general, {"sigmas": ()}),
         (convert.plan_report(merge), None),

@@ -10,8 +10,9 @@ from mdsconv.convert import (
     split_lower_bound,
     verify_plan,
 )
-from mdsconv.errors import CorruptionError, ParameterError, UsageError
+from mdsconv.errors import CertificateError, CorruptionError, ParameterError, UsageError
 from mdsconv.field import GF
+from mdsconv import plandoc
 from mdsconv.grs import encode, is_codeword, recover_erasures
 from mdsconv.record import replace
 
@@ -120,14 +121,23 @@ def test_verify_plan_split():
 
 
 def test_verify_plan_split_catches_tampering():
+    """A privileged final whose first multiplier is scaled no longer matches
+    the restricted parity check derived on its first r_F coordinates; a
+    document whose stored check has one entry changed is refused as it is
+    read, with the same check's name."""
     plan = build_split(PARAMS_7_TO_4_3, GF(16))
-    hbar = plan.punctured_parity
-    entries = list(hbar.entries)
-    entries[0] = plan.field.add(entries[0], 1)
-    tampered = replace(plan, punctured_parity=replace(hbar, entries=tuple(entries)))
+    w = plan.final_specs[0].w
+    final = replace(plan.final_specs[0], w=(plan.field.mul(2, w[0]),) + w[1:])
+    tampered = replace(plan, final_specs=(final, plan.final_specs[1]))
     results = dict((name, (ok, detail)) for name, ok, detail in verify_plan(tampered))
-    ok, detail = results["privileged restricted parity"]
-    assert not ok
+    assert results["privileged restricted parity"] == (
+        False, "privileged final code does not match the restricted parity block")
+    doc = plandoc.plan_to_doc(plan)
+    row = doc["punctured_parity"][1].split()
+    row[0] = str(plan.field.add(int(row[0]), 1))
+    doc["punctured_parity"][1] = " ".join(row)
+    with pytest.raises(CertificateError, match="^privileged restricted parity: "):
+        plandoc.plan_from_doc(doc)
 
 
 def test_non_privileged_reads_must_be_the_unchanged_symbols():

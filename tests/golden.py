@@ -2,8 +2,8 @@
 produces, kept in `golden.json` and checked by `test_golden.py`.
 
 A case is one `MERGE_MATRIX`, `SPLIT_MATRIX` or `SPLIT_MATRIX_INFEASIBLE`
-entry over each of GF(16), GF(256), GF(257) and GF(65536) that its shapes
-admit, or one committed plan document.  Its bytes are, in order:
+entry over each of GF(16), GF(256), GF(257), GF(512), GF(65536) and
+GF(1000003) that its shapes admit, or one committed plan document.  Its bytes are, in order:
 
 - the plan document, as `plan` writes it;
 - the stdout of `verify` on that document;
@@ -48,7 +48,7 @@ from test_acceptance import MERGE_MATRIX, SPLIT_MATRIX, SPLIT_MATRIX_INFEASIBLE
 
 TESTS = Path(__file__).parent
 CORPUS = TESTS / "golden.json"
-FIELDS = (16, 256, 257, 65536)
+FIELDS = (16, 256, 257, 512, 65536, 1000003)
 DOCUMENTS = (
     *sorted((TESTS / "fixtures").glob("*.json")),
     TESTS.parent / "perfbench" / "two_by_two_plan.json",

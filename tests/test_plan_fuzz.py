@@ -15,13 +15,14 @@ round-trips and re-serialises to the mutant itself (so the loader drops
 no entry), or be refused with a `UsageError`, a `CertificateError` when
 its stored certificate is not the one its codes and grid give.  The
 sweep also runs `verify` on each mutant and pins how many exit 0, 1 and
-2 per base.
+2 per base, and a digest of all it prints to standard output per base.
 
 A seeded sample of two-edit mutants goes through both verbs too, loaded
 or not, as a defect that one verdict hides may need two coordinated
 edits: a single mutant that loads, with any one mutation applied to it.
 """
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -105,9 +106,13 @@ def _loads(doc):
 
 
 def _run(capsys, *argv):
+    return _run_out(capsys, *argv)[0]
+
+
+def _run_out(capsys, *argv):
+    """`cli.main`'s exit code and standard output for `argv`."""
     code = main([str(a) for a in argv])
-    capsys.readouterr()
-    return code
+    return code, capsys.readouterr().out
 
 
 def test_convert_runs_exactly_what_verify_passes(tmp_path, capsys):
@@ -158,20 +163,33 @@ VERIFY_EXITS = {
     "readme split": (15, 593, 78),
     "2x2 general": (57, 577, 0),
 }
+# sha256 of `verify`'s standard output over every single mutant of each
+# base, in mutation order: its PASS and FAIL lines, which are the
+# program's own text.  Standard error is left out, as it may quote Python's
+# own exception text, which differs between versions.
+VERIFY_STDOUT = {
+    "readme merge": "b85f53b8ec409835e88cfd7c5447be606165948b775f8d4284c3ad7d64217f5b",
+    "mixed merge": "b0a8d9cbd39c3d53af1b6617ff6c9aa26dd71b413d89c5fabc27ed2ed7f6c991",
+    "readme split": "ee95959d5f1b784fec43aa3d2317f375f6b0ce5cc4d3f4f62741bd990fb6418b",
+    "2x2 general": "60daba26371b673fe1535e72b21fd449804e471eb9dca2df16695854e77b7ec5",
+}
 
 
 def test_every_single_mutant_loads_or_is_refused_as_usage(tmp_path, capsys):
     docs = {name: plandoc.plan_to_doc(build()) for name, build in BASES.items()}
     docs["2x2 general"] = json.loads(GENERAL_FIXTURE.read_text())
     outcomes = {"loaded": 0, "refused": 0, "certificate": 0}
-    exits = {}
+    exits, stdout = {}, {}
     plan_path = tmp_path / "plan.json"
     for name, doc in docs.items():
         counts = [0, 0, 0]
+        digest = hashlib.sha256()
         for mutation in _mutations(doc):
             mutant = _mutant(doc, *mutation)
             plan_path.write_text(json.dumps(mutant))
-            counts[_run(capsys, "verify", "--plan", plan_path)] += 1
+            code, out = _run_out(capsys, "verify", "--plan", plan_path)
+            counts[code] += 1
+            digest.update(out.encode())
             try:
                 plan = plandoc.plan_from_doc(mutant)
             except CertificateError:
@@ -183,8 +201,9 @@ def test_every_single_mutant_loads_or_is_refused_as_usage(tmp_path, capsys):
             assert plandoc.plan_to_doc(plan) == mutant, (name, mutation)
             assert plandoc.plan_from_doc(plandoc.plan_to_doc(plan)) == plan, (name, mutation)
             outcomes["loaded"] += 1
-        exits[name] = tuple(counts)
+        exits[name], stdout[name] = tuple(counts), digest.hexdigest()
     assert exits == VERIFY_EXITS, exits
+    assert stdout == VERIFY_STDOUT, stdout
     assert outcomes == {"loaded": 123, "refused": 2081, "certificate": 182}, outcomes
 
 

@@ -12,7 +12,9 @@ A merge or split plan stores no certificate.  The codes and the read
 grid determine each restricted parity check it reads through
 (`restricted_parity`), and so every block a plan document stores
 (`certificate`); `verify_plan` checks them against the final parity
-checks.
+checks.  Each check and each block of the final parity check is derived
+once per plan object and kept on it (`_kept`), so loading, verifying,
+lowering and saving a plan share one derivation.
 
 Every plan kind runs through one executor, `run_conversion`.  The first
 time a plan object runs, `lower` compiles it to a general plan: for each
@@ -38,7 +40,8 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from itertools import chain, islice
+from functools import partial
+from itertools import accumulate, chain, islice
 
 from . import linalg
 from .errors import CorruptionError, InternalError, MdsconvError, ParameterError, UsageError
@@ -323,9 +326,13 @@ class MergePlan(Record):
         return _layout(self.params, 1, self.unchanged)
 
     def restricted_parity(self, j: int, i: int) -> tuple[FieldMatrix, tuple[int, ...]] | None:
-        """Code i's restricted parity check and its support when i is in S, else None."""
+        """Code i's restricted parity check and its support when i is in S,
+        else None; derived on the first call and kept on the plan."""
         if i not in self.reduced:
             return None
+        return _kept(self, f"_restricted_{j}_{i}", self._derive_restricted, i)
+
+    def _derive_restricted(self, i: int) -> tuple[FieldMatrix, tuple[int, ...]]:
         support, spec = self.support(i), self.initial_specs[i - 1]
         return _restricted_parity(spec, support, self.unchanged[i - 1], _final_block(self, i)), support
 
@@ -382,9 +389,13 @@ class SplitPlan(Record):
     def restricted_parity(self, j: int, i: int) -> tuple[FieldMatrix, tuple[int, ...]] | None:
         """The restricted parity check, matched to final j's coordinates in
         layout order (its unchanged symbols, then V), and its support when
-        final j is privileged, else None."""
+        final j is privileged, else None; derived on the first call and
+        kept on the plan."""
         if j != self.privileged:
             return None
+        return _kept(self, f"_restricted_{j}_{i}", self._derive_restricted, j)
+
+    def _derive_restricted(self, j: int) -> tuple[FieldMatrix, tuple[int, ...]]:
         support, own = self.support(), self.unchanged[j - 1] + self.extra_reads
         h = parity_check(self.final_specs[j - 1])
         return _restricted_parity(self.initial_spec, support, own, h), support
@@ -500,14 +511,21 @@ def access_report(plan: Plan) -> AccessReport:
     return AccessReport(per_initial, rho_r, rho_w, rho, bound, optimal, stable, tuple(trace))
 
 
+def _kept(plan: Plan, name: str, derive, *args):
+    """`derive(*args)`, kept on the plan as `name` from the first call: a plan
+    never changes, and `==`, `hash` and `replace` see only its fields.  Read
+    by `getattr`, as reading `plan.__dict__` makes CPython build the dict."""
+    value = getattr(plan, name, None)
+    if value is None:
+        value = derive(*args)
+        object.__setattr__(plan, name, value)
+    return value
+
+
 def plan_report(plan: Plan) -> AccessReport:
-    """The plan's `access_report`, computed once and kept on the plan,
-    which never changes; execution and `verify` share it."""
-    report = getattr(plan, "_report", None)
-    if report is None:
-        report = access_report(plan)
-        object.__setattr__(plan, "_report", report)
-    return report
+    """The plan's `access_report`, computed once and kept on the plan;
+    execution and `verify` share it."""
+    return _kept(plan, "_report", access_report, plan)
 
 
 # -- merge construction -------------------------------------------------------
@@ -635,10 +653,15 @@ def _merge_faults(plan: MergePlan, stored: Sequence[FieldMatrix]):
 
 def _final_block(plan: MergePlan, i: int) -> FieldMatrix:
     """The final parity check's columns at initial code i's unchanged
-    symbols (i = t1 + 1: at the written symbols), in layout order."""
+    symbols (i = t1 + 1: at the written symbols), in layout order; all
+    t1 + 1 blocks are cut on the first call and kept on the plan."""
+    return _kept(plan, "_final_blocks", _final_blocks, plan)[i - 1]
+
+
+def _final_blocks(plan: MergePlan) -> tuple[FieldMatrix, ...]:
     h = parity_check(plan.final_spec)
-    start = sum(map(len, plan.unchanged[: i - 1]))
-    return _column_range(h, start, start + len(plan.unchanged[i - 1]) if i <= plan.params.t1 else h.cols)
+    cuts = [0, *accumulate(map(len, plan.unchanged)), h.cols]
+    return tuple(map(partial(_column_range, h), cuts, cuts[1:]))
 
 
 def _column_range(h: FieldMatrix, start: int, stop: int) -> FieldMatrix:
@@ -919,9 +942,7 @@ def _compile(plan: Plan, codewords: Sequence[Sequence[int] | Codeword]) -> _Exec
             if not is_codeword(spec, cw.symbols if isinstance(cw, Codeword) else tuple(cw)):
                 raise CorruptionError(f"input {i} is not a codeword of initial code {i}") from None
         raise
-    exe = _Executable(plan, g)
-    object.__setattr__(plan, "_executable", exe)
-    return exe
+    return _kept(plan, "_executable", _Executable, plan, g)
 
 
 def run_conversion(

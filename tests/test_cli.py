@@ -519,6 +519,50 @@ def test_verify_builds_the_access_report_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+# `plan` configs whose plans read through restricted parity checks: the
+# README merge and split, and merge-stream's shape.
+DERIVING_CONFIGS = {
+    "readme merge": README_MERGE,
+    "readme split": README_SPLIT,
+    "merge-stream": {"regime": "merge", "q": 256, "initial": [[14, 10], [14, 10], [12, 8], [6, 4]], "r_F": 4},
+}
+
+
+def counted_derivations(monkeypatch) -> list:
+    """The (spec, support) of every restricted parity check derived from now on."""
+    from mdsconv import convert
+
+    calls = []
+    real = convert._restricted_parity
+
+    def counted(spec, support, kept, h):
+        calls.append((spec, tuple(support)))
+        return real(spec, support, kept, h)
+
+    monkeypatch.setattr(convert, "_restricted_parity", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", DERIVING_CONFIGS)
+def test_each_verb_derives_each_restricted_parity_check_once(tmp_path, capsys, monkeypatch, name):
+    cfg, plan_path = tmp_path / "cfg.json", tmp_path / "plan.json"
+    write_json(cfg, DERIVING_CONFIGS[name])
+    assert run(capsys, "plan", "--config", cfg, "--out", plan_path)[0] == 0
+    plan = plandoc.load_plan(str(plan_path))
+    cells = len(plan.reduced) if hasattr(plan, "reduced") else int(plan.privileged is not None)
+    assert cells
+    msgs, cws, finals = tmp_path / "m.txt", tmp_path / "c.txt", tmp_path / "f.txt"
+    msgs.write_text("".join(" ".join(["1"] * spec.k) + "\n" for spec in plan.initial_specs))
+    calls = counted_derivations(monkeypatch)
+    for argv in (("plan", "--config", cfg, "--out", plan_path),
+                 ("verify", "--plan", plan_path),
+                 ("encode", "--plan", plan_path, "--in", msgs, "--out", cws),
+                 ("convert", "--plan", plan_path, "--in", cws, "--out", finals)):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert len(calls) == len(set(calls)) == cells, (argv, len(calls))
+
+
 def test_main_builds_its_parser_at_most_once(tmp_path, capsys, monkeypatch):
     builds = []
     real = argparse.ArgumentParser.add_subparsers

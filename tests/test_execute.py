@@ -351,6 +351,41 @@ def test_plans_that_ran_stay_picklable():
         assert copy == plan and convert.run_conversion(copy, stripe) == before
 
 
+def test_a_plan_derives_its_restricted_parity_checks_once(monkeypatch):
+    """Building a merge and running its first stripe derives each restricted
+    parity check once: `lower`'s `verify_plan` and `_sigma` share it."""
+    from test_cli import counted_derivations
+
+    calls = counted_derivations(monkeypatch)
+    params = merge_params([(14, 10), (14, 10), (12, 8), (6, 4)], 4)
+    plan = build_merge(params, GF(256))
+    merge_convert(plan, _stripes(plan.initial_specs, random.Random(39))[1])
+    assert len(calls) == len(set(calls)) == len(plan.reduced) == 3
+
+
+def test_kept_derivations_leave_the_plan_value_alone(monkeypatch):
+    """What a plan derives is kept on that object only: equality and hashing
+    ignore it, a pickled copy keeps it, and `replace` with another grid
+    derives afresh from the new grid."""
+    from test_cli import counted_derivations
+
+    params = merge_params([(6, 3), (6, 3)], 2)
+    plan, fresh = build_merge(params, GF(8)), build_merge(params, GF(8))
+    rng = random.Random(40)
+    stripe = _stripes(plan.initial_specs, rng)[1]
+    before = convert.run_conversion(plan, stripe)
+    assert plan == fresh and hash(plan) == hash(fresh)
+    copy = pickle.loads(pickle.dumps(plan))
+    assert copy == plan and convert.run_conversion(copy, stripe) == before
+    calls = counted_derivations(monkeypatch)
+    assert copy.restricted_parity(1, 1) == plan.restricted_parity(1, 1) and not calls
+    moved = replace(plan, reads=((4, 6), plan.reads[1]))
+    hbar, support = moved.restricted_parity(1, 1)
+    assert len(calls) == 1 and moved != plan and support == (1, 2, 3, 4, 6)
+    assert hbar != plan.restricted_parity(1, 1)[0]
+    assert plan.restricted_parity(1, 1)[1] == (1, 2, 3, 5, 6)
+
+
 def test_privileged_read_outside_restriction_is_usage_error():
     plan = next(_split_plans())
     assert plan.privileged == 1

@@ -7,11 +7,14 @@ parameters exit 2, corrupted codeword data exits 3.
 
 Every integer the program reads is canonical: a number in a JSON document
 (plan or config) must be a JSON integer, not a float, string or boolean
-(`json_int`, `json_ints`), and a number in a text file (symbol file or
-matrix dump) must be written in the ASCII digits 0-9 (`decimals`).  Their
-errors are TypeError and ValueError, which each reader reports as a
+(`json_int`, `json_ints`), and a number in a symbol file must be written in
+the ASCII digits 0-9 (`decimals`).  A matrix dump must be exactly the text
+the program writes (`canonical_decimals`), so a plan document round-trips.
+Their errors are TypeError and ValueError, which each reader reports as a
 `UsageError` naming the key, or the file and line.
 """
+
+import re
 
 
 class MdsconvError(Exception):
@@ -66,11 +69,24 @@ def json_ints(values, key: str) -> tuple[int, ...]:
     return values
 
 
+# The digits 0-9 and the ASCII characters `str.split` takes for whitespace.
+_DECIMALS = re.compile("[0-9\t\n\v\f\r\x1c-\x1f ]*")
+# Numbers as `str` writes them (no sign, no leading zero), one space apart.
+_CANONICAL = re.compile("(?:(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*)?")
+
+
 def decimals(text: str) -> tuple[int, ...]:
     """The whitespace-separated numbers of `text`, each written in the digits 0-9."""
-    tokens = text.split()
-    if text.isascii() and all(map(str.isdigit, tokens)):
-        return tuple(map(int, tokens))
+    if _DECIMALS.fullmatch(text):
+        return tuple(map(int, text.split()))
     # The first token that is not, or the whole text if a separator is not ASCII.
-    bad = next((t for t in tokens if not (t.isascii() and t.isdigit())), text)
+    bad = next((t for t in text.split() if not (t.isascii() and t.isdigit())), text)
     raise ValueError(f"{bad!r} is not written in the digits 0-9")
+
+
+def canonical_decimals(text: str) -> tuple[int, ...]:
+    """The numbers of `text` if it is their canonical text, as `str` writes
+    each and one space apart, so the text round-trips; else a ValueError."""
+    if _CANONICAL.fullmatch(text):
+        return tuple(map(int, text.split()))
+    raise ValueError(f"{text!r} is not numbers written as 0-9 digits with no leading zero, one space apart")

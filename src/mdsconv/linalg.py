@@ -40,7 +40,7 @@ from functools import partial, reduce
 from itertools import chain, islice
 from operator import getitem, mul, xor
 
-from .errors import SingularMatrixError, UsageError, decimals
+from .errors import SingularMatrixError, UsageError, canonical_decimals
 from .field import GF, FieldSpec
 from .record import Record
 
@@ -552,11 +552,17 @@ def matrix_to_text(m: FieldMatrix) -> str:
 
 
 def matrix_from_text(text: str) -> FieldMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """The matrix `matrix_to_text` writes as `text`; UsageError for any other text."""
+    return matrix_from_lines(text.split("\n"))
+
+
+def matrix_from_lines(lines: Sequence[str]) -> FieldMatrix:
+    """The matrix whose `matrix_to_text` lines are `lines`; UsageError for
+    any other header or row, so a dump round-trips byte for byte."""
     if not lines:
         raise UsageError("empty matrix dump")
     try:
-        rows, cols, q = decimals(lines[0])
+        rows, cols, q = canonical_decimals(lines[0])
     except ValueError as exc:
         raise UsageError(f"bad matrix header {lines[0]!r}") from exc
     field = GF(q)
@@ -565,7 +571,7 @@ def matrix_from_text(text: str) -> FieldMatrix:
     out = []
     for ln in lines[1:]:
         try:
-            row = decimals(ln)
+            row = canonical_decimals(ln)
         except ValueError as exc:
             raise UsageError(f"bad matrix row {ln!r}") from exc
         if len(row) != cols:

@@ -57,7 +57,7 @@ from .convert import (
 from .errors import CertificateError, UsageError, decimals, json_int, json_ints
 from .field import GF, FieldSpec
 from .grs import spec_from_dict, spec_to_dict
-from .linalg import FieldMatrix, matrix_from_text, matrix_to_text
+from .linalg import FieldMatrix, matrix_from_lines, matrix_to_text
 
 
 def _field_doc(field: FieldSpec) -> dict:
@@ -82,7 +82,7 @@ def _matrix_lines(m: FieldMatrix) -> list[str]:
 
 
 def _matrix_from_lines(lines: Sequence[str], field: FieldSpec) -> FieldMatrix:
-    m = matrix_from_text("\n".join(lines))
+    m = matrix_from_lines(lines)
     if m.field != field:
         raise UsageError("matrix dump field does not match the plan field")
     return m

@@ -186,6 +186,25 @@ def test_committed_plan_documents_reproduce_byte_for_byte(tmp_path, path):
     assert copy.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("lines", [
+    ["2 5 8", "01  1 1 1 0", "0 1 2 3 1"],  # leading zero, two spaces
+    ["2 5 8", "1 1 1 1 0 ", "0 1 2 3 1"],
+    ["2 5 8", "1 1 1 1 0", "0 1 2 3 1", ""],
+    ["2 5 8", "1 1 1 1 0\n0 1 2 3 1"],
+    ["2 5 08", "1 1 1 1 0", "0 1 2 3 1"],
+    [" 2 5 8", "1 1 1 1 0", "0 1 2 3 1"],
+    ["2\t5 8", "1 1 1 1 0", "0 1 2 3 1"],
+])
+def test_matrix_dumps_must_be_the_text_the_program_writes(lines):
+    """A matrix dump that is not its canonical text would load to a plan
+    that writes another document, so it is refused as the plan is read."""
+    doc = json.loads((FIXTURES / "readme_merge_plan.json").read_text())
+    assert doc["punctured_parity"][0]["matrix"] == ["2 5 8", "1 1 1 1 0", "0 1 2 3 1"]
+    doc["punctured_parity"][0]["matrix"] = lines
+    with pytest.raises(UsageError, match="bad matrix|expected 2 rows"):
+        plandoc.plan_from_doc(doc)
+
+
 @pytest.mark.parametrize(
     "name, cell, label",
     [

@@ -10,8 +10,9 @@ Column-selection arguments are 1-based, matching codeword positions.
 
 Entries are checked where they enter from outside: the `FieldMatrix`
 constructor, `from_rows` and `matrix_from_text` refuse any entry that is
-not a canonical element of the field (UsageError), and `vandermonde_ext`
-checks its arguments.  Matrices the program computes from canonical
+not a canonical element of the field (UsageError), `matrix_from_text` and
+`matrix_from_lines` any text other than the one `matrix_to_text` writes,
+and `vandermonde_ext` checks its arguments.  Matrices the program computes from canonical
 operands are built with `FieldMatrix._trusted` (`record`).
 
 Byte fields and GF(p) have one compiled form each for their hot products

@@ -4,8 +4,9 @@ One structured, human-readable format with a stable key schema: symbols
 are always canonical integer encodings, index sets are lists of
 [code, position] pairs, and matrices are embedded as their text-dump
 lines ("rows cols q" first).  Numbers in a document must be JSON integers
-and numbers in a symbol file or matrix dump the digits 0-9
-(`errors.json_int`, `errors.json_ints`, `errors.decimals`).
+and numbers in a symbol file the digits 0-9 (`errors.json_int`,
+`errors.json_ints`, `errors.decimals`); a matrix dump must be exactly the
+lines `linalg.matrix_to_text` writes (`linalg.matrix_from_lines`).
 
 A plan document is one header ("kind", "params", "field"), the kind's
 codes, the "unchanged" and "reads" grids, and the kind's certificate.

@@ -12,8 +12,8 @@ Entries are checked where they enter from outside: the `FieldMatrix`
 constructor, `from_rows` and `matrix_from_text` refuse any entry that is
 not a canonical element of the field (UsageError), `matrix_from_text` and
 `matrix_from_lines` any text other than the one `matrix_to_text` writes,
-and `vandermonde_ext` checks its arguments.  Matrices the program computes from canonical
-operands are built with `FieldMatrix._trusted` (`record`).
+and `vandermonde_ext` checks its arguments.  Matrices the program computes
+from canonical operands are built with `FieldMatrix._trusted` (`record`).
 
 Byte fields and GF(p) have one compiled form each for their hot products
 (`_compiled`), built by exactly two callers: `systematic_encoder`, on the

@@ -13,7 +13,7 @@ grid determine each restricted parity check it reads through
 (`restricted_parity`), and so every block a plan document stores
 (`certificate`); `verify_plan` checks them against the final parity
 checks.  Each check and each block of the final parity check is derived
-once per plan object and kept on it (`_kept`), so loading, verifying,
+once per plan object and kept on it (`record.kept`), so loading, verifying,
 lowering and saving a plan share one derivation.
 
 Every plan kind runs through one executor, `run_conversion`.  The first
@@ -48,7 +48,7 @@ from .errors import CorruptionError, InternalError, MdsconvError, ParameterError
 from .field import FieldSpec
 from .grs import Codeword, ExtGrsSpec, generator, is_codeword, parity_check, puncture
 from .linalg import FieldMatrix
-from .record import Record
+from .record import Record, kept
 
 SymbolId = tuple[int, int]
 # Position sets indexed [final j][initial i], as in `GeneralPlan`.
@@ -330,7 +330,7 @@ class MergePlan(Record):
         else None; derived on the first call and kept on the plan."""
         if i not in self.reduced:
             return None
-        return _kept(self, f"_restricted_{j}_{i}", self._derive_restricted, i)
+        return kept(self, f"_restricted_{j}_{i}", self._derive_restricted, i)
 
     def _derive_restricted(self, i: int) -> tuple[FieldMatrix, tuple[int, ...]]:
         support, spec = self.support(i), self.initial_specs[i - 1]
@@ -393,7 +393,7 @@ class SplitPlan(Record):
         kept on the plan."""
         if j != self.privileged:
             return None
-        return _kept(self, f"_restricted_{j}_{i}", self._derive_restricted, j)
+        return kept(self, f"_restricted_{j}_{i}", self._derive_restricted, j)
 
     def _derive_restricted(self, j: int) -> tuple[FieldMatrix, tuple[int, ...]]:
         support, own = self.support(), self.unchanged[j - 1] + self.extra_reads
@@ -511,21 +511,10 @@ def access_report(plan: Plan) -> AccessReport:
     return AccessReport(per_initial, rho_r, rho_w, rho, bound, optimal, stable, tuple(trace))
 
 
-def _kept(plan: Plan, name: str, derive, *args):
-    """`derive(*args)`, kept on the plan as `name` from the first call: a plan
-    never changes, and `==`, `hash` and `replace` see only its fields.  Read
-    by `getattr`, as reading `plan.__dict__` makes CPython build the dict."""
-    value = getattr(plan, name, None)
-    if value is None:
-        value = derive(*args)
-        object.__setattr__(plan, name, value)
-    return value
-
-
 def plan_report(plan: Plan) -> AccessReport:
     """The plan's `access_report`, computed once and kept on the plan;
     execution and `verify` share it."""
-    return _kept(plan, "_report", access_report, plan)
+    return kept(plan, "_report", access_report, plan)
 
 
 # -- merge construction -------------------------------------------------------
@@ -655,7 +644,7 @@ def _final_block(plan: MergePlan, i: int) -> FieldMatrix:
     """The final parity check's columns at initial code i's unchanged
     symbols (i = t1 + 1: at the written symbols), in layout order; all
     t1 + 1 blocks are cut on the first call and kept on the plan."""
-    return _kept(plan, "_final_blocks", _final_blocks, plan)[i - 1]
+    return kept(plan, "_final_blocks", _final_blocks, plan)[i - 1]
 
 
 def _final_blocks(plan: MergePlan) -> tuple[FieldMatrix, ...]:
@@ -942,7 +931,7 @@ def _compile(plan: Plan, codewords: Sequence[Sequence[int] | Codeword]) -> _Exec
             if not is_codeword(spec, cw.symbols if isinstance(cw, Codeword) else tuple(cw)):
                 raise CorruptionError(f"input {i} is not a codeword of initial code {i}") from None
         raise
-    return _kept(plan, "_executable", _Executable, plan, g)
+    return kept(plan, "_executable", _Executable, plan, g)
 
 
 def run_conversion(

@@ -28,6 +28,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 
 from .errors import UsageError
+from .record import Record, kept
 
 MAX_EXTENSION_DEGREE = 16
 
@@ -98,15 +99,20 @@ def _default_modulus(m: int) -> int:
     raise UsageError(f"no irreducible polynomial of degree {m} found")
 
 
-class FieldSpec:
+class FieldSpec(Record):
     """A finite field GF(p^m) with p prime, and m = 1 or p = 2.
 
-    All operations take and return canonical integer encodings.  Instances
-    are immutable apart from internal lookup-table caches and may be shared
-    freely across threads.
+    All operations take and return canonical integer encodings.  A field is
+    a record: `(p, m)` identify it, as the modulus is a function of m.  Its
+    `modulus` and `q` are set with it, its tables on first use, and it may
+    be shared freely across threads.
     """
 
-    def __init__(self, p: int, m: int = 1):
+    p: int
+    m: int = 1
+
+    def __post_init__(self):
+        p, m = self.p, self.m
         if not _is_prime(p):
             raise UsageError(f"characteristic {p} is not prime")
         if m < 1:
@@ -115,23 +121,11 @@ class FieldSpec:
             raise UsageError("extension fields are supported for characteristic 2 only")
         if m > MAX_EXTENSION_DEGREE:
             raise UsageError(f"extension degree {m} exceeds supported maximum {MAX_EXTENSION_DEGREE}")
-        self.p = p
-        self.m = m
-        self.modulus = None if m == 1 else _default_modulus(m)
-        self.q = p**m
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-
-    # -- identity ------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.m, self.modulus))
+        _set = object.__setattr__
+        _set(self, "modulus", None if m == 1 else _default_modulus(m))
+        _set(self, "q", p**m)
+        _set(self, "_exp", None)
+        _set(self, "_log", None)
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -243,22 +237,20 @@ class FieldSpec:
         (0's log mapped past every nonzero one) through a window of exp
         starting at log c, padded with zeros.
         """
-        rows = getattr(self, "_product_rows", None)
-        if rows is None:
-            if self.p != 2 or self.q > 256:
-                raise UsageError(f"product rows exist only for fields of at most 256 elements "
-                                 f"and characteristic 2, not {self!r}")
-            q = self.q
-            if self.m == 1:
-                rows = [bytes(2), bytes((0, 1))]
-            else:
-                log, exp = self.row_tables()
-                logs = bytes([q - 1, *log[1:]])
-                exp_bytes, pad = bytes(exp[: 2 * (q - 1)]), bytes(257 - q)
-                rows = [bytes(q)]
-                rows += [logs.translate(exp_bytes[lc : lc + q - 1] + pad) for lc in log[1:]]
-            self._product_rows = rows
-        return rows
+        return kept(self, "_product_rows", self._derive_product_rows)
+
+    def _derive_product_rows(self) -> list[bytes]:
+        if self.p != 2 or self.q > 256:
+            raise UsageError(f"product rows exist only for fields of at most 256 elements "
+                             f"and characteristic 2, not {self!r}")
+        q = self.q
+        if self.m == 1:
+            return [bytes(2), bytes((0, 1))]
+        log, exp = self.row_tables()
+        logs = bytes([q - 1, *log[1:]])
+        exp_bytes, pad = bytes(exp[: 2 * (q - 1)]), bytes(257 - q)
+        rows = [bytes(q)]
+        return rows + [logs.translate(exp_bytes[lc : lc + q - 1] + pad) for lc in log[1:]]
 
     # -- internal binary-field helpers -----------------------------------
 
@@ -312,8 +304,8 @@ class FieldSpec:
                     break
             if count == order:
                 exp[order:zero] = exp[:order]
-                self._exp = exp
-                self._log = log
+                object.__setattr__(self, "_exp", exp)
+                object.__setattr__(self, "_log", log)
                 return
         raise UsageError(f"no generator found for {self!r}")  # pragma: no cover
 

@@ -22,7 +22,7 @@ from . import linalg
 from .errors import CorruptionError, InsufficientDataError, UsageError, json_int, json_ints
 from .field import FieldSpec, GF
 from .linalg import FieldMatrix
-from .record import Record
+from .record import Record, kept
 
 
 class ExtGrsSpec(Record):
@@ -47,14 +47,6 @@ class ExtGrsSpec(Record):
         self.field.check_all(self.w)
         if 0 in self.w:
             raise UsageError("w entries must be nonzero")
-
-    def __hash__(self) -> int:
-        # Computed once: every parity_check/generator cache lookup hashes the spec.
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash((self.field, self.n, self.r, self.gamma, self.w))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     @property
     def k(self) -> int:
@@ -139,18 +131,15 @@ def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
     the message: over a byte field one lookup per symbol for up to eight
     parity symbols, over GF(p) one sum of packed ints, over GF(2^m) with
     m > 8 the reference product `linalg.vecmat` on A."""
-    k, run = getattr(spec, "_encoder", None) or _encoder(spec)
+    k, run = getattr(spec, "_encoder", None) or kept(spec, "_encoder", _encoder, spec)
     if len(message) != k:
         raise UsageError(f"message must have k = {k} symbols, got {len(message)}")
     return Codeword(run(message), spec)
 
 
 def _encoder(spec: ExtGrsSpec) -> tuple:
-    """(k, encoder) for `encode`, built on the generator's compiled parity
-    form and kept on the spec.  A spec never changes, so it cannot go stale."""
-    enc = (spec.k, linalg.systematic_encoder(generator(spec), spec.r))
-    object.__setattr__(spec, "_encoder", enc)
-    return enc
+    """(k, encoder) for `encode`, built on the generator's compiled parity form."""
+    return spec.k, linalg.systematic_encoder(generator(spec), spec.r)
 
 
 def is_codeword(spec: ExtGrsSpec, symbols: Sequence[int]) -> bool:

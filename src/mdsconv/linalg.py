@@ -43,7 +43,7 @@ from operator import getitem, mul, xor
 
 from .errors import SingularMatrixError, UsageError, canonical_decimals
 from .field import GF, FieldSpec
-from .record import Record
+from .record import Record, kept
 
 
 class FieldMatrix(Record):
@@ -320,22 +320,16 @@ def _compiled(field: FieldSpec, columns: Sequence[Sequence[int]], generator: Fie
     no compiled form: it is the matrix of the columns itself, for `vecmat`.
 
     Given the generator whose parity part A the columns are, the form is
-    kept on it, the one form a FieldMatrix keeps; a FieldMatrix never
-    changes, so it cannot go stale.
+    kept on it (`record.kept`), the one form a FieldMatrix keeps.
     """
-    form = getattr(generator, "_parity_form", None)
-    if form is not None:
-        return form
-    if _is_byte_field(field):
-        form = _lane_rows(field, columns)
-    elif field.m == 1:
-        form = _mod_packed(_mod_lane_bits(field.p), columns)
-    else:
-        entries = tuple(chain.from_iterable(zip(*columns)))
-        form = FieldMatrix._trusted(field, len(columns[0]), len(columns), entries)
     if generator is not None:
-        object.__setattr__(generator, "_parity_form", form)
-    return form
+        return kept(generator, "_parity_form", _compiled, field, columns)
+    if _is_byte_field(field):
+        return _lane_rows(field, columns)
+    if field.m == 1:
+        return _mod_packed(_mod_lane_bits(field.p), columns)
+    entries = tuple(chain.from_iterable(zip(*columns)))
+    return FieldMatrix._trusted(field, len(columns[0]), len(columns), entries)
 
 
 def _systematic_product(g: FieldMatrix, r: int, s: FieldMatrix) -> list[tuple[int, ...]]:

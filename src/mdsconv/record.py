@@ -6,9 +6,13 @@ optional trailing defaults as class attributes.  It gets a generated
 `__post_init__` when the class defines one, equality (same class and
 equal fields), hashing by fields unless the class defines its own
 `__hash__`, and a `Name(field=value, ...)` repr.  Assigning or deleting
-an attribute raises AttributeError; code that caches derived values on a
-record sets them with `object.__setattr__`.  Records pickle by their
-instance dict.
+an attribute raises AttributeError.  Records pickle by their instance
+dict.
+
+`kept` is the one rule for a value derived once and kept on a record
+(plans' parity checks, report and executable, codes' encoders, parity
+forms, product rows), which `==`, `hash` and `replace` never see.
+`FieldSpec` is a record: `(p, m)` identify the field.
 
 Each class has two constructors with the same parameters and defaults.
 The checked one, `Cls(...)`, runs `__post_init__`: it is for values from
@@ -81,3 +85,14 @@ def replace(obj: Record, **changes) -> Record:
     """A new record of obj's class with `changes` applied: its `__init__`
     runs (and validates) again, and values cached on obj are not copied."""
     return type(obj)(**{**{n: getattr(obj, n) for n in obj._fields}, **changes})
+
+
+def kept(obj: Record, name: str, derive, *args):
+    """`derive(*args)`, kept on obj as `name` from the first call: a record
+    never changes, and `==`, `hash` and `replace` see only its fields.  Read
+    by `getattr`, as reading `obj.__dict__` makes CPython build the dict."""
+    value = getattr(obj, name, None)
+    if value is None:
+        value = derive(*args)
+        object.__setattr__(obj, name, value)
+    return value

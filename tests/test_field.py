@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -175,6 +176,40 @@ def test_field_identity():
     assert GF(8) != GF(16)
     assert GF(7) == FieldSpec(7)
     assert hash(GF(8)) == hash(FieldSpec(2, 3))
+
+
+def test_a_field_is_a_frozen_record():
+    """(p, m) identify a field, whether or not its tables are built; no
+    attribute can be assigned; a pickled GF(256) keeps its tables and its
+    products; and each refused field keeps its message."""
+    fresh, built = FieldSpec(2, 3), GF(8)
+    built.product_rows()
+    assert fresh._exp is None and built._exp is not None
+    assert fresh == built == FieldSpec(p=2, m=3) and hash(fresh) == hash(built)
+    assert FieldSpec(7) == FieldSpec(7, 1) != FieldSpec(2, 3)
+    for name in ("p", "m", "q", "modulus", "_exp", "_log", "_product_rows", "other"):
+        with pytest.raises(AttributeError):
+            setattr(built, name, 9)
+    assert (built.p, built.m, built.q, built.modulus) == (2, 3, 8, 0b1011)
+
+    field = GF(256)
+    field.mul(2, 3)
+    clone = pickle.loads(pickle.dumps(field))
+    assert clone == field and clone is not field and clone._exp == field._exp
+    assert clone.mul(0x57, 0x83) == 0xC1 and clone.inv(0x53) == 0xCA
+    rng = random.Random(256)
+    for a, b in ((rng.randrange(256), rng.randrange(1, 256)) for _ in range(200)):
+        assert clone.mul(a, b) == field.mul(a, b) and clone.inv(b) == field.inv(b)
+
+    for args, message in (
+        ((4,), "characteristic 4 is not prime"),
+        ((2, 0), "extension degree must be >= 1, got 0"),
+        ((3, 2), "extension fields are supported for characteristic 2 only"),
+        ((2, 17), "extension degree 17 exceeds supported maximum 16"),
+    ):
+        with pytest.raises(UsageError) as info:
+            FieldSpec(*args)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("q", [4, 8, 16, 256, 1 << 16])

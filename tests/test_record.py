@@ -13,7 +13,7 @@ import pytest
 
 from mdsconv import convert, grs, linalg, plandoc
 from mdsconv.errors import UsageError
-from mdsconv.field import GF
+from mdsconv.field import GF, FieldSpec
 from mdsconv.record import Record, replace
 
 SRC = Path(__file__).parents[1] / "src"
@@ -48,6 +48,7 @@ def _records():
         (spec, {"r": 0}),
         (grs.encode(spec, (1, 2, 3)), None),
         (matrix, {"entries": (1,)}),
+        (spec.field, {"m": 0}),  # GF(8): its tables and product rows are built
     ]
 
 
@@ -59,8 +60,9 @@ CACHED = {
     "MergePlan": ("_executable", "_report"),
     "SplitPlan": ("_executable", "_report"),
     "GeneralPlan": ("_executable", "_report"),
-    "ExtGrsSpec": ("_hash", "_encoder"),
+    "ExtGrsSpec": ("_encoder",),
     "FieldMatrix": ("_parity_form",),
+    "FieldSpec": ("_exp", "_log", "_product_rows"),
 }
 
 
@@ -69,7 +71,7 @@ def test_every_record_class_is_covered():
     assert classes == {
         convert.ConvertParams, convert.MergeBound, convert.SplitBound, convert.MergePlan,
         convert.SplitPlan, convert.GeneralPlan, convert.AccessReport, convert.StructureCheck,
-        grs.ExtGrsSpec, grs.Codeword, linalg.FieldMatrix,
+        grs.ExtGrsSpec, grs.Codeword, linalg.FieldMatrix, FieldSpec,
     }
     assert all(issubclass(cls, Record) for cls in classes)
 
@@ -83,7 +85,8 @@ def test_record_contract(obj, bad):
     assert positional == obj and by_keyword == obj and positional is not obj
     assert hash(positional) == hash(obj) == hash(by_keyword)
     assert obj != object() and not obj == values
-    assert repr(obj).startswith(f"{cls.__name__}({cls._fields[0]}=")
+    shown = f"GF({obj.q})" if cls is FieldSpec else f"{cls.__name__}({cls._fields[0]}="
+    assert repr(obj).startswith(shown)
     for name in (*cls._fields, "_executable"):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)

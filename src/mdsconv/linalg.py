@@ -489,18 +489,17 @@ def submatrix_cols(m: FieldMatrix, positions: Iterable[int]) -> FieldMatrix:
 
 
 def invert(m: FieldMatrix) -> FieldMatrix:
+    """m^-1, read off one `rref` of [m | I]; SingularMatrixError if m is singular."""
     if m.rows != m.cols:
         raise UsageError(f"cannot invert a {m.rows}x{m.cols} matrix")
     n = m.rows
-    aug = from_rows(
-        m.field,
-        [m.row(i) + identity(m.field, n).row(i) for i in range(n)],
-        cols=2 * n,
-    )
-    red, pivots = rref(aug)
-    if pivots[:n] != tuple(range(n)) or len(pivots) < n:
+    unit = (0,) * (n - 1) + (1,) + (0,) * (n - 1)  # row i of I is unit[n - 1 - i : 2n - 1 - i]
+    aug = chain.from_iterable(m.row(i) + unit[n - 1 - i : 2 * n - 1 - i] for i in range(n))
+    red, pivots = rref(FieldMatrix._trusted(m.field, n, 2 * n, tuple(aug)))
+    if pivots[:n] != tuple(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return from_rows(m.field, [red.row(i)[n:] for i in range(n)], cols=n)
+    inverse = chain.from_iterable(red.row(i)[n:] for i in range(n))
+    return FieldMatrix._trusted(m.field, n, n, tuple(inverse))
 
 
 def right_kernel_basis(m: FieldMatrix) -> FieldMatrix:

@@ -20,6 +20,11 @@ sweep also runs `verify` on each mutant and pins how many exit 0, 1 and
 A seeded sample of two-edit mutants goes through both verbs too, loaded
 or not, as a defect that one verdict hides may need two coordinated
 edits: a single mutant that loads, with any one mutation applied to it.
+
+Seeded edits of the `field` block and of each code's q, p and m in the
+four committed plan documents (unsupported orders, disagreeing p or m,
+values of other JSON types) make `verify`, `encode` and `convert` each
+exit 1 with one `error:` line and no output file.
 """
 
 import hashlib
@@ -31,7 +36,7 @@ from mdsconv import plandoc
 from mdsconv.cli import main
 from mdsconv.convert import ConvertParams, build_merge, build_split, merge_params
 from mdsconv.errors import CertificateError, MdsconvError, UsageError
-from mdsconv.field import GF
+from mdsconv.field import GF, PRIME_LIMIT
 from mdsconv.grs import encode, is_codeword
 
 SEED = 20261018
@@ -245,3 +250,64 @@ def test_two_edit_mutants_keep_the_exit_code_contract(tmp_path, capsys):
                 assert all(map(is_codeword, plan.final_specs, rows)), case
             verdicts[converted == 0] += 1
     assert verdicts[True] and verdicts[False], verdicts
+
+
+# The four committed plan documents.
+COMMITTED = sorted(GENERAL_FIXTURE.parent.glob("*.json")) + [
+    Path(__file__).parents[1] / "perfbench" / "two_by_two_plan.json"
+]
+
+
+def _header_edits(header, rng):
+    """Seeded (key, value) edits of one `field` block or code, each naming
+    an unsupported field or one that disagrees with the header's q: a
+    composite q, q of 1, 0 or -1, q at or above PRIME_LIMIT or 2^17, a p or
+    an m that is not q's, and a bool, float or string in place of an int."""
+    yield "q", rng.randrange(3, 1 << 20, 2) * rng.randrange(2, 1 << 10)
+    yield "q", rng.choice((3, 5, 7, 11)) ** rng.randrange(2, 8)
+    yield from (("q", q) for q in (1, 0, -1, 1 << 17))
+    yield "q", PRIME_LIMIT + rng.randrange(1 << 64)
+    yield "p", rng.choice([p for p in (2, 3, 5, 257, 1000003) if p != header["p"]])
+    yield "p", rng.randrange(-3, 2)
+    yield "m", header["m"] + rng.randrange(1, 20)
+    yield from (("m", m) for m in (0, 10**8))
+    for key in ("q", "p", "m"):
+        yield from ((key, odd) for odd in (rng.choice((True, False)), float(header[key]), str(header[key])))
+
+
+def _headers(node, path=()):
+    """The path of every `field` block and code in a plan document: each
+    object with a "q" key."""
+    if isinstance(node, dict) and "q" in node:
+        yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _headers(child, path + (key,))
+
+
+def test_field_header_mutants_exit_1_from_every_verb(tmp_path, capsys):
+    """Every seeded edit of the `field` block, or of a code's q, p or m, in
+    each committed plan document makes `verify`, `encode` and `convert`
+    exit 1 with one `error:` line, no traceback and no output file."""
+    rng = random.Random(SEED + 3)
+    plan_path, messages, cws, out = (tmp_path / name for name in ("plan.json", "m.txt", "c.txt", "out.txt"))
+    edits = 0
+    for path in COMMITTED:
+        doc = json.loads(path.read_text())
+        plan = plandoc.plan_from_doc(doc)
+        plandoc.write_symbol_lines(str(messages), [(0,) * spec.k for spec in plan.initial_specs])
+        plandoc.write_symbol_lines(str(cws), [(0,) * spec.n for spec in plan.initial_specs])
+        for at in _headers(doc):
+            for key, value in _header_edits(_at(doc, at), rng):
+                mutant = json.loads(json.dumps(doc))
+                _at(mutant, at)[key] = value
+                plan_path.write_text(json.dumps(mutant))
+                for argv in (("verify",), ("encode", "--in", messages, "--out", out),
+                             ("convert", "--in", cws, "--out", out)):
+                    code = main([str(a) for a in (argv[0], "--plan", plan_path, *argv[1:])])
+                    err = capsys.readouterr().err
+                    case = (path.name, at, key, value, argv[0], err)
+                    assert code == 1 and not out.exists(), case
+                    assert [line.startswith("error:") for line in err.splitlines()] == [True], case
+                edits += 1
+    assert edits == (4 + 4 + 3 + 3) * 21, edits  # headers per document, edits per header

@@ -83,7 +83,7 @@ class Record:
 
 def replace(obj: Record, **changes) -> Record:
     """A new record of obj's class with `changes` applied: its `__init__`
-    runs (and validates) again, and values cached on obj are not copied."""
+    runs (and validates) again, and values kept on obj are not copied."""
     return type(obj)(**{**{n: getattr(obj, n) for n in obj._fields}, **changes})
 
 

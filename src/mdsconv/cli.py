@@ -42,7 +42,7 @@ from .errors import (
     json_int,
 )
 from .field import GF
-from .grs import encode
+from .grs import Codeword, encode
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,10 +194,14 @@ def cmd_convert(args) -> int:
     rows = plandoc.read_symbol_lines(args.infile, plan.field)
     if len(rows) != len(specs):
         raise UsageError(f"expected {len(specs)} codewords (one per initial code), got {len(rows)}")
+    # `read_symbol_lines` has refused every symbol outside [0, q), and its
+    # symbols are exact ints, so each row of the right length is canonical.
+    stripe = []
     for i, (spec, row) in enumerate(zip(specs, rows), 1):
         if len(row) != spec.n:
             raise UsageError(f"codeword {i} has {len(row)} symbols, initial code {i} has n = {spec.n}")
-    outputs, report = run_conversion(plan, rows)
+        stripe.append(Codeword._trusted(row, spec))
+    outputs, report = run_conversion(plan, stripe)
     plandoc.write_symbol_lines(args.out, [cw.symbols for cw in outputs])
     sys.stdout.write(plandoc.dump_json(plandoc.report_to_doc(report, include_trace=args.trace)))
     return 0

@@ -861,8 +861,8 @@ def _picker(indices: Sequence[int]) -> operator.itemgetter:
 class _Executable:
     """A plan compiled for `run_conversion` from its lowered form g.
 
-    `inputs` holds, per initial code i, its length n_i and the fold of
-    `linalg.fold_step` on its generator G_i = [A_i | I_k] and on S_i
+    `inputs` holds, per initial code i, its spec, its length n_i and the
+    fold of `linalg.fold_step` on its generator G_i = [A_i | I_k] and on S_i
     (`_shares`), which checks input i against its parity symbols,
     message . A_i, and adds its share of every final code's written
     symbols, c_i . S_i.  S_i holds
@@ -883,7 +883,7 @@ class _Executable:
         self.width = sum(widths)
         folds, spills = zip(*(linalg.fold_step(generator(spec), spec.r, _shares(g, i, spec.n))
                               for i, spec in enumerate(g.initial_specs)))
-        self.inputs = tuple(zip(p.n_initial, folds))
+        self.inputs = tuple(zip(g.initial_specs, p.n_initial, folds))
         self.spill = spills[0]
         offsets = [0]
         for n in p.n_initial + tuple(widths):
@@ -940,8 +940,15 @@ def run_conversion(
     """Execute any plan; always returns a tuple of final codewords.
 
     Every input must be a codeword of its initial code.  The inputs are
-    checked in order, each before the next: a wrong length or a nonzero
-    syndrome raises CorruptionError, a non-canonical symbol UsageError.
+    checked in order, each before the next: its length, then its symbols,
+    then its syndrome.  A wrong length or a nonzero syndrome raises
+    CorruptionError, a non-canonical symbol UsageError.  An input that is
+    a `Codeword` of that very initial code object (not an equal one) gets
+    no symbol check: its constructor checked its symbols, or the program
+    derived them (`Codeword._trusted`, as `encode` does).  Every other
+    input is checked by `FieldSpec.check_all`, here and nowhere else, as
+    the folds only fold.  An unpickled `Codeword` skipped its constructor's
+    check, as every record does.
     Execution reads every input symbol to check it, and forms the written
     symbols from the message symbols, which on codewords equal the read
     symbols times sigma; the `AccessReport` is the plan's access cost, not
@@ -954,16 +961,20 @@ def run_conversion(
     _check_count(codewords, len(exe.inputs))
     acc = 0
     flat: list[int] = []
-    for i, ((n, fold), cw) in enumerate(zip(exe.inputs, codewords), 1):
-        symbols = cw.symbols if isinstance(cw, Codeword) else tuple(cw)
-        if len(symbols) != n or (acc := fold(symbols, acc)) is None:
+    for i, ((spec, n, fold), cw) in enumerate(zip(exe.inputs, codewords), 1):
+        if isinstance(cw, Codeword):
+            symbols, checked = cw.symbols, cw.code is spec
+        else:
+            symbols, checked = tuple(cw), False
+        if len(symbols) != n:
+            raise CorruptionError(f"input {i} is not a codeword of initial code {i}")
+        if not checked:
+            spec.field.check_all(symbols)
+        if (acc := fold(symbols, acc)) is None:
             raise CorruptionError(f"input {i} is not a codeword of initial code {i}")
         flat += symbols
     flat += exe.spill(acc, exe.width)
-    outputs = []
-    for spec, pick in exe.finals:
-        outputs.append(Codeword(pick(flat), spec))
-    return tuple(outputs), exe.report
+    return tuple(Codeword._trusted(pick(flat), spec) for spec, pick in exe.finals), exe.report
 
 
 def merge_convert(

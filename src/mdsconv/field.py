@@ -99,13 +99,15 @@ def _default_modulus(m: int) -> int:
     raise UsageError(f"no irreducible polynomial of degree {m} found")
 
 
-class FieldSpec(Record):
+class FieldSpec(Record, trusted=False):
     """A finite field GF(p^m) with p prime, and m = 1 or p = 2.
 
     All operations take and return canonical integer encodings.  A field is
     a record: `(p, m)` identify it, as the modulus is a function of m.  Its
     `modulus` and `q` are set with it, its tables on first use, and it may
-    be shared freely across threads.
+    be shared freely across threads.  It has no unchecked constructor, as
+    its checked one sets `modulus` and `q`, and it pickles as `GF(q)`, so
+    an unpickled field is the shared one and the bytes carry no tables.
     """
 
     p: int
@@ -129,6 +131,9 @@ class FieldSpec(Record):
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
+
+    def __reduce__(self):
+        return GF, (self.q,)
 
     # -- element handling ----------------------------------------------
 

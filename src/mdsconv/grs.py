@@ -54,10 +54,29 @@ class ExtGrsSpec(Record):
 
 
 class Codeword(Record):
-    """A codeword together with the code it belongs to (None for plan-level outputs)."""
+    """Symbols together with the code they belong to (None for plan-level outputs).
+
+    Given a code, the constructor checks the symbols once: n of them
+    (UsageError), each a canonical element of the code's field as
+    `FieldSpec.check` has it, kept as a tuple.  It does not test the
+    syndrome.  With no code nothing is checked.  Codewords the program
+    derives (`encode`, `recover_erasures`, `convert.run_conversion`'s
+    outputs) are built by `Codeword._trusted`, and unpickling skips the
+    check, as for every record.  So `run_conversion` checks no symbol of
+    an input that is a `Codeword` of that input's initial code.
+    """
 
     symbols: tuple[int, ...]
     code: ExtGrsSpec | None = None
+
+    def __post_init__(self):
+        code = self.code
+        if code is not None:
+            symbols = tuple(self.symbols)
+            if len(symbols) != code.n:
+                raise UsageError(f"codeword must have n = {code.n} symbols, got {len(symbols)}")
+            code.field.check_all(symbols)
+            object.__setattr__(self, "symbols", symbols)
 
 
 @lru_cache(maxsize=1024)
@@ -123,7 +142,8 @@ def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
     """message . G, computed systematically: the r parity symbols
     message . A from the first r columns of the generator, then the k
     message symbols.  UsageError for a message of the wrong length or with
-    a symbol that is not canonical.
+    a symbol that is not canonical; the encoder checks each message symbol,
+    so the codeword, a derived value, is built unchecked (`_trusted`).
 
     The code's encoder (`linalg.systematic_encoder`) is compiled on first
     use, from the compiled form of A that the generator keeps, and kept on
@@ -134,7 +154,7 @@ def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
     k, run = getattr(spec, "_encoder", None) or kept(spec, "_encoder", _encoder, spec)
     if len(message) != k:
         raise UsageError(f"message must have k = {k} symbols, got {len(message)}")
-    return Codeword(run(message), spec)
+    return Codeword._trusted(run(message), spec)
 
 
 def _encoder(spec: ExtGrsSpec) -> tuple:
@@ -154,7 +174,9 @@ def recover_erasures(spec: ExtGrsSpec, known: Mapping[int, int]) -> Codeword:
     """The unique codeword agreeing with `known` (position -> symbol, >= k entries).
 
     Solves the parity-check system for the erased positions; raises
-    CorruptionError when the known symbols extend to no codeword.
+    CorruptionError when the known symbols extend to no codeword.  The
+    known symbols are checked, and the solved ones are field elements, so
+    the codeword is built unchecked (`_trusted`).
     """
     for pos in known:
         if not 1 <= pos <= spec.n:
@@ -182,7 +204,7 @@ def recover_erasures(spec: ExtGrsSpec, known: Mapping[int, int]) -> Codeword:
         symbols[pos - 1] = val
     for idx, pos in enumerate(erased):
         symbols[pos - 1] = x[idx]
-    return Codeword(tuple(symbols), spec)
+    return Codeword._trusted(tuple(symbols), spec)
 
 
 def restriction_support(spec: ExtGrsSpec, positions: Iterable[int]) -> list[int]:

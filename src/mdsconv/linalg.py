@@ -27,9 +27,13 @@ full lane groups.  Both run on the message symbols alone: `grs.encode`
 runs `systematic_encoder`, compiled once per code, and the bound (fold,
 spill) pair that `fold_step` returns checks a codeword against its
 systematic generator and adds its share of the written symbols in one
-pass.  `matvec` and `vecmat` are reference products over `FieldSpec.mul`
-and `add`; GF(2^m) with m > 8 has no compiled form, so its encoder and
-fold run `vecmat` on A and M themselves.
+pass.  The encoder checks each message symbol, as messages come from
+outside; the fold checks none, and only folds: its caller,
+`convert.run_conversion`, checks each input's symbols once, unless the
+input is a `grs.Codeword` of its initial code, which the `Codeword`
+constructor checked.  `matvec` and `vecmat` are reference products over
+`FieldSpec.mul` and `add`; GF(2^m) with m > 8 has no compiled form, so
+its encoder and fold run the same product on A and M themselves.
 """
 
 from __future__ import annotations
@@ -240,6 +244,11 @@ def vecmat(v: Sequence[int], m: FieldMatrix) -> tuple[int, ...]:
     if len(v) != m.rows:
         raise UsageError(f"vector length {len(v)} does not match {m.rows} rows")
     m.field.check_all(v)
+    return _vecmat(v, m)
+
+
+def _vecmat(v: Sequence[int], m: FieldMatrix) -> tuple[int, ...]:
+    """`vecmat` of a vector of the right length, already canonical."""
     return tuple(_dot(m.field, v, m.entries[j :: m.cols]) for j in range(m.cols))
 
 
@@ -279,11 +288,11 @@ def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple[Callable, Callabl
     """The executor's check-and-share step for g = [A | I_k], a systematic
     generator with r parity columns, and S, (r + k) x w, as (fold, spill).
 
-    fold(c, acc) takes a vector c of length r + k and an accumulator.  It
-    checks c as `FieldSpec.check` does (UsageError), and returns None
-    unless c[:r] = c[r:] . A, that is unless c is a codeword; otherwise it
-    returns acc + c . S.  0 is the empty accumulator, and spill(acc, w)
-    gives an accumulator's w symbols.
+    fold(c, acc) takes a vector c of r + k canonical symbols, which it
+    does not check (its caller, `run_conversion`, has), and an
+    accumulator.  It returns None unless c[:r] = c[r:] . A, that is unless
+    c is a codeword; otherwise it returns acc + c . S.  0 is the empty
+    accumulator, and spill(acc, w) gives an accumulator's w symbols.
 
     A codeword is c = c[r:] . g, so c . S = c[r:] . C with C = g . S, and
     over every field the fold runs the compiled form of M = [A | C] on the
@@ -293,9 +302,9 @@ def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple[Callable, Callabl
     `systematic_encoder` runs on, and its other columns share a group with
     the first columns of C.  Over GF(p) (`_mod_fold`) one sum of products
     of message symbols and packed rows of M.  Over GF(2^m) with m > 8
-    (`_plain_fold`) `vecmat` on M, the accumulator a list of w symbols,
-    so the spill is `islice`.  All are partials of module functions, as in
-    `systematic_encoder`.
+    (`_plain_fold`) `vecmat`'s product on M, unchecked, the accumulator a
+    list of w symbols, so the spill is `islice`.  All are partials of
+    module functions, as in `systematic_encoder`.
     """
     f = g.field
     columns = [g.entries[j :: g.cols] for j in range(r)] + _systematic_product(g, r, s)
@@ -304,12 +313,12 @@ def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple[Callable, Callabl
         shared = _compiled(f, columns[:r], g)[:full] if full else ()
         (first, _), *rest = (*shared, *_compiled(f, columns[LANES * full :]))
         more = tuple((8 * LANES * at, rows) for at, (rows, _) in enumerate(rest, 1))
-        return partial(_lane_fold, f, (r, 8 * r, (1 << 8 * r) - 1, first, more)), _lane_spill
+        return partial(_lane_fold, (r, 8 * r, (1 << 8 * r) - 1, first, more)), _lane_spill
     form = _compiled(f, columns)
     if f.m == 1:
         bits = _mod_lane_bits(f.p)
         step = r, tuple(range(0, bits * r, bits)), (1 << bits) - 1, bits * r, form
-        return partial(_mod_fold, f, step), partial(_mod_spill, f.p, bits)
+        return partial(_mod_fold, f.p, step), partial(_mod_spill, f.p, bits)
     return partial(_plain_fold, r, form), islice
 
 
@@ -401,17 +410,12 @@ def _lane_encode(field: FieldSpec, rows: Sequence[array], lanes: int, more: tupl
     return (*parity, *message)
 
 
-def _lane_fold(field: FieldSpec, step: tuple, c: Sequence[int], acc: int) -> int | None:
+def _lane_fold(step: tuple, c: Sequence[int], acc: int) -> int | None:
     # The lanes of all groups read as one int, lane l in byte l.  Its
     # starting value holds the parity symbols in lanes 0..r-1 and acc above
     # them, and each group's products XOR in at its shift, so the syndrome
-    # is left in the low r lanes and acc plus the shares above.  The check
-    # is `FieldSpec.check_all`'s, inlined.
+    # is left in the low r lanes and acc plus the shares above.
     r, shift, mask, first, more = step
-    q = field.q
-    for a in c:
-        if type(a) is not int or not 0 <= a < q:
-            field.check(a)
     message = c[r:]
     out = reduce(xor, map(getitem, first, message), int.from_bytes(c[:r], "little") | acc << shift)
     for at, rows in more:
@@ -433,8 +437,7 @@ def _plain_encode(a: FieldMatrix, message: Sequence[int]) -> tuple[int, ...]:
 
 
 def _plain_fold(r: int, m: FieldMatrix, c: Sequence[int], acc: list[int] | int) -> list[int] | None:
-    m.field.check_all(c)
-    out = vecmat(c[r:], m)
+    out = _vecmat(c[r:], m)
     if out[:r] != tuple(c[:r]):
         return None
     return list(map(xor, acc, out[r:])) if acc else list(out[r:])
@@ -461,10 +464,8 @@ def _mod_encode(field: FieldSpec, bits: int, r: int, rows: tuple,
     return (*_mod_spill(field.p, bits, sum(map(mul, rows, message)), r), *message)
 
 
-def _mod_fold(field: FieldSpec, step: tuple, c: Sequence[int], acc: int) -> int | None:
+def _mod_fold(p: int, step: tuple, c: Sequence[int], acc: int) -> int | None:
     r, shifts, mask, shift, rows = step
-    field.check_all(c)
-    p = field.p
     out = sum(map(mul, rows, c[r:]))
     for at, a in zip(shifts, c):
         if (out >> at & mask) % p != a:

@@ -7,7 +7,7 @@ optional trailing defaults as class attributes.  It gets a generated
 equal fields), hashing by fields unless the class defines its own
 `__hash__`, and a `Name(field=value, ...)` repr.  Assigning or deleting
 an attribute raises AttributeError.  Records pickle by their instance
-dict.
+dict, and unpickling runs no check; `FieldSpec` pickles as `GF(q)`.
 
 `kept` is the one rule for a value derived once and kept on a record
 (plans' parity checks, report and executable, codes' encoders, parity
@@ -20,7 +20,10 @@ outside the program (plan documents, library callers, `replace`).
 `Cls._trusted(...)`, also generated, sets the fields and skips
 `__post_init__`: it is for values the program derives from operands that
 were already checked, such as computed matrices, restricted codes and
-lowered plans, whose invariants hold by construction.
+lowered plans, whose invariants hold by construction.  A class declared
+with `trusted=False` gets no `_trusted`: `FieldSpec`, whose
+`__post_init__` also sets the attributes derived from its fields, so a
+field the program derives comes from `GF(q)`.
 
 The package does not use `dataclasses` for this: importing it (with
 `inspect`, `ast` and `typing`) and generating its methods took a large
@@ -49,7 +52,7 @@ def __hash__(self):
 class Record:
     """Base of the frozen records; `_fields` names a subclass's fields in order."""
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, trusted: bool = True):
         own = cls.__dict__
         names = tuple(own.get("__annotations__", ()))
         defaults = tuple(own[n] for n in names if n in own)
@@ -64,8 +67,10 @@ class Record:
             theirs=", ".join(f"other.{n}" for n in names),
         ), ns)
         ns["__init__"].__defaults__ = ns["_trusted"].__defaults__ = defaults or None
+        if not trusted:
+            del ns["_trusted"]
         for name in ("__init__", "_trusted", "__eq__", "__hash__"):
-            if name not in own:
+            if name in ns and name not in own:
                 ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
                 setattr(cls, name, classmethod(ns[name]) if name == "_trusted" else ns[name])
         cls._fields = names

@@ -993,6 +993,20 @@ def test_symbol_file_refuses_non_decimal_symbols(tmp_path, capsys, line):
     assert f"{msgs}:1: symbol " in err
 
 
+def test_convert_refuses_a_symbol_outside_the_field(tmp_path, capsys):
+    """`convert` checks each symbol once, as it reads the codeword file: a
+    symbol q of GF(q) exits 1 with the reader's message, and no output file
+    is written."""
+    plan_path, cws = _readme_merge(tmp_path, capsys)
+    rows = cws.read_text().splitlines()
+    rows[1] = " ".join(["8", *rows[1].split()[1:]])
+    cws.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "f.txt"
+    code, stdout, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", out)
+    _assert_refused(code, stdout, err, out)
+    assert err == f"error: {cws}:2: symbol 8 is not an element of GF(8)\n"
+
+
 def _set_read_position(doc):
     doc["reads"][0][0][1] = 1.9
 

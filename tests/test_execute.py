@@ -23,7 +23,7 @@ from mdsconv.convert import (
     split_convert,
 )
 from mdsconv.errors import CorruptionError, InternalError, UsageError
-from mdsconv.field import GF
+from mdsconv.field import GF, FieldSpec
 from mdsconv.grs import Codeword, encode
 from mdsconv.record import replace
 
@@ -273,6 +273,71 @@ def test_merge_stream_shape_matches_solving_reference(q):
     for (cw,) in _stripes((plan.initial_spec,), rng):
         outs, _ = split_convert(plan, cw)
         _same(outs, oracle.split_convert_by_solve(plan, cw))
+
+
+@pytest.mark.parametrize("q", [256, 257, 1 << 16])
+def test_each_symbol_is_checked_once_per_stripe(monkeypatch, q):
+    """On the benchmark's merge shape a stripe of `encode`d codewords runs
+    no `FieldSpec.check_all` in `run_conversion` (their constructor or
+    encoder checked them), and a stripe of raw symbol tuples or lists runs
+    exactly one per input: the folds check nothing."""
+    shapes, rf = WIDE_MERGES[0]
+    plan = build_merge(merge_params(shapes, rf), GF(q))
+    rng = random.Random(q + 5)
+    stripes = [[encode(spec, [rng.randrange(q) for _ in range(spec.k)]) for spec in plan.initial_specs]
+               for _ in range(3)]
+    want = [convert.run_conversion(plan, stripe) for stripe in stripes]
+    calls = []
+    check_all = FieldSpec.check_all
+
+    def counted(field, values):
+        calls.append(len(values))
+        return check_all(field, values)
+
+    monkeypatch.setattr(FieldSpec, "check_all", counted)
+    for stripe, out in zip(stripes, want):
+        assert convert.run_conversion(plan, stripe) == out
+    assert calls == []
+    for stripe, out in zip(stripes, want):
+        for raw in ([cw.symbols for cw in stripe], [list(cw.symbols) for cw in stripe]):
+            assert convert.run_conversion(plan, raw) == out
+    assert calls == [spec.n for spec in plan.initial_specs] * 2 * len(stripes)
+
+
+def _failure(plan, stripe):
+    try:
+        convert.run_conversion(plan, stripe)
+    except Exception as exc:  # the class and text are what the comparison needs
+        return type(exc), str(exc)
+    return None
+
+
+def test_a_codeword_of_another_code_is_refused_as_its_symbols():
+    """Input i as a `Codeword` of another initial code, of a code over
+    another field, or of a code equal to initial code i but not that object
+    (built unchecked, holding q) is checked as a raw list of its symbols
+    is, and refused with the same class and text."""
+    shapes, rf = WIDE_MERGES[0]
+    plan = build_merge(merge_params(shapes, rf), GF(256))
+    specs = plan.initial_specs
+    rng = random.Random(45)
+    stripe = [encode(spec, [rng.randrange(256) for _ in range(spec.k)]) for spec in specs]
+    convert.run_conversion(plan, stripe)
+    wider = grs.ExtGrsSpec(GF(512), specs[0].n, specs[0].r, specs[0].gamma, specs[0].w)
+    equal = replace(specs[0])
+    strangers = [
+        (0, encode(specs[1], [rng.randrange(256) for _ in range(specs[1].k)])),
+        (0, stripe[3]),
+        (3, stripe[0]),
+        (0, encode(wider, [300] + [rng.randrange(512) for _ in range(wider.k - 1)])),
+        (0, Codeword._trusted((256, *stripe[0].symbols[1:]), equal)),
+    ]
+    for i, cw in strangers:
+        assert cw.code is not specs[i]
+        got = _failure(plan, [*stripe[:i], cw, *stripe[i + 1 :]])
+        assert got is not None and got[0] in (CorruptionError, UsageError)
+        assert got == _failure(plan, [*stripe[:i], list(cw.symbols), *stripe[i + 1 :]])
+    assert _failure(plan, stripe) is None
 
 
 COUNTED = ("rref", "solve_linear", "submatrix_cols", "invert", "matvec", "vecmat",

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mdsconv import grs
 from mdsconv.errors import UsageError
 from mdsconv.field import GF, PRIME_LIMIT, FieldSpec, _default_modulus, _is_prime
 
@@ -180,8 +181,10 @@ def test_field_identity():
 
 def test_a_field_is_a_frozen_record():
     """(p, m) identify a field, whether or not its tables are built; no
-    attribute can be assigned; a pickled GF(256) keeps its tables and its
-    products; and each refused field keeps its message."""
+    attribute can be assigned; a pickled GF(256) is the shared `GF(256)`,
+    with its tables and its products, and neither it nor a code over it
+    carries the tables in its bytes; and each refused field keeps its
+    message."""
     fresh, built = FieldSpec(2, 3), GF(8)
     built.product_rows()
     assert fresh._exp is None and built._exp is not None
@@ -195,7 +198,11 @@ def test_a_field_is_a_frozen_record():
     field = GF(256)
     field.mul(2, 3)
     clone = pickle.loads(pickle.dumps(field))
-    assert clone == field and clone is not field and clone._exp == field._exp
+    assert clone == field and clone is field and clone._exp == field._exp
+    assert pickle.loads(pickle.dumps(FieldSpec(2, 3))) is GF(8)
+    spec = grs.ExtGrsSpec(field, 14, 4, tuple(range(1, 14)), (1,) * 14)
+    assert len(pickle.dumps(field)) < 1024 and len(pickle.dumps(spec)) < 1024
+    assert pickle.loads(pickle.dumps(spec)).field is field
     assert clone.mul(0x57, 0x83) == 0xC1 and clone.inv(0x53) == 0xCA
     rng = random.Random(256)
     for a, b in ((rng.randrange(256), rng.randrange(1, 256)) for _ in range(200)):

@@ -8,6 +8,7 @@ from mdsconv.errors import CorruptionError, InsufficientDataError, UsageError
 from mdsconv.field import GF
 from mdsconv import linalg, oracle
 from mdsconv.grs import (
+    Codeword,
     ExtGrsSpec,
     encode,
     generator,
@@ -349,6 +350,35 @@ def test_encode_refuses_what_the_field_check_refuses(q):
             assert str(info.value) == f"message must have k = {spec.k} symbols, got {length}"
         with pytest.raises(UsageError):
             encode(spec, [_Int(x) for x in msg])
+
+
+@pytest.mark.parametrize("q", ENCODE_FIELDS)
+def test_a_codeword_of_a_code_is_checked_by_its_constructor(q):
+    """`Codeword(symbols, code)` refuses a wrong length, and each symbol
+    that `FieldSpec.check` refuses (True, -1, q, 1.0, None) with its text,
+    and keeps a list it is given as a tuple.  It does not test the
+    syndrome.  With no code, or through `_trusted`, nothing is checked."""
+    rng = random.Random(q + 2)
+    for spec in _encode_specs(q, rng):
+        good = encode(spec, [rng.randrange(q) for _ in range(spec.k)]).symbols
+        for length in (spec.n - 1, spec.n + 1):
+            with pytest.raises(UsageError) as info:
+                Codeword((good * 2)[:length], spec)
+            assert str(info.value) == f"codeword must have n = {spec.n} symbols, got {length}"
+        for bad in (True, -1, q, 1.0, None):
+            at = rng.randrange(spec.n)
+            symbols = [*good[:at], bad, *good[at + 1 :]]
+            with pytest.raises(UsageError) as info:
+                Codeword(symbols, spec)
+            shown = repr(bad) if type(bad) is int else f"{bad!r} ({type(bad).__name__})"
+            assert str(info.value) == f"{shown} is not a canonical element of GF({q})"
+            assert Codeword(symbols).symbols is symbols
+            assert Codeword._trusted(symbols, spec).symbols is symbols
+        given = list(good)
+        built = Codeword(given, spec)
+        given[0] = (given[0] + 1) % q
+        assert type(built.symbols) is tuple and built.symbols == good
+        assert Codeword(given, spec).symbols == tuple(given)  # off the code, still built
 
 
 def test_encode_keeps_its_encoder_on_the_spec(monkeypatch):

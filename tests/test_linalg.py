@@ -266,7 +266,7 @@ def test_lane_kernel_matches_per_element_reference(m):
             encoder = linalg.systematic_encoder(g, lanes) if lanes else None
             fold, spill = linalg.fold_step(g, lanes, s_part)
             if lanes >= 8:  # A's first full lane group is built once, on g
-                assert fold.args[1][3] is encoder.args[1] is g._parity_form[0][0]
+                assert fold.args[0][3] is encoder.args[1] is g._parity_form[0][0]
             for v in ([element() for _ in range(inputs)], [0] * inputs):
                 c = (*_naive_vecmat(v, mat), *v)
                 if encoder is not None:

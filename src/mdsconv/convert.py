@@ -10,11 +10,11 @@ plan verification, and access accounting with a per-device trace.
 
 A merge or split plan stores no certificate.  The codes and the read
 grid determine each restricted parity check it reads through
-(`restricted_parity`), and so every block a plan document stores
-(`certificate`); `verify_plan` checks them against the final parity
-checks.  Each check and each block of the final parity check is derived
-once per plan object and kept on it (`record.kept`), so loading, verifying,
-lowering and saving a plan share one derivation.
+(`restricted_parity`), and so every block of its certificate
+(`certificate`); `verify_plan` judges the plan alone.  Each check and
+each block of the final parity check is derived once per plan object and
+kept on it (`record.kept`), so loading, verifying, lowering and saving a
+plan share one derivation.
 
 Every plan kind runs through one executor, `run_conversion`.  The first
 time a plan object runs, `lower` compiles it to a general plan: for each
@@ -39,8 +39,7 @@ written blocks use code index t1 + j for final code j.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
-from functools import partial
+from collections.abc import Iterator, Sequence
 from itertools import accumulate, chain, islice
 
 from . import linalg
@@ -211,13 +210,12 @@ def split_lower_bound(params: ConvertParams) -> SplitBound:
 
 
 def _check_positions(label: str, positions: Sequence[int], n: int) -> None:
-    if all(map(operator.lt, [0, *positions], [*positions, n + 1])):
+    if set(map(type, positions)) <= {int} and all(map(operator.lt, [0, *positions], [*positions, n + 1])):
         return
-    if list(positions) != sorted(set(positions)):
-        raise UsageError(f"{label}: positions must be strictly ascending")
     for p in positions:
-        if not 1 <= p <= n:
-            raise UsageError(f"{label}: position {p} out of range 1..{n}")
+        if type(p) is not int or not 1 <= p <= n:
+            raise UsageError(f"{label}: position {p!r} out of range; need an integer in 1..{n}")
+    raise UsageError(f"{label}: positions must be strictly ascending")
 
 
 def _written_count(params: ConvertParams, j: int, unchanged_row: Sequence[Sequence[int]]) -> int:
@@ -277,12 +275,17 @@ def _check_at_most_k(what: str, kept: Sequence[int], k: int) -> None:
         )
 
 
+def _columns(m: FieldMatrix, cols: Sequence[int]) -> FieldMatrix:
+    """Columns `cols` (0-based, in that order) of m."""
+    pick = _picker(cols)
+    entries = tuple(chain.from_iterable(map(pick, map(m.row, range(m.rows)))))
+    return FieldMatrix._trusted(m.field, m.rows, len(cols), entries)
+
+
 def _columns_at(hbar: FieldMatrix, support: Sequence[int], positions: Sequence[int]) -> FieldMatrix:
     """The columns of `hbar`, whose columns follow the ascending `support`, at `positions`."""
     slot = {pos: idx for idx, pos in enumerate(support)}
-    pick = _picker([slot[pos] for pos in positions])
-    entries = tuple(chain.from_iterable(map(pick, map(hbar.row, range(hbar.rows)))))
-    return FieldMatrix._trusted(hbar.field, hbar.rows, len(positions), entries)
+    return _columns(hbar, [slot[pos] for pos in positions])
 
 
 class MergePlan(Record):
@@ -304,6 +307,8 @@ class MergePlan(Record):
 
     def __post_init__(self):
         _check_grid(self)
+        if not set(map(type, self.reduced)) <= {int}:
+            raise UsageError(f"S must hold integer code indices, got {set(self.reduced)}")
         for i, k in enumerate(self.params.k_initial, 1):
             _check_at_most_k(f"code {i}", self.unchanged[i - 1], k)
             if i not in self.reduced and self.reads[i - 1] != self.unchanged[i - 1]:
@@ -362,8 +367,9 @@ class SplitPlan(Record):
     def __post_init__(self):
         _check_grid(self)
         p = self.params
-        if self.privileged is not None and not 1 <= self.privileged <= p.t2:
-            raise UsageError(f"privileged index {self.privileged} out of range 1..{p.t2}")
+        privileged = self.privileged
+        if privileged is not None and (type(privileged) is not int or not 1 <= privileged <= p.t2):
+            raise UsageError(f"privileged index {privileged!r} out of range; need an integer in 1..{p.t2}")
         for j, k in enumerate(p.k_final, 1):
             _check_at_most_k(f"final code {j}", self.unchanged[j - 1], k)
             if j != self.privileged and self.reads[j - 1] != self.unchanged[j - 1]:
@@ -607,22 +613,23 @@ class StructureCheck(Record):
         return self.ok
 
 
-def verify_optimal_structure(plan: MergePlan, stored: Sequence[FieldMatrix] = ()) -> StructureCheck:
+def verify_optimal_structure(plan: MergePlan) -> StructureCheck:
     """Check the structural characterization of access-optimal merges.
 
     Conditions: the plan's S is the one its parameters give; every code
     keeps exactly k_I unchanged symbols; reduced codes read exactly r_F
-    symbols disjoint from their unchanged set; every block of the
-    certificate, the plan's own or a document's `stored` one, is sound
-    (`_merge_block_fault`).  (Codes outside S read exactly their unchanged
-    symbols; `MergePlan` enforces that.)  The diagnostic names the first
-    violated condition, codes in order, then the written block.
+    symbols disjoint from their unchanged set, through a derived restricted
+    parity check (`restricted_parity`) that equals the final parity check
+    on their unchanged columns.  (Codes outside S read exactly their
+    unchanged symbols; `MergePlan` enforces that.)  The diagnostic names
+    the first violated condition, codes in order.  `lower` refuses a plan
+    that fails it.
     """
-    fault = next(filter(None, _merge_faults(plan, stored)), "")
+    fault = next(filter(None, _merge_faults(plan)), "")
     return StructureCheck(not fault, fault)
 
 
-def _merge_faults(plan: MergePlan, stored: Sequence[FieldMatrix]):
+def _merge_faults(plan: MergePlan):
     """Each condition of `verify_optimal_structure` in turn, "" when it holds."""
     p = plan.params
     expected = reduced_read_codes(p)
@@ -632,12 +639,19 @@ def _merge_faults(plan: MergePlan, stored: Sequence[FieldMatrix]):
     for i, (k, unchanged, reads) in enumerate(zip(p.k_initial, plan.unchanged, plan.reads), 1):
         if len(unchanged) != k:
             yield f"unchanged-cardinality: code {i} keeps {len(unchanged)} symbols, need {k}"
-        if i in plan.reduced and len(reads) != rf:
-            yield f"read-cardinality: code {i} reads {len(reads)} symbols, need r_F = {rf}"
-        if i in plan.reduced and set(reads) & set(unchanged):
-            yield f"overlap: code {i} reads symbols it also keeps unchanged"
-        yield _merge_block_fault(plan, i, stored[i - 1] if stored else None)
-    yield _merge_block_fault(plan, p.t1 + 1, stored[-1] if stored else None)
+        if i in plan.reduced:
+            if len(reads) != rf:
+                yield f"read-cardinality: code {i} reads {len(reads)} symbols, need r_F = {rf}"
+            if set(reads) & set(unchanged):
+                yield f"overlap: code {i} reads symbols it also keeps unchanged"
+            try:
+                hbar, support = plan.restricted_parity(1, i)
+            except UsageError as exc:
+                yield f"punctured-parity: code {i}: {exc}"
+                continue
+            if _columns_at(hbar, support, unchanged) != _final_block(plan, i):
+                yield (f"block-mismatch: code {i} unchanged columns of the restricted parity "
+                       "check differ from the final parity check")
 
 
 def _final_block(plan: MergePlan, i: int) -> FieldMatrix:
@@ -650,14 +664,7 @@ def _final_block(plan: MergePlan, i: int) -> FieldMatrix:
 def _final_blocks(plan: MergePlan) -> tuple[FieldMatrix, ...]:
     h = parity_check(plan.final_spec)
     cuts = [0, *accumulate(map(len, plan.unchanged)), h.cols]
-    return tuple(map(partial(_column_range, h), cuts, cuts[1:]))
-
-
-def _column_range(h: FieldMatrix, start: int, stop: int) -> FieldMatrix:
-    """Columns start to stop - 1 (0-based) of h."""
-    rows = range(0, len(h.entries), h.cols)
-    entries = tuple(chain.from_iterable(h.entries[r + start : r + stop] for r in rows))
-    return FieldMatrix._trusted(h.field, h.rows, stop - start, entries)
+    return tuple(_columns(h, range(a, b)) for a, b in zip(cuts, cuts[1:]))
 
 
 def _restricted_parity(
@@ -673,47 +680,25 @@ def _restricted_parity(
     r = h.rows
     if ref.rows != r or len(kept) < r:
         raise UsageError(f"restriction has {ref.rows} parity rows, {len(kept)} kept symbols, r_F = {r}")
-    ref_c, h_c = _columns_at(ref, support, kept[:r]), _column_range(h, 0, r)
+    ref_c, h_c = _columns_at(ref, support, kept[:r]), _columns(h, range(r))
     if ref_c == h_c:
         return ref
     return linalg.matmul(linalg.matmul(h_c, linalg.invert(ref_c)), ref)
 
 
-def _merge_block_fault(plan: MergePlan, i: int, stored: FieldMatrix | None = None) -> str:
-    """Why block i of a merge's certificate (t1 + 1: the written block), the
-    plan's own or a document's `stored` one, is unsound, or "".  A code in
-    S needs a restricted parity check equal to the final parity check on
-    its unchanged columns; every other block must be the final parity
-    check's columns.  `lower` refuses a plan `verify_plan` fails."""
-    final = _final_block(plan, i)
-    if i in plan.reduced:
-        try:
-            derived, support = plan.restricted_parity(1, i)
-        except UsageError as exc:
-            return f"punctured-parity: code {i}: {exc}"
-        hbar = derived if stored is None else stored
-        # Unchanged columns first, so a fault there is named block-mismatch.
-        if hbar.cols == derived.cols and _columns_at(hbar, support, plan.unchanged[i - 1]) != final:
-            return (f"block-mismatch: code {i} unchanged columns of the restricted parity "
-                    "check differ from the final parity check")
-        if hbar != derived:
-            return f"punctured-parity: code {i}: stored matrix is not a parity check of the restriction"
-    elif stored is not None and stored != final:
-        what = "stored written block" if i > plan.params.t1 else f"code {i} stored block"
-        return f"final-block: {what} differs from the final parity check"
-    return ""
-
-
-def certificate(plan: MergePlan | SplitPlan) -> tuple[FieldMatrix, ...]:
-    """The blocks a plan document stores, derived from the codes and grid:
-    a merge's restricted parity check per code in S, else the final parity
-    check's columns at the code's unchanged symbols, then those at the
-    written symbols; a split's privileged restricted parity check, if any."""
+def certificate(plan: MergePlan | SplitPlan) -> Iterator[FieldMatrix]:
+    """The blocks a plan document stores, in its order, each derived from
+    the codes and grid as it is reached: a merge's restricted parity check
+    per code in S, else the final parity check's columns at the code's
+    unchanged symbols, then those at the written symbols; a split's
+    privileged restricted parity check, if any."""
     if isinstance(plan, SplitPlan):
-        return () if plan.privileged is None else (plan.restricted_parity(plan.privileged, 1)[0],)
+        if plan.privileged is not None:
+            yield plan.restricted_parity(plan.privileged, 1)[0]
+        return
     t1 = plan.params.t1
-    return tuple(plan.restricted_parity(1, i)[0] if i <= t1 and i in plan.reduced else _final_block(plan, i)
-                 for i in range(1, t1 + 2))
+    for i in range(1, t1 + 2):
+        yield plan.restricted_parity(1, i)[0] if i <= t1 and i in plan.reduced else _final_block(plan, i)
 
 
 # -- split construction --------------------------------------------------------
@@ -849,9 +834,12 @@ def lower(plan: Plan) -> GeneralPlan:
 def _picker(indices: Sequence[int]) -> operator.itemgetter:
     """An itemgetter for `indices` that returns a sequence even for one or no index.
 
-    With two or more indices the result is a tuple.  Itemgetters, unlike
-    lambdas, keep a plan that has run picklable.
+    With two or more indices the result is a tuple, and for a `range` (of
+    step 1) a slice.  Itemgetters, unlike lambdas, keep a plan that has run
+    picklable.
     """
+    if isinstance(indices, range):
+        return operator.itemgetter(slice(indices.start, indices.stop))
     if len(indices) > 1:
         return operator.itemgetter(*indices)
     start = indices[0] if indices else 0
@@ -1002,7 +990,7 @@ def general_convert(
 # -- plan verification ----------------------------------------------------------
 
 
-def verify_plan(plan: Plan, stored: Sequence[FieldMatrix] = ()) -> list[tuple[str, bool, str]]:
+def verify_plan(plan: Plan) -> list[tuple[str, bool, str]]:
     """Checks behind the CLI verify command: (name, passed, detail) triples.
 
     One MDS line per initial code and per declared final code, each a
@@ -1012,8 +1000,7 @@ def verify_plan(plan: Plan, stored: Sequence[FieldMatrix] = ()) -> list[tuple[st
     their construction checks, and both get the access-bound line.
     General plans get a plan-structure line and no bound.  `lower`
     refuses a merge or split plan with any FAIL line, so this list is also
-    what `convert` accepts.  The certificate checked is the plan's own, or
-    a document's `stored` one.
+    what `convert` accepts.
     """
     p = plan.params
     split = isinstance(plan, SplitPlan)
@@ -1022,14 +1009,14 @@ def verify_plan(plan: Plan, stored: Sequence[FieldMatrix] = ()) -> list[tuple[st
         f"final code {j}" for j, spec in enumerate(plan.final_specs, 1) if spec is not None]
     results = [(f"{code} MDS", True, "") for code in codes]
     if isinstance(plan, MergePlan):
-        check = verify_optimal_structure(plan, stored)
+        check = verify_optimal_structure(plan)
         results.append(("optimal structure", check.ok, check.diagnostic))
     elif split:
         for j, (kf, kept) in enumerate(zip(p.k_final, map(len, plan.unchanged)), 1):
             results.append((f"final code {j} keeps k_F unchanged symbols", kept == kf,
                             "" if kept == kf else f"keeps {kept}, need {kf}"))
         if plan.privileged is not None:
-            fault = _privileged_fault(plan, *stored)
+            fault = _privileged_fault(plan)
             results.append(("privileged restricted parity", not fault, fault))
     else:
         results.append(("plan structure", True, "layouts and conversion matrices consistent"))
@@ -1040,23 +1027,19 @@ def verify_plan(plan: Plan, stored: Sequence[FieldMatrix] = ()) -> list[tuple[st
     return results
 
 
-def _privileged_fault(plan: SplitPlan, stored: FieldMatrix | None = None) -> str:
-    """Why the privileged final code is not produced by its restricted parity
-    check, the plan's own or a document's `stored` one, or ""."""
+def _privileged_fault(plan: SplitPlan) -> str:
+    """Why the privileged final code is not produced by its restricted parity check, or ""."""
     j = plan.privileged
     rf = plan.params.r_final[j - 1]
     if len(plan.extra_reads) != rf:
         return f"extra read set has {len(plan.extra_reads)} positions, need r_F = {rf}"
     try:
-        derived, support = plan.restricted_parity(j, 1)
+        hbar, support = plan.restricted_parity(j, 1)
     except UsageError as exc:
         return str(exc)
-    hbar = derived if stored is None else stored
     own, h = plan.unchanged[j - 1] + plan.extra_reads, parity_check(plan.final_specs[j - 1])
-    if hbar.cols == derived.cols and _columns_at(hbar, support, own) != h:
+    if _columns_at(hbar, support, own) != h:
         return "privileged final code does not match the restricted parity block"
-    if hbar != derived:
-        return "stored matrix is not a parity check of the restriction"
     if set(plan.reads[j - 1]) != set(support) - set(plan.unchanged[j - 1]):
         return "privileged final code must read the other finals' unchanged symbols and V"
     return ""

@@ -19,7 +19,7 @@ from functools import lru_cache, reduce
 from itertools import chain
 
 from . import linalg
-from .errors import CorruptionError, InsufficientDataError, UsageError, json_int, json_ints
+from .errors import CorruptionError, InsufficientDataError, UsageError, json_int, json_ints, json_object
 from .field import FieldSpec, GF
 from .linalg import FieldMatrix
 from .record import Record, kept
@@ -56,9 +56,9 @@ class ExtGrsSpec(Record):
 class Codeword(Record):
     """Symbols together with the code they belong to (None for plan-level outputs).
 
-    Given a code, the constructor checks the symbols once: n of them
-    (UsageError), each a canonical element of the code's field as
-    `FieldSpec.check` has it, kept as a tuple.  It does not test the
+    The constructor keeps the symbols as a tuple.  Given a code, it checks
+    them once: n of them (UsageError), each a canonical element of the
+    code's field as `FieldSpec.check` has it.  It does not test the
     syndrome.  With no code nothing is checked.  Codewords the program
     derives (`encode`, `recover_erasures`, `convert.run_conversion`'s
     outputs) are built by `Codeword._trusted`, and unpickling skips the
@@ -70,13 +70,12 @@ class Codeword(Record):
     code: ExtGrsSpec | None = None
 
     def __post_init__(self):
-        code = self.code
+        symbols, code = tuple(self.symbols), self.code
         if code is not None:
-            symbols = tuple(self.symbols)
             if len(symbols) != code.n:
                 raise UsageError(f"codeword must have n = {code.n} symbols, got {len(symbols)}")
             code.field.check_all(symbols)
-            object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "symbols", symbols)
 
 
 @lru_cache(maxsize=1024)
@@ -267,15 +266,24 @@ def spec_to_dict(spec: ExtGrsSpec) -> dict:
     }
 
 
-def spec_from_dict(doc: Mapping) -> ExtGrsSpec:
-    try:
-        q, p, m, n, r = (json_int(doc[key], key) for key in ("q", "p", "m", "n", "r"))
-        gamma, w = json_ints(doc["gamma"], "gamma"), json_ints(doc["w"], "w")
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed code document: {exc}") from exc
+def field_from_dict(doc: Mapping) -> FieldSpec:
+    """GF(q) for the "q", "p" and "m" of a field or code document: a
+    TypeError or KeyError unless each is an integer, and a UsageError unless
+    they name one field."""
+    q, p, m = (json_int(doc[key], key) for key in ("q", "p", "m"))
     # Compared with GF(q)'s own parameters, not as p**m == q: a document's
     # m is unbounded, and the power would take time growing with it.
     field = GF(q)
     if (field.p, field.m) != (p, m):
         raise UsageError(f"inconsistent field parameters q={q}, p={p}, m={m}")
+    return field
+
+
+def spec_from_dict(doc: Mapping) -> ExtGrsSpec:
+    try:
+        field = field_from_dict(json_object(doc, frozenset(("q", "p", "m", "n", "r", "gamma", "w")), "code"))
+        n, r = json_int(doc["n"], "n"), json_int(doc["r"], "r")
+        gamma, w = json_ints(doc["gamma"], "gamma"), json_ints(doc["w"], "w")
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed code document: {exc}") from exc
     return ExtGrsSpec(field, n, r, gamma, w)

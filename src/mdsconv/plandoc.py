@@ -26,9 +26,12 @@ only its own keys:
 - general: "initial_codes" and "final_codes"; "layout" and "sigma" (each
   final code's coordinates and conversion matrix).
 
-A plan holds no certificate: `plan_to_doc` writes the one its codes and
-grids give (`convert.certificate`), and `plan_from_doc` refuses a stored one
-that differs with a `CertificateError`, naming the `verify` check it fails.
+Every object holds exactly the keys `plan_to_doc` writes, and per-code
+entries are in ascending code order, so a document that loads is the one
+its plan writes.  A plan holds no certificate: `plan_to_doc` writes the one
+its codes and grids give (`convert.certificate`), and `plan_from_doc`
+refuses the first stored block that differs from it, or that they do not
+determine, with a `CertificateError` that starts with the block's key.
 
 `dump_json` writes exactly the bytes of `json.dumps(doc, indent=2)` plus a
 newline.  With an indent, CPython's json leaves its C encoder for a
@@ -53,29 +56,11 @@ from .convert import (
     SplitPlan,
     _written_count,
     certificate,
-    verify_plan,
 )
-from .errors import CertificateError, UsageError, decimals, json_int, json_ints
-from .field import GF, FieldSpec
-from .grs import spec_from_dict, spec_to_dict
+from .errors import CertificateError, UsageError, decimals, json_int, json_ints, json_object
+from .field import FieldSpec
+from .grs import field_from_dict, spec_from_dict, spec_to_dict
 from .linalg import FieldMatrix, matrix_from_lines, matrix_to_text
-
-
-def _field_doc(field: FieldSpec) -> dict:
-    return {"q": field.q, "p": field.p, "m": field.m}
-
-
-def _field_from_doc(doc: Mapping) -> FieldSpec:
-    try:
-        q = json_int(doc["q"], "q")
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed field document: {exc}") from exc
-    field = GF(q)
-    if "p" in doc and json_int(doc["p"], "p") != field.p:
-        raise UsageError(f"field document p={doc['p']} does not match q={q}")
-    if "m" in doc and json_int(doc["m"], "m") != field.m:
-        raise UsageError(f"field document m={doc['m']} does not match q={q}")
-    return field
 
 
 def _matrix_lines(m: FieldMatrix) -> list[str]:
@@ -105,15 +90,9 @@ def _positions_from_pairs(pairs: Sequence, code: int, label: str) -> tuple[int, 
     return tuple(out)
 
 
-def _params_doc(params: ConvertParams) -> dict:
-    return {
-        "initial": [[n, k] for n, k in params.initial],
-        "final": [[n, k] for n, k in params.final],
-    }
-
-
 def _params_from_doc(doc: Mapping) -> ConvertParams:
     try:
+        json_object(doc, frozenset(("initial", "final")), "params")
         initial = tuple((json_int(n, "initial"), json_int(k, "initial")) for n, k in doc["initial"])
         final = tuple((json_int(n, "final"), json_int(k, "final")) for n, k in doc["final"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -132,7 +111,7 @@ def plan_to_doc(plan: Plan) -> dict:
     """A plan's document: the header and grids, the same for every kind, and
     the kind's codes and certificate."""
     kind = _KIND_OF[type(plan)]
-    _, axes, keys, _, _ = _CODECS[kind]
+    _, axes, keys, _, _, _ = _CODECS[kind]
     codes, certificate = keys(plan)
     unchanged, reads = (
         _nested([[_pairs(i, cell) for i, cell in enumerate(row, 1)] for row in grid], axes)
@@ -140,8 +119,9 @@ def plan_to_doc(plan: Plan) -> dict:
     )
     return {
         "kind": kind,
-        "params": _params_doc(plan.params),
-        "field": _field_doc(plan.field),
+        "params": {"initial": list(map(list, plan.params.initial)),
+                   "final": list(map(list, plan.params.final))},
+        "field": {"q": plan.field.q, "p": plan.field.p, "m": plan.field.m},
         **codes,
         "unchanged": unchanged,
         "reads": reads,
@@ -151,16 +131,17 @@ def plan_to_doc(plan: Plan) -> dict:
 
 def plan_from_doc(doc: Mapping) -> Plan:
     """The plan a document describes; a malformed document is a UsageError."""
-    if not isinstance(doc, Mapping):
+    if not isinstance(doc, dict):
         raise UsageError(f"a plan document must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     codec = _CODECS.get(kind) if isinstance(kind, str) else None
     if codec is None:
         raise UsageError(f"unknown plan kind {kind!r}")
-    cls, axes, _, read_codes, read_certificate = codec
+    cls, axes, _, read_codes, read_certificate, keys = codec
     try:
+        json_object(doc, keys, "top level")
         params = _params_from_doc(doc["params"])
-        field = _field_from_doc(doc["field"])
+        field = field_from_dict(json_object(doc["field"], frozenset(("q", "p", "m")), "field"))
         codes = read_codes(doc)
         unchanged = _grid_from_doc(doc["unchanged"], "unchanged", axes)
         reads = _grid_from_doc(doc["reads"], "reads", axes)
@@ -173,13 +154,15 @@ def plan_from_doc(doc: Mapping) -> Plan:
         written = _written_pairs(plan, axes)
         if listed != written:
             raise UsageError(f"written: the document lists {listed}, but the plan writes {written}")
-        try:
-            sound = tuple(stored) == certificate(plan)
-        except UsageError:  # the codes and grid do not determine one
-            sound = False
-        if not sound:
-            name, _, detail = next(line for line in verify_plan(plan, stored) if not line[1])
-            raise CertificateError(f"{name}: {detail}")
+        derived = certificate(plan)
+        for key, block in stored:
+            try:
+                mine = next(derived)
+            except UsageError as exc:  # the codes and grid do not determine this block
+                raise CertificateError(f"{key}: {exc}") from None
+            if block != mine:
+                raise CertificateError(f"{key}: the document stores a matrix that the codes and "
+                                       "grid do not give")
     return plan
 
 
@@ -221,16 +204,15 @@ def _by_code(matrices: Sequence[FieldMatrix | None]) -> list[dict]:
 
 def _by_code_from_doc(doc: Mapping, key: str, t1: int, field: FieldSpec) -> tuple:
     """One slot per initial code: the matrix of the `key` entry that names it,
-    else None; a code named twice is a UsageError."""
+    else None; entries out of ascending code order are a UsageError."""
     out: list[FieldMatrix | None] = [None] * t1
+    last = 0
     for entry in doc[key]:
-        matrix = _matrix_from_lines(entry["matrix"], field)
+        matrix = _matrix_from_lines(json_object(entry, frozenset(("code", "matrix")), key)["matrix"], field)
         code = json_int(entry["code"], key)
-        if not 1 <= code <= t1:
-            raise UsageError(f"{key}: code {code} out of range 1..{t1}")
-        if out[code - 1] is not None:
-            raise UsageError(f"{key}: code {code} is listed twice")
-        out[code - 1] = matrix
+        if not last < code <= t1:
+            raise UsageError(f"{key}: code {code} out of range or order; need ascending codes in 1..{t1}")
+        out[code - 1], last = matrix, code
     return tuple(out)
 
 
@@ -261,20 +243,23 @@ def _merge_codes(doc: Mapping) -> dict:
 
 
 def _merge_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec, codes: dict) -> dict:
-    """The stored certificate as `convert.certificate` lays it out."""
+    """The stored certificate as `convert.certificate` lays it out, each
+    block with its document key."""
     parity = _by_code_from_doc(doc, "punctured_parity", params.t1, field)
     blocks = _by_code_from_doc(doc, "final_unchanged_blocks", params.t1, field)
+    stored = []
     for i, (hbar, block) in enumerate(zip(parity, blocks), 1):
-        if (hbar is None) == (i in codes["reduced"]):
-            raise UsageError(f"punctured parity must be present exactly for codes in S (code {i})")
-        if (block is None) == (i not in codes["reduced"]):
-            raise UsageError(f"final-code blocks must be present exactly for codes outside S (code {i})")
-    written_block = _matrix_from_lines(doc["final_written_block"], field)
-    return {"written": doc["written"], "stored": (*(a or b for a, b in zip(parity, blocks)), written_block)}
+        if (hbar is None, block is None) != (i not in codes["reduced"], i in codes["reduced"]):
+            raise UsageError(f"code {i}: punctured_parity must list exactly the codes in S, "
+                             "and final_unchanged_blocks the others")
+        stored.append((f"punctured_parity: code {i}", hbar) if block is None else
+                      (f"final_unchanged_blocks: code {i}", block))
+    stored.append(("final_written_block", _matrix_from_lines(doc["final_written_block"], field)))
+    return {"written": doc["written"], "stored": stored}
 
 
 def _split_keys(plan: SplitPlan) -> tuple[dict, dict]:
-    (hbar,) = certificate(plan) or (None,)
+    hbar = next(certificate(plan), None)
     return {
         "initial_code": spec_to_dict(plan.initial_spec),
         "final_codes": [spec_to_dict(s) for s in plan.final_specs],
@@ -294,15 +279,16 @@ def _split_codes(doc: Mapping) -> dict:
 
 
 def _split_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec, codes: dict) -> dict:
-    """"privileged" and "V", and the stored certificate as `convert.certificate` lays it out."""
-    privileged, hbar = doc["privileged"], doc.get("punctured_parity")
+    """"privileged" and "V", and the stored certificate as `convert.certificate`
+    lays it out, with its document key."""
+    privileged, hbar = doc["privileged"], doc["punctured_parity"]
     if (hbar is None) != (privileged is None):
         raise UsageError("punctured_parity must be given exactly when a final code is privileged")
     return {
         "privileged": None if privileged is None else json_int(privileged, "privileged"),
         "extra_reads": _positions_from_pairs(doc["V"], 1, "V"),
         "written": doc["written"],
-        "stored": () if hbar is None else (_matrix_from_lines(hbar, field),),
+        "stored": () if hbar is None else (("punctured_parity", _matrix_from_lines(hbar, field)),),
     }
 
 
@@ -334,11 +320,16 @@ def _general_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec, 
 
 
 # Per kind: its plan class, the grid axes it keeps, its codes-and-certificate
-# writer, and its readers of codes and of certificate.
+# writer, its readers of codes and of certificate, and its document's keys.
+_HEADER_KEYS = ("kind", "params", "field", "unchanged", "reads")
 _CODECS = {
-    "merge": (MergePlan, "i", _merge_keys, _merge_codes, _merge_certificate),
-    "split": (SplitPlan, "j", _split_keys, _split_codes, _split_certificate),
-    "general": (GeneralPlan, "ji", _general_keys, _general_codes, _general_certificate),
+    "merge": (MergePlan, "i", _merge_keys, _merge_codes, _merge_certificate, frozenset((
+        *_HEADER_KEYS, "initial_codes", "final_code", "S",
+        "written", "punctured_parity", "final_unchanged_blocks", "final_written_block"))),
+    "split": (SplitPlan, "j", _split_keys, _split_codes, _split_certificate, frozenset((
+        *_HEADER_KEYS, "initial_code", "final_codes", "written", "privileged", "V", "punctured_parity"))),
+    "general": (GeneralPlan, "ji", _general_keys, _general_codes, _general_certificate, frozenset((
+        *_HEADER_KEYS, "initial_codes", "final_codes", "layout", "sigma"))),
 }
 _KIND_OF = {codec[0]: kind for kind, codec in _CODECS.items()}
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from mdsconv.cli import main
+from mdsconv.errors import CertificateError
 from mdsconv.convert import ConvertParams, build_split
 from mdsconv.field import GF, PRIME_LIMIT
 from mdsconv.grs import ExtGrsSpec, encode, is_codeword, parity_check, puncture, spec_from_dict
@@ -20,6 +21,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parents[1] / "src"
 README_MERGE = {"regime": "merge", "q": 8, "initial": [[5, 3], [5, 3]], "r_F": 2}
 README_SPLIT = {"regime": "split", "q": 16, "initial": [[10, 7]], "final": [[6, 4], [5, 3]]}
+# What a refused certificate block's text says after its document key.
+STORES = "the document stores a matrix that the codes and grid do not give"
 
 # `mdsconv verify` stdout for the README merge plan, line for line.
 README_VERIFY = """\
@@ -220,7 +223,7 @@ def test_verify_perturbed_plan_exit_2(tmp_path, capsys):
     write_json(plan_path, doc)
     code, out, _ = run(capsys, "verify", "--plan", plan_path)
     assert code == 2
-    assert "FAIL" in out and "block-mismatch" in out
+    assert out == f"FAIL punctured_parity: code 1: {STORES}\n"
 
 
 def test_bounds_command(tmp_path, capsys):
@@ -370,13 +373,12 @@ def test_convert_singular_written_block_exit_1(tmp_path, capsys):
         write_json(plan_path, doc)
         code, _, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
         assert code == 1
-        assert ("optimal structure: final-block: stored written block differs from the "
-                "final parity check") in err
+        assert f"final_written_block: {STORES}" in err
     # The stored certificate is refused as the plan is read, before any input.
     clean = cws.read_text()
     _tamper_bit(cws, 8)
     code, _, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
-    assert code == 1 and "final-block: stored written block" in err
+    assert code == 1 and f"final_written_block: {STORES}" in err
     cws.write_text(clean)
     doc = json.loads(original)
     _overlapping_reads(doc)
@@ -403,8 +405,7 @@ def test_convert_singular_privileged_block_exit_1(tmp_path, capsys):
     write_json(plan_path, doc)
     code, _, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
     assert code == 1
-    assert ("privileged restricted parity: privileged final code does not match the "
-            "restricted parity block") in err
+    assert f"error: punctured_parity: {STORES}" in err
     # The privileged final drops its read of final 2's first unchanged symbol.
     doc = json.loads(original)
     del doc["reads"][0][0]
@@ -623,9 +624,9 @@ def test_convert_rejects_stored_final_blocks_off_the_final_code(tmp_path, capsys
     _bump_first_entry(doc["final_written_block"], 8)
     write_json(plan_path, doc)
     code, out, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
-    assert (code, out) == (1, "") and "final-block: stored written block" in err
+    assert (code, out) == (1, "") and f"final_written_block: {STORES}" in err
     code, out, _ = run(capsys, "verify", "--plan", plan_path)
-    assert code == 2 and "FAIL optimal structure: final-block: stored written block" in out
+    assert code == 2 and f"FAIL final_written_block: {STORES}" in out
 
     cfg = tmp_path / "mixed.json"
     write_json(cfg, {"regime": "merge", "q": 8, "initial": [[5, 3], [4, 2]], "r_F": 2})
@@ -637,7 +638,7 @@ def test_convert_rejects_stored_final_blocks_off_the_final_code(tmp_path, capsys
     _bump_first_entry(doc["final_unchanged_blocks"][0]["matrix"], 8)
     write_json(plan_path, doc)
     code, out, err = run(capsys, "convert", "--plan", plan_path, "--in", cws, "--out", tmp_path / "f.txt")
-    assert (code, out) == (1, "") and "final-block: code 2 stored block" in err
+    assert (code, out) == (1, "") and f"final_unchanged_blocks: code 2: {STORES}" in err
 
 
 def _grid_fault_plan(tmp_path, capsys, kind):
@@ -756,19 +757,13 @@ def _overlapping_reads(doc):
 
 UNSOUND_CERTIFICATES = {
     "merge read entry": (
-        "merge", _bump_read_entry,
-        "FAIL optimal structure: punctured-parity: code 1: "
-        "stored matrix is not a parity check of the restriction",
+        "merge", _bump_read_entry, f"FAIL punctured_parity: code 1: {STORES}",
     ),
     "merge zeroed read columns": (
-        "merge", _zero_read_columns,
-        "FAIL optimal structure: punctured-parity: code 1: "
-        "stored matrix is not a parity check of the restriction",
+        "merge", _zero_read_columns, f"FAIL punctured_parity: code 1: {STORES}",
     ),
     "split privileged multiplier": (
-        "split", _flip_privileged_multiplier,
-        "FAIL privileged restricted parity: privileged final code does not match "
-        "the restricted parity block",
+        "split", _flip_privileged_multiplier, f"FAIL punctured_parity: {STORES}",
     ),
     "merge reads overlap unchanged": (
         "merge", _overlapping_reads,
@@ -881,16 +876,60 @@ def test_certificate_with_a_non_diagonal_t_verifies_and_converts(tmp_path, capsy
     assert row == want.symbols and is_codeword(plan.final_spec, row)
 
 
+def _certificate_blocks(doc):
+    """(document key, matrix lines) of each block of a document's certificate,
+    in order; a per-code key names its code."""
+    if doc["kind"] == "split":
+        return [("punctured_parity", doc["punctured_parity"])]
+    return [
+        *((f"{key}: code {entry['code']}", entry["matrix"])
+          for key in ("punctured_parity", "final_unchanged_blocks") for entry in doc[key]),
+        ("final_written_block", doc["final_written_block"]),
+    ]
+
+
+@pytest.mark.parametrize("config, messages, keys", [
+    (README_MERGE, "1 2 3\n4 5 6\n", ["punctured_parity: code 1", "punctured_parity: code 2", "final_written_block"]),
+    ({**README_MERGE, "initial": [[5, 3], [4, 2]]}, "1 2 3\n4 5\n",
+     ["punctured_parity: code 1", "final_unchanged_blocks: code 2", "final_written_block"]),
+    (README_SPLIT, "1 2 3 4 5 6 7\n", ["punctured_parity"]),
+], ids=["readme merge", "mixed merge", "readme split"])
+def test_each_certificate_refusal_names_its_key(tmp_path, capsys, config, messages, keys):
+    """One entry changed in any one block of a document's certificate is
+    refused as the plan is read, with a text that starts with the block's
+    key (and, for a per-code key, its code): `verify` prints it as its one
+    FAIL line and exits 2, and `convert` and `encode` exit 1 with it and
+    write nothing."""
+    cfg, plan_path, msgs, cws, out = (tmp_path / name for name in ("cfg.json", "plan.json", "m.txt", "c.txt", "o.txt"))
+    write_json(cfg, config)
+    run(capsys, "plan", "--config", cfg, "--out", plan_path)
+    msgs.write_text(messages)
+    run(capsys, "encode", "--plan", plan_path, "--in", msgs, "--out", cws)
+    original = json.loads(plan_path.read_text())
+    assert [key for key, _ in _certificate_blocks(original)] == keys
+    for at, key in enumerate(keys):
+        doc = json.loads(json.dumps(original))
+        _bump_first_entry(_certificate_blocks(doc)[at][1], doc["field"]["q"])
+        write_json(plan_path, doc)
+        fail = f"{key}: {STORES}"
+        with pytest.raises(CertificateError) as caught:
+            plandoc.plan_from_doc(doc)
+        assert str(caught.value) == fail
+        assert run(capsys, "verify", "--plan", plan_path) == (2, f"FAIL {fail}\n", "")
+        for verb, source in (("convert", cws), ("encode", msgs)):
+            assert run(capsys, verb, "--plan", plan_path, "--in", source, "--out", out) == (1, "", f"error: {fail}\n")
+            assert not out.exists()
+
+
 def test_encode_refuses_a_plan_with_a_tampered_certificate(tmp_path, capsys):
     """A stored certificate that the codes and grid do not give is refused as
     the plan is read: `encode` exits 1 and writes nothing, and `verify`
-    prints the check it fails and exits 2."""
+    prints the refusal, which names the block's key, and exits 2."""
     plan_path, _ = _readme_merge(tmp_path, capsys)
     doc = json.loads(plan_path.read_text())
     _bump_first_entry(doc["punctured_parity"][0]["matrix"], 8)
     write_json(plan_path, doc)
-    fail = ("optimal structure: block-mismatch: code 1 unchanged columns of the restricted "
-            "parity check differ from the final parity check")
+    fail = f"punctured_parity: code 1: {STORES}"
     out = tmp_path / "out.txt"
     code, stdout, err = run(capsys, "encode", "--plan", plan_path, "--in", tmp_path / "m.txt", "--out", out)
     assert (code, stdout, err) == (1, "", f"error: {fail}\n")

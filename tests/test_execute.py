@@ -511,7 +511,7 @@ def test_computed_matrices_hold_canonical_entries(monkeypatch):
         for stripe in _stripes(plan.initial_specs, rng)[:2]:
             convert.run_conversion(plan, stripe)  # lowers the plan first
     assert callers == {
-        "rref", "_vandermonde", "generator", "_shares", "_columns_at", "_column_range", "_sigma",
+        "rref", "_vandermonde", "generator", "_shares", "_columns", "_sigma",
     }
     for m in built:
         assert type(m) is linalg.FieldMatrix

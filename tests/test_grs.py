@@ -372,7 +372,7 @@ def test_a_codeword_of_a_code_is_checked_by_its_constructor(q):
                 Codeword(symbols, spec)
             shown = repr(bad) if type(bad) is int else f"{bad!r} ({type(bad).__name__})"
             assert str(info.value) == f"{shown} is not a canonical element of GF({q})"
-            assert Codeword(symbols).symbols is symbols
+            assert Codeword(symbols).symbols == tuple(symbols)
             assert Codeword._trusted(symbols, spec).symbols is symbols
         given = list(good)
         built = Codeword(given, spec)

@@ -201,8 +201,8 @@ def test_reads_outside_s_must_be_the_unchanged_symbols():
 
 def test_verify_structure_catches_tampered_final_block():
     """A document's final block must be the final parity check's columns;
-    one entry changed is refused as the plan is read, with the structural
-    check's name and diagnostic."""
+    one entry changed is refused as the plan is read, naming the block's
+    key and code."""
     plan = build_merge(merge_params([(5, 3), (4, 2)], 2), GF(8))
     doc = plandoc.plan_to_doc(plan)
     (entry,) = doc["final_unchanged_blocks"]
@@ -212,7 +212,7 @@ def test_verify_structure_catches_tampered_final_block():
     with pytest.raises(CertificateError) as caught:
         plandoc.plan_from_doc(doc)
     assert str(caught.value) == (
-        "optimal structure: final-block: code 2 stored block differs from the final parity check")
+        "final_unchanged_blocks: code 2: the document stores a matrix that the codes and grid do not give")
 
 
 def test_verify_plan_merge():

@@ -173,9 +173,9 @@ VERIFY_EXITS = {
 # program's own text.  Standard error is left out, as it may quote Python's
 # own exception text, which differs between versions.
 VERIFY_STDOUT = {
-    "readme merge": "b85f53b8ec409835e88cfd7c5447be606165948b775f8d4284c3ad7d64217f5b",
-    "mixed merge": "b0a8d9cbd39c3d53af1b6617ff6c9aa26dd71b413d89c5fabc27ed2ed7f6c991",
-    "readme split": "ee95959d5f1b784fec43aa3d2317f375f6b0ce5cc4d3f4f62741bd990fb6418b",
+    "readme merge": "a70d55007d230b89972e43e4e22d7bc1c6907cdfc0fec489a9907259aef5b35e",
+    "mixed merge": "74c76a8f64e100ded3a163e9cc2fcd5aaba2e2bf1914987a286981968ce8b245",
+    "readme split": "83d48c7abbc3964aa03f135513a30ddaf71cf7a3d1d690cdddeb220f04e179f7",
     "2x2 general": "60daba26371b673fe1535e72b21fd449804e471eb9dca2df16695854e77b7ec5",
 }
 

@@ -176,6 +176,50 @@ def test_malformed_plan_documents(tmp_path):
     assert time.perf_counter() - start < 2.0
 
 
+def _reverse_entries(key):
+    def edit(doc):
+        assert [entry["code"] for entry in doc[key]] == [1, 2]
+        doc[key].reverse()
+    return edit
+
+
+# Edits that a loader dropping unknown keys or sorting entries would accept,
+# each giving a document its plan does not write: (plan, edit).
+NOT_WRITTEN = {
+    "unknown top-level key": ("merge", lambda doc: doc.update(note=1)),
+    "unknown code key": ("merge", lambda doc: doc["initial_codes"][0].update(note=1)),
+    "unknown punctured_parity entry key": ("merge", lambda doc: doc["punctured_parity"][0].update(note=1)),
+    "reversed punctured_parity entries": ("merge", _reverse_entries("punctured_parity")),
+    "reversed final_unchanged_blocks entries": ("no S", _reverse_entries("final_unchanged_blocks")),
+    "unknown field key": ("merge", lambda doc: doc["field"].update(note=1)),
+    "field without p": ("merge", lambda doc: doc["field"].pop("p")),
+    "field without m": ("merge", lambda doc: doc["field"].pop("m")),
+    "unknown params key": ("split", lambda doc: doc["params"].update(note=1)),
+    "no punctured_parity key": ("no privileged", lambda doc: doc.pop("punctured_parity")),
+}
+NOT_WRITTEN_PLANS = {
+    "merge": lambda: build_merge(merge_params([(5, 3), (5, 3)], 2), GF(8)),
+    "no S": lambda: build_merge(merge_params([(4, 2), (4, 2)], 2), GF(8)),
+    "split": lambda: build_split(ConvertParams(((10, 7),), ((6, 4), (5, 3))), GF(16)),
+    "no privileged": lambda: build_split(ConvertParams(((7, 6),), ((5, 3), (5, 3))), GF(8)),
+}
+
+
+@pytest.mark.parametrize("case", NOT_WRITTEN)
+def test_a_document_its_plan_does_not_write_is_refused(case):
+    """Every document that loads re-serialises to itself, so one with a key
+    the program does not write, without a key it writes, or with per-code
+    entries out of ascending code order is a UsageError, not a certificate
+    fault."""
+    kind, edit = NOT_WRITTEN[case]
+    doc = plandoc.plan_to_doc(NOT_WRITTEN_PLANS[kind]())
+    assert plandoc.plan_to_doc(plandoc.plan_from_doc(doc)) == doc
+    edit(doc)
+    with pytest.raises(UsageError) as caught:
+        plandoc.plan_from_doc(doc)
+    assert type(caught.value) is UsageError
+
+
 COMMITTED = sorted(FIXTURES.glob("*.json")) + [REPO / "perfbench" / "two_by_two_plan.json"]
 
 

@@ -160,6 +160,45 @@ def test_defaults():
     assert not convert.StructureCheck(False, "fault")
 
 
+def test_a_codeword_with_no_code_keeps_its_symbols_as_a_tuple():
+    """With no code nothing is checked, but the symbols are kept as a tuple:
+    the codeword hashes, equals its tuple form, and does not follow the list
+    it was built from."""
+    given = [1, 2]
+    built = grs.Codeword(given)
+    assert type(built.symbols) is tuple
+    assert built == grs.Codeword((1, 2)) and hash(built) == hash(grs.Codeword((1, 2)))
+    given[0] = 5
+    assert built.symbols == (1, 2)
+
+
+_MERGE = convert.build_merge(convert.merge_params([(5, 3), (5, 3)], 2), GF(8))
+_SPLIT = convert.build_split(convert.ConvertParams(((10, 7),), ((6, 4), (5, 3))), GF(16))
+
+# A plan value that is not exactly an int, each equal to the int it stands for.
+NON_INTEGER_PLAN_VALUES = {
+    "bool unchanged position": (_MERGE, {"unchanged": ((True, 2, 3), (1, 2, 3))}),
+    "float unchanged position": (_MERGE, {"unchanged": ((1, 2, 3), (1, 2, 3.0))}),
+    "bool read position": (_MERGE, {"reads": ((4, 5), (True, 5))}),
+    "float read position": (_MERGE, {"reads": ((4.0, 5), (4, 5))}),
+    "float extra read": (_SPLIT, {"extra_reads": (9.0, 10)}),
+    "bool privileged": (_SPLIT, {"privileged": True}),
+    "float privileged": (_SPLIT, {"privileged": 1.0}),
+    "float S entry": (_MERGE, {"reduced": {1.0, 2}}),
+    "bool S entry": (_MERGE, {"reduced": frozenset({True, 2})}),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER_PLAN_VALUES)
+def test_plan_constructors_refuse_values_that_are_not_ints(case):
+    """Positions, the privileged index and S entries must be exactly `int`,
+    as `ConvertParams` has it for shapes: a bool or a float equal to a valid
+    value is refused, not kept, so it can never be written to a document."""
+    plan, change = NON_INTEGER_PLAN_VALUES[case]
+    with pytest.raises(UsageError, match="integer"):
+        replace(plan, **change)
+
+
 def test_cli_process_loads_no_dataclasses_inspect_or_typing():
     # -S: a site .pth file may preload typing into every interpreter.
     code = "import sys; import mdsconv.cli; print(' '.join(sorted(sys.modules)))"

@@ -124,7 +124,7 @@ def test_verify_plan_split_catches_tampering():
     """A privileged final whose first multiplier is scaled no longer matches
     the restricted parity check derived on its first r_F coordinates; a
     document whose stored check has one entry changed is refused as it is
-    read, with the same check's name."""
+    read, naming the check's document key."""
     plan = build_split(PARAMS_7_TO_4_3, GF(16))
     w = plan.final_specs[0].w
     final = replace(plan.final_specs[0], w=(plan.field.mul(2, w[0]),) + w[1:])
@@ -136,7 +136,7 @@ def test_verify_plan_split_catches_tampering():
     row = doc["punctured_parity"][1].split()
     row[0] = str(plan.field.add(int(row[0]), 1))
     doc["punctured_parity"][1] = " ".join(row)
-    with pytest.raises(CertificateError, match="^privileged restricted parity: "):
+    with pytest.raises(CertificateError, match="^punctured_parity: the document stores a matrix"):
         plandoc.plan_from_doc(doc)
 
 

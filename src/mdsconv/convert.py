@@ -210,7 +210,7 @@ def split_lower_bound(params: ConvertParams) -> SplitBound:
 
 
 def _check_positions(label: str, positions: Sequence[int], n: int) -> None:
-    if set(map(type, positions)) <= {int} and all(map(operator.lt, [0, *positions], [*positions, n + 1])):
+    if {int}.issuperset(map(type, positions)) and all(map(operator.lt, [0, *positions], [*positions, n + 1])):
         return
     for p in positions:
         if type(p) is not int or not 1 <= p <= n:
@@ -307,7 +307,7 @@ class MergePlan(Record):
 
     def __post_init__(self):
         _check_grid(self)
-        if not set(map(type, self.reduced)) <= {int}:
+        if not {int}.issuperset(map(type, self.reduced)):
             raise UsageError(f"S must hold integer code indices, got {set(self.reduced)}")
         for i, k in enumerate(self.params.k_initial, 1):
             _check_at_most_k(f"code {i}", self.unchanged[i - 1], k)
@@ -834,12 +834,9 @@ def lower(plan: Plan) -> GeneralPlan:
 def _picker(indices: Sequence[int]) -> operator.itemgetter:
     """An itemgetter for `indices` that returns a sequence even for one or no index.
 
-    With two or more indices the result is a tuple, and for a `range` (of
-    step 1) a slice.  Itemgetters, unlike lambdas, keep a plan that has run
-    picklable.
+    With two or more indices the result is a tuple.  Itemgetters, unlike
+    lambdas, keep a plan that has run picklable.
     """
-    if isinstance(indices, range):
-        return operator.itemgetter(slice(indices.start, indices.stop))
     if len(indices) > 1:
         return operator.itemgetter(*indices)
     start = indices[0] if indices else 0

@@ -9,9 +9,8 @@ Every integer the program reads is canonical: a number in a JSON document
 (plan or config) must be a JSON integer, not a float, string or boolean
 (`json_int`, `json_ints`), and a number in a symbol file must be written in
 the ASCII digits 0-9 (`decimals`).  A matrix dump must be exactly the text
-the program writes (`canonical_decimals`), and a JSON object exactly the
-keys it writes (`json_object`), so a plan document round-trips.  Their
-errors are TypeError and ValueError, which each reader reports as a
+the program writes (`canonical_decimals`), so a plan document round-trips.
+Their errors are TypeError and ValueError, which each reader reports as a
 `UsageError` naming the key, or the file and line.
 """
 
@@ -68,16 +67,6 @@ def json_ints(values, key: str) -> tuple[int, ...]:
         for value in values:
             json_int(value, key)
     return values
-
-
-def json_object(value, keys: frozenset, key: str) -> dict:
-    """`value` if it is a JSON object (a dict) with exactly `keys`, else a
-    TypeError or ValueError naming `key`."""
-    if not isinstance(value, dict):
-        raise TypeError(f"{key}: expected an object, got {type(value).__name__}")
-    if value.keys() != keys:
-        raise ValueError(f"{key}: expected the keys {sorted(keys)}, got {sorted(map(str, value))}")
-    return value
 
 
 # The digits 0-9 and the ASCII characters `str.split` takes for whitespace.

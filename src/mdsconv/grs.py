@@ -19,7 +19,7 @@ from functools import lru_cache, reduce
 from itertools import chain
 
 from . import linalg
-from .errors import CorruptionError, InsufficientDataError, UsageError, json_int, json_ints, json_object
+from .errors import CorruptionError, InsufficientDataError, UsageError, json_int, json_ints
 from .field import FieldSpec, GF
 from .linalg import FieldMatrix
 from .record import Record, kept
@@ -281,9 +281,9 @@ def field_from_dict(doc: Mapping) -> FieldSpec:
 
 def spec_from_dict(doc: Mapping) -> ExtGrsSpec:
     try:
-        field = field_from_dict(json_object(doc, frozenset(("q", "p", "m", "n", "r", "gamma", "w")), "code"))
+        field = field_from_dict(doc)
         n, r = json_int(doc["n"], "n"), json_int(doc["r"], "r")
         gamma, w = json_ints(doc["gamma"], "gamma"), json_ints(doc["w"], "w")
-    except (TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed code document: {exc}") from exc
     return ExtGrsSpec(field, n, r, gamma, w)

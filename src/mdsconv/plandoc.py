@@ -26,12 +26,17 @@ only its own keys:
 - general: "initial_codes" and "final_codes"; "layout" and "sigma" (each
   final code's coordinates and conversion matrix).
 
-Every object holds exactly the keys `plan_to_doc` writes, and per-code
-entries are in ascending code order, so a document that loads is the one
-its plan writes.  A plan holds no certificate: `plan_to_doc` writes the one
-its codes and grids give (`convert.certificate`), and `plan_from_doc`
-refuses the first stored block that differs from it, or that they do not
-determine, with a `CertificateError` that starts with the block's key.
+A plan holds no certificate: `plan_to_doc` writes the one its codes and
+grids give (`convert.certificate`).  `plan_from_doc` compares each stored
+block, in document order, with the dump of the derived one, and parses
+only a block that differs: a malformed dump is a `UsageError`, and any
+other matrix, or a block the codes and grid do not determine, a
+`CertificateError` that starts with the block's key.  A document that
+loads is then exactly the one its plan writes: each integer was read as a
+JSON integer (and "written" compared by `repr`), so `==` with
+`plan_to_doc`'s document is JSON equality, and a key the program does not
+write or entries out of order are a `UsageError` that starts with the
+top-level key.
 
 `dump_json` writes exactly the bytes of `json.dumps(doc, indent=2)` plus a
 newline.  With an indent, CPython's json leaves its C encoder for a
@@ -57,20 +62,27 @@ from .convert import (
     _written_count,
     certificate,
 )
-from .errors import CertificateError, UsageError, decimals, json_int, json_ints, json_object
+from .errors import CertificateError, UsageError, decimals, json_int, json_ints
 from .field import FieldSpec
 from .grs import field_from_dict, spec_from_dict, spec_to_dict
 from .linalg import FieldMatrix, matrix_from_lines, matrix_to_text
+from .record import kept
 
 
 def _matrix_lines(m: FieldMatrix) -> list[str]:
-    return matrix_to_text(m).splitlines()
+    """m's dump, kept on m: loading compares a derived block's dump, then
+    writes the plan's document."""
+    return kept(m, "_dump", matrix_to_text, m).splitlines()
 
 
 def _matrix_from_lines(lines: Sequence[str], field: FieldSpec) -> FieldMatrix:
-    m = matrix_from_lines(lines)
+    try:
+        m = matrix_from_lines(lines)
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"malformed matrix dump: {exc!r}") from exc
     if m.field != field:
         raise UsageError("matrix dump field does not match the plan field")
+    kept(m, "_dump", "\n".join, lines)  # a dump that parses is m's own text
     return m
 
 
@@ -92,7 +104,6 @@ def _positions_from_pairs(pairs: Sequence, code: int, label: str) -> tuple[int, 
 
 def _params_from_doc(doc: Mapping) -> ConvertParams:
     try:
-        json_object(doc, frozenset(("initial", "final")), "params")
         initial = tuple((json_int(n, "initial"), json_int(k, "initial")) for n, k in doc["initial"])
         final = tuple((json_int(n, "final"), json_int(k, "final")) for n, k in doc["final"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -111,7 +122,7 @@ def plan_to_doc(plan: Plan) -> dict:
     """A plan's document: the header and grids, the same for every kind, and
     the kind's codes and certificate."""
     kind = _KIND_OF[type(plan)]
-    _, axes, keys, _, _, _ = _CODECS[kind]
+    _, axes, keys, _, _ = _CODECS[kind]
     codes, certificate = keys(plan)
     unchanged, reads = (
         _nested([[_pairs(i, cell) for i, cell in enumerate(row, 1)] for row in grid], axes)
@@ -130,18 +141,19 @@ def plan_to_doc(plan: Plan) -> dict:
 
 
 def plan_from_doc(doc: Mapping) -> Plan:
-    """The plan a document describes; a malformed document is a UsageError."""
+    """The plan a document describes.  A malformed document, or one that is
+    not exactly the document its plan writes, is a UsageError; a stored
+    certificate block its codes and grid do not give is a CertificateError."""
     if not isinstance(doc, dict):
         raise UsageError(f"a plan document must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     codec = _CODECS.get(kind) if isinstance(kind, str) else None
     if codec is None:
         raise UsageError(f"unknown plan kind {kind!r}")
-    cls, axes, _, read_codes, read_certificate, keys = codec
+    cls, axes, _, read_codes, read_certificate = codec
     try:
-        json_object(doc, keys, "top level")
         params = _params_from_doc(doc["params"])
-        field = field_from_dict(json_object(doc["field"], frozenset(("q", "p", "m")), "field"))
+        field = field_from_dict(doc["field"])
         codes = read_codes(doc)
         unchanged = _grid_from_doc(doc["unchanged"], "unchanged", axes)
         reads = _grid_from_doc(doc["reads"], "reads", axes)
@@ -152,17 +164,22 @@ def plan_from_doc(doc: Mapping) -> Plan:
     plan = cls(params=params, field=field, **codes, unchanged=unchanged, reads=reads, **fields)
     if kind != "general":  # merge and split documents list the symbols each final code writes
         written = _written_pairs(plan, axes)
-        if listed != written:
+        if repr(listed) != repr(written):  # unlike ==, repr tells 1.0 and True from 1
             raise UsageError(f"written: the document lists {listed}, but the plan writes {written}")
         derived = certificate(plan)
-        for key, block in stored:
+        for key, lines in stored:
             try:
-                mine = next(derived)
+                mine = _matrix_lines(next(derived))
             except UsageError as exc:  # the codes and grid do not determine this block
                 raise CertificateError(f"{key}: {exc}") from None
-            if block != mine:
+            if lines != mine:
+                _matrix_from_lines(lines, field)  # a malformed dump is a UsageError
                 raise CertificateError(f"{key}: the document stores a matrix that the codes and "
                                        "grid do not give")
+    mine = plan_to_doc(plan)
+    if doc != mine:  # doc holds every key of mine, as each was read above
+        key = next(key for key in doc if key not in mine or doc[key] != mine[key])
+        raise UsageError(f"{key}: the document differs from the one its plan writes")
     return plan
 
 
@@ -202,13 +219,13 @@ def _by_code(matrices: Sequence[FieldMatrix | None]) -> list[dict]:
     ]
 
 
-def _by_code_from_doc(doc: Mapping, key: str, t1: int, field: FieldSpec) -> tuple:
-    """One slot per initial code: the matrix of the `key` entry that names it,
-    else None; entries out of ascending code order are a UsageError."""
-    out: list[FieldMatrix | None] = [None] * t1
+def _by_code_from_doc(doc: Mapping, key: str, t1: int) -> tuple:
+    """One slot per initial code: the matrix dump of the `key` entry that
+    names it, else None; entries out of ascending code order are a UsageError."""
+    out: list[Sequence[str] | None] = [None] * t1
     last = 0
     for entry in doc[key]:
-        matrix = _matrix_from_lines(json_object(entry, frozenset(("code", "matrix")), key)["matrix"], field)
+        matrix = entry["matrix"]
         code = json_int(entry["code"], key)
         if not last < code <= t1:
             raise UsageError(f"{key}: code {code} out of range or order; need ascending codes in 1..{t1}")
@@ -232,21 +249,18 @@ def _merge_keys(plan: MergePlan) -> tuple[dict, dict]:
 
 
 def _merge_codes(doc: Mapping) -> dict:
-    reduced = json_ints(doc["S"], "S")
-    if len(set(reduced)) != len(reduced):
-        raise UsageError(f"S: {list(reduced)} names a code twice")
     return {
         "initial_specs": tuple(spec_from_dict(d) for d in doc["initial_codes"]),
         "final_spec": spec_from_dict(doc["final_code"]),
-        "reduced": frozenset(reduced),
+        "reduced": frozenset(json_ints(doc["S"], "S")),
     }
 
 
 def _merge_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec, codes: dict) -> dict:
-    """The stored certificate as `convert.certificate` lays it out, each
-    block with its document key."""
-    parity = _by_code_from_doc(doc, "punctured_parity", params.t1, field)
-    blocks = _by_code_from_doc(doc, "final_unchanged_blocks", params.t1, field)
+    """The stored certificate's dumps as `convert.certificate` lays it out,
+    each with its document key."""
+    parity = _by_code_from_doc(doc, "punctured_parity", params.t1)
+    blocks = _by_code_from_doc(doc, "final_unchanged_blocks", params.t1)
     stored = []
     for i, (hbar, block) in enumerate(zip(parity, blocks), 1):
         if (hbar is None, block is None) != (i not in codes["reduced"], i in codes["reduced"]):
@@ -254,7 +268,7 @@ def _merge_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec, co
                              "and final_unchanged_blocks the others")
         stored.append((f"punctured_parity: code {i}", hbar) if block is None else
                       (f"final_unchanged_blocks: code {i}", block))
-    stored.append(("final_written_block", _matrix_from_lines(doc["final_written_block"], field)))
+    stored.append(("final_written_block", doc["final_written_block"]))
     return {"written": doc["written"], "stored": stored}
 
 
@@ -279,8 +293,8 @@ def _split_codes(doc: Mapping) -> dict:
 
 
 def _split_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec, codes: dict) -> dict:
-    """"privileged" and "V", and the stored certificate as `convert.certificate`
-    lays it out, with its document key."""
+    """"privileged" and "V", and the stored certificate's dump as
+    `convert.certificate` lays it out, with its document key."""
     privileged, hbar = doc["privileged"], doc["punctured_parity"]
     if (hbar is None) != (privileged is None):
         raise UsageError("punctured_parity must be given exactly when a final code is privileged")
@@ -288,7 +302,7 @@ def _split_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec, co
         "privileged": None if privileged is None else json_int(privileged, "privileged"),
         "extra_reads": _positions_from_pairs(doc["V"], 1, "V"),
         "written": doc["written"],
-        "stored": () if hbar is None else (("punctured_parity", _matrix_from_lines(hbar, field)),),
+        "stored": () if hbar is None else (("punctured_parity", hbar),),
     }
 
 
@@ -320,16 +334,11 @@ def _general_certificate(doc: Mapping, params: ConvertParams, field: FieldSpec, 
 
 
 # Per kind: its plan class, the grid axes it keeps, its codes-and-certificate
-# writer, its readers of codes and of certificate, and its document's keys.
-_HEADER_KEYS = ("kind", "params", "field", "unchanged", "reads")
+# writer, and its readers of codes and of certificate.
 _CODECS = {
-    "merge": (MergePlan, "i", _merge_keys, _merge_codes, _merge_certificate, frozenset((
-        *_HEADER_KEYS, "initial_codes", "final_code", "S",
-        "written", "punctured_parity", "final_unchanged_blocks", "final_written_block"))),
-    "split": (SplitPlan, "j", _split_keys, _split_codes, _split_certificate, frozenset((
-        *_HEADER_KEYS, "initial_code", "final_codes", "written", "privileged", "V", "punctured_parity"))),
-    "general": (GeneralPlan, "ji", _general_keys, _general_codes, _general_certificate, frozenset((
-        *_HEADER_KEYS, "initial_codes", "final_codes", "layout", "sigma"))),
+    "merge": (MergePlan, "i", _merge_keys, _merge_codes, _merge_certificate),
+    "split": (SplitPlan, "j", _split_keys, _split_codes, _split_certificate),
+    "general": (GeneralPlan, "ji", _general_keys, _general_codes, _general_certificate),
 }
 _KIND_OF = {codec[0]: kind for kind, codec in _CODECS.items()}
 

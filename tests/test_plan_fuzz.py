@@ -17,6 +17,9 @@ its stored certificate is not the one its codes and grid give.  The
 sweep also runs `verify` on each mutant and pins how many exit 0, 1 and
 2 per base, and a digest of all it prints to standard output per base.
 
+Each integer of each base, written as the float or bool equal to it, is
+refused with a `UsageError`.
+
 A seeded sample of two-edit mutants goes through both verbs too, loaded
 or not, as a defect that one verdict hides may need two coordinated
 edits: a single mutant that loads, with any one mutation applied to it.
@@ -210,6 +213,33 @@ def test_every_single_mutant_loads_or_is_refused_as_usage(tmp_path, capsys):
     assert exits == VERIFY_EXITS, exits
     assert stdout == VERIFY_STDOUT, stdout
     assert outcomes == {"loaded": 123, "refused": 2081, "certificate": 182}, outcomes
+
+
+def test_an_integer_written_as_a_float_or_bool_is_refused():
+    """Every integer of a plan document is read as a JSON integer, so the
+    loader's `==` with the document its plan writes is JSON equality: each
+    integer of each base, written as the float or the bool equal to it, is
+    a UsageError, never a plan that would write another document."""
+    docs = [plandoc.plan_to_doc(build()) for build in BASES.values()]
+    docs.append(json.loads(GENERAL_FIXTURE.read_text()))
+    refused = 0
+    for doc in docs:
+        for path, kind in _sites(doc):
+            value = _at(doc, path)
+            if kind != "int":
+                continue
+            for other in (float(value), *([bool(value)] if value in (0, 1) else [])):
+                mutant = json.loads(json.dumps(doc))
+                _at(mutant, path[:-1])[path[-1]] = other
+                try:
+                    plandoc.plan_from_doc(mutant)
+                except CertificateError as exc:
+                    raise AssertionError((path, other, exc)) from exc
+                except UsageError:
+                    refused += 1
+                    continue
+                raise AssertionError(f"{path} = {other!r} loaded")
+    assert refused == 495, refused
 
 
 def test_two_edit_mutants_keep_the_exit_code_contract(tmp_path, capsys):

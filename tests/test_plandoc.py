@@ -196,26 +196,52 @@ NOT_WRITTEN = {
     "field without m": ("merge", lambda doc: doc["field"].pop("m")),
     "unknown params key": ("split", lambda doc: doc["params"].update(note=1)),
     "no punctured_parity key": ("no privileged", lambda doc: doc.pop("punctured_parity")),
+    "descending S": ("merge", lambda doc: doc["S"].reverse()),
+    "S naming a code twice": ("merge", lambda doc: doc["S"].append(doc["S"][-1])),
+    "float in written": ("merge", lambda doc: doc["written"][0].__setitem__(1, 1.0)),
+    "bool in written": ("merge", lambda doc: doc["written"][0].__setitem__(1, True)),
+    "unknown general plan key holding null": ("general", lambda doc: doc.update(note=None)),
 }
 NOT_WRITTEN_PLANS = {
     "merge": lambda: build_merge(merge_params([(5, 3), (5, 3)], 2), GF(8)),
     "no S": lambda: build_merge(merge_params([(4, 2), (4, 2)], 2), GF(8)),
     "split": lambda: build_split(ConvertParams(((10, 7),), ((6, 4), (5, 3))), GF(16)),
     "no privileged": lambda: build_split(ConvertParams(((7, 6),), ((5, 3), (5, 3))), GF(8)),
+    "general": lambda: plandoc.load_plan(str(FIXTURES / "two_by_two_plan.json")),
 }
 
 
 @pytest.mark.parametrize("case", NOT_WRITTEN)
 def test_a_document_its_plan_does_not_write_is_refused(case):
     """Every document that loads re-serialises to itself, so one with a key
-    the program does not write, without a key it writes, or with per-code
-    entries out of ascending code order is a UsageError, not a certificate
-    fault."""
+    the program does not write, without a key it writes, with entries out of
+    order, or with a float or bool for an integer is a UsageError, not a
+    certificate fault."""
     kind, edit = NOT_WRITTEN[case]
     doc = plandoc.plan_to_doc(NOT_WRITTEN_PLANS[kind]())
     assert plandoc.plan_to_doc(plandoc.plan_from_doc(doc)) == doc
     edit(doc)
     with pytest.raises(UsageError) as caught:
+        plandoc.plan_from_doc(doc)
+    assert type(caught.value) is UsageError
+
+
+@pytest.mark.parametrize("case, key", [
+    ("unknown top-level key", "note"),
+    ("unknown code key", "initial_codes"),
+    ("unknown punctured_parity entry key", "punctured_parity"),
+    ("descending S", "S"),
+    ("S naming a code twice", "S"),
+    ("float in written", "written"),
+    ("unknown general plan key holding null", "note"),
+])
+def test_a_document_its_plan_does_not_write_is_refused_at_its_key(case, key):
+    """The refusal starts with the top-level key whose value the plan does
+    not write."""
+    kind, edit = NOT_WRITTEN[case]
+    doc = plandoc.plan_to_doc(NOT_WRITTEN_PLANS[kind]())
+    edit(doc)
+    with pytest.raises(UsageError, match=f"^{key}: ") as caught:
         plandoc.plan_from_doc(doc)
     assert type(caught.value) is UsageError
 

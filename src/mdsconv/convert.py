@@ -22,8 +22,9 @@ final code, the initial symbols it reads, a matrix sigma with
 written = reads . sigma, and the layout of its coordinates (`_sigma`,
 once `verify_plan` passes the plan).  `_Executable` then compiles that
 into one bound `linalg.fold_step` per initial code, kept on the plan
-object with the access report, so every later stripe is one pass over
-the inputs' message symbols (`run_conversion`).
+object with the access report, so every later stripe is one fold per
+input, over a byte field one lookup pass over each whole codeword
+(`run_conversion`).
 
 Every code of a plan is an extended GRS code, and an extended GRS code
 with n - 1 distinct evaluation points and nonzero column multipliers is
@@ -47,7 +48,7 @@ from .errors import CorruptionError, InternalError, MdsconvError, ParameterError
 from .field import FieldSpec
 from .grs import Codeword, ExtGrsSpec, generator, is_codeword, parity_check, puncture
 from .linalg import FieldMatrix
-from .record import Record, kept
+from .record import Record, freeze, kept
 
 SymbolId = tuple[int, int]
 # Position sets indexed [final j][initial i], as in `GeneralPlan`.
@@ -306,6 +307,9 @@ class MergePlan(Record):
     reads: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        freeze(self, initial_specs=1, unchanged=2, reads=2)
+        if isinstance(self.reduced, (set, list, tuple)):
+            object.__setattr__(self, "reduced", frozenset(self.reduced))
         _check_grid(self)
         if not {int}.issuperset(map(type, self.reduced)):
             raise UsageError(f"S must hold integer code indices, got {set(self.reduced)}")
@@ -365,6 +369,7 @@ class SplitPlan(Record):
     extra_reads: tuple[int, ...]
 
     def __post_init__(self):
+        freeze(self, final_specs=1, unchanged=2, reads=2, extra_reads=1)
         _check_grid(self)
         p = self.params
         privileged = self.privileged
@@ -428,6 +433,7 @@ class GeneralPlan(Record):
     sigmas: tuple[FieldMatrix, ...]
 
     def __post_init__(self):
+        freeze(self, initial_specs=1, final_specs=1, unchanged=3, reads=3, layouts=3, sigmas=1)
         _check_grid(self)
         p = self.params
         if len(self.layouts) != p.t2 or len(self.sigmas) != p.t2:
@@ -854,8 +860,11 @@ class _Executable:
     input i's rows of the lowered sigmas at its read positions, the finals'
     columns side by side, so the shares sum to reads . sigma, the written
     symbols.  Over every field the step computes a share as
-    message . C_i with C_i = G_i . S_i, equal on codewords, so it runs over
-    the message symbols alone.  `spill`, the same for every input, unpacks
+    message . C_i with C_i = G_i . S_i, equal on codewords.  Over a byte
+    field it reads the whole codeword, the parity symbols through unit lane
+    rows, so the syndrome and the shares come out of one lookup pass; over
+    the other fields it runs on the message symbols and compares the parity
+    symbols.  `spill`, the same for every input, unpacks
     the sum; `width` counts its symbols.
     `finals` holds, per final code, its spec and a picker that lays out its
     coordinates from the concatenated inputs followed by all written
@@ -940,13 +949,16 @@ def run_conversion(
     a count of what execution touched.  The first time a plan runs it is
     lowered and compiled (`_Executable`) and kept on the plan, so a later
     stripe is one `linalg.fold_step` fold per input, over byte fields one
-    lookup per message symbol, with no solve and no matrix or cache lookup.
+    lookup per codeword symbol and lane group, with no slice, no solve and
+    no matrix or cache lookup.
     """
     exe = getattr(plan, "_executable", None) or _compile(plan, codewords)
-    _check_count(codewords, len(exe.inputs))
+    inputs = exe.inputs
+    if len(codewords) != len(inputs):
+        _check_count(codewords, len(inputs))
     acc = 0
     flat: list[int] = []
-    for i, ((spec, n, fold), cw) in enumerate(zip(exe.inputs, codewords), 1):
+    for i, ((spec, n, fold), cw) in enumerate(zip(inputs, codewords), 1):
         if isinstance(cw, Codeword):
             symbols, checked = cw.symbols, cw.code is spec
         else:
@@ -959,7 +971,7 @@ def run_conversion(
             raise CorruptionError(f"input {i} is not a codeword of initial code {i}")
         flat += symbols
     flat += exe.spill(acc, exe.width)
-    return tuple(Codeword._trusted(pick(flat), spec) for spec, pick in exe.finals), exe.report
+    return tuple([Codeword._trusted(pick(flat), spec) for spec, pick in exe.finals]), exe.report
 
 
 def merge_convert(

@@ -22,7 +22,7 @@ from . import linalg
 from .errors import CorruptionError, InsufficientDataError, UsageError, json_int, json_ints
 from .field import FieldSpec, GF
 from .linalg import FieldMatrix
-from .record import Record, kept
+from .record import Record, freeze, kept
 
 
 class ExtGrsSpec(Record):
@@ -35,6 +35,7 @@ class ExtGrsSpec(Record):
     w: tuple[int, ...]
 
     def __post_init__(self):
+        freeze(self, gamma=1, w=1)
         if not 0 < self.r < self.n:
             raise UsageError(f"need 0 < r < n, got r={self.r}, n={self.n}")
         if len(self.gamma) != self.n - 1:

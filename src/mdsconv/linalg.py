@@ -23,15 +23,18 @@ on M = [A | C] for the executor's per-input step.  Over a byte field
 up to eight outputs at once; over GF(p) one packed int per input symbol,
 one bit field per output, so a product is one sum.  A's form is kept on
 g, the one form a matrix keeps, so the encoder and the fold share A's
-full lane groups.  Both run on the message symbols alone: `grs.encode`
-runs `systematic_encoder`, compiled once per code, and the bound (fold,
-spill) pair that `fold_step` returns checks a codeword against its
-systematic generator and adds its share of the written symbols in one
-pass.  The encoder checks each message symbol, as messages come from
-outside; the fold checks none, and only folds: its caller,
-`convert.run_conversion`, checks each input's symbols once, unless the
-input is a `grs.Codeword` of its initial code, which the `Codeword`
-constructor checked.  `matvec` and `vecmat` are reference products over
+full lane groups.  `grs.encode` runs `systematic_encoder`, compiled once
+per code, on the message symbols.  The bound (fold, spill) pair that
+`fold_step` returns checks a codeword against its systematic generator
+and adds its share of the written symbols in one pass: over a byte field
+one lookup pass over the whole codeword, its parity symbols through the
+field's unit lane rows (`_unit_rows`, kept on the field), so the syndrome
+lands in the low lanes; over the other fields a product on the message
+symbols, compared with the parity symbols.  The encoder checks each
+message symbol, as messages come from outside; the fold checks none, and
+only folds: its caller, `convert.run_conversion`, checks each input's
+symbols once, unless the input is a `grs.Codeword` of its initial code,
+which the `Codeword` constructor checked.  `matvec` and `vecmat` are reference products over
 `FieldSpec.mul` and `add`; GF(2^m) with m > 8 has no compiled form, so
 its encoder and fold run the same product on A and M themselves.
 """
@@ -47,7 +50,7 @@ from operator import getitem, mul, xor
 
 from .errors import SingularMatrixError, UsageError, canonical_decimals
 from .field import GF, FieldSpec
-from .record import Record, kept
+from .record import Record, freeze, kept
 
 
 class FieldMatrix(Record):
@@ -63,6 +66,7 @@ class FieldMatrix(Record):
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        freeze(self, entries=1)
         if self.rows < 0 or self.cols < 0:
             raise UsageError("matrix dimensions must be non-negative")
         if len(self.entries) != self.rows * self.cols:
@@ -295,25 +299,37 @@ def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple[Callable, Callabl
     accumulator, and spill(acc, w) gives an accumulator's w symbols.
 
     A codeword is c = c[r:] . g, so c . S = c[r:] . C with C = g . S, and
-    over every field the fold runs the compiled form of M = [A | C] on the
-    message symbols alone.  Over a byte field (`_lane_fold`) one lookup per
-    message symbol for all r + w lanes, groups of up to LANES, each after
-    the first with its shift: A's full groups are the ones
-    `systematic_encoder` runs on, and its other columns share a group with
-    the first columns of C.  Over GF(p) (`_mod_fold`) one sum of products
-    of message symbols and packed rows of M.  Over GF(2^m) with m > 8
-    (`_plain_fold`) `vecmat`'s product on M, unchecked, the accumulator a
-    list of w symbols, so the spill is `islice`.  All are partials of
-    module functions, as in `systematic_encoder`.
+    over every field the fold runs the compiled form of M = [A | C].  Over
+    a byte field (`_lane_fold`) it reads the whole codeword, one lookup per
+    symbol for each group of up to LANES of the r + w lanes, each group
+    after the first at its shift.  Group g reads c from min(LANES g, r): a
+    parity symbol through the unit row of its lane if the group holds that
+    lane, else through the zero row (`_unit_rows`), then each message
+    symbol through M's row.  So the syndrome c[:r] - c[r:] . A lands in
+    the low r lanes with no slice of c, and a share-only group reads the
+    message symbols alone.  After their unit rows, A's full groups are the
+    very rows `systematic_encoder` runs on, and A's other columns share a
+    group with the first columns of C.  Over GF(p) (`_mod_fold`) one sum of
+    products of message symbols and packed rows of M.  Over GF(2^m) with
+    m > 8 (`_plain_fold`) `vecmat`'s product on M, unchecked, the
+    accumulator a list of w symbols, so the spill is `islice`.  All are
+    partials of module functions, as in `systematic_encoder`.
     """
     f = g.field
     columns = [g.entries[j :: g.cols] for j in range(r)] + _systematic_product(g, r, s)
     if _is_byte_field(f):
         full = r // LANES
         shared = _compiled(f, columns[:r], g)[:full] if full else ()
-        (first, _), *rest = (*shared, *_compiled(f, columns[LANES * full :]))
-        more = tuple((8 * LANES * at, rows) for at, (rows, _) in enumerate(rest, 1))
-        return partial(_lane_fold, (r, 8 * r, (1 << 8 * r) - 1, first, more)), _lane_spill
+        units = _unit_rows(f)
+        groups = []
+        for at, (rows, _) in enumerate((*shared, *_compiled(f, columns[LANES * full :]))):
+            # Parity position p of [start, r) is lane p - LANES * at of this
+            # group, or of a later one, whose lanes take the zero row here.
+            start = min(LANES * at, r)
+            lead = tuple(units[min(p - LANES * at, LANES)] for p in range(start, r))
+            groups.append((start, 8 * LANES * at, lead + rows))
+        (_, _, first), *more = groups
+        return partial(_lane_fold, (8 * r, (1 << 8 * r) - 1, first, tuple(more))), _lane_spill
     form = _compiled(f, columns)
     if f.m == 1:
         bits = _mod_lane_bits(f.p)
@@ -395,6 +411,25 @@ def _lane_rows(field: FieldSpec, lines: Sequence[Sequence[int]]) -> tuple:
     return tuple(groups)
 
 
+def _unit_rows(field: FieldSpec) -> tuple[array, ...]:
+    """The lane rows of the unit columns over a byte field: for each lane
+    l < LANES the row whose entry v is v in lane l, then the zero row.
+    Built once per field and kept on it (`record.kept`), as its product
+    rows are: one strided slice assignment of the field's elements per
+    lane fills a buffer read as one array, as in `_lane_rows`."""
+    return kept(field, "_unit_rows", _derive_unit_rows, field.q)
+
+
+def _derive_unit_rows(q: int) -> tuple[array, ...]:
+    buf = bytearray(LANES * q * (LANES + 1))
+    for lane in range(LANES):
+        buf[LANES * q * lane + lane : LANES * q * (lane + 1) : LANES] = bytes(range(q))
+    table = array("Q", buf)
+    if sys.byteorder == "big":
+        table.byteswap()
+    return tuple(table[i * q : (i + 1) * q] for i in range(LANES + 1))
+
+
 def _lane_encode(field: FieldSpec, rows: Sequence[array], lanes: int, more: tuple,
                  message: Sequence[int]) -> tuple[int, ...]:
     # `FieldSpec.check_all`'s test, fused with the first group's lookups.
@@ -411,15 +446,15 @@ def _lane_encode(field: FieldSpec, rows: Sequence[array], lanes: int, more: tupl
 
 
 def _lane_fold(step: tuple, c: Sequence[int], acc: int) -> int | None:
-    # The lanes of all groups read as one int, lane l in byte l.  Its
-    # starting value holds the parity symbols in lanes 0..r-1 and acc above
-    # them, and each group's products XOR in at its shift, so the syndrome
-    # is left in the low r lanes and acc plus the shares above.
-    r, shift, mask, first, more = step
-    message = c[r:]
-    out = reduce(xor, map(getitem, first, message), int.from_bytes(c[:r], "little") | acc << shift)
-    for at, rows in more:
-        out ^= reduce(xor, map(getitem, rows, message), 0) << at
+    # The lanes of all groups read as one int, lane l in byte l, starting
+    # from acc above the r parity lanes.  Each group XORs in one lookup per
+    # symbol of the codeword from its start at its shift: a parity symbol
+    # through its unit row, a message symbol through its lane row of M.  So
+    # the syndrome is left in the low r lanes and acc plus the shares above.
+    shift, mask, first, more = step
+    out = reduce(xor, map(getitem, first, c), acc << shift)
+    for start, at, rows in more:
+        out ^= reduce(xor, map(getitem, rows, c[start:]), 0) << at
     if out & mask:
         return None
     return out >> shift
@@ -539,11 +574,10 @@ def solve_linear(a: FieldMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
 
 
 def matrix_to_text(m: FieldMatrix) -> str:
-    """One row per line, space-separated encodings; header 'rows cols q'."""
-    lines = [f"{m.rows} {m.cols} {m.field.q}"]
-    for i in range(m.rows):
-        lines.append(" ".join(map(str, m.row(i))))
-    return "\n".join(lines)
+    """One row per line, space-separated encodings; header 'rows cols q'.
+    One %-format of a row template repeated once per row."""
+    row = "\n" + " ".join(["%d"] * m.cols)
+    return (f"{m.rows} {m.cols} {m.field.q}" + row * m.rows) % m.entries
 
 
 def matrix_from_text(text: str) -> FieldMatrix:

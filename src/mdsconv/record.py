@@ -11,12 +11,15 @@ dict, and unpickling runs no check; `FieldSpec` pickles as `GF(q)`.
 
 `kept` is the one rule for a value derived once and kept on a record
 (plans' parity checks, report and executable, codes' encoders, parity
-forms, product rows), which `==`, `hash` and `replace` never see.
+forms, a field's product and unit rows), which `==`, `hash` and
+`replace` never see.
 `FieldSpec` is a record: `(p, m)` identify the field.
 
 Each class has two constructors with the same parameters and defaults.
 The checked one, `Cls(...)`, runs `__post_init__`: it is for values from
 outside the program (plan documents, library callers, `replace`).
+A checked constructor keeps each sequence field as tuples (`freeze`), so
+a record built from lists equals and hashes as one built from tuples.
 `Cls._trusted(...)`, also generated, sets the fields and skips
 `__post_init__`: it is for values the program derives from operands that
 were already checked, such as computed matrices, restricted codes and
@@ -90,6 +93,22 @@ def replace(obj: Record, **changes) -> Record:
     """A new record of obj's class with `changes` applied: its `__init__`
     runs (and validates) again, and values kept on obj are not copied."""
     return type(obj)(**{**{n: getattr(obj, n) for n in obj._fields}, **changes})
+
+
+def freeze(obj: Record, **depths: int) -> None:
+    """In a checked constructor: keep each named field of obj with its
+    lists and tuples, down to `depth` levels, as tuples.  Any other value
+    is kept as given, for the constructor's checks to refuse as before."""
+    for name, depth in depths.items():
+        object.__setattr__(obj, name, _tuples(getattr(obj, name), depth))
+
+
+def _tuples(value, depth: int):
+    if not isinstance(value, (list, tuple)):
+        return value
+    if depth == 1:
+        return tuple(value)
+    return tuple([_tuples(v, depth - 1) for v in value])
 
 
 def kept(obj: Record, name: str, derive, *args):

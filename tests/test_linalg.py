@@ -240,7 +240,8 @@ def test_lane_kernel_matches_per_element_reference(m):
     output lanes: every lane count from 0 to 8, and 10 and 17 (as r = 10 of
     [100,90]), with zero coefficients, zero rows and zero vectors.  The
     lanes are the parity columns A of g = [A | I_k], run by the encoder and
-    by the fold, whose shares run on lanes past them."""
+    by the fold, whose shares run on lanes past them; the fold's first
+    group leads with the r unit rows of the parity symbols."""
     f = GF(1 << m)
     q = f.q
     rng = random.Random(3000 + m)
@@ -266,7 +267,9 @@ def test_lane_kernel_matches_per_element_reference(m):
             encoder = linalg.systematic_encoder(g, lanes) if lanes else None
             fold, spill = linalg.fold_step(g, lanes, s_part)
             if lanes >= 8:  # A's first full lane group is built once, on g
-                assert fold.args[0][3] is encoder.args[1] is g._parity_form[0][0]
+                first, shared = fold.args[0][2], g._parity_form[0][0]
+                assert len(first) == lanes + inputs and len(encoder.args[1]) == len(shared) == inputs
+                assert all(a is b is c for a, b, c in zip(first[lanes:], encoder.args[1], shared))
             for v in ([element() for _ in range(inputs)], [0] * inputs):
                 c = (*_naive_vecmat(v, mat), *v)
                 if encoder is not None:
@@ -274,6 +277,32 @@ def test_lane_kernel_matches_per_element_reference(m):
                 assert tuple(spill(fold(c, 0), w)) == _naive_vecmat(c, s_part)
                 if lanes:
                     assert fold((c[0] ^ 1, *c[1:]), 0) is None
+
+
+@pytest.mark.parametrize("w", [0, 3, 9])
+@pytest.mark.parametrize("r", [*range(1, 11), 16, 17])
+@pytest.mark.parametrize("q", [4, 16, 256])
+def test_lane_fold_refuses_every_single_symbol_change(q, r, w):
+    """The byte-field fold reads the whole codeword, each lane group from
+    its start, the parity symbols through unit lane rows: in the first
+    group, in a second one for r > 8, and none in the share-only groups
+    past them.  On a codeword c it gives c . S, and it refuses every change
+    of one symbol, parity or message, by XOR with 1 and with q - 1."""
+    f = GF(q)
+    rng = random.Random(5000 + 100 * q + 10 * r + w)
+    k = 5
+    # Each row of A has a nonzero entry, so a changed message symbol moves the syndrome.
+    a_rows = [[rng.randrange(q) for _ in range(r)] for _ in range(k)]
+    for t, row in enumerate(a_rows):
+        row[t % r] = rng.randrange(1, q)
+    g = from_rows(f, [row + [int(i == t) for i in range(k)] for t, row in enumerate(a_rows)])
+    s_part = from_rows(f, [[rng.randrange(q) for _ in range(w)] for _ in range(r + k)], cols=w)
+    fold, spill = linalg.fold_step(g, r, s_part)
+    c = vecmat([rng.randrange(q) for _ in range(k)], g)
+    assert tuple(spill(fold(c, 0), w)) == _naive_vecmat(c, s_part)
+    for at in range(r + k):
+        for delta in (1, q - 1):
+            assert fold((*c[:at], c[at] ^ delta, *c[at + 1 :]), 0) is None
 
 
 @pytest.mark.parametrize("q, r", [(256, 3), (256, 9), (256, 17), (257, 9), (1 << 16, 9)])

@@ -63,7 +63,7 @@ CACHED = {
     "GeneralPlan": ("_executable", "_report"),
     "ExtGrsSpec": ("_encoder",),
     "FieldMatrix": ("_parity_form",),
-    "FieldSpec": ("_exp", "_log", "_product_rows"),
+    "FieldSpec": ("_exp", "_log", "_product_rows", "_unit_rows"),
 }
 
 
@@ -197,6 +197,41 @@ def test_plan_constructors_refuse_values_that_are_not_ints(case):
     plan, change = NON_INTEGER_PLAN_VALUES[case]
     with pytest.raises(UsageError, match="integer"):
         replace(plan, **change)
+
+
+def _listed(record, *names) -> dict:
+    """record's fields `names` with every tuple in them, at any depth, a list."""
+    def listed(value):
+        return [listed(v) for v in value] if isinstance(value, tuple) else value
+    return {name: listed(getattr(record, name)) for name in names}
+
+
+_GENERAL = plandoc.load_plan(str(FIXTURES / "two_by_two_plan.json"))
+_MATRIX = linalg.FieldMatrix(GF(8), 1, 2, (1, 2))
+_SPEC = grs.ExtGrsSpec(GF(8), 5, 2, (1, 2, 3, 4), (1,) * 5)
+
+# Sequence fields given as lists (S as a set), each with the record built from tuples.
+FROM_LISTS = {
+    "merge S as a set": (_MERGE, {"reduced": {1, 2}}),
+    "merge specs and grids": (_MERGE, _listed(_MERGE, "initial_specs", "unchanged", "reads")),
+    "split extra reads": (_SPLIT, _listed(_SPLIT, "extra_reads")),
+    "split specs and grids": (_SPLIT, _listed(_SPLIT, "final_specs", "unchanged", "reads", "extra_reads")),
+    "general specs, grids, layouts and sigmas": (_GENERAL, _listed(
+        _GENERAL, "initial_specs", "final_specs", "unchanged", "reads", "layouts", "sigmas")),
+    "matrix entries": (_MATRIX, {"entries": [1, 2]}),
+    "code points and multipliers": (_SPEC, {"gamma": [1, 2, 3, 4], "w": [1] * 5}),
+}
+
+
+@pytest.mark.parametrize("case", FROM_LISTS)
+def test_checked_records_keep_sequence_fields_as_tuples(case):
+    """A checked constructor keeps its sequence fields as tuples, grids as
+    tuples of tuples and S as a frozenset, so a record built from lists or
+    a set equals, and hashes as, the one built from tuples."""
+    record, change = FROM_LISTS[case]
+    built = replace(record, **change)
+    assert built == record and hash(built) == hash(record)
+    assert all(getattr(built, name) == getattr(record, name) for name in change)
 
 
 def test_cli_process_loads_no_dataclasses_inspect_or_typing():

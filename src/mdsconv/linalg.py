@@ -320,13 +320,13 @@ def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple[Callable, Callabl
     if _is_byte_field(f):
         full = r // LANES
         shared = _compiled(f, columns[:r], g)[:full] if full else ()
-        units = _unit_rows(f)
+        units = kept(f, "_unit_rows", _unit_rows, f.q)
         groups = []
         for at, (rows, _) in enumerate((*shared, *_compiled(f, columns[LANES * full :]))):
-            # Parity position p of [start, r) is lane p - LANES * at of this
-            # group, or of a later one, whose lanes take the zero row here.
+            # From its start, a group reads the unit rows of its own parity
+            # lanes, then a zero row per parity symbol of a later group.
             start = min(LANES * at, r)
-            lead = tuple(units[min(p - LANES * at, LANES)] for p in range(start, r))
+            lead = units[: min(r - start, LANES)] + units[LANES:] * (r - start - LANES)
             groups.append((start, 8 * LANES * at, lead + rows))
         (_, _, first), *more = groups
         return partial(_lane_fold, (8 * r, (1 << 8 * r) - 1, first, tuple(more))), _lane_spill
@@ -411,16 +411,12 @@ def _lane_rows(field: FieldSpec, lines: Sequence[Sequence[int]]) -> tuple:
     return tuple(groups)
 
 
-def _unit_rows(field: FieldSpec) -> tuple[array, ...]:
-    """The lane rows of the unit columns over a byte field: for each lane
-    l < LANES the row whose entry v is v in lane l, then the zero row.
-    Built once per field and kept on it (`record.kept`), as its product
-    rows are: one strided slice assignment of the field's elements per
-    lane fills a buffer read as one array, as in `_lane_rows`."""
-    return kept(field, "_unit_rows", _derive_unit_rows, field.q)
-
-
-def _derive_unit_rows(q: int) -> tuple[array, ...]:
+def _unit_rows(q: int) -> tuple[array, ...]:
+    """The lane rows of the unit columns over a byte field of q elements:
+    for each lane l < LANES the row whose entry v is v in lane l, then the
+    zero row.  `fold_step` keeps them on the field (`record.kept`), as its
+    product rows are.  One strided slice assignment of the field's
+    elements per lane fills a buffer read as one array, as in `_lane_rows`."""
     buf = bytearray(LANES * q * (LANES + 1))
     for lane in range(LANES):
         buf[LANES * q * lane + lane : LANES * q * (lane + 1) : LANES] = bytes(range(q))

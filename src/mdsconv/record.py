@@ -100,7 +100,9 @@ def freeze(obj: Record, **depths: int) -> None:
     lists and tuples, down to `depth` levels, as tuples.  Any other value
     is kept as given, for the constructor's checks to refuse as before."""
     for name, depth in depths.items():
-        object.__setattr__(obj, name, _tuples(getattr(obj, name), depth))
+        value = getattr(obj, name)
+        if depth > 1 or type(value) is not tuple:
+            object.__setattr__(obj, name, _tuples(value, depth))
 
 
 def _tuples(value, depth: int):
@@ -108,6 +110,9 @@ def _tuples(value, depth: int):
         return value
     if depth == 1:
         return tuple(value)
+    # A grid that is already tuples of tuples, as plan documents give it, is kept.
+    if depth == 2 and type(value) is tuple and {tuple}.issuperset(map(type, value)):
+        return value
     return tuple([_tuples(v, depth - 1) for v in value])
 
 

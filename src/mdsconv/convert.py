@@ -21,9 +21,11 @@ time a plan object runs, `lower` compiles it to a general plan: for each
 final code, the initial symbols it reads, a matrix sigma with
 written = reads . sigma, and the layout of its coordinates (`_sigma`,
 once `verify_plan` passes the plan).  `_Executable` then compiles that
-into one bound `linalg.fold_step` per initial code, kept on the plan
-object with the access report, so every later stripe is one fold per
-input, over a byte field one lookup pass over each whole codeword
+into one `linalg.fold_step` step per initial code and binds them, with
+the final layouts and the access report, to the stripe loop of the plan
+field's form, kept on the plan object.  So every later stripe is one call
+of that loop, which checks, folds and spills every input in one frame,
+over a byte field one lookup pass over each whole codeword
 (`run_conversion`).
 
 Every code of a plan is an extended GRS code, and an extended GRS code
@@ -41,7 +43,9 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator, Sequence
+from functools import partial, reduce
 from itertools import accumulate, chain, islice
+from operator import getitem, mul, xor
 
 from . import linalg
 from .errors import CorruptionError, InternalError, MdsconvError, ParameterError, UsageError
@@ -152,6 +156,9 @@ class MergeBound(Record):
     per_code_reads: tuple[int, ...]
     rho: int
 
+    def __post_init__(self):
+        freeze(self, per_code_reads=1)
+
 
 def merge_lower_bound(params: ConvertParams) -> MergeBound:
     """Access-cost lower bound for a merge (t2 = 1).
@@ -175,6 +182,9 @@ class SplitBound(Record):
     rho_r: int
     rho: int
     feasible: tuple[int, ...]
+
+    def __post_init__(self):
+        freeze(self, feasible=1)
 
 
 def split_lower_bound(params: ConvertParams) -> SplitBound:
@@ -479,6 +489,9 @@ class AccessReport(Record):
     optimal: bool | None
     stable: bool
     trace: tuple[tuple[int, int, str], ...]
+
+    def __post_init__(self):
+        freeze(self, per_initial_reads=1, trace=2)
 
 
 def access_report(plan: Plan) -> AccessReport:
@@ -850,35 +863,28 @@ def _picker(indices: Sequence[int]) -> operator.itemgetter:
 
 
 class _Executable:
-    """A plan compiled for `run_conversion` from its lowered form g.
+    """A plan compiled for `run_conversion` from its lowered form g: `run`,
+    the stripe loop of the plan field's form bound to the plan's data
+    (`_stripe_run`), picked once, here.
 
-    `inputs` holds, per initial code i, its spec, its length n_i and the
-    fold of `linalg.fold_step` on its generator G_i = [A_i | I_k] and on S_i
-    (`_shares`), which checks input i against its parity symbols,
-    message . A_i, and adds its share of every final code's written
-    symbols, c_i . S_i.  S_i holds
-    input i's rows of the lowered sigmas at its read positions, the finals'
-    columns side by side, so the shares sum to reads . sigma, the written
-    symbols.  Over every field the step computes a share as
-    message . C_i with C_i = G_i . S_i, equal on codewords.  Over a byte
-    field it reads the whole codeword, the parity symbols through unit lane
-    rows, so the syndrome and the shares come out of one lookup pass; over
-    the other fields it runs on the message symbols and compares the parity
-    symbols.  `spill`, the same for every input, unpacks
-    the sum; `width` counts its symbols.
-    `finals` holds, per final code, its spec and a picker that lays out its
-    coordinates from the concatenated inputs followed by all written
-    symbols.  `report` is the plan's access report.
+    Per initial code i the data hold its spec, its length n_i, the text of
+    its CorruptionError and the step of `linalg.fold_step` on its generator
+    G_i = [A_i | I_k] and on S_i (`_shares`), which checks input i against
+    its parity symbols, message . A_i, and gives its share of every final
+    code's written symbols, c_i . S_i.  S_i holds input i's rows of the
+    lowered sigmas at its read positions, the finals' columns side by side,
+    so the shares sum to reads . sigma, the written symbols.  Over every
+    field the step computes a share as message . C_i with C_i = G_i . S_i,
+    equal on codewords.  Per final code the data hold its spec and a picker
+    that lays out its coordinates from the concatenated inputs followed by
+    all written symbols, and last the plan's access report.
     """
 
     def __init__(self, plan: Plan, g: GeneralPlan):
         p = g.params
         widths = [sigma.cols for sigma in g.sigmas]
-        self.width = sum(widths)
-        folds, spills = zip(*(linalg.fold_step(generator(spec), spec.r, _shares(g, i, spec.n))
-                              for i, spec in enumerate(g.initial_specs)))
-        self.inputs = tuple(zip(g.initial_specs, p.n_initial, folds))
-        self.spill = spills[0]
+        steps = [linalg.fold_step(generator(spec), spec.r, _shares(g, i, spec.n))
+                 for i, spec in enumerate(g.initial_specs)]
         offsets = [0]
         for n in p.n_initial + tuple(widths):
             offsets.append(offsets[-1] + n)
@@ -886,11 +892,11 @@ class _Executable:
         def index(code: int, pos: int) -> int:
             return offsets[code - 1] + pos - 1
 
-        self.finals = tuple(
+        finals = tuple(
             (spec, _picker([index(code, pos) for code, pos in layout]))
             for spec, layout in zip(g.final_specs, g.layouts)
         )
-        self.report = plan_report(plan)
+        self.run = _stripe_run(g.field, g.initial_specs, steps, sum(widths), finals, plan_report(plan))
 
 
 def _shares(g: GeneralPlan, i: int, n: int) -> FieldMatrix:
@@ -905,6 +911,124 @@ def _shares(g: GeneralPlan, i: int, n: int) -> FieldMatrix:
             rows[pos - 1][at : at + sigma.cols] = sigma.row(s)
         at += sigma.cols
     return FieldMatrix._trusted(g.field, n, width, tuple(chain.from_iterable(rows)))
+
+
+def _stripe_run(field: FieldSpec, specs: Sequence[ExtGrsSpec], steps: Sequence[tuple], width: int,
+                finals: tuple, report: AccessReport) -> partial:
+    """codewords -> (final codewords, report): the stripe loop of `field`'s
+    form (`_lane_stripe`, `_mod_stripe` or `_plain_stripe`) bound to the
+    inputs' specs and `linalg.fold_step` steps, the `width` written
+    symbols, the finals' (spec, picker) pairs and the report.  A partial of
+    a module function, so a plan that ran stays picklable."""
+    inputs = tuple((spec, spec.n, f"input {i} is not a codeword of initial code {i}", *step)
+                   for i, (spec, step) in enumerate(zip(specs, steps), 1))
+    if linalg._is_byte_field(field):
+        return partial(_lane_stripe, inputs, width, finals, report)
+    if field.m == 1:
+        bits = linalg._mod_lane_bits(field.p)
+        lanes = field.p, (1 << bits) - 1, range(0, bits * width, bits)
+        return partial(_mod_stripe, inputs, lanes, finals, report)
+    return partial(_plain_stripe, inputs, (field.mul, width), finals, report)
+
+
+# The stripe loops, one per field form.  Each checks the input count, then
+# each input in turn, before the next: its length, then its symbols (unless
+# it is a `Codeword` of that very initial code object), then its syndrome,
+# which it folds inline in the same frame as its share of the written
+# symbols.  Then it spills the written symbols and lays out the finals.
+# Over a byte field and GF(p) a stripe of such codewords makes no
+# Python-level call per input.
+
+_codeword = Codeword._trusted
+
+
+def _lane_stripe(inputs: tuple, width: int, finals: tuple, report: AccessReport,
+                 codewords: Sequence[Sequence[int] | Codeword]) -> tuple[tuple[Codeword, ...], AccessReport]:
+    # The lanes of all groups read as one int, lane l in byte l, starting
+    # from acc above the r parity lanes.  Each group XORs in one lookup per
+    # symbol of the codeword from its start at its shift: a parity symbol
+    # through its unit row, a message symbol through its lane row of M.  So
+    # the syndrome is left in the low r lanes and the shares above.
+    if len(codewords) != len(inputs):
+        _check_count(codewords, len(inputs))
+    acc = 0
+    flat: list[int] = []
+    for (spec, n, fault, shift, mask, first, more), cw in zip(inputs, codewords):
+        if isinstance(cw, Codeword):
+            symbols, checked = cw.symbols, cw.code is spec
+        else:
+            symbols, checked = tuple(cw), False
+        if len(symbols) != n:
+            raise CorruptionError(fault)
+        if not checked:
+            spec.field.check_all(symbols)
+        acc = reduce(xor, map(getitem, first, symbols), acc << shift)
+        for start, at, rows in more:
+            acc ^= reduce(xor, map(getitem, rows, symbols[start:]), 0) << at
+        if acc & mask:
+            raise CorruptionError(fault)
+        acc >>= shift
+        flat += symbols
+    flat += acc.to_bytes(width, "little")
+    return tuple([_codeword(pick(flat), spec) for spec, pick in finals]), report
+
+
+def _mod_stripe(inputs: tuple, lanes: tuple, finals: tuple, report: AccessReport,
+                codewords: Sequence[Sequence[int] | Codeword]) -> tuple[tuple[Codeword, ...], AccessReport]:
+    # One sum of packed products per input; its low r lanes, each reduced
+    # mod p, must equal the parity symbols, and the lanes above add to acc.
+    p, mask, spill = lanes
+    if len(codewords) != len(inputs):
+        _check_count(codewords, len(inputs))
+    acc = 0
+    flat: list[int] = []
+    for (spec, n, fault, r, shifts, shift, rows), cw in zip(inputs, codewords):
+        if isinstance(cw, Codeword):
+            symbols, checked = cw.symbols, cw.code is spec
+        else:
+            symbols, checked = tuple(cw), False
+        if len(symbols) != n:
+            raise CorruptionError(fault)
+        if not checked:
+            spec.field.check_all(symbols)
+        out = sum(map(mul, rows, symbols[r:]))
+        for at, a in zip(shifts, symbols):
+            if (out >> at & mask) % p != a:
+                raise CorruptionError(fault)
+        acc += out >> shift
+        flat += symbols
+    flat += [(acc >> at & mask) % p for at in spill]
+    return tuple([_codeword(pick(flat), spec) for spec, pick in finals]), report
+
+
+def _plain_stripe(inputs: tuple, lanes: tuple, finals: tuple, report: AccessReport,
+                  codewords: Sequence[Sequence[int] | Codeword]) -> tuple[tuple[Codeword, ...], AccessReport]:
+    # The product of the message symbols and each column of M by
+    # `FieldSpec.mul`, added by XOR, as the field has characteristic 2.
+    field_mul, width = lanes
+    if len(codewords) != len(inputs):
+        _check_count(codewords, len(inputs))
+    acc = [0] * width
+    flat: list[int] = []
+    for (spec, n, fault, r, columns), cw in zip(inputs, codewords):
+        if isinstance(cw, Codeword):
+            symbols, checked = cw.symbols, cw.code is spec
+        else:
+            symbols, checked = tuple(cw), False
+        if len(symbols) != n:
+            raise CorruptionError(fault)
+        if not checked:
+            spec.field.check_all(symbols)
+        message = symbols[r:]
+        out = []
+        for column in columns:
+            out.append(reduce(xor, map(field_mul, message, column), 0))
+        if tuple(out[:r]) != symbols[:r]:
+            raise CorruptionError(fault)
+        acc = list(map(xor, acc, out[r:]))
+        flat += symbols
+    flat += acc
+    return tuple([_codeword(pick(flat), spec) for spec, pick in finals]), report
 
 
 def _check_count(codewords: Sequence, t1: int) -> None:
@@ -933,45 +1057,27 @@ def run_conversion(
 ) -> tuple[tuple[Codeword, ...], AccessReport]:
     """Execute any plan; always returns a tuple of final codewords.
 
-    Every input must be a codeword of its initial code.  The inputs are
-    checked in order, each before the next: its length, then its symbols,
-    then its syndrome.  A wrong length or a nonzero syndrome raises
-    CorruptionError, a non-canonical symbol UsageError.  An input that is
-    a `Codeword` of that very initial code object (not an equal one) gets
-    no symbol check: its constructor checked its symbols, or the program
-    derived them (`Codeword._trusted`, as `encode` does).  Every other
-    input is checked by `FieldSpec.check_all`, here and nowhere else, as
-    the folds only fold.  An unpickled `Codeword` skipped its constructor's
-    check, as every record does.
+    Every input must be a codeword of its initial code.  The input count is
+    checked first (UsageError), then the inputs in order, each before the
+    next: its length, then its symbols, then its syndrome.  A wrong length
+    or a nonzero syndrome raises CorruptionError, a non-canonical symbol
+    UsageError.  An input that is a `Codeword` of that very initial code
+    object (not an equal one) gets no symbol check: its constructor checked
+    its symbols, or the program derived them (`Codeword._trusted`, as
+    `encode` does).  Every other input is checked by `FieldSpec.check_all`,
+    here and nowhere else.  An unpickled `Codeword` skipped its
+    constructor's check, as every record does.
     Execution reads every input symbol to check it, and forms the written
     symbols from the message symbols, which on codewords equal the read
     symbols times sigma; the `AccessReport` is the plan's access cost, not
     a count of what execution touched.  The first time a plan runs it is
     lowered and compiled (`_Executable`) and kept on the plan, so a later
-    stripe is one `linalg.fold_step` fold per input, over byte fields one
-    lookup per codeword symbol and lane group, with no slice, no solve and
-    no matrix or cache lookup.
+    stripe is this lookup and one call of the plan's stripe loop, which
+    checks, folds and spills every input in one frame: over byte fields
+    one lookup per codeword symbol and lane group, with no slice, no solve
+    and no matrix or cache lookup.
     """
-    exe = getattr(plan, "_executable", None) or _compile(plan, codewords)
-    inputs = exe.inputs
-    if len(codewords) != len(inputs):
-        _check_count(codewords, len(inputs))
-    acc = 0
-    flat: list[int] = []
-    for i, ((spec, n, fold), cw) in enumerate(zip(inputs, codewords), 1):
-        if isinstance(cw, Codeword):
-            symbols, checked = cw.symbols, cw.code is spec
-        else:
-            symbols, checked = tuple(cw), False
-        if len(symbols) != n:
-            raise CorruptionError(f"input {i} is not a codeword of initial code {i}")
-        if not checked:
-            spec.field.check_all(symbols)
-        if (acc := fold(symbols, acc)) is None:
-            raise CorruptionError(f"input {i} is not a codeword of initial code {i}")
-        flat += symbols
-    flat += exe.spill(acc, exe.width)
-    return tuple([Codeword._trusted(pick(flat), spec) for spec, pick in exe.finals]), exe.report
+    return (getattr(plan, "_executable", None) or _compile(plan, codewords)).run(codewords)
 
 
 def merge_convert(

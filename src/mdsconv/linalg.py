@@ -24,19 +24,22 @@ up to eight outputs at once; over GF(p) one packed int per input symbol,
 one bit field per output, so a product is one sum.  A's form is kept on
 g, the one form a matrix keeps, so the encoder and the fold share A's
 full lane groups.  `grs.encode` runs `systematic_encoder`, compiled once
-per code, on the message symbols.  The bound (fold, spill) pair that
-`fold_step` returns checks a codeword against its systematic generator
-and adds its share of the written symbols in one pass: over a byte field
-one lookup pass over the whole codeword, its parity symbols through the
-field's unit lane rows (`_unit_rows`, kept on the field), so the syndrome
-lands in the low lanes; over the other fields a product on the message
-symbols, compared with the parity symbols.  The encoder checks each
-message symbol, as messages come from outside; the fold checks none, and
-only folds: its caller, `convert.run_conversion`, checks each input's
-symbols once, unless the input is a `grs.Codeword` of its initial code,
-which the `Codeword` constructor checked.  `matvec` and `vecmat` are reference products over
-`FieldSpec.mul` and `add`; GF(2^m) with m > 8 has no compiled form, so
-its encoder and fold run the same product on A and M themselves.
+per code, on the message symbols.  The encoder checks each message
+symbol, as messages come from outside.
+
+`fold_step` returns data, not a function: the step that checks a
+codeword against its systematic generator and gives its share of the
+written symbols in one pass.  Over a byte field it is lane rows for one
+lookup pass over the whole codeword, its parity symbols through the
+field's unit lane rows (`_unit_rows`, lists kept on the field), so the
+syndrome lands in the low lanes; over GF(p) packed rows of M for one sum
+of products on the message symbols, compared with the parity symbols;
+over GF(2^m) with m > 8, which has no compiled form, M's columns for
+`FieldSpec.mul` products.  The stripe loops of `convert.run_conversion`,
+one per form, run it inline for every input of a stripe in one frame,
+after checking that input's symbols.  `matvec` and `vecmat` are
+reference products over `FieldSpec.mul` and `add`; the encoder of
+GF(2^m) with m > 8 runs `vecmat` on A.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import sys
 from array import array
 from collections.abc import Callable, Iterable, Sequence
 from functools import partial, reduce
-from itertools import chain, islice
+from itertools import chain
 from operator import getitem, mul, xor
 
 from .errors import SingularMatrixError, UsageError, canonical_decimals
@@ -248,11 +251,6 @@ def vecmat(v: Sequence[int], m: FieldMatrix) -> tuple[int, ...]:
     if len(v) != m.rows:
         raise UsageError(f"vector length {len(v)} does not match {m.rows} rows")
     m.field.check_all(v)
-    return _vecmat(v, m)
-
-
-def _vecmat(v: Sequence[int], m: FieldMatrix) -> tuple[int, ...]:
-    """`vecmat` of a vector of the right length, already canonical."""
     return tuple(_dot(m.field, v, m.entries[j :: m.cols]) for j in range(m.cols))
 
 
@@ -288,32 +286,33 @@ def systematic_encoder(g: FieldMatrix, r: int) -> Callable:
     return partial(_plain_encode, form)
 
 
-def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple[Callable, Callable]:
-    """The executor's check-and-share step for g = [A | I_k], a systematic
-    generator with r parity columns, and S, (r + k) x w, as (fold, spill).
+def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple:
+    """The executor's check-and-share step data for g = [A | I_k], a
+    systematic generator with r parity columns, and S, (r + k) x w.
 
-    fold(c, acc) takes a vector c of r + k canonical symbols, which it
-    does not check (its caller, `run_conversion`, has), and an
-    accumulator.  It returns None unless c[:r] = c[r:] . A, that is unless
-    c is a codeword; otherwise it returns acc + c . S.  0 is the empty
-    accumulator, and spill(acc, w) gives an accumulator's w symbols.
-
+    A stripe loop of `convert` runs the step on a vector c of r + k
+    canonical symbols, which it has checked: c is a codeword exactly when
+    c[:r] = c[r:] . A, and then its share of the written symbols is c . S.
     A codeword is c = c[r:] . g, so c . S = c[r:] . C with C = g . S, and
-    over every field the fold runs the compiled form of M = [A | C].  Over
-    a byte field (`_lane_fold`) it reads the whole codeword, one lookup per
-    symbol for each group of up to LANES of the r + w lanes, each group
-    after the first at its shift.  Group g reads c from min(LANES g, r): a
-    parity symbol through the unit row of its lane if the group holds that
-    lane, else through the zero row (`_unit_rows`), then each message
-    symbol through M's row.  So the syndrome c[:r] - c[r:] . A lands in
-    the low r lanes with no slice of c, and a share-only group reads the
-    message symbols alone.  After their unit rows, A's full groups are the
-    very rows `systematic_encoder` runs on, and A's other columns share a
-    group with the first columns of C.  Over GF(p) (`_mod_fold`) one sum of
-    products of message symbols and packed rows of M.  Over GF(2^m) with
-    m > 8 (`_plain_fold`) `vecmat`'s product on M, unchecked, the
-    accumulator a list of w symbols, so the spill is `islice`.  All are
-    partials of module functions, as in `systematic_encoder`.
+    over every field the step is a form of M = [A | C]:
+
+    - over a byte field, (8 r, the mask of the r low lanes, first, more):
+      lane rows that read the whole codeword, one lookup per symbol for
+      each group of up to LANES of the r + w lanes, each group after the
+      first at its shift.  Group g reads c from min(LANES g, r): a parity
+      symbol through the unit row of its lane if the group holds that lane,
+      else through the zero row (`_unit_rows`), then each message symbol
+      through M's row.  So the syndrome c[:r] - c[r:] . A lands in the low
+      r lanes with no slice of c, and a share-only group reads the message
+      symbols alone.  `first` is the first group's rows; `more` holds
+      (start, shift, rows) for each further group.  After their unit rows,
+      A's full groups are the very rows `systematic_encoder` runs on, and
+      A's other columns share a group with the first columns of C;
+    - over GF(p), (r, the bit offsets of the r parity lanes, the offset of
+      the first share lane, rows): one packed int of M per message
+      symbol, so c[r:] . M is one sum of products;
+    - over GF(2^m) with m > 8, (r, columns): M's r + w columns, each a
+      tuple of k entries, for `FieldSpec.mul` products.
     """
     f = g.field
     columns = [g.entries[j :: g.cols] for j in range(r)] + _systematic_product(g, r, s)
@@ -329,13 +328,11 @@ def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple[Callable, Callabl
             lead = units[: min(r - start, LANES)] + units[LANES:] * (r - start - LANES)
             groups.append((start, 8 * LANES * at, lead + rows))
         (_, _, first), *more = groups
-        return partial(_lane_fold, (8 * r, (1 << 8 * r) - 1, first, tuple(more))), _lane_spill
-    form = _compiled(f, columns)
+        return 8 * r, (1 << 8 * r) - 1, first, tuple(more)
     if f.m == 1:
         bits = _mod_lane_bits(f.p)
-        step = r, tuple(range(0, bits * r, bits)), (1 << bits) - 1, bits * r, form
-        return partial(_mod_fold, f.p, step), partial(_mod_spill, f.p, bits)
-    return partial(_plain_fold, r, form), islice
+        return r, tuple(range(0, bits * r, bits)), bits * r, _compiled(f, columns)
+    return r, tuple(columns)
 
 
 def _compiled(field: FieldSpec, columns: Sequence[Sequence[int]], generator: FieldMatrix | None = None):
@@ -411,19 +408,23 @@ def _lane_rows(field: FieldSpec, lines: Sequence[Sequence[int]]) -> tuple:
     return tuple(groups)
 
 
-def _unit_rows(q: int) -> tuple[array, ...]:
+def _unit_rows(q: int) -> tuple[list[int], ...]:
     """The lane rows of the unit columns over a byte field of q elements:
     for each lane l < LANES the row whose entry v is v in lane l, then the
     zero row.  `fold_step` keeps them on the field (`record.kept`), as its
     product rows are.  One strided slice assignment of the field's
-    elements per lane fills a buffer read as one array, as in `_lane_rows`."""
+    elements per lane fills a buffer read as one array, as in `_lane_rows`.
+    The rows are lists, cut from the array's `tolist`, so each of an
+    input's r parity lookups returns an int that exists, where a lookup
+    into an array makes one."""
     buf = bytearray(LANES * q * (LANES + 1))
     for lane in range(LANES):
         buf[LANES * q * lane + lane : LANES * q * (lane + 1) : LANES] = bytes(range(q))
     table = array("Q", buf)
     if sys.byteorder == "big":
         table.byteswap()
-    return tuple(table[i * q : (i + 1) * q] for i in range(LANES + 1))
+    values = table.tolist()
+    return tuple(values[i * q : (i + 1) * q] for i in range(LANES + 1))
 
 
 def _lane_encode(field: FieldSpec, rows: Sequence[array], lanes: int, more: tuple,
@@ -441,37 +442,11 @@ def _lane_encode(field: FieldSpec, rows: Sequence[array], lanes: int, more: tupl
     return (*parity, *message)
 
 
-def _lane_fold(step: tuple, c: Sequence[int], acc: int) -> int | None:
-    # The lanes of all groups read as one int, lane l in byte l, starting
-    # from acc above the r parity lanes.  Each group XORs in one lookup per
-    # symbol of the codeword from its start at its shift: a parity symbol
-    # through its unit row, a message symbol through its lane row of M.  So
-    # the syndrome is left in the low r lanes and acc plus the shares above.
-    shift, mask, first, more = step
-    out = reduce(xor, map(getitem, first, c), acc << shift)
-    for start, at, rows in more:
-        out ^= reduce(xor, map(getitem, rows, c[start:]), 0) << at
-    if out & mask:
-        return None
-    return out >> shift
-
-
-def _lane_spill(acc: int, w: int) -> bytes:
-    return acc.to_bytes(w, "little")
-
-
 # GF(2^m) with m > 8 runs the reference product on the matrix itself.
 
 
 def _plain_encode(a: FieldMatrix, message: Sequence[int]) -> tuple[int, ...]:
     return (*vecmat(message, a), *message)
-
-
-def _plain_fold(r: int, m: FieldMatrix, c: Sequence[int], acc: list[int] | int) -> list[int] | None:
-    out = _vecmat(c[r:], m)
-    if out[:r] != tuple(c[:r]):
-        return None
-    return list(map(xor, acc, out[r:])) if acc else list(out[r:])
 
 
 # Over GF(p) the lanes of a packed int are bit fields wide enough for a sum
@@ -493,15 +468,6 @@ def _mod_encode(field: FieldSpec, bits: int, r: int, rows: tuple,
                 message: Sequence[int]) -> tuple[int, ...]:
     field.check_all(message)
     return (*_mod_spill(field.p, bits, sum(map(mul, rows, message)), r), *message)
-
-
-def _mod_fold(p: int, step: tuple, c: Sequence[int], acc: int) -> int | None:
-    r, shifts, mask, shift, rows = step
-    out = sum(map(mul, rows, c[r:]))
-    for at, a in zip(shifts, c):
-        if (out >> at & mask) % p != a:
-            return None
-    return acc + (out >> shift)
 
 
 def _mod_spill(p: int, bits: int, acc: int, w: int) -> list[int]:

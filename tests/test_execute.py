@@ -132,23 +132,66 @@ def test_rejections_match_references():
             assert got is _error_class(oracle.split_convert_by_solve, plan, cw) is expected[name]
 
 
-def test_inputs_are_checked_in_order():
-    """Each input is checked in full before the next, as in the references: a
-    parity fault in input 1 is named even when input 2 holds a non-canonical
-    symbol, and a non-canonical symbol in input 1 wins over a fault in input 2."""
+# A plan of each compiled form of the executor, each built on first use:
+# the lane rows of a byte field with the parity in one lane group and in
+# two (r_I = 10), the packed ints of GF(p), the plain form of GF(2^16), and
+# the 2x2 general plan over GF(8).
+ORDER_PLANS = {
+    "acceptance merge over GF(7)": lambda: next(_merge_plans()),
+    "GF(256), one lane group": lambda: build_merge(merge_params([(5, 3), (5, 3)], 2), GF(256)),
+    "GF(256), two lane groups": lambda: build_merge(merge_params([(30, 20), (30, 20)], 4), GF(256)),
+    "GF(257)": lambda: build_merge(merge_params([(5, 3), (5, 3)], 2), GF(257)),
+    "GF(65536)": lambda: build_merge(merge_params([(5, 3), (5, 3)], 2), GF(1 << 16)),
+    "2x2 general": _general_plan,
+}
+
+
+class _Unread:
+    """An input that fails the test if the executor looks at it at all."""
+
+    def _read(self, *args):
+        raise AssertionError("an input was read before the input count was checked")
+
+    __len__ = __iter__ = __getitem__ = _read
+
+
+@pytest.mark.parametrize("form", ORDER_PLANS)
+def test_inputs_are_checked_in_order(form):
+    """Each input is checked in full before the next, as in the references,
+    in every stripe loop, on a plan's first stripe and once it has compiled:
+    a parity fault in input 1 is named even when input 2 holds a
+    non-canonical symbol (q or True) or has the wrong length, and a
+    non-canonical symbol in input 1 wins over a fault in input 2.  A clean
+    input 1 and a raw input 2 holding q give the symbol check's text.  A
+    wrong input count is refused before any input is read."""
+    plan = ORDER_PLANS[form]()
+    reference = oracle.general_convert_by_layout if isinstance(plan, GeneralPlan) else oracle.merge_convert_by_solve
     rng = random.Random(39)
-    plan = next(_merge_plans())
     q = plan.field.q
-    for first, second, error, message in (
-        ("corrupt", "non-canonical", CorruptionError, "input 1 is not a codeword of initial code 1"),
-        ("non-canonical", "corrupt", UsageError, f"{q} is not a canonical element"),
+    corrupt_1 = (CorruptionError, "input 1 is not a codeword of initial code 1")
+    for first, second, (error, message) in (
+        ("corrupt", "non-canonical", corrupt_1),
+        ("corrupt", "True", corrupt_1),
+        ("corrupt", "short", corrupt_1),
+        ("non-canonical", "corrupt", (UsageError, f"{q} is not a canonical element")),
+        ("clean", "non-canonical", (UsageError, f"^{q} is not a canonical element of GF\\({q}\\)$")),
     ):
         stripe = [list(cw) for cw in _stripes(plan.initial_specs, rng)[1]]
         for i, fault in ((0, first), (1, second)):
-            stripe[i][0] = q if fault == "non-canonical" else (stripe[i][0] + 1) % q
-        for run in (merge_convert, oracle.merge_convert_by_solve):
-            with pytest.raises(error, match=message):
-                run(plan, stripe)
+            if fault == "short":
+                stripe[i].pop()
+            elif fault != "clean":
+                stripe[i][0] = {"non-canonical": q, "True": True}.get(fault, (stripe[i][0] + 1) % q)
+        for run in (convert.run_conversion, reference):
+            for runs_on in (replace(plan), plan):
+                with pytest.raises(error, match=message):
+                    run(runs_on, stripe)
+    t1 = plan.params.t1
+    for count in (t1 - 1, t1 + 1):
+        for run in (convert.run_conversion, reference):
+            for runs_on in (replace(plan), plan):
+                with pytest.raises(UsageError, match=f"expected {t1} input codewords, got {count}"):
+                    run(runs_on, [_Unread() for _ in range(count)])
 
 
 def test_inputs_are_checked_before_a_plan_is_refused():
@@ -302,6 +345,42 @@ def test_each_symbol_is_checked_once_per_stripe(monkeypatch, q):
         for raw in ([cw.symbols for cw in stripe], [list(cw.symbols) for cw in stripe]):
             assert convert.run_conversion(plan, raw) == out
     assert calls == [spec.n for spec in plan.initial_specs] * 2 * len(stripes)
+
+
+def _calls(fn, *args):
+    """fn(*args) and the names of the Python functions it calls, in order,
+    from `sys.setprofile`'s call events."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return out, names
+
+
+@pytest.mark.parametrize("q", [256, 257])
+def test_a_stripe_makes_the_same_calls_for_two_inputs_and_for_four(q):
+    """On a plan that has run, one `run_conversion` of an encoded stripe
+    makes the same Python-level calls for the README's 2-input merge as for
+    the benchmark's 4-input merge: the stripe loop checks, folds and spills
+    every input in its own frame, so no call is made per input.  GF(2^16)
+    is left out: its plain form multiplies by `FieldSpec.mul`."""
+    calls = {}
+    for shapes, rf in (([(5, 3), (5, 3)], 2), WIDE_MERGES[0]):
+        plan = build_merge(merge_params(shapes, rf), GF(q))
+        rng = random.Random(q + len(shapes))
+        stripe = [encode(spec, [rng.randrange(q) for _ in range(spec.k)]) for spec in plan.initial_specs]
+        want = convert.run_conversion(plan, stripe)
+        got, calls[len(shapes)] = _calls(convert.run_conversion, plan, stripe)
+        assert got == want
+    assert calls[2][0] == "run_conversion"
+    assert calls[2] == calls[4]
 
 
 def _failure(plan, stripe):

@@ -1,10 +1,12 @@
 import random
 from itertools import combinations
+from operator import itemgetter
+from types import SimpleNamespace
 
 import pytest
 
-from mdsconv import grs, linalg
-from mdsconv.errors import SingularMatrixError, UsageError
+from mdsconv import convert, grs, linalg
+from mdsconv.errors import CorruptionError, SingularMatrixError, UsageError
 from mdsconv.field import GF
 from mdsconv.linalg import (
     FieldMatrix,
@@ -210,6 +212,28 @@ def _naive_vecmat(v, m):
     return tuple(out)
 
 
+def _folder(g, r, s):
+    """`fold_step(g, r, s)` and fold(c_1, c_2, ...): the executor's stripe
+    loop for g's field (`convert._stripe_run`) run with that step for every
+    input c_t, raw symbols of r + g.rows each, and no final code but the
+    written symbols.  fold gives the sum of the shares c_t . S as a tuple,
+    or None when the loop refuses an input as not a codeword."""
+    step = linalg.fold_step(g, r, s)
+    code = SimpleNamespace(field=g.field, n=r + g.rows)  # what the loop reads of an initial code
+
+    def fold(*codewords):
+        written = ((None, itemgetter(slice(code.n * len(codewords), None))),)
+        run = convert._stripe_run(g.field, [code] * len(codewords), [step] * len(codewords),
+                                  s.cols, written, None)
+        try:
+            (out,), _ = run(codewords)
+        except CorruptionError:
+            return None
+        return tuple(out.symbols)
+
+    return step, fold
+
+
 @pytest.mark.parametrize("q", [2, 7, 8, 256, 257, 1 << 16, (1 << 31) - 1])
 def test_row_kernel_matches_per_element_reference(q):
     f = GF(q)
@@ -240,8 +264,9 @@ def test_lane_kernel_matches_per_element_reference(m):
     output lanes: every lane count from 0 to 8, and 10 and 17 (as r = 10 of
     [100,90]), with zero coefficients, zero rows and zero vectors.  The
     lanes are the parity columns A of g = [A | I_k], run by the encoder and
-    by the fold, whose shares run on lanes past them; the fold's first
-    group leads with the r unit rows of the parity symbols."""
+    by the fold step in the stripe loop, whose shares run on lanes past
+    them; the step's first group leads with the r unit rows of the parity
+    symbols."""
     f = GF(1 << m)
     q = f.q
     rng = random.Random(3000 + m)
@@ -265,25 +290,25 @@ def test_lane_kernel_matches_per_element_reference(m):
             w = 3
             s_part = from_rows(f, [[element() for _ in range(w)] for _ in range(lanes + inputs)], cols=w)
             encoder = linalg.systematic_encoder(g, lanes) if lanes else None
-            fold, spill = linalg.fold_step(g, lanes, s_part)
+            step, fold = _folder(g, lanes, s_part)
             if lanes >= 8:  # A's first full lane group is built once, on g
-                first, shared = fold.args[0][2], g._parity_form[0][0]
+                first, shared = step[2], g._parity_form[0][0]
                 assert len(first) == lanes + inputs and len(encoder.args[1]) == len(shared) == inputs
                 assert all(a is b is c for a, b, c in zip(first[lanes:], encoder.args[1], shared))
             for v in ([element() for _ in range(inputs)], [0] * inputs):
                 c = (*_naive_vecmat(v, mat), *v)
                 if encoder is not None:
                     assert encoder(v) == c
-                assert tuple(spill(fold(c, 0), w)) == _naive_vecmat(c, s_part)
+                assert fold(c) == _naive_vecmat(c, s_part)
                 if lanes:
-                    assert fold((c[0] ^ 1, *c[1:]), 0) is None
+                    assert fold((c[0] ^ 1, *c[1:])) is None
 
 
 @pytest.mark.parametrize("w", [0, 3, 9])
 @pytest.mark.parametrize("r", [*range(1, 11), 16, 17])
 @pytest.mark.parametrize("q", [4, 16, 256])
 def test_lane_fold_refuses_every_single_symbol_change(q, r, w):
-    """The byte-field fold reads the whole codeword, each lane group from
+    """The byte-field fold step reads the whole codeword, each lane group from
     its start, the parity symbols through unit lane rows: in the first
     group, in a second one for r > 8, and none in the share-only groups
     past them.  On a codeword c it gives c . S, and it refuses every change
@@ -297,37 +322,38 @@ def test_lane_fold_refuses_every_single_symbol_change(q, r, w):
         row[t % r] = rng.randrange(1, q)
     g = from_rows(f, [row + [int(i == t) for i in range(k)] for t, row in enumerate(a_rows)])
     s_part = from_rows(f, [[rng.randrange(q) for _ in range(w)] for _ in range(r + k)], cols=w)
-    fold, spill = linalg.fold_step(g, r, s_part)
+    _, fold = _folder(g, r, s_part)
     c = vecmat([rng.randrange(q) for _ in range(k)], g)
-    assert tuple(spill(fold(c, 0), w)) == _naive_vecmat(c, s_part)
+    assert fold(c) == _naive_vecmat(c, s_part)
     for at in range(r + k):
         for delta in (1, q - 1):
-            assert fold((*c[:at], c[at] ^ delta, *c[at + 1 :]), 0) is None
+            assert fold((*c[:at], c[at] ^ delta, *c[at + 1 :])) is None
 
 
 @pytest.mark.parametrize("q, r", [(256, 3), (256, 9), (256, 17), (257, 9), (1 << 16, 9)])
 def test_empty_generator_gives_zero_products_over_every_field(q, r):
     """A generator with no rows (k = 0) encodes the empty message to r zero
-    parity symbols, and its fold accepts only the zero parity and adds w
+    parity symbols, and its fold step accepts only the zero parity and adds w
     zero shares: over a byte field with one lane group or more, over GF(p)
     and over GF(2^16) alike."""
     f = GF(q)
     g = FieldMatrix(f, 0, r, ())
     assert linalg.systematic_encoder(g, r)(()) == (0,) * r
     w = 3
-    fold, spill = linalg.fold_step(g, r, zeros(f, r, w))
-    assert tuple(spill(fold((0,) * r, 0), w)) == (0,) * w
-    assert fold((1,) + (0,) * (r - 1), 0) is None
+    _, fold = _folder(g, r, zeros(f, r, w))
+    assert fold((0,) * r) == (0,) * w
+    assert fold((1,) + (0,) * (r - 1)) is None
 
 
 @pytest.mark.parametrize("q", [2, 16, 256, 257, 512, 1 << 16, 1000003])
 def test_check_lines_give_the_systematic_syndrome(q):
-    """The executor's per-input check lines: the fold that `fold_step` binds
-    for g = [A | I_k] and S is None exactly when c . [I_r ; -A] is nonzero, that is exactly
-    off the code, and on a codeword adds c . S to the accumulator: from 0,
-    and chained onto an earlier fold.  r + w runs past eight lanes too, and
-    S may be zero on most rows, as a share of the written symbols is zero
-    off the read symbols."""
+    """The executor's per-input check lines: the stripe loop running the
+    step that `fold_step` gives for g = [A | I_k] and S refuses c exactly
+    when c . [I_r ; -A] is nonzero, that is exactly off the code, and on a
+    codeword adds c . S to the written symbols: alone, and after an
+    earlier input.  r + w runs past eight lanes too, and S may be zero on
+    most rows, as a share of the written symbols is zero off the read
+    symbols."""
     f = GF(q)
     rng = random.Random(4000 + q)
     for n in sorted({2, 3, min(q + 1, 12), min(q + 1, 19)}):
@@ -339,20 +365,19 @@ def test_check_lines_give_the_systematic_syndrome(q):
             for w, live in ((0, 1), (1, 1), (9, 1), (9, 0.3)):
                 s_part = from_rows(f, [[rng.randrange(q) for _ in range(w)] if rng.random() < live
                                        else [0] * w for _ in range(n)], cols=w)
-                fold, spill = linalg.fold_step(g, r, s_part)
+                _, fold = _folder(g, r, s_part)
                 earlier = grs.encode(spec, [rng.randrange(q) for _ in range(spec.k)]).symbols
-                acc = fold(earlier, 0)
-                assert list(spill(acc, w)) == list(_naive_vecmat(earlier, s_part))
+                assert fold(earlier) == _naive_vecmat(earlier, s_part)
                 for c in ([rng.randrange(q) for _ in range(n)], [0] * n,
                           grs.encode(spec, [rng.randrange(q) for _ in range(spec.k)]).symbols):
                     syndrome = map(f.sub, c[:r], _naive_vecmat(c[r:], a_part))
-                    got = fold(c, acc)
+                    got = fold(earlier, c)
                     assert (got is None) == any(syndrome) == (not grs.is_codeword(spec, c))
                     if got is not None:
                         shares = _naive_vecmat(c, s_part)
                         want = map(f.add, _naive_vecmat(earlier, s_part), shares)
-                        assert list(spill(got, w)) == list(want)
-                        assert list(spill(fold(c, 0), w)) == list(shares)
+                        assert list(got) == list(want)
+                        assert fold(c) == shares
 
 
 @pytest.mark.parametrize("q", [7, 256])

@@ -209,6 +209,9 @@ def _listed(record, *names) -> dict:
 _GENERAL = plandoc.load_plan(str(FIXTURES / "two_by_two_plan.json"))
 _MATRIX = linalg.FieldMatrix(GF(8), 1, 2, (1, 2))
 _SPEC = grs.ExtGrsSpec(GF(8), 5, 2, (1, 2, 3, 4), (1,) * 5)
+_REPORT = convert.access_report(_MERGE)
+_MERGE_BOUND = convert.merge_lower_bound(_MERGE.params)
+_SPLIT_BOUND = convert.split_lower_bound(_SPLIT.params)
 
 # Sequence fields given as lists (S as a set), each with the record built from tuples.
 FROM_LISTS = {
@@ -220,6 +223,9 @@ FROM_LISTS = {
         _GENERAL, "initial_specs", "final_specs", "unchanged", "reads", "layouts", "sigmas")),
     "matrix entries": (_MATRIX, {"entries": [1, 2]}),
     "code points and multipliers": (_SPEC, {"gamma": [1, 2, 3, 4], "w": [1] * 5}),
+    "access report reads and trace": (_REPORT, _listed(_REPORT, "per_initial_reads", "trace")),
+    "merge bound reads": (_MERGE_BOUND, _listed(_MERGE_BOUND, "per_code_reads")),
+    "split bound feasible finals": (_SPLIT_BOUND, _listed(_SPLIT_BOUND, "feasible")),
 }
 
 

@@ -137,12 +137,12 @@ def test_rejections_match_references():
 # two (r_I = 10), the packed ints of GF(p), the plain form of GF(2^16), and
 # the 2x2 general plan over GF(8).
 ORDER_PLANS = {
-    "acceptance merge over GF(7)": lambda: next(_merge_plans()),
-    "GF(256), one lane group": lambda: build_merge(merge_params([(5, 3), (5, 3)], 2), GF(256)),
-    "GF(256), two lane groups": lambda: build_merge(merge_params([(30, 20), (30, 20)], 4), GF(256)),
-    "GF(257)": lambda: build_merge(merge_params([(5, 3), (5, 3)], 2), GF(257)),
-    "GF(65536)": lambda: build_merge(merge_params([(5, 3), (5, 3)], 2), GF(1 << 16)),
-    "2x2 general": _general_plan,
+    "gf7-acceptance-merge": lambda: next(_merge_plans()),
+    "gf256-one-lane-group": lambda: build_merge(merge_params([(5, 3), (5, 3)], 2), GF(256)),
+    "gf256-two-lane-groups": lambda: build_merge(merge_params([(30, 20), (30, 20)], 4), GF(256)),
+    "gf257": lambda: build_merge(merge_params([(5, 3), (5, 3)], 2), GF(257)),
+    "gf65536": lambda: build_merge(merge_params([(5, 3), (5, 3)], 2), GF(1 << 16)),
+    "general-2x2-gf8": _general_plan,
 }
 
 

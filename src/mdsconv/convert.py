@@ -20,13 +20,13 @@ Every plan kind runs through one executor, `run_conversion`.  The first
 time a plan object runs, `lower` compiles it to a general plan: for each
 final code, the initial symbols it reads, a matrix sigma with
 written = reads . sigma, and the layout of its coordinates (`_sigma`,
-once `verify_plan` passes the plan).  `_Executable` then compiles that
+once `verify_plan` passes the plan).  `_executable` then compiles that
 into one `linalg.fold_step` step per initial code and binds them, with
 the final layouts and the access report, to the stripe loop of the plan
-field's form, kept on the plan object.  So every later stripe is one call
-of that loop, which checks, folds and spills every input in one frame,
-over a byte field one lookup pass over each whole codeword
-(`run_conversion`).
+field's form, kept on the plan object as `_executable`.  So every later
+stripe is one call of that loop, which checks, folds and spills every
+input and builds every final codeword in one frame, over a byte field one
+lookup pass over each whole codeword (`run_conversion`).
 
 Every code of a plan is an extended GRS code, and an extended GRS code
 with n - 1 distinct evaluation points and nonzero column multipliers is
@@ -862,10 +862,11 @@ def _picker(indices: Sequence[int]) -> operator.itemgetter:
     return operator.itemgetter(slice(start, start + len(indices)))
 
 
-class _Executable:
-    """A plan compiled for `run_conversion` from its lowered form g: `run`,
-    the stripe loop of the plan field's form bound to the plan's data
-    (`_stripe_run`), picked once, here.
+def _executable(plan: Plan, g: GeneralPlan) -> partial:
+    """The plan compiled for `run_conversion` from its lowered form g: the
+    stripe loop of the plan field's form bound to the plan's data
+    (`_stripe_run`), picked once, here, and kept on the plan as
+    `_executable`.
 
     Per initial code i the data hold its spec, its length n_i, the text of
     its CorruptionError and the step of `linalg.fold_step` on its generator
@@ -879,28 +880,26 @@ class _Executable:
     that lays out its coordinates from the concatenated inputs followed by
     all written symbols, and last the plan's access report.
     """
+    p = g.params
+    widths = [sigma.cols for sigma in g.sigmas]
+    steps = [linalg.fold_step(generator(spec), spec.r, _shares(g, i, spec.n))
+             for i, spec in enumerate(g.initial_specs)]
+    offsets = [0]
+    for n in p.n_initial + tuple(widths):
+        offsets.append(offsets[-1] + n)
 
-    def __init__(self, plan: Plan, g: GeneralPlan):
-        p = g.params
-        widths = [sigma.cols for sigma in g.sigmas]
-        steps = [linalg.fold_step(generator(spec), spec.r, _shares(g, i, spec.n))
-                 for i, spec in enumerate(g.initial_specs)]
-        offsets = [0]
-        for n in p.n_initial + tuple(widths):
-            offsets.append(offsets[-1] + n)
+    def index(code: int, pos: int) -> int:
+        return offsets[code - 1] + pos - 1
 
-        def index(code: int, pos: int) -> int:
-            return offsets[code - 1] + pos - 1
-
-        finals = tuple(
-            (spec, _picker([index(code, pos) for code, pos in layout]))
-            for spec, layout in zip(g.final_specs, g.layouts)
-        )
-        self.run = _stripe_run(g.field, g.initial_specs, steps, sum(widths), finals, plan_report(plan))
+    finals = tuple(
+        (spec, _picker([index(code, pos) for code, pos in layout]))
+        for spec, layout in zip(g.final_specs, g.layouts)
+    )
+    return _stripe_run(g.field, g.initial_specs, steps, sum(widths), finals, plan_report(plan))
 
 
 def _shares(g: GeneralPlan, i: int, n: int) -> FieldMatrix:
-    """S_i of `_Executable` for the initial code i (0-based, length n) of a
+    """S_i of `_executable` for the initial code i (0-based, length n) of a
     lowered plan: per final code a block of columns that holds, at each
     position i reads for it, that read's row of sigma, and zeros elsewhere."""
     width = sum(sigma.cols for sigma in g.sigmas)
@@ -937,9 +936,11 @@ def _stripe_run(field: FieldSpec, specs: Sequence[ExtGrsSpec], steps: Sequence[t
 # which it folds inline in the same frame as its share of the written
 # symbols.  Then it spills the written symbols and lays out the finals.
 # Over a byte field and GF(p) a stripe of such codewords makes no
-# Python-level call per input.
+# Python-level call per input.  Each final codeword is built inline, as
+# `Codeword._trusted` builds it, so over those fields a stripe makes no
+# Python-level call at all.
 
-_codeword = Codeword._trusted
+_new, _set = object.__new__, object.__setattr__
 
 
 def _lane_stripe(inputs: tuple, width: int, finals: tuple, report: AccessReport,
@@ -970,7 +971,13 @@ def _lane_stripe(inputs: tuple, width: int, finals: tuple, report: AccessReport,
         acc >>= shift
         flat += symbols
     flat += acc.to_bytes(width, "little")
-    return tuple([_codeword(pick(flat), spec) for spec, pick in finals]), report
+    outputs = []
+    for spec, pick in finals:
+        codeword = _new(Codeword)
+        _set(codeword, "symbols", pick(flat))
+        _set(codeword, "code", spec)
+        outputs.append(codeword)
+    return tuple(outputs), report
 
 
 def _mod_stripe(inputs: tuple, lanes: tuple, finals: tuple, report: AccessReport,
@@ -997,8 +1004,15 @@ def _mod_stripe(inputs: tuple, lanes: tuple, finals: tuple, report: AccessReport
                 raise CorruptionError(fault)
         acc += out >> shift
         flat += symbols
-    flat += [(acc >> at & mask) % p for at in spill]
-    return tuple([_codeword(pick(flat), spec) for spec, pick in finals]), report
+    for at in spill:
+        flat.append((acc >> at & mask) % p)
+    outputs = []
+    for spec, pick in finals:
+        codeword = _new(Codeword)
+        _set(codeword, "symbols", pick(flat))
+        _set(codeword, "code", spec)
+        outputs.append(codeword)
+    return tuple(outputs), report
 
 
 def _plain_stripe(inputs: tuple, lanes: tuple, finals: tuple, report: AccessReport,
@@ -1028,7 +1042,13 @@ def _plain_stripe(inputs: tuple, lanes: tuple, finals: tuple, report: AccessRepo
         acc = list(map(xor, acc, out[r:]))
         flat += symbols
     flat += acc
-    return tuple([_codeword(pick(flat), spec) for spec, pick in finals]), report
+    outputs = []
+    for spec, pick in finals:
+        codeword = _new(Codeword)
+        _set(codeword, "symbols", pick(flat))
+        _set(codeword, "code", spec)
+        outputs.append(codeword)
+    return tuple(outputs), report
 
 
 def _check_count(codewords: Sequence, t1: int) -> None:
@@ -1036,8 +1056,8 @@ def _check_count(codewords: Sequence, t1: int) -> None:
         raise UsageError(f"expected {t1} input codewords, got {len(codewords)}")
 
 
-def _compile(plan: Plan, codewords: Sequence[Sequence[int] | Codeword]) -> _Executable:
-    """The plan's `_Executable`, kept on it.  When `lower` refuses the
+def _compile(plan: Plan, codewords: Sequence[Sequence[int] | Codeword]) -> partial:
+    """The plan's `_executable`, kept on it.  When `lower` refuses the
     plan, the stripe's inputs are still checked first, in order, so a
     corrupt or non-canonical input is named before the plan is refused, as
     on a compiled plan."""
@@ -1049,7 +1069,7 @@ def _compile(plan: Plan, codewords: Sequence[Sequence[int] | Codeword]) -> _Exec
             if not is_codeword(spec, cw.symbols if isinstance(cw, Codeword) else tuple(cw)):
                 raise CorruptionError(f"input {i} is not a codeword of initial code {i}") from None
         raise
-    return kept(plan, "_executable", _Executable, plan, g)
+    return kept(plan, "_executable", _executable, plan, g)
 
 
 def run_conversion(
@@ -1063,21 +1083,23 @@ def run_conversion(
     or a nonzero syndrome raises CorruptionError, a non-canonical symbol
     UsageError.  An input that is a `Codeword` of that very initial code
     object (not an equal one) gets no symbol check: its constructor checked
-    its symbols, or the program derived them (`Codeword._trusted`, as
-    `encode` does).  Every other input is checked by `FieldSpec.check_all`,
-    here and nowhere else.  An unpickled `Codeword` skipped its
-    constructor's check, as every record does.
+    its symbols, or the program derived them unchecked, as `encode` does.
+    Every other input is checked by `FieldSpec.check_all`, here and nowhere
+    else.  An unpickled `Codeword` skipped its constructor's check, as
+    every record does.
     Execution reads every input symbol to check it, and forms the written
     symbols from the message symbols, which on codewords equal the read
     symbols times sigma; the `AccessReport` is the plan's access cost, not
     a count of what execution touched.  The first time a plan runs it is
-    lowered and compiled (`_Executable`) and kept on the plan, so a later
-    stripe is this lookup and one call of the plan's stripe loop, which
-    checks, folds and spills every input in one frame: over byte fields
-    one lookup per codeword symbol and lane group, with no slice, no solve
-    and no matrix or cache lookup.
+    lowered and compiled to its stripe loop, kept on the plan as
+    `_executable`, so a later stripe is this lookup and one call of that
+    loop.  The loop checks, folds and spills every input and builds the
+    final codewords in its own frame: over byte fields one lookup per
+    codeword symbol and lane group, with no slice, no solve and no matrix
+    or cache lookup, and over byte fields and GF(p) no other Python-level
+    call.
     """
-    return (getattr(plan, "_executable", None) or _compile(plan, codewords)).run(codewords)
+    return (getattr(plan, "_executable", None) or _compile(plan, codewords))(codewords)
 
 
 def merge_convert(

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache, reduce
 from itertools import chain
+from operator import getitem, mul, xor
 
 from . import linalg
 from .errors import CorruptionError, InsufficientDataError, UsageError, json_int, json_ints
@@ -61,10 +62,12 @@ class Codeword(Record):
     them once: n of them (UsageError), each a canonical element of the
     code's field as `FieldSpec.check` has it.  It does not test the
     syndrome.  With no code nothing is checked.  Codewords the program
-    derives (`encode`, `recover_erasures`, `convert.run_conversion`'s
-    outputs) are built by `Codeword._trusted`, and unpickling skips the
-    check, as for every record.  So `run_conversion` checks no symbol of
-    an input that is a `Codeword` of that input's initial code.
+    derives are built unchecked: by `Codeword._trusted`, or, where `encode`
+    and the stripe loops of `convert.run_conversion` build them in their
+    own frame, by its two steps inline (`object.__new__`, then each field
+    set by `object.__setattr__`).  Unpickling skips the check, as for
+    every record.  So `run_conversion` checks no symbol of an input that
+    is a `Codeword` of that input's initial code.
     """
 
     symbols: tuple[int, ...]
@@ -142,23 +145,59 @@ def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
     """message . G, computed systematically: the r parity symbols
     message . A from the first r columns of the generator, then the k
     message symbols.  UsageError for a message of the wrong length or with
-    a symbol that is not canonical; the encoder checks each message symbol,
-    so the codeword, a derived value, is built unchecked (`_trusted`).
+    a symbol that is not canonical, checked in that order; each message
+    symbol is checked, so the codeword, a derived value, is built
+    unchecked.
 
-    The code's encoder (`linalg.systematic_encoder`) is compiled on first
-    use, from the compiled form of A that the generator keeps, and kept on
-    the spec, so a later call is the length check and one checked pass over
-    the message: over a byte field one lookup per symbol for up to eight
-    parity symbols, over GF(p) one sum of packed ints, over GF(2^m) with
-    m > 8 the reference product `linalg.vecmat` on A."""
-    k, run = getattr(spec, "_encoder", None) or kept(spec, "_encoder", _encoder, spec)
+    The code's encoder step (`linalg.systematic_encoder`) is compiled on
+    first use, from the compiled form of A that the generator keeps, and
+    kept on the spec next to k.  So a later call is the length check and
+    the step for the field's form, run here in one frame: over a byte field
+    one pass over the message that checks each symbol and XORs in its lane
+    row of the first group, for up to eight parity symbols, and one reduce
+    for each further group; over GF(p) `check_all` and one sum of packed
+    ints, spilled to the r parity symbols; over GF(2^m) with m > 8 the
+    reference product `linalg.vecmat` on A.  The codeword is built inline,
+    as `Codeword._trusted` builds it, so over byte fields a call of encode
+    makes no other Python-level call, and over GF(p) only `check_all`."""
+    k, step = getattr(spec, "_encoder", None) or kept(spec, "_encoder", _encoder, spec)
     if len(message) != k:
         raise UsageError(f"message must have k = {k} symbols, got {len(message)}")
-    return Codeword._trusted(run(message), spec)
+    field = spec.field
+    q = field.q
+    if field.p == 2 and q <= 256:  # a byte field, as `linalg._is_byte_field` has it
+        rows, lanes, more = step
+        # `FieldSpec.check_all`'s test, fused with the first group's lookups.
+        acc = 0
+        for a, row in zip(message, rows):
+            if type(a) is not int or not 0 <= a < q:
+                field.check(a)
+            acc ^= row[a]
+        parity = acc.to_bytes(lanes, "little")
+        for group, width in more:
+            parity += reduce(xor, map(getitem, group, message), 0).to_bytes(width, "little")
+    elif field.m == 1:
+        field.check_all(message)
+        p, mask, shifts, rows = step
+        acc = sum(map(mul, rows, message))
+        parity = []
+        for at in shifts:
+            parity.append((acc >> at & mask) % p)
+    else:
+        parity = linalg.vecmat(message, step)
+    codeword = _new(Codeword)
+    _set(codeword, "symbols", (*parity, *message))
+    _set(codeword, "code", spec)
+    return codeword
+
+
+# `Codeword._trusted`'s two steps, for a codeword built in its caller's frame.
+_new, _set = object.__new__, object.__setattr__
 
 
 def _encoder(spec: ExtGrsSpec) -> tuple:
-    """(k, encoder) for `encode`, built on the generator's compiled parity form."""
+    """(k, step) for `encode`: the step data of the code's systematic
+    encoder, built on the generator's compiled parity form."""
     return spec.k, linalg.systematic_encoder(generator(spec), spec.r)
 
 

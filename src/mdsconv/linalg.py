@@ -23,33 +23,36 @@ on M = [A | C] for the executor's per-input step.  Over a byte field
 up to eight outputs at once; over GF(p) one packed int per input symbol,
 one bit field per output, so a product is one sum.  A's form is kept on
 g, the one form a matrix keeps, so the encoder and the fold share A's
-full lane groups.  `grs.encode` runs `systematic_encoder`, compiled once
-per code, on the message symbols.  The encoder checks each message
-symbol, as messages come from outside.
+full lane groups.
 
-`fold_step` returns data, not a function: the step that checks a
-codeword against its systematic generator and gives its share of the
-written symbols in one pass.  Over a byte field it is lane rows for one
-lookup pass over the whole codeword, its parity symbols through the
-field's unit lane rows (`_unit_rows`, lists kept on the field), so the
-syndrome lands in the low lanes; over GF(p) packed rows of M for one sum
-of products on the message symbols, compared with the parity symbols;
-over GF(2^m) with m > 8, which has no compiled form, M's columns for
-`FieldSpec.mul` products.  The stripe loops of `convert.run_conversion`,
-one per form, run it inline for every input of a stripe in one frame,
-after checking that input's symbols.  `matvec` and `vecmat` are
-reference products over `FieldSpec.mul` and `add`; the encoder of
-GF(2^m) with m > 8 runs `vecmat` on A.
+Both return data, not a function, for a caller that runs them in its own
+frame.  `systematic_encoder` gives the encoder's step, which
+`grs.encode` keeps on the code (compiled once per code) and runs on the
+message symbols, checking each, as messages come from outside.
+`fold_step` gives the step that checks a codeword against its systematic
+generator and gives its share of the written symbols in one pass.  Over
+a byte field it is lane rows for one lookup pass over the whole
+codeword, its parity symbols through the field's unit lane rows
+(`_unit_rows`, lists kept on the field), so the syndrome lands in the
+low lanes; over GF(p) packed rows of M for one sum of products on the
+message symbols, compared with the parity symbols; over GF(2^m) with
+m > 8, which has no compiled form, M's columns for `FieldSpec.mul`
+products.
+The stripe loops of `convert.run_conversion`, one per form, run it
+inline for every input of a stripe in one frame, after checking that
+input's symbols.  `matvec` and `vecmat` are reference products over
+`FieldSpec.mul` and `add`; the encoder of GF(2^m) with m > 8 runs
+`vecmat` on A.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from collections.abc import Callable, Iterable, Sequence
-from functools import partial, reduce
+from collections.abc import Iterable, Sequence
+from functools import reduce
 from itertools import chain
-from operator import getitem, mul, xor
+from operator import xor
 
 from .errors import SingularMatrixError, UsageError, canonical_decimals
 from .field import GF, FieldSpec
@@ -261,29 +264,35 @@ def _dot(field: FieldSpec, a: Sequence[int], b: Sequence[int]) -> int:
 # -- compiled forms: the encoder and the fold -----------------------------
 
 
-def systematic_encoder(g: FieldMatrix, r: int) -> Callable:
-    """message -> message . g as a tuple, for g = [A | I_k], a systematic
-    generator with r parity columns: the r parity symbols message . A, then
-    the message itself.  The message must have k = g.rows symbols (the
-    caller checks its length); each is checked as `FieldSpec.check` does
-    (UsageError, naming the first one that is not canonical).
+def systematic_encoder(g: FieldMatrix, r: int) -> tuple:
+    """The step data of the encoder message -> message . g for g = [A | I_k],
+    a systematic generator with r parity columns: the r parity symbols
+    message . A, then the message itself.  `grs.encode` keeps them on the
+    code and runs them in its own frame, after it checks the message's
+    length; it checks each message symbol as `FieldSpec.check` does.
 
-    It runs on A's compiled form, kept on g, whose full lane groups
-    `fold_step` shares.  Over a byte field one pass over the message checks
-    each symbol and XORs in its lane row of the first group
-    (`_lane_encode`), and each further group is one reduce; over GF(p) one
-    check and one sum of packed ints (`_mod_encode`); over GF(2^m) with
-    m > 8, which has no compiled form, `vecmat` on A (`_plain_encode`).  A
-    partial of a module function, so whatever keeps it stays picklable.
+    They are A's compiled form, kept on g, whose full lane groups
+    `fold_step` shares:
+
+    - over a byte field, (first, lanes, more): the first lane group's k
+      rows and its width, for one pass over the message that checks each
+      symbol and XORs in its row, and (rows, width) for each further
+      group, one reduce each;
+    - over GF(p), (p, mask, shifts, rows): one packed int of A per message
+      symbol, so message . A is one sum, and the bit offset of each of its
+      r lanes, each reduced mod p;
+    - over GF(2^m) with m > 8, which has no compiled form, A itself, for
+      `vecmat`.
     """
     f = g.field
     form = _compiled(f, [g.entries[j :: g.cols] for j in range(r)], g)
     if _is_byte_field(f):
         (rows, lanes), *more = form
-        return partial(_lane_encode, f, rows, lanes, tuple(more))
+        return rows, lanes, tuple(more)
     if f.m == 1:
-        return partial(_mod_encode, f, _mod_lane_bits(f.p), r, form)
-    return partial(_plain_encode, form)
+        bits = _mod_lane_bits(f.p)
+        return f.p, (1 << bits) - 1, range(0, bits * r, bits), form
+    return form
 
 
 def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple:
@@ -427,28 +436,6 @@ def _unit_rows(q: int) -> tuple[list[int], ...]:
     return tuple(values[i * q : (i + 1) * q] for i in range(LANES + 1))
 
 
-def _lane_encode(field: FieldSpec, rows: Sequence[array], lanes: int, more: tuple,
-                 message: Sequence[int]) -> tuple[int, ...]:
-    # `FieldSpec.check_all`'s test, fused with the first group's lookups.
-    q = field.q
-    acc = 0
-    for a, row in zip(message, rows):
-        if type(a) is not int or not 0 <= a < q:
-            field.check(a)
-        acc ^= row[a]
-    parity = acc.to_bytes(lanes, "little")
-    for group, width in more:
-        parity += reduce(xor, map(getitem, group, message), 0).to_bytes(width, "little")
-    return (*parity, *message)
-
-
-# GF(2^m) with m > 8 runs the reference product on the matrix itself.
-
-
-def _plain_encode(a: FieldMatrix, message: Sequence[int]) -> tuple[int, ...]:
-    return (*vecmat(message, a), *message)
-
-
 # Over GF(p) the lanes of a packed int are bit fields wide enough for a sum
 # of 2^32 products of canonical entries, so products and a stripe's shares
 # add as plain ints, with no carry between lanes, and each lane is reduced
@@ -462,17 +449,6 @@ def _mod_lane_bits(p: int) -> int:
 def _mod_packed(bits: int, lines: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """One int per input index t, holding lines[j][t] at bit bits * j."""
     return tuple(sum(e << bits * j for j, e in enumerate(row)) for row in zip(*lines))
-
-
-def _mod_encode(field: FieldSpec, bits: int, r: int, rows: tuple,
-                message: Sequence[int]) -> tuple[int, ...]:
-    field.check_all(message)
-    return (*_mod_spill(field.p, bits, sum(map(mul, rows, message)), r), *message)
-
-
-def _mod_spill(p: int, bits: int, acc: int, w: int) -> list[int]:
-    mask = (1 << bits) - 1
-    return [(acc >> at & mask) % p for at in range(0, bits * w, bits)]
 
 
 def submatrix_cols(m: FieldMatrix, positions: Iterable[int]) -> FieldMatrix:

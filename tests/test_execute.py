@@ -321,9 +321,10 @@ def test_merge_stream_shape_matches_solving_reference(q):
 @pytest.mark.parametrize("q", [256, 257, 1 << 16])
 def test_each_symbol_is_checked_once_per_stripe(monkeypatch, q):
     """On the benchmark's merge shape a stripe of `encode`d codewords runs
-    no `FieldSpec.check_all` in `run_conversion` (their constructor or
-    encoder checked them), and a stripe of raw symbol tuples or lists runs
-    exactly one per input: the folds check nothing."""
+    no `FieldSpec.check_all` in `run_conversion` (`encode` checked their
+    messages), and a stripe of raw symbol tuples or lists runs exactly one
+    per input, from the stripe loop, which checks an input's symbols once
+    before it folds them."""
     shapes, rf = WIDE_MERGES[0]
     plan = build_merge(merge_params(shapes, rf), GF(q))
     rng = random.Random(q + 5)
@@ -381,6 +382,70 @@ def test_a_stripe_makes_the_same_calls_for_two_inputs_and_for_four(q):
         assert got == want
     assert calls[2][0] == "run_conversion"
     assert calls[2] == calls[4]
+
+
+@pytest.mark.parametrize("q, r", [(4, 2), (16, 3), (16, 10), (256, 4), (256, 10), (257, 4), (257, 10)])
+def test_an_encode_makes_no_other_call(q, r):
+    """One `encode` on a code whose encoder is kept runs its field's step
+    and builds the codeword in its own frame: over a byte field, with one
+    lane group or two (r = 10), it calls nothing else, and over GF(257)
+    only `FieldSpec.check_all`."""
+    n = min(q + 1, r + 6)
+    spec = grs.ExtGrsSpec(GF(q), n, r, tuple(range(n - 1)), (1,) * n)
+    rng = random.Random(q + r)
+    message = [rng.randrange(q) for _ in range(spec.k)]
+    want = encode(spec, message)
+    got, calls = _calls(encode, spec, message)
+    assert got == want
+    assert calls == ["encode", *(["check_all"] if q == 257 else [])]
+
+
+def _split_plan(q):
+    initial, finals = WIDE_SPLIT
+    return build_split(ConvertParams((initial,), finals), GF(q))
+
+
+@pytest.mark.parametrize("q", [256, 257, 1 << 16])
+def test_a_stripe_builds_its_final_codewords_without_a_call(q):
+    """One `run_conversion` stripe of the benchmark's merge shape and of the
+    wide split builds its final codewords in the stripe loop's frame: it
+    calls no `Codeword._trusted` and runs no list comprehension, which is
+    a frame of its own before Python 3.12.  Over GF(256) and GF(257) the
+    loop is the one call; over GF(2^16) it also multiplies by
+    `FieldSpec.mul`, shift and add."""
+    loop = {256: "_lane_stripe", 257: "_mod_stripe", 1 << 16: "_plain_stripe"}[q]
+    shapes, rf = WIDE_MERGES[0]
+    for plan in (build_merge(merge_params(shapes, rf), GF(q)), _split_plan(q)):
+        rng = random.Random(q + len(plan.initial_specs))
+        stripe = [encode(spec, [rng.randrange(q) for _ in range(spec.k)]) for spec in plan.initial_specs]
+        want = convert.run_conversion(plan, stripe)
+        got, calls = _calls(convert.run_conversion, plan, stripe)
+        assert got == want
+        assert "_trusted" not in calls and "<listcomp>" not in calls
+        assert calls[:2] == ["run_conversion", loop]
+        assert set(calls[2:]) <= ({"mul", "_mul_nolut"} if q == 1 << 16 else set())
+
+
+@pytest.mark.parametrize("q", [256, 257, 1 << 16])
+def test_codewords_built_inline_are_trusted_codewords(q):
+    """The codewords that `encode` and each form's stripe loop build inline
+    cannot be told from `Codeword._trusted(symbols, code)`: the same class,
+    instance dict (in field order), equality, hash and repr, and so after
+    a pickle round trip.  A field added to `Codeword` and not set at an
+    inline site shows in the instance dict."""
+    shapes, rf = WIDE_MERGES[0]
+    rng = random.Random(q + 7)
+    built = []
+    for plan in (build_merge(merge_params(shapes, rf), GF(q)), _split_plan(q)):
+        stripe = [encode(spec, [rng.randrange(q) for _ in range(spec.k)]) for spec in plan.initial_specs]
+        outs, _ = convert.run_conversion(plan, stripe)
+        built += [*stripe, *outs]
+    for cw in built:
+        twin = Codeword._trusted(cw.symbols, cw.code)
+        for copy in (cw, pickle.loads(pickle.dumps(cw))):
+            assert type(copy) is Codeword
+            assert list(vars(copy).items()) == list(vars(twin).items())
+            assert copy == twin and hash(copy) == hash(twin) and repr(copy) == repr(twin)
 
 
 def _failure(plan, stripe):

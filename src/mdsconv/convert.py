@@ -42,15 +42,16 @@ written blocks use code index t1 + j for final code j.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator, Sequence
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Sequence
 from functools import partial, reduce
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from operator import getitem, mul, xor
 
 from . import linalg
 from .errors import CorruptionError, InternalError, MdsconvError, ParameterError, UsageError
 from .field import FieldSpec
-from .grs import Codeword, ExtGrsSpec, generator, is_codeword, parity_check, puncture
+from .grs import Codeword, ExtGrsSpec, is_codeword, parity_check, parity_part, puncture
 from .linalg import FieldMatrix
 from .record import Record, freeze, kept
 
@@ -143,11 +144,7 @@ def reduced_read_codes(params: ConvertParams) -> frozenset[int]:
     if params.t2 != 1:
         raise UsageError("reduced-read classification applies to merge parameters (t2 = 1)")
     rf = params.r_final[0]
-    return frozenset(
-        i
-        for i in range(1, params.t1 + 1)
-        if rf < params.k_initial[i - 1] and rf <= params.r_initial[i - 1]
-    )
+    return frozenset(i for i, (n, k) in enumerate(params.initial, 1) if rf < k and rf <= n - k)
 
 
 class MergeBound(Record):
@@ -286,17 +283,26 @@ def _check_at_most_k(what: str, kept: Sequence[int], k: int) -> None:
         )
 
 
-def _columns(m: FieldMatrix, cols: Sequence[int]) -> FieldMatrix:
-    """Columns `cols` (0-based, in that order) of m."""
-    pick = _picker(cols)
-    entries = tuple(chain.from_iterable(map(pick, map(m.row, range(m.rows)))))
-    return FieldMatrix._trusted(m.field, m.rows, len(cols), entries)
+def _columns(m: FieldMatrix, cols: Iterable[int]) -> list[tuple[int, ...]]:
+    """Columns `cols` (0-based, in that order) of m, each a tuple: one
+    strided slice of its entries, with no matrix built."""
+    entries, step = m.entries, m.cols
+    return [entries[c::step] for c in cols]
 
 
-def _columns_at(hbar: FieldMatrix, support: Sequence[int], positions: Sequence[int]) -> FieldMatrix:
-    """The columns of `hbar`, whose columns follow the ascending `support`, at `positions`."""
-    slot = {pos: idx for idx, pos in enumerate(support)}
-    return _columns(hbar, [slot[pos] for pos in positions])
+def _all_columns(m: FieldMatrix) -> list[tuple[int, ...]]:
+    return _columns(m, range(m.cols))
+
+
+def _slots(support: Sequence[int], positions: Iterable[int]) -> Iterator[int]:
+    """The indices in the ascending `support` of `positions`, each in it:
+    the columns of a restricted parity check, which follow its support."""
+    return map(bisect_left, repeat(support), positions)
+
+
+def _matrix(field: FieldSpec, rows: int, columns: Sequence[Sequence[int]]) -> FieldMatrix:
+    """The rows x len(columns) matrix with these columns."""
+    return FieldMatrix._trusted(field, rows, len(columns), tuple(chain.from_iterable(zip(*columns))))
 
 
 class MergePlan(Record):
@@ -520,20 +526,14 @@ def access_report(plan: Plan) -> AccessReport:
         optimal = None
     # Unchanged sets are disjoint across final codes (`_check_grid`).
     stable = sum(map(len, kept)) == p.total_dimension
-    trace: list[tuple[int, int, str]] = []
-    for i in range(1, p.t1 + 1):
-        for pos in range(1, p.n_initial[i - 1] + 1):
-            if pos in kept[i - 1]:
-                status = "unchanged"
-            elif pos in read[i - 1]:
-                status = "read"
-            else:
-                status = "retired"
-            trace.append((i, pos, status))
-    for j in range(1, p.t2 + 1):
-        for idx in range(1, written[j - 1] + 1):
-            trace.append((p.t1 + j, idx, "written"))
-    return AccessReport(per_initial, rho_r, rho_w, rho, bound, optimal, stable, tuple(trace))
+    trace = [
+        (i, pos, "unchanged" if pos in k else "read" if pos in r else "retired")
+        for i, (n, k, r) in enumerate(zip(p.n_initial, kept, read), 1)
+        for pos in range(1, n + 1)
+    ]
+    trace += [(p.t1 + j, idx, "written") for j, w in enumerate(written, 1) for idx in range(1, w + 1)]
+    # Derived from a checked plan, with every sequence a tuple: unchecked.
+    return AccessReport._trusted(per_initial, rho_r, rho_w, rho, bound, optimal, stable, tuple(trace))
 
 
 def plan_report(plan: Plan) -> AccessReport:
@@ -573,6 +573,9 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
     codes read their trailing r_F positions (which include the extension
     position), and the final code takes those codes' restricted multipliers
     (`grs.puncture`) at their unchanged symbols; other codes re-read theirs.
+    Every point is drawn distinct and every multiplier is 1 or a restricted
+    one, so the codes and the plan are built unchecked (`_trusted`); the
+    checked constructors give equal records.
     """
     if params.t2 != 1:
         raise UsageError("merge construction requires exactly one final code")
@@ -593,7 +596,7 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
         cursor += k
     gamma_prime = tuple(pool[cursor : cursor + rf - 1])
     initial_specs = tuple(
-        ExtGrsSpec(field, n, n - k, gammas[idx], (1,) * n)
+        ExtGrsSpec._trusted(field, n, n - k, gammas[idx], (1,) * n)
         for idx, (n, k) in enumerate(params.initial)
     )
     reduced = reduced_read_codes(params)
@@ -609,8 +612,8 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
         w = puncture(spec, unchanged[i - 1] + reads[i - 1]).w if i in reduced else spec.w
         gamma_star += spec.gamma[:k]
         w_star += w[:k]
-    final_spec = ExtGrsSpec(field, nf, rf, (*gamma_star, *gamma_prime), (*w_star, *[1] * rf))
-    return MergePlan(
+    final_spec = ExtGrsSpec._trusted(field, nf, rf, (*gamma_star, *gamma_prime), (*w_star, *[1] * rf))
+    return MergePlan._trusted(
         params=params,
         field=field,
         initial_specs=initial_specs,
@@ -668,22 +671,32 @@ def _merge_faults(plan: MergePlan):
             except UsageError as exc:
                 yield f"punctured-parity: code {i}: {exc}"
                 continue
-            if _columns_at(hbar, support, unchanged) != _final_block(plan, i):
+            if _columns(hbar, _slots(support, unchanged)) != _all_columns(_final_block(plan, i)):
                 yield (f"block-mismatch: code {i} unchanged columns of the restricted parity "
                        "check differ from the final parity check")
 
 
 def _final_block(plan: MergePlan, i: int) -> FieldMatrix:
     """The final parity check's columns at initial code i's unchanged
-    symbols (i = t1 + 1: at the written symbols), in layout order; all
-    t1 + 1 blocks are cut on the first call and kept on the plan."""
-    return kept(plan, "_final_blocks", _final_blocks, plan)[i - 1]
+    symbols (i = t1 + 1: at the written symbols), in layout order."""
+    return _final_blocks(plan)[i - 1]
 
 
 def _final_blocks(plan: MergePlan) -> tuple[FieldMatrix, ...]:
-    h = parity_check(plan.final_spec)
-    cuts = [0, *accumulate(map(len, plan.unchanged)), h.cols]
-    return tuple(_columns(h, range(a, b)) for a, b in zip(cuts, cuts[1:]))
+    """All t1 + 1 blocks of `_final_block`, built on the first call and
+    kept on the plan."""
+    return kept(plan, "_final_blocks", _parity_blocks, plan.final_spec, plan.unchanged)
+
+
+def _parity_blocks(spec: ExtGrsSpec, unchanged: Sequence[Sequence[int]]) -> tuple[FieldMatrix, ...]:
+    """The blocks of `spec`'s parity check at each code's `unchanged`
+    symbols, in turn, and then at the rest, each built directly from the
+    code's points and multipliers at its columns (`linalg._vandermonde` of
+    their slices; the last block ends with the extension column), so the
+    whole parity check is never built."""
+    cuts = [0, *accumulate(map(len, unchanged)), spec.n]
+    return tuple(linalg._vandermonde(spec.field, spec.r, spec.gamma[a:b], spec.w[a:b])
+                 for a, b in zip(cuts, cuts[1:]))
 
 
 def _restricted_parity(
@@ -693,16 +706,18 @@ def _restricted_parity(
     (ascending) that equals h, a final parity check's columns at `kept`, on
     the first r_F of them.  ref = parity_check(puncture(spec, support)), and
     T = h_c . ref_c^-1 on those columns c (r_F columns of MDS parity checks)
-    is the identity, with no solve, when ref equals h there.  UsageError
-    when the codes and grid do not determine it."""
+    is the identity, with no solve, when ref equals h there: the test
+    compares the r_F columns of each, as tuples.  UsageError when the codes
+    and grid do not determine it."""
     ref = parity_check(puncture(spec, support))
     r = h.rows
     if ref.rows != r or len(kept) < r:
         raise UsageError(f"restriction has {ref.rows} parity rows, {len(kept)} kept symbols, r_F = {r}")
-    ref_c, h_c = _columns_at(ref, support, kept[:r]), _columns(h, range(r))
+    ref_c, h_c = _columns(ref, _slots(support, kept[:r])), _columns(h, range(r))
     if ref_c == h_c:
         return ref
-    return linalg.matmul(linalg.matmul(h_c, linalg.invert(ref_c)), ref)
+    f = ref.field
+    return linalg.matmul(linalg.matmul(_matrix(f, r, h_c), linalg.invert(_matrix(f, r, ref_c))), ref)
 
 
 def certificate(plan: MergePlan | SplitPlan) -> Iterator[FieldMatrix]:
@@ -737,7 +752,8 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
     its evaluation points, sliced lazily so the draw costs O(n) whatever
     q is; the privileged final inherits its points and closed-form
     multipliers from `grs.puncture` of the initial code, in its layout
-    order: its unchanged positions, then V.
+    order: its unchanged positions, then V.  As in `build_merge`, the codes
+    and the plan are built unchecked (`_trusted`).
     """
     if params.t1 != 1:
         raise UsageError("split construction requires exactly one initial code")
@@ -748,7 +764,7 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
         )
     n_i, k_i = params.initial[0]
     pool = field.elements()
-    initial_spec = ExtGrsSpec(field, n_i, n_i - k_i, tuple(pool[: n_i - 1]), (1,) * n_i)
+    initial_spec = ExtGrsSpec._trusted(field, n_i, n_i - k_i, tuple(pool[: n_i - 1]), (1,) * n_i)
     unchanged: list[tuple[int, ...]] = []
     offset = 0
     for _, kf in params.final:
@@ -759,7 +775,8 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
     if bound.feasible:
         best = max(params.k_final[j - 1] - params.r_final[j - 1] for j in bound.feasible)
         privileged = min(j for j in bound.feasible if params.k_final[j - 1] - params.r_final[j - 1] == best)
-    final_specs = [ExtGrsSpec(field, n, n - k, tuple(pool[: n - 1]), (1,) * n) for n, k in params.final]
+    final_specs = [ExtGrsSpec._trusted(field, n, n - k, tuple(pool[: n - 1]), (1,) * n)
+                   for n, k in params.final]
     reads, extra = list(unchanged), ()
     if privileged is not None:
         nf, kf = params.final[privileged - 1]
@@ -769,10 +786,10 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
         positions = unchanged[privileged - 1] + extra
         gamma = tuple(initial_spec.gamma[pos - 1] for pos in positions if pos != n_i)
         w = tuple(theta[support.index(pos)] for pos in positions)
-        final_specs[privileged - 1] = ExtGrsSpec(field, nf, nf - kf, gamma, w)
+        final_specs[privileged - 1] = ExtGrsSpec._trusted(field, nf, nf - kf, gamma, w)
         # It reads the other finals' unchanged symbols and V.
         reads[privileged - 1] = tuple(sorted(set(support) - set(unchanged[privileged - 1])))
-    return SplitPlan(
+    return SplitPlan._trusted(
         params=params,
         field=field,
         initial_spec=initial_spec,
@@ -789,30 +806,35 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
 
 def _sigma(plan: MergePlan | SplitPlan, j: int) -> FieldMatrix:
     """Final code j's sigma, read off one `rref` of [W | B] with
-    W . written = B . reads, built row by row from its parity check H.
+    W . written = B . reads, assembled from columns.
 
-    W is H on the written coordinates, which end the final layout.  Each
-    initial code i in turn adds the columns of `restricted_parity(j, i)` at
-    the symbols i reads, which agrees with H on the symbols i keeps, or
-    else minus H's columns of the symbols i keeps, which are then the ones
-    it reads.
+    W is final j's parity check H on its written coordinates, which end its
+    layout.  Each initial code i in turn adds the columns of
+    `restricted_parity(j, i)` at the symbols i reads, which agrees with H on
+    the symbols i keeps, or else minus H's columns of the symbols i keeps,
+    which are then the ones it reads.  H's columns come from its blocks,
+    built directly (a merge's kept `_final_blocks`, else `_parity_blocks`):
+    W is the last, and a code's block is read only when it has no
+    restricted parity check.  Each column is a tuple; no block of [W | B]
+    is cut as a matrix, and H itself is never built.
     """
-    h = parity_check(plan.final_specs[j - 1])
-    f = h.field
+    f = plan.field
     kept, reads = (row[j - 1] for row in plan.grid)
-    restricted = (plan.restricted_parity(j, i) for i in range(1, len(reads) + 1))
-    blocks = [None if hbar is None else _columns_at(*hbar, read) for hbar, read in zip(restricted, reads)]
-    at = sum(map(len, kept))
-    w = h.cols - at
-    entries: list[int] = []
-    for t in range(w):
-        row = h.row(t)
-        entries += row[at:]
-        start = 0
-        for u, block in zip(kept, blocks):
-            entries += map(f.neg, row[start : start + len(u)]) if block is None else block.row(t)
-            start += len(u)
-    red, pivots = linalg.rref(FieldMatrix._trusted(f, w, len(entries) // w, tuple(entries)))
+    if isinstance(plan, MergePlan):
+        blocks = _final_blocks(plan)
+    else:
+        blocks = _parity_blocks(plan.final_specs[j - 1], kept)
+    columns = _all_columns(blocks[-1])
+    w = len(columns)
+    for i, (block, read) in enumerate(zip(blocks, reads), 1):
+        cell = plan.restricted_parity(j, i)
+        if cell is not None:
+            columns += _columns(cell[0], _slots(cell[1], read))
+        elif f.p == 2:  # minus is the identity
+            columns += _all_columns(block)
+        else:
+            columns += [tuple(map(f.neg, col)) for col in _all_columns(block)]
+    red, pivots = linalg.rref(_matrix(f, w, columns))
     # `lower` solves only verified plans: r_F columns of an MDS parity check.
     if pivots[:w] != tuple(range(w)):
         raise InternalError("the written block of a verified plan is singular")
@@ -869,47 +891,58 @@ def _executable(plan: Plan, g: GeneralPlan) -> partial:
     `_executable`.
 
     Per initial code i the data hold its spec, its length n_i, the text of
-    its CorruptionError and the step of `linalg.fold_step` on its generator
-    G_i = [A_i | I_k] and on S_i (`_shares`), which checks input i against
-    its parity symbols, message . A_i, and gives its share of every final
-    code's written symbols, c_i . S_i.  S_i holds input i's rows of the
-    lowered sigmas at its read positions, the finals' columns side by side,
-    so the shares sum to reads . sigma, the written symbols.  Over every
-    field the step computes a share as message . C_i with C_i = G_i . S_i,
-    equal on codewords.  Per final code the data hold its spec and a picker
-    that lays out its coordinates from the concatenated inputs followed by
-    all written symbols, and last the plan's access report.
+    its CorruptionError and the step of `linalg.fold_step` on its parity
+    part A_i (`grs.parity_part`) and on C_i (`_shares`), which checks input
+    i against its parity symbols, message . A_i, and gives its share of
+    every final code's written symbols.  That share is c_i . S_i, with S_i
+    holding input i's rows of the lowered sigmas at its read positions, the
+    finals' columns side by side, so the shares sum to reads . sigma, the
+    written symbols; over every field the step computes it as message . C_i
+    with C_i = G_i . S_i, equal on codewords.  Per final code the data hold
+    its spec and a picker that lays out its coordinates from the
+    concatenated inputs followed by all written symbols, and last the
+    plan's access report.
     """
     p = g.params
     widths = [sigma.cols for sigma in g.sigmas]
-    steps = [linalg.fold_step(generator(spec), spec.r, _shares(g, i, spec.n))
-             for i, spec in enumerate(g.initial_specs)]
-    offsets = [0]
-    for n in p.n_initial + tuple(widths):
-        offsets.append(offsets[-1] + n)
-
-    def index(code: int, pos: int) -> int:
-        return offsets[code - 1] + pos - 1
-
+    parts = map(parity_part, g.initial_specs)
+    steps = [linalg.fold_step(a, _shares(g, i, a)) for i, a in enumerate(parts)]
+    # Symbol (code, pos) is at starts[code - 1] + pos - 1 of the inputs
+    # followed by the written symbols.
+    starts = [0, *accumulate(p.n_initial + tuple(widths))]
     finals = tuple(
-        (spec, _picker([index(code, pos) for code, pos in layout]))
+        (spec, _picker([starts[code - 1] + pos - 1 for code, pos in layout]))
         for spec, layout in zip(g.final_specs, g.layouts)
     )
     return _stripe_run(g.field, g.initial_specs, steps, sum(widths), finals, plan_report(plan))
 
 
-def _shares(g: GeneralPlan, i: int, n: int) -> FieldMatrix:
-    """S_i of `_executable` for the initial code i (0-based, length n) of a
-    lowered plan: per final code a block of columns that holds, at each
-    position i reads for it, that read's row of sigma, and zeros elsewhere."""
-    width = sum(sigma.cols for sigma in g.sigmas)
-    rows = [[0] * width for _ in range(n)]
+def _shares(g: GeneralPlan, i: int, a: FieldMatrix) -> list[tuple[int, ...]]:
+    """C_i = G_i . S_i of `_executable` for the initial code i (0-based) of
+    a lowered plan, whose parity part is a, as its columns.  S_i is a list
+    of rows, one shared zero row at each position i does not read and
+    sigma's row at each one it reads, no matrix.  Row t of G_i is A_i's row
+    t, then 1 at message position t: so row t of C_i is S_i's row at that
+    position, plus A_i[t][p] times S_i's row at each parity position p
+    that i reads."""
+    f = g.field
+    r = a.cols
+    zero = (0,) * sum(sigma.cols for sigma in g.sigmas)
+    rows = [zero] * (r + a.rows)
     at = 0
     for reads, sigma in zip(g.reads, g.sigmas):
-        for s, pos in enumerate(reads[i], sum(map(len, reads[:i]))):
-            rows[pos - 1][at : at + sigma.cols] = sigma.row(s)
-        at += sigma.cols
-    return FieldMatrix._trusted(g.field, n, width, tuple(chain.from_iterable(rows)))
+        end = at + sigma.cols
+        for idx, pos in enumerate(reads[i], sum(map(len, reads[:i]))):
+            row = rows[pos - 1]
+            rows[pos - 1] = row[:at] + sigma.row(idx) + row[end:]
+        at = end
+    c = rows[r:]
+    add, mul = (xor if f.p == 2 else f.add), f.mul
+    for p, row in enumerate(rows[:r]):
+        if row is not zero:
+            for t, coef in enumerate(a.entries[p::r]):
+                c[t] = [add(x, mul(coef, y)) for x, y in zip(c[t], row)]
+    return list(zip(*c)) or [()] * len(zero)
 
 
 def _stripe_run(field: FieldSpec, specs: Sequence[ExtGrsSpec], steps: Sequence[tuple], width: int,
@@ -1175,7 +1208,7 @@ def _privileged_fault(plan: SplitPlan) -> str:
     except UsageError as exc:
         return str(exc)
     own, h = plan.unchanged[j - 1] + plan.extra_reads, parity_check(plan.final_specs[j - 1])
-    if _columns_at(hbar, support, own) != h:
+    if _columns(hbar, _slots(support, own)) != _all_columns(h):
         return "privileged final code does not match the restricted parity block"
     if set(plan.reads[j - 1]) != set(support) - set(plan.unchanged[j - 1]):
         return "privileged final code must read the other finals' unchanged symbols and V"

@@ -85,12 +85,24 @@ class Codeword(Record):
 @lru_cache(maxsize=1024)
 def parity_check(spec: ExtGrsSpec) -> FieldMatrix:
     """The r x n extended Vandermonde-type parity check matrix."""
-    return linalg._vandermonde(spec.field, spec.r, spec.n, spec.gamma, spec.w)
+    return linalg._vandermonde(spec.field, spec.r, spec.gamma, spec.w)
 
 
 @lru_cache(maxsize=1024)
 def generator(spec: ExtGrsSpec) -> FieldMatrix:
-    """The systematic k x n generator G = [A | I_k], in closed form.
+    """The systematic k x n generator G = [A | I_k]: the code's parity part
+    A (`parity_part`), each row followed by its row of the identity.  The
+    encoder and the executor run on A alone and never build G."""
+    a = parity_part(spec)
+    k, r = a.rows, a.cols
+    unit = (0,) * (k - 1) + (1,) + (0,) * (k - 1)  # row t of I_k is unit[k - 1 - t : 2k - 1 - t]
+    rows = (a.entries[t * r : (t + 1) * r] + unit[k - 1 - t : 2 * k - 1 - t] for t in range(k))
+    return FieldMatrix._trusted(a.field, k, spec.n, tuple(chain.from_iterable(rows)))
+
+
+def parity_part(spec: ExtGrsSpec) -> FieldMatrix:
+    """The k x r parity part A of the systematic generator G = [A | I_k],
+    in closed form, derived on the first call and kept on the spec.
 
     The leading r columns of the parity check are an invertible scaled
     Vandermonde block (distinct points, nonzero multipliers), so G is the
@@ -107,22 +119,31 @@ def generator(spec: ExtGrsSpec) -> FieldMatrix:
     with c_p = -1 / (w_p D_p): the product over all l, divided by
     (gamma_t - gamma_p), which is nonzero because the points are distinct.
     Over GF(2^m) with 1 < m <= 8, which has log/exp tables, that is one sum
-    and difference of logs per entry.
+    and difference of logs per entry.  The identity part of G is never
+    built: A alone is k r entries, where G is k n.
     """
+    return kept(spec, "_parity", _parity_part, spec)
+
+
+def _parity_part(spec: ExtGrsSpec) -> FieldMatrix:
     f = spec.field
-    r, k, n = spec.r, spec.k, spec.n
+    r, n = spec.r, spec.n
     points, w = spec.gamma[:r], spec.w
     if 1 < f.m <= 8:
-        # Every difference below is nonzero: the points are distinct.
         log, exp = f.row_tables()
         order = f.q - 1
-        log_c = [-log[w[p]] - sum(log[x ^ y] for y in points if y != x) for p, x in enumerate(points)]
-        a_rows = []
-        for t in range(r, n - 1):
-            diffs = [log[spec.gamma[t] ^ y] for y in points]
-            total = log[w[t]] + sum(diffs)
-            a_rows.append([exp[(total - d + c) % order] for d, c in zip(diffs, log_c)])
-        a_rows.append([exp[(log[w[-1]] + c) % order] for c in log_c])
+        # d holds log(x - gamma_p) for every point x and each p < r, in rows
+        # of r, and a zero row for the extension position.  The points are
+        # distinct, so the one zero difference is a point's own, whose log,
+        # 2 (q - 1), each log c_p takes back out of its row's sum.
+        d = [log[x ^ y] for x in spec.gamma for y in points]
+        d += [0] * r
+        sums = [sum(d[i : i + r]) for i in range(0, len(d), r)]
+        log_c = [2 * order - log[wp] - s for wp, s in zip(w, sums[:r])]
+        totals = [log[wt] + s for wt, s in zip(w[r:], sums[r:])]
+        entries = [exp[(total - e + c) % order]
+                   for total, i in zip(totals, range(r * r, len(d), r)) for e, c in zip(d[i : i + r], log_c)]
+        return FieldMatrix._trusted(f, n - r, r, tuple(entries))
     else:
         mul, sub, inv = f.mul, f.sub, f.inv
 
@@ -137,27 +158,26 @@ def generator(spec: ExtGrsSpec) -> FieldMatrix:
             total = mul(w[t], product(x))
             a_rows.append([mul(mul(total, inv(sub(x, y))), cp) for y, cp in zip(points, c)])
         a_rows.append([mul(w[-1], cp) for cp in c])
-    rows = (a + [0] * i + [1] + [0] * (k - 1 - i) for i, a in enumerate(a_rows))
-    return FieldMatrix._trusted(f, k, n, tuple(chain.from_iterable(rows)))
+    return FieldMatrix._trusted(f, n - r, r, tuple(chain.from_iterable(a_rows)))
 
 
 def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
     """message . G, computed systematically: the r parity symbols
-    message . A from the first r columns of the generator, then the k
+    message . A with A the code's parity part (`parity_part`), then the k
     message symbols.  UsageError for a message of the wrong length or with
     a symbol that is not canonical, checked in that order; each message
     symbol is checked, so the codeword, a derived value, is built
     unchecked.
 
     The code's encoder step (`linalg.systematic_encoder`) is compiled on
-    first use, from the compiled form of A that the generator keeps, and
-    kept on the spec next to k.  So a later call is the length check and
-    the step for the field's form, run here in one frame: over a byte field
-    one pass over the message that checks each symbol and XORs in its lane
-    row of the first group, for up to eight parity symbols, and one reduce
-    for each further group; over GF(p) `check_all` and one sum of packed
-    ints, spilled to the r parity symbols; over GF(2^m) with m > 8 the
-    reference product `linalg.vecmat` on A.  The codeword is built inline,
+    first use, from the compiled form that A keeps, and kept on the spec
+    next to k; the generator G itself is not built.  So a later call is the
+    length check and the step for the field's form, run here in one frame:
+    over a byte field one pass over the message that checks each symbol and
+    XORs in its lane row of the first group, for up to eight parity
+    symbols, and one reduce for each further group; over GF(p) `check_all`
+    and one sum of packed ints, spilled to the r parity symbols; over
+    GF(2^m) with m > 8 the reference product `linalg.vecmat` on A.  The codeword is built inline,
     as `Codeword._trusted` builds it, so over byte fields a call of encode
     makes no other Python-level call, and over GF(p) only `check_all`."""
     k, step = getattr(spec, "_encoder", None) or kept(spec, "_encoder", _encoder, spec)
@@ -197,8 +217,8 @@ _new, _set = object.__new__, object.__setattr__
 
 def _encoder(spec: ExtGrsSpec) -> tuple:
     """(k, step) for `encode`: the step data of the code's systematic
-    encoder, built on the generator's compiled parity form."""
-    return spec.k, linalg.systematic_encoder(generator(spec), spec.r)
+    encoder, built on the compiled form of its parity part A."""
+    return spec.k, linalg.systematic_encoder(parity_part(spec))
 
 
 def is_codeword(spec: ExtGrsSpec, symbols: Sequence[int]) -> bool:

@@ -52,7 +52,6 @@ from array import array
 from collections.abc import Iterable, Sequence
 from functools import reduce
 from itertools import chain
-from operator import xor
 
 from .errors import SingularMatrixError, UsageError, canonical_decimals
 from .field import GF, FieldSpec
@@ -140,27 +139,34 @@ def vandermonde_ext(
     field.check_all(w)
     if 0 in w:
         raise UsageError("column multipliers w must be nonzero")
-    return _vandermonde(field, r, n, gamma, w)
+    return _vandermonde(field, r, gamma, w)
 
 
-def _vandermonde(field: FieldSpec, r: int, n: int, gamma: Sequence[int], w: Sequence[int]) -> FieldMatrix:
-    """`vandermonde_ext` of arguments already checked."""
+def _vandermonde(field: FieldSpec, r: int, gamma: Sequence[int], w: Sequence[int]) -> FieldMatrix:
+    """`vandermonde_ext` of arguments already checked, or any run of its
+    columns: one column per multiplier in w, the first len(gamma) at the
+    points gamma and, when w has one entry more, the extension column last.
+    So the columns a..b-1 of a code's parity check are `_vandermonde` of
+    its gamma[a:b] and w[a:b], built directly."""
     # Row ell + 1 is row ell times gamma: on the log/exp tables over a field
     # that has them (`FieldSpec.row_tables`), else by `FieldSpec.mul`.
     tables = 1 < field.m <= 8
     if tables:
         log, exp = field.row_tables()
         log_gamma = [log[x] for x in gamma]
-    row = list(w[: n - 1])
-    out = []
-    for ell in range(r):
-        out.append(row + [w[n - 1] if ell == r - 1 else 0])
-        if ell < r - 1:
-            if tables:
-                row = [exp[log[x] + lg] for x, lg in zip(row, log_gamma)]
-            else:
-                row = list(map(field.mul, row, gamma))
-    return FieldMatrix._trusted(field, r, n, tuple(chain.from_iterable(out)))
+    row = w[: len(gamma)]
+    tail = (0,) * (len(w) - len(gamma))
+    entries: list[int] = []
+    for ell in range(r - 1):
+        entries += row
+        entries += tail
+        if tables:
+            row = [exp[log[x] + lg] for x, lg in zip(row, log_gamma)]
+        else:
+            row = list(map(field.mul, row, gamma))
+    entries += row
+    entries += w[len(gamma) :]  # the extension column's w_n, in the last row only
+    return FieldMatrix._trusted(field, r, len(w), tuple(entries))
 
 
 # -- reduction and derived operations ------------------------------------
@@ -264,14 +270,14 @@ def _dot(field: FieldSpec, a: Sequence[int], b: Sequence[int]) -> int:
 # -- compiled forms: the encoder and the fold -----------------------------
 
 
-def systematic_encoder(g: FieldMatrix, r: int) -> tuple:
-    """The step data of the encoder message -> message . g for g = [A | I_k],
-    a systematic generator with r parity columns: the r parity symbols
+def systematic_encoder(a: FieldMatrix) -> tuple:
+    """The step data of the encoder message -> message . [A | I_k] for A,
+    the k x r parity part of a systematic generator: the r parity symbols
     message . A, then the message itself.  `grs.encode` keeps them on the
     code and runs them in its own frame, after it checks the message's
     length; it checks each message symbol as `FieldSpec.check` does.
 
-    They are A's compiled form, kept on g, whose full lane groups
+    They are A's compiled form, kept on A, whose full lane groups
     `fold_step` shares:
 
     - over a byte field, (first, lanes, more): the first lane group's k
@@ -284,8 +290,8 @@ def systematic_encoder(g: FieldMatrix, r: int) -> tuple:
     - over GF(2^m) with m > 8, which has no compiled form, A itself, for
       `vecmat`.
     """
-    f = g.field
-    form = _compiled(f, [g.entries[j :: g.cols] for j in range(r)], g)
+    f, r = a.field, a.cols
+    form = _compiled(f, [a.entries[j::r] for j in range(r)], a)
     if _is_byte_field(f):
         (rows, lanes), *more = form
         return rows, lanes, tuple(more)
@@ -295,15 +301,16 @@ def systematic_encoder(g: FieldMatrix, r: int) -> tuple:
     return form
 
 
-def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple:
-    """The executor's check-and-share step data for g = [A | I_k], a
-    systematic generator with r parity columns, and S, (r + k) x w.
+def fold_step(a: FieldMatrix, c: Sequence[Sequence[int]]) -> tuple:
+    """The executor's check-and-share step data for A, the k x r parity
+    part of a systematic generator g = [A | I_k], and C = g . S, given as
+    its w columns of k entries each, for S the (r + k) x w share matrix.
 
     A stripe loop of `convert` runs the step on a vector c of r + k
     canonical symbols, which it has checked: c is a codeword exactly when
     c[:r] = c[r:] . A, and then its share of the written symbols is c . S.
-    A codeword is c = c[r:] . g, so c . S = c[r:] . C with C = g . S, and
-    over every field the step is a form of M = [A | C]:
+    A codeword is c = c[r:] . g, so c . S = c[r:] . C, and over every field
+    the step is a form of M = [A | C]:
 
     - over a byte field, (8 r, the mask of the r low lanes, first, more):
       lane rows that read the whole codeword, one lookup per symbol for
@@ -323,11 +330,11 @@ def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple:
     - over GF(2^m) with m > 8, (r, columns): M's r + w columns, each a
       tuple of k entries, for `FieldSpec.mul` products.
     """
-    f = g.field
-    columns = [g.entries[j :: g.cols] for j in range(r)] + _systematic_product(g, r, s)
+    f, r = a.field, a.cols
+    columns = [a.entries[j::r] for j in range(r)] + list(c)
     if _is_byte_field(f):
         full = r // LANES
-        shared = _compiled(f, columns[:r], g)[:full] if full else ()
+        shared = _compiled(f, columns[:r], a)[:full] if full else ()
         units = kept(f, "_unit_rows", _unit_rows, f.q)
         groups = []
         for at, (rows, _) in enumerate((*shared, *_compiled(f, columns[LANES * full :]))):
@@ -344,38 +351,23 @@ def fold_step(g: FieldMatrix, r: int, s: FieldMatrix) -> tuple:
     return r, tuple(columns)
 
 
-def _compiled(field: FieldSpec, columns: Sequence[Sequence[int]], generator: FieldMatrix | None = None):
+def _compiled(field: FieldSpec, columns: Sequence[Sequence[int]], parity: FieldMatrix | None = None):
     """The compiled form of v . [columns] over `field`, v indexed as the
     columns' entries: over a byte field lane rows (`_lane_rows`), over GF(p)
     one packed int per input index (`_mod_packed`).  GF(2^m) with m > 8 has
     no compiled form: it is the matrix of the columns itself, for `vecmat`.
 
-    Given the generator whose parity part A the columns are, the form is
-    kept on it (`record.kept`), the one form a FieldMatrix keeps.
+    Given the parity part A whose columns they are, the form is kept on it
+    (`record.kept`), the one form a FieldMatrix keeps.
     """
-    if generator is not None:
-        return kept(generator, "_parity_form", _compiled, field, columns)
+    if parity is not None:
+        return kept(parity, "_parity_form", _compiled, field, columns)
     if _is_byte_field(field):
         return _lane_rows(field, columns)
     if field.m == 1:
         return _mod_packed(_mod_lane_bits(field.p), columns)
     entries = tuple(chain.from_iterable(zip(*columns)))
     return FieldMatrix._trusted(field, len(columns[0]), len(columns), entries)
-
-
-def _systematic_product(g: FieldMatrix, r: int, s: FieldMatrix) -> list[tuple[int, ...]]:
-    """The columns of g . S for g = [A | I_k]: row t of g . S is row r + t
-    of S plus A[t, p] times row p of S for each nonzero row p < r.  For
-    k = 0 these are S's cols empty columns."""
-    f = g.field
-    add, mul = (xor if f.p == 2 else f.add), f.mul
-    rows = [s.row(r + t) for t in range(g.rows)]
-    for p in range(r):
-        row = s.row(p)
-        if any(row):
-            for t, a in enumerate(g.entries[p :: g.cols]):
-                rows[t] = [add(x, mul(a, y)) for x, y in zip(rows[t], row)]
-    return list(zip(*rows)) or [()] * s.cols
 
 
 # -- lane rows: the compiled form of byte fields ------------------------------

@@ -35,6 +35,8 @@ share of the start-up of every CLI process.
 
 from __future__ import annotations
 
+from operator import is_
+
 _TEMPLATE = """\
 def __init__(self, {params}):
 {sets}{post}
@@ -110,10 +112,13 @@ def _tuples(value, depth: int):
         return value
     if depth == 1:
         return tuple(value)
-    # A grid that is already tuples of tuples, as plan documents give it, is kept.
+    # A value that is already tuples down to `depth`, as plan documents give
+    # their grids and layouts, is kept, at any depth: at depth 2 by one type
+    # test of its items, deeper when each of its items is kept.
     if depth == 2 and type(value) is tuple and {tuple}.issuperset(map(type, value)):
         return value
-    return tuple([_tuples(v, depth - 1) for v in value])
+    items = tuple([_tuples(v, depth - 1) for v in value])
+    return value if type(value) is tuple and all(map(is_, items, value)) else items
 
 
 def kept(obj: Record, name: str, derive, *args):

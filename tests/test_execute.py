@@ -485,13 +485,14 @@ def test_a_codeword_of_another_code_is_refused_as_its_symbols():
 
 
 COUNTED = ("rref", "solve_linear", "submatrix_cols", "invert", "matvec", "vecmat",
-           "is_codeword", "parity_check", "generator", "access_report")
+           "is_codeword", "parity_check", "generator", "parity_part", "access_report")
 
 
 def test_later_conversions_run_no_solve(monkeypatch):
     """After the first conversion of a plan, no stripe reduces, slices or
     inverts a matrix, multiplies through `matvec`/`vecmat`, or looks up a
-    parity check or generator: it runs on the plan's compiled lines."""
+    parity check, generator or parity part: it runs on the plan's compiled
+    lines."""
     rng = random.Random(35)
     plans = [next(_merge_plans()), next(_split_plans()), _general_plan()]
     stripes = {id(plan): _stripes(plan.initial_specs, rng) for plan in plans}
@@ -512,10 +513,57 @@ def test_later_conversions_run_no_solve(monkeypatch):
             convert.run_conversion(plan, stripes[id(plan)][k % len(stripes[id(plan)])])
     assert calls == {}
     # The counters see calls: a fresh plan object lowers (and reports) once,
-    # and compiles its checks from the initial codes' generators.
+    # and compiles its checks from the initial codes' parity parts, with no
+    # generator.
     convert.run_conversion(replace(plans[0]), stripes[id(plans[0])][0])
     assert calls["rref"] == 1 and calls["access_report"] == 1
-    assert calls["generator"] == len(plans[0].initial_specs)
+    assert calls["parity_part"] == len(plans[0].initial_specs) and "generator" not in calls
+
+
+# Calls that build a stream's plan, encode its first stripe and convert it,
+# from cold grs caches, as a stream's set-up runs: the merge-stream and
+# split-stream shapes over GF(256).
+SET_UP_WORK = {
+    "merge-stream": {"_vandermonde": 8, "rref": 1, "_lane_rows": 8, "puncture": 6, "generator": 0,
+                     "FieldMatrix._trusted": 15},
+    "split-stream": {"_vandermonde": 6, "rref": 2, "_lane_rows": 2, "puncture": 2, "generator": 0,
+                     "FieldMatrix._trusted": 13},
+}
+
+
+@pytest.mark.parametrize("stream", SET_UP_WORK)
+def test_set_up_makes_the_pinned_compile_work(monkeypatch, stream):
+    """The compile work of a stream's set-up, pinned exactly, so a change
+    that builds more matrices, eliminates more or compiles more lane rows
+    fails with a diff of the counts: parity-check blocks (`_vandermonde`),
+    eliminations, lane-row groups, restrictions, generators and matrices
+    built unchecked.  Every binding of each name is counted."""
+    grs.parity_check.cache_clear()
+    grs.generator.cache_clear()
+    calls = dict.fromkeys(SET_UP_WORK[stream], 0)
+    for owner in (linalg, grs, convert):
+        for name in calls:
+            if name in vars(owner):
+                def counted(*args, _fn=getattr(owner, name), _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(owner, name, counted)
+    trusted = linalg.FieldMatrix._trusted
+
+    def counted_trusted(cls, *args):
+        calls["FieldMatrix._trusted"] += 1
+        return trusted(*args)
+
+    monkeypatch.setattr(linalg.FieldMatrix, "_trusted", classmethod(counted_trusted))
+    rng = random.Random(41)
+    if stream == "merge-stream":
+        plan = build_merge(merge_params([(14, 10), (14, 10), (12, 8), (6, 4)], 4), GF(256))
+    else:
+        plan = build_split(ConvertParams(((40, 32),), ((20, 16), (20, 16))), GF(256))
+    stripe = [encode(spec, [rng.randrange(256) for _ in range(spec.k)]) for spec in plan.initial_specs]
+    outputs, _ = convert.run_conversion(plan, stripe)
+    assert calls == SET_UP_WORK[stream]
+    assert all(grs.is_codeword(cw.code, cw.symbols) for cw in outputs)
 
 
 def test_lower_verifies_before_it_solves(monkeypatch):
@@ -609,9 +657,11 @@ def test_privileged_read_outside_restriction_is_usage_error():
 
 def test_derived_records_pass_their_checked_constructors(monkeypatch):
     """The restricted codes that `puncture` returns while the acceptance
-    plans are built, and the plan that `lower` returns for each of them and
-    for the fixture plans, skip their checks (`_trusted`); rebuilt through
-    the checked constructors (`replace`), each is an equal record."""
+    plans are built, those plans and their codes as the builders return
+    them, their access reports, and the plan that `lower` returns for each
+    of them and for the fixture plans, skip their checks (`_trusted`);
+    rebuilt through the checked constructors (`replace`), each is an equal
+    record."""
     punctured = []
 
     def recording(spec, positions):
@@ -624,6 +674,9 @@ def test_derived_records_pass_their_checked_constructors(monkeypatch):
     assert punctured
     for spec in punctured:
         assert replace(spec) == spec
+    for plan in plans[: len(plans) - len(fixtures)]:
+        for record in (plan, *plan.initial_specs, *plan.final_specs, convert.access_report(plan)):
+            assert replace(record) == record
     for plan in plans:
         g = lower(plan)
         assert type(g) is GeneralPlan and replace(g) == g
@@ -654,9 +707,7 @@ def test_computed_matrices_hold_canonical_entries(monkeypatch):
         assert all(ok for _, ok, _ in convert.verify_plan(plan))
         for stripe in _stripes(plan.initial_specs, rng)[:2]:
             convert.run_conversion(plan, stripe)  # lowers the plan first
-    assert callers == {
-        "rref", "_vandermonde", "generator", "_shares", "_columns", "_sigma",
-    }
+    assert callers == {"rref", "_vandermonde", "_parity_part", "_matrix", "_sigma"}
     for m in built:
         assert type(m) is linalg.FieldMatrix
         assert len(m.entries) == m.rows * m.cols

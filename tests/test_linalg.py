@@ -212,13 +212,13 @@ def _naive_vecmat(v, m):
     return tuple(out)
 
 
-def _encoder(g, r):
-    """`systematic_encoder(g, r)` and encode(message): `grs.encode` run with
-    that step on a stand-in code whose encoder is already kept, so it runs
-    the step in its own frame as on a code.  encode gives message . g as a
-    tuple."""
-    step = linalg.systematic_encoder(g, r)
-    code = SimpleNamespace(field=g.field, _encoder=(g.rows, step))  # what encode reads of a code
+def _encoder(a):
+    """`systematic_encoder(a)` for a parity part A and encode(message):
+    `grs.encode` run with that step on a stand-in code whose encoder is
+    already kept, so it runs the step in its own frame as on a code.
+    encode gives message . [A | I_k] as a tuple."""
+    step = linalg.systematic_encoder(a)
+    code = SimpleNamespace(field=a.field, _encoder=(a.rows, step))  # what encode reads of a code
 
     def encode(message):
         return grs.encode(code, message).symbols
@@ -226,18 +226,22 @@ def _encoder(g, r):
     return step, encode
 
 
-def _folder(g, r, s):
-    """`fold_step(g, r, s)` and fold(c_1, c_2, ...): the executor's stripe
-    loop for g's field (`convert._stripe_run`) run with that step for every
-    input c_t, raw symbols of r + g.rows each, and no final code but the
-    written symbols.  fold gives the sum of the shares c_t . S as a tuple,
-    or None when the loop refuses an input as not a codeword."""
-    step = linalg.fold_step(g, r, s)
-    code = SimpleNamespace(field=g.field, n=r + g.rows)  # what the loop reads of an initial code
+def _folder(a, s):
+    """`fold_step(a, c)` for a parity part A and C = g . S with
+    g = [A | I_k], by the reference product, and fold(c_1, c_2, ...): the
+    executor's stripe loop for A's field (`convert._stripe_run`) run with
+    that step for every input c_t, raw symbols of r + k each, and no final
+    code but the written symbols.  fold gives the sum of the shares c_t . S
+    as a tuple, or None when the loop refuses an input as not a codeword."""
+    f, r, k = a.field, a.cols, a.rows
+    g = from_rows(f, [a.row(t) + tuple(int(i == t) for i in range(k)) for t in range(k)], cols=r + k)
+    c = matmul(g, s)
+    step = linalg.fold_step(a, [c.entries[j :: c.cols] for j in range(c.cols)])
+    code = SimpleNamespace(field=f, n=r + k)  # what the loop reads of an initial code
 
     def fold(*codewords):
         written = ((None, itemgetter(slice(code.n * len(codewords), None))),)
-        run = convert._stripe_run(g.field, [code] * len(codewords), [step] * len(codewords),
+        run = convert._stripe_run(f, [code] * len(codewords), [step] * len(codewords),
                                   s.cols, written, None)
         try:
             (out,), _ = run(codewords)
@@ -299,14 +303,12 @@ def test_lane_kernel_matches_per_element_reference(m):
             assert all(len(rows) == inputs and all(len(row) == q for row in rows) for rows, _ in groups)
             if not inputs:
                 continue  # a code has k >= 1 message symbols to run on
-            g = from_rows(f, [row + [int(i == t) for i in range(inputs)] for t, row in enumerate(entries)],
-                          cols=lanes + inputs)
             w = 3
             s_part = from_rows(f, [[element() for _ in range(w)] for _ in range(lanes + inputs)], cols=w)
-            encoder, encode = _encoder(g, lanes) if lanes else (None, None)
-            step, fold = _folder(g, lanes, s_part)
-            if lanes >= 8:  # A's first full lane group is built once, on g
-                first, shared = step[2], g._parity_form[0][0]
+            encoder, encode = _encoder(mat) if lanes else (None, None)
+            step, fold = _folder(mat, s_part)
+            if lanes >= 8:  # A's first full lane group is built once, on A
+                first, shared = step[2], mat._parity_form[0][0]
                 assert len(first) == lanes + inputs and len(encoder[0]) == len(shared) == inputs
                 assert all(a is b is c for a, b, c in zip(first[lanes:], encoder[0], shared))
             for v in ([element() for _ in range(inputs)], [0] * inputs):
@@ -336,7 +338,7 @@ def test_lane_fold_refuses_every_single_symbol_change(q, r, w):
         row[t % r] = rng.randrange(1, q)
     g = from_rows(f, [row + [int(i == t) for i in range(k)] for t, row in enumerate(a_rows)])
     s_part = from_rows(f, [[rng.randrange(q) for _ in range(w)] for _ in range(r + k)], cols=w)
-    _, fold = _folder(g, r, s_part)
+    _, fold = _folder(from_rows(f, a_rows, cols=r), s_part)
     c = vecmat([rng.randrange(q) for _ in range(k)], g)
     assert fold(c) == _naive_vecmat(c, s_part)
     for at in range(r + k):
@@ -351,10 +353,10 @@ def test_empty_generator_gives_zero_products_over_every_field(q, r):
     zero shares: over a byte field with one lane group or more, over GF(p)
     and over GF(2^16) alike."""
     f = GF(q)
-    g = FieldMatrix(f, 0, r, ())
-    assert _encoder(g, r)[1](()) == (0,) * r
+    a = FieldMatrix(f, 0, r, ())
+    assert _encoder(a)[1](()) == (0,) * r
     w = 3
-    _, fold = _folder(g, r, zeros(f, r, w))
+    _, fold = _folder(a, zeros(f, r, w))
     assert fold((0,) * r) == (0,) * w
     assert fold((1,) + (0,) * (r - 1)) is None
 
@@ -376,10 +378,11 @@ def test_check_lines_give_the_systematic_syndrome(q):
                                   tuple(rng.randrange(1, q) for _ in range(n)))
             g = grs.generator(spec)
             a_part = submatrix_cols(g, range(1, r + 1))
+            assert grs.parity_part(spec) == a_part
             for w, live in ((0, 1), (1, 1), (9, 1), (9, 0.3)):
                 s_part = from_rows(f, [[rng.randrange(q) for _ in range(w)] if rng.random() < live
                                        else [0] * w for _ in range(n)], cols=w)
-                _, fold = _folder(g, r, s_part)
+                _, fold = _folder(a_part, s_part)
                 earlier = grs.encode(spec, [rng.randrange(q) for _ in range(spec.k)]).symbols
                 assert fold(earlier) == _naive_vecmat(earlier, s_part)
                 for c in ([rng.randrange(q) for _ in range(n)], [0] * n,

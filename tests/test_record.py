@@ -35,7 +35,7 @@ def _records():
     """(record, a field change that breaks its invariants or None), one per record class."""
     merge, split, general = _plans()
     spec = merge.initial_specs[0]
-    matrix = grs.generator(spec)  # spec has encoded, so this keeps its parity form
+    matrix = grs.parity_part(spec)  # spec has encoded, so this keeps its compiled form
     codeword = grs.encode(spec, (1, 2, 3))
     return [
         (merge.params, {"initial": ((5, 5),)}),
@@ -61,7 +61,7 @@ CACHED = {
     "MergePlan": ("_executable", "_report"),
     "SplitPlan": ("_executable", "_report"),
     "GeneralPlan": ("_executable", "_report"),
-    "ExtGrsSpec": ("_encoder",),
+    "ExtGrsSpec": ("_encoder", "_parity"),
     "FieldMatrix": ("_parity_form",),
     "FieldSpec": ("_exp", "_log", "_product_rows", "_unit_rows"),
 }
@@ -238,6 +238,29 @@ def test_checked_records_keep_sequence_fields_as_tuples(case):
     built = replace(record, **change)
     assert built == record and hash(built) == hash(record)
     assert all(getattr(built, name) == getattr(record, name) for name in change)
+
+
+def test_a_loaded_general_plan_keeps_the_tuples_it_was_given(monkeypatch):
+    """A checked constructor keeps a field that is already tuples at every
+    depth it freezes: the 2x2 fixture's plan holds the very depth-3 grids
+    that `plandoc._grid_from_doc` read.  Grids and layouts given as lists
+    still freeze to tuples at every depth."""
+    grids = {}
+    real = plandoc._grid_from_doc
+
+    def recording(node, label, axes, code=1):
+        grids[label] = real(node, label, axes, code)
+        return grids[label]
+
+    monkeypatch.setattr(plandoc, "_grid_from_doc", recording)
+    plan = plandoc.load_plan(str(FIXTURES / "two_by_two_plan.json"))
+    assert plan.unchanged is grids["unchanged"] and plan.reads is grids["reads"]
+    listed = replace(plan, **_listed(plan, "unchanged", "reads", "layouts"))
+    for name in ("unchanged", "reads", "layouts"):
+        value = getattr(listed, name)
+        assert value == getattr(plan, name)
+        assert type(value) is tuple and all(type(row) is tuple for row in value)
+        assert all(type(cell) is tuple for row in value for cell in row)
 
 
 def test_cli_process_loads_no_dataclasses_inspect_or_typing():

@@ -359,7 +359,7 @@ class MergePlan(Record):
 
     def _derive_restricted(self, i: int) -> tuple[FieldMatrix, tuple[int, ...]]:
         support, spec = self.support(i), self.initial_specs[i - 1]
-        return _restricted_parity(spec, support, self.unchanged[i - 1], _final_block(self, i)), support
+        return _restricted_parity(spec, support, self.unchanged[i - 1], _final_blocks(self)[i - 1]), support
 
 
 class SplitPlan(Record):
@@ -671,20 +671,16 @@ def _merge_faults(plan: MergePlan):
             except UsageError as exc:
                 yield f"punctured-parity: code {i}: {exc}"
                 continue
-            if _columns(hbar, _slots(support, unchanged)) != _all_columns(_final_block(plan, i)):
+            if _columns(hbar, _slots(support, unchanged)) != _all_columns(_final_blocks(plan)[i - 1]):
                 yield (f"block-mismatch: code {i} unchanged columns of the restricted parity "
                        "check differ from the final parity check")
 
 
-def _final_block(plan: MergePlan, i: int) -> FieldMatrix:
-    """The final parity check's columns at initial code i's unchanged
-    symbols (i = t1 + 1: at the written symbols), in layout order."""
-    return _final_blocks(plan)[i - 1]
-
-
 def _final_blocks(plan: MergePlan) -> tuple[FieldMatrix, ...]:
-    """All t1 + 1 blocks of `_final_block`, built on the first call and
-    kept on the plan."""
+    """The final parity check's columns at each initial code's unchanged
+    symbols, in code order, and then at the written symbols: t1 + 1
+    blocks in layout order, built on the first call and kept on the
+    plan."""
     return kept(plan, "_final_blocks", _parity_blocks, plan.final_spec, plan.unchanged)
 
 
@@ -732,7 +728,7 @@ def certificate(plan: MergePlan | SplitPlan) -> Iterator[FieldMatrix]:
         return
     t1 = plan.params.t1
     for i in range(1, t1 + 2):
-        yield plan.restricted_parity(1, i)[0] if i <= t1 and i in plan.reduced else _final_block(plan, i)
+        yield plan.restricted_parity(1, i)[0] if i <= t1 and i in plan.reduced else _final_blocks(plan)[i - 1]
 
 
 # -- split construction --------------------------------------------------------

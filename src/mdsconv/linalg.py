@@ -17,13 +17,13 @@ from canonical operands are built with `FieldMatrix._trusted` (`record`).
 
 Byte fields and GF(p) have one compiled form each for their hot products
 (`_compiled`), built by exactly two callers: `systematic_encoder`, on the
-parity part A of a systematic generator g = [A | I_k], and `fold_step`,
-on M = [A | C] for the executor's per-input step.  Over a byte field
-(characteristic 2, q <= 256) lane rows, one lookup per input symbol for
-up to eight outputs at once; over GF(p) one packed int per input symbol,
-one bit field per output, so a product is one sum.  A's form is kept on
-g, the one form a matrix keeps, so the encoder and the fold share A's
-full lane groups.
+k x r parity part A of a systematic generator g = [A | I_k], and
+`fold_step`, on M = [A | C] for the executor's per-input step.  Neither
+builds g.  Over a byte field (characteristic 2, q <= 256) lane rows, one
+lookup per input symbol for up to eight outputs at once; over GF(p) one
+packed int per input symbol, one bit field per output, so a product is
+one sum.  A's form is kept on A, the one form a matrix keeps, so the
+encoder and the fold share A's full lane groups.
 
 Both return data, not a function, for a caller that runs them in its own
 frame.  `systematic_encoder` gives the encoder's step, which

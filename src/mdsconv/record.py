@@ -10,9 +10,9 @@ an attribute raises AttributeError.  Records pickle by their instance
 dict, and unpickling runs no check; `FieldSpec` pickles as `GF(q)`.
 
 `kept` is the one rule for a value derived once and kept on a record
-(plans' parity checks, report and executable, codes' encoders, parity
-forms, a field's product and unit rows), which `==`, `hash` and
-`replace` never see.
+(plans' parity checks, report and executable, codes' parity parts and
+encoders, parity forms, a field's product and unit rows), which `==`,
+`hash` and `replace` never see.
 `FieldSpec` is a record: `(p, m)` identify the field.
 
 Each class has two constructors with the same parameters and defaults.
@@ -113,10 +113,7 @@ def _tuples(value, depth: int):
     if depth == 1:
         return tuple(value)
     # A value that is already tuples down to `depth`, as plan documents give
-    # their grids and layouts, is kept, at any depth: at depth 2 by one type
-    # test of its items, deeper when each of its items is kept.
-    if depth == 2 and type(value) is tuple and {tuple}.issuperset(map(type, value)):
-        return value
+    # their grids and layouts, is kept, at any depth.
     items = tuple([_tuples(v, depth - 1) for v in value])
     return value if type(value) is tuple and all(map(is_, items, value)) else items
 

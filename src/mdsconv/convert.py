@@ -609,7 +609,7 @@ def build_merge(params: ConvertParams, field: FieldSpec) -> MergePlan:
     w_star: list[int] = []
     for i, (spec, (_, k)) in enumerate(zip(initial_specs, params.initial), 1):
         # The unchanged symbols lead both the code and its restriction.
-        w = puncture(spec, unchanged[i - 1] + reads[i - 1]).w if i in reduced else spec.w
+        w = _restriction(spec, unchanged[i - 1] + reads[i - 1]).w if i in reduced else spec.w
         gamma_star += spec.gamma[:k]
         w_star += w[:k]
     final_spec = ExtGrsSpec._trusted(field, nf, rf, (*gamma_star, *gamma_prime), (*w_star, *[1] * rf))
@@ -695,6 +695,16 @@ def _parity_blocks(spec: ExtGrsSpec, unchanged: Sequence[Sequence[int]]) -> tupl
                  for a, b in zip(cuts, cuts[1:]))
 
 
+def _restriction(spec: ExtGrsSpec, support: tuple[int, ...]) -> ExtGrsSpec:
+    """`grs.puncture(spec, support)`, derived once per support and kept on
+    spec: the builder takes the restriction's multipliers, and the plan's
+    restricted parity check (`_restricted_parity`) its parity check."""
+    restrictions = kept(spec, "_restrictions", dict)
+    if support not in restrictions:
+        restrictions[support] = puncture(spec, support)
+    return restrictions[support]
+
+
 def _restricted_parity(
     spec: ExtGrsSpec, support: Sequence[int], kept: Sequence[int], h: FieldMatrix
 ) -> FieldMatrix:
@@ -705,7 +715,7 @@ def _restricted_parity(
     is the identity, with no solve, when ref equals h there: the test
     compares the r_F columns of each, as tuples.  UsageError when the codes
     and grid do not determine it."""
-    ref = parity_check(puncture(spec, support))
+    ref = parity_check(_restriction(spec, support))
     r = h.rows
     if ref.rows != r or len(kept) < r:
         raise UsageError(f"restriction has {ref.rows} parity rows, {len(kept)} kept symbols, r_F = {r}")
@@ -778,7 +788,7 @@ def build_split(params: ConvertParams, field: FieldSpec) -> SplitPlan:
         nf, kf = params.final[privileged - 1]
         extra = tuple(range(n_i - (nf - kf) + 1, n_i + 1))
         support = tuple(range(1, k_i + 1)) + extra
-        theta = puncture(initial_spec, support).w
+        theta = _restriction(initial_spec, support).w
         positions = unchanged[privileged - 1] + extra
         gamma = tuple(initial_spec.gamma[pos - 1] for pos in positions if pos != n_i)
         w = tuple(theta[support.index(pos)] for pos in positions)
@@ -808,28 +818,31 @@ def _sigma(plan: MergePlan | SplitPlan, j: int) -> FieldMatrix:
     layout.  Each initial code i in turn adds the columns of
     `restricted_parity(j, i)` at the symbols i reads, which agrees with H on
     the symbols i keeps, or else minus H's columns of the symbols i keeps,
-    which are then the ones it reads.  H's columns come from its blocks,
-    built directly (a merge's kept `_final_blocks`, else `_parity_blocks`):
-    W is the last, and a code's block is read only when it has no
-    restricted parity check.  Each column is a tuple; no block of [W | B]
-    is cut as a matrix, and H itself is never built.
+    which are then the ones it reads.  H's columns come in blocks: a
+    merge's are its kept `_final_blocks`, built directly, and a split's
+    final j has its kept columns and then its written ones, read off its
+    parity check (`grs.parity_check`, which the privileged final's check
+    has built).  W is the last block, and a code's block is read only when
+    it has no restricted parity check.  Each column is a tuple; no block of
+    [W | B] is cut as a matrix, and a merge's H is never built.
     """
     f = plan.field
     kept, reads = (row[j - 1] for row in plan.grid)
     if isinstance(plan, MergePlan):
-        blocks = _final_blocks(plan)
+        blocks, block_columns = _final_blocks(plan), _all_columns
     else:
-        blocks = _parity_blocks(plan.final_specs[j - 1], kept)
-    columns = _all_columns(blocks[-1])
+        h, k = parity_check(plan.final_specs[j - 1]), len(kept[0])
+        blocks, block_columns = (range(k), range(k, h.cols)), partial(_columns, h)
+    columns = block_columns(blocks[-1])
     w = len(columns)
     for i, (block, read) in enumerate(zip(blocks, reads), 1):
         cell = plan.restricted_parity(j, i)
         if cell is not None:
             columns += _columns(cell[0], _slots(cell[1], read))
         elif f.p == 2:  # minus is the identity
-            columns += _all_columns(block)
+            columns += block_columns(block)
         else:
-            columns += [tuple(map(f.neg, col)) for col in _all_columns(block)]
+            columns += [tuple(map(f.neg, col)) for col in block_columns(block)]
     red, pivots = linalg.rref(_matrix(f, w, columns))
     # `lower` solves only verified plans: r_F columns of an MDS parity check.
     if pivots[:w] != tuple(range(w)):

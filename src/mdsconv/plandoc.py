@@ -48,9 +48,11 @@ of strings or of [code, position] pairs in one C-level pass.
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Mapping, Sequence
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
+from stat import S_ISREG
 
 from .convert import (
     ConvertParams,
@@ -441,14 +443,34 @@ def load_plan(path: str) -> Plan:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8, over an existing file in place.
+
+    The file is opened without truncation (`_in_place`), written, and then
+    cut at the written length when it is a regular file; a device, a tty or
+    a pipe (`--out /dev/null`) is only written.  On ext4, truncating a file
+    to zero frees its blocks and makes `close` start writeback, which cost
+    several times the whole write.  A new file gets mode 0o666 & ~umask, as
+    with `open`; an existing file keeps its mode, inode, hard links and
+    symlink target.  The write is neither fsynced nor atomic: a crash or a
+    full disk mid-write can leave old and new bytes mixed.  Any OSError is
+    a UsageError that starts "cannot write".
+    """
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", opener=_in_place) as fh:
             fh.write(text)
+            if S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+def _in_place(path: str, flags: int) -> int:
+    """`open`'s descriptor for mode "w", without O_TRUNC."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def save_plan(plan: Plan, path: str) -> None:
+    """Write the plan's document to `path`, in place (`_write_text`)."""
     _write_text(path, dump_json(plan_to_doc(plan)))
 
 
@@ -475,4 +497,5 @@ def read_symbol_lines(path: str, field: FieldSpec) -> list[tuple[int, ...]]:
 
 
 def write_symbol_lines(path: str, rows: Sequence[Sequence[int]]) -> None:
+    """Write symbol rows to `path`, one line each, in place (`_write_text`)."""
     _write_text(path, "".join(" ".join(map(str, row)) + "\n" for row in rows))

@@ -10,9 +10,9 @@ an attribute raises AttributeError.  Records pickle by their instance
 dict, and unpickling runs no check; `FieldSpec` pickles as `GF(q)`.
 
 `kept` is the one rule for a value derived once and kept on a record
-(plans' parity checks, report and executable, codes' parity parts and
-encoders, parity forms, a field's product and unit rows), which `==`,
-`hash` and `replace` never see.
+(plans' parity checks, report and executable, codes' parity parts,
+encoders and restrictions, parity forms, a field's product and unit
+rows), which `==`, `hash` and `replace` never see.
 `FieldSpec` is a record: `(p, m)` identify the field.
 
 Each class has two constructors with the same parameters and defaults.

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -500,6 +501,94 @@ def test_unwritable_out_exit_1(tmp_path, capsys):
             code, _, err = run(capsys, *argv, "--out", out)
             assert code == 1, argv
             assert err.startswith("error: cannot write"), err
+
+
+# Longer than any output the tests write, as CI's `yes 0 | head -n 4096`.
+STALE = "0\n" * 4096
+
+
+def _writing_verbs(tmp_path, capsys):
+    """The README merge's `plan`, `encode` and `convert` argv, less --out."""
+    plan_path, cws = _readme_merge(tmp_path, capsys)
+    return {
+        "plan": ("plan", "--config", tmp_path / "merge.json"),
+        "encode": ("encode", "--plan", plan_path, "--in", tmp_path / "m.txt"),
+        "convert": ("convert", "--plan", plan_path, "--in", cws),
+    }
+
+
+@pytest.mark.parametrize("existing", [STALE, "9\n", ""], ids=["longer", "shorter", "empty"])
+def test_an_existing_output_gets_exactly_the_bytes_of_a_fresh_one(tmp_path, capsys, existing):
+    """Each writing verb, over an existing --out file, leaves exactly the
+    bytes it writes to a fresh path: no stale tail and nothing lost."""
+    for name, argv in _writing_verbs(tmp_path, capsys).items():
+        fresh, old = tmp_path / f"{name}-fresh", tmp_path / f"{name}-old"
+        old.write_text(existing)
+        assert run(capsys, *argv, "--out", fresh)[0] == 0
+        assert run(capsys, *argv, "--out", old)[0] == 0, name
+        assert old.read_bytes() == fresh.read_bytes(), name
+    assert (tmp_path / "plan-fresh").read_bytes() == (FIXTURES / "readme_merge_plan.json").read_bytes()
+
+
+def test_out_to_dev_null_exits_0(tmp_path, capsys):
+    """A file that cannot be cut to length, such as a device, is only written."""
+    for argv in _writing_verbs(tmp_path, capsys).values():
+        code, _, err = run(capsys, *argv, "--out", os.devnull)
+        assert (code, err) == (0, ""), argv
+
+
+def test_an_existing_output_keeps_its_file(tmp_path, capsys):
+    """An existing output is written in place: a symlinked --out rewrites
+    its target and stays a link, a hard link sees the new bytes, and the
+    file keeps its inode and a chmod 600 mode."""
+    for name, argv in _writing_verbs(tmp_path, capsys).items():
+        fresh, target = tmp_path / f"{name}-fresh", tmp_path / f"{name}-target"
+        link, hard = tmp_path / f"{name}-link", tmp_path / f"{name}-hard"
+        assert run(capsys, *argv, "--out", fresh)[0] == 0
+        target.write_text(STALE)
+        target.chmod(0o600)
+        link.symlink_to(target)
+        os.link(target, hard)
+        inode = target.stat().st_ino
+        assert run(capsys, *argv, "--out", link)[0] == 0, name
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == hard.read_bytes() == fresh.read_bytes(), name
+        after = target.stat()
+        assert after.st_ino == inode and after.st_nlink == 2 and stat.S_IMODE(after.st_mode) == 0o600
+
+
+def test_a_new_output_gets_mode_0o666_less_the_umask(tmp_path, capsys):
+    argv = _writing_verbs(tmp_path, capsys)["plan"]
+    mask = os.umask(0o027)
+    try:
+        code = run(capsys, *argv, "--out", tmp_path / "new.json")[0]
+    finally:
+        os.umask(mask)
+    assert code == 0 and stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o640
+
+
+def test_an_existing_output_is_never_opened_with_o_trunc(tmp_path, capsys, monkeypatch):
+    """The writer opens --out through `os.open` without O_TRUNC: truncating
+    to zero first frees the file's blocks and makes ext4 start writeback on
+    close, which cost several times the write itself."""
+    verbs = _writing_verbs(tmp_path, capsys)
+    opened = []
+    real = os.open
+
+    def recorded(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return real(path, flags, *args, **kwargs)
+
+    # The binding the writer calls: `plandoc` uses `os.open`.
+    monkeypatch.setattr(plandoc.os, "open", recorded)
+    for name, argv in verbs.items():
+        out = tmp_path / f"{name}-out"
+        out.write_text(STALE)
+        opened.clear()
+        assert run(capsys, *argv, "--out", out)[0] == 0, name
+        assert [path for path, _ in opened] == [str(out)], name
+        flags = opened[0][1]
+        assert flags & os.O_CREAT and flags & os.O_ACCMODE == os.O_WRONLY and not flags & os.O_TRUNC
 
 
 def test_verify_builds_the_access_report_once(tmp_path, capsys, monkeypatch):

@@ -524,10 +524,10 @@ def test_later_conversions_run_no_solve(monkeypatch):
 # from cold grs caches, as a stream's set-up runs: the merge-stream and
 # split-stream shapes over GF(256).
 SET_UP_WORK = {
-    "merge-stream": {"_vandermonde": 8, "rref": 1, "_lane_rows": 8, "puncture": 6, "generator": 0,
+    "merge-stream": {"_vandermonde": 8, "rref": 1, "_lane_rows": 8, "puncture": 3, "generator": 0,
                      "FieldMatrix._trusted": 15},
-    "split-stream": {"_vandermonde": 6, "rref": 2, "_lane_rows": 2, "puncture": 2, "generator": 0,
-                     "FieldMatrix._trusted": 13},
+    "split-stream": {"_vandermonde": 3, "rref": 2, "_lane_rows": 2, "puncture": 1, "generator": 0,
+                     "FieldMatrix._trusted": 10},
 }
 
 

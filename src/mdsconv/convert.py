@@ -25,8 +25,8 @@ into one `linalg.fold_step` step per initial code and binds them, with
 the final layouts and the access report, to the stripe loop of the plan
 field's form, kept on the plan object as `_executable`.  So every later
 stripe is one call of that loop, which checks, folds and spills every
-input and builds every final codeword in one frame, over a byte field one
-lookup pass over each whole codeword (`run_conversion`).
+input and builds every final codeword in one frame, over GF(2^m) one
+lookup pass over the bytes of each whole codeword (`run_conversion`).
 
 Every code of a plan is an extended GRS code, and an extended GRS code
 with n - 1 distinct evaluation points and nonzero column multipliers is
@@ -42,6 +42,7 @@ written blocks use code index t1 + j for final code j.
 from __future__ import annotations
 
 import operator
+import struct
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial, reduce
@@ -957,46 +958,46 @@ def _shares(g: GeneralPlan, i: int, a: FieldMatrix) -> list[tuple[int, ...]]:
 def _stripe_run(field: FieldSpec, specs: Sequence[ExtGrsSpec], steps: Sequence[tuple], width: int,
                 finals: tuple, report: AccessReport) -> partial:
     """codewords -> (final codewords, report): the stripe loop of `field`'s
-    form (`_lane_stripe`, `_mod_stripe` or `_plain_stripe`) bound to the
-    inputs' specs and `linalg.fold_step` steps, the `width` written
-    symbols, the finals' (spec, picker) pairs and the report.  A partial of
-    a module function, so a plan that ran stays picklable."""
+    form (`_lane_stripe` over GF(2^m), `_mod_stripe` over GF(p)) bound to
+    the inputs' specs and `linalg.fold_step` steps, the `width` written
+    symbols (2 width bytes above GF(256), read back by `unpack`), the
+    finals' (spec, picker) pairs and the report.  A partial of a module
+    function, so a plan that ran stays picklable."""
     inputs = tuple((spec, spec.n, f"input {i} is not a codeword of initial code {i}", *step)
                    for i, (spec, step) in enumerate(zip(specs, steps), 1))
-    if linalg._is_byte_field(field):
-        return partial(_lane_stripe, inputs, width, finals, report)
-    if field.m == 1:
-        bits = linalg._mod_lane_bits(field.p)
-        lanes = field.p, (1 << bits) - 1, range(0, bits * width, bits)
-        return partial(_mod_stripe, inputs, lanes, finals, report)
-    return partial(_plain_stripe, inputs, (field.mul, width), finals, report)
+    if field.p == 2:
+        spill = (2 * width, partial(struct.unpack, f"<{width}H")) if field.m > 8 else (width, None)
+        return partial(_lane_stripe, inputs, *spill, finals, report)
+    bits = linalg._mod_lane_bits(field.p)
+    lanes = field.p, (1 << bits) - 1, range(0, bits * width, bits)
+    return partial(_mod_stripe, inputs, lanes, finals, report)
 
 
 # The stripe loops, one per field form.  Each checks the input count, then
 # each input in turn, before the next: its length, then its symbols (unless
 # it is a `Codeword` of that very initial code object), then its syndrome,
 # which it folds inline in the same frame as its share of the written
-# symbols.  Then it spills the written symbols and lays out the finals.
-# Over a byte field and GF(p) a stripe of such codewords makes no
-# Python-level call per input.  Each final codeword is built inline, as
-# `Codeword._trusted` builds it, so over those fields a stripe makes no
-# Python-level call at all.
+# symbols.  Then it spills the written symbols and lays out the finals.  So
+# a stripe of such codewords makes no Python-level call per input.  Each
+# final codeword is built inline, as `Codeword._trusted` builds it, so a
+# stripe makes no Python-level call at all.
 
 _new, _set = object.__new__, object.__setattr__
 
 
-def _lane_stripe(inputs: tuple, width: int, finals: tuple, report: AccessReport,
+def _lane_stripe(inputs: tuple, width: int, unpack: partial | None, finals: tuple, report: AccessReport,
                  codewords: Sequence[Sequence[int] | Codeword]) -> tuple[tuple[Codeword, ...], AccessReport]:
     # The lanes of all groups read as one int, lane l in byte l, starting
     # from acc above the r parity lanes.  Each group XORs in one lookup per
-    # symbol of the codeword from its start at its shift: a parity symbol
-    # through its unit row, a message symbol through its lane row of M.  So
-    # the syndrome is left in the low r lanes and the shares above.
+    # byte of the codeword from its start at its shift: a parity byte
+    # through its unit row, a message byte through its lane row of M.  So
+    # the syndrome is left in the low r lanes and the shares above.  Above
+    # GF(256) the checked symbols are read as their bytes, low byte first.
     if len(codewords) != len(inputs):
         _check_count(codewords, len(inputs))
     acc = 0
     flat: list[int] = []
-    for (spec, n, fault, shift, mask, first, more), cw in zip(inputs, codewords):
+    for (spec, n, fault, shift, mask, first, more, pack), cw in zip(inputs, codewords):
         if isinstance(cw, Codeword):
             symbols, checked = cw.symbols, cw.code is spec
         else:
@@ -1005,14 +1006,16 @@ def _lane_stripe(inputs: tuple, width: int, finals: tuple, report: AccessReport,
             raise CorruptionError(fault)
         if not checked:
             spec.field.check_all(symbols)
-        acc = reduce(xor, map(getitem, first, symbols), acc << shift)
+        data = pack(*symbols) if pack else symbols
+        acc = reduce(xor, map(getitem, first, data), acc << shift)
         for start, at, rows in more:
-            acc ^= reduce(xor, map(getitem, rows, symbols[start:]), 0) << at
+            acc ^= reduce(xor, map(getitem, rows, data[start:]), 0) << at
         if acc & mask:
             raise CorruptionError(fault)
         acc >>= shift
         flat += symbols
-    flat += acc.to_bytes(width, "little")
+    written = acc.to_bytes(width, "little")
+    flat += unpack(written) if unpack else written
     outputs = []
     for spec, pick in finals:
         codeword = _new(Codeword)
@@ -1048,42 +1051,6 @@ def _mod_stripe(inputs: tuple, lanes: tuple, finals: tuple, report: AccessReport
         flat += symbols
     for at in spill:
         flat.append((acc >> at & mask) % p)
-    outputs = []
-    for spec, pick in finals:
-        codeword = _new(Codeword)
-        _set(codeword, "symbols", pick(flat))
-        _set(codeword, "code", spec)
-        outputs.append(codeword)
-    return tuple(outputs), report
-
-
-def _plain_stripe(inputs: tuple, lanes: tuple, finals: tuple, report: AccessReport,
-                  codewords: Sequence[Sequence[int] | Codeword]) -> tuple[tuple[Codeword, ...], AccessReport]:
-    # The product of the message symbols and each column of M by
-    # `FieldSpec.mul`, added by XOR, as the field has characteristic 2.
-    field_mul, width = lanes
-    if len(codewords) != len(inputs):
-        _check_count(codewords, len(inputs))
-    acc = [0] * width
-    flat: list[int] = []
-    for (spec, n, fault, r, columns), cw in zip(inputs, codewords):
-        if isinstance(cw, Codeword):
-            symbols, checked = cw.symbols, cw.code is spec
-        else:
-            symbols, checked = tuple(cw), False
-        if len(symbols) != n:
-            raise CorruptionError(fault)
-        if not checked:
-            spec.field.check_all(symbols)
-        message = symbols[r:]
-        out = []
-        for column in columns:
-            out.append(reduce(xor, map(field_mul, message, column), 0))
-        if tuple(out[:r]) != symbols[:r]:
-            raise CorruptionError(fault)
-        acc = list(map(xor, acc, out[r:]))
-        flat += symbols
-    flat += acc
     outputs = []
     for spec, pick in finals:
         codeword = _new(Codeword)
@@ -1136,10 +1103,10 @@ def run_conversion(
     lowered and compiled to its stripe loop, kept on the plan as
     `_executable`, so a later stripe is this lookup and one call of that
     loop.  The loop checks, folds and spills every input and builds the
-    final codewords in its own frame: over byte fields one lookup per
-    codeword symbol and lane group, with no slice, no solve and no matrix
-    or cache lookup, and over byte fields and GF(p) no other Python-level
-    call.
+    final codewords in its own frame, with no solve and no matrix or cache
+    lookup, and no other Python-level call: over GF(2^m) one lookup per
+    codeword byte and lane group, a symbol above GF(256) read as its two
+    bytes by one C call per input.
     """
     return (getattr(plan, "_executable", None) or _compile(plan, codewords))(codewords)
 

@@ -19,7 +19,9 @@ polynomial of that degree, which gives the table above.
 
 GF(2^m) with m <= 8 multiplies and inverts on log/exp tables, built on
 first use.  Above GF(256) nothing is built in proportion to q: products
-are shift and add (`_mul_nolut`), inverses extended Euclid over GF(2)[x].
+are shift and add (`_mul_nolut`), inverses extended Euclid over GF(2)[x],
+and the byte tables of `linalg`'s lane rows come from packed tables of
+16 entries (`product_rows`).
 """
 
 from __future__ import annotations
@@ -234,28 +236,55 @@ class FieldSpec(Record, trusted=False):
             self._build_tables()
         return self._log, self._exp
 
-    def product_rows(self) -> list[bytes]:
-        """For a byte field (p = 2, q <= 256), rows[c] = bytes(c*v for v in
-        the field): the region-multiply table of c, built once and kept.
+    def product_rows(self) -> list:
+        """The region-multiply tables of a field of characteristic 2, from
+        which `linalg` builds its lane rows, built once and kept.
 
-        Row c is one `bytes.translate` of the logs of the field's elements
+        For a byte field (q <= 256), rows[c] = bytes(c*v for v in the
+        field): one `bytes.translate` of the logs of the field's elements
         (0's log mapped past every nonzero one) through a window of exp
         starting at log c, padded with zeros.
+
+        Above GF(256), where `linalg` reads a symbol as its two bytes, low
+        byte first, four lists of packed ints, one per 4 bits of a symbol:
+        t_j[v] holds (v x^(4j + 8h)) b in 16-bit lane 256 h + b for h = 0, 1
+        and each byte b.  So the split tables of c (Plank, Greenan and
+        Miller, FAST 2013) are t_0[c & 15] ^ t_1[c >> 4 & 15] ^
+        t_2[c >> 8 & 15] ^ t_3[c >> 12], by linearity in c.
         """
         return kept(self, "_product_rows", self._derive_product_rows)
 
-    def _derive_product_rows(self) -> list[bytes]:
-        if self.p != 2 or self.q > 256:
-            raise UsageError(f"product rows exist only for fields of at most 256 elements "
-                             f"and characteristic 2, not {self!r}")
-        q = self.q
-        if self.m == 1:
+    def _derive_product_rows(self) -> list:
+        if self.p != 2:
+            raise UsageError(f"product rows exist only for fields of characteristic 2, not {self!r}")
+        q, m = self.q, self.m
+        if m == 1:
             return [bytes(2), bytes((0, 1))]
-        log, exp = self.row_tables()
-        logs = bytes([q - 1, *log[1:]])
-        exp_bytes, pad = bytes(exp[: 2 * (q - 1)]), bytes(257 - q)
-        rows = [bytes(q)]
-        return rows + [logs.translate(exp_bytes[lc : lc + q - 1] + pad) for lc in log[1:]]
+        if q <= 256:
+            log, exp = self.row_tables()
+            logs = bytes([q - 1, *log[1:]])
+            exp_bytes, pad = bytes(exp[: 2 * (q - 1)]), bytes(257 - q)
+            return [bytes(q)] + [logs.translate(exp_bytes[lc : lc + q - 1] + pad) for lc in log[1:]]
+        # By linearity, with no `mul`: x^i b for every byte b and i < m + 8,
+        # each from the last by one shift of all 256 lanes and a reduction
+        # of the lanes that reach degree m, then one XOR per table entry.
+        ones = int.from_bytes(b"\1\0" * 256, "little")  # bit 0 of every lane
+        lanes = bytearray(512)
+        lanes[::2] = bytes(range(256))
+        power = int.from_bytes(lanes, "little")  # lane b holds b
+        powers = []
+        for _ in range(m + 8):
+            powers.append(power)
+            top = power >> (m - 1) & ones
+            power = ((power ^ top << (m - 1)) << 1) ^ top * (self.modulus ^ 1 << m)
+        tables = []
+        for digit in (0, 4, 8, 12):
+            table = [0]
+            for i in range(digit, min(digit + 4, m)):
+                basis = powers[i] | powers[i + 8] << 4096
+                table += [t ^ basis for t in table]
+            tables.append(table)
+        return tuple(tables)
 
     # -- internal binary-field helpers -----------------------------------
 

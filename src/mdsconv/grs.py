@@ -175,36 +175,44 @@ def encode(spec: ExtGrsSpec, message: Sequence[int]) -> Codeword:
     length check and the step for the field's form, run here in one frame:
     over a byte field one pass over the message that checks each symbol and
     XORs in its lane row of the first group, for up to eight parity
-    symbols, and one reduce for each further group; over GF(p) `check_all`
-    and one sum of packed ints, spilled to the r parity symbols; over
-    GF(2^m) with m > 8 the reference product `linalg.vecmat` on A.  The codeword is built inline,
-    as `Codeword._trusted` builds it, so over byte fields a call of encode
-    makes no other Python-level call, and over GF(p) only `check_all`."""
+    symbols, and one reduce for each further group; above GF(256)
+    `check_all`, the message as its bytes, low byte first, through every
+    group, and the parity bytes back as symbols, each conversion one C
+    call; over GF(p) `check_all` and one sum of packed ints, spilled to the
+    r parity symbols.  The codeword is built inline, as `Codeword._trusted`
+    builds it, so over byte fields a call of encode makes no other
+    Python-level call, and over the other fields only `check_all`."""
     k, step = getattr(spec, "_encoder", None) or kept(spec, "_encoder", _encoder, spec)
     if len(message) != k:
         raise UsageError(f"message must have k = {k} symbols, got {len(message)}")
     field = spec.field
     q = field.q
-    if field.p == 2 and q <= 256:  # a byte field, as `linalg._is_byte_field` has it
-        rows, lanes, more = step
-        # `FieldSpec.check_all`'s test, fused with the first group's lookups.
-        acc = 0
-        for a, row in zip(message, rows):
-            if type(a) is not int or not 0 <= a < q:
-                field.check(a)
-            acc ^= row[a]
-        parity = acc.to_bytes(lanes, "little")
-        for group, width in more:
-            parity += reduce(xor, map(getitem, group, message), 0).to_bytes(width, "little")
-    elif field.m == 1:
+    if field.p == 2:
+        rows, lanes, more, pack, unpack = step
+        if pack:
+            field.check_all(message)
+            data = pack(*message)
+            parity = reduce(xor, map(getitem, rows, data), 0).to_bytes(lanes, "little")
+            for group, width in more:
+                parity += reduce(xor, map(getitem, group, data), 0).to_bytes(width, "little")
+            parity = unpack(parity)
+        else:
+            # `FieldSpec.check_all`'s test, fused with the first group's lookups.
+            acc = 0
+            for a, row in zip(message, rows):
+                if type(a) is not int or not 0 <= a < q:
+                    field.check(a)
+                acc ^= row[a]
+            parity = acc.to_bytes(lanes, "little")
+            for group, width in more:
+                parity += reduce(xor, map(getitem, group, message), 0).to_bytes(width, "little")
+    else:
         field.check_all(message)
         p, mask, shifts, rows = step
         acc = sum(map(mul, rows, message))
         parity = []
         for at in shifts:
             parity.append((acc >> at & mask) % p)
-    else:
-        parity = linalg.vecmat(message, step)
     codeword = _new(Codeword)
     _set(codeword, "symbols", (*parity, *message))
     _set(codeword, "code", spec)

@@ -15,42 +15,28 @@ not a canonical element of the field (UsageError), `matrix_from_text` and
 and `vandermonde_ext` checks its arguments.  Matrices the program computes
 from canonical operands are built with `FieldMatrix._trusted` (`record`).
 
-Byte fields and GF(p) have one compiled form each for their hot products
-(`_compiled`), built by exactly two callers: `systematic_encoder`, on the
-k x r parity part A of a systematic generator g = [A | I_k], and
-`fold_step`, on M = [A | C] for the executor's per-input step.  Neither
-builds g.  Over a byte field (characteristic 2, q <= 256) lane rows, one
-lookup per input symbol for up to eight outputs at once; over GF(p) one
-packed int per input symbol, one bit field per output, so a product is
-one sum.  A's form is kept on A, the one form a matrix keeps, so the
-encoder and the fold share A's full lane groups.
-
-Both return data, not a function, for a caller that runs them in its own
-frame.  `systematic_encoder` gives the encoder's step, which
-`grs.encode` keeps on the code (compiled once per code) and runs on the
-message symbols, checking each, as messages come from outside.
-`fold_step` gives the step that checks a codeword against its systematic
-generator and gives its share of the written symbols in one pass.  Over
-a byte field it is lane rows for one lookup pass over the whole
-codeword, its parity symbols through the field's unit lane rows
-(`_unit_rows`, lists kept on the field), so the syndrome lands in the
-low lanes; over GF(p) packed rows of M for one sum of products on the
-message symbols, compared with the parity symbols; over GF(2^m) with
-m > 8, which has no compiled form, M's columns for `FieldSpec.mul`
-products.
-The stripe loops of `convert.run_conversion`, one per form, run it
-inline for every input of a stripe in one frame, after checking that
-input's symbols.  `matvec` and `vecmat` are reference products over
-`FieldSpec.mul` and `add`; the encoder of GF(2^m) with m > 8 runs
-`vecmat` on A.
+Each field has one of two compiled forms for its hot products
+(`_compiled`), picked by its characteristic alone and built by exactly
+two callers: `systematic_encoder`, on the k x r parity part A of a
+systematic generator g = [A | I_k], and `fold_step`, on M = [A | C] for
+the executor's per-input step.  Neither builds g.  Over GF(2^m) lane
+rows, one lookup per input byte for up to eight output bytes at once, a
+symbol of GF(2^m) with m > 8 read as its two bytes, low byte first; over
+GF(p) one packed int per input symbol, one bit field per output, so a
+product is one sum.  A's form is kept on A, the one form a matrix keeps,
+so the encoder and the fold share A's full lane groups.  Both return
+data, not a function, for a caller that runs them in its own frame:
+`grs.encode` and the stripe loops of `convert.run_conversion`.  `matvec`
+and `vecmat` are reference products over `FieldSpec.mul` and `add`.
 """
 
 from __future__ import annotations
 
+import struct
 import sys
 from array import array
 from collections.abc import Iterable, Sequence
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain
 
 from .errors import SingularMatrixError, UsageError, canonical_decimals
@@ -280,25 +266,26 @@ def systematic_encoder(a: FieldMatrix) -> tuple:
     They are A's compiled form, kept on A, whose full lane groups
     `fold_step` shares:
 
-    - over a byte field, (first, lanes, more): the first lane group's k
-      rows and its width, for one pass over the message that checks each
-      symbol and XORs in its row, and (rows, width) for each further
-      group, one reduce each;
+    - over GF(2^m), (first, lanes, more, pack, unpack): the first lane
+      group's rows and its width in bytes, for one pass over the message
+      bytes, and (rows, width) for each further group, one reduce each.
+      Over a byte field a symbol is a byte, and pack and unpack are None;
+      above GF(256) they turn the k message symbols into their 2k bytes,
+      low byte first, and the 2r parity bytes back, in C (`_lane_rows`);
     - over GF(p), (p, mask, shifts, rows): one packed int of A per message
       symbol, so message . A is one sum, and the bit offset of each of its
-      r lanes, each reduced mod p;
-    - over GF(2^m) with m > 8, which has no compiled form, A itself, for
-      `vecmat`.
+      r lanes, each reduced mod p.
     """
     f, r = a.field, a.cols
     form = _compiled(f, [a.entries[j::r] for j in range(r)], a)
-    if _is_byte_field(f):
+    if f.p == 2:
         (rows, lanes), *more = form
-        return rows, lanes, tuple(more)
-    if f.m == 1:
-        bits = _mod_lane_bits(f.p)
-        return f.p, (1 << bits) - 1, range(0, bits * r, bits), form
-    return form
+        if f.m > 8:
+            pack, unpack = partial(struct.pack, f"<{a.rows}H"), partial(struct.unpack, f"<{r}H")
+            return rows, lanes, tuple(more), pack, unpack
+        return rows, lanes, tuple(more), None, None
+    bits = _mod_lane_bits(f.p)
+    return f.p, (1 << bits) - 1, range(0, bits * r, bits), form
 
 
 def fold_step(a: FieldMatrix, c: Sequence[Sequence[int]]) -> tuple:
@@ -312,65 +299,62 @@ def fold_step(a: FieldMatrix, c: Sequence[Sequence[int]]) -> tuple:
     A codeword is c = c[r:] . g, so c . S = c[r:] . C, and over every field
     the step is a form of M = [A | C]:
 
-    - over a byte field, (8 r, the mask of the r low lanes, first, more):
-      lane rows that read the whole codeword, one lookup per symbol for
-      each group of up to LANES of the r + w lanes, each group after the
-      first at its shift.  Group g reads c from min(LANES g, r): a parity
-      symbol through the unit row of its lane if the group holds that lane,
-      else through the zero row (`_unit_rows`), then each message symbol
-      through M's row.  So the syndrome c[:r] - c[r:] . A lands in the low
-      r lanes with no slice of c, and a share-only group reads the message
-      symbols alone.  `first` is the first group's rows; `more` holds
-      (start, shift, rows) for each further group.  After their unit rows,
-      A's full groups are the very rows `systematic_encoder` runs on, and
-      A's other columns share a group with the first columns of C;
+    - over GF(2^m), (8 r, the mask of the r low lanes, first, more, pack):
+      lane rows that read the whole codeword, one lookup per byte for each
+      group of up to LANES of the r + w lanes, each group after the first
+      at its shift; r and w count bytes, and pack, None over a byte field,
+      turns the symbols into their bytes (`systematic_encoder`).  Group g
+      reads c from min(LANES g, r): a parity byte through the unit row of
+      its lane if the group holds that lane, else through the zero row
+      (`_unit_rows`), then each message byte through M's row.  So the
+      syndrome c[:r] - c[r:] . A lands in the low r lanes with no slice of
+      c, and a share-only group reads the message bytes alone.  `first` is
+      the first group's rows; `more` holds (start, shift, rows) for each
+      further group.  After their unit rows, A's full groups are the very
+      rows `systematic_encoder` runs on, and A's other columns share a
+      group with the first columns of C;
     - over GF(p), (r, the bit offsets of the r parity lanes, the offset of
       the first share lane, rows): one packed int of M per message
-      symbol, so c[r:] . M is one sum of products;
-    - over GF(2^m) with m > 8, (r, columns): M's r + w columns, each a
-      tuple of k entries, for `FieldSpec.mul` products.
+      symbol, so c[r:] . M is one sum of products.
     """
     f, r = a.field, a.cols
     columns = [a.entries[j::r] for j in range(r)] + list(c)
-    if _is_byte_field(f):
-        full = r // LANES
+    if f.p == 2:
+        size = 2 if f.m > 8 else 1  # bytes of a symbol
+        pack = partial(struct.pack, f"<{r + a.rows}H") if size == 2 else None
+        full = size * r // LANES
         shared = _compiled(f, columns[:r], a)[:full] if full else ()
-        units = kept(f, "_unit_rows", _unit_rows, f.q)
+        units = kept(f, "_unit_rows", _unit_rows, min(f.q, 256))
+        r *= size
         groups = []
-        for at, (rows, _) in enumerate((*shared, *_compiled(f, columns[LANES * full :]))):
+        for at, (rows, _) in enumerate((*shared, *_compiled(f, columns[LANES * full // size :]))):
             # From its start, a group reads the unit rows of its own parity
-            # lanes, then a zero row per parity symbol of a later group.
+            # lanes, then a zero row per parity byte of a later group.
             start = min(LANES * at, r)
             lead = units[: min(r - start, LANES)] + units[LANES:] * (r - start - LANES)
             groups.append((start, 8 * LANES * at, lead + rows))
         (_, _, first), *more = groups
-        return 8 * r, (1 << 8 * r) - 1, first, tuple(more)
-    if f.m == 1:
-        bits = _mod_lane_bits(f.p)
-        return r, tuple(range(0, bits * r, bits)), bits * r, _compiled(f, columns)
-    return r, tuple(columns)
+        return 8 * r, (1 << 8 * r) - 1, first, tuple(more), pack
+    bits = _mod_lane_bits(f.p)
+    return r, tuple(range(0, bits * r, bits)), bits * r, _compiled(f, columns)
 
 
 def _compiled(field: FieldSpec, columns: Sequence[Sequence[int]], parity: FieldMatrix | None = None):
     """The compiled form of v . [columns] over `field`, v indexed as the
-    columns' entries: over a byte field lane rows (`_lane_rows`), over GF(p)
-    one packed int per input index (`_mod_packed`).  GF(2^m) with m > 8 has
-    no compiled form: it is the matrix of the columns itself, for `vecmat`.
+    columns' entries: over GF(2^m) lane rows (`_lane_rows`), over GF(p)
+    one packed int per input index (`_mod_packed`).
 
     Given the parity part A whose columns they are, the form is kept on it
     (`record.kept`), the one form a FieldMatrix keeps.
     """
     if parity is not None:
         return kept(parity, "_parity_form", _compiled, field, columns)
-    if _is_byte_field(field):
+    if field.p == 2:
         return _lane_rows(field, columns)
-    if field.m == 1:
-        return _mod_packed(_mod_lane_bits(field.p), columns)
-    entries = tuple(chain.from_iterable(zip(*columns)))
-    return FieldMatrix._trusted(field, len(columns[0]), len(columns), entries)
+    return _mod_packed(_mod_lane_bits(field.p), columns)
 
 
-# -- lane rows: the compiled form of byte fields ------------------------------
+# -- lane rows: the compiled form of GF(2^m) ---------------------------------
 #
 # Over a byte field (characteristic 2, q <= 256) every product fits a byte,
 # so the products of one symbol with up to LANES coefficients pack into one
@@ -378,54 +362,58 @@ def _compiled(field: FieldSpec, columns: Sequence[Sequence[int]], parity: FieldM
 # indexed by symbol: entry v packs (coefficient_l . v) for the lanes l of a
 # group of up to LANES columns.  Then v . M for all lanes of a group is the
 # XOR of one lookup per symbol: a SWAR form of the split-table region
-# multiply (Plank, Greenan and Miller, FAST 2013).
+# multiply (Plank, Greenan and Miller, FAST 2013).  Above GF(256) a symbol
+# is read as its two bytes, low byte first, and each coefficient as a 2 x 2
+# block of byte tables: entry b of block (h, h') is byte h' of
+# (c . x^(8h)) . b.  Then the same rows, indexed by byte, serve every field
+# of characteristic 2.
 
 LANES = 8  # bytes of an array("Q") entry
 
 
-def _is_byte_field(field: FieldSpec) -> bool:
-    return field.p == 2 and field.q <= 256
-
-
 def _lane_rows(field: FieldSpec, lines: Sequence[Sequence[int]]) -> tuple:
     """Lines as ((rows, lanes), ...), one pair per group of up to LANES
-    lines, with one lane row per input index.  This runs in C: the field's
-    product rows of each lane's coefficients, joined in input order, fill
-    that lane of a buffer by one strided slice assignment, and the buffer,
-    read as one array, is cut into the rows."""
-    prod = field.product_rows().__getitem__
-    q = field.q
+    byte lines, with one lane row per input byte.  Over a byte field a
+    line is a byte line: its coefficients' product rows, joined in input
+    order.  Above GF(256) a line of k coefficients gives two byte lines of
+    2k rows of 256 entries, one per byte h' of its products: its
+    coefficients' split tables (`FieldSpec.product_rows`), joined in input
+    order, then byte h' of each product.  This runs in C: each byte line
+    fills its lane of a buffer by one strided slice assignment, and the
+    buffer, read as one array, is cut into the rows."""
+    rows = field.product_rows()
+    size = min(field.q, 256)
+    if field.q > 256:
+        t0, t1, t2, t3 = rows
+
+        def split(c: int) -> bytes:  # c's four byte tables, 2 x 256 products of two bytes each
+            return (t0[c & 15] ^ t1[c >> 4 & 15] ^ t2[c >> 8 & 15] ^ t3[c >> 12]).to_bytes(1024, "little")
+
+        lines = [b"".join(map(split, line)) for line in lines]
+        lines = [line[h::2] for line in lines for h in (0, 1)]
+    else:
+        lines = [b"".join(map(rows.__getitem__, line)) for line in lines]
     groups = []
     for start in range(0, len(lines), LANES):
         group = lines[start : start + LANES]
-        size = len(group[0])
-        buf = bytearray(LANES * q * size)
+        buf = bytearray(LANES * len(group[0]))
         for lane, line in enumerate(group):
-            buf[lane::LANES] = b"".join(map(prod, line))
+            buf[lane::LANES] = line
         table = array("Q", buf)
         if sys.byteorder == "big":
             table.byteswap()
-        groups.append((tuple(table[i * q : (i + 1) * q] for i in range(size)), len(group)))
+        groups.append((tuple(table[i : i + size] for i in range(0, len(table), size)), len(group)))
     return tuple(groups)
 
 
-def _unit_rows(q: int) -> tuple[list[int], ...]:
-    """The lane rows of the unit columns over a byte field of q elements:
-    for each lane l < LANES the row whose entry v is v in lane l, then the
-    zero row.  `fold_step` keeps them on the field (`record.kept`), as its
-    product rows are.  One strided slice assignment of the field's
-    elements per lane fills a buffer read as one array, as in `_lane_rows`.
-    The rows are lists, cut from the array's `tolist`, so each of an
-    input's r parity lookups returns an int that exists, where a lookup
-    into an array makes one."""
-    buf = bytearray(LANES * q * (LANES + 1))
-    for lane in range(LANES):
-        buf[LANES * q * lane + lane : LANES * q * (lane + 1) : LANES] = bytes(range(q))
-    table = array("Q", buf)
-    if sys.byteorder == "big":
-        table.byteswap()
-    values = table.tolist()
-    return tuple(values[i * q : (i + 1) * q] for i in range(LANES + 1))
+def _unit_rows(size: int) -> tuple[list[int], ...]:
+    """The lane rows of the unit columns over a field whose symbols' bytes
+    take `size` values: for each lane l < LANES the row whose entry v is v
+    in lane l, one `range` of step 2^(8 l), then the zero row.  `fold_step`
+    keeps them on the field (`record.kept`), as its product rows are.  The
+    rows are lists, so each of an input's parity lookups returns an int
+    that exists, where a lookup into an array makes one."""
+    return tuple(list(range(0, size << 8 * lane, 1 << 8 * lane)) for lane in range(LANES)) + ([0] * size,)
 
 
 # Over GF(p) the lanes of a packed int are bit fields wide enough for a sum

@@ -134,8 +134,8 @@ def test_rejections_match_references():
 
 # A plan of each compiled form of the executor, each built on first use:
 # the lane rows of a byte field with the parity in one lane group and in
-# two (r_I = 10), the packed ints of GF(p), the plain form of GF(2^16), and
-# the 2x2 general plan over GF(8).
+# two (r_I = 10), the packed ints of GF(p), the lane rows of GF(2^16), which
+# read a symbol as two bytes, and the 2x2 general plan over GF(8).
 ORDER_PLANS = {
     "gf7-acceptance-merge": lambda: next(_merge_plans()),
     "gf256-one-lane-group": lambda: build_merge(merge_params([(5, 3), (5, 3)], 2), GF(256)),
@@ -365,13 +365,13 @@ def _calls(fn, *args):
     return out, names
 
 
-@pytest.mark.parametrize("q", [256, 257])
+@pytest.mark.parametrize("q", [256, 257, 512, 1 << 16])
 def test_a_stripe_makes_the_same_calls_for_two_inputs_and_for_four(q):
     """On a plan that has run, one `run_conversion` of an encoded stripe
     makes the same Python-level calls for the README's 2-input merge as for
     the benchmark's 4-input merge: the stripe loop checks, folds and spills
-    every input in its own frame, so no call is made per input.  GF(2^16)
-    is left out: its plain form multiplies by `FieldSpec.mul`."""
+    every input in its own frame, so no call is made per input, also where
+    a symbol is read as two bytes."""
     calls = {}
     for shapes, rf in (([(5, 3), (5, 3)], 2), WIDE_MERGES[0]):
         plan = build_merge(merge_params(shapes, rf), GF(q))
@@ -384,12 +384,13 @@ def test_a_stripe_makes_the_same_calls_for_two_inputs_and_for_four(q):
     assert calls[2] == calls[4]
 
 
-@pytest.mark.parametrize("q, r", [(4, 2), (16, 3), (16, 10), (256, 4), (256, 10), (257, 4), (257, 10)])
+@pytest.mark.parametrize("q, r", [(4, 2), (16, 3), (16, 10), (256, 4), (256, 10), (257, 4), (257, 10),
+                                  (512, 4), (512, 10), (1 << 16, 4), (1 << 16, 10)])
 def test_an_encode_makes_no_other_call(q, r):
     """One `encode` on a code whose encoder is kept runs its field's step
     and builds the codeword in its own frame: over a byte field, with one
-    lane group or two (r = 10), it calls nothing else, and over GF(257)
-    only `FieldSpec.check_all`."""
+    lane group or two (r = 10), it calls nothing else, and over GF(257),
+    GF(512) and GF(2^16) only `FieldSpec.check_all`."""
     n = min(q + 1, r + 6)
     spec = grs.ExtGrsSpec(GF(q), n, r, tuple(range(n - 1)), (1,) * n)
     rng = random.Random(q + r)
@@ -397,7 +398,7 @@ def test_an_encode_makes_no_other_call(q, r):
     want = encode(spec, message)
     got, calls = _calls(encode, spec, message)
     assert got == want
-    assert calls == ["encode", *(["check_all"] if q == 257 else [])]
+    assert calls == ["encode", *(["check_all"] if q > 256 else [])]
 
 
 def _split_plan(q):
@@ -405,15 +406,15 @@ def _split_plan(q):
     return build_split(ConvertParams((initial,), finals), GF(q))
 
 
-@pytest.mark.parametrize("q", [256, 257, 1 << 16])
+@pytest.mark.parametrize("q", [256, 257, 512, 1 << 16])
 def test_a_stripe_builds_its_final_codewords_without_a_call(q):
     """One `run_conversion` stripe of the benchmark's merge shape and of the
     wide split builds its final codewords in the stripe loop's frame: it
     calls no `Codeword._trusted` and runs no list comprehension, which is
-    a frame of its own before Python 3.12.  Over GF(256) and GF(257) the
-    loop is the one call; over GF(2^16) it also multiplies by
-    `FieldSpec.mul`, shift and add."""
-    loop = {256: "_lane_stripe", 257: "_mod_stripe", 1 << 16: "_plain_stripe"}[q]
+    a frame of its own before Python 3.12.  Over every field the loop is
+    the one call: the lane loop of GF(2^m), also where a symbol is read as
+    two bytes, or the packed loop of GF(p)."""
+    loop = "_mod_stripe" if q == 257 else "_lane_stripe"
     shapes, rf = WIDE_MERGES[0]
     for plan in (build_merge(merge_params(shapes, rf), GF(q)), _split_plan(q)):
         rng = random.Random(q + len(plan.initial_specs))
@@ -422,8 +423,7 @@ def test_a_stripe_builds_its_final_codewords_without_a_call(q):
         got, calls = _calls(convert.run_conversion, plan, stripe)
         assert got == want
         assert "_trusted" not in calls and "<listcomp>" not in calls
-        assert calls[:2] == ["run_conversion", loop]
-        assert set(calls[2:]) <= ({"mul", "_mul_nolut"} if q == 1 << 16 else set())
+        assert calls == ["run_conversion", loop]
 
 
 @pytest.mark.parametrize("q", [256, 257, 1 << 16])
@@ -564,6 +564,55 @@ def test_set_up_makes_the_pinned_compile_work(monkeypatch, stream):
     outputs, _ = convert.run_conversion(plan, stripe)
     assert calls == SET_UP_WORK[stream]
     assert all(grs.is_codeword(cw.code, cw.symbols) for cw in outputs)
+
+
+# Work of one pass over [n, n - 10]x2 with r_F = 10 (build, `verify_plan`,
+# one encode per initial code, one convert) per form of field and n: the
+# same over both fields of a form, whatever q.
+PASS_WORK = {
+    "GF(2^m)": {25: {"mul": 4391, "inv": 310, "_vandermonde": 5, "rref": 1, "_lane_rows": 4},
+                50: {"mul": 6751, "inv": 810, "_vandermonde": 5, "rref": 1, "_lane_rows": 4},
+                100: {"mul": 11651, "inv": 1810, "_vandermonde": 5, "rref": 1, "_lane_rows": 4}},
+    "GF(p)": {25: {"mul": 4511, "inv": 310, "_vandermonde": 5, "rref": 1, "_lane_rows": 0},
+              50: {"mul": 6961, "inv": 810, "_vandermonde": 5, "rref": 1, "_lane_rows": 0},
+              100: {"mul": 11861, "inv": 1810, "_vandermonde": 5, "rref": 1, "_lane_rows": 0}},
+}
+
+
+@pytest.mark.parametrize("q, form", [(1024, "GF(2^m)"), (1 << 16, "GF(2^m)"), (1009, "GF(p)"), (1000003, "GF(p)")])
+@pytest.mark.parametrize("n", [25, 50, 100])
+def test_cost_grows_with_n_not_q(monkeypatch, q, form, n):
+    """The field operations and compile work of one pass, pinned exactly
+    per form and n, so the counts are equal over GF(1024) and GF(2^16), and
+    over GF(1009) and GF(1000003): nothing runs in proportion to q.  Above
+    GF(256) the field keeps no log/exp tables and nothing of q entries."""
+    grs.parity_check.cache_clear()
+    grs.generator.cache_clear()
+    calls = dict.fromkeys(PASS_WORK[form][n], 0)
+    for name in ("mul", "inv"):
+        def counted_op(field, *args, _fn=getattr(FieldSpec, name), _name=name):
+            calls[_name] += 1
+            return _fn(field, *args)
+        monkeypatch.setattr(FieldSpec, name, counted_op)
+    for owner in (linalg, grs, convert):
+        for name in ("_vandermonde", "rref", "_lane_rows"):
+            if name in vars(owner):
+                def counted(*args, _fn=getattr(owner, name), _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(owner, name, counted)
+    rng = random.Random(n)
+    field = GF(q)
+    plan = build_merge(merge_params([(n, n - 10)] * 2, 10), field)
+    assert all(passed for _, passed, _ in convert.verify_plan(plan))
+    stripe = [encode(spec, [rng.randrange(q) for _ in range(spec.k)]) for spec in plan.initial_specs]
+    (final,), _ = convert.run_conversion(plan, stripe)
+    assert calls == PASS_WORK[form][n]
+    assert grs.is_codeword(final.code, final.symbols)
+    assert field._exp is None and field._log is None
+    for value in vars(field).values():
+        if isinstance(value, (list, tuple)):
+            assert len(value) < q and all(len(part) < q for part in value if isinstance(part, (list, tuple)))
 
 
 def test_lower_verifies_before_it_solves(monkeypatch):

@@ -276,17 +276,19 @@ def test_row_kernel_matches_per_element_reference(q):
             vecmat([0] * (rows + 1), m)
 
 
-@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("m", [*range(1, 10), 16])
 def test_lane_kernel_matches_per_element_reference(m):
-    """Over GF(2^m), m <= 8, products run on lane rows, one group per 8
-    output lanes: every lane count from 0 to 8, and 10 and 17 (as r = 10 of
+    """Over GF(2^m) products run on lane rows, one group per 8 output
+    bytes: every lane count from 0 to 8, and 10 and 17 (as r = 10 of
     [100,90]), with zero coefficients, zero rows and zero vectors.  The
     lanes are the parity columns A of g = [A | I_k], run by the encoder and
     by the fold step in the stripe loop, whose shares run on lanes past
-    them; the step's first group leads with the r unit rows of the parity
-    symbols."""
+    them; the step's first group leads with the unit rows of the parity
+    bytes.  For m = 9 and 16 a symbol is two bytes, low byte first: two
+    rows of 256 entries per input symbol, two lanes per output symbol."""
     f = GF(1 << m)
     q = f.q
+    size = 2 if m > 8 else 1  # bytes of a symbol
     rng = random.Random(3000 + m)
 
     def element():
@@ -299,18 +301,20 @@ def test_lane_kernel_matches_per_element_reference(m):
                 entries[1] = [0] * lanes
             mat = from_rows(f, entries, cols=lanes)
             groups = linalg._compiled(f, [mat.entries[j::lanes] for j in range(lanes)])
-            assert [width for _, width in groups] == [min(8, lanes - s) for s in range(0, lanes, 8)]
-            assert all(len(rows) == inputs and all(len(row) == q for row in rows) for rows, _ in groups)
+            out = size * lanes  # output bytes
+            assert [width for _, width in groups] == [min(8, out - s) for s in range(0, out, 8)]
+            assert all(len(rows) == size * inputs and all(len(row) == min(q, 256) for row in rows)
+                       for rows, _ in groups)
             if not inputs:
                 continue  # a code has k >= 1 message symbols to run on
             w = 3
             s_part = from_rows(f, [[element() for _ in range(w)] for _ in range(lanes + inputs)], cols=w)
             encoder, encode = _encoder(mat) if lanes else (None, None)
             step, fold = _folder(mat, s_part)
-            if lanes >= 8:  # A's first full lane group is built once, on A
+            if out >= 8:  # A's first full lane group is built once, on A
                 first, shared = step[2], mat._parity_form[0][0]
-                assert len(first) == lanes + inputs and len(encoder[0]) == len(shared) == inputs
-                assert all(a is b is c for a, b, c in zip(first[lanes:], encoder[0], shared))
+                assert len(first) == out + size * inputs and len(encoder[0]) == len(shared) == size * inputs
+                assert all(a is b is c for a, b, c in zip(first[out:], encoder[0], shared))
             for v in ([element() for _ in range(inputs)], [0] * inputs):
                 c = (*_naive_vecmat(v, mat), *v)
                 if encoder is not None:
@@ -322,13 +326,15 @@ def test_lane_kernel_matches_per_element_reference(m):
 
 @pytest.mark.parametrize("w", [0, 3, 9])
 @pytest.mark.parametrize("r", [*range(1, 11), 16, 17])
-@pytest.mark.parametrize("q", [4, 16, 256])
+@pytest.mark.parametrize("q", [4, 16, 256, 512, 1 << 16])
 def test_lane_fold_refuses_every_single_symbol_change(q, r, w):
-    """The byte-field fold step reads the whole codeword, each lane group from
-    its start, the parity symbols through unit lane rows: in the first
-    group, in a second one for r > 8, and none in the share-only groups
-    past them.  On a codeword c it gives c . S, and it refuses every change
-    of one symbol, parity or message, by XOR with 1 and with q - 1."""
+    """The lane fold step reads the whole codeword, each lane group from
+    its start, the parity bytes through unit lane rows: in the first
+    group, in a second one for more than 8 of them, and none in the
+    share-only groups past them.  On a codeword c it gives c . S, and it
+    refuses every change of one symbol, parity or message, by XOR with 1
+    and with q - 1, and above GF(256) with 256, which changes the high
+    byte alone."""
     f = GF(q)
     rng = random.Random(5000 + 100 * q + 10 * r + w)
     k = 5
@@ -341,8 +347,9 @@ def test_lane_fold_refuses_every_single_symbol_change(q, r, w):
     _, fold = _folder(from_rows(f, a_rows, cols=r), s_part)
     c = vecmat([rng.randrange(q) for _ in range(k)], g)
     assert fold(c) == _naive_vecmat(c, s_part)
+    deltas = (1, q - 1, 256) if q > 256 else (1, q - 1)
     for at in range(r + k):
-        for delta in (1, q - 1):
+        for delta in deltas:
             assert fold((*c[:at], c[at] ^ delta, *c[at + 1 :])) is None
 
 

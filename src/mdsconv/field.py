@@ -284,7 +284,7 @@ class FieldSpec(Record, trusted=False):
                 basis = powers[i] | powers[i + 8] << 4096
                 table += [t ^ basis for t in table]
             tables.append(table)
-        return tuple(tables)
+        return tables
 
     # -- internal binary-field helpers -----------------------------------
 

@@ -17,11 +17,13 @@ that encodings are bit-exact across runs:
 Every degree up to 16 uses the lexicographically smallest irreducible
 polynomial of that degree, which gives the table above.
 
-GF(2^m) with m <= 8 multiplies and inverts on log/exp tables, built on
-first use.  Above GF(256) nothing is built in proportion to q: products
-are shift and add (`_mul_nolut`), inverses extended Euclid over GF(2)[x],
-and the byte tables of `linalg`'s lane rows come from packed tables of
-16 entries (`product_rows`).
+GF(2^m) with m <= 8 multiplies and inverts on two tables built on first
+use by linearity, with no generator: the product rows (`product_rows`),
+so a product is rows[a][b], and the inverses read off them (`inverses`).
+Above GF(256) nothing is built in proportion to q: products are shift
+and add (`_mul_nolut`), inverses extended Euclid over GF(2)[x], and the
+byte tables of `linalg`'s lane rows come from packed tables of 16
+entries (`product_rows`).
 """
 
 from __future__ import annotations
@@ -128,8 +130,8 @@ class FieldSpec(Record, trusted=False):
         _set = object.__setattr__
         _set(self, "modulus", None if m == 1 else _default_modulus(m))
         _set(self, "q", p**m)
-        _set(self, "_exp", None)
-        _set(self, "_log", None)
+        _set(self, "_product_rows", None)
+        _set(self, "_inverses", None)
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -181,20 +183,19 @@ class FieldSpec(Record, trusted=False):
         return a
 
     def mul(self, a: int, b: int) -> int:
+        """a*b: over GF(2^m) with m <= 8 read off a's product row."""
         if self.m == 1:
             return (a * b) % self.p
-        if self._exp is None:
-            if self.q > 256:
-                return self._mul_nolut(a, b)
-            self._build_tables()
-        return self._exp[self._log[a] + self._log[b]]
+        if self.q > 256:
+            return self._mul_nolut(a, b)
+        return (self._product_rows or self.product_rows())[a][b]
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; a must be nonzero.
 
         Prime fields use integer extended Euclid; GF(2^m) with m <= 8 reads
-        exp[q - 1 - log a] from the tables that `mul` uses, and above GF(256)
-        extended Euclid over GF(2)[x] runs on (a, modulus).
+        the inverse table (`inverses`), and above GF(256) extended Euclid
+        over GF(2)[x] runs on (a, modulus).
         """
         if a == 0:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
@@ -207,11 +208,9 @@ class FieldSpec(Record, trusted=False):
                 r0, r1 = r1, r0 - quo * r1
                 s0, s1 = s1, s0 - quo * s1
             return s0 % self.p
-        if self._exp is None:
-            if self.q > 256:
-                return self._inv_nolut(a)
-            self._build_tables()
-        return self._exp[self.q - 1 - self._log[a]]
+        if self.q > 256:
+            return self._inv_nolut(a)
+        return (self._inverses or self.inverses())[a]
 
     def pow(self, a: int, e: int) -> int:
         """a**e by square and multiply; pow(a, 0) == 1 for every a."""
@@ -226,65 +225,39 @@ class FieldSpec(Record, trusted=False):
             e >>= 1
         return out
 
-    def row_tables(self) -> tuple[list[int], list[int]]:
-        """The (log, exp) tables that `mul` reads, for the table-driven
-        loops of `linalg` and `grs` over GF(2^m) with 1 < m <= 8; see
-        `_build_tables`.  Larger fields have none."""
-        if self.m == 1 or self.q > 256:
-            raise UsageError(f"row tables exist only for fields GF(2^m) with 1 < m <= 8, not {self!r}")
-        if self._exp is None:
-            self._build_tables()
-        return self._log, self._exp
-
     def product_rows(self) -> list:
         """The region-multiply tables of a field of characteristic 2, from
-        which `linalg` builds its lane rows, built once and kept.
+        which `mul` over a byte field and `linalg`'s lane rows read, built
+        once and kept, by linearity in c with no `mul` (Plank, Greenan and
+        Miller, FAST 2013).
 
         For a byte field (q <= 256), rows[c] = bytes(c*v for v in the
-        field): one `bytes.translate` of the logs of the field's elements
-        (0's log mapped past every nonzero one) through a window of exp
-        starting at log c, padded with zeros.
+        field): the XOR, over the bits i of c, of x^i v for every v at
+        once, one byte per v (`_lane_powers`).
 
         Above GF(256), where `linalg` reads a symbol as its two bytes, low
         byte first, four lists of packed ints, one per 4 bits of a symbol:
         t_j[v] holds (v x^(4j + 8h)) b in 16-bit lane 256 h + b for h = 0, 1
-        and each byte b.  So the split tables of c (Plank, Greenan and
-        Miller, FAST 2013) are t_0[c & 15] ^ t_1[c >> 4 & 15] ^
-        t_2[c >> 8 & 15] ^ t_3[c >> 12], by linearity in c.
+        and each byte b.  So the split tables of c are t_0[c & 15] ^
+        t_1[c >> 4 & 15] ^ t_2[c >> 8 & 15] ^ t_3[c >> 12].
         """
         return kept(self, "_product_rows", self._derive_product_rows)
+
+    def inverses(self) -> bytes:
+        """The inverse of each element of a byte field (q <= 256), at its
+        index, and 0 at 0: the b at which a's product row holds 1, read off
+        once and kept."""
+        return kept(self, "_inverses", lambda: bytes([0, *(row.index(1) for row in self.product_rows()[1:])]))
 
     def _derive_product_rows(self) -> list:
         if self.p != 2:
             raise UsageError(f"product rows exist only for fields of characteristic 2, not {self!r}")
         q, m = self.q, self.m
-        if m == 1:
-            return [bytes(2), bytes((0, 1))]
         if q <= 256:
-            log, exp = self.row_tables()
-            logs = bytes([q - 1, *log[1:]])
-            exp_bytes, pad = bytes(exp[: 2 * (q - 1)]), bytes(257 - q)
-            return [bytes(q)] + [logs.translate(exp_bytes[lc : lc + q - 1] + pad) for lc in log[1:]]
-        # By linearity, with no `mul`: x^i b for every byte b and i < m + 8,
-        # each from the last by one shift of all 256 lanes and a reduction
-        # of the lanes that reach degree m, then one XOR per table entry.
-        ones = int.from_bytes(b"\1\0" * 256, "little")  # bit 0 of every lane
-        lanes = bytearray(512)
-        lanes[::2] = bytes(range(256))
-        power = int.from_bytes(lanes, "little")  # lane b holds b
-        powers = []
-        for _ in range(m + 8):
-            powers.append(power)
-            top = power >> (m - 1) & ones
-            power = ((power ^ top << (m - 1)) << 1) ^ top * (self.modulus ^ 1 << m)
-        tables = []
-        for digit in (0, 4, 8, 12):
-            table = [0]
-            for i in range(digit, min(digit + 4, m)):
-                basis = powers[i] | powers[i + 8] << 4096
-                table += [t ^ basis for t in table]
-            tables.append(table)
-        return tables
+            return [row.to_bytes(q, "little") for row in _span(self._lane_powers(m, 1, q))]
+        powers = self._lane_powers(m + 8, 2, 256)
+        return [_span(powers[i] | powers[i + 8] << 4096 for i in range(digit, min(digit + 4, m)))
+                for digit in (0, 4, 8, 12)]
 
     # -- internal binary-field helpers -----------------------------------
 
@@ -313,35 +286,27 @@ class FieldSpec(Record, trusted=False):
             g1 ^= g2 << j
         return g1
 
-    def _build_tables(self) -> None:
-        """Log/antilog tables in one form for `mul`, `inv`, `rref` and the
-        lane rows of `linalg`, built only for GF(2^m) with 1 < m <= 8.
+    def _lane_powers(self, count: int, width: int, lanes: int) -> list[int]:
+        """x^i v for i < count, in `lanes` packed lanes of `width` bytes,
+        lane v holding v: each from the last by one shift of all lanes and
+        a reduction of the lanes that reach degree m."""
+        start = bytearray(width * lanes)
+        start[::width] = bytes(range(lanes))
+        ones = int.from_bytes(b"\1".ljust(width, b"\0") * lanes, "little")  # bit 0 of every lane
+        powers, m = [int.from_bytes(start, "little")], self.m
+        while len(powers) < count:
+            top = powers[-1] >> (m - 1) & ones
+            powers.append(((powers[-1] ^ top << (m - 1)) << 1) ^ top * (self.modulus ^ 1 << m))
+        return powers
 
-        exp holds two periods of a generator's powers, so exp[log a + log b]
-        is the product of nonzero a and b.  log[0] is 2(q - 1), past every
-        sum of two nonzero logs, and exp is 0 from that index on, so the
-        same lookup gives 0 when either factor is 0, with no branch.
-        """
-        order = self.q - 1
-        zero = 2 * order
-        for gen in range(2, self.q):
-            exp = [0] * (2 * zero + 1)
-            log = [zero] * self.q
-            val = 1
-            count = 0
-            while True:
-                exp[count] = val
-                log[val] = count
-                count += 1
-                val = self._mul_nolut(val, gen)
-                if val == 1:
-                    break
-            if count == order:
-                exp[order:zero] = exp[:order]
-                object.__setattr__(self, "_exp", exp)
-                object.__setattr__(self, "_log", log)
-                return
-        raise UsageError(f"no generator found for {self!r}")  # pragma: no cover
+
+def _span(bases) -> list[int]:
+    """The XOR of each subset of `bases`, subset s at the index whose bit i
+    says whether s holds the i-th basis."""
+    table = [0]
+    for basis in bases:
+        table += [t ^ basis for t in table]
+    return table
 
 
 @lru_cache(maxsize=32)

@@ -118,8 +118,9 @@ def parity_part(spec: ExtGrsSpec) -> FieldMatrix:
     w_t c_p prod_{l != p} (gamma_t - gamma_l) (an empty product for t = n),
     with c_p = -1 / (w_p D_p): the product over all l, divided by
     (gamma_t - gamma_p), which is nonzero because the points are distinct.
-    Over GF(2^m) with 1 < m <= 8, which has log/exp tables, that is one sum
-    and difference of logs per entry.  The identity part of G is never
+    Over GF(2^m) with 1 < m <= 8 each product is read off a product row
+    and each inverse off the inverse table (`FieldSpec.product_rows` and
+    `inverses`), with no call per entry.  The identity part of G is never
     built: A alone is k r entries, where G is k n.
     """
     return kept(spec, "_parity", _parity_part, spec)
@@ -130,20 +131,23 @@ def _parity_part(spec: ExtGrsSpec) -> FieldMatrix:
     r, n = spec.r, spec.n
     points, w = spec.gamma[:r], spec.w
     if 1 < f.m <= 8:
-        log, exp = f.row_tables()
-        order = f.q - 1
-        # d holds log(x - gamma_p) for every point x and each p < r, in rows
-        # of r, and a zero row for the extension position.  The points are
-        # distinct, so the one zero difference is a point's own, whose log,
-        # 2 (q - 1), each log c_p takes back out of its row's sum.
-        d = [log[x ^ y] for x in spec.gamma for y in points]
-        d += [0] * r
-        sums = [sum(d[i : i + r]) for i in range(0, len(d), r)]
-        log_c = [2 * order - log[wp] - s for wp, s in zip(w, sums[:r])]
-        totals = [log[wt] + s for wt, s in zip(w[r:], sums[r:])]
-        entries = [exp[(total - e + c) % order]
-                   for total, i in zip(totals, range(r * r, len(d), r)) for e, c in zip(d[i : i + r], log_c)]
-        return FieldMatrix._trusted(f, n - r, r, tuple(entries))
+        rows, inverses = f.product_rows(), f.inverses()
+
+        def product(x: int) -> int:
+            """prod_l (x - gamma_l), leaving out x's own point."""
+            out = 1
+            for y in points:
+                if y != x:
+                    out = rows[out][x ^ y]
+            return out
+
+        c_rows = [rows[inverses[rows[wp][product(x)]]] for wp, x in zip(w, points)]
+        a_rows = []
+        for t in range(r, n - 1):
+            x = spec.gamma[t]
+            total = rows[rows[w[t]][product(x)]]
+            a_rows.append([cp[total[inverses[x ^ y]]] for y, cp in zip(points, c_rows)])
+        a_rows.append([cp[w[-1]] for cp in c_rows])
     else:
         mul, sub, inv = f.mul, f.sub, f.inv
 

@@ -28,6 +28,11 @@ so the encoder and the fold share A's full lane groups.  Both return
 data, not a function, for a caller that runs them in its own frame:
 `grs.encode` and the stripe loops of `convert.run_conversion`.  `matvec`
 and `vecmat` are reference products over `FieldSpec.mul` and `add`.
+
+Over a byte field (GF(2^m), 1 < m <= 8) the set-up kernels `rref` and
+`_vandermonde` read the field's product rows, the table `FieldSpec.mul`
+reads too, with no call per entry; over every other field they call
+`FieldSpec.mul`.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from array import array
 from collections.abc import Iterable, Sequence
 from functools import partial, reduce
 from itertools import chain
+from operator import getitem
 
 from .errors import SingularMatrixError, UsageError, canonical_decimals
 from .field import GF, FieldSpec
@@ -133,23 +139,21 @@ def _vandermonde(field: FieldSpec, r: int, gamma: Sequence[int], w: Sequence[int
     columns: one column per multiplier in w, the first len(gamma) at the
     points gamma and, when w has one entry more, the extension column last.
     So the columns a..b-1 of a code's parity check are `_vandermonde` of
-    its gamma[a:b] and w[a:b], built directly."""
-    # Row ell + 1 is row ell times gamma: on the log/exp tables over a field
-    # that has them (`FieldSpec.row_tables`), else by `FieldSpec.mul`.
-    tables = 1 < field.m <= 8
-    if tables:
-        log, exp = field.row_tables()
-        log_gamma = [log[x] for x in gamma]
+    its gamma[a:b] and w[a:b], built directly.  Row ell + 1 is row ell
+    times gamma: over a byte field read off gamma's product rows
+    (`FieldSpec.product_rows`), else by `FieldSpec.mul`."""
+    if 1 < field.m <= 8:
+        rows = field.product_rows()
+        times, by = getitem, [rows[g] for g in gamma]
+    else:
+        times, by = field.mul, gamma
     row = w[: len(gamma)]
     tail = (0,) * (len(w) - len(gamma))
     entries: list[int] = []
     for ell in range(r - 1):
         entries += row
         entries += tail
-        if tables:
-            row = [exp[log[x] + lg] for x, lg in zip(row, log_gamma)]
-        else:
-            row = list(map(field.mul, row, gamma))
+        row = list(map(times, by, row))
     entries += row
     entries += w[len(gamma) :]  # the extension column's w_n, in the last row only
     return FieldMatrix._trusted(field, r, len(w), tuple(entries))
@@ -161,15 +165,13 @@ def _vandermonde(field: FieldSpec, r: int, gamma: Sequence[int], w: Sequence[int
 def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its 0-based pivot columns.
 
-    Over a field with log/exp tables (GF(2^m), 1 < m <= 8) the scaled
-    pivot row is turned into logs once, and each elimination is
-    x ^ exp[log c + log y]; over GF(p) and above GF(256) it is
-    x - c*y by `FieldSpec.sub` and `mul`.
+    Each elimination is x - c*y for the pivot row y: over a byte field
+    (GF(2^m), 1 < m <= 8) x ^ rows[c][y] on the product rows
+    (`FieldSpec.product_rows`), and over GF(p) and above GF(256) by
+    `FieldSpec.sub` and `mul`.
     """
     f = m.field
-    tables = 1 < f.m <= 8
-    if tables:
-        log, exp = f.row_tables()
+    rows = 1 < f.m <= 8 and f.product_rows()
     inv, mul, sub = f.inv, f.mul, f.sub
     a = m.to_lists()
     pivots: list[int] = []
@@ -184,23 +186,16 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
             continue
         a[pr], a[pivot] = a[pivot], a[pr]
         scale = inv(a[pr][c])
-        if tables:
-            if scale != 1:
-                ls = log[scale]
-                a[pr] = [exp[ls + log[x]] for x in a[pr]]
-            lead = [log[y] for y in a[pr]]
-            for i in range(m.rows):
-                coef = a[i][c]
-                if i != pr and coef != 0:
-                    lc = log[coef]
-                    a[i] = [x ^ exp[lc + y] for x, y in zip(a[i], lead)]
-        else:
-            if scale != 1:
-                a[pr] = [mul(scale, x) for x in a[pr]]
-            lead = a[pr]
-            for i in range(m.rows):
-                coef = a[i][c]
-                if i != pr and coef != 0:
+        if scale != 1:
+            a[pr] = list(map(rows[scale].__getitem__, a[pr])) if rows else [mul(scale, x) for x in a[pr]]
+        lead = a[pr]
+        for i in range(m.rows):
+            coef = a[i][c]
+            if i != pr and coef != 0:
+                if rows:
+                    row = rows[coef]
+                    a[i] = [x ^ row[y] for x, y in zip(a[i], lead)]
+                else:
                     a[i] = [sub(x, mul(coef, y)) for x, y in zip(a[i], lead)]
         pivots.append(c)
         pr += 1

@@ -1240,19 +1240,15 @@ def test_verify_refuses_non_decimal_seeds(tmp_path, capsys, seed):
 
 
 @pytest.mark.parametrize("q", [512, 1 << 16])
-def test_fields_above_256_build_no_tables(tmp_path, capsys, monkeypatch, q):
-    """Above GF(256) no verb builds log/exp tables, whose cost grows with q:
-    with `_build_tables` refusing to run, the README merge and split run
-    through all four verbs and every final is a codeword."""
+def test_fields_above_256_build_no_tables(tmp_path, capsys, q):
+    """Above GF(256) no verb builds a table whose size grows with q: the
+    README merge and split run through all four verbs, every final is a
+    codeword, and the field keeps no value of q entries."""
     from mdsconv import grs
-    from mdsconv.field import FieldSpec
-
-    def refuse(self):
-        raise AssertionError(f"log/exp tables built for {self!r}")
+    from test_execute import assert_no_value_of_q_entries
 
     for cache in (GF, grs.parity_check, grs.generator):
         cache.cache_clear()
-    monkeypatch.setattr(FieldSpec, "_build_tables", refuse)
     configs = {
         "merge": ({"regime": "merge", "q": q, "initial": [[5, 3], [5, 3]], "r_F": 2}, "1 2 3\n4 5 6\n"),
         "split": ({"regime": "split", "q": q, "initial": [[10, 7]], "final": [[6, 4], [5, 3]]},
@@ -1270,3 +1266,4 @@ def test_fields_above_256_build_no_tables(tmp_path, capsys, monkeypatch, q):
         plan = plandoc.load_plan(str(plan_path))
         rows = plandoc.read_symbol_lines(str(finals), plan.field)
         assert len(rows) == len(plan.final_specs) and all(map(is_codeword, plan.final_specs, rows)), kind
+    assert_no_value_of_q_entries(GF(q))

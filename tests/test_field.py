@@ -187,10 +187,10 @@ def test_a_field_is_a_frozen_record():
     message."""
     fresh, built = FieldSpec(2, 3), GF(8)
     built.product_rows()
-    assert fresh._exp is None and built._exp is not None
+    assert fresh._product_rows is None and built._product_rows is not None
     assert fresh == built == FieldSpec(p=2, m=3) and hash(fresh) == hash(built)
     assert FieldSpec(7) == FieldSpec(7, 1) != FieldSpec(2, 3)
-    for name in ("p", "m", "q", "modulus", "_exp", "_log", "_product_rows", "other"):
+    for name in ("p", "m", "q", "modulus", "_product_rows", "_inverses", "other"):
         with pytest.raises(AttributeError):
             setattr(built, name, 9)
     assert (built.p, built.m, built.q, built.modulus) == (2, 3, 8, 0b1011)
@@ -198,7 +198,7 @@ def test_a_field_is_a_frozen_record():
     field = GF(256)
     field.mul(2, 3)
     clone = pickle.loads(pickle.dumps(field))
-    assert clone == field and clone is field and clone._exp == field._exp
+    assert clone == field and clone is field and clone._product_rows == field._product_rows
     assert pickle.loads(pickle.dumps(FieldSpec(2, 3))) is GF(8)
     spec = grs.ExtGrsSpec(field, 14, 4, tuple(range(1, 14)), (1,) * 14)
     assert len(pickle.dumps(field)) < 1024 and len(pickle.dumps(spec)) < 1024
@@ -225,16 +225,21 @@ def test_table_inverse_exhaustive(q):
     assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, q))
 
 
-@pytest.mark.parametrize("q", [4, 8, 16, 256])
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 128, 256])
 def test_mul_and_row_tables_share_one_table_pair(q):
-    """`mul` and the row kernels read the same (log, exp) pair, zero included,
-    and agree with shift-and-add multiplication."""
+    """A byte field's `mul` and `inv` agree with log/exp tables built from
+    the modulus alone and with shift-and-add multiplication, zero
+    included, and its product rows hold the products that `mul` returns,
+    which the row kernels read."""
     f = FieldSpec(2, q.bit_length() - 1)
-    log, exp = f.row_tables()
-    assert f.row_tables()[0] is log and f.row_tables()[1] is exp
+    log, exp = _reference_tables(f.modulus or 0b11)
+    rows = f.product_rows()
     for a in range(q):
+        assert list(rows[a]) == [f.mul(a, b) for b in range(q)]
         for b in range(q):
-            assert f.mul(a, b) == exp[log[a] + log[b]] == f._mul_nolut(a, b)
+            want = exp[(log[a] + log[b]) % (q - 1)] if a and b else 0
+            assert f.mul(a, b) == want == (f._mul_nolut(a, b) if f.m > 1 else a * b)
+    assert [f.inv(a) for a in range(1, q)] == [exp[-log[a] % (q - 1)] for a in range(1, q)]
 
 
 def _reference_tables(modulus):
@@ -254,7 +259,7 @@ def _reference_tables(modulus):
             out ^= modulus << (out.bit_length() - 1 - m)
         return out
 
-    for gen in range(2, q):
+    for gen in range(1, q):
         exp, val = [], 1
         while not exp or val != 1:
             exp.append(val)
@@ -289,9 +294,7 @@ def test_table_free_arithmetic_matches_a_log_exp_reference(m):
             assert f.mul(a, b) == f.mul(b, a) == product(a, b)
     if m <= 12:
         assert [f.inv(a) for a in range(1, q)] == [exp[-log[a] % (q - 1)] for a in range(1, q)]
-    assert f._exp is None and f._log is None
-    with pytest.raises(UsageError):
-        f.row_tables()
+    assert f._product_rows is None and f._inverses is None
 
 
 def _trial_division(n):

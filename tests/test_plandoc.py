@@ -317,13 +317,13 @@ def test_loaded_plan_builds_field_tables_once(tmp_path, monkeypatch):
     for cache in (GF, grs.parity_check, grs.generator):
         cache.cache_clear()
     builds = []
-    build_tables = FieldSpec._build_tables
+    derive = FieldSpec._derive_product_rows
 
     def counted(self):
         builds.append(self.q)
-        build_tables(self)
+        return derive(self)
 
-    monkeypatch.setattr(FieldSpec, "_build_tables", counted)
+    monkeypatch.setattr(FieldSpec, "_derive_product_rows", counted)
     plan = plandoc.load_plan(str(path))
     stripe = [encode(spec, tuple(range(1, spec.k + 1))) for spec in plan.initial_specs]
     final, _ = merge_convert(plan, stripe)

@@ -63,7 +63,7 @@ CACHED = {
     "GeneralPlan": ("_executable", "_report"),
     "ExtGrsSpec": ("_encoder", "_parity"),
     "FieldMatrix": ("_parity_form",),
-    "FieldSpec": ("_exp", "_log", "_product_rows", "_unit_rows"),
+    "FieldSpec": ("_product_rows", "_inverses", "_unit_rows"),
 }
 
 

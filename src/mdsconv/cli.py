@@ -1,21 +1,19 @@
-"""Command-line front end.
+"""Command-line front end: `mdsconv VERB [--OPTION VALUE]...`.
 
 Verbs: plan (build a conversion plan from a scenario config), encode
 (messages -> initial codewords), convert (initial codewords -> final
 codewords plus an access report), verify (structural, MDS and access
-checks of a plan), bounds (print the access-cost lower bounds for
-parameters).
-
-Exit codes: 0 success, 1 usage/config, 2 parameter/feasibility,
-3 data corruption.
+checks of a plan), bounds (access-cost lower bounds for parameters).
+Options are exact names, given as `--opt value` or `--opt=value`, read by
+one table (`_VERBS`); `-h`/`--help` lists them.  Exit codes: 0 success or
+help, 1 usage/config, 2 parameter/feasibility, 3 data corruption.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections.abc import Sequence
-from functools import lru_cache
+from types import SimpleNamespace
 
 from . import plandoc
 from .convert import (
@@ -45,12 +43,6 @@ from .field import GF
 from .grs import Codeword, encode
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit 2; usage errors are 1 here
-        self.print_usage(sys.stderr)
-        raise UsageError(message)
-
-
 def _shape(text: str) -> tuple[int, int]:
     try:
         (n,), (k,) = map(decimals, text.split(","))
@@ -65,43 +57,6 @@ def _seed(text: str) -> int:
     except ValueError:
         raise UsageError(f"expected a seed in the digits 0-9, got {text!r}") from None
     return seed
-
-
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once and shared by every `main` call."""
-    parser = _Parser(prog="mdsconv", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_plan = sub.add_parser("plan", help="build a conversion plan from a scenario config")
-    p_plan.add_argument("--config", required=True, help="scenario config (JSON)")
-    p_plan.add_argument("--out", required=True, help="plan document to write")
-
-    p_encode = sub.add_parser("encode", help="encode messages into initial codewords")
-    p_encode.add_argument("--plan", required=True)
-    p_encode.add_argument("--in", dest="infile", required=True, help="message file, one per line")
-    p_encode.add_argument("--out", required=True, help="codeword file to write")
-
-    p_convert = sub.add_parser("convert", help="run a conversion and report access costs")
-    p_convert.add_argument("--plan", required=True)
-    p_convert.add_argument("--in", dest="infile", required=True, help="initial codeword file")
-    p_convert.add_argument("--out", required=True, help="final codeword file to write")
-    p_convert.add_argument("--trace", action="store_true", help="include the device trace")
-
-    p_verify = sub.add_parser("verify", help="check a plan's structure and MDS properties")
-    p_verify.add_argument("--plan", required=True)
-    p_verify.add_argument(
-        "--seed", type=_seed, default=0, help="accepted for compatibility; has no effect"
-    )
-
-    p_bounds = sub.add_parser("bounds", help="print access-cost lower bounds")
-    p_bounds.add_argument(
-        "--initial", action="append", type=_shape, required=True, metavar="N,K"
-    )
-    p_bounds.add_argument(
-        "--final", action="append", type=_shape, required=True, metavar="N,K"
-    )
-    return parser
 
 
 def _load_config(path: str) -> dict:
@@ -265,20 +220,79 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "plan": cmd_plan,
-    "encode": cmd_encode,
-    "convert": cmd_convert,
-    "verify": cmd_verify,
-    "bounds": cmd_bounds,
+VALUE, REPEAT, FLAG = "value", "repeat", "flag"
+# verb -> (command, summary, {option: (destination, converter, kind, help)}):
+# a VALUE option takes one value (the last one wins), a REPEAT option one or
+# more, kept in order, a FLAG none.  Options outside `_DEFAULTS` must be given.
+_VERBS = {
+    "plan": (cmd_plan, "build a conversion plan from a scenario config", {
+        "--config": ("config", str, VALUE, "scenario config (JSON)"),
+        "--out": ("out", str, VALUE, "plan document to write")}),
+    "encode": (cmd_encode, "encode messages into initial codewords", {
+        "--plan": ("plan", str, VALUE, "plan document"),
+        "--in": ("infile", str, VALUE, "message file, one per line"),
+        "--out": ("out", str, VALUE, "codeword file to write")}),
+    "convert": (cmd_convert, "run a conversion and report access costs", {
+        "--plan": ("plan", str, VALUE, "plan document"),
+        "--in": ("infile", str, VALUE, "initial codeword file"),
+        "--out": ("out", str, VALUE, "final codeword file to write"),
+        "--trace": ("trace", None, FLAG, "optional flag, no value: include the device trace")}),
+    "verify": (cmd_verify, "check a plan's structure and MDS properties", {
+        "--plan": ("plan", str, VALUE, "plan document"),
+        "--seed": ("seed", _seed, VALUE, "optional: accepted for compatibility, has no effect")}),
+    "bounds": (cmd_bounds, "print access-cost lower bounds", {
+        "--initial": ("initial", _shape, REPEAT, "an initial code's shape N,K, once per code"),
+        "--final": ("final", _shape, REPEAT, "a final code's shape N,K, once per code")}),
 }
+_DEFAULTS = {"trace": False, "seed": 0}
+_HELP = frozenset(("-h", "--help"))
+
+
+def _help(verb: str | None) -> str:
+    head = "usage: mdsconv VERB [--OPTION VALUE | --OPTION=VALUE]...; mdsconv VERB --help lists its options"
+    rows = {name: summary for name, (_, summary, _) in _VERBS.items()}
+    if verb is not None:
+        head = f"usage: mdsconv {verb} OPTIONS: {_VERBS[verb][1]}\noptions, required unless marked optional:"
+        rows = {name: text for name, (*_, text) in _VERBS[verb][2].items()}
+    return "\n".join([head, *(f"  {name:<11}{text}" for name, text in rows.items()), ""])
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The verb and options `argv` gives, or None once the help it asks for is written."""
+    verb, *words = argv or [""]
+    if verb not in _VERBS and verb not in _HELP:
+        raise UsageError(f"expected a verb, one of {', '.join(_VERBS)}, got {verb!r}")
+    if verb in _HELP or not _HELP.isdisjoint(words):
+        sys.stdout.write(_help(None if verb in _HELP else verb))
+        return None
+    options = _VERBS[verb][2]
+    values = {dest: _DEFAULTS[dest] for dest, *_ in options.values() if dest in _DEFAULTS}
+    words = iter(words)
+    for word in words:
+        name, eq, value = word.partition("=")
+        if name not in options:
+            raise UsageError(f"{verb}: unrecognized argument {word!r}; its options are {', '.join(options)}")
+        dest, convert, kind, _ = options[name]
+        if kind == FLAG and eq:
+            raise UsageError(f"{verb}: {name} takes no value")
+        if kind != FLAG and not eq:
+            value = next(words, None)
+            # A word that looks like an option, not a negative number, is no value.
+            if value is None or value[:1] == "-" and not value[1:].isdigit():
+                raise UsageError(f"{verb}: {name} expects a value")
+        if kind == REPEAT:
+            values.setdefault(dest, []).append(convert(value))
+        else:
+            values[dest] = True if kind == FLAG else convert(value)
+    if missing := [name for name, (dest, *_) in options.items() if dest not in values]:
+        raise UsageError(f"{verb}: missing {', '.join(missing)}")
+    return SimpleNamespace(command=verb, **values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = _parse(list(sys.argv[1:] if argv is None else argv))
+        return 0 if args is None else _VERBS[args.command][0](args)
     except (UsageError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

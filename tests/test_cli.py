@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import random
@@ -653,19 +652,154 @@ def test_each_verb_derives_each_restricted_parity_check_once(tmp_path, capsys, m
         assert len(calls) == len(set(calls)) == cells, (argv, len(calls))
 
 
-def test_main_builds_its_parser_at_most_once(tmp_path, capsys, monkeypatch):
-    builds = []
-    real = argparse.ArgumentParser.add_subparsers
+def _verb_argvs(tmp_path, capsys):
+    """One argv per verb that exits 0, with every option the verb has; a
+    verb that writes a file writes `tmp_path / "out.txt"`."""
+    plan, cws = map(str, _readme_merge(tmp_path, capsys))
+    cfg, msgs, out = (str(tmp_path / name) for name in ("merge.json", "m.txt", "out.txt"))
+    return {
+        "plan": ["plan", "--config", cfg, "--out", out],
+        "encode": ["encode", "--plan", plan, "--in", msgs, "--out", out],
+        "convert": ["convert", "--plan", plan, "--in", cws, "--out", out, "--trace"],
+        "verify": ["verify", "--plan", plan, "--seed", "7"],
+        "bounds": ["bounds", "--initial", "5,3", "--initial", "7,4", "--final", "12,7"],
+    }
 
-    def counted(self, **kwargs):
-        builds.append(self)
-        return real(self, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
-    for _ in range(3):
-        assert run(capsys, "bounds", "--initial", "5,3", "--initial", "5,3", "--final", "8,6")[0] == 0
-    assert run(capsys, "verify", "--plan", tmp_path / "missing.json")[0] == 1
-    assert len(builds) <= 1
+def _without(argv, option):
+    """`argv` less every occurrence of `option` and its value."""
+    kept = list(argv)
+    while option in kept:
+        at = kept.index(option)
+        del kept[at:at + 2]
+    return kept
+
+
+# Each edit of a valid argv that must be refused.  argv[1] is always an
+# option that takes a value, argv[2] that value and argv[3] an option.
+ARGV_REFUSALS = {
+    "no verb": lambda argv: [],
+    "only an option": lambda argv: argv[1:3],
+    "unknown verb": lambda argv: [argv[0].upper(), *argv[1:]],
+    "abbreviated verb": lambda argv: [argv[0][:-1], *argv[1:]],
+    "unknown option": lambda argv: [*argv, "--bogus", "1"],
+    "unknown option=value": lambda argv: [*argv, "--bogus=1"],
+    "abbreviated option": lambda argv: [argv[0], argv[1][:-1], *argv[2:]],
+    "abbreviated option=value": lambda argv: [argv[0], f"{argv[1][:-1]}={argv[2]}", *argv[3:]],
+    "single-dash option": lambda argv: [argv[0], argv[1][1:], *argv[2:]],
+    "missing value at the end": lambda argv: [argv[0], *argv[3:], argv[1]],
+    "option in place of a value": lambda argv: [argv[0], argv[1], *argv[3:]],
+    "missing required option": lambda argv: _without(argv, argv[1]),
+    "stray word at the end": lambda argv: [*argv, "extra"],
+    "stray word after the verb": lambda argv: [argv[0], "extra", *argv[1:]],
+    "end of options marker": lambda argv: [*argv, "--"],
+}
+BAD_VALUES = [
+    ("verify", ["--seed", "+1"]), ("verify", ["--seed=-1"]), ("verify", ["--seed="]),
+    ("bounds", ["--initial", "5,+3"]), ("bounds", ["--final=8,6.0"]), ("bounds", ["--final", "-8,6"]),
+    ("convert", ["--trace=1"]), ("convert", ["--trace="]),
+]
+
+
+def _assert_argv_refused(tmp_path, capsys, argv):
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, ""), argv
+    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert sorted(tmp_path.iterdir()) == before, argv
+
+
+@pytest.mark.parametrize("refusal", ARGV_REFUSALS)
+@pytest.mark.parametrize("verb", ["plan", "encode", "convert", "verify", "bounds"])
+def test_each_bad_argv_exits_1_with_one_error_line(tmp_path, capsys, verb, refusal):
+    """Every argv outside the option table exits 1 with one `error:` line,
+    prints nothing to stdout and writes no file."""
+    argv = _verb_argvs(tmp_path, capsys)[verb]
+    assert run(capsys, *argv)[0] == 0
+    (tmp_path / "out.txt").unlink(missing_ok=True)
+    _assert_argv_refused(tmp_path, capsys, ARGV_REFUSALS[refusal](argv))
+
+
+@pytest.mark.parametrize("verb, edit", BAD_VALUES, ids=[" ".join([verb, *edit]) for verb, edit in BAD_VALUES])
+def test_bad_option_values_exit_1_with_one_error_line(tmp_path, capsys, verb, edit):
+    argv = _verb_argvs(tmp_path, capsys)[verb]
+    _assert_argv_refused(tmp_path, capsys, [*argv, *edit])
+
+
+def _joined(argv):
+    """`argv` with each option and its value written as one `--opt=value` word."""
+    words = []
+    for word in argv:
+        if words and words[-1].startswith("--") and "=" not in words[-1] and not word.startswith("--"):
+            words[-1] += f"={word}"
+        else:
+            words.append(word)
+    return words
+
+
+@pytest.mark.parametrize("verb", ["plan", "encode", "convert", "verify", "bounds"])
+def test_option_equals_value_reads_as_option_then_value(tmp_path, capsys, verb):
+    """`--opt=value` gives what `--opt value` gives, and so does an argv
+    that gives a single-value option twice, the later value the right one."""
+    argv = _verb_argvs(tmp_path, capsys)[verb]
+    joined = _joined(argv)
+    assert all("=" in word for word in joined[1:] if word != "--trace"), joined
+    out = tmp_path / "out.txt"
+    results = []
+    for words in (argv, joined, [argv[0], argv[1], str(tmp_path / "missing.json"), *argv[1:]]):
+        results.append((run(capsys, *words), out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert results[0][0][0] == 0 and results[1] == results[0], joined
+    if verb != "bounds":  # bounds has no single-value option
+        assert results[2] == results[0]
+
+
+def test_repeated_initial_keeps_its_order(capsys):
+    initial = ("--initial", "5,3", "--initial", "7,4")
+    swapped = ("--initial", "7,4", "--initial=5,3")
+    assert "per-code read minimums: [3, 4]\n" in run(capsys, "bounds", *initial, "--final", "12,7")[1]
+    assert "per-code read minimums: [4, 3]\n" in run(capsys, "bounds", *swapped, "--final=12,7")[1]
+
+
+HELP_OPTIONS = {
+    "plan": ["--config", "--out"],
+    "encode": ["--plan", "--in", "--out"],
+    "convert": ["--plan", "--in", "--out", "--trace"],
+    "verify": ["--plan", "--seed"],
+    "bounds": ["--initial", "--final"],
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_each_verb_and_each_option(tmp_path, capsys, flag):
+    """`-h` and `--help` exit 0 and print to stdout: at the top level each
+    verb, after a verb each of its options, also when other words follow
+    or come before it; and nothing is written."""
+    code, out, err = run(capsys, flag)
+    assert (code, err) == (0, "")
+    assert [line.split()[0] for line in out.splitlines() if line.startswith("  ")] == list(HELP_OPTIONS)
+    argvs = _verb_argvs(tmp_path, capsys)
+    for verb, options in HELP_OPTIONS.items():
+        for argv in ([verb, flag], [*argvs[verb], flag], [verb, flag, "--bogus"], [verb, "--bogus", flag]):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert [line.split()[0] for line in out.splitlines() if line.startswith("  ")] == options, argv
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_a_verb_process_loads_no_argparse(tmp_path, capsys):
+    """A process that imports `mdsconv.cli` and runs any verb, or the help,
+    never imports argparse, nor the gettext and locale it would bring."""
+    argvs = _verb_argvs(tmp_path, capsys)
+    script = ("import sys, mdsconv.cli\n"
+              "status = mdsconv.cli.main(sys.argv[1:])\n"
+              "loaded = [name for name in ('argparse', 'gettext', 'locale') if name in sys.modules]\n"
+              "sys.exit(f'loaded {loaded}' if loaded else status)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    for argv in [*argvs.values(), ["--help"], ["convert", "--help"]]:
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, ""), (argv, proc.stderr)
 
 
 def test_plan_over_a_61_bit_field_ends_quickly(tmp_path, capsys):

@@ -11,10 +11,13 @@ plan verification, and access accounting with a per-device trace.
 A merge or split plan stores no certificate.  The codes and the read
 grid determine each restricted parity check it reads through
 (`restricted_parity`), and so every block of its certificate
-(`certificate`); `verify_plan` judges the plan alone.  Each check and
-each block of the final parity check is derived once per plan object and
-kept on it (`record.kept`), so loading, verifying, lowering and saving a
-plan share one derivation.
+(`certificate`); `verify_plan` judges the plan alone.  Final code j's
+parity-check columns, for merges and splits alike, are those of
+`grs.parity_check` of final code j, cut at j's layout: each initial
+code's unchanged symbols in code order, then the written symbols
+(`_final_blocks`).  Each restricted parity check and each final code's
+columns are derived once per plan object and kept on it (`record.kept`),
+so loading, verifying, lowering and saving a plan share one derivation.
 
 Every plan kind runs through one executor, `run_conversion`.  The first
 time a plan object runs, `lower` compiles it to a general plan: for each
@@ -291,10 +294,6 @@ def _columns(m: FieldMatrix, cols: Iterable[int]) -> list[tuple[int, ...]]:
     return [entries[c::step] for c in cols]
 
 
-def _all_columns(m: FieldMatrix) -> list[tuple[int, ...]]:
-    return _columns(m, range(m.cols))
-
-
 def _slots(support: Sequence[int], positions: Iterable[int]) -> Iterator[int]:
     """The indices in the ascending `support` of `positions`, each in it:
     the columns of a restricted parity check, which follow its support."""
@@ -359,8 +358,8 @@ class MergePlan(Record):
         return kept(self, f"_restricted_{j}_{i}", self._derive_restricted, i)
 
     def _derive_restricted(self, i: int) -> tuple[FieldMatrix, tuple[int, ...]]:
-        support, spec = self.support(i), self.initial_specs[i - 1]
-        return _restricted_parity(spec, support, self.unchanged[i - 1], _final_blocks(self)[i - 1]), support
+        support, spec, h_kept = self.support(i), self.initial_specs[i - 1], _final_blocks(self, 1)[i - 1]
+        return _restricted_parity(spec, support, self.unchanged[i - 1], h_kept, self.final_spec.r), support
 
 
 class SplitPlan(Record):
@@ -425,8 +424,8 @@ class SplitPlan(Record):
 
     def _derive_restricted(self, j: int) -> tuple[FieldMatrix, tuple[int, ...]]:
         support, own = self.support(), self.unchanged[j - 1] + self.extra_reads
-        h = parity_check(self.final_specs[j - 1])
-        return _restricted_parity(self.initial_spec, support, own, h), support
+        h_own = [*chain(*_final_blocks(self, j))]
+        return _restricted_parity(self.initial_spec, support, own, h_own, self.final_specs[j - 1].r), support
 
 
 class GeneralPlan(Record):
@@ -672,28 +671,33 @@ def _merge_faults(plan: MergePlan):
             except UsageError as exc:
                 yield f"punctured-parity: code {i}: {exc}"
                 continue
-            if _columns(hbar, _slots(support, unchanged)) != _all_columns(_final_blocks(plan)[i - 1]):
+            if _columns(hbar, _slots(support, unchanged)) != _final_blocks(plan, 1)[i - 1]:
                 yield (f"block-mismatch: code {i} unchanged columns of the restricted parity "
                        "check differ from the final parity check")
 
 
-def _final_blocks(plan: MergePlan) -> tuple[FieldMatrix, ...]:
-    """The final parity check's columns at each initial code's unchanged
-    symbols, in code order, and then at the written symbols: t1 + 1
-    blocks in layout order, built on the first call and kept on the
-    plan."""
-    return kept(plan, "_final_blocks", _parity_blocks, plan.final_spec, plan.unchanged)
+def _final_blocks(plan: MergePlan | SplitPlan, j: int) -> tuple[list[tuple[int, ...]], ...]:
+    """Final code j's parity-check columns, each a tuple, cut at j's
+    layout: at each initial code's unchanged symbols, in code order, and
+    then at the written symbols.  Read off `grs.parity_check` of final code
+    j on the first call and kept on the plan: every consumer of a final
+    parity check, for merges and splits alike, reads it here."""
+    return kept(plan, f"_final_{j}", _cut_final, plan, j)
 
 
-def _parity_blocks(spec: ExtGrsSpec, unchanged: Sequence[Sequence[int]]) -> tuple[FieldMatrix, ...]:
-    """The blocks of `spec`'s parity check at each code's `unchanged`
-    symbols, in turn, and then at the rest, each built directly from the
-    code's points and multipliers at its columns (`linalg._vandermonde` of
-    their slices; the last block ends with the extension column), so the
-    whole parity check is never built."""
-    cuts = [0, *accumulate(map(len, unchanged)), spec.n]
-    return tuple(linalg._vandermonde(spec.field, spec.r, spec.gamma[a:b], spec.w[a:b])
-                 for a, b in zip(cuts, cuts[1:]))
+def _cut_final(plan: MergePlan | SplitPlan, j: int) -> tuple[list[tuple[int, ...]], ...]:
+    h = parity_check(plan.final_specs[j - 1])
+    columns = _columns(h, range(h.cols))
+    cuts = [0, *accumulate(map(len, plan.grid[0][j - 1])), h.cols]
+    return tuple(columns[a:b] for a, b in zip(cuts, cuts[1:]))
+
+
+def _final_matrices(plan: MergePlan) -> tuple[FieldMatrix | None, ...]:
+    """A merge's `_final_blocks` as matrices for its certificate: None at
+    each code in S, whose block the certificate replaces."""
+    f, r, t1 = plan.field, plan.final_spec.r, plan.params.t1
+    return tuple(None if i <= t1 and i in plan.reduced else _matrix(f, r, block)
+                 for i, block in enumerate(_final_blocks(plan, 1), 1))
 
 
 def _restriction(spec: ExtGrsSpec, support: tuple[int, ...]) -> ExtGrsSpec:
@@ -707,20 +711,20 @@ def _restriction(spec: ExtGrsSpec, support: tuple[int, ...]) -> ExtGrsSpec:
 
 
 def _restricted_parity(
-    spec: ExtGrsSpec, support: Sequence[int], kept: Sequence[int], h: FieldMatrix
+    spec: ExtGrsSpec, support: Sequence[int], kept: Sequence[int], h_kept: list[tuple[int, ...]], r: int
 ) -> FieldMatrix:
     """T . ref: the parity check of `spec` restricted to `support`
-    (ascending) that equals h, a final parity check's columns at `kept`, on
-    the first r_F of them.  ref = parity_check(puncture(spec, support)), and
-    T = h_c . ref_c^-1 on those columns c (r_F columns of MDS parity checks)
-    is the identity, with no solve, when ref equals h there: the test
-    compares the r_F columns of each, as tuples.  UsageError when the codes
-    and grid do not determine it."""
+    (ascending) that equals a final parity check of r rows on the first r
+    symbols of `kept`, where its columns are `h_kept` (`_final_blocks`).
+    ref = parity_check(puncture(spec, support)), and T = h_c . ref_c^-1 on
+    those columns c (r columns of MDS parity checks) is the identity, with
+    no solve, when ref equals h there: the test compares the r columns of
+    each, as tuples.  UsageError when the codes and grid do not determine
+    it."""
     ref = parity_check(_restriction(spec, support))
-    r = h.rows
     if ref.rows != r or len(kept) < r:
         raise UsageError(f"restriction has {ref.rows} parity rows, {len(kept)} kept symbols, r_F = {r}")
-    ref_c, h_c = _columns(ref, _slots(support, kept[:r])), _columns(h, range(r))
+    ref_c, h_c = _columns(ref, _slots(support, kept[:r])), h_kept[:r]
     if ref_c == h_c:
         return ref
     f = ref.field
@@ -731,15 +735,15 @@ def certificate(plan: MergePlan | SplitPlan) -> Iterator[FieldMatrix]:
     """The blocks a plan document stores, in its order, each derived from
     the codes and grid as it is reached: a merge's restricted parity check
     per code in S, else the final parity check's columns at the code's
-    unchanged symbols, then those at the written symbols; a split's
+    unchanged symbols, then those at the written symbols (`_final_blocks`,
+    each built as a matrix once and kept on the plan); a split's
     privileged restricted parity check, if any."""
     if isinstance(plan, SplitPlan):
         if plan.privileged is not None:
             yield plan.restricted_parity(plan.privileged, 1)[0]
         return
-    t1 = plan.params.t1
-    for i in range(1, t1 + 2):
-        yield plan.restricted_parity(1, i)[0] if i <= t1 and i in plan.reduced else _final_blocks(plan)[i - 1]
+    for i, block in enumerate(kept(plan, "_final_matrices", _final_matrices, plan), 1):
+        yield plan.restricted_parity(1, i)[0] if block is None else block
 
 
 # -- split construction --------------------------------------------------------
@@ -819,31 +823,22 @@ def _sigma(plan: MergePlan | SplitPlan, j: int) -> FieldMatrix:
     layout.  Each initial code i in turn adds the columns of
     `restricted_parity(j, i)` at the symbols i reads, which agrees with H on
     the symbols i keeps, or else minus H's columns of the symbols i keeps,
-    which are then the ones it reads.  H's columns come in blocks: a
-    merge's are its kept `_final_blocks`, built directly, and a split's
-    final j has its kept columns and then its written ones, read off its
-    parity check (`grs.parity_check`, which the privileged final's check
-    has built).  W is the last block, and a code's block is read only when
-    it has no restricted parity check.  Each column is a tuple; no block of
-    [W | B] is cut as a matrix, and a merge's H is never built.
+    which are then the ones it reads.  H's columns come cut at j's layout
+    (`_final_blocks`), for merges and splits alike: W is the last block,
+    and a code's block is read only when it has no restricted parity check.
+    Each column is a tuple; no block of [W | B] is cut as a matrix.
     """
-    f = plan.field
-    kept, reads = (row[j - 1] for row in plan.grid)
-    if isinstance(plan, MergePlan):
-        blocks, block_columns = _final_blocks(plan), _all_columns
-    else:
-        h, k = parity_check(plan.final_specs[j - 1]), len(kept[0])
-        blocks, block_columns = (range(k), range(k, h.cols)), partial(_columns, h)
-    columns = block_columns(blocks[-1])
+    f, blocks = plan.field, _final_blocks(plan, j)
+    columns = [*blocks[-1]]
     w = len(columns)
-    for i, (block, read) in enumerate(zip(blocks, reads), 1):
+    for i, (block, read) in enumerate(zip(blocks, plan.grid[1][j - 1]), 1):
         cell = plan.restricted_parity(j, i)
         if cell is not None:
             columns += _columns(cell[0], _slots(cell[1], read))
         elif f.p == 2:  # minus is the identity
-            columns += block_columns(block)
+            columns += block
         else:
-            columns += [tuple(map(f.neg, col)) for col in block_columns(block)]
+            columns += [tuple(map(f.neg, col)) for col in block]
     red, pivots = linalg.rref(_matrix(f, w, columns))
     # `lower` solves only verified plans: r_F columns of an MDS parity check.
     if pivots[:w] != tuple(range(w)):
@@ -1183,8 +1178,8 @@ def _privileged_fault(plan: SplitPlan) -> str:
         hbar, support = plan.restricted_parity(j, 1)
     except UsageError as exc:
         return str(exc)
-    own, h = plan.unchanged[j - 1] + plan.extra_reads, parity_check(plan.final_specs[j - 1])
-    if _columns(hbar, _slots(support, own)) != _all_columns(h):
+    own = plan.unchanged[j - 1] + plan.extra_reads
+    if _columns(hbar, _slots(support, own)) != [*chain(*_final_blocks(plan, j))]:
         return "privileged final code does not match the restricted parity block"
     if set(plan.reads[j - 1]) != set(support) - set(plan.unchanged[j - 1]):
         return "privileged final code must read the other finals' unchanged symbols and V"

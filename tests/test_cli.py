@@ -624,32 +624,58 @@ def counted_derivations(monkeypatch) -> list:
     calls = []
     real = convert._restricted_parity
 
-    def counted(spec, support, kept, h):
+    def counted(spec, support, *args):
         calls.append((spec, tuple(support)))
-        return real(spec, support, kept, h)
+        return real(spec, support, *args)
 
     monkeypatch.setattr(convert, "_restricted_parity", counted)
     return calls
 
 
+def counted_final_checks(monkeypatch, final_specs) -> list:
+    """The 1-based index of each final code whose parity check is asked of
+    `grs.parity_check` from now on, in call order."""
+    from mdsconv import convert
+
+    calls = []
+    real = convert.parity_check
+
+    def counted(spec):
+        if spec in final_specs:
+            calls.append(final_specs.index(spec) + 1)
+        return real(spec)
+
+    monkeypatch.setattr(convert, "parity_check", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", DERIVING_CONFIGS)
 def test_each_verb_derives_each_restricted_parity_check_once(tmp_path, capsys, monkeypatch, name):
+    """Each verb derives each restricted parity check once, and each final
+    parity check it needs once: `convert` every final code's, the other
+    verbs those the certificate reads (a merge's one final code, a split's
+    privileged one)."""
     cfg, plan_path = tmp_path / "cfg.json", tmp_path / "plan.json"
     write_json(cfg, DERIVING_CONFIGS[name])
     assert run(capsys, "plan", "--config", cfg, "--out", plan_path)[0] == 0
     plan = plandoc.load_plan(str(plan_path))
     cells = len(plan.reduced) if hasattr(plan, "reduced") else int(plan.privileged is not None)
     assert cells
+    every_final = list(range(1, plan.params.t2 + 1))
+    certified = [1] if hasattr(plan, "reduced") else [plan.privileged]
     msgs, cws, finals = tmp_path / "m.txt", tmp_path / "c.txt", tmp_path / "f.txt"
     msgs.write_text("".join(" ".join(["1"] * spec.k) + "\n" for spec in plan.initial_specs))
     calls = counted_derivations(monkeypatch)
-    for argv in (("plan", "--config", cfg, "--out", plan_path),
-                 ("verify", "--plan", plan_path),
-                 ("encode", "--plan", plan_path, "--in", msgs, "--out", cws),
-                 ("convert", "--plan", plan_path, "--in", cws, "--out", finals)):
+    final_calls = counted_final_checks(monkeypatch, list(plan.final_specs))
+    for argv, finals_derived in ((("plan", "--config", cfg, "--out", plan_path), certified),
+                                 (("verify", "--plan", plan_path), certified),
+                                 (("encode", "--plan", plan_path, "--in", msgs, "--out", cws), certified),
+                                 (("convert", "--plan", plan_path, "--in", cws, "--out", finals), every_final)):
         calls.clear()
+        final_calls.clear()
         assert run(capsys, *argv)[0] == 0, argv
         assert len(calls) == len(set(calls)) == cells, (argv, len(calls))
+        assert sorted(final_calls) == finals_derived, (argv, final_calls)
 
 
 def _verb_argvs(tmp_path, capsys):

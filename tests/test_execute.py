@@ -524,8 +524,8 @@ def test_later_conversions_run_no_solve(monkeypatch):
 # from cold grs caches, as a stream's set-up runs: the merge-stream and
 # split-stream shapes over GF(256).
 SET_UP_WORK = {
-    "merge-stream": {"_vandermonde": 8, "rref": 1, "_lane_rows": 8, "puncture": 3, "generator": 0,
-                     "FieldMatrix._trusted": 15},
+    "merge-stream": {"_vandermonde": 4, "rref": 1, "_lane_rows": 8, "puncture": 3, "generator": 0,
+                     "FieldMatrix._trusted": 11},
     "split-stream": {"_vandermonde": 3, "rref": 2, "_lane_rows": 2, "puncture": 1, "generator": 0,
                      "FieldMatrix._trusted": 10},
 }
@@ -535,7 +535,7 @@ SET_UP_WORK = {
 def test_set_up_makes_the_pinned_compile_work(monkeypatch, stream):
     """The compile work of a stream's set-up, pinned exactly, so a change
     that builds more matrices, eliminates more or compiles more lane rows
-    fails with a diff of the counts: parity-check blocks (`_vandermonde`),
+    fails with a diff of the counts: parity checks (`_vandermonde`),
     eliminations, lane-row groups, restrictions, generators and matrices
     built unchecked.  Every binding of each name is counted."""
     grs.parity_check.cache_clear()
@@ -572,15 +572,15 @@ def test_set_up_makes_the_pinned_compile_work(monkeypatch, stream):
 # kernels read its product rows, so its one `inv` per pivot of the one
 # `rref` is all the pass asks of `FieldSpec.mul` and `inv`.
 PASS_WORK = {
-    "byte GF(2^m)": {25: {"mul": 0, "inv": 10, "_vandermonde": 5, "rref": 1, "_lane_rows": 4},
-                     50: {"mul": 0, "inv": 10, "_vandermonde": 5, "rref": 1, "_lane_rows": 4},
-                     100: {"mul": 0, "inv": 10, "_vandermonde": 5, "rref": 1, "_lane_rows": 4}},
-    "GF(2^m)": {25: {"mul": 4391, "inv": 310, "_vandermonde": 5, "rref": 1, "_lane_rows": 4},
-                50: {"mul": 6751, "inv": 810, "_vandermonde": 5, "rref": 1, "_lane_rows": 4},
-                100: {"mul": 11651, "inv": 1810, "_vandermonde": 5, "rref": 1, "_lane_rows": 4}},
-    "GF(p)": {25: {"mul": 4511, "inv": 310, "_vandermonde": 5, "rref": 1, "_lane_rows": 0},
-              50: {"mul": 6961, "inv": 810, "_vandermonde": 5, "rref": 1, "_lane_rows": 0},
-              100: {"mul": 11861, "inv": 1810, "_vandermonde": 5, "rref": 1, "_lane_rows": 0}},
+    "byte GF(2^m)": {25: {"mul": 0, "inv": 10, "_vandermonde": 3, "rref": 1, "_lane_rows": 4},
+                     50: {"mul": 0, "inv": 10, "_vandermonde": 3, "rref": 1, "_lane_rows": 4},
+                     100: {"mul": 0, "inv": 10, "_vandermonde": 3, "rref": 1, "_lane_rows": 4}},
+    "GF(2^m)": {25: {"mul": 4391, "inv": 310, "_vandermonde": 3, "rref": 1, "_lane_rows": 4},
+                50: {"mul": 6751, "inv": 810, "_vandermonde": 3, "rref": 1, "_lane_rows": 4},
+                100: {"mul": 11651, "inv": 1810, "_vandermonde": 3, "rref": 1, "_lane_rows": 4}},
+    "GF(p)": {25: {"mul": 4511, "inv": 310, "_vandermonde": 3, "rref": 1, "_lane_rows": 0},
+              50: {"mul": 6961, "inv": 810, "_vandermonde": 3, "rref": 1, "_lane_rows": 0},
+              100: {"mul": 11861, "inv": 1810, "_vandermonde": 3, "rref": 1, "_lane_rows": 0}},
 }
 
 

@@ -84,23 +84,16 @@ def _config_params(cfg: dict) -> tuple[str, ConvertParams, int]:
     raw_initial = cfg.get("initial")
     if raw_initial is None:
         raise UsageError("config needs 'initial' code shapes")
-    if isinstance(raw_initial, list) and raw_initial and isinstance(raw_initial[0], int):
-        raw_initial = [raw_initial]
     initial = _shapes(raw_initial, "'initial'")
-    if regime == "merge":
-        if "r_F" in cfg:
-            try:
-                r_final = json_int(cfg["r_F"], "r_F")
-            except TypeError:
-                raise UsageError(f"'r_F' must be an integer, got {cfg['r_F']!r}") from None
-            params = merge_params(initial, r_final)
-        elif "final" in cfg:
-            params = ConvertParams(tuple(initial), tuple(_shapes(cfg["final"], "merge 'final'")))
-        else:
-            raise UsageError("merge config needs 'r_F' (or an explicit 'final' shape)")
-    else:
-        params = ConvertParams(tuple(initial), tuple(_shapes(cfg.get("final"), "split 'final'")))
-    return regime, params, q
+    if regime == "split":
+        return regime, ConvertParams(tuple(initial), tuple(_shapes(cfg.get("final"), "split 'final'"))), q
+    if "r_F" not in cfg:
+        raise UsageError("merge config needs an integer final redundancy 'r_F'")
+    try:
+        r_final = json_int(cfg["r_F"], "r_F")
+    except TypeError:
+        raise UsageError(f"'r_F' must be an integer, got {cfg['r_F']!r}") from None
+    return regime, merge_params(initial, r_final), q
 
 
 def cmd_plan(args) -> int:

@@ -135,11 +135,8 @@ def vandermonde_ext(
 
 
 def _vandermonde(field: FieldSpec, r: int, gamma: Sequence[int], w: Sequence[int]) -> FieldMatrix:
-    """`vandermonde_ext` of arguments already checked, or any run of its
-    columns: one column per multiplier in w, the first len(gamma) at the
-    points gamma and, when w has one entry more, the extension column last.
-    So the columns a..b-1 of a code's parity check are `_vandermonde` of
-    its gamma[a:b] and w[a:b], built directly.  Row ell + 1 is row ell
+    """`vandermonde_ext` of arguments already checked: a column at each
+    point of gamma, then the extension column.  Row ell + 1 is row ell
     times gamma: over a byte field read off gamma's product rows
     (`FieldSpec.product_rows`), else by `FieldSpec.mul`."""
     if 1 < field.m <= 8:
@@ -147,15 +144,14 @@ def _vandermonde(field: FieldSpec, r: int, gamma: Sequence[int], w: Sequence[int
         times, by = getitem, [rows[g] for g in gamma]
     else:
         times, by = field.mul, gamma
-    row = w[: len(gamma)]
-    tail = (0,) * (len(w) - len(gamma))
+    row = w[:-1]
     entries: list[int] = []
     for ell in range(r - 1):
         entries += row
-        entries += tail
+        entries.append(0)
         row = list(map(times, by, row))
     entries += row
-    entries += w[len(gamma) :]  # the extension column's w_n, in the last row only
+    entries.append(w[-1])  # the extension column's w_n, in the last row only
     return FieldMatrix._trusted(field, r, len(w), tuple(entries))
 
 

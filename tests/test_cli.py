@@ -473,11 +473,14 @@ def test_config_r_final_not_an_integer_exit_1(tmp_path, capsys):
     assert code == 1 and err.startswith("error:") and "'r_F'" in err
 
 
-def test_config_merge_final_not_a_shape_exit_1(tmp_path, capsys):
-    cfg = tmp_path / "merge.json"
-    write_json(cfg, {"regime": "merge", "q": 8, "initial": [[5, 3], [5, 3]], "final": [[8]]})
-    code, _, err = run(capsys, "plan", "--config", cfg, "--out", tmp_path / "p.json")
-    assert code == 1 and err.startswith("error:") and "'final'" in err
+def test_config_merge_needs_r_f_exit_1(tmp_path, capsys):
+    """A merge config names its final code by r_F alone: one with an
+    explicit final shape and no r_F is refused, and writes no plan."""
+    cfg, out = tmp_path / "merge.json", tmp_path / "p.json"
+    write_json(cfg, {"regime": "merge", "q": 8, "initial": [[5, 3], [5, 3]], "final": [[8, 6]]})
+    code, stdout, err = run(capsys, "plan", "--config", cfg, "--out", out)
+    _assert_refused(code, stdout, err, out)
+    assert "'r_F'" in err
 
 
 def test_plan_document_not_an_object_exit_1(tmp_path, capsys):
@@ -1353,7 +1356,7 @@ def test_plan_document_refuses_non_integer_numbers(tmp_path, capsys, tamper, mes
         ({"initial": [5, True]}, "'initial'"),
         ({"r_F": True}, "'r_F'"),
         ({"r_F": 2.0}, "'r_F'"),
-        ({"r_F": None, "final": [[8, "6"]]}, "'final'"),
+        ({"r_F": None, "final": [[8, "6"]]}, "'r_F'"),
     ],
 )
 def test_config_refuses_non_integer_numbers(tmp_path, capsys, change, message):

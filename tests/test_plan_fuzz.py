@@ -179,7 +179,7 @@ VERIFY_STDOUT = {
     "readme merge": "a70d55007d230b89972e43e4e22d7bc1c6907cdfc0fec489a9907259aef5b35e",
     "mixed merge": "74c76a8f64e100ded3a163e9cc2fcd5aaba2e2bf1914987a286981968ce8b245",
     "readme split": "83d48c7abbc3964aa03f135513a30ddaf71cf7a3d1d690cdddeb220f04e179f7",
-    "2x2 general": "60daba26371b673fe1535e72b21fd449804e471eb9dca2df16695854e77b7ec5",
+    "2x2 general": "26452bbf4bd928e157f3991c391bff1b29db978f182fa69394ea78d187c096ba",
 }
 
 

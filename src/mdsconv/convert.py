@@ -1140,9 +1140,9 @@ def verify_plan(plan: Plan) -> list[tuple[str, bool, str]]:
     Then merge plans run the structural optimality check and split plans
     their construction checks, and both get the access-bound line.
     General plans get no further line: the `GeneralPlan` constructor has
-    checked their layouts and conversion matrices, and they have no bound.
-    `lower` refuses a merge or split plan with any FAIL line, so this list
-    is also what `convert` accepts.
+    checked their layouts and the shapes of their conversion matrices,
+    and they have no bound.  `lower` refuses a merge or split plan with
+    any FAIL line, so this list is also what `convert` accepts.
     """
     p = plan.params
     split = isinstance(plan, SplitPlan)
@@ -1150,9 +1150,10 @@ def verify_plan(plan: Plan) -> list[tuple[str, bool, str]]:
     codes += ["final code"] if isinstance(plan, MergePlan) else [
         f"final code {j}" for j, spec in enumerate(plan.final_specs, 1) if spec is not None]
     results = [(f"{code} MDS", True, "") for code in codes]
-    if isinstance(plan, GeneralPlan):
-        return results
-    if split:
+    if isinstance(plan, MergePlan):
+        check = verify_optimal_structure(plan)
+        results.append(("optimal structure", check.ok, check.diagnostic))
+    elif split:
         for j, (kf, kept) in enumerate(zip(p.k_final, map(len, plan.unchanged)), 1):
             results.append((f"final code {j} keeps k_F unchanged symbols", kept == kf,
                             "" if kept == kf else f"keeps {kept}, need {kf}"))
@@ -1160,8 +1161,7 @@ def verify_plan(plan: Plan) -> list[tuple[str, bool, str]]:
             fault = _privileged_fault(plan)
             results.append(("privileged restricted parity", not fault, fault))
     else:
-        check = verify_optimal_structure(plan)
-        results.append(("optimal structure", check.ok, check.diagnostic))
+        return results
     report = plan_report(plan)
     bound = f"rho = {report.rho}, bound = {report.bound}"
     results.append(("access cost meets bound", bool(report.optimal), bound))
